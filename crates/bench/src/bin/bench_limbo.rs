@@ -19,7 +19,7 @@
 use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{dblp_sample, synthetic, write_csv_path, DblpSpec, PlantedFd, SyntheticSpec};
 use dbmine::limbo::{
-    phase1_auto, phase1_csv_path, run, tuple_dcfs_ctx, tuple_dcfs_for_chunk, DcfTree, DcfTreeRef,
+    phase1_auto, phase1_store, run, tuple_dcfs_ctx, tuple_dcfs_for_chunk, DcfTree, DcfTreeRef,
     LimboParams,
 };
 use dbmine::relation::{qualified_stride, Relation, ShardedRelation};
@@ -134,16 +134,13 @@ struct ScalePoint {
     distinct_values: usize,
     leaves: usize,
     gen_ms: f64,
-    scan_ms: f64,
-    /// The fused spill-on-scan pass (`scan_csv_path_spill`): one CSV
-    /// parse that also writes the binary shard store.
+    /// The fused spill-on-scan pass (`scan_csv_path_spill`): the one
+    /// CSV parse, which also writes the binary shard store.
     spill_ms: f64,
     /// Bytes of the `.dbss` store on disk.
     store_bytes: u64,
-    /// One full chunk pass re-parsing the CSV (the pre-store cost of
-    /// *every* later pass).
-    csv_pass_ms: f64,
-    /// One full chunk pass decoding the store (the post-store cost).
+    /// One full chunk pass decoding the store (the cost every later
+    /// pass pays).
     store_pass_ms: f64,
     /// Phase 1 over the store-backed source (two store passes).
     phase1_ms: f64,
@@ -160,8 +157,7 @@ struct ScalePoint {
 
 /// Streams one CSV of `n` tuples through the out-of-core Phase 1 and
 /// measures it; at the smallest size the sharded result is gated
-/// bit-identical across worker counts, across the CSV-repass vs
-/// store-backed chunk sources, and against the in-memory build.
+/// bit-identical across worker counts and against the in-memory build.
 fn run_scaling_column(sizes: &[usize], verify_in_memory: bool) -> Vec<ScalePoint> {
     let params = LimboParams::with_phi(4.0).shards(Some(2));
     let dir = std::env::temp_dir().join("dbmine_bench_scaling");
@@ -177,12 +173,7 @@ fn run_scaling_column(sizes: &[usize], verify_in_memory: bool) -> Vec<ScalePoint
         write_csv_path(&spec, &path).expect("write scaling CSV");
         let gen_ms = start.elapsed().as_secs_f64() * 1e3;
 
-        let start = Instant::now();
-        let sharded = ShardedRelation::scan_csv_path(&path, 0).expect("scan scaling CSV");
-        let scan_ms = start.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(sharded.n_tuples(), n, "generator/scan tuple count");
-
-        // The fused spill-on-scan: one more CSV parse, writing the
+        // The fused spill-on-scan: the one CSV parse, writing the
         // dictionary-encoded store as it goes. Every pass after this
         // line is a block decode.
         let spill_before = telemetry::snapshot();
@@ -196,27 +187,22 @@ fn run_scaling_column(sizes: &[usize], verify_in_memory: bool) -> Vec<ScalePoint
         let store_bytes = std::fs::metadata(&store_path)
             .expect("store metadata")
             .len();
-        assert_eq!(spilled.content_hash(), sharded.content_hash(), "spill hash");
+        assert_eq!(spilled.n_tuples(), n, "generator/scan tuple count");
 
-        // The tentpole measurement: one full chunk pass, CSV re-parse
-        // vs store decode. This is the cost every later pass (MI fold,
-        // DCF build, any future lattice sweep) pays per pass.
-        let drain = |src: &ShardedRelation| {
-            let start = Instant::now();
-            let mut rows = 0usize;
-            for chunk in src.chunks().expect("open chunk pass") {
-                rows += std::hint::black_box(chunk.expect("chunk").n_rows());
-            }
-            assert_eq!(rows, n, "chunk pass row count");
-            start.elapsed().as_secs_f64() * 1e3
-        };
-        let csv_pass_ms = drain(&sharded);
-        let store_pass_ms = drain(&spilled);
+        // One full chunk pass: the cost every later pass (MI fold, DCF
+        // build, any future lattice sweep) pays.
+        let start = Instant::now();
+        let mut rows = 0usize;
+        for chunk in spilled.chunks().expect("open chunk pass") {
+            rows += std::hint::black_box(chunk.expect("chunk").n_rows());
+        }
+        assert_eq!(rows, n, "chunk pass row count");
+        let store_pass_ms = start.elapsed().as_secs_f64() * 1e3;
 
         let before = telemetry::snapshot();
         let start = Instant::now();
         let ((mi, model), stats) =
-            telemetry::alloc::measure(|| phase1_csv_path(&spilled, params).expect("phase1_csv"));
+            telemetry::alloc::measure(|| phase1_store(&spilled, params).expect("phase1_store"));
         let phase1_ms = start.elapsed().as_secs_f64() * 1e3;
         let d = telemetry::snapshot().delta(&before);
 
@@ -239,8 +225,8 @@ fn run_scaling_column(sizes: &[usize], verify_in_memory: bool) -> Vec<ScalePoint
         } else {
             params.phi * mi / n as f64
         };
-        let stride = qualified_stride(sharded.dict().len(), sharded.n_attrs());
-        let mass = 1.0 / sharded.n_attrs().max(1) as f64;
+        let stride = qualified_stride(spilled.dict().len(), spilled.n_attrs());
+        let mass = 1.0 / spilled.n_attrs().max(1) as f64;
         let prior = 1.0 / n.max(1) as f64;
         let mut chunk_peaks: Vec<u64> = Vec::new();
         for chunk in spilled.chunks().expect("re-open scaling store") {
@@ -262,13 +248,10 @@ fn run_scaling_column(sizes: &[usize], verify_in_memory: bool) -> Vec<ScalePoint
         if i == 0 {
             // Worker-count bit-identity gate on the cheapest size: the
             // shard plan is fixed by n, so every worker count must
-            // reproduce the same leaves exactly. These runs go through
-            // the CSV-repass source while the reference (mi, model)
-            // came from the store — so this doubles as the
-            // store-vs-CSV identity gate.
+            // reproduce the same leaves exactly.
             for workers in [1usize, 4] {
                 let (mi_w, model_w) =
-                    phase1_csv_path(&sharded, params.shards(Some(workers))).expect("phase1_csv");
+                    phase1_store(&spilled, params.shards(Some(workers))).expect("phase1_store");
                 assert_eq!(
                     mi.to_bits(),
                     mi_w.to_bits(),
@@ -296,14 +279,12 @@ fn run_scaling_column(sizes: &[usize], verify_in_memory: bool) -> Vec<ScalePoint
 
         let p = ScalePoint {
             tuples: n,
-            n_chunks: sharded.n_chunks(),
-            distinct_values: sharded.dict().len(),
+            n_chunks: spilled.n_chunks(),
+            distinct_values: spilled.dict().len(),
             leaves: model.leaves.len(),
             gen_ms,
-            scan_ms,
             spill_ms,
             store_bytes,
-            csv_pass_ms,
             store_pass_ms,
             phase1_ms,
             allocs: stats.events,
@@ -327,13 +308,8 @@ fn run_scaling_column(sizes: &[usize], verify_in_memory: bool) -> Vec<ScalePoint
             p.leaves
         );
         println!(
-            "scaling/{:<9} pass: csv {:>10.1} ms  store {:>10.1} ms  ({:.2}x)  store {:>12} B  spill {:>10.1} ms",
-            p.tuples,
-            p.csv_pass_ms,
-            p.store_pass_ms,
-            p.csv_pass_ms / p.store_pass_ms.max(1e-9),
-            p.store_bytes,
-            p.spill_ms
+            "scaling/{:<9} pass: store {:>10.1} ms  store {:>12} B  spill {:>10.1} ms",
+            p.tuples, p.store_pass_ms, p.store_bytes, p.spill_ms
         );
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&store_path);
@@ -350,8 +326,8 @@ fn scaling_json(scaling: &[ScalePoint]) -> String {
         let _ = write!(
             json,
             "    {{\"tuples\": {}, \"n_chunks\": {}, \"distinct_values\": {}, \"leaves\": {}, \
-             \"gen_ms\": {:.1}, \"scan_ms\": {:.1}, \"spill_ms\": {:.1}, \"store_bytes\": {}, \
-             \"csv_pass_ms\": {:.1}, \"store_pass_ms\": {:.1}, \"phase1_ms\": {:.1}, \
+             \"gen_ms\": {:.1}, \"spill_ms\": {:.1}, \"store_bytes\": {}, \
+             \"store_pass_ms\": {:.1}, \"phase1_ms\": {:.1}, \
              \"allocs\": {}, \"peak_bytes\": {}, \"max_chunk_peak_bytes\": {}, \
              \"median_chunk_peak_bytes\": {}, \"shard_ingests\": {}, \
              \"tree_merges\": {}, \"dcf_merges\": {}, \
@@ -361,10 +337,8 @@ fn scaling_json(scaling: &[ScalePoint]) -> String {
             p.distinct_values,
             p.leaves,
             p.gen_ms,
-            p.scan_ms,
             p.spill_ms,
             p.store_bytes,
-            p.csv_pass_ms,
             p.store_pass_ms,
             p.phase1_ms,
             p.allocs,
@@ -599,9 +573,9 @@ fn main() {
     // ---- Out-of-core scaling column (sharded CSV ingest) ----
     //
     // Each point streams a DBLP-style CSV from disk through the
-    // three-pass out-of-core Phase 1 (`phase1_csv_path`): scan
-    // (dictionary + hash), streaming I(T;V), then chunked DCF build +
-    // sharded tree merge. `median_chunk_peak_bytes` measures the
+    // three-pass out-of-core Phase 1: spill-on-scan (dictionary + hash
+    // + store), then `phase1_store`'s streaming I(T;V) and chunked DCF
+    // build + sharded tree merge. `median_chunk_peak_bytes` measures the
     // Stage-A working set — one chunk's singleton DCFs plus its
     // per-chunk tree — which is what "ingest memory bounded by chunk
     // size, not relation size" means: it must stay flat as the tuple

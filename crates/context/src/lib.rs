@@ -19,14 +19,13 @@
 //!
 //! * **Memory** ([`AnalysisCtx::new`] / [`AnalysisCtx::of`]) — an
 //!   `Arc<Relation>`; every view builds from the columnar matrix.
-//! * **Chunks** ([`AnalysisCtx::from_chunks`]) — a path-backed
-//!   [`ShardedRelation`] (CSV scan or binary shard store). The
-//!   chunk-foldable views — attribute partitions, `I(T;V)`, column
-//!   profiles, projection statistics, and even the row-oriented
-//!   [`TupleRows`]/[`ValueIndex`] — build from bounded-memory chunk
-//!   passes over the backing and are **bit-identical** to the in-memory
-//!   builds (global interned ids + deterministic first-occurrence
-//!   folds). Only [`AnalysisCtx::relation`] materializes the full
+//! * **Chunks** ([`AnalysisCtx::from_chunks`]) — a [`ShardedRelation`]
+//!   over a binary shard store. The chunk-foldable views — attribute
+//!   partitions, `I(T;V)`, column profiles, projection statistics, and
+//!   even the row-oriented [`TupleRows`]/[`ValueIndex`] — build from
+//!   bounded-memory chunk passes over the store and are
+//!   **bit-identical** to the in-memory builds (global interned ids +
+//!   deterministic first-occurrence folds). Only [`AnalysisCtx::relation`] materializes the full
 //!   `Relation`, lazily, for genuinely row-resident consumers (FDEP
 //!   agree-sets, tuple previews, redesign projections); each
 //!   materialization is recorded in the [`ViewStats::materializations`]
@@ -44,8 +43,8 @@
 //! * The relation itself is immutable. If the relation changes (e.g. a
 //!   decomposition step), build a **new** context — there is no
 //!   invalidation. A chunk-backed context additionally assumes the
-//!   backing file does not change underneath it; a pass that detects a
-//!   changed or undecodable backing panics with the underlying error
+//!   store does not change underneath it; a pass that hits an
+//!   unreadable or corrupt store panics with the underlying typed error
 //!   (an environment fault, not a recoverable state — serving layers
 //!   isolate it per request).
 //!
@@ -120,7 +119,7 @@ pub struct ViewStats {
 const PROJECTION_MEMO_CAP: usize = 4096;
 
 /// Where a context's views come from: a resident columnar relation, or
-/// chunk passes over a path-backed scan/store.
+/// chunk passes over a shard store.
 enum CtxSource {
     Mem(Arc<Relation>),
     Chunks(ShardedRelation),
@@ -202,23 +201,18 @@ impl AnalysisCtx {
         AnalysisCtx::new(Arc::new(rel.clone()))
     }
 
-    /// A chunk-backed context over a path-backed scan or binary shard
-    /// store: every chunk-foldable view streams from the backing in
-    /// bounded memory, and the full `Relation` is materialized only if
-    /// a row-resident consumer calls [`AnalysisCtx::relation`].
-    ///
-    /// The relation must have a backing file
-    /// ([`ShardedRelation::chunks`]); a reader-fed scan is rejected
-    /// here, once, instead of failing on first view access.
+    /// A chunk-backed context over a binary shard store: every
+    /// chunk-foldable view streams from the store in bounded memory, and
+    /// the full `Relation` is materialized only if a row-resident
+    /// consumer calls [`AnalysisCtx::relation`]. It cannot fail; the
+    /// `Result` lets callers chain it after
+    /// [`ShardedRelation::open_store`] with `and_then`.
     pub fn from_chunks(sharded: ShardedRelation) -> Result<Self, CsvError> {
-        if sharded.path().is_none() {
-            return Err(CsvError::NoBacking);
-        }
         Ok(Self::with_source(CtxSource::Chunks(sharded)))
     }
 
-    /// True when views stream from a path-backed chunk source instead
-    /// of a resident relation.
+    /// True when views stream from a shard store instead of a resident
+    /// relation.
     pub fn is_chunk_backed(&self) -> bool {
         matches!(self.source, CtxSource::Chunks(_))
     }
@@ -722,7 +716,7 @@ mod tests {
         assert_eq!(ctx.view_stats().builds, rel.n_attrs() as u64);
     }
 
-    /// Writes `csv` to a unique temp file and returns a chunk-backed
+    /// Spills `csv` into a unique temp store and returns a chunk-backed
     /// context plus the equivalent in-memory relation.
     fn chunked_pair(csv: &str, chunk_tuples: usize, tag: &str) -> (AnalysisCtx, Relation) {
         let dir = std::env::temp_dir().join("dbmine_ctx_chunk_test");
@@ -732,7 +726,8 @@ mod tests {
             std::process::id()
         ));
         std::fs::write(&path, csv).unwrap();
-        let sharded = ShardedRelation::scan_csv_path(&path, chunk_tuples).unwrap();
+        let store = path.with_extension("dbss");
+        let sharded = ShardedRelation::scan_csv_path_spill(&path, chunk_tuples, &store).unwrap();
         let name = sharded.name().to_string();
         let ctx = AnalysisCtx::from_chunks(sharded).unwrap();
         let rel = dbmine_relation::csv::read_relation(csv.as_bytes(), &name).unwrap();
@@ -809,14 +804,5 @@ mod tests {
             ctx.tuple_mutual_information(),
             TupleRows::build(&rel).mutual_information()
         );
-    }
-
-    #[test]
-    fn from_chunks_rejects_reader_fed_scans() {
-        let s = ShardedRelation::scan_csv(CHUNK_SAMPLE.as_bytes(), "t", 2).unwrap();
-        assert!(matches!(
-            AnalysisCtx::from_chunks(s),
-            Err(CsvError::NoBacking)
-        ));
     }
 }

@@ -252,7 +252,7 @@ fn load_input(args: &Args) -> Input {
         };
         return Input::chunked(store, None);
     }
-    let spill_to = |store_path: &std::path::Path| -> ShardedRelation {
+    let spill_into = |store_path: &std::path::Path| -> ShardedRelation {
         match ShardedRelation::scan_csv_path_spill(path, 0, store_path) {
             Ok(s) => {
                 eprintln!(
@@ -269,7 +269,7 @@ fn load_input(args: &Args) -> Input {
         }
     };
     if let Some(store_path) = spill {
-        Input::chunked(spill_to(std::path::Path::new(&store_path)), None)
+        Input::chunked(spill_into(std::path::Path::new(&store_path)), None)
     } else if args.flags.contains_key("shards") {
         // Sharded ingest without an explicit store: spill once into a
         // temporary store so every later pass is a block decode. The
@@ -283,7 +283,7 @@ fn load_input(args: &Args) -> Input {
             "dbmine_autospill_{}_{stem}.dbss",
             std::process::id()
         ));
-        let store = spill_to(&store_path);
+        let store = spill_into(&store_path);
         Input::chunked(store, Some(TempStore(store_path)))
     } else {
         Input::mem(load(path))

@@ -418,9 +418,13 @@ mod tests {
         assert_eq!(reread.n_tuples(), rel.n_tuples());
         assert_eq!(reread.content_hash(), rel.content_hash());
 
-        let scanned = dbmine_relation::ShardedRelation::scan_csv(&bytes[..], "dblp", 128).unwrap();
+        let store = std::env::temp_dir().join(format!("dbmine_dblp_{}.dbss", std::process::id()));
+        let scanned =
+            dbmine_relation::ShardedRelation::scan_csv_spill(&bytes[..], "dblp", 128, &store)
+                .unwrap();
         assert_eq!(scanned.n_tuples(), rel.n_tuples());
         assert_eq!(scanned.content_hash(), rel.content_hash());
+        std::fs::remove_file(&store).ok();
     }
 
     #[test]

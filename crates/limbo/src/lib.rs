@@ -37,8 +37,7 @@ pub use pipeline::{
     LimboParams,
 };
 pub use sharded::{
-    phase1_auto, phase1_csv, phase1_csv_path, phase1_sharded, phase1_source, ShardPlan,
-    ShardedPhase1, DEFAULT_CHUNK_TUPLES,
+    phase1_auto, phase1_sharded, phase1_store, ShardPlan, ShardedPhase1, DEFAULT_CHUNK_TUPLES,
 };
 pub use tree::{DcfTree, Leaves};
 pub use tree_reference::DcfTreeRef;

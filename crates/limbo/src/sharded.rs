@@ -38,9 +38,7 @@ use crate::tree::DcfTree;
 use dbmine_ib::Dcf;
 use dbmine_parallel::par_map_coarse;
 use dbmine_relation::csv::CsvError;
-use dbmine_relation::{
-    tuple_mutual_information_chunks, ChunkSource, ReaderChunkSource, ShardedRelation,
-};
+use dbmine_relation::{tuple_mutual_information_chunks, ShardedRelation};
 use dbmine_telemetry::{counter_add, Counter};
 use std::ops::Range;
 
@@ -68,7 +66,7 @@ impl ShardPlan {
     /// The canonical plan for `n` objects: full chunks of
     /// [`DEFAULT_CHUNK_TUPLES`], remainder last — exactly the chunking
     /// a default [`dbmine_relation::ShardedRelation`] pass produces, so
-    /// the out-of-core CSV path and the in-memory `--shards` path run
+    /// the out-of-core store path and the in-memory `--shards` path run
     /// the *same* plan and stay bit-identical. One chunk for anything
     /// that fits — small relations take the classic single-pass path
     /// bit for bit.
@@ -271,13 +269,10 @@ pub fn phase1_auto(objects: &[Dcf], mutual_information: f64, params: LimboParams
     }
 }
 
-/// Fully out-of-core Phase 1 over any chunk source: two more streaming
-/// passes, never materializing the relation. A source is a scanned
-/// relation plus a way to open fresh passes ([`ChunkSource`]) — a CSV
-/// re-parse, a binary shard store block decode
-/// ([`ShardedRelation::open_store`]), or an arbitrary re-openable
-/// reader; all three run this one code path and, for the same content,
-/// produce bit-identical output.
+/// Fully out-of-core Phase 1 over a shard store
+/// ([`ShardedRelation::open_store`] /
+/// [`ShardedRelation::scan_csv_path_spill`]): two more streaming passes
+/// of checksummed block decodes, never materializing the relation.
 ///
 /// * **Pass 2** — [`tuple_mutual_information_chunks`] folds `I(T;V)`
 ///   over a fresh chunk stream (bit-identical to the in-memory
@@ -289,18 +284,17 @@ pub fn phase1_auto(objects: &[Dcf], mutual_information: f64, params: LimboParams
 ///   of chunks plus the accumulated shard leaves — bounded by the chunk
 ///   size, never by `n`.
 ///
-/// `params.shards` gives the shard workers (`None` → 1); when the scan
+/// `params.shards` gives the shard workers (`None` → 1); when the store
 /// chunk size is the default, the chunking equals [`ShardPlan::auto`],
 /// so the result is bit-identical to loading the relation in memory and
 /// running [`phase1_auto`] with the same `params` — pinned by tests.
 ///
 /// Returns the streamed `I(T;V)` alongside the Phase 1 model.
-pub fn phase1_source<S: ChunkSource>(
-    source: &S,
+pub fn phase1_store(
+    sharded: &ShardedRelation,
     params: LimboParams,
 ) -> Result<(f64, LimboModel), CsvError> {
-    let sharded = source.relation();
-    let mutual_information = tuple_mutual_information_chunks(sharded, source.open_pass()?)?;
+    let mutual_information = tuple_mutual_information_chunks(sharded, sharded.chunks()?)?;
     let n = sharded.n_tuples();
     let m = sharded.n_attrs();
     let workers = params.shards.unwrap_or(1);
@@ -311,7 +305,7 @@ pub fn phase1_source<S: ChunkSource>(
         let mass = 1.0 / m as f64;
         let prior = 1.0 / n as f64;
         let mut batch: Vec<Vec<Dcf>> = Vec::with_capacity(batch_size);
-        for chunk in source.open_pass()? {
+        for chunk in sharded.chunks()? {
             let chunk = chunk?;
             batch.push(crate::input::tuple_dcfs_for_chunk(
                 &chunk, stride, mass, prior,
@@ -324,34 +318,6 @@ pub fn phase1_source<S: ChunkSource>(
         driver.ingest_chunks(&batch);
     }
     Ok((mutual_information, driver.finish()))
-}
-
-/// [`phase1_source`] over an explicit reader factory: `open` must yield
-/// a fresh reader over the **same bytes** the scan pass consumed (it is
-/// called once per pass; changed input is detected and reported as a
-/// typed error).
-pub fn phase1_csv<R, F>(
-    sharded: &ShardedRelation,
-    open: F,
-    params: LimboParams,
-) -> Result<(f64, LimboModel), CsvError>
-where
-    R: std::io::Read,
-    F: Fn() -> Result<R, CsvError>,
-{
-    phase1_source(&ReaderChunkSource::new(sharded, open), params)
-}
-
-/// [`phase1_source`] over a file-backed scan: a CSV re-parse per pass
-/// for [`ShardedRelation::scan_csv_path`] relations, a zero-parse block
-/// decode per pass for store-backed ones
-/// ([`ShardedRelation::open_store`] /
-/// [`ShardedRelation::scan_csv_path_spill`]).
-pub fn phase1_csv_path(
-    sharded: &ShardedRelation,
-    params: LimboParams,
-) -> Result<(f64, LimboModel), CsvError> {
-    phase1_source(sharded, params)
 }
 
 #[cfg(test)]
@@ -453,7 +419,7 @@ mod tests {
         let p = ShardPlan::auto(DEFAULT_CHUNK_TUPLES + 1);
         assert_eq!(p.n_chunks(), 2);
         // Full chunks then remainder, covering exactly 0..n in order —
-        // the same boundaries a default chunked CSV pass yields.
+        // the same boundaries a default store chunk pass yields.
         let ranges: Vec<_> = p.ranges().collect();
         assert_eq!(ranges[0], 0..DEFAULT_CHUNK_TUPLES);
         assert_eq!(ranges[1], DEFAULT_CHUNK_TUPLES..DEFAULT_CHUNK_TUPLES + 1);
@@ -626,6 +592,21 @@ mod tests {
         out
     }
 
+    /// Spills `csv` (named `t`) into a fresh temporary store, removed
+    /// once the test is done with it.
+    fn with_store<T>(csv: &str, chunk: usize, f: impl FnOnce(&ShardedRelation) -> T) -> T {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join("dbmine_limbo_store_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let id = SEQ.fetch_add(1, Ordering::Relaxed);
+        let store = dir.join(format!("{}_{id}.dbss", std::process::id()));
+        let sharded = ShardedRelation::scan_csv_spill(csv.as_bytes(), "t", chunk, &store).unwrap();
+        let out = f(&sharded);
+        std::fs::remove_file(&store).ok();
+        out
+    }
+
     #[test]
     fn out_of_core_phase1_is_bit_identical_to_in_memory() {
         use dbmine_relation::csv::read_relation;
@@ -637,32 +618,34 @@ mod tests {
         let objects = crate::input::tuple_dcfs(&rel);
         let mi_ref = TupleRows::build(&rel).mutual_information();
         for chunk in [64usize, 150, 1000] {
-            let sharded = ShardedRelation::scan_csv(csv.as_bytes(), "t", chunk).unwrap();
-            for phi in [0.0, 1.0, 4.0] {
-                for workers in [1usize, 2, 4] {
-                    let params = LimboParams::with_phi(phi).shards(Some(workers));
-                    let (mi, model) = phase1_csv(&sharded, || Ok(csv.as_bytes()), params).unwrap();
-                    assert_eq!(mi.to_bits(), mi_ref.to_bits(), "chunk={chunk} phi={phi}");
-                    // Reference: the same plan over in-memory objects.
-                    let plan = ShardPlan::with_chunk_size(n, chunk);
-                    let reference = phase1_sharded(&objects, mi_ref, params, &plan, workers);
-                    assert_eq!(model.threshold.to_bits(), reference.threshold.to_bits());
-                    assert_eq!(model.n_objects, n);
-                    assert_bit_identical(
-                        &model.leaves,
-                        &reference.leaves,
-                        &format!("out-of-core chunk={chunk} phi={phi} workers={workers}"),
-                    );
+            with_store(&csv, chunk, |sharded| {
+                for phi in [0.0, 1.0, 4.0] {
+                    for workers in [1usize, 2, 4] {
+                        let params = LimboParams::with_phi(phi).shards(Some(workers));
+                        let (mi, model) = phase1_store(sharded, params).unwrap();
+                        assert_eq!(mi.to_bits(), mi_ref.to_bits(), "chunk={chunk} phi={phi}");
+                        // Reference: the same plan over in-memory objects.
+                        let plan = ShardPlan::with_chunk_size(n, chunk);
+                        let reference = phase1_sharded(&objects, mi_ref, params, &plan, workers);
+                        assert_eq!(model.threshold.to_bits(), reference.threshold.to_bits());
+                        assert_eq!(model.n_objects, n);
+                        assert_bit_identical(
+                            &model.leaves,
+                            &reference.leaves,
+                            &format!("out-of-core chunk={chunk} phi={phi} workers={workers}"),
+                        );
+                    }
                 }
-            }
+            });
         }
     }
 
     #[test]
     fn out_of_core_with_default_chunking_matches_phase1_auto() {
-        // With the default chunk size the CSV chunking IS the auto plan,
-        // so the fully streamed run equals the in-memory `--shards` run
-        // bit for bit (here n < chunk, which also pins it to classic).
+        // With the default chunk size the store chunking IS the auto
+        // plan, so the fully streamed run equals the in-memory
+        // `--shards` run bit for bit (here n < chunk, which also pins it
+        // to classic).
         use dbmine_relation::csv::read_relation;
         use dbmine_relation::TupleRows;
 
@@ -671,9 +654,10 @@ mod tests {
         let objects = crate::input::tuple_dcfs(&rel);
         let mi_ref = TupleRows::build(&rel).mutual_information();
         let params = LimboParams::with_phi(1.0).shards(Some(2));
-        let sharded = ShardedRelation::scan_csv(csv.as_bytes(), "t", 0).unwrap();
-        assert_eq!(sharded.chunk_tuples(), DEFAULT_CHUNK_TUPLES);
-        let (mi, model) = phase1_csv(&sharded, || Ok(csv.as_bytes()), params).unwrap();
+        let (mi, model) = with_store(&csv, 0, |sharded| {
+            assert_eq!(sharded.chunk_tuples(), DEFAULT_CHUNK_TUPLES);
+            phase1_store(sharded, params).unwrap()
+        });
         let auto = phase1_auto(&objects, mi_ref, params);
         assert_eq!(mi.to_bits(), mi_ref.to_bits());
         assert_bit_identical(&model.leaves, &auto.leaves, "default chunking ≡ auto");
@@ -684,39 +668,37 @@ mod tests {
     #[test]
     fn store_backed_phase1_is_bit_identical_across_shard_counts() {
         // The store-backed chunk pass must drive Phase 1 to *exactly*
-        // the output of the CSV re-parse pass and of the in-memory
-        // sharded build — for several chunk sizes, φ values and worker
-        // counts, through the one source-agnostic `phase1_source` path.
-        use dbmine_relation::csv::read_relation;
+        // the output of the in-memory sharded build over the same plan,
+        // and be invariant in the worker count — for several chunk
+        // sizes and φ values.
+        use dbmine_relation::csv::read_relation_path;
         use dbmine_relation::TupleRows;
 
-        let dir = std::env::temp_dir().join("dbmine_limbo_store_test");
+        let dir = std::env::temp_dir().join("dbmine_limbo_store_path_test");
         std::fs::create_dir_all(&dir).unwrap();
         let n = 400;
-        let csv = synthetic_csv(n);
         let csv_path = dir.join("synth.csv");
-        std::fs::write(&csv_path, &csv).unwrap();
-        let rel = read_relation(csv.as_bytes(), "synth").unwrap();
+        std::fs::write(&csv_path, synthetic_csv(n)).unwrap();
+        let rel = read_relation_path(&csv_path).unwrap();
         let objects = crate::input::tuple_dcfs(&rel);
         let mi_ref = TupleRows::build(&rel).mutual_information();
         for chunk in [64usize, 150] {
             let store_path = dir.join(format!("synth_{chunk}.dbss"));
             let stored =
                 ShardedRelation::scan_csv_path_spill(&csv_path, chunk, &store_path).unwrap();
-            assert!(stored.is_store_backed());
-            let plain = ShardedRelation::scan_csv_path(&csv_path, chunk).unwrap();
+            assert_eq!(stored.content_hash(), rel.content_hash());
             for phi in [0.0, 1.0, 4.0] {
+                let params = LimboParams::with_phi(phi);
+                let (_, serial) = phase1_store(&stored, params.shards(Some(1))).unwrap();
                 for workers in [1usize, 2, 4] {
-                    let params = LimboParams::with_phi(phi).shards(Some(workers));
-                    let (mi_store, from_store) = phase1_csv_path(&stored, params).unwrap();
-                    let (mi_csv, from_csv) = phase1_csv_path(&plain, params).unwrap();
+                    let params = params.shards(Some(workers));
+                    let (mi_store, from_store) = phase1_store(&stored, params).unwrap();
                     assert_eq!(mi_store.to_bits(), mi_ref.to_bits());
-                    assert_eq!(mi_csv.to_bits(), mi_store.to_bits());
                     let plan = ShardPlan::with_chunk_size(n, chunk);
                     let reference = phase1_sharded(&objects, mi_ref, params, &plan, workers);
                     let what = format!("store chunk={chunk} phi={phi} workers={workers}");
                     assert_bit_identical(&from_store.leaves, &reference.leaves, &what);
-                    assert_bit_identical(&from_store.leaves, &from_csv.leaves, &what);
+                    assert_bit_identical(&from_store.leaves, &serial.leaves, &what);
                 }
             }
         }
@@ -725,10 +707,9 @@ mod tests {
 
     #[test]
     fn out_of_core_empty_relation() {
-        let csv = "A,B\n";
-        let sharded = ShardedRelation::scan_csv(csv.as_bytes(), "t", 4).unwrap();
-        let (mi, model) =
-            phase1_csv(&sharded, || Ok(csv.as_bytes()), LimboParams::default()).unwrap();
+        let (mi, model) = with_store("A,B\n", 4, |sharded| {
+            phase1_store(sharded, LimboParams::default()).unwrap()
+        });
         assert_eq!(mi, 0.0);
         assert!(model.leaves.is_empty());
         assert_eq!(model.n_objects, 0);
@@ -740,9 +721,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("synth.csv");
         std::fs::write(&path, synthetic_csv(200)).unwrap();
-        let sharded = ShardedRelation::scan_csv_path(&path, 64).unwrap();
+        let store = dir.join("synth.dbss");
+        let sharded = ShardedRelation::scan_csv_path_spill(&path, 64, &store).unwrap();
         let (mi, model) =
-            phase1_csv_path(&sharded, LimboParams::with_phi(1.0).shards(Some(2))).unwrap();
+            phase1_store(&sharded, LimboParams::with_phi(1.0).shards(Some(2))).unwrap();
         assert!(mi > 0.0);
         assert_eq!(model.n_objects, 200);
         let count: usize = model.leaves.iter().map(|d| d.count).sum();

@@ -31,23 +31,11 @@ pub enum CsvError {
     TooManyAttrs { got: usize, max: usize },
     /// Error reading a binary columnar shard store ([`crate::spill`]).
     Store(StoreError),
-    /// A chunk pass saw different bytes than the scan pass (the file
-    /// was modified between passes): a value missing from the frozen
-    /// dictionary, a changed header, or a changed tuple count.
-    ChangedInput {
-        /// 1-based line of the offending record, where known.
-        line: Option<usize>,
-        detail: String,
-    },
-    /// A chunk pass was requested on a relation whose scan consumed a
-    /// plain reader, so there is no file to re-open
-    /// ([`crate::ShardedRelation::chunks`]). Re-scan from a path, spill
-    /// to a store, or drive passes with `chunks_from`.
-    NoBacking,
     /// An error with the source file attached. Line numbers, where
     /// known, stay on the wrapped error — the `Display` output is
-    /// `path: line N: …`, so a mid-pass failure on a 10⁷-row file names
-    /// the exact file and record.
+    /// `path: line N: …` for a CSV scan and `path: shard store: … chunk
+    /// i …` for a store pass, so a failure deep in a 10⁷-row file names
+    /// the exact file and record or block.
     InFile {
         path: PathBuf,
         source: Box<CsvError>,
@@ -85,15 +73,6 @@ impl fmt::Display for CsvError {
                 write!(f, "header has {got} columns; at most {max} supported")
             }
             CsvError::Store(e) => write!(f, "shard store: {e}"),
-            CsvError::ChangedInput { line, detail } => {
-                let at = line.map(|l| format!("line {l}: ")).unwrap_or_default();
-                write!(f, "{at}CSV changed between scan and chunk passes: {detail}")
-            }
-            CsvError::NoBacking => write!(
-                f,
-                "relation has no backing file to re-read; \
-                 scan from a path, spill to a store, or use chunks_from"
-            ),
             CsvError::InFile { path, source } => write!(f, "{}: {source}", path.display()),
         }
     }

@@ -41,7 +41,7 @@ pub use partition::{PartitionScratch, StrippedPartition};
 pub use relation::{AttrId, Relation, RelationBuilder};
 pub use shard::{
     attr_partitions_chunks, column_profiles_chunks, projection_stats_chunks,
-    tuple_mutual_information_chunks, ChunkSource, Chunks, CsvChunks, CsvRecordStream,
-    ReaderChunkSource, RelationChunk, ShardedRelation, DEFAULT_CHUNK_TUPLES,
+    tuple_mutual_information_chunks, CsvRecordStream, RelationChunk, ShardedRelation,
+    DEFAULT_CHUNK_TUPLES,
 };
 pub use spill::{SpillWriter, StoreChunks, StoreError, StoreFooter};

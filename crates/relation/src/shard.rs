@@ -6,18 +6,20 @@
 //! **bounded-memory chunks** while producing *bitwise* the same derived
 //! quantities as the in-memory path:
 //!
-//! * [`ShardedRelation::scan_csv`] — pass 1 over the stream: resolves
-//!   the header (same `col{i}`/width semantics as `read_relation`),
-//!   interns every cell into the global [`ValueDict`] **in row-major
-//!   order** (so ids match a [`crate::RelationBuilder`] load exactly),
-//!   counts tuples, and folds the incremental [`ContentHasher`]. The
-//!   resulting hash equals [`crate::Relation::content_hash`] of the
-//!   in-memory load — the identity key `dbmined`'s context LRU uses —
-//!   without ever holding more than the dictionary and one record.
-//! * [`ShardedRelation::chunks_from`] — later passes: re-reads the
-//!   stream and yields [`RelationChunk`]s of at most `chunk_tuples`
-//!   rows in the relation's interned columnar layout. Peak memory is
-//!   the dictionary plus one chunk, independent of the relation size.
+//! * [`ShardedRelation::scan_csv_spill`] — the one pass over the CSV:
+//!   resolves the header (same `col{i}`/width semantics as
+//!   `read_relation`), interns every cell into the global [`ValueDict`]
+//!   **in row-major order** (so ids match a [`crate::RelationBuilder`]
+//!   load exactly), counts tuples, folds the incremental
+//!   [`ContentHasher`], and spills each chunk into a binary shard store
+//!   ([`crate::spill`]). The hash equals
+//!   [`crate::Relation::content_hash`] of the in-memory load — the
+//!   identity key `dbmined`'s context LRU uses — and the scan never
+//!   holds more than the dictionary and one chunk.
+//! * [`ShardedRelation::chunks`] — every later pass: decodes the store
+//!   into [`RelationChunk`]s of at most `chunk_tuples` rows in the
+//!   relation's interned columnar layout. Peak memory is the dictionary
+//!   plus one chunk, independent of the relation size.
 //! * [`tuple_mutual_information_chunks`] — folds `I(T;V)` of the tuple
 //!   view over a chunk stream with exactly the operation sequence of
 //!   `TupleRows::mutual_information`, so the result is bit-identical.
@@ -172,16 +174,15 @@ impl RelationChunk {
 
 /// The bounded-memory view of a CSV relation: schema, global value
 /// dictionary, tuple count and content hash — everything *except* the
-/// cell matrix, which is re-streamed in chunks on demand.
+/// cell matrix, which lives in a binary shard store ([`crate::spill`])
+/// and is decoded in chunks on demand.
 ///
-/// Built by one streaming pass ([`ShardedRelation::scan_csv`] /
-/// [`ShardedRelation::scan_csv_path`]); subsequent passes re-read the
-/// source via [`ShardedRelation::chunks`] / [`chunks_from`]. The
+/// Built by [`ShardedRelation::scan_csv_spill`] (one CSV pass that also
+/// writes the store) or [`ShardedRelation::open_store`]; every later
+/// pass decodes the store via [`ShardedRelation::chunks`]. The
 /// dictionary is interned in the same row-major order as an in-memory
 /// [`crate::RelationBuilder`] load, so every id — and every quantity
 /// derived from ids — matches the in-memory path bitwise.
-///
-/// [`chunks_from`]: ShardedRelation::chunks_from
 #[derive(Clone, Debug)]
 pub struct ShardedRelation {
     name: String,
@@ -190,90 +191,22 @@ pub struct ShardedRelation {
     n: usize,
     content_hash: u64,
     chunk_tuples: usize,
-    backing: Backing,
-}
-
-/// What a chunk pass re-reads: nothing (reader-fed scans), the scanned
-/// CSV file, or a binary shard store ([`crate::spill`]).
-#[derive(Clone, Debug)]
-enum Backing {
-    None,
-    Csv(PathBuf),
-    Store {
-        path: PathBuf,
-        /// File offset one past the last block (= the footer offset),
-        /// from the validated store metadata.
-        data_len: u64,
-    },
+    /// The shard store chunk passes decode.
+    path: PathBuf,
+    /// File offset one past the last block (= the footer offset), from
+    /// the validated store metadata.
+    data_len: u64,
 }
 
 impl ShardedRelation {
-    /// Pass 1 over a CSV stream: header, dictionary, tuple count and
-    /// content hash, holding only the dictionary and one record in
-    /// memory. `chunk_tuples` sets the granularity of later chunk
-    /// passes (`0` means [`DEFAULT_CHUNK_TUPLES`]).
-    pub fn scan_csv<R: Read>(reader: R, name: &str, chunk_tuples: usize) -> Result<Self, CsvError> {
-        let mut stream = CsvRecordStream::new(reader);
-        let header = match stream.next_record()? {
-            Some(h) => h,
-            None => return Err(CsvError::Empty),
-        };
-        let attr_names = header_names(header)?;
-        let mut dict = ValueDict::new();
-        let mut hasher = ContentHasher::new(name, &attr_names);
-        let mut n = 0usize;
-        while let Some(rec) = stream.next_record()? {
-            let Some(rec) = normalize_row(rec, attr_names.len(), stream.line())? else {
-                continue;
-            };
-            hasher.push_row(&rec);
-            for cell in &rec {
-                dict.intern_cell(cell.as_deref());
-            }
-            n += 1;
-        }
-        Ok(ShardedRelation {
-            name: name.to_string(),
-            attr_names,
-            dict,
-            n,
-            content_hash: hasher.finish(),
-            chunk_tuples: if chunk_tuples == 0 {
-                DEFAULT_CHUNK_TUPLES
-            } else {
-                chunk_tuples
-            },
-            backing: Backing::None,
-        })
-    }
-
-    /// [`ShardedRelation::scan_csv`] over a file, remembering the path so
-    /// [`ShardedRelation::chunks`] can re-open it for later passes. The
-    /// file stem becomes the relation name, as in
-    /// [`crate::csv::read_relation_path`]; errors carry the file path.
-    pub fn scan_csv_path(path: impl AsRef<Path>, chunk_tuples: usize) -> Result<Self, CsvError> {
-        let path = path.as_ref();
-        let name = Self::stem_name(path);
-        let file = std::fs::File::open(path).map_err(|e| CsvError::from(e).in_file(path))?;
-        let mut sharded = Self::scan_csv(file, &name, chunk_tuples).map_err(|e| e.in_file(path))?;
-        sharded.backing = Backing::Csv(path.to_path_buf());
-        Ok(sharded)
-    }
-
-    fn stem_name(path: &Path) -> String {
-        path.file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("relation")
-            .to_string()
-    }
-
-    /// One fused pass: [`ShardedRelation::scan_csv`] that *also* spills
-    /// every chunk into the binary shard store at `store_path` as it
-    /// scans — the CSV is tokenized and dictionary-hashed exactly once,
-    /// and every later chunk pass decodes the store instead
-    /// ([`crate::spill`]). Row-major interning means each value id is
-    /// final the moment its chunk is written, so no second encoding pass
-    /// is needed. The returned relation is store-backed.
+    /// The one pass over a CSV stream: header, dictionary, tuple count
+    /// and content hash, spilling every chunk into the binary shard
+    /// store at `store_path` as it scans. The CSV is tokenized and
+    /// dictionary-hashed exactly once; every later chunk pass decodes
+    /// the store ([`crate::spill`]). Row-major interning means each
+    /// value id is final the moment its chunk is written, so no second
+    /// encoding pass is needed. `chunk_tuples` sets the store's chunk
+    /// granularity (`0` means [`DEFAULT_CHUNK_TUPLES`]).
     pub fn scan_csv_spill<R: Read>(
         reader: R,
         name: &str,
@@ -336,50 +269,32 @@ impl ShardedRelation {
             content_hash,
             dict: &dict,
         })?;
-        // Re-open through the validated metadata path so the backing
+        // Re-open through the validated metadata path so the relation
         // carries the verified footer offset.
         Self::open_store(store_path)
     }
 
-    /// [`ShardedRelation::scan_csv_spill`] over a CSV file (file stem as
-    /// relation name, errors carrying the source path).
+    /// [`ShardedRelation::scan_csv_spill`] over a CSV file. The file
+    /// stem becomes the relation name, as in
+    /// [`crate::csv::read_relation_path`]; errors carry the source path.
     pub fn scan_csv_path_spill(
         path: impl AsRef<Path>,
         chunk_tuples: usize,
         store_path: impl AsRef<Path>,
     ) -> Result<Self, CsvError> {
         let path = path.as_ref();
-        let name = Self::stem_name(path);
+        let name = path
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .unwrap_or("relation");
         let file = std::fs::File::open(path).map_err(|e| CsvError::from(e).in_file(path))?;
-        Self::scan_csv_spill(file, &name, chunk_tuples, store_path).map_err(|e| e.in_file(path))
-    }
-
-    /// Spills this relation's chunks into a binary shard store at
-    /// `store_path` by running one chunk pass over the current backing,
-    /// and returns the store-backed equivalent. For CSV-backed scans
-    /// prefer the fused [`ShardedRelation::scan_csv_path_spill`], which
-    /// avoids this extra re-parse entirely.
-    pub fn spill_to(&self, store_path: impl AsRef<Path>) -> Result<ShardedRelation, CsvError> {
-        let store_path = store_path.as_ref();
-        let mut writer = SpillWriter::create(store_path)?;
-        for chunk in self.chunks()? {
-            writer.write_chunk(&chunk?)?;
-        }
-        writer.finish(&StoreFooter {
-            name: &self.name,
-            attr_names: &self.attr_names,
-            chunk_tuples: self.chunk_tuples,
-            n_tuples: self.n,
-            content_hash: self.content_hash,
-            dict: &self.dict,
-        })?;
-        Self::open_store(store_path)
+        Self::scan_csv_spill(file, name, chunk_tuples, store_path).map_err(|e| e.in_file(path))
     }
 
     /// Opens an existing binary shard store: validates magic, version,
     /// trailer, footer checksum and counts, rebuilds the frozen
-    /// dictionary, and returns the store-backed relation. Later chunk
-    /// passes decode blocks directly — zero tokenization, zero hashing.
+    /// dictionary, and returns the relation. Later chunk passes decode
+    /// blocks directly — zero tokenization, zero hashing.
     pub fn open_store(path: impl AsRef<Path>) -> Result<Self, CsvError> {
         let path = path.as_ref();
         let meta = crate::spill::read_meta(path).map_err(|e| CsvError::from(e).in_file(path))?;
@@ -390,17 +305,15 @@ impl ShardedRelation {
             n: meta.n_tuples,
             content_hash: meta.content_hash,
             chunk_tuples: meta.chunk_tuples,
-            backing: Backing::Store {
-                path: path.to_path_buf(),
-                data_len: meta.data_len,
-            },
+            path: path.to_path_buf(),
+            data_len: meta.data_len,
         })
     }
 
-    /// Fully materializes the in-memory [`crate::Relation`] from the
-    /// current backing (one chunk pass). The result is indistinguishable
-    /// from loading the original CSV with
-    /// [`crate::csv::read_relation_path`] — same ids, same content hash.
+    /// Fully materializes the in-memory [`crate::Relation`] (one chunk
+    /// pass). The result is indistinguishable from loading the original
+    /// CSV with [`crate::csv::read_relation_path`] — same ids, same
+    /// content hash.
     pub fn materialize(&self) -> Result<crate::Relation, CsvError> {
         let m = self.n_attrs();
         let mut columns: Vec<Vec<ValueId>> = (0..m).map(|_| Vec::with_capacity(self.n)).collect();
@@ -419,11 +332,10 @@ impl ShardedRelation {
         ))
     }
 
-    /// Recomputes the content hash from the backing's chunks and checks
-    /// it against the one recorded at scan time. For store-backed
-    /// relations this is the end-to-end integrity check: a store whose
-    /// blocks decode cleanly but describe different content (e.g. a
-    /// forged or mismatched footer hash) yields a typed
+    /// Recomputes the content hash from the store's chunks and checks it
+    /// against the one recorded in the footer — the end-to-end integrity
+    /// check: a store whose blocks decode cleanly but describe different
+    /// content (e.g. a forged or mismatched footer hash) yields a typed
     /// [`StoreError::ContentHashMismatch`].
     pub fn verify_content(&self) -> Result<(), CsvError> {
         let mut hasher = ContentHasher::new(&self.name, &self.attr_names);
@@ -487,27 +399,15 @@ impl ShardedRelation {
         self.chunk_tuples
     }
 
-    /// The backing file (CSV or store) chunk passes re-open, if any.
-    pub fn path(&self) -> Option<&Path> {
-        match &self.backing {
-            Backing::None => None,
-            Backing::Csv(p) | Backing::Store { path: p, .. } => Some(p),
-        }
+    /// The shard store chunk passes decode.
+    pub fn path(&self) -> &Path {
+        &self.path
     }
 
-    /// True when chunk passes decode a binary shard store instead of
-    /// re-parsing CSV.
-    pub fn is_store_backed(&self) -> bool {
-        matches!(self.backing, Backing::Store { .. })
-    }
-
-    /// The validated footer offset of a store backing (used by the block
-    /// reader to bound block reads).
-    pub(crate) fn store_data_len(&self) -> Option<u64> {
-        match &self.backing {
-            Backing::Store { data_len, .. } => Some(*data_len),
-            _ => None,
-        }
+    /// The validated footer offset (used by the block reader to bound
+    /// block reads).
+    pub(crate) fn data_len(&self) -> u64 {
+        self.data_len
     }
 
     /// Number of chunks a full pass yields: `ceil(n / chunk_tuples)`.
@@ -515,244 +415,10 @@ impl ShardedRelation {
         self.n.div_ceil(self.chunk_tuples)
     }
 
-    /// A chunk pass over a fresh reader of the **same** CSV bytes the
-    /// scan pass consumed. The header is re-validated against the
-    /// scanned schema; any cell absent from the frozen dictionary means
-    /// the input changed between passes and yields a typed error.
-    pub fn chunks_from<R: Read>(&self, reader: R) -> CsvChunks<'_, R> {
-        CsvChunks {
-            sharded: self,
-            stream: CsvRecordStream::new(reader),
-            header_done: false,
-            emitted: 0,
-            failed: false,
-        }
-    }
-
-    /// A chunk pass re-opening the backing file: a CSV re-parse for
-    /// [`ShardedRelation::scan_csv_path`] scans, a zero-parse block
-    /// decode for store-backed relations ([`ShardedRelation::open_store`]
-    /// / [`ShardedRelation::scan_csv_path_spill`]). Errors carry the
-    /// backing file's path; a reader-fed scan with no backing file is a
-    /// recoverable [`CsvError::NoBacking`], not a crash.
-    pub fn chunks(&self) -> Result<Chunks<'_>, CsvError> {
-        match &self.backing {
-            Backing::None => Err(CsvError::NoBacking),
-            Backing::Csv(path) => {
-                let file =
-                    std::fs::File::open(path).map_err(|e| CsvError::from(e).in_file(path))?;
-                Ok(Chunks::Csv {
-                    inner: self.chunks_from(file),
-                    path: path.clone(),
-                })
-            }
-            Backing::Store { path, .. } => Ok(Chunks::Store(Box::new(
-                StoreChunks::open(self, path).map_err(|e| CsvError::from(e).in_file(path))?,
-            ))),
-        }
-    }
-}
-
-/// A chunk pass over whatever backs the relation: CSV re-parse or store
-/// block decode. Both arms yield bit-identical [`RelationChunk`]s.
-pub enum Chunks<'a> {
-    /// Re-parsing the scanned CSV file.
-    Csv {
-        inner: CsvChunks<'a, std::fs::File>,
-        path: PathBuf,
-    },
-    /// Decoding a binary shard store. Boxed: the store reader carries a
-    /// 1 MiB buffered reader and is much larger than the CSV arm.
-    Store(Box<StoreChunks<'a>>),
-}
-
-impl Iterator for Chunks<'_> {
-    type Item = Result<RelationChunk, CsvError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            Chunks::Csv { inner, path } => {
-                inner.next().map(|r| r.map_err(|e| e.in_file(path.clone())))
-            }
-            Chunks::Store(inner) => inner.next(),
-        }
-    }
-}
-
-/// A relation plus a way to open fresh chunk passes over it — the
-/// abstraction that makes multi-pass consumers (`limbo::phase1_csv*`)
-/// agnostic to whether chunks come from a CSV re-parse, a binary shard
-/// store, or an arbitrary re-openable reader.
-pub trait ChunkSource {
-    /// One chunk pass (an iterator of [`RelationChunk`] results).
-    type Pass<'a>: Iterator<Item = Result<RelationChunk, CsvError>>
-    where
-        Self: 'a;
-
-    /// The scanned relation metadata (schema, dictionary, counts).
-    fn relation(&self) -> &ShardedRelation;
-
-    /// Opens a fresh pass over all chunks, starting at tuple 0.
-    fn open_pass(&self) -> Result<Self::Pass<'_>, CsvError>;
-}
-
-impl ChunkSource for ShardedRelation {
-    type Pass<'a>
-        = Chunks<'a>
-    where
-        Self: 'a;
-
-    fn relation(&self) -> &ShardedRelation {
-        self
-    }
-
-    fn open_pass(&self) -> Result<Chunks<'_>, CsvError> {
-        self.chunks()
-    }
-}
-
-/// A [`ChunkSource`] over an arbitrary re-openable reader: `open` is
-/// called once per pass and must yield the same CSV bytes the scan pass
-/// consumed.
-pub struct ReaderChunkSource<'s, F> {
-    sharded: &'s ShardedRelation,
-    open: F,
-}
-
-impl<'s, F> ReaderChunkSource<'s, F> {
-    /// Pairs a scanned relation with a reader factory.
-    pub fn new(sharded: &'s ShardedRelation, open: F) -> Self {
-        ReaderChunkSource { sharded, open }
-    }
-}
-
-impl<'s, R, F> ChunkSource for ReaderChunkSource<'s, F>
-where
-    R: Read,
-    F: Fn() -> Result<R, CsvError>,
-{
-    type Pass<'a>
-        = CsvChunks<'s, R>
-    where
-        Self: 'a;
-
-    fn relation(&self) -> &ShardedRelation {
-        self.sharded
-    }
-
-    fn open_pass(&self) -> Result<CsvChunks<'s, R>, CsvError> {
-        Ok(self.sharded.chunks_from((self.open)()?))
-    }
-}
-
-fn changed_input_error(line: Option<usize>, detail: String) -> CsvError {
-    CsvError::ChangedInput { line, detail }
-}
-
-/// Iterator over [`RelationChunk`]s of a [`ShardedRelation`] source.
-/// Yields `ceil(n / chunk_tuples)` chunks, each holding at most
-/// `chunk_tuples` rows; stops (with an error) if the stream disagrees
-/// with the scanned schema, dictionary or tuple count.
-pub struct CsvChunks<'a, R: Read> {
-    sharded: &'a ShardedRelation,
-    stream: CsvRecordStream<R>,
-    header_done: bool,
-    emitted: usize,
-    failed: bool,
-}
-
-impl<R: Read> CsvChunks<'_, R> {
-    fn read_header(&mut self) -> Result<(), CsvError> {
-        let header = match self.stream.next_record()? {
-            Some(h) => h,
-            None => return Err(CsvError::Empty),
-        };
-        let names = header_names(header)?;
-        if names != self.sharded.attr_names {
-            return Err(changed_input_error(
-                Some(1),
-                format!(
-                    "header is {names:?}, scanned schema was {:?}",
-                    self.sharded.attr_names
-                ),
-            ));
-        }
-        self.header_done = true;
-        Ok(())
-    }
-
-    fn next_chunk(&mut self) -> Result<Option<RelationChunk>, CsvError> {
-        if !self.header_done {
-            self.read_header()?;
-        }
-        let m = self.sharded.n_attrs();
-        let cap = self.sharded.chunk_tuples;
-        let mut columns: Vec<Vec<ValueId>> = vec![Vec::with_capacity(cap.min(1 << 16)); m];
-        let mut rows = 0usize;
-        while rows < cap {
-            // The record's own 1-based line: the stream counter points
-            // at the next unparsed position, so capture it before the
-            // parse consumes the record (and its trailing newline).
-            let record_line = self.stream.line();
-            let Some(rec) = self.stream.next_record()? else {
-                break;
-            };
-            let Some(rec) = normalize_row(rec, m, record_line)? else {
-                continue;
-            };
-            for (a, cell) in rec.iter().enumerate() {
-                let id = match cell.as_deref() {
-                    None => NULL_VALUE,
-                    Some(s) => self.sharded.dict.lookup(s).ok_or_else(|| {
-                        changed_input_error(
-                            Some(record_line),
-                            format!("value {s:?} not in scanned dictionary"),
-                        )
-                    })?,
-                };
-                columns[a].push(id);
-            }
-            rows += 1;
-        }
-        if rows == 0 {
-            if self.emitted != self.sharded.n {
-                return Err(changed_input_error(
-                    Some(self.stream.line()),
-                    format!(
-                        "stream ended after {} tuples, scan saw {}",
-                        self.emitted, self.sharded.n
-                    ),
-                ));
-            }
-            return Ok(None);
-        }
-        let start = self.emitted;
-        self.emitted += rows;
-        if self.emitted > self.sharded.n {
-            return Err(changed_input_error(
-                Some(self.stream.line()),
-                format!("stream has more than the {} scanned tuples", self.sharded.n),
-            ));
-        }
-        Ok(Some(RelationChunk { start, columns }))
-    }
-}
-
-impl<R: Read> Iterator for CsvChunks<'_, R> {
-    type Item = Result<RelationChunk, CsvError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        match self.next_chunk() {
-            Ok(Some(chunk)) => Some(Ok(chunk)),
-            Ok(None) => None,
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
+    /// A chunk pass decoding the store from its first block. Errors —
+    /// opening the file or any block it yields — carry the store path.
+    pub fn chunks(&self) -> Result<StoreChunks<'_>, CsvError> {
+        StoreChunks::open(self).map_err(|e| CsvError::from(e).in_file(&self.path))
     }
 }
 
@@ -800,16 +466,15 @@ where
 /// singleton classes are never allocated, exactly like `of_attr`), one
 /// to bucket. Peak memory is two dense `u32` tables per column plus the
 /// partitions themselves — never the `n × m` cell matrix.
-pub fn attr_partitions_chunks<S: ChunkSource>(
-    source: &S,
+pub fn attr_partitions_chunks(
+    sharded: &ShardedRelation,
 ) -> Result<Vec<StrippedPartition>, CsvError> {
-    let sharded = source.relation();
     let m = sharded.n_attrs();
     let n = sharded.n_tuples();
     // Pass 1: per-column value frequencies (tables grow to each
     // column's own max id + 1, mirroring `of_attr`'s width).
     let mut count: Vec<Vec<u32>> = vec![Vec::new(); m];
-    for chunk in source.open_pass()? {
+    for chunk in sharded.chunks()? {
         let chunk = chunk?;
         for (a, col) in chunk.columns.iter().enumerate() {
             let table = &mut count[a];
@@ -825,7 +490,7 @@ pub fn attr_partitions_chunks<S: ChunkSource>(
     // Pass 2: bucket tuples of shared values in global tuple order.
     let mut slot: Vec<Vec<u32>> = count.iter().map(|t| vec![u32::MAX; t.len()]).collect();
     let mut classes: Vec<Vec<Vec<u32>>> = vec![Vec::new(); m];
-    for chunk in source.open_pass()? {
+    for chunk in sharded.chunks()? {
         let chunk = chunk?;
         for (a, col) in chunk.columns.iter().enumerate() {
             for (local, &v) in col.iter().enumerate() {
@@ -858,15 +523,14 @@ pub fn attr_partitions_chunks<S: ChunkSource>(
 /// the single-attribute `stats::projection_stats`, because each
 /// column's counts accumulate in the same first-occurrence order the
 /// in-memory [`ProjectionCounter`] fold uses.
-pub fn column_profiles_chunks<S: ChunkSource>(source: &S) -> Result<Vec<ColumnProfile>, CsvError> {
-    let sharded = source.relation();
+pub fn column_profiles_chunks(sharded: &ShardedRelation) -> Result<Vec<ColumnProfile>, CsvError> {
     let m = sharded.n_attrs();
     let n = sharded.n_tuples();
     // Slot table per column: value id → first-occurrence slot.
     let mut slot: Vec<Vec<u32>> = vec![Vec::new(); m];
     let mut counts: Vec<Vec<usize>> = vec![Vec::new(); m];
     let mut nulls = vec![0usize; m];
-    for chunk in source.open_pass()? {
+    for chunk in sharded.chunks()? {
         let chunk = chunk?;
         for (a, col) in chunk.columns.iter().enumerate() {
             let slot = &mut slot[a];
@@ -913,13 +577,13 @@ pub fn column_profiles_chunks<S: ChunkSource>(source: &S) -> Result<Vec<ColumnPr
 /// `stats::projection_stats`, which drives the same
 /// [`ProjectionCounter`] with the same keys in the same global tuple
 /// order.
-pub fn projection_stats_chunks<S: ChunkSource>(
-    source: &S,
+pub fn projection_stats_chunks(
+    sharded: &ShardedRelation,
     attrs: AttrSet,
 ) -> Result<(usize, f64), CsvError> {
-    let n = source.relation().n_tuples();
+    let n = sharded.n_tuples();
     let mut counter = ProjectionCounter::new();
-    for chunk in source.open_pass()? {
+    for chunk in sharded.chunks()? {
         let chunk = chunk?;
         for t in 0..chunk.n_rows() {
             counter.observe(attrs.iter().map(|a| chunk.value(t, a)).collect());
@@ -933,6 +597,7 @@ mod tests {
     use super::*;
     use crate::csv::read_relation;
     use crate::matrix::TupleRows;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A reader that dribbles bytes out in fixed-size drips, forcing the
     /// rolling buffer to refill at arbitrary (and adversarial) offsets.
@@ -959,6 +624,44 @@ mod tests {
         }
     }
 
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+
+    fn tmp_store() -> PathBuf {
+        let dir = std::env::temp_dir().join("dbmine_shard_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let id = SEQ.fetch_add(1, Ordering::Relaxed);
+        dir.join(format!("{}_{id}.dbss", std::process::id()))
+    }
+
+    /// A relation spilled into a temporary store, deleted on drop.
+    struct Spilled(ShardedRelation);
+
+    impl std::ops::Deref for Spilled {
+        type Target = ShardedRelation;
+        fn deref(&self) -> &ShardedRelation {
+            &self.0
+        }
+    }
+
+    impl Drop for Spilled {
+        fn drop(&mut self) {
+            std::fs::remove_file(self.0.path()).ok();
+        }
+    }
+
+    fn try_spill<R: Read>(reader: R, name: &str, chunk_tuples: usize) -> Result<Spilled, CsvError> {
+        let store = tmp_store();
+        let scanned = ShardedRelation::scan_csv_spill(reader, name, chunk_tuples, &store);
+        if scanned.is_err() {
+            std::fs::remove_file(&store).ok();
+        }
+        scanned.map(Spilled)
+    }
+
+    fn spill<R: Read>(reader: R, name: &str, chunk_tuples: usize) -> Spilled {
+        try_spill(reader, name, chunk_tuples).unwrap()
+    }
+
     const SAMPLE: &str = "A,B,C\n\
         a,w,p\n\
         a,w,r\n\
@@ -975,7 +678,7 @@ mod tests {
     fn scan_matches_in_memory_load_for_every_drip_size() {
         let rel = in_memory(SAMPLE, "t");
         for step in [1, 2, 3, 5, 7, 64, 4096] {
-            let s = ShardedRelation::scan_csv(drip(SAMPLE, step), "t", 2).unwrap();
+            let s = spill(drip(SAMPLE, step), "t", 2);
             assert_eq!(s.n_tuples(), rel.n_tuples(), "step={step}");
             assert_eq!(s.attr_names(), rel.attr_names());
             assert_eq!(s.dict().len(), rel.dict().len());
@@ -987,9 +690,9 @@ mod tests {
     fn chunks_reproduce_the_columnar_relation() {
         let rel = in_memory(SAMPLE, "t");
         for chunk_tuples in [1, 2, 3, 100] {
-            let s = ShardedRelation::scan_csv(drip(SAMPLE, 3), "t", chunk_tuples).unwrap();
+            let s = spill(drip(SAMPLE, 3), "t", chunk_tuples);
             let mut seen = 0usize;
-            for chunk in s.chunks_from(SAMPLE.as_bytes()) {
+            for chunk in s.chunks().unwrap() {
                 let chunk = chunk.unwrap();
                 assert_eq!(chunk.start, seen);
                 assert!(chunk.n_rows() <= chunk_tuples);
@@ -1015,8 +718,8 @@ mod tests {
         let rel = in_memory(SAMPLE, "t");
         let reference = TupleRows::build(&rel).mutual_information();
         for chunk_tuples in [1, 2, 3, 100] {
-            let s = ShardedRelation::scan_csv(SAMPLE.as_bytes(), "t", chunk_tuples).unwrap();
-            let mi = tuple_mutual_information_chunks(&s, s.chunks_from(drip(SAMPLE, 5))).unwrap();
+            let s = spill(drip(SAMPLE, 5), "t", chunk_tuples);
+            let mi = tuple_mutual_information_chunks(&s, s.chunks().unwrap()).unwrap();
             assert_eq!(
                 mi.to_bits(),
                 reference.to_bits(),
@@ -1030,7 +733,7 @@ mod tests {
         // Row-major interning must assign the exact ids RelationBuilder
         // does — ids are load-bearing for bitwise-equal derived views.
         let rel = in_memory(SAMPLE, "t");
-        let s = ShardedRelation::scan_csv(SAMPLE.as_bytes(), "t", 10).unwrap();
+        let s = spill(SAMPLE.as_bytes(), "t", 10);
         for id in 0..rel.dict().len() {
             assert_eq!(s.dict().string(id as u32), rel.dict().string(id as u32));
         }
@@ -1038,8 +741,8 @@ mod tests {
 
     #[test]
     fn hash_depends_on_name_like_in_memory_path() {
-        let a = ShardedRelation::scan_csv(SAMPLE.as_bytes(), "t", 10).unwrap();
-        let b = ShardedRelation::scan_csv(SAMPLE.as_bytes(), "u", 10).unwrap();
+        let a = spill(SAMPLE.as_bytes(), "t", 10);
+        let b = spill(SAMPLE.as_bytes(), "u", 10);
         assert_ne!(a.content_hash(), b.content_hash());
         assert_eq!(b.content_hash(), in_memory(SAMPLE, "u").content_hash());
     }
@@ -1048,13 +751,10 @@ mod tests {
     fn single_column_blank_lines_are_rows_here_too() {
         let csv = "A\nx\n\ny\n";
         let rel = in_memory(csv, "t");
-        let s = ShardedRelation::scan_csv(csv.as_bytes(), "t", 2).unwrap();
+        let s = spill(csv.as_bytes(), "t", 2);
         assert_eq!(s.n_tuples(), 3);
         assert_eq!(s.content_hash(), rel.content_hash());
-        let rows: usize = s
-            .chunks_from(csv.as_bytes())
-            .map(|c| c.unwrap().n_rows())
-            .sum();
+        let rows: usize = s.chunks().unwrap().map(|c| c.unwrap().n_rows()).sum();
         assert_eq!(rows, 3);
     }
 
@@ -1063,7 +763,7 @@ mod tests {
         for csv in ["A,B\r\n1,2\r\n3,4", "A,B\n1,2\n3,4"] {
             let rel = in_memory(csv, "t");
             for step in [1, 4, 1000] {
-                let s = ShardedRelation::scan_csv(drip(csv, step), "t", 1).unwrap();
+                let s = spill(drip(csv, step), "t", 1);
                 assert_eq!(s.n_tuples(), 2);
                 assert_eq!(s.content_hash(), rel.content_hash());
             }
@@ -1073,11 +773,11 @@ mod tests {
     #[test]
     fn errors_match_in_memory_reader() {
         assert!(matches!(
-            ShardedRelation::scan_csv("".as_bytes(), "t", 1),
+            try_spill("".as_bytes(), "t", 1),
             Err(CsvError::Empty)
         ));
         assert!(matches!(
-            ShardedRelation::scan_csv("A,B\n1\n".as_bytes(), "t", 1),
+            try_spill("A,B\n1\n".as_bytes(), "t", 1),
             Err(CsvError::RaggedRow {
                 expected: 2,
                 got: 1,
@@ -1085,7 +785,7 @@ mod tests {
             })
         ));
         assert!(matches!(
-            ShardedRelation::scan_csv("A\n\"oops\n".as_bytes(), "t", 1),
+            try_spill("A\n\"oops\n".as_bytes(), "t", 1),
             Err(CsvError::UnterminatedQuote { .. })
         ));
         let wide: String = format!(
@@ -1096,98 +796,25 @@ mod tests {
                 .join(",")
         );
         assert!(matches!(
-            ShardedRelation::scan_csv(wide.as_bytes(), "t", 1),
+            try_spill(wide.as_bytes(), "t", 1),
             Err(CsvError::TooManyAttrs { got: 65, max: 64 })
         ));
     }
 
     #[test]
-    fn changed_input_between_passes_is_detected() {
-        let s = ShardedRelation::scan_csv(SAMPLE.as_bytes(), "t", 10).unwrap();
-        // New value the frozen dictionary has never seen.
-        let tampered = SAMPLE.replace("z,2,x", "NEW,2,x");
-        let err = s
-            .chunks_from(tampered.as_bytes())
-            .find_map(Result::err)
-            .expect("tampered value must error");
-        assert!(err.to_string().contains("changed between scan"));
-        // Changed header.
-        let reheadered = SAMPLE.replace("A,B,C", "A,B,D");
-        let err = s
-            .chunks_from(reheadered.as_bytes())
-            .find_map(Result::err)
-            .expect("tampered header must error");
-        assert!(err.to_string().contains("changed between scan"));
-        // Truncated stream (fewer tuples than scanned).
-        let truncated = &SAMPLE[..SAMPLE.len() - "z,2,x\n".len()];
-        let err = s
-            .chunks_from(truncated.as_bytes())
-            .find_map(Result::err)
-            .expect("truncated stream must error");
-        assert!(err.to_string().contains("ended after"));
-    }
-
-    #[test]
-    fn path_backed_scan_rechunks_from_disk() {
-        let dir = std::env::temp_dir().join("dbmine_shard_test");
+    fn path_backed_spill_rechunks_its_store() {
+        let dir = std::env::temp_dir().join("dbmine_shard_path_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.csv");
         std::fs::write(&path, SAMPLE).unwrap();
-        let s = ShardedRelation::scan_csv_path(&path, 2).unwrap();
+        let store = dir.join(format!("sample_{}.dbss", std::process::id()));
+        let s = ShardedRelation::scan_csv_path_spill(&path, 2, &store).unwrap();
         assert_eq!(s.name(), "sample");
+        assert_eq!(s.path(), store);
         let rel = in_memory(SAMPLE, "sample");
         assert_eq!(s.content_hash(), rel.content_hash());
         let rows: usize = s.chunks().unwrap().map(|c| c.unwrap().n_rows()).sum();
         assert_eq!(rows, rel.n_tuples());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn chunk_pass_errors_name_the_file_and_line() {
-        let dir = std::env::temp_dir().join("dbmine_shard_errctx_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("ctx_{}.csv", std::process::id()));
-        std::fs::write(&path, "A,B\na,1\nb,2\nc,3\n").unwrap();
-        let s = ShardedRelation::scan_csv_path(&path, 2).unwrap();
-
-        // The input changes between passes: a cell at line 3 no longer
-        // resolves in the frozen dictionary. The error must point a
-        // human at the exact file and 1-based line.
-        std::fs::write(&path, "A,B\na,1\nMUTATED,2\nc,3\n").unwrap();
-        let err = s
-            .chunks()
-            .unwrap()
-            .find_map(Result::err)
-            .expect("changed input must error");
-        let msg = err.to_string();
-        assert!(msg.contains(&path.display().to_string()), "no path: {msg}");
-        assert!(msg.contains("line 3:"), "no line number: {msg}");
-
-        // A header change is reported at line 1.
-        std::fs::write(&path, "A,Z\na,1\nb,2\nc,3\n").unwrap();
-        let msg = s
-            .chunks()
-            .unwrap()
-            .find_map(Result::err)
-            .expect("changed header must error")
-            .to_string();
-        assert!(msg.contains("line 1:"), "no header line: {msg}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn reader_fed_scan_chunk_pass_is_typed_error() {
-        // A scan from a plain reader has nothing to re-open: every
-        // chunk-pass entry point must surface a recoverable
-        // `NoBacking`, not a crash.
-        let s = ShardedRelation::scan_csv(SAMPLE.as_bytes(), "t", 2).unwrap();
-        assert!(matches!(s.chunks(), Err(CsvError::NoBacking)));
-        assert!(matches!(s.materialize(), Err(CsvError::NoBacking)));
-        assert!(matches!(s.verify_content(), Err(CsvError::NoBacking)));
-        let dir = std::env::temp_dir().join("dbmine_nobacking_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let store = dir.join(format!("nb_{}.dbss", std::process::id()));
-        assert!(matches!(s.spill_to(&store), Err(CsvError::NoBacking)));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1198,10 +825,9 @@ mod tests {
 
         let rel = in_memory(SAMPLE, "t");
         for chunk_tuples in [1, 2, 3, 100] {
-            let s = ShardedRelation::scan_csv(SAMPLE.as_bytes(), "t", chunk_tuples).unwrap();
-            let src = ReaderChunkSource::new(&s, || Ok(SAMPLE.as_bytes()));
+            let s = spill(SAMPLE.as_bytes(), "t", chunk_tuples);
 
-            let parts = attr_partitions_chunks(&src).unwrap();
+            let parts = attr_partitions_chunks(&s).unwrap();
             assert_eq!(parts.len(), rel.n_attrs());
             for (a, part) in parts.iter().enumerate() {
                 assert_eq!(
@@ -1211,7 +837,7 @@ mod tests {
                 );
             }
 
-            let profiles = column_profiles_chunks(&src).unwrap();
+            let profiles = column_profiles_chunks(&s).unwrap();
             assert_eq!(profiles, stats::profile_columns(&rel));
 
             for attrs in [
@@ -1220,7 +846,7 @@ mod tests {
                 [0usize, 2].into_iter().collect(),
                 rel.all_attrs(),
             ] {
-                let (d, h) = projection_stats_chunks(&src, attrs).unwrap();
+                let (d, h) = projection_stats_chunks(&s, attrs).unwrap();
                 assert_eq!(d, stats::projection_distinct(&rel, attrs));
                 assert_eq!(
                     h.to_bits(),
@@ -1233,7 +859,7 @@ mod tests {
                 s.dict().len(),
                 s.n_attrs(),
                 s.n_tuples(),
-                src.open_pass().unwrap(),
+                s.chunks().unwrap(),
             )
             .unwrap();
             let mem_tr = TupleRows::build(&rel);
@@ -1243,7 +869,7 @@ mod tests {
                 mem_tr.mutual_information().to_bits()
             );
 
-            let vi = ValueIndex::from_chunks(s.dict().len(), src.open_pass().unwrap()).unwrap();
+            let vi = ValueIndex::from_chunks(s.dict().len(), s.chunks().unwrap()).unwrap();
             let mem_vi = ValueIndex::build(&rel);
             assert_eq!(vi.values(), mem_vi.values());
             for i in 0..vi.len() {
@@ -1264,7 +890,7 @@ mod tests {
         let big = "v".repeat(3 * READ_BLOCK);
         let csv = format!("A,B\n{big},w\nx,y\n");
         let rel = in_memory(&csv, "t");
-        let s = ShardedRelation::scan_csv(csv.as_bytes(), "t", 1).unwrap();
+        let s = spill(csv.as_bytes(), "t", 1);
         assert_eq!(s.n_tuples(), 2);
         assert_eq!(s.content_hash(), rel.content_hash());
         assert_eq!(s.dict().len(), rel.dict().len());

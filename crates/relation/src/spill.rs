@@ -1,15 +1,14 @@
 //! Binary columnar shard store (`.dbss`) — spill-once ingest, zero
 //! re-parse chunk passes.
 //!
-//! The out-of-core path ([`crate::shard`]) re-reads the source CSV for
-//! every chunk pass, paying tokenization, quote handling and dictionary
-//! hashing each time — the dominant per-pass cost at 10⁷ tuples and a
-//! hard wall before 10⁸. This module spills each chunk **once**, during
-//! the one-and-only scan pass, as a dictionary-encoded column-major
-//! block of fixed-width [`ValueId`]s; every later pass decodes blocks
-//! straight back into [`RelationChunk`]s with a buffered sequential
-//! read — no tokenization, no hashing, bit-identical to the CSV pass
-//! (pinned by round-trip tests in `crate::shard`).
+//! Tokenizing, unquoting and dictionary-hashing a CSV is the dominant
+//! cost of a chunk pass at 10⁷ tuples and a hard wall before 10⁸. So
+//! the one-and-only scan pass ([`crate::shard`]) spills each chunk
+//! **once**, as a dictionary-encoded column-major block of fixed-width
+//! [`ValueId`]s; every later pass decodes blocks straight back into
+//! [`RelationChunk`]s with a buffered sequential read — no
+//! tokenization, no hashing, bit-identical to the in-memory relation
+//! (pinned by round-trip tests here and in `crate::shard`).
 //!
 //! ## On-disk layout (version 1)
 //!
@@ -58,7 +57,7 @@ use dbmine_telemetry::{counter_add, Counter};
 use std::fmt;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Leading file magic.
 pub const MAGIC: [u8; 4] = *b"DBSS";
@@ -448,8 +447,8 @@ pub(crate) fn read_meta(path: &Path) -> Result<StoreMeta, StoreError> {
     })
 }
 
-/// Iterator decoding [`RelationChunk`]s straight out of a store-backed
-/// [`ShardedRelation`] — a buffered sequential read with per-block
+/// Iterator decoding [`RelationChunk`]s straight out of a
+/// [`ShardedRelation`]'s store — a buffered sequential read with per-block
 /// checksum, index, row-count and value-range validation, zero
 /// tokenization and zero dictionary hashing.
 ///
@@ -457,9 +456,7 @@ pub(crate) fn read_meta(path: &Path) -> Result<StoreMeta, StoreError> {
 /// bumps [`Counter::SpillChunksRead`] per block.
 pub struct StoreChunks<'a> {
     sharded: &'a ShardedRelation,
-    path: PathBuf,
     reader: BufReader<File>,
-    data_len: u64,
     pos: u64,
     next_chunk: usize,
     block: Vec<u8>,
@@ -468,12 +465,10 @@ pub struct StoreChunks<'a> {
 }
 
 impl<'a> StoreChunks<'a> {
-    /// Opens a chunk pass over `path` for `sharded` (which must be the
-    /// store-backed relation `read_meta` produced for that same file).
-    pub(crate) fn open(sharded: &'a ShardedRelation, path: &Path) -> Result<Self, StoreError> {
+    /// Opens a chunk pass over the store `sharded` was opened from.
+    pub(crate) fn open(sharded: &'a ShardedRelation) -> Result<Self, StoreError> {
         let _span = dbmine_telemetry::span("spill.read");
-        let mut file = File::open(path)?;
-        let file_len = file.metadata()?.len();
+        let mut file = File::open(sharded.path())?;
         let mut prelude = [0u8; PRELUDE_LEN as usize];
         file.read_exact(&mut prelude)?;
         if prelude[..4] != MAGIC {
@@ -485,12 +480,9 @@ impl<'a> StoreChunks<'a> {
         if version != VERSION {
             return Err(StoreError::UnsupportedVersion { found: version });
         }
-        let data_len = sharded.store_data_len().unwrap_or(file_len);
         Ok(StoreChunks {
             sharded,
-            path: path.to_path_buf(),
             reader: BufReader::with_capacity(1 << 20, file),
-            data_len,
             pos: PRELUDE_LEN,
             next_chunk: 0,
             block: Vec::new(),
@@ -506,12 +498,12 @@ impl<'a> StoreChunks<'a> {
         let n_chunks = n.div_ceil(chunk_tuples);
         let i = self.next_chunk;
         if i >= n_chunks {
-            if self.pos != self.data_len {
+            if self.pos != self.sharded.data_len() {
                 return Err(corrupt(
                     None,
                     format!(
                         "{} unexpected bytes after the last block",
-                        self.data_len - self.pos
+                        self.sharded.data_len() - self.pos
                     ),
                 ));
             }
@@ -521,12 +513,12 @@ impl<'a> StoreChunks<'a> {
         let rows = chunk_tuples.min(n - start);
         let payload_len = 16 + m * rows * 4;
         let block_len = payload_len + 8;
-        if self.pos + block_len as u64 > self.data_len {
+        if self.pos + block_len as u64 > self.sharded.data_len() {
             return Err(corrupt(
                 Some(i),
                 format!(
                     "block truncated: need {block_len} bytes, {} remain before the footer",
-                    self.data_len - self.pos
+                    self.sharded.data_len() - self.pos
                 ),
             ));
         }
@@ -594,7 +586,7 @@ impl Iterator for StoreChunks<'_> {
             Ok(None) => None,
             Err(e) => {
                 self.failed = true;
-                Some(Err(CsvError::from(e).in_file(self.path.clone())))
+                Some(Err(CsvError::from(e).in_file(self.sharded.path())))
             }
         }
     }
@@ -603,6 +595,7 @@ impl Iterator for StoreChunks<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A CSV with quoting, an embedded comma, an embedded newline, an
@@ -645,50 +638,39 @@ mod tests {
     fn store_chunks_are_bit_identical_to_csv_chunks() {
         for chunk_tuples in [1, 2, 3, 100] {
             let (csv, store) = sample_store(chunk_tuples);
-            let plain = ShardedRelation::scan_csv_path(&csv, chunk_tuples).unwrap();
+            let rel = crate::csv::read_relation_path(&csv).unwrap();
             let stored = ShardedRelation::open_store(&store).unwrap();
-            assert!(stored.is_store_backed());
-            assert!(!plain.is_store_backed());
-            assert_eq!(stored.content_hash(), plain.content_hash());
-            assert_eq!(stored.name(), plain.name());
-            assert_eq!(stored.attr_names(), plain.attr_names());
-            assert_eq!(stored.n_tuples(), plain.n_tuples());
-            assert_eq!(stored.chunk_tuples(), plain.chunk_tuples());
-            assert_eq!(stored.dict().len(), plain.dict().len());
-            for id in 0..plain.dict().len() {
+            assert_eq!(stored.content_hash(), rel.content_hash());
+            assert_eq!(stored.name(), rel.name());
+            assert_eq!(stored.attr_names(), rel.attr_names());
+            assert_eq!(stored.n_tuples(), rel.n_tuples());
+            assert_eq!(stored.chunk_tuples(), chunk_tuples);
+            assert_eq!(stored.dict().len(), rel.dict().len());
+            for id in 0..rel.dict().len() {
                 assert_eq!(
                     stored.dict().string(id as ValueId),
-                    plain.dict().string(id as ValueId)
+                    rel.dict().string(id as ValueId)
                 );
             }
-            let a = drain(&plain).unwrap();
-            let b = drain(&stored).unwrap();
-            assert_eq!(a.len(), b.len(), "chunk_tuples={chunk_tuples}");
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.start, y.start);
-                assert_eq!(x.columns, y.columns, "chunk_tuples={chunk_tuples}");
+            // The CSV's columns, cut at the store's chunk boundaries.
+            let chunks = drain(&stored).unwrap();
+            assert_eq!(chunks.len(), rel.n_tuples().div_ceil(chunk_tuples));
+            for (i, chunk) in chunks.iter().enumerate() {
+                let start = i * chunk_tuples;
+                let end = (start + chunk_tuples).min(rel.n_tuples());
+                assert_eq!(chunk.start, start);
+                for (a, col) in chunk.columns.iter().enumerate() {
+                    assert_eq!(
+                        col,
+                        &rel.column(a)[start..end],
+                        "chunk_tuples={chunk_tuples}"
+                    );
+                }
             }
             stored.verify_content().unwrap();
             std::fs::remove_file(csv).ok();
             std::fs::remove_file(store).ok();
         }
-    }
-
-    #[test]
-    fn spill_to_matches_fused_spill_byte_for_byte() {
-        let (csv, fused) = sample_store(2);
-        let plain = ShardedRelation::scan_csv_path(&csv, 2).unwrap();
-        let via_pass = tmp("dbss");
-        let respilled = plain.spill_to(&via_pass).unwrap();
-        assert!(respilled.is_store_backed());
-        assert_eq!(
-            std::fs::read(&fused).unwrap(),
-            std::fs::read(&via_pass).unwrap(),
-            "fused spill-on-scan and spill_to must write identical stores"
-        );
-        std::fs::remove_file(csv).ok();
-        std::fs::remove_file(fused).ok();
-        std::fs::remove_file(via_pass).ok();
     }
 
     #[test]
@@ -761,6 +743,10 @@ mod tests {
         assert!(
             msg.contains("chunk 1") && msg.contains("checksum"),
             "error must name the damaged chunk: {msg}"
+        );
+        assert!(
+            msg.contains(&bad.display().to_string()),
+            "error must name the store file: {msg}"
         );
         std::fs::remove_file(csv).ok();
         std::fs::remove_file(store).ok();

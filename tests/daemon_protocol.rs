@@ -6,23 +6,30 @@ use dbmine::server::{parse, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 
+/// The shared demo CSV, written once per test process: every test
+/// reads this one file, so no test can truncate it while another
+/// test's subprocess is reading it.
 fn write_demo_csv() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dbmined_proto_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("demo.csv");
-    let mut f = std::fs::File::create(&path).unwrap();
-    writeln!(f, "Name,City,Zip").unwrap();
-    for (n, c, z) in [
-        ("Pat", "Boston", "02139"),
-        ("Sal", "Boston", "02139"),
-        ("Kim", "Boston", "02139"),
-        ("Kim", "Boston", "02139"),
-        ("Ana", "Toronto", "M5S1A1"),
-        ("Lee", "Toronto", "M5S1A1"),
-    ] {
-        writeln!(f, "{n},{c},{z}").unwrap();
-    }
-    path
+    static DEMO: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
+    DEMO.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("dbmined_proto_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("demo.csv");
+        let mut f = std::fs::File::create(&path).unwrap();
+        writeln!(f, "Name,City,Zip").unwrap();
+        for (n, c, z) in [
+            ("Pat", "Boston", "02139"),
+            ("Sal", "Boston", "02139"),
+            ("Kim", "Boston", "02139"),
+            ("Kim", "Boston", "02139"),
+            ("Ana", "Toronto", "M5S1A1"),
+            ("Lee", "Toronto", "M5S1A1"),
+        ] {
+            writeln!(f, "{n},{c},{z}").unwrap();
+        }
+        path
+    })
+    .clone()
 }
 
 /// A live `dbmined --stdio` child with line-oriented request/response.
