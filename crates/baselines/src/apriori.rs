@@ -5,7 +5,6 @@
 //! frequent `k`-itemsets by prefix join and pruned by the a-priori
 //! property before support counting.
 
-use dbmine_context::AnalysisCtx;
 use dbmine_relation::{Relation, ValueId};
 use std::collections::{HashMap, HashSet};
 
@@ -111,77 +110,8 @@ pub fn mine_frequent_itemsets_capped(
     frequent
 }
 
-/// As [`mine_frequent_itemsets`], over a shared [`AnalysisCtx`]: supports
-/// come from the context's cached `ValueIndex` instead of a per-call
-/// transaction scan. Output is identical — pinned by tests.
-pub fn mine_frequent_itemsets_ctx(
-    ctx: &AnalysisCtx,
-    min_support: usize,
-    min_size: usize,
-) -> Vec<FrequentItemset> {
-    mine_frequent_itemsets_capped_ctx(ctx, min_support, min_size, usize::MAX)
-}
-
-/// As [`mine_frequent_itemsets_capped`], over a shared [`AnalysisCtx`].
-///
-/// L1 supports are the lengths of the `ValueIndex` occurrence lists; the
-/// support of a larger itemset is the size of the intersection of its
-/// members' sorted tuple lists. Candidate generation is byte-for-byte the
-/// transaction path's, so the two paths return identical results.
-pub fn mine_frequent_itemsets_capped_ctx(
-    ctx: &AnalysisCtx,
-    min_support: usize,
-    min_size: usize,
-    max_size: usize,
-) -> Vec<FrequentItemset> {
-    assert!(min_support >= 1, "support threshold must be positive");
-    let vi = ctx.value_index();
-
-    // L1 straight off the occurrence lists (ascending value-id order, so
-    // `current` needs no sort).
-    let mut frequent: Vec<FrequentItemset> = Vec::new();
-    let mut current: Vec<Vec<ValueId>> = Vec::new();
-    for (i, &v) in vi.values().iter().enumerate() {
-        let support = vi.occurrences(i).len();
-        if support >= min_support {
-            current.push(vec![v]);
-            frequent.push(FrequentItemset {
-                items: vec![v],
-                support,
-            });
-        }
-    }
-
-    let mut size = 1usize;
-    while !current.is_empty() && size < max_size {
-        size += 1;
-        let candidates = next_candidates(&current);
-        if candidates.is_empty() {
-            break;
-        }
-        let mut next: Vec<Vec<ValueId>> = Vec::new();
-        for cand in candidates {
-            let support = intersection_support(ctx, &cand);
-            if support >= min_support {
-                frequent.push(FrequentItemset {
-                    items: cand.clone(),
-                    support,
-                });
-                next.push(cand);
-            }
-        }
-        next.sort();
-        current = next;
-    }
-
-    frequent.retain(|f| f.items.len() >= min_size);
-    frequent.sort_by(|a, b| b.support.cmp(&a.support).then(a.items.cmp(&b.items)));
-    frequent
-}
-
 /// Candidate `k+1`-itemsets from the frequent `k`-itemsets: prefix join
-/// plus the a-priori prune (all `k`-subsets must be frequent). Shared by
-/// the transaction and context paths.
+/// plus the a-priori prune (all `k`-subsets must be frequent).
 fn next_candidates(current: &[Vec<ValueId>]) -> Vec<Vec<ValueId>> {
     let prev: HashSet<&[ValueId]> = current.iter().map(|s| s.as_slice()).collect();
     let mut candidates: Vec<Vec<ValueId>> = Vec::new();
@@ -208,40 +138,6 @@ fn next_candidates(current: &[Vec<ValueId>]) -> Vec<Vec<ValueId>> {
         }
     }
     candidates
-}
-
-/// `|⋂ occurrences(v)|` over the itemset's members — the number of tuples
-/// containing every item, by merging the sorted occurrence lists.
-fn intersection_support(ctx: &AnalysisCtx, items: &[ValueId]) -> usize {
-    let vi = ctx.value_index();
-    let occ = |v: ValueId| {
-        let i = vi
-            .position(v)
-            .expect("itemset members originate from the value index");
-        vi.occurrences(i)
-    };
-    let mut acc: Vec<u32> = occ(items[0]).to_vec();
-    for &v in &items[1..] {
-        let list = occ(v);
-        let mut out = Vec::with_capacity(acc.len().min(list.len()));
-        let (mut i, mut j) = (0, 0);
-        while i < acc.len() && j < list.len() {
-            match acc[i].cmp(&list[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(acc[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        acc = out;
-        if acc.is_empty() {
-            break;
-        }
-    }
-    acc.len()
 }
 
 /// True if sorted `needle` is a subset of sorted `haystack`.
@@ -320,46 +216,6 @@ mod tests {
     #[should_panic(expected = "support threshold")]
     fn zero_support_panics() {
         mine_frequent_itemsets(&figure4(), 0, 1);
-    }
-
-    #[test]
-    fn ctx_path_matches_plain() {
-        let rel = figure4();
-        let ctx = AnalysisCtx::of(&rel);
-        for (min_support, min_size, cap) in [
-            (1, 1, usize::MAX),
-            (2, 2, usize::MAX),
-            (3, 1, usize::MAX),
-            (2, 1, 1),
-            (2, 1, 2),
-        ] {
-            assert_eq!(
-                mine_frequent_itemsets_capped_ctx(&ctx, min_support, min_size, cap),
-                mine_frequent_itemsets_capped(&rel, min_support, min_size, cap),
-                "min_support={min_support} min_size={min_size} cap={cap}"
-            );
-        }
-    }
-
-    #[test]
-    fn ctx_path_matches_plain_with_nulls() {
-        let mut b = dbmine_relation::RelationBuilder::new("nulls", &["A", "B"]);
-        b.push_row(&[Some("x"), None]);
-        b.push_row(&[Some("x"), None]);
-        b.push_row(&[None, Some("y")]);
-        let rel = b.build();
-        let ctx = AnalysisCtx::of(&rel);
-        assert_eq!(
-            mine_frequent_itemsets_ctx(&ctx, 1, 1),
-            mine_frequent_itemsets(&rel, 1, 1)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "support threshold")]
-    fn ctx_zero_support_panics() {
-        let rel = figure4();
-        mine_frequent_itemsets_ctx(&AnalysisCtx::of(&rel), 0, 1);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! high containment of a column in another is the classic
 //! foreign-key-candidate signal.
 
-use dbmine_context::AnalysisCtx;
 use dbmine_relation::{AttrId, Relation, ValueId, NULL_VALUE};
 use std::collections::HashSet;
 
@@ -62,50 +61,6 @@ pub fn join_candidates(
     let right_cols: Vec<HashSet<&str>> = (0..right.n_attrs())
         .map(|a| distinct_strings(right, a))
         .collect();
-    candidates_from_columns(&left_cols, &right_cols, min_jaccard, min_containment)
-}
-
-/// As [`join_candidates`], over shared [`AnalysisCtx`]s: the per-column
-/// value sets come from each context's cached `ValueIndex` (one pass over
-/// distinct values and their sparse `O` rows) instead of a fresh
-/// tuple-by-tuple scan per column. Output is identical — pinned by tests.
-pub fn join_candidates_ctx(
-    left: &AnalysisCtx,
-    right: &AnalysisCtx,
-    min_jaccard: f64,
-    min_containment: f64,
-) -> Vec<JoinCandidate> {
-    let left_cols = distinct_strings_ctx(left);
-    let right_cols = distinct_strings_ctx(right);
-    candidates_from_columns(&left_cols, &right_cols, min_jaccard, min_containment)
-}
-
-/// Per-column distinct non-NULL value strings, derived from the cached
-/// `ValueIndex`: value `v` belongs to column `a`'s set iff `v`'s `O` row
-/// has mass on `a`.
-fn distinct_strings_ctx(ctx: &AnalysisCtx) -> Vec<HashSet<&str>> {
-    let rel = ctx.relation();
-    let vi = ctx.value_index();
-    let mut cols: Vec<HashSet<&str>> = vec![HashSet::new(); rel.n_attrs()];
-    for (i, &v) in vi.values().iter().enumerate() {
-        if v == NULL_VALUE {
-            continue;
-        }
-        let s = rel.dict().string(v);
-        for (a, _) in vi.o_row(i).iter() {
-            cols[a as usize].insert(s);
-        }
-    }
-    cols
-}
-
-/// The shared scoring pass over per-column value sets.
-fn candidates_from_columns(
-    left_cols: &[HashSet<&str>],
-    right_cols: &[HashSet<&str>],
-    min_jaccard: f64,
-    min_containment: f64,
-) -> Vec<JoinCandidate> {
     let mut out = Vec::new();
     for (la, lset) in left_cols.iter().enumerate() {
         for (ra, rset) in right_cols.iter().enumerate() {
@@ -152,13 +107,6 @@ fn candidates_from_columns(
 /// seen through Bellman's counting lens).
 pub fn self_join_candidates(rel: &Relation, min_jaccard: f64) -> Vec<JoinCandidate> {
     let mut out = join_candidates(rel, rel, min_jaccard, 1.1);
-    out.retain(|c| c.left_attr < c.right_attr);
-    out
-}
-
-/// As [`self_join_candidates`], over a shared [`AnalysisCtx`].
-pub fn self_join_candidates_ctx(ctx: &AnalysisCtx, min_jaccard: f64) -> Vec<JoinCandidate> {
-    let mut out = join_candidates_ctx(ctx, ctx, min_jaccard, 1.1);
     out.retain(|c| c.left_attr < c.right_attr);
     out
 }
@@ -246,38 +194,6 @@ mod tests {
         );
         // Ordering: pairs listed once with left < right.
         assert!(c.iter().all(|j| j.left_attr < j.right_attr));
-    }
-
-    #[test]
-    fn ctx_path_matches_plain() {
-        let s = db2_sample(&Db2Spec::default());
-        let lc = AnalysisCtx::of(&s.employee);
-        let rc = AnalysisCtx::of(&s.department);
-        for (mj, mc) in [(0.0, 0.0), (0.5, 0.99), (0.9, 2.0)] {
-            assert_eq!(
-                join_candidates_ctx(&lc, &rc, mj, mc),
-                join_candidates(&s.employee, &s.department, mj, mc),
-                "min_jaccard={mj} min_containment={mc}"
-            );
-        }
-        let rel_ctx = AnalysisCtx::of(&s.relation);
-        assert_eq!(
-            self_join_candidates_ctx(&rel_ctx, 0.2),
-            self_join_candidates(&s.relation, 0.2)
-        );
-    }
-
-    #[test]
-    fn ctx_path_ignores_nulls() {
-        let mut a = RelationBuilder::new("a", &["X"]);
-        a.push_row(&[None]);
-        a.push_row(&[Some("v")]);
-        let mut b = RelationBuilder::new("b", &["Y"]);
-        b.push_row(&[None]);
-        b.push_row(&[Some("w")]);
-        let (a, b) = (a.build(), b.build());
-        let c = join_candidates_ctx(&AnalysisCtx::of(&a), &AnalysisCtx::of(&b), 0.0, 0.0);
-        assert!(c.is_empty(), "NULL must not create join edges: {c:?}");
     }
 
     #[test]

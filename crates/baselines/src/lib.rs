@@ -16,12 +16,6 @@ pub mod apriori;
 pub mod joins;
 pub mod pairwise;
 
-pub use apriori::{
-    mine_frequent_itemsets, mine_frequent_itemsets_capped, mine_frequent_itemsets_capped_ctx,
-    mine_frequent_itemsets_ctx, FrequentItemset,
-};
-pub use joins::{
-    join_candidates, join_candidates_ctx, self_join_candidates, self_join_candidates_ctx,
-    JoinCandidate,
-};
-pub use pairwise::{pairwise_duplicates, pairwise_duplicates_ctx, PairwiseDuplicate};
+pub use apriori::{mine_frequent_itemsets, mine_frequent_itemsets_capped, FrequentItemset};
+pub use joins::{join_candidates, self_join_candidates, JoinCandidate};
+pub use pairwise::{pairwise_duplicates, PairwiseDuplicate};

@@ -7,9 +7,7 @@
 //! (agreement counting weighs a rare match and a ubiquitous match the
 //! same) and the cost (`O(n²m)` versus LIMBO's near-linear Phase 1).
 
-use dbmine_context::AnalysisCtx;
 use dbmine_relation::Relation;
-use fxhash::FxHashMap;
 
 /// A candidate duplicate pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,56 +36,6 @@ pub fn pairwise_duplicates(rel: &Relation, min_agree: usize) -> Vec<PairwiseDupl
             }
         }
     }
-    out.sort_by(|x, y| {
-        y.agreement
-            .cmp(&x.agreement)
-            .then((x.a, x.b).cmp(&(y.a, y.b)))
-    });
-    out
-}
-
-/// As [`pairwise_duplicates`], over a shared [`AnalysisCtx`]: agreement
-/// counts come from the context's cached single-attribute stripped
-/// partitions (each class contributes its within-class pairs) instead of
-/// the `O(n²m)` cell-by-cell scan. A pair's agreement is the number of
-/// partitions whose classes contain both tuples, which is exactly the
-/// number of attributes on which they take equal values (NULLs compare
-/// equal on both paths). Output is identical — pinned by tests.
-pub fn pairwise_duplicates_ctx(ctx: &AnalysisCtx, min_agree: usize) -> Vec<PairwiseDuplicate> {
-    let rel = ctx.relation();
-    let n = rel.n_tuples();
-    let mut agree: FxHashMap<(u32, u32), usize> = FxHashMap::default();
-    for a in 0..rel.n_attrs() {
-        for class in &ctx.attr_partition(a).classes {
-            for (i, &t1) in class.iter().enumerate() {
-                for &t2 in &class[i + 1..] {
-                    *agree.entry((t1, t2)).or_insert(0) += 1;
-                }
-            }
-        }
-    }
-    let mut out: Vec<PairwiseDuplicate> = if min_agree == 0 {
-        // Every pair qualifies, including pairs agreeing nowhere (which
-        // never show up in any partition class).
-        (0..n)
-            .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
-            .map(|(a, b)| PairwiseDuplicate {
-                a,
-                b,
-                agreement: agree.get(&(a as u32, b as u32)).copied().unwrap_or(0),
-            })
-            .collect()
-    } else {
-        agree
-            .iter()
-            .filter(|&(_, &c)| c >= min_agree)
-            .map(|(&(a, b), &c)| PairwiseDuplicate {
-                a: a as usize,
-                b: b as usize,
-                agreement: c,
-            })
-            .collect()
-    };
     out.sort_by(|x, y| {
         y.agreement
             .cmp(&x.agreement)
@@ -141,42 +89,5 @@ mod tests {
     fn empty_relation() {
         let rel = dbmine_relation::RelationBuilder::new("e", &["X"]).build();
         assert!(pairwise_duplicates(&rel, 1).is_empty());
-    }
-
-    #[test]
-    fn ctx_path_matches_plain() {
-        let rel = figure4();
-        let injected = inject_near_duplicates(&rel, 2, 1, 5);
-        let ctx = AnalysisCtx::of(&injected.relation);
-        for min_agree in 0..=rel.n_attrs() {
-            assert_eq!(
-                pairwise_duplicates_ctx(&ctx, min_agree),
-                pairwise_duplicates(&injected.relation, min_agree),
-                "min_agree={min_agree}"
-            );
-        }
-    }
-
-    #[test]
-    fn ctx_path_counts_null_agreement() {
-        // NULLs intern to one value, so two NULL cells agree — on both
-        // paths.
-        let mut b = dbmine_relation::RelationBuilder::new("nulls", &["A", "B"]);
-        b.push_row(&[None, Some("x")]);
-        b.push_row(&[None, Some("y")]);
-        let rel = b.build();
-        let ctx = AnalysisCtx::of(&rel);
-        for min_agree in 0..=2 {
-            let via_ctx = pairwise_duplicates_ctx(&ctx, min_agree);
-            assert_eq!(via_ctx, pairwise_duplicates(&rel, min_agree));
-        }
-        assert_eq!(pairwise_duplicates_ctx(&ctx, 1)[0].agreement, 1);
-    }
-
-    #[test]
-    fn ctx_path_empty_relation() {
-        let rel = dbmine_relation::RelationBuilder::new("e", &["X"]).build();
-        assert!(pairwise_duplicates_ctx(&AnalysisCtx::of(&rel), 1).is_empty());
-        assert!(pairwise_duplicates_ctx(&AnalysisCtx::of(&rel), 0).is_empty());
     }
 }

@@ -12,9 +12,10 @@
 //! bit-identical regardless).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{dblp_sample, DblpSpec};
 use dbmine::ib::{aib, aib_reference, aib_with};
-use dbmine::limbo::{phase1, phase2, tuple_dcfs, LimboParams};
+use dbmine::limbo::{phase1, phase2_with, tuple_dcfs_ctx, LimboParams};
 use dbmine::relation::TupleRows;
 
 fn dblp_objects(n: usize) -> (Vec<dbmine::ib::Dcf>, f64) {
@@ -26,7 +27,7 @@ fn dblp_objects(n: usize) -> (Vec<dbmine::ib::Dcf>, f64) {
         ..Default::default()
     };
     let rel = dblp_sample(&spec);
-    let objects = tuple_dcfs(&rel);
+    let objects = tuple_dcfs_ctx(&AnalysisCtx::of(&rel), 1);
     let mi = TupleRows::build(&rel).mutual_information();
     (objects, mi)
 }
@@ -48,7 +49,7 @@ fn bench(c: &mut Criterion) {
                     objects.len(),
                     LimboParams::with_phi(1.0),
                 );
-                phase2(&model, 3)
+                phase2_with(&model, 3, 1)
             })
         });
     }

@@ -4,9 +4,11 @@
 //! TANE.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{db2_sample, dblp_sample, Db2Spec, DblpSpec};
 use dbmine::fdmine::{
-    mine_approximate, mine_fastfds, mine_fdep, mine_mvds, mine_tane, minimum_cover, TaneOptions,
+    mine_approximate_ctx, mine_fastfds, mine_fdep_ctx, mine_mvds, mine_tane_ctx, minimum_cover,
+    TaneOptions,
 };
 use dbmine::relation::AttrSet;
 
@@ -15,12 +17,14 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
 
     let db2 = db2_sample(&Db2Spec::default()).relation;
-    g.bench_function("fdep/db2_90x19", |b| b.iter(|| mine_fdep(&db2)));
+    g.bench_function("fdep/db2_90x19", |b| {
+        b.iter(|| mine_fdep_ctx(&AnalysisCtx::of(&db2)))
+    });
     g.bench_function("fastfds/db2_90x19", |b| b.iter(|| mine_fastfds(&db2)));
     g.bench_function("tane/db2_90x19", |b| {
         b.iter(|| {
-            mine_tane(
-                &db2,
+            mine_tane_ctx(
+                &AnalysisCtx::of(&db2),
                 TaneOptions {
                     max_lhs: Some(4),
                     ..Default::default()
@@ -29,7 +33,7 @@ fn bench(c: &mut Criterion) {
         })
     });
     g.bench_function("approx_g3_0.05/db2_90x19", |b| {
-        b.iter(|| mine_approximate(&db2, 0.05, Some(2)))
+        b.iter(|| mine_approximate_ctx(&AnalysisCtx::of(&db2), 0.05, Some(2), 1))
     });
     g.bench_function("mvds/db2_lhs1", |b| b.iter(|| mine_mvds(&db2, 1, false)));
 
@@ -53,14 +57,14 @@ fn bench(c: &mut Criterion) {
         .collect();
         let rel = rel.project(keep);
         g.bench_with_input(BenchmarkId::new("fdep/dblp7", n), &n, |b, _| {
-            b.iter(|| mine_fdep(&rel))
+            b.iter(|| mine_fdep_ctx(&AnalysisCtx::of(&rel)))
         });
         g.bench_with_input(BenchmarkId::new("tane/dblp7", n), &n, |b, _| {
-            b.iter(|| mine_tane(&rel, TaneOptions::default()))
+            b.iter(|| mine_tane_ctx(&AnalysisCtx::of(&rel), TaneOptions::default()))
         });
     }
 
-    let fds = mine_fdep(&db2);
+    let fds = mine_fdep_ctx(&AnalysisCtx::of(&db2));
     g.bench_function("minimum_cover/db2", |b| b.iter(|| minimum_cover(&fds)));
     g.finish();
 }

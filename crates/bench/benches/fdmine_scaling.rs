@@ -4,7 +4,7 @@
 //!
 //! This is the bench trajectory for the `fdmine` hot path: partition
 //! products (the inner loop of every level), `g3` error computation, and
-//! the end-to-end `mine_tane` / `mine_approximate` walks. Run with
+//! the end-to-end `mine_tane_ctx` / `mine_approximate_ctx` walks. Run with
 //!
 //! ```text
 //! cargo bench --bench fdmine_scaling
@@ -14,9 +14,10 @@
 //! binary (see EXPERIMENTS.md), which reuses the same workloads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{synthetic, PlantedFd, SyntheticSpec};
 use dbmine::fdmine::{
-    mine_approximate, mine_tane, PartitionScratch, StrippedPartition, TaneOptions,
+    mine_approximate_ctx, mine_tane_ctx, PartitionScratch, StrippedPartition, TaneOptions,
 };
 
 /// The canonical scaling relation: `n` tuples, 8 attributes, a planted
@@ -44,12 +45,12 @@ fn bench(c: &mut Criterion) {
         let rel = scaling_relation(n);
 
         g.bench_with_input(BenchmarkId::new("tane/synth8", n), &n, |b, _| {
-            b.iter(|| mine_tane(&rel, TaneOptions::default()))
+            b.iter(|| mine_tane_ctx(&AnalysisCtx::of(&rel), TaneOptions::default()))
         });
 
         // The inner loop of every TANE level: one partition product —
         // with a fresh scratch per call, and with the scratch reused the
-        // way `mine_tane` holds it.
+        // way `mine_tane_ctx` holds it.
         let p0 = StrippedPartition::of_attr(&rel, 0);
         let p3 = StrippedPartition::of_attr(&rel, 3);
         g.bench_with_input(BenchmarkId::new("product/synth8", n), &n, |b, _| {
@@ -80,8 +81,8 @@ fn bench(c: &mut Criterion) {
             &threads,
             |b, &t| {
                 b.iter(|| {
-                    mine_tane(
-                        &rel,
+                    mine_tane_ctx(
+                        &AnalysisCtx::of(&rel),
                         TaneOptions {
                             threads: t,
                             ..Default::default()
@@ -106,7 +107,7 @@ fn bench(c: &mut Criterion) {
         seed: 42,
     });
     g.bench_function("approx_g3_0.05/synth6_10000", |b| {
-        b.iter(|| mine_approximate(&noisy, 0.05, Some(2)))
+        b.iter(|| mine_approximate_ctx(&AnalysisCtx::of(&noisy), 0.05, Some(2), 1))
     });
 
     g.finish();

@@ -5,8 +5,9 @@
 //! buys in insert throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{dblp_sample, DblpSpec};
-use dbmine::limbo::{tuple_dcfs, DcfTree, DcfTreeRef};
+use dbmine::limbo::{tuple_dcfs_ctx, DcfTree, DcfTreeRef};
 use dbmine::relation::TupleRows;
 
 fn bench(c: &mut Criterion) {
@@ -18,7 +19,7 @@ fn bench(c: &mut Criterion) {
             ..DblpSpec::small()
         };
         let rel = dblp_sample(&spec);
-        let objects = tuple_dcfs(&rel);
+        let objects = tuple_dcfs_ctx(&AnalysisCtx::of(&rel), 1);
         let mi = TupleRows::build(&rel).mutual_information();
         // φ = 1.0: the paper's summary regime, where most inserts are
         // absorbed by an existing leaf entry.

@@ -3,8 +3,9 @@
 //! supports are bounded by the merge threshold).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{dblp_sample, DblpSpec};
-use dbmine::limbo::{phase1, run, tuple_dcfs, LimboParams};
+use dbmine::limbo::{phase1, run, tuple_dcfs_ctx, LimboParams};
 use dbmine::relation::TupleRows;
 
 fn bench(c: &mut Criterion) {
@@ -16,7 +17,7 @@ fn bench(c: &mut Criterion) {
             ..DblpSpec::small()
         };
         let rel = dblp_sample(&spec);
-        let objects = tuple_dcfs(&rel);
+        let objects = tuple_dcfs_ctx(&AnalysisCtx::of(&rel), 1);
         let mi = TupleRows::build(&rel).mutual_information();
         g.throughput(Throughput::Elements(n as u64));
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
@@ -44,7 +45,7 @@ fn bench_threads(c: &mut Criterion) {
         ..DblpSpec::small()
     };
     let rel = dblp_sample(&spec);
-    let objects = tuple_dcfs(&rel);
+    let objects = tuple_dcfs_ctx(&AnalysisCtx::of(&rel), 1);
     let mi = TupleRows::build(&rel).mutual_information();
     for &t in &[1usize, 4] {
         g.bench_with_input(BenchmarkId::new(format!("threads_{t}"), n), &n, |b, _| {

@@ -5,15 +5,19 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dbmine::baselines::mine_frequent_itemsets_capped;
+use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{db2_sample, dblp_sample, Db2Spec, DblpSpec};
-use dbmine::summaries::{cluster_values, tuple_summary_assignment};
+use dbmine::limbo::LimboParams;
+use dbmine::summaries::{cluster_values_ctx, tuple_summary_assignment_ctx};
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("value_clustering");
     g.sample_size(10);
 
     let db2 = db2_sample(&Db2Spec::default()).relation;
-    g.bench_function("direct/db2", |b| b.iter(|| cluster_values(&db2, 0.0, None)));
+    g.bench_function("direct/db2", |b| {
+        b.iter(|| cluster_values_ctx(&AnalysisCtx::of(&db2), LimboParams::with_phi(0.0), None))
+    });
     // Sizes capped at 3: the uncapped enumeration is exponential on this
     // dense join (see `bin/ablation_cvd`), which is itself the point of
     // the comparison.
@@ -28,11 +32,18 @@ fn bench(c: &mut Criterion) {
         };
         let rel = dblp_sample(&spec);
         g.bench_with_input(BenchmarkId::new("direct/dblp", n), &n, |b, _| {
-            b.iter(|| cluster_values(&rel, 1.0, None))
+            b.iter(|| cluster_values_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(1.0), None))
         });
-        let (assignment, _) = tuple_summary_assignment(&rel, 0.5);
+        let (assignment, _) =
+            tuple_summary_assignment_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(0.5));
         g.bench_with_input(BenchmarkId::new("double/dblp", n), &n, |b, _| {
-            b.iter(|| cluster_values(&rel, 1.0, Some(&assignment)))
+            b.iter(|| {
+                cluster_values_ctx(
+                    &AnalysisCtx::of(&rel),
+                    LimboParams::with_phi(1.0),
+                    Some(&assignment),
+                )
+            })
         });
     }
     g.finish();

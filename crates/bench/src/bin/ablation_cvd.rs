@@ -4,8 +4,10 @@
 //! of grouping attributes over `C_VD` versus over *all* value groups.
 
 use dbmine::baselines::apriori::mine_frequent_itemsets_capped;
+use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{db2_sample, Db2Spec};
-use dbmine::summaries::{cluster_values, group_attributes};
+use dbmine::limbo::LimboParams;
+use dbmine::summaries::{cluster_values_ctx, group_attributes};
 use dbmine_bench::{f3, print_table};
 use std::collections::HashSet;
 
@@ -13,7 +15,7 @@ fn main() {
     let rel = db2_sample(&Db2Spec::default()).relation;
 
     // C_VD groups at φV = 0 (perfect co-occurrence).
-    let values = cluster_values(&rel, 0.0, None);
+    let values = cluster_values_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(0.0), None);
     let cvd: Vec<HashSet<u32>> = values
         .duplicates()
         .map(|g| g.values.iter().copied().collect())

@@ -1,6 +1,6 @@
 //! Ablation: the θ emission threshold of reliable-FD mining.
 //!
-//! Sweeps θ over `mine_reliable` (branch-and-bound on) and records, per
+//! Sweeps θ over `mine_reliable_ctx` (branch-and-bound on) and records, per
 //! dataset, how the threshold moves the three quantities that matter:
 //!
 //! * the number of dependencies with F̂ ≥ θ (the output),
@@ -15,9 +15,10 @@
 //! bound bite. Writes `results/ablation_theta.json` (`--out PATH`
 //! overrides).
 
+use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{db2_sample, dblp_sample, Db2Spec, DblpSpec};
 use dbmine::relation::Relation;
-use dbmine::reliability::{mine_reliable, ReliableOptions};
+use dbmine::reliability::{mine_reliable_ctx, ReliableOptions};
 use dbmine::telemetry;
 use dbmine_bench::print_table;
 use std::fmt::Write as _;
@@ -48,7 +49,7 @@ fn sweep(out: &mut Vec<SweepRow>, dataset: &str, rel: &Relation, max_lhs: Option
         };
         let before = telemetry::snapshot();
         let start = Instant::now();
-        let fds = mine_reliable(rel, opts);
+        let fds = mine_reliable_ctx(&AnalysisCtx::of(rel), opts);
         let ms = start.elapsed().as_secs_f64() * 1e3;
         let d = telemetry::snapshot().delta(&before);
         let r = SweepRow {

@@ -13,11 +13,10 @@
 use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{synthetic, PlantedFd, SyntheticSpec};
 use dbmine::fdmine::{
-    mine_approximate_with, mine_tane, mine_tane_ctx, PartitionScratch, StrippedPartition,
-    TaneOptions,
+    mine_approximate_ctx, mine_tane_ctx, PartitionScratch, StrippedPartition, TaneOptions,
 };
 use dbmine::relation::{csv::write_relation_path, Relation, ShardedRelation};
-use dbmine::reliability::{mine_reliable, mine_reliable_ctx, ReliableOptions};
+use dbmine::reliability::{mine_reliable_ctx, ReliableOptions};
 use dbmine::telemetry;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -107,14 +106,16 @@ fn reliable_compare(
     id: &str,
     opts: ReliableOptions,
 ) {
-    measure(results, id, samples, || mine_reliable(rel, opts));
+    measure(results, id, samples, || {
+        mine_reliable_ctx(&AnalysisCtx::of(rel), opts)
+    });
     measure(
         results,
         &id.replacen("reliable_", "reliable_unpruned_", 1),
         samples,
         || {
-            mine_reliable(
-                rel,
+            mine_reliable_ctx(
+                &AnalysisCtx::of(rel),
                 ReliableOptions {
                     prune: false,
                     ..opts
@@ -123,10 +124,10 @@ fn reliable_compare(
         },
     );
     let before = telemetry::snapshot();
-    let pruned = mine_reliable(rel, opts);
+    let pruned = mine_reliable_ctx(&AnalysisCtx::of(rel), opts);
     let mid = telemetry::snapshot();
-    let unpruned = mine_reliable(
-        rel,
+    let unpruned = mine_reliable_ctx(
+        &AnalysisCtx::of(rel),
         ReliableOptions {
             prune: false,
             ..opts
@@ -271,10 +272,10 @@ fn main() {
     for &n in sizes {
         let rel = scaling_relation(n);
         measure(&mut results, &format!("tane/synth8/{n}"), samples, || {
-            mine_tane(&rel, TaneOptions::default())
+            mine_tane_ctx(&AnalysisCtx::of(&rel), TaneOptions::default())
         });
         count(&mut allocs, &format!("tane/synth8/{n}"), || {
-            mine_tane(&rel, TaneOptions::default())
+            mine_tane_ctx(&AnalysisCtx::of(&rel), TaneOptions::default())
         });
         for threads in [2usize, 4] {
             measure(
@@ -282,8 +283,8 @@ fn main() {
                 &format!("tane_threads{threads}/synth8/{n}"),
                 samples,
                 || {
-                    mine_tane(
-                        &rel,
+                    mine_tane_ctx(
+                        &AnalysisCtx::of(&rel),
                         TaneOptions {
                             threads,
                             ..Default::default()
@@ -352,7 +353,7 @@ fn main() {
         &mut results,
         &format!("approx_g3_0.05/synth6_{}", noisy.n_tuples()),
         samples,
-        || mine_approximate_with(&noisy, 0.05, Some(2), 1),
+        || mine_approximate_ctx(&AnalysisCtx::of(&noisy), 0.05, Some(2), 1),
     );
 
     // DBLP-style relation: key-like attributes (Title, Pages, unbucketed
@@ -434,9 +435,12 @@ fn main() {
     let report = {
         let rel = scaling_relation(*sizes.last().expect("sizes non-empty"));
         telemetry::begin();
-        let _ = std::hint::black_box(mine_tane(&rel, TaneOptions::default()));
-        let _ = std::hint::black_box(mine_reliable(
-            &rel,
+        let _ = std::hint::black_box(mine_tane_ctx(
+            &AnalysisCtx::of(&rel),
+            TaneOptions::default(),
+        ));
+        let _ = std::hint::black_box(mine_reliable_ctx(
+            &AnalysisCtx::of(&rel),
             ReliableOptions {
                 theta: 0.6,
                 max_lhs: Some(3),

@@ -2,12 +2,12 @@
 //! Section 7 FD-RANK walk-through.
 
 use dbmine::context::AnalysisCtx;
-use dbmine::fdmine::mine_fdep;
+use dbmine::fdmine::mine_fdep_ctx;
 use dbmine::fdrank::{decompose, rank_fds};
 use dbmine::limbo::LimboParams;
 use dbmine::relation::paper::{figure4, figure5};
 use dbmine::summaries::render::render_dendrogram;
-use dbmine::summaries::{cluster_values, cluster_values_ctx, group_attributes};
+use dbmine::summaries::{cluster_values_ctx, group_attributes};
 use dbmine_bench::{f3, print_table};
 
 fn print_matrices(ctx: &AnalysisCtx, title: &str) {
@@ -86,7 +86,7 @@ fn main() {
 
     // Figure 5/8: the erroneous relation needs φV > 0.
     let rel5 = figure5();
-    let lax = cluster_values(&rel5, 0.5, None);
+    let lax = cluster_values_ctx(&AnalysisCtx::of(&rel5), LimboParams::with_phi(0.5), None);
     let rows: Vec<Vec<String>> = lax
         .groups
         .iter()
@@ -125,7 +125,7 @@ fn main() {
     print!("{}", render_dendrogram(&grouping.dendrogram, &labels, 48));
 
     // Section 7: FD-RANK with ψ = 0.5 over {A→B, C→B}.
-    let fds = mine_fdep(rel);
+    let fds = mine_fdep_ctx(&ctx);
     let ranked = rank_fds(&fds, &grouping, 0.5);
     let names = rel.attr_names().to_vec();
     let rows: Vec<Vec<String>> = ranked

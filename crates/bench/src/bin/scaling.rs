@@ -7,8 +7,8 @@
 
 use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{synthetic, PlantedFd, SyntheticSpec};
-use dbmine::fdmine::{mine_fdep, mine_tane_ctx, TaneOptions};
-use dbmine::limbo::{phase1, phase2, phase3, tuple_dcfs_ctx, LimboParams};
+use dbmine::fdmine::{mine_fdep_ctx, mine_tane_ctx, TaneOptions};
+use dbmine::limbo::{phase1, phase2_with, phase3_with, tuple_dcfs_ctx, LimboParams};
 use dbmine_bench::print_table;
 use std::time::Instant;
 
@@ -55,11 +55,11 @@ fn main() {
         let p1 = ms(t1);
 
         let t2 = Instant::now();
-        let clustering = phase2(&model, 4);
+        let clustering = phase2_with(&model, 4, 1);
         let p2 = ms(t2);
 
         let t3 = Instant::now();
-        let _ = phase3(objects.iter(), &clustering);
+        let _ = phase3_with(objects.iter(), &clustering, 1);
         let p3 = ms(t3);
 
         let tt = Instant::now();
@@ -75,7 +75,7 @@ fn main() {
         // FDEP is quadratic — only run it while affordable.
         let fdep_t = if n <= 5_000 {
             let tf = Instant::now();
-            let _ = mine_fdep(rel);
+            let _ = mine_fdep_ctx(&AnalysisCtx::of(rel));
             ms(tf)
         } else {
             "-".to_string()

@@ -16,8 +16,10 @@
 //! recovery degrades once errors exceed ~half the attributes; larger φT
 //! adds association noise) appear here at φT ≈ 2× the paper's values.
 
+use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{db2_sample, inject_near_duplicates, Db2Spec};
-use dbmine::summaries::find_duplicate_tuples;
+use dbmine::limbo::LimboParams;
+use dbmine::summaries::find_duplicate_tuples_ctx;
 use dbmine_bench::print_table;
 
 const ERROR_COUNTS: [usize; 5] = [1, 2, 4, 6, 10];
@@ -36,7 +38,10 @@ fn run_cell(n_dups: usize, errors: usize, phi_t: f64) -> Cell {
     let mut group_count = 0usize;
     for seed in 0..TRIALS {
         let injected = inject_near_duplicates(&sample.relation, n_dups, errors, 1000 + seed);
-        let report = find_duplicate_tuples(&injected.relation, phi_t);
+        let report = find_duplicate_tuples_ctx(
+            &AnalysisCtx::of(&injected.relation),
+            LimboParams::with_phi(phi_t),
+        );
         let tau = report.threshold.max(1e-12);
         found += injected
             .injected

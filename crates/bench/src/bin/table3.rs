@@ -3,14 +3,17 @@
 //!
 //! Paper reference: FDEP found 106 FDs, minimum cover 14; top-ranked,
 //! ψ = 0.5:
-//!   1. [DeptNo]→[DeptName,MgrNo]          RAD 0.947  RTR 0.922
-//!   2. [DeptName]→[MgrNo]                 RAD 0.965  RTR 0.922
-//!   3. [EmpNo]→[BirthYear,FirstName,...]  RAD 0.924  RTR 0.878
-//!   4. [ProjNo]→[ProjName,RespEmpNo,...]  RAD 0.872  RTR 0.800
+//!
+//! ```text
+//! 1. [DeptNo]→[DeptName,MgrNo]          RAD 0.947  RTR 0.922
+//! 2. [DeptName]→[MgrNo]                 RAD 0.965  RTR 0.922
+//! 3. [EmpNo]→[BirthYear,FirstName,...]  RAD 0.924  RTR 0.878
+//! 4. [ProjNo]→[ProjName,RespEmpNo,...]  RAD 0.872  RTR 0.800
+//! ```
 
 use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{db2_sample, Db2Spec};
-use dbmine::fdmine::{mine_fdep, minimum_cover};
+use dbmine::fdmine::{mine_fdep_ctx, minimum_cover};
 use dbmine::fdrank::{decompose, rad_ctx, rank_fds, rtr_ctx};
 use dbmine::limbo::LimboParams;
 use dbmine::summaries::{cluster_values_ctx, group_attributes};
@@ -24,7 +27,7 @@ fn main() {
     let rel = ctx.relation();
     let names = rel.attr_names().to_vec();
 
-    let fds = timed("FDEP", || mine_fdep(rel));
+    let fds = timed("FDEP", || mine_fdep_ctx(&AnalysisCtx::of(rel)));
     let cover = timed("minimum cover", || minimum_cover(&fds));
     println!(
         "FDEP discovered {} minimal FDs; minimum cover has {} (paper: 106 / 14)",

@@ -2,9 +2,11 @@
 //! binaries: generate → project to the seven informative attributes →
 //! horizontally partition.
 
+use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{dblp_sample, DblpSpec};
+use dbmine::limbo::LimboParams;
 use dbmine::relation::{AttrSet, Relation};
-use dbmine::summaries::{horizontal_partition, PartitionResult};
+use dbmine::summaries::{horizontal_partition_ctx, PartitionResult};
 
 /// The paper's projection after setting the six NULL-heavy attributes
 /// aside: *"we projected the initial relation onto the attribute set
@@ -43,7 +45,12 @@ pub fn partitioned_dblp(scale: usize, phi_t: f64, k: Option<usize>) -> DblpParti
         .filter_map(|n| rel.attr_id(n))
         .collect();
     let projected = rel.project(keep);
-    let result = horizontal_partition(&projected, phi_t, k, 6);
+    let result = horizontal_partition_ctx(
+        &AnalysisCtx::of(&projected),
+        LimboParams::with_phi(phi_t),
+        k,
+        6,
+    );
     DblpPartitions { projected, result }
 }
 

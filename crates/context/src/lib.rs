@@ -15,7 +15,7 @@
 //! # Sources
 //!
 //! The context is the only layer that knows whether the relation lives
-//! in RAM or on disk. It is backed by a [`CtxSource`]:
+//! in RAM or on disk. It is backed by one of two sources:
 //!
 //! * **Memory** ([`AnalysisCtx::new`] / [`AnalysisCtx::of`]) — an
 //!   `Arc<Relation>`; every view builds from the columnar matrix.
@@ -65,7 +65,7 @@
 //! # Opting new views in
 //!
 //! A new shared view gets (1) a `OnceLock` (or bounded memo) field, (2)
-//! an accessor that goes through [`AnalysisCtx::view`] (or replicates
+//! an accessor that goes through the private `AnalysisCtx::view` (or replicates
 //! its hit/build accounting) with a build arm per source, and (3) a
 //! line in the DESIGN.md "Analysis context" table. Nothing else:
 //! consumers receive `&AnalysisCtx` and call the accessor.
@@ -191,12 +191,14 @@ impl AnalysisCtx {
         Self::with_source(CtxSource::Mem(rel))
     }
 
-    /// A transient context over a borrowed relation (clones it once).
+    /// A context over a borrowed relation (clones it once).
     ///
-    /// This is what the thin `&Relation` convenience wrappers throughout
-    /// the workspace use; the clone is a columnar memcpy, cheap next to
-    /// any of the views. Callers that analyze the same relation more
-    /// than once should build one [`AnalysisCtx::new`] and share it.
+    /// Every pipeline operation takes a `&AnalysisCtx`, so this is how a
+    /// caller holding only a `&Relation` reaches them; the clone is a
+    /// columnar memcpy, cheap next to any of the views. A caller that
+    /// owns the relation can move it in with `AnalysisCtx::from` instead.
+    /// Build one context per relation and pass it to every operation, so
+    /// each view is built once.
     pub fn of(rel: &Relation) -> Self {
         AnalysisCtx::new(Arc::new(rel.clone()))
     }

@@ -138,14 +138,21 @@ impl Args {
             .map(|v| v.parse().unwrap_or_else(|_| bad_flag("score", v)))
             .unwrap_or_default()
     }
-    fn theta(&self) -> Option<f64> {
-        let theta = self.f64_flag("theta");
-        if let Some(t) = theta {
-            if !(0.0..=1.0).contains(&t) {
-                bad_flag("theta", &t.to_string());
-            }
+    /// Range-checks the numeric command parameters; an out-of-range
+    /// value exits like a malformed one.
+    fn check_params(&self) {
+        let params = render::Params {
+            phi_t: self.f64_flag("phi-t"),
+            phi_v: self.f64_flag("phi-v"),
+            psi: self.f64_flag("psi"),
+            approx: self.f64_flag("approx"),
+            theta: self.f64_flag("theta"),
+            k: self.usize_flag("k"),
+        };
+        if let Err(e) = render::check_params(&params) {
+            let flag = e.name.replace('_', "-");
+            bad_flag(&flag, &self.flags[&flag]);
         }
-        theta
     }
 }
 
@@ -317,7 +324,7 @@ fn main() {
     let _ = args.threads();
     let _ = args.shards();
     let _ = args.score();
-    let _ = args.theta();
+    args.check_params();
     let profile = args.flags.get("profile").cloned();
     if profile.is_some() {
         if !telemetry::compiled() {
@@ -368,7 +375,7 @@ fn main() {
                     args.usize_flag("max-lhs"),
                     args.threads(),
                     score,
-                    args.theta(),
+                    args.f64_flag("theta"),
                 )
             );
         }

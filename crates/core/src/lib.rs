@@ -13,6 +13,7 @@
 //!
 //! ```
 //! use dbmine::{StructureMiner, MinerConfig};
+//! use dbmine::context::AnalysisCtx;
 //! use dbmine::relation::RelationBuilder;
 //!
 //! // The paper's Figure 4 relation.
@@ -21,14 +22,14 @@
 //!             ["y","2","x"], ["z","2","x"]] {
 //!     b.push_row_strs(&row);
 //! }
-//! let rel = b.build();
+//! let ctx = AnalysisCtx::from(b.build());
 //!
-//! let report = StructureMiner::new(MinerConfig::default()).analyze(&rel);
+//! let report = StructureMiner::new(MinerConfig::default()).analyze_ctx(&ctx);
 //! // {2,x} and {a,1} co-occur perfectly → two duplicate value groups.
 //! assert_eq!(report.value_groups.duplicates().count(), 2);
 //! // C→B is the top-ranked dependency (it captures the {2,x} redundancy).
 //! let top = &report.ranked[0];
-//! assert_eq!(top.display(rel.attr_names()), "[C]→[B]");
+//! assert_eq!(top.display(ctx.attr_names()), "[C]→[B]");
 //! ```
 //!
 //! ## Crate map

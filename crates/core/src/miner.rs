@@ -241,22 +241,13 @@ impl StructureMiner {
         &self.config
     }
 
-    /// Runs the full pipeline: profiling → duplicate tuples → value
-    /// clustering → attribute grouping → FD mining → minimum cover →
-    /// FD-RANK with RAD/RTR.
-    ///
-    /// Builds a transient [`AnalysisCtx`]; callers analyzing the same
-    /// relation more than once (parameter sweeps, repeated CLI calls)
-    /// should hold a context and call [`Self::analyze_ctx`] so the
-    /// shared views are built once.
-    pub fn analyze(&self, rel: &Relation) -> StructureReport {
-        self.analyze_ctx(&AnalysisCtx::of(rel))
-    }
-
-    /// As [`Self::analyze`], over a shared [`AnalysisCtx`]. One analyze
-    /// run builds `TupleRows`, `ValueIndex` and each single-attribute
+    /// Runs the full pipeline over a shared [`AnalysisCtx`]: profiling →
+    /// duplicate tuples → value clustering → attribute grouping → FD
+    /// mining → minimum cover → FD-RANK with RAD/RTR. One analyze run
+    /// builds `TupleRows`, `ValueIndex` and each single-attribute
     /// partition exactly once (pinned by a telemetry regression test);
-    /// repeated runs over the same context build nothing.
+    /// repeated runs over the same context (parameter sweeps, repeated
+    /// CLI calls) build nothing.
     pub fn analyze_ctx(&self, ctx: &AnalysisCtx) -> StructureReport {
         let _span = dbmine_telemetry::span!("miner.analyze");
         let c = &self.config;
@@ -349,7 +340,8 @@ mod tests {
 
     #[test]
     fn figure4_end_to_end() {
-        let report = StructureMiner::new(MinerConfig::default()).analyze(&figure4());
+        let report =
+            StructureMiner::new(MinerConfig::default()).analyze_ctx(&AnalysisCtx::of(&figure4()));
         assert_eq!(report.columns.len(), 3);
         assert_eq!(report.value_groups.duplicates().count(), 2);
         assert!(!report.cover.is_empty());
@@ -367,7 +359,7 @@ mod tests {
 
     #[test]
     fn rank_measures_populated() {
-        let report = StructureMiner::default().analyze(&figure4());
+        let report = StructureMiner::default().analyze_ctx(&AnalysisCtx::of(&figure4()));
         for r in &report.ranked {
             assert!(r.rad <= 1.0 + 1e-9);
             assert!((0.0..=1.0).contains(&r.rtr));
@@ -380,13 +372,13 @@ mod tests {
             fd_miner: FdMiner::Tane,
             ..Default::default()
         });
-        let report = m.analyze(&figure5());
+        let report = m.analyze_ctx(&AnalysisCtx::of(&figure5()));
         // TANE path produces the same cover as FDEP on small data.
         let f = StructureMiner::new(MinerConfig {
             fd_miner: FdMiner::Fdep,
             ..Default::default()
         })
-        .analyze(&figure5());
+        .analyze_ctx(&AnalysisCtx::of(&figure5()));
         let mut a = report.cover.clone();
         let mut b = f.cover.clone();
         a.sort();
@@ -397,7 +389,7 @@ mod tests {
     #[test]
     fn rfi_score_mode_populates_and_orders() {
         let rel = figure4();
-        let g3 = StructureMiner::default().analyze(&rel);
+        let g3 = StructureMiner::default().analyze_ctx(&AnalysisCtx::of(&rel));
         assert!(g3.ranked.iter().all(|r| r.rfi.is_none()));
         assert!(!g3.render(&rel).contains("F̂="));
 
@@ -405,7 +397,7 @@ mod tests {
             score: ScoreKind::Rfi,
             ..Default::default()
         })
-        .analyze(&rel);
+        .analyze_ctx(&AnalysisCtx::of(&rel));
         assert!(report.ranked.iter().all(|r| r.rfi.is_some()));
         for w in report.ranked.windows(2) {
             assert!(
@@ -419,7 +411,7 @@ mod tests {
 
     #[test]
     fn top_truncates() {
-        let report = StructureMiner::default().analyze(&figure4());
+        let report = StructureMiner::default().analyze_ctx(&AnalysisCtx::of(&figure4()));
         assert!(report.top(1).len() <= 1);
         assert_eq!(report.top(100).len(), report.ranked.len());
     }

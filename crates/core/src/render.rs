@@ -301,6 +301,60 @@ pub fn analyze_config(
     }
 }
 
+/// The numeric command parameters both front ends range-check before any
+/// work runs. `None` = not given; every command default is in range.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Params {
+    /// Tuple-clustering accuracy `φ_T`.
+    pub phi_t: Option<f64>,
+    /// Value-clustering accuracy `φ_V`.
+    pub phi_v: Option<f64>,
+    /// FD-RANK threshold `ψ`.
+    pub psi: Option<f64>,
+    /// Approximate-FD bound on the `g3` error.
+    pub approx: Option<f64>,
+    /// Reliability threshold `θ`.
+    pub theta: Option<f64>,
+    /// Forced number of horizontal partitions.
+    pub k: Option<usize>,
+}
+
+/// A parameter outside its accepted range.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct InvalidParam {
+    /// The parameter, spelled as a daemon request field (`phi_t`); the
+    /// CLI flag is the same name with `-` for `_` (`--phi-t`).
+    pub name: &'static str,
+    /// The accepted range, phrased to follow the name
+    /// (`must be in [0, 1]`).
+    pub rule: &'static str,
+}
+
+/// Checks every given parameter against its range: `phi_t`/`phi_v`
+/// finite and ≥ 0, `psi` and `theta` in [0, 1], `approx` in [0, 1), and
+/// `k` ≥ 1. NaN fails every check. Reports the first parameter out of
+/// range, so a bad value is a typed error instead of a library panic.
+pub fn check_params(p: &Params) -> Result<(), InvalidParam> {
+    let phi = |x: f64| x.is_finite() && x >= 0.0;
+    let unit = |x: f64| (0.0..=1.0).contains(&x);
+    let checks = [
+        ("phi_t", "must be ≥ 0 and finite", p.phi_t.is_none_or(phi)),
+        ("phi_v", "must be ≥ 0 and finite", p.phi_v.is_none_or(phi)),
+        ("psi", "must be in [0, 1]", p.psi.is_none_or(unit)),
+        (
+            "approx",
+            "must be ≥ 0 and < 1",
+            p.approx.is_none_or(|e| (0.0..1.0).contains(&e)),
+        ),
+        ("theta", "must be in [0, 1]", p.theta.is_none_or(unit)),
+        ("k", "must be at least 1", p.k != Some(0)),
+    ];
+    match checks.into_iter().find(|&(_, _, ok)| !ok) {
+        Some((name, rule, _)) => Err(InvalidParam { name, rule }),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,6 +463,79 @@ mod tests {
         assert_eq!(chunked.view_stats().materializations, 0);
         let _ = std::fs::remove_file(&csv_path);
         let _ = std::fs::remove_file(&store_path);
+    }
+
+    #[test]
+    fn check_params_names_the_first_parameter_out_of_range() {
+        assert_eq!(check_params(&Params::default()), Ok(()));
+        let ok = Params {
+            phi_t: Some(0.0),
+            phi_v: Some(2.5),
+            psi: Some(1.0),
+            approx: Some(0.0),
+            theta: Some(0.0),
+            k: Some(1),
+        };
+        assert_eq!(check_params(&ok), Ok(()));
+        let name_of = |p: Params| check_params(&p).unwrap_err().name;
+        assert_eq!(
+            name_of(Params {
+                phi_t: Some(-1.0),
+                ..ok
+            }),
+            "phi_t"
+        );
+        assert_eq!(
+            name_of(Params {
+                phi_v: Some(f64::INFINITY),
+                ..ok
+            }),
+            "phi_v"
+        );
+        assert_eq!(
+            name_of(Params {
+                psi: Some(2.0),
+                ..ok
+            }),
+            "psi"
+        );
+        assert_eq!(
+            name_of(Params {
+                approx: Some(1.0),
+                ..ok
+            }),
+            "approx"
+        );
+        assert_eq!(
+            name_of(Params {
+                approx: Some(f64::NAN),
+                ..ok
+            }),
+            "approx"
+        );
+        assert_eq!(
+            name_of(Params {
+                approx: Some(-0.1),
+                ..ok
+            }),
+            "approx"
+        );
+        assert_eq!(
+            name_of(Params {
+                theta: Some(1.5),
+                ..ok
+            }),
+            "theta"
+        );
+        assert_eq!(name_of(Params { k: Some(0), ..ok }), "k");
+        assert_eq!(
+            name_of(Params {
+                phi_t: Some(f64::NAN),
+                psi: Some(2.0),
+                ..ok
+            }),
+            "phi_t"
+        );
     }
 
     #[test]

@@ -265,38 +265,41 @@ fn run_command(req: &Request, ctx: &AnalysisCtx) -> Result<String, String> {
         "analyze" => render::run_analyze(
             ctx,
             &render::analyze_config(
-                req.phi_t,
-                req.phi_v,
-                req.psi,
+                req.params.phi_t,
+                req.params.phi_v,
+                req.params.psi,
                 req.max_lhs,
                 req.threads,
                 req.shards,
                 req.score,
             ),
         ),
-        "duplicates" => {
-            render::run_duplicates(ctx, req.phi_t.unwrap_or(0.1), req.threads, req.shards)
-        }
+        "duplicates" => render::run_duplicates(
+            ctx,
+            req.params.phi_t.unwrap_or(0.1),
+            req.threads,
+            req.shards,
+        ),
         "fds" => render::run_fds(
             ctx,
-            req.approx,
+            req.params.approx,
             req.max_lhs,
             req.threads,
             req.score,
-            req.theta,
+            req.params.theta,
         ),
         "partition" => render::run_partition(
             ctx,
-            req.phi_t.unwrap_or(0.5),
-            req.k,
+            req.params.phi_t.unwrap_or(0.5),
+            req.params.k,
             req.threads,
             req.shards,
         ),
         "redesign" => {
             let config = MinerConfig {
-                phi_tuples: req.phi_t.unwrap_or(0.0),
-                phi_values: req.phi_v.unwrap_or(0.0),
-                psi: req.psi.unwrap_or(0.5),
+                phi_tuples: req.params.phi_t.unwrap_or(0.0),
+                phi_values: req.params.phi_v.unwrap_or(0.0),
+                psi: req.params.psi.unwrap_or(0.5),
                 threads: req.threads,
                 shards: req.shards,
                 score: req.score,
@@ -325,17 +328,13 @@ struct Request {
     path: Option<String>,
     csv: Option<String>,
     name: Option<String>,
-    phi_t: Option<f64>,
-    phi_v: Option<f64>,
-    psi: Option<f64>,
+    /// The range-checked numeric parameters.
+    params: render::Params,
     threads: usize,
     shards: Option<usize>,
     max_lhs: Option<usize>,
-    approx: Option<f64>,
-    k: Option<usize>,
     steps: usize,
     score: ScoreKind,
-    theta: Option<f64>,
     profile: bool,
 }
 
@@ -396,27 +395,15 @@ impl Request {
         if name.is_some() && csv.is_none() {
             return Err("field `name` is only valid with inline `csv`".to_string());
         }
-        let phi_t = num_field("phi_t")?;
-        let phi_v = num_field("phi_v")?;
-        for (key, value) in [("phi_t", phi_t), ("phi_v", phi_v)] {
-            if let Some(p) = value {
-                if p < 0.0 {
-                    return Err(format!("field `{key}` must be ≥ 0"));
-                }
-            }
-        }
-        let psi = num_field("psi")?;
-        if let Some(p) = psi {
-            if !(0.0..=1.0).contains(&p) {
-                return Err("field `psi` must be in [0, 1]".to_string());
-            }
-        }
-        let approx = num_field("approx")?;
-        if let Some(e) = approx {
-            if e < 0.0 {
-                return Err("field `approx` must be ≥ 0".to_string());
-            }
-        }
+        let params = render::Params {
+            phi_t: num_field("phi_t")?,
+            phi_v: num_field("phi_v")?,
+            psi: num_field("psi")?,
+            approx: num_field("approx")?,
+            theta: num_field("theta")?,
+            k: usize_field("k")?,
+        };
+        render::check_params(&params).map_err(|e| format!("field `{}` {}", e.name, e.rule))?;
         let score = match v.get("score") {
             None => ScoreKind::default(),
             Some(Json::Str(s)) => s
@@ -424,20 +411,10 @@ impl Request {
                 .map_err(|_| "field `score` must be `g3` or `rfi`".to_string())?,
             Some(_) => return Err("field `score` must be a string".to_string()),
         };
-        if approx.is_some() && score == ScoreKind::Rfi {
+        if params.approx.is_some() && score == ScoreKind::Rfi {
             return Err(
                 "field `approx` (g3 mining) cannot be combined with score `rfi`".to_string(),
             );
-        }
-        let theta = num_field("theta")?;
-        if let Some(t) = theta {
-            if !(0.0..=1.0).contains(&t) {
-                return Err("field `theta` must be in [0, 1]".to_string());
-            }
-        }
-        let k = usize_field("k")?;
-        if k == Some(0) {
-            return Err("field `k` must be at least 1".to_string());
         }
         let steps = usize_field("steps")?.unwrap_or(3);
         if steps == 0 {
@@ -452,17 +429,12 @@ impl Request {
             path,
             csv,
             name,
-            phi_t,
-            phi_v,
-            psi,
+            params,
             threads: usize_field("threads")?.unwrap_or(1),
             shards: usize_field("shards")?,
             max_lhs: usize_field("max_lhs")?,
-            approx,
-            k,
             steps,
             score,
-            theta,
             profile,
         })
     }
@@ -719,6 +691,7 @@ mod tests {
             "{\"cmd\":\"fds\",\"csv\":\"A,B\\n1,2\\n\",\"score\":\"g4\"}",
             "{\"cmd\":\"fds\",\"csv\":\"A,B\\n1,2\\n\",\"score\":3}",
             "{\"cmd\":\"fds\",\"csv\":\"A,B\\n1,2\\n\",\"theta\":1.5}",
+            "{\"cmd\":\"fds\",\"csv\":\"A,B\\n1,2\\n\",\"approx\":1.5}",
             "{\"cmd\":\"fds\",\"csv\":\"A,B\\n1,2\\n\",\"approx\":0.1,\"score\":\"rfi\"}",
         ] {
             let h = d.handle_line(bad);

@@ -14,7 +14,7 @@
 //! * [`errors`] — the error injectors of Sections 8.1.1–8.1.2: exact and
 //!   near-duplicate tuples with a controlled number of dirtied attribute
 //!   values.
-//! * [`synthetic`] — a configurable generator with planted FDs, skew and
+//! * [`mod@synthetic`] — a configurable generator with planted FDs, skew and
 //!   noise, for benches and ground-truth tests.
 //! * [`zipf`] — a small Zipf sampler for realistic skew.
 //!

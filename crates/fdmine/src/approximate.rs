@@ -7,7 +7,7 @@
 //! miner meets on dirty, integrated data, and both FDEP-style and
 //! TANE-style miners in the paper's related work support them.
 //!
-//! [`mine_approximate`] runs a levelwise search emitting all minimal
+//! [`mine_approximate_ctx`] runs a levelwise search emitting all minimal
 //! `X → A` with `g3(X → A) ≤ ε`. The rhs⁺ pruning of exact TANE is not
 //! sound under approximation, so minimality is enforced directly against
 //! the discovered set; key-based pruning remains sound (a superkey
@@ -17,7 +17,7 @@ use crate::fd::{normalize_fds, Fd};
 use crate::partitions::{PartitionScratch, StrippedPartition};
 use dbmine_context::AnalysisCtx;
 use dbmine_parallel::par_map_init;
-use dbmine_relation::{AttrSet, Relation};
+use dbmine_relation::AttrSet;
 use fxhash::{FxHashMap, FxHashSet};
 
 /// An approximate dependency with its `g3` error.
@@ -30,33 +30,12 @@ pub struct ApproxFd {
 }
 
 /// Mines all minimal dependencies with `g3` error at most `epsilon`
-/// (`epsilon = 0` reduces to exact mining). `max_lhs` bounds the LHS
-/// size (`None` = unbounded). Serial; see
-/// [`mine_approximate_with`] for the threaded variant.
-pub fn mine_approximate(rel: &Relation, epsilon: f64, max_lhs: Option<usize>) -> Vec<ApproxFd> {
-    mine_approximate_with(rel, epsilon, max_lhs, 1)
-}
-
-/// [`mine_approximate`] with an explicit worker-thread count (`1` =
-/// serial, `0` = all cores). The `g3` tests and the prefix-join
-/// products fan out with deterministic chunking, so results are
-/// bit-identical for every thread count.
-///
-/// Builds a transient [`AnalysisCtx`]; callers analyzing the same
-/// relation more than once should hold a context and call
-/// [`mine_approximate_ctx`] so the single-attribute seed partitions are
-/// shared.
-pub fn mine_approximate_with(
-    rel: &Relation,
-    epsilon: f64,
-    max_lhs: Option<usize>,
-    threads: usize,
-) -> Vec<ApproxFd> {
-    mine_approximate_ctx(&AnalysisCtx::of(rel), epsilon, max_lhs, threads)
-}
-
-/// As [`mine_approximate_with`], seeding level 1 from the context's
-/// memoized single-attribute partitions instead of rebuilding them.
+/// (`epsilon = 0` reduces to exact mining), seeding level 1 from the
+/// context's memoized single-attribute partitions. `max_lhs` bounds the
+/// LHS size (`None` = unbounded). `threads` is the worker count (`1` =
+/// serial, `0` = all cores): the `g3` tests and the prefix-join products
+/// fan out with deterministic chunking, so results are bit-identical for
+/// every thread count.
 pub fn mine_approximate_ctx(
     ctx: &AnalysisCtx,
     epsilon: f64,
@@ -238,7 +217,7 @@ mod tests {
     #[test]
     fn epsilon_zero_equals_exact_mining() {
         for rel in [figure4(), figure5()] {
-            let approx = mine_approximate(&rel, 0.0, None);
+            let approx = mine_approximate_ctx(&AnalysisCtx::of(&rel), 0.0, None, 1);
             let mut exact: Vec<Fd> = approx.iter().map(|f| f.fd).collect();
             let mut brute = mine_brute(&rel);
             exact.sort();
@@ -252,14 +231,14 @@ mod tests {
     fn figure5_c_to_b_is_approximate_at_20_percent() {
         // One of five tuples violates C → B.
         let rel = figure5();
-        let approx = mine_approximate(&rel, 0.2, None);
+        let approx = mine_approximate_ctx(&AnalysisCtx::of(&rel), 0.2, None, 1);
         let c_to_b = approx
             .iter()
             .find(|f| f.fd.lhs == AttrSet::single(2) && f.fd.rhs == 1)
             .expect("C→B approximate");
         assert!((c_to_b.error - 0.2).abs() < 1e-12);
         // At a tighter threshold it disappears.
-        let tight = mine_approximate(&rel, 0.1, None);
+        let tight = mine_approximate_ctx(&AnalysisCtx::of(&rel), 0.1, None, 1);
         assert!(!tight
             .iter()
             .any(|f| f.fd.lhs == AttrSet::single(2) && f.fd.rhs == 1));
@@ -283,7 +262,7 @@ mod tests {
             }
             let rel = b.build();
             let eps = 0.25;
-            let approx = mine_approximate(&rel, eps, None);
+            let approx = mine_approximate_ctx(&AnalysisCtx::of(&rel), eps, None, 1);
             for f in &approx {
                 let direct = fd_error_g3(&rel, f.fd.lhs, f.fd.rhs);
                 assert!(
@@ -327,7 +306,7 @@ mod tests {
     #[test]
     fn exact_subset_extraction() {
         let rel = figure5();
-        let approx = mine_approximate(&rel, 0.3, None);
+        let approx = mine_approximate_ctx(&AnalysisCtx::of(&rel), 0.3, None, 1);
         let exact = exact_subset(&approx);
         for f in &exact {
             assert!(crate::check::fd_holds(&rel, f.lhs, f.rhs));
@@ -337,13 +316,13 @@ mod tests {
     #[test]
     fn max_lhs_respected() {
         let rel = figure4();
-        let approx = mine_approximate(&rel, 0.1, Some(1));
+        let approx = mine_approximate_ctx(&AnalysisCtx::of(&rel), 0.1, Some(1), 1);
         assert!(approx.iter().all(|f| f.fd.lhs.len() <= 1));
     }
 
     #[test]
     #[should_panic(expected = "ε")]
     fn epsilon_out_of_range() {
-        mine_approximate(&figure4(), 1.0, None);
+        mine_approximate_ctx(&AnalysisCtx::of(&figure4()), 1.0, None, 1);
     }
 }

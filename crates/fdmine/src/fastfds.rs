@@ -128,7 +128,8 @@ fn dfs(
 mod tests {
     use super::*;
     use crate::brute::mine_brute;
-    use crate::fdep::mine_fdep;
+    use crate::fdep::mine_fdep_ctx;
+    use dbmine_context::AnalysisCtx;
     use dbmine_relation::paper::{figure1, figure4, figure5};
     use dbmine_relation::RelationBuilder;
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -162,7 +163,7 @@ mod tests {
             }
             let rel = b.build();
             let mut fast = mine_fastfds(&rel);
-            let mut fdep = mine_fdep(&rel);
+            let mut fdep = mine_fdep_ctx(&AnalysisCtx::of(&rel));
             fast.sort();
             fdep.sort();
             assert_eq!(fast, fdep, "trial {trial}");

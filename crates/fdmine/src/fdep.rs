@@ -13,29 +13,25 @@
 //! complements, which we compute with the incremental minimal-transversal
 //! construction.
 
-use crate::agree::{agree_sets, agree_sets_from, maximal_sets};
+use crate::agree::{agree_sets_from, maximal_sets};
 use crate::fd::Fd;
 use dbmine_context::AnalysisCtx;
 use dbmine_relation::{AttrSet, Relation};
 use std::collections::HashSet;
 
-/// Mines all minimal, non-trivial functional dependencies of `rel`.
+/// Mines all minimal, non-trivial functional dependencies of the
+/// context's relation. The agree-set pass reuses the context's cached
+/// single-attribute partitions instead of rebuilding them.
 ///
 /// ```
-/// use dbmine_fdmine::{mine_fdep, Fd};
+/// use dbmine_context::AnalysisCtx;
+/// use dbmine_fdmine::{mine_fdep_ctx, Fd};
 /// use dbmine_relation::AttrSet;
 /// let rel = dbmine_relation::paper::figure4();
-/// let fds = mine_fdep(&rel);
+/// let fds = mine_fdep_ctx(&AnalysisCtx::of(&rel));
 /// // C → B holds on the instance (x always pairs with 2).
 /// assert!(fds.contains(&Fd::new(AttrSet::single(2), 1)));
 /// ```
-pub fn mine_fdep(rel: &Relation) -> Vec<Fd> {
-    from_agree_sets(rel, &agree_sets(rel))
-}
-
-/// As [`mine_fdep`], over a shared [`AnalysisCtx`]: the agree-set pass
-/// reuses the context's cached single-attribute partitions instead of
-/// rebuilding them (output is identical — pinned by tests).
 pub fn mine_fdep_ctx(ctx: &AnalysisCtx) -> Vec<Fd> {
     let rel = ctx.relation();
     let parts = ctx.attr_partitions_with(1);
@@ -146,10 +142,12 @@ mod tests {
 
     #[test]
     fn ctx_path_matches_relation_path() {
+        // Agree sets from the context's cached partitions vs. agree sets
+        // built straight from the relation.
         for rel in [figure1(), figure4(), figure5()] {
             let ctx = dbmine_context::AnalysisCtx::of(&rel);
             let mut via_ctx = mine_fdep_ctx(&ctx);
-            let mut via_rel = mine_fdep(&rel);
+            let mut via_rel = from_agree_sets(&rel, &crate::agree::agree_sets(&rel));
             via_ctx.sort();
             via_rel.sort();
             assert_eq!(via_ctx, via_rel, "mismatch on {}", rel.name());
@@ -177,7 +175,7 @@ mod tests {
         // C → B holds in Figure 4 (p→1, r→1, x→2); A → B holds too
         // (a→1, w/y/z→2).
         let rel = figure4();
-        let fds = mine_fdep(&rel);
+        let fds = mine_fdep_ctx(&AnalysisCtx::of(&rel));
         assert!(fds.contains(&Fd::new(set(&[2]), 1)), "C→B missing: {fds:?}");
         assert!(fds.contains(&Fd::new(set(&[0]), 1)), "A→B missing");
         // B does not determine C (2 maps to x but 1 maps to p and r).
@@ -189,14 +187,14 @@ mod tests {
         // In Figure 5 the dependency C → B "becomes approximate": x maps
         // to both 1 (t2) and 2 (t3..t5).
         let rel = figure5();
-        let fds = mine_fdep(&rel);
+        let fds = mine_fdep_ctx(&AnalysisCtx::of(&rel));
         assert!(!fds.contains(&Fd::new(set(&[2]), 1)));
     }
 
     #[test]
     fn matches_brute_force_on_paper_relations() {
         for rel in [figure1(), figure4(), figure5()] {
-            let mut fdep = mine_fdep(&rel);
+            let mut fdep = mine_fdep_ctx(&AnalysisCtx::of(&rel));
             let mut brute = mine_brute(&rel);
             fdep.sort();
             brute.sort();
@@ -207,7 +205,7 @@ mod tests {
     #[test]
     fn constant_column_gives_empty_lhs() {
         let rel = figure1(); // City is constant
-        let fds = mine_fdep(&rel);
+        let fds = mine_fdep_ctx(&AnalysisCtx::of(&rel));
         let city = rel.attr_id("City").unwrap();
         assert!(fds.contains(&Fd::new(AttrSet::EMPTY, city)));
     }
@@ -219,7 +217,7 @@ mod tests {
         b.push_row_strs(&["k2", "x1", "y2"]);
         b.push_row_strs(&["k3", "x2", "y1"]);
         let rel = b.build();
-        let fds = mine_fdep(&rel);
+        let fds = mine_fdep_ctx(&AnalysisCtx::of(&rel));
         assert!(fds.contains(&Fd::new(set(&[0]), 1)));
         assert!(fds.contains(&Fd::new(set(&[0]), 2)));
     }
@@ -229,7 +227,7 @@ mod tests {
         let mut b = RelationBuilder::new("one", &["A", "B"]);
         b.push_row_strs(&["x", "y"]);
         let rel = b.build();
-        let fds = mine_fdep(&rel);
+        let fds = mine_fdep_ctx(&AnalysisCtx::of(&rel));
         assert!(fds.contains(&Fd::new(AttrSet::EMPTY, 0)));
         assert!(fds.contains(&Fd::new(AttrSet::EMPTY, 1)));
     }

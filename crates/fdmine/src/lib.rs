@@ -42,14 +42,12 @@ pub mod tane;
 /// historical path for existing callers.
 pub use dbmine_relation::partition as partitions;
 
-pub use approximate::{
-    exact_subset, mine_approximate, mine_approximate_ctx, mine_approximate_with, ApproxFd,
-};
+pub use approximate::{exact_subset, mine_approximate_ctx, ApproxFd};
 pub use check::{fd_error_g3, fd_holds, partition_of, partition_of_ctx};
 pub use cover::{closure, minimum_cover};
 pub use fastfds::mine_fastfds;
 pub use fd::Fd;
-pub use fdep::{mine_fdep, mine_fdep_ctx};
+pub use fdep::mine_fdep_ctx;
 pub use mvd::{mine_mvds, mvd_holds, Mvd};
 pub use partitions::{PartitionScratch, StrippedPartition};
-pub use tane::{mine_tane, mine_tane_ctx, TaneOptions};
+pub use tane::{mine_tane_ctx, TaneOptions};

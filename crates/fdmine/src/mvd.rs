@@ -90,8 +90,8 @@ pub fn mine_mvds(rel: &Relation, max_lhs: usize, exclude_fd_implied: bool) -> Ve
     let all = rel.all_attrs();
     let m = rel.n_attrs();
     let fds: Vec<Fd> = if exclude_fd_implied {
-        crate::tane::mine_tane(
-            rel,
+        crate::tane::mine_tane_ctx(
+            &dbmine_context::AnalysisCtx::of(rel),
             crate::tane::TaneOptions {
                 max_lhs: Some(max_lhs),
                 ..Default::default()

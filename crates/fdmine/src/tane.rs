@@ -27,7 +27,7 @@ use crate::fd::{normalize_fds, Fd};
 use crate::partitions::{PartitionScratch, StrippedPartition};
 use dbmine_context::AnalysisCtx;
 use dbmine_parallel::{par_map, par_map_init};
-use dbmine_relation::{AttrSet, Relation};
+use dbmine_relation::AttrSet;
 use fxhash::{FxHashMap, FxHashSet};
 
 /// Options for the TANE run.
@@ -73,18 +73,9 @@ struct Level {
     cplus: FxHashMap<u64, AttrSet>,
 }
 
-/// Mines all minimal non-trivial FDs of `rel` with TANE.
-///
-/// Builds a transient [`AnalysisCtx`]; callers analyzing the same
-/// relation more than once should hold a context and call
-/// [`mine_tane_ctx`] so the single-attribute seed partitions are shared
-/// (with FD-RANK, the approximate miner, …).
-pub fn mine_tane(rel: &Relation, options: TaneOptions) -> Vec<Fd> {
-    mine_tane_ctx(&AnalysisCtx::of(rel), options)
-}
-
-/// As [`mine_tane`], seeding level 1 from the context's memoized
-/// single-attribute partitions instead of rebuilding them.
+/// Mines all minimal non-trivial FDs of the context's relation with
+/// TANE, seeding level 1 from the context's memoized single-attribute
+/// partitions (shared with FD-RANK, the approximate miner, …).
 pub fn mine_tane_ctx(ctx: &AnalysisCtx, options: TaneOptions) -> Vec<Fd> {
     let m = ctx.n_attrs();
     let r = ctx.all_attrs();
@@ -369,7 +360,7 @@ fn cached_error(
 mod tests {
     use super::*;
     use crate::brute::mine_brute;
-    use crate::fdep::mine_fdep;
+    use crate::fdep::mine_fdep_ctx;
     use dbmine_relation::paper::{figure1, figure4, figure5};
     use dbmine_relation::RelationBuilder;
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -381,8 +372,8 @@ mod tests {
     #[test]
     fn figure4_matches_fdep_and_brute() {
         for rel in [figure1(), figure4(), figure5()] {
-            let mut tane = mine_tane(&rel, TaneOptions::default());
-            let mut fdep = mine_fdep(&rel);
+            let mut tane = mine_tane_ctx(&AnalysisCtx::of(&rel), TaneOptions::default());
+            let mut fdep = mine_fdep_ctx(&AnalysisCtx::of(&rel));
             let mut brute = mine_brute(&rel);
             tane.sort();
             fdep.sort();
@@ -409,7 +400,7 @@ mod tests {
                 b.push_row_strs(&cells);
             }
             let rel = b.build();
-            let mut tane = mine_tane(&rel, TaneOptions::default());
+            let mut tane = mine_tane_ctx(&AnalysisCtx::of(&rel), TaneOptions::default());
             let mut brute = mine_brute(&rel);
             tane.sort();
             brute.sort();
@@ -434,16 +425,16 @@ mod tests {
                 b.push_row_strs(&cells);
             }
             let rel = b.build();
-            let serial = mine_tane(
-                &rel,
+            let serial = mine_tane_ctx(
+                &AnalysisCtx::of(&rel),
                 TaneOptions {
                     threads: 1,
                     ..Default::default()
                 },
             );
             for threads in [0, 2, 4] {
-                let parallel = mine_tane(
-                    &rel,
+                let parallel = mine_tane_ctx(
+                    &AnalysisCtx::of(&rel),
                     TaneOptions {
                         threads,
                         ..Default::default()
@@ -463,7 +454,7 @@ mod tests {
         b.push_row_strs(&["2", "1", "y"]);
         b.push_row_strs(&["2", "2", "x"]);
         let rel = b.build();
-        let fds = mine_tane(&rel, TaneOptions::default());
+        let fds = mine_tane_ctx(&AnalysisCtx::of(&rel), TaneOptions::default());
         assert!(fds.contains(&Fd::new(set(&[0, 1]), 2)));
         assert!(!fds.iter().any(|f| f.rhs == 2 && f.lhs.len() < 2));
     }
@@ -476,8 +467,8 @@ mod tests {
         b.push_row_strs(&["2", "1", "y"]);
         b.push_row_strs(&["2", "2", "x"]);
         let rel = b.build();
-        let fds = mine_tane(
-            &rel,
+        let fds = mine_tane_ctx(
+            &AnalysisCtx::of(&rel),
             TaneOptions {
                 max_lhs: Some(1),
                 ..Default::default()
@@ -492,7 +483,7 @@ mod tests {
         b.push_row_strs(&["1", "x"]);
         b.push_row_strs(&["2", "y"]);
         let rel = b.build();
-        let fds = mine_tane(&rel, TaneOptions::default());
+        let fds = mine_tane_ctx(&AnalysisCtx::of(&rel), TaneOptions::default());
         // A → B and B → A.
         assert!(fds.contains(&Fd::new(set(&[0]), 1)));
         assert!(fds.contains(&Fd::new(set(&[1]), 0)));

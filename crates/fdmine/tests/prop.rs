@@ -2,12 +2,13 @@
 //! brute-force oracle on arbitrary relations, covers must preserve
 //! implication, and hitting sets must hit.
 
+use dbmine_context::AnalysisCtx;
 use dbmine_fdmine::brute::mine_brute;
 use dbmine_fdmine::cover::{closure, implies, minimum_cover};
 use dbmine_fdmine::fdep::minimal_hitting_sets;
 use dbmine_fdmine::{
-    fd_error_g3, fd_holds, mine_approximate_with, mine_fdep, mine_tane, Fd, PartitionScratch,
-    StrippedPartition, TaneOptions,
+    fd_error_g3, fd_holds, mine_approximate_ctx, mine_fdep_ctx, mine_tane_ctx, Fd,
+    PartitionScratch, StrippedPartition, TaneOptions,
 };
 use dbmine_relation::{AttrSet, Relation, RelationBuilder};
 use proptest::prelude::*;
@@ -48,8 +49,8 @@ proptest! {
     #[test]
     fn miners_agree_with_oracle(rel in arb_relation()) {
         let mut brute = mine_brute(&rel);
-        let mut fdep = mine_fdep(&rel);
-        let mut tane = mine_tane(&rel, TaneOptions::default());
+        let mut fdep = mine_fdep_ctx(&AnalysisCtx::of(&rel));
+        let mut tane = mine_tane_ctx(&AnalysisCtx::of(&rel), TaneOptions::default());
         brute.sort();
         fdep.sort();
         tane.sort();
@@ -59,7 +60,7 @@ proptest! {
 
     #[test]
     fn mined_fds_hold_and_are_minimal(rel in arb_relation()) {
-        for fd in mine_fdep(&rel) {
+        for fd in mine_fdep_ctx(&AnalysisCtx::of(&rel)) {
             prop_assert!(fd_holds(&rel, fd.lhs, fd.rhs), "{fd} does not hold");
             prop_assert!(fd_error_g3(&rel, fd.lhs, fd.rhs).abs() < 1e-12);
             for b in fd.lhs.iter() {
@@ -161,18 +162,18 @@ proptest! {
 
     #[test]
     fn tane_is_invariant_across_thread_counts(rel in arb_relation()) {
-        let serial = mine_tane(&rel, TaneOptions { threads: 1, ..Default::default() });
+        let serial = mine_tane_ctx(&AnalysisCtx::of(&rel), TaneOptions { threads: 1, ..Default::default() });
         for threads in [0usize, 2, 4] {
-            let t = mine_tane(&rel, TaneOptions { threads, ..Default::default() });
+            let t = mine_tane_ctx(&AnalysisCtx::of(&rel), TaneOptions { threads, ..Default::default() });
             prop_assert_eq!(&t, &serial, "threads = {}", threads);
         }
     }
 
     #[test]
     fn approximate_is_invariant_across_thread_counts(rel in arb_relation()) {
-        let serial = mine_approximate_with(&rel, 0.2, None, 1);
+        let serial = mine_approximate_ctx(&AnalysisCtx::of(&rel), 0.2, None, 1);
         for threads in [0usize, 2, 4] {
-            let t = mine_approximate_with(&rel, 0.2, None, threads);
+            let t = mine_approximate_ctx(&AnalysisCtx::of(&rel), 0.2, None, threads);
             // ApproxFd carries an f64 error: require exact equality —
             // the determinism contract is bit-identical output.
             prop_assert_eq!(t.len(), serial.len(), "threads = {}", threads);

@@ -10,10 +10,10 @@
 //!    at most `ψ · max(Q)`) captures high duplication and receives that
 //!    small loss as its rank; everything else keeps `max(Q)`. Lower rank
 //!    = more interesting.
-//! 2. [`rad`] / [`rtr`] quantify the duplication a dependency's
+//! 2. [`rad_ctx`] / [`rtr_ctx`] quantify the duplication a dependency's
 //!    attributes carry (Relative Attribute Duplication / Relative Tuple
 //!    Reduction).
-//! 3. [`decompose`] performs the lossless vertical split a ranked
+//! 3. [`decompose()`] performs the lossless vertical split a ranked
 //!    dependency suggests and reports the redundancy it removes.
 
 pub mod content;
@@ -25,7 +25,7 @@ pub mod score;
 
 pub use content::{column_content, position_content};
 pub use decompose::{decompose, Decomposition};
-pub use measures::{rad, rad_ctx, rtr, rtr_ctx};
+pub use measures::{rad_ctx, rtr_ctx};
 pub use rank::{rank_fds, RankedFd};
-pub use redundancy::{redundancy_fraction, redundant_cells, redundant_cells_ctx, RedundantCell};
+pub use redundancy::{redundancy_fraction, redundant_cells_ctx, RedundantCell};
 pub use score::{rank_by_rfi, ScoreKind};

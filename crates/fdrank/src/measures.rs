@@ -1,8 +1,7 @@
 //! The duplication measures of Section 8: RAD and RTR.
 
 use dbmine_context::AnalysisCtx;
-use dbmine_relation::stats::{projection_distinct, projection_entropy};
-use dbmine_relation::{AttrSet, Relation};
+use dbmine_relation::AttrSet;
 
 /// Relative Attribute Duplication.
 ///
@@ -18,19 +17,10 @@ use dbmine_relation::{AttrSet, Relation};
 /// single-attribute example), and wider attribute sets are penalized —
 /// the measure is "width-sensitive". Returns 1 for empty/degenerate
 /// inputs.
-pub fn rad(rel: &Relation, attrs: AttrSet) -> f64 {
-    let n = rel.n_tuples();
-    if n <= 1 || attrs.is_empty() {
-        return 1.0;
-    }
-    let p_ca = attrs.len() as f64 / rel.n_attrs() as f64;
-    let h = projection_entropy(rel, attrs);
-    1.0 - p_ca * h / (n as f64).log2()
-}
-
-/// As [`rad`], serving the projection entropy from the context's
-/// bounded memo — ranking many dependencies over shared attribute sets
-/// projects each set once instead of once per measure.
+///
+/// The projection entropy comes from the context's bounded memo —
+/// ranking many dependencies over shared attribute sets projects each set
+/// once instead of once per measure.
 pub fn rad_ctx(ctx: &AnalysisCtx, attrs: AttrSet) -> f64 {
     let n = ctx.n_tuples();
     if n <= 1 || attrs.is_empty() {
@@ -45,17 +35,9 @@ pub fn rad_ctx(ctx: &AnalysisCtx, attrs: AttrSet) -> f64 {
 /// number of distinct tuples of the projection on `C_A` (set semantics).
 /// The fraction of tuples that disappear if the relation is projected on
 /// `C_A` — "size-sensitive" duplication.
-pub fn rtr(rel: &Relation, attrs: AttrSet) -> f64 {
-    let n = rel.n_tuples();
-    if n == 0 || attrs.is_empty() {
-        return 0.0;
-    }
-    let n_distinct = projection_distinct(rel, attrs);
-    1.0 - n_distinct as f64 / n as f64
-}
-
-/// As [`rtr`], serving the distinct count from the context's bounded
-/// memo (one projection per attribute set, shared with [`rad_ctx`]).
+///
+/// The distinct count comes from the context's bounded memo (one
+/// projection per attribute set, shared with [`rad_ctx`]).
 pub fn rtr_ctx(ctx: &AnalysisCtx, attrs: AttrSet) -> f64 {
     let n = ctx.n_tuples();
     if n == 0 || attrs.is_empty() {
@@ -69,7 +51,15 @@ pub fn rtr_ctx(ctx: &AnalysisCtx, attrs: AttrSet) -> f64 {
 mod tests {
     use super::*;
     use dbmine_relation::paper::{figure1, figure4};
-    use dbmine_relation::RelationBuilder;
+    use dbmine_relation::{Relation, RelationBuilder};
+
+    fn rad_of(rel: &Relation, attrs: AttrSet) -> f64 {
+        rad_ctx(&AnalysisCtx::of(rel), attrs)
+    }
+
+    fn rtr_of(rel: &Relation, attrs: AttrSet) -> f64 {
+        rtr_ctx(&AnalysisCtx::of(rel), attrs)
+    }
 
     fn set(attrs: &[usize]) -> AttrSet {
         attrs.iter().copied().collect()
@@ -80,13 +70,13 @@ mod tests {
         // The paper's example: a single attribute with the same value in
         // all tuples has RAD = 1, regardless of relation size.
         let rel = figure1(); // City constant
-        assert!((rad(&rel, set(&[1])) - 1.0).abs() < 1e-12);
+        assert!((rad_of(&rel, set(&[1])) - 1.0).abs() < 1e-12);
 
         let mut b = RelationBuilder::new("two", &["X"]);
         b.push_row_strs(&["v"]);
         b.push_row_strs(&["v"]);
         let two = b.build();
-        assert!((rad(&two, set(&[0])) - 1.0).abs() < 1e-12);
+        assert!((rad_of(&two, set(&[0])) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -104,27 +94,27 @@ mod tests {
             b2.push_row_strs(&["v"]);
         }
         let two = b2.build();
-        assert!(rtr(&three, set(&[0])) > rtr(&two, set(&[0])));
-        assert!((rtr(&three, set(&[0])) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((rtr(&two, set(&[0])) - 0.5).abs() < 1e-12);
+        assert!(rtr_of(&three, set(&[0])) > rtr_of(&two, set(&[0])));
+        assert!((rtr_of(&three, set(&[0])) - 2.0 / 3.0).abs() < 1e-12);
+        assert!((rtr_of(&two, set(&[0])) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn rtr_zero_for_key() {
         let rel = figure4();
         // {A,C} is a key: no reduction.
-        assert_eq!(rtr(&rel, set(&[0, 2])), 0.0);
+        assert_eq!(rtr_of(&rel, set(&[0, 2])), 0.0);
         // {B}: 2 distinct of 5 → 0.6.
-        assert!((rtr(&rel, set(&[1])) - 0.6).abs() < 1e-12);
+        assert!((rtr_of(&rel, set(&[1])) - 0.6).abs() < 1e-12);
         // {B,C}: 3 distinct of 5 → 0.4.
-        assert!((rtr(&rel, set(&[1, 2])) - 0.4).abs() < 1e-12);
+        assert!((rtr_of(&rel, set(&[1, 2])) - 0.4).abs() < 1e-12);
     }
 
     #[test]
     fn rad_orders_redundant_before_key_attrs() {
         let rel = figure4();
         // {B,C} repeats (2,x) three times; {A,B} has distinct A values.
-        assert!(rad(&rel, set(&[1, 2])) > rad(&rel, set(&[0, 1])));
+        assert!(rad_of(&rel, set(&[1, 2])) > rad_of(&rel, set(&[0, 1])));
     }
 
     #[test]
@@ -132,20 +122,20 @@ mod tests {
         let rel = figure4();
         for bits in 1..8u64 {
             let s = AttrSet::from_bits(bits);
-            let v = rad(&rel, s);
+            let v = rad_of(&rel, s);
             assert!(v <= 1.0 + 1e-12);
             // p(C_A)·H ≤ log n ⇒ RAD ≥ 0 whenever |C_A| ≤ m.
-            assert!(v >= -1e-12, "rad({s:?}) = {v}");
+            assert!(v >= -1e-12, "rad_ctx({s:?}) = {v}");
         }
     }
 
     #[test]
     fn degenerate_inputs() {
         let rel = figure4();
-        assert_eq!(rad(&rel, AttrSet::EMPTY), 1.0);
-        assert_eq!(rtr(&rel, AttrSet::EMPTY), 0.0);
+        assert_eq!(rad_of(&rel, AttrSet::EMPTY), 1.0);
+        assert_eq!(rtr_of(&rel, AttrSet::EMPTY), 0.0);
         let empty = RelationBuilder::new("e", &["X"]).build();
-        assert_eq!(rad(&empty, set(&[0])), 1.0);
-        assert_eq!(rtr(&empty, set(&[0])), 0.0);
+        assert_eq!(rad_of(&empty, set(&[0])), 1.0);
+        assert_eq!(rtr_of(&empty, set(&[0])), 0.0);
     }
 }

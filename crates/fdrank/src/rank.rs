@@ -111,8 +111,10 @@ pub fn rank_fds(fds: &[Fd], grouping: &AttributeGrouping, psi: f64) -> Vec<Ranke
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbmine_context::AnalysisCtx;
+    use dbmine_limbo::LimboParams;
     use dbmine_relation::paper::figure4;
-    use dbmine_summaries::{cluster_values, group_attributes};
+    use dbmine_summaries::{cluster_values_ctx, group_attributes};
 
     fn set(attrs: &[usize]) -> AttrSet {
         attrs.iter().copied().collect()
@@ -120,7 +122,7 @@ mod tests {
 
     fn figure10_grouping() -> AttributeGrouping {
         let rel = figure4();
-        let values = cluster_values(&rel, 0.0, None);
+        let values = cluster_values_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(0.0), None);
         group_attributes(&values, rel.n_attrs())
     }
 

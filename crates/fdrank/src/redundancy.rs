@@ -10,8 +10,8 @@
 //! redundant: it can be reconstructed from the earliest witness tuple.
 
 use dbmine_context::AnalysisCtx;
-use dbmine_fdmine::{partition_of, partition_of_ctx};
-use dbmine_relation::{AttrId, AttrSet, Relation};
+use dbmine_fdmine::partition_of_ctx;
+use dbmine_relation::{AttrId, AttrSet};
 
 /// A redundant cell: `(tuple, attribute)` whose value is implied by the
 /// `witness` tuple under the dependency.
@@ -25,27 +25,17 @@ pub struct RedundantCell {
     pub witness: usize,
 }
 
-/// The cells of column `rhs` made redundant by `lhs → rhs`.
+/// The cells of column `rhs` made redundant by `lhs → rhs`, building
+/// `π_X` from the context's memoized single-attribute partitions (ranking
+/// many dependencies over one relation touches the same attributes over
+/// and over).
 ///
 /// Only meaningful when the dependency holds exactly; if it does not,
 /// cells whose value *disagrees* with the witness are skipped (they are
 /// erroneous, not redundant — the distinction Figure 1 draws).
-pub fn redundant_cells(rel: &Relation, lhs: AttrSet, rhs: AttrId) -> Vec<RedundantCell> {
-    cells_from_partition(rel, partition_of(rel, lhs), rhs)
-}
-
-/// As [`redundant_cells`], building `π_X` from the context's memoized
-/// single-attribute partitions (ranking many dependencies over one
-/// relation touches the same attributes over and over).
 pub fn redundant_cells_ctx(ctx: &AnalysisCtx, lhs: AttrSet, rhs: AttrId) -> Vec<RedundantCell> {
-    cells_from_partition(ctx.relation(), partition_of_ctx(ctx, lhs), rhs)
-}
-
-fn cells_from_partition(
-    rel: &Relation,
-    partition: dbmine_fdmine::StrippedPartition,
-    rhs: AttrId,
-) -> Vec<RedundantCell> {
+    let rel = ctx.relation();
+    let partition = partition_of_ctx(ctx, lhs);
     // Two tuples share an X-group iff they share a π_X class id, so the
     // witness map indexes a dense array by class id instead of hashing
     // a projected `Vec<u32>` key per tuple (the old implementation
@@ -74,24 +64,29 @@ fn cells_from_partition(
 
 /// The fraction of the column `rhs` that is redundant under `lhs → rhs`
 /// — a direct, per-dependency counterpart of RAD/RTR.
-pub fn redundancy_fraction(rel: &Relation, lhs: AttrSet, rhs: AttrId) -> f64 {
-    if rel.n_tuples() == 0 {
+pub fn redundancy_fraction(ctx: &AnalysisCtx, lhs: AttrSet, rhs: AttrId) -> f64 {
+    if ctx.n_tuples() == 0 {
         return 0.0;
     }
-    redundant_cells(rel, lhs, rhs).len() as f64 / rel.n_tuples() as f64
+    redundant_cells_ctx(ctx, lhs, rhs).len() as f64 / ctx.n_tuples() as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dbmine_relation::paper::{figure1, figure4};
+    use dbmine_relation::Relation;
+
+    fn cells(rel: &Relation, lhs: AttrSet, rhs: AttrId) -> Vec<RedundantCell> {
+        redundant_cells_ctx(&AnalysisCtx::of(rel), lhs, rhs)
+    }
 
     #[test]
     fn figure1_ename_to_city() {
         // Under Ename → City, "Boston" in t2 is redundant (witness t1);
         // "Boston" in t3 is NOT redundant (different Ename).
         let rel = figure1();
-        let cells = redundant_cells(&rel, AttrSet::single(0), 1);
+        let cells = cells(&rel, AttrSet::single(0), 1);
         assert_eq!(
             cells,
             vec![RedundantCell {
@@ -108,7 +103,7 @@ mod tests {
         //  situation is reversed: given t1, Boston is redundant in t3 but
         //  not in t2."
         let rel = figure1();
-        let cells = redundant_cells(&rel, AttrSet::single(2), 1);
+        let cells = cells(&rel, AttrSet::single(2), 1);
         assert_eq!(
             cells,
             vec![RedundantCell {
@@ -123,10 +118,13 @@ mod tests {
     fn figure4_c_to_b_marks_two_cells() {
         // C → B: x appears in t3,t4,t5 → B values of t4 and t5 redundant.
         let rel = figure4();
-        let cells = redundant_cells(&rel, AttrSet::single(2), 1);
+        let cells = cells(&rel, AttrSet::single(2), 1);
         assert_eq!(cells.len(), 2);
         assert!(cells.iter().all(|c| c.witness == 2));
-        assert!((redundancy_fraction(&rel, AttrSet::single(2), 1) - 0.4).abs() < 1e-12);
+        assert!(
+            (redundancy_fraction(&AnalysisCtx::of(&rel), AttrSet::single(2), 1) - 0.4).abs()
+                < 1e-12
+        );
     }
 
     /// The pre-class-id implementation: witness map keyed by the
@@ -165,7 +163,7 @@ mod tests {
                 let lhs = AttrSet::from_bits(lhs_bits);
                 for rhs in 0..m {
                     assert_eq!(
-                        redundant_cells(&rel, lhs, rhs),
+                        cells(&rel, lhs, rhs),
                         redundant_cells_reference(&rel, lhs, rhs),
                         "lhs={lhs:?} rhs={rhs} on {}",
                         rel.name()
@@ -180,7 +178,7 @@ mod tests {
         // In Figure 5, C → B does not hold: x maps to both 1 and 2.
         // The disagreeing cell must not be reported as redundant.
         let rel = dbmine_relation::paper::figure5();
-        let cells = redundant_cells(&rel, AttrSet::single(2), 1);
+        let cells = cells(&rel, AttrSet::single(2), 1);
         // x occurs in t2(B=1), t3,t4,t5(B=2): witnesses t2; t3 disagrees
         // (skipped), t4/t5 agree with... the WITNESS (t2, B=1)? No — they
         // hold 2 ≠ 1, so only exact repeats of the witness value count.
@@ -194,14 +192,14 @@ mod tests {
         let rel = figure4();
         // {A,C} is a key: every X-group is a single tuple.
         let lhs: AttrSet = [0usize, 2].into_iter().collect();
-        assert!(redundant_cells(&rel, lhs, 1).is_empty());
-        assert_eq!(redundancy_fraction(&rel, lhs, 1), 0.0);
+        assert!(cells(&rel, lhs, 1).is_empty());
+        assert_eq!(redundancy_fraction(&AnalysisCtx::of(&rel), lhs, 1), 0.0);
     }
 
     #[test]
     fn empty_lhs_marks_all_but_first_of_constant() {
         let rel = figure1(); // City constant
-        let cells = redundant_cells(&rel, AttrSet::EMPTY, 1);
+        let cells = cells(&rel, AttrSet::EMPTY, 1);
         assert_eq!(cells.len(), 2);
         assert!(cells.iter().all(|c| c.witness == 0));
     }

@@ -22,18 +22,11 @@ pub fn nearest(object: &Dcf, reps: &[Dcf]) -> Option<(usize, f64)> {
     best
 }
 
-/// Assigns every object to its nearest representative. Returns, per
-/// object, the `(representative index, information loss)` pair.
-pub fn assign_all<'a>(
-    objects: impl IntoIterator<Item = &'a Dcf>,
-    reps: &[Dcf],
-) -> Vec<(usize, f64)> {
-    assign_all_with(objects, reps, 1)
-}
-
-/// [`assign_all`] with an explicit thread count (`1` = serial, `0` = all
-/// cores). Each object's assignment is independent, so the result is
-/// bit-identical for every thread count.
+/// Assigns every object to its nearest representative with `threads`
+/// workers (`1` = serial, `0` = all cores). Returns, per object, the
+/// `(representative index, information loss)` pair. Each object's
+/// assignment is independent, so the result is bit-identical for every
+/// thread count.
 pub fn assign_all_with<'a>(
     objects: impl IntoIterator<Item = &'a Dcf>,
     reps: &[Dcf],
@@ -103,7 +96,7 @@ mod tests {
             Dcf::singleton(0.1, d(&[(1, 1.0)])),
             Dcf::singleton(0.1, d(&[(0, 0.5), (1, 0.5)])),
         ];
-        let a = assign_all(objects.iter(), &reps);
+        let a = assign_all_with(objects.iter(), &reps, 1);
         assert_eq!(a.len(), 3);
         assert_eq!(a[0].0, 0);
         assert_eq!(a[1].0, 1);

@@ -11,7 +11,7 @@
 //!   sufficient statistics for merging clusters and pricing merges
 //!   (optionally carrying an auxiliary count vector, used by the paper's
 //!   ADCF extension to track the support matrix `O`).
-//! * [`aib`] — the Agglomerative Information Bottleneck algorithm of
+//! * [`aib()`] — the Agglomerative Information Bottleneck algorithm of
 //!   Slonim & Tishby: start from singletons, repeatedly merge the pair
 //!   with the least information loss `δI`, recording every merge.
 //! * [`Dendrogram`] — the full merge tree with per-merge losses, plus the
@@ -24,6 +24,6 @@ pub mod dcf;
 pub mod dendrogram;
 
 pub use aib::{aib, aib_reference, aib_with, AibResult, KStat};
-pub use assign::{assign_all, assign_all_with, nearest};
+pub use assign::{assign_all_with, nearest};
 pub use dcf::{Dcf, MergeScratch};
 pub use dendrogram::{Dendrogram, Merge};

@@ -2,7 +2,7 @@
 //! bit-identical to the serial ones for every thread count, and the
 //! nearest-neighbor-cache AIB must reproduce the reference algorithm.
 
-use dbmine_ib::{aib, aib_reference, aib_with, assign_all, assign_all_with, Dcf};
+use dbmine_ib::{aib, aib_reference, aib_with, assign_all_with, Dcf};
 use dbmine_infotheory::SparseDist;
 use proptest::prelude::*;
 
@@ -61,7 +61,7 @@ proptest! {
     fn assign_all_parallel_is_bit_identical(
         objects in arb_dcfs(), reps in arb_dcfs(), threads in 0usize..6
     ) {
-        let serial = assign_all(objects.iter(), &reps);
+        let serial = assign_all_with(objects.iter(), &reps, 1);
         let parallel = assign_all_with(objects.iter(), &reps, threads);
         prop_assert_eq!(serial.len(), parallel.len());
         for (&(ia, la), &(ib, lb)) in serial.iter().zip(&parallel) {

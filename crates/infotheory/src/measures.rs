@@ -108,7 +108,7 @@ pub fn js_divergence(p: &SparseDist, pi_p: f64, q: &SparseDist, pi_q: f64) -> f6
 }
 
 /// [`js_divergence`] computed with the merged two-pointer pass only —
-/// never the [`js_asymmetric`] shortcut. Exposed so tests can cross-check
+/// never the `js_asymmetric` shortcut. Exposed so tests can cross-check
 /// the shortcut against the reference pass; results agree to within
 /// floating-point summation-order jitter (≈1e-12), not bit-exactly.
 pub fn js_divergence_merged(p: &SparseDist, pi_p: f64, q: &SparseDist, pi_q: f64) -> f64 {

@@ -7,18 +7,8 @@
 //! values there: *"attribute values can be expressed over the (much
 //! smaller) set of tuple clusters instead of individual tuples."*
 
-use dbmine_context::AnalysisCtx;
 use dbmine_ib::Dcf;
 use dbmine_relation::ValueIndex;
-
-/// [`reexpress_over_clusters`] over the context's shared [`ValueIndex`]
-/// view. A double-clustering run (tuple clustering, then value
-/// clustering over the tuple clusters) historically built the
-/// `ValueIndex` once per stage; routed through one [`AnalysisCtx`] it
-/// is built exactly once per run (pinned by a regression test).
-pub fn reexpress_over_clusters_ctx(ctx: &AnalysisCtx, assignment: &[usize]) -> Vec<Dcf> {
-    reexpress_over_clusters(ctx.value_index(), assignment)
-}
 
 /// Re-expresses value ADCFs over tuple clusters.
 ///
@@ -43,6 +33,7 @@ mod tests {
     use super::*;
     use crate::input::tuple_dcfs_ctx;
     use crate::pipeline::{run, LimboParams};
+    use dbmine_context::AnalysisCtx;
     use dbmine_relation::paper::figure4;
     use dbmine_relation::ValueIndex;
 
@@ -78,8 +69,8 @@ mod tests {
         let tuples = run(&objects, mi, 2, LimboParams::default());
         let assignment: Vec<usize> = tuples.assignments.iter().map(|&(c, _)| c).collect();
 
-        let vdcfs = reexpress_over_clusters_ctx(&ctx, &assignment);
         let idx = ctx.value_index();
+        let vdcfs = reexpress_over_clusters(idx, &assignment);
         let a = idx.position(rel.dict().lookup("a").unwrap()).unwrap();
         let one = idx.position(rel.dict().lookup("1").unwrap()).unwrap();
         let two = idx.position(rel.dict().lookup("2").unwrap()).unwrap();

@@ -1,8 +1,8 @@
 //! DCF streams for the paper's three clustering tasks.
 //!
-//! * [`tuple_dcfs`] — Section 6.1: objects are tuples, expressed over
+//! * [`tuple_dcfs_ctx`] — Section 6.1: objects are tuples, expressed over
 //!   values; `p(t) = 1/n`, `p(V|t)` from matrix `M`.
-//! * [`value_dcfs`] — Section 6.2: objects are distinct attribute values,
+//! * [`value_dcfs_with`] — Section 6.2: objects are distinct attribute values,
 //!   expressed over tuples; `p(v) = 1/d`, `p(T|v)` from matrix `N`, and
 //!   the ADCF auxiliary vector carries the value's `O` row so clusters
 //!   accumulate per-attribute support counts.
@@ -12,26 +12,13 @@
 use dbmine_context::AnalysisCtx;
 use dbmine_ib::Dcf;
 use dbmine_infotheory::SparseDist;
-use dbmine_relation::{qualified_row, Relation, RelationChunk, TupleRows, ValueIndex};
+use dbmine_relation::{qualified_row, RelationChunk, TupleRows, ValueIndex};
 
-/// Singleton DCFs for every tuple of the relation (matrix `M` rows).
-pub fn tuple_dcfs(rel: &Relation) -> Vec<Dcf> {
-    tuple_dcfs_with(rel, 1)
-}
-
-/// [`tuple_dcfs`] with an explicit thread count (`1` = serial, `0` = all
-/// cores). Each tuple's DCF is built independently, so the result is
-/// bit-identical for every thread count.
-///
-/// Builds a fresh [`TupleRows`]; callers analyzing the same relation
-/// more than once should hold an [`AnalysisCtx`] and use
-/// [`tuple_dcfs_ctx`] so the view is shared.
-pub fn tuple_dcfs_with(rel: &Relation, threads: usize) -> Vec<Dcf> {
-    tuple_dcfs_from(&TupleRows::build(rel), threads)
-}
-
-/// [`tuple_dcfs_with`] over the context's shared [`TupleRows`] view
-/// (built at most once per context).
+/// Singleton DCFs for every tuple of the relation (matrix `M` rows),
+/// over the context's shared [`TupleRows`] view (built at most once per
+/// context). `threads`: `1` = serial, `0` = all cores. Each tuple's DCF
+/// is built independently, so the result is bit-identical for every
+/// thread count.
 pub fn tuple_dcfs_ctx(ctx: &AnalysisCtx, threads: usize) -> Vec<Dcf> {
     tuple_dcfs_from(ctx.tuple_rows(), threads)
 }
@@ -59,13 +46,9 @@ pub fn tuple_dcfs_for_chunk(chunk: &RelationChunk, stride: u32, mass: f64, prior
 /// as the conditional, the `O` row as the auxiliary count vector.
 ///
 /// Returned in the same order as `index.values()`, so object `i`
-/// corresponds to value id `index.value_id(i)`.
-pub fn value_dcfs(index: &ValueIndex) -> Vec<Dcf> {
-    value_dcfs_with(index, 1)
-}
-
-/// [`value_dcfs`] with an explicit thread count (`1` = serial, `0` = all
-/// cores). Bit-identical to the serial construction for every count.
+/// corresponds to value id `index.value_id(i)`. `threads`: `1` = serial,
+/// `0` = all cores; bit-identical to the serial construction for every
+/// count.
 pub fn value_dcfs_with(index: &ValueIndex, threads: usize) -> Vec<Dcf> {
     let p = index.prior();
     dbmine_parallel::par_map_range(threads, index.len(), |i| {
@@ -100,7 +83,7 @@ mod tests {
     #[test]
     fn tuple_dcfs_are_uniform_prior() {
         let rel = figure4();
-        let dcfs = tuple_dcfs(&rel);
+        let dcfs = tuple_dcfs_ctx(&AnalysisCtx::of(&rel), 1);
         assert_eq!(dcfs.len(), 5);
         assert!(dcfs.iter().all(|d| (d.weight - 0.2).abs() < 1e-12));
         assert!(dcfs.iter().all(|d| d.cond.is_normalized(1e-9)));
@@ -110,7 +93,7 @@ mod tests {
     fn value_dcfs_carry_o_rows() {
         let rel = figure4();
         let idx = ValueIndex::build(&rel);
-        let dcfs = value_dcfs(&idx);
+        let dcfs = value_dcfs_with(&idx, 1);
         assert_eq!(dcfs.len(), 9);
         assert!(dcfs.iter().all(|d| (d.weight - 1.0 / 9.0).abs() < 1e-12));
         // The "x" value: O row has 3 in attribute C (id 2).

@@ -27,14 +27,12 @@ pub mod sharded;
 pub mod tree;
 pub mod tree_reference;
 
-pub use double::{reexpress_over_clusters, reexpress_over_clusters_ctx};
+pub use double::reexpress_over_clusters;
 pub use input::{
-    attribute_dcfs, tuple_dcfs, tuple_dcfs_ctx, tuple_dcfs_for_chunk, tuple_dcfs_from,
-    tuple_dcfs_with, value_dcfs, value_dcfs_with,
+    attribute_dcfs, tuple_dcfs_ctx, tuple_dcfs_for_chunk, tuple_dcfs_from, value_dcfs_with,
 };
 pub use pipeline::{
-    phase1, phase1_ref, phase2, phase2_with, phase3, phase3_with, run, Limbo, LimboModel,
-    LimboParams,
+    phase1, phase1_ref, phase2_with, phase3_with, run, Limbo, LimboModel, LimboParams,
 };
 pub use sharded::{
     phase1_auto, phase1_sharded, phase1_store, ShardPlan, ShardedPhase1, DEFAULT_CHUNK_TUPLES,

@@ -1,7 +1,7 @@
 //! The three-phase LIMBO pipeline.
 
 use crate::tree::DcfTree;
-use dbmine_ib::{aib_with, assign_all, assign_all_with, AibResult, Dcf};
+use dbmine_ib::{aib_with, assign_all_with, AibResult, Dcf};
 
 /// LIMBO tuning parameters.
 #[derive(Clone, Copy, Debug)]
@@ -188,28 +188,17 @@ pub fn phase1_ref<'a>(
     }
 }
 
-/// Phase 2: AIB over the Phase 1 leaves down to `k` clusters.
-pub fn phase2(model: &LimboModel, k: usize) -> AibResult {
-    phase2_with(model, k, 1)
-}
-
-/// [`phase2`] with an explicit thread count (`1` = serial, `0` = all
-/// cores). Bit-identical to the serial run for every thread count.
+/// Phase 2: AIB over the Phase 1 leaves down to `k` clusters, with
+/// `threads` workers (`1` = serial, `0` = all cores). Bit-identical to
+/// the serial run for every thread count.
 pub fn phase2_with(model: &LimboModel, k: usize, threads: usize) -> AibResult {
     let _span = dbmine_telemetry::span("limbo.phase2");
     aib_with(model.leaves.clone(), k, threads)
 }
 
-/// Phase 3: assigns each original object to its closest representative.
-pub fn phase3<'a>(
-    objects: impl IntoIterator<Item = &'a Dcf>,
-    clustering: &AibResult,
-) -> Vec<(usize, f64)> {
-    assign_all(objects, &clustering.clusters)
-}
-
-/// [`phase3`] with an explicit thread count (`1` = serial, `0` = all
-/// cores). Bit-identical to the serial run for every thread count.
+/// Phase 3: assigns each original object to its closest representative,
+/// with `threads` workers (`1` = serial, `0` = all cores). Bit-identical
+/// to the serial run for every thread count.
 pub fn phase3_with<'a>(
     objects: impl IntoIterator<Item = &'a Dcf>,
     clustering: &AibResult,
@@ -246,7 +235,7 @@ pub fn run(objects: &[Dcf], mutual_information: f64, k: usize, params: LimboPara
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::tuple_dcfs;
+    use crate::input::tuple_dcfs_from;
     use dbmine_ib::aib;
     use dbmine_relation::paper::figure4;
     use dbmine_relation::TupleRows;
@@ -256,8 +245,9 @@ mod tests {
         // "For instance using φ = 0.0, we only merge identical objects and
         //  LIMBO becomes equivalent to AIB."
         let rel = figure4();
-        let objects = tuple_dcfs(&rel);
-        let mi = TupleRows::build(&rel).mutual_information();
+        let rows = TupleRows::build(&rel);
+        let objects = tuple_dcfs_from(&rows, 1);
+        let mi = rows.mutual_information();
         let l = run(&objects, mi, 2, LimboParams::with_phi(0.0));
         let direct = aib(objects.clone(), 2);
         assert_eq!(l.model.leaves.len(), 5);
@@ -273,8 +263,9 @@ mod tests {
     #[test]
     fn larger_phi_smaller_summary() {
         let rel = figure4();
-        let objects = tuple_dcfs(&rel);
-        let mi = TupleRows::build(&rel).mutual_information();
+        let rows = TupleRows::build(&rel);
+        let objects = tuple_dcfs_from(&rows, 1);
+        let mi = rows.mutual_information();
         let m0 = phase1(
             objects.iter().cloned(),
             mi,
@@ -294,8 +285,9 @@ mod tests {
     #[test]
     fn every_object_assigned() {
         let rel = figure4();
-        let objects = tuple_dcfs(&rel);
-        let mi = TupleRows::build(&rel).mutual_information();
+        let rows = TupleRows::build(&rel);
+        let objects = tuple_dcfs_from(&rows, 1);
+        let mi = rows.mutual_information();
         let l = run(&objects, mi, 2, LimboParams::default());
         assert_eq!(l.assignments.len(), 5);
         let members = l.cluster_members();
@@ -307,8 +299,9 @@ mod tests {
     #[test]
     fn phase1_ref_is_bit_identical_to_phase1() {
         let rel = figure4();
-        let objects = tuple_dcfs(&rel);
-        let mi = TupleRows::build(&rel).mutual_information();
+        let rows = TupleRows::build(&rel);
+        let objects = tuple_dcfs_from(&rows, 1);
+        let mi = rows.mutual_information();
         for phi in [0.0, 0.3, 1.0, 5.0] {
             let params = LimboParams::with_phi(phi);
             let owned = phase1(objects.iter().cloned(), mi, objects.len(), params);
@@ -332,8 +325,9 @@ mod tests {
     #[test]
     fn threshold_formula() {
         let rel = figure4();
-        let objects = tuple_dcfs(&rel);
-        let mi = TupleRows::build(&rel).mutual_information();
+        let rows = TupleRows::build(&rel);
+        let objects = tuple_dcfs_from(&rows, 1);
+        let mi = rows.mutual_information();
         let m = phase1(objects.iter().cloned(), mi, 5, LimboParams::with_phi(0.3));
         assert!((m.threshold - 0.3 * mi / 5.0).abs() < 1e-12);
     }

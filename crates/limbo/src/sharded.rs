@@ -615,8 +615,9 @@ mod tests {
         let n = 400;
         let csv = synthetic_csv(n);
         let rel = read_relation(csv.as_bytes(), "t").unwrap();
-        let objects = crate::input::tuple_dcfs(&rel);
-        let mi_ref = TupleRows::build(&rel).mutual_information();
+        let rows = TupleRows::build(&rel);
+        let objects = crate::input::tuple_dcfs_from(&rows, 1);
+        let mi_ref = rows.mutual_information();
         for chunk in [64usize, 150, 1000] {
             with_store(&csv, chunk, |sharded| {
                 for phi in [0.0, 1.0, 4.0] {
@@ -651,8 +652,9 @@ mod tests {
 
         let csv = synthetic_csv(300);
         let rel = read_relation(csv.as_bytes(), "t").unwrap();
-        let objects = crate::input::tuple_dcfs(&rel);
-        let mi_ref = TupleRows::build(&rel).mutual_information();
+        let rows = TupleRows::build(&rel);
+        let objects = crate::input::tuple_dcfs_from(&rows, 1);
+        let mi_ref = rows.mutual_information();
         let params = LimboParams::with_phi(1.0).shards(Some(2));
         let (mi, model) = with_store(&csv, 0, |sharded| {
             assert_eq!(sharded.chunk_tuples(), DEFAULT_CHUNK_TUPLES);
@@ -680,8 +682,9 @@ mod tests {
         let csv_path = dir.join("synth.csv");
         std::fs::write(&csv_path, synthetic_csv(n)).unwrap();
         let rel = read_relation_path(&csv_path).unwrap();
-        let objects = crate::input::tuple_dcfs(&rel);
-        let mi_ref = TupleRows::build(&rel).mutual_information();
+        let rows = TupleRows::build(&rel);
+        let objects = crate::input::tuple_dcfs_from(&rows, 1);
+        let mi_ref = rows.mutual_information();
         for chunk in [64usize, 150] {
             let store_path = dir.join(format!("synth_{chunk}.dbss"));
             let stored =

@@ -5,7 +5,7 @@
 use dbmine_ib::{aib, Dcf};
 use dbmine_infotheory::{mutual_information, SparseDist};
 use dbmine_limbo::{
-    phase1, phase1_sharded, phase2, phase3, DcfTree, DcfTreeRef, LimboParams, ShardPlan,
+    phase1, phase1_sharded, phase2_with, phase3_with, DcfTree, DcfTreeRef, LimboParams, ShardPlan,
 };
 use proptest::prelude::*;
 
@@ -96,7 +96,7 @@ proptest! {
         let retained = info_of(&model.leaves);
         prop_assert!((retained - mi).abs() < 1e-7, "lost {} bits", mi - retained);
         // And a full Phase 2 run loses everything, exactly like AIB.
-        let full = phase2(&model, 1);
+        let full = phase2_with(&model, 1, 1);
         let direct = aib(objects.clone(), 1);
         prop_assert!((full.final_information() - direct.final_information()).abs() < 1e-7);
     }
@@ -105,8 +105,8 @@ proptest! {
     fn phase3_assigns_every_object_within_bounds(objects in arb_objects(), phi in 0.0f64..1.5) {
         let mi = info_of(&objects);
         let model = phase1(objects.iter().cloned(), mi, objects.len(), LimboParams::with_phi(phi));
-        let clustering = phase2(&model, 3.min(model.leaves.len()));
-        let assignments = phase3(objects.iter(), &clustering);
+        let clustering = phase2_with(&model, 3.min(model.leaves.len()), 1);
+        let assignments = phase3_with(objects.iter(), &clustering, 1);
         prop_assert_eq!(assignments.len(), objects.len());
         for &(c, loss) in &assignments {
             prop_assert!(c < clustering.clusters.len());

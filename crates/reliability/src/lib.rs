@@ -10,7 +10,7 @@
 //! model, computed from class-size multisets of the cached
 //! `StrippedPartition`s (see [`estimator`]).
 //!
-//! [`mine_reliable`] plugs the score — and its admissible upper bound
+//! [`mine_reliable_ctx`] plugs the score — and its admissible upper bound
 //! `F̄` — into the TANE levelwise frame for branch-and-bound search
 //! ([`mine`]): bit-identical results with pruning on or off and at
 //! every thread count, with the pruning effectiveness visible in the
@@ -20,4 +20,4 @@ pub mod estimator;
 pub mod mine;
 
 pub use estimator::{m0, RfiScore, RfiScorer, SizeMultiset, EXACT_N_LIMIT, WINDOW_SIGMAS};
-pub use mine::{mine_reliable, mine_reliable_ctx, ReliableFd, ReliableOptions, DEFAULT_THETA};
+pub use mine::{mine_reliable_ctx, ReliableFd, ReliableOptions, DEFAULT_THETA};

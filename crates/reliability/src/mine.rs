@@ -1,8 +1,8 @@
 //! Levelwise mining of reliable approximate dependencies with
 //! branch-and-bound pruning.
 //!
-//! [`mine_reliable`] walks the same prefix-join lattice as
-//! `fdmine::mine_approximate` — level-local partition memo, per-worker
+//! [`mine_reliable_ctx`] walks the same prefix-join lattice as
+//! `fdmine::mine_approximate_ctx` — level-local partition memo, per-worker
 //! [`PartitionScratch`], serial emission merge — but scores each
 //! candidate `X∖{A} → A` with the bias-corrected F̂ of
 //! [`crate::estimator`] and emits every minimal dependency with
@@ -25,14 +25,14 @@ use dbmine_context::AnalysisCtx;
 use dbmine_fdmine::Fd;
 use dbmine_parallel::{par_map, par_map_init};
 use dbmine_relation::partition::{PartitionScratch, StrippedPartition};
-use dbmine_relation::{AttrSet, Relation};
+use dbmine_relation::AttrSet;
 use dbmine_telemetry::{counter_add, span, Counter};
 use fxhash::{FxHashMap, FxHashSet};
 
 /// The default reliability threshold θ for CLI/daemon runs.
 pub const DEFAULT_THETA: f64 = 0.2;
 
-/// Options for [`mine_reliable`].
+/// Options for [`mine_reliable_ctx`].
 #[derive(Clone, Copy, Debug)]
 pub struct ReliableOptions {
     /// Emission threshold `θ ∈ [0,1]`: keep `X → A` with `F̂ ≥ θ`.
@@ -87,14 +87,8 @@ enum RhsCase {
     Scored { rfi: RfiScore, g3: f64 },
 }
 
-/// Mines all minimal `X → A` with `F̂(X→A) ≥ θ` over a transient
-/// context; see [`mine_reliable_ctx`] for the shared-context variant.
-pub fn mine_reliable(rel: &Relation, options: ReliableOptions) -> Vec<ReliableFd> {
-    mine_reliable_ctx(&AnalysisCtx::of(rel), options)
-}
-
-/// As [`mine_reliable`], seeding level 1 from the context's memoized
-/// single-attribute partitions.
+/// Mines all minimal `X → A` with `F̂(X→A) ≥ θ`, seeding level 1 from
+/// the context's memoized single-attribute partitions.
 pub fn mine_reliable_ctx(ctx: &AnalysisCtx, options: ReliableOptions) -> Vec<ReliableFd> {
     let ReliableOptions {
         theta,
@@ -336,8 +330,8 @@ mod tests {
         // chance agreement. On figure4 the constant-free columns all
         // carry bias, so only ∅→A-style constants could reach 1 — and
         // figure4 has none.
-        let out = mine_reliable(
-            &figure4(),
+        let out = mine_reliable_ctx(
+            &AnalysisCtx::of(&figure4()),
             ReliableOptions {
                 theta: 1.0,
                 ..Default::default()
@@ -349,8 +343,8 @@ mod tests {
     #[test]
     fn scores_respect_threshold_and_minimality() {
         for rel in [figure4(), figure5()] {
-            let out = mine_reliable(
-                &rel,
+            let out = mine_reliable_ctx(
+                &AnalysisCtx::of(&rel),
                 ReliableOptions {
                     theta: 0.05,
                     ..Default::default()
@@ -376,8 +370,8 @@ mod tests {
 
     #[test]
     fn max_lhs_respected() {
-        let out = mine_reliable(
-            &figure4(),
+        let out = mine_reliable_ctx(
+            &AnalysisCtx::of(&figure4()),
             ReliableOptions {
                 theta: 0.05,
                 max_lhs: Some(1),
@@ -390,8 +384,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "θ")]
     fn theta_out_of_range_panics() {
-        mine_reliable(
-            &figure4(),
+        mine_reliable_ctx(
+            &AnalysisCtx::of(&figure4()),
             ReliableOptions {
                 theta: 1.5,
                 ..Default::default()

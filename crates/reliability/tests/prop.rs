@@ -5,7 +5,7 @@
 use dbmine_context::AnalysisCtx;
 use dbmine_relation::partition::StrippedPartition;
 use dbmine_relation::{AttrSet, Relation, RelationBuilder};
-use dbmine_reliability::{m0, mine_reliable, ReliableOptions, RfiScorer, SizeMultiset};
+use dbmine_reliability::{m0, mine_reliable_ctx, ReliableOptions, RfiScorer, SizeMultiset};
 use proptest::prelude::*;
 
 /// A tiny categorical relation: ≤ 3 attributes, ≤ 6 tuples, domain 3 —
@@ -152,9 +152,9 @@ proptest! {
     /// Bit-identity of the miner across thread counts, proptested.
     #[test]
     fn mine_reliable_invariant_across_thread_counts(rel in tiny_relation()) {
-        let serial = mine_reliable(&rel, ReliableOptions { theta: 0.1, threads: 1, ..Default::default() });
+        let serial = mine_reliable_ctx(&AnalysisCtx::of(&rel), ReliableOptions { theta: 0.1, threads: 1, ..Default::default() });
         for threads in [0usize, 2, 4] {
-            let t = mine_reliable(&rel, ReliableOptions { theta: 0.1, threads, ..Default::default() });
+            let t = mine_reliable_ctx(&AnalysisCtx::of(&rel), ReliableOptions { theta: 0.1, threads, ..Default::default() });
             prop_assert_eq!(t.len(), serial.len(), "threads = {}", threads);
             for (x, y) in t.iter().zip(&serial) {
                 prop_assert_eq!(x.fd, y.fd);
@@ -169,8 +169,8 @@ proptest! {
     fn pruned_equals_unpruned(rel in tiny_relation(), theta_pct in 0u32..=100) {
         // The shim's strategies are integer-only; scale to θ ∈ [0,1].
         let theta = theta_pct as f64 / 100.0;
-        let pruned = mine_reliable(&rel, ReliableOptions { theta, prune: true, ..Default::default() });
-        let unpruned = mine_reliable(&rel, ReliableOptions { theta, prune: false, ..Default::default() });
+        let pruned = mine_reliable_ctx(&AnalysisCtx::of(&rel), ReliableOptions { theta, prune: true, ..Default::default() });
+        let unpruned = mine_reliable_ctx(&AnalysisCtx::of(&rel), ReliableOptions { theta, prune: false, ..Default::default() });
         prop_assert_eq!(pruned.len(), unpruned.len(), "θ = {}", theta);
         for (x, y) in pruned.iter().zip(&unpruned) {
             prop_assert_eq!(x.fd, y.fd);

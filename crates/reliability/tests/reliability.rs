@@ -3,10 +3,10 @@
 //! (thread counts, pruned vs unpruned search).
 
 use dbmine_context::AnalysisCtx;
-use dbmine_fdmine::mine_approximate;
+use dbmine_fdmine::mine_approximate_ctx;
 use dbmine_relation::paper::{figure4, figure5};
 use dbmine_relation::{AttrSet, Relation, RelationBuilder};
-use dbmine_reliability::{mine_reliable, ReliableFd, ReliableOptions, RfiScorer};
+use dbmine_reliability::{mine_reliable_ctx, ReliableFd, ReliableOptions, RfiScorer};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// The g3-bias showcase: 6 tuples where `Id` is an *accidental* key
@@ -47,7 +47,7 @@ fn g3_accepts_spurious_key_fd_that_rfi_rejects() {
 
     // g3's verdict: Id → Val is *perfect* (error 0), purely because Id
     // is a key of this 6-row sample.
-    let approx = mine_approximate(&rel, 0.0, None);
+    let approx = mine_approximate_ctx(&AnalysisCtx::of(&rel), 0.0, None, 1);
     let g3_fds: Vec<dbmine_fdmine::Fd> = approx.iter().map(|f| f.fd).collect();
     assert!(
         id_to_val(&g3_fds),
@@ -79,8 +79,8 @@ fn g3_accepts_spurious_key_fd_that_rfi_rejects() {
 
     // End-to-end: the miner at θ = 0.3 keeps Grp → Val and drops every
     // key-LHS dependency g3 would have admitted.
-    let mined = mine_reliable(
-        &rel,
+    let mined = mine_reliable_ctx(
+        &AnalysisCtx::of(&rel),
         ReliableOptions {
             theta: 0.3,
             ..Default::default()
@@ -150,8 +150,8 @@ fn mine_reliable_is_bit_identical_across_thread_counts() {
     }
     for rel in &relations {
         for &theta in &[0.05, 0.3] {
-            let serial = mine_reliable(
-                rel,
+            let serial = mine_reliable_ctx(
+                &AnalysisCtx::of(rel),
                 ReliableOptions {
                     theta,
                     threads: 1,
@@ -159,8 +159,8 @@ fn mine_reliable_is_bit_identical_across_thread_counts() {
                 },
             );
             for threads in [0usize, 2, 4] {
-                let t = mine_reliable(
-                    rel,
+                let t = mine_reliable_ctx(
+                    &AnalysisCtx::of(rel),
                     ReliableOptions {
                         theta,
                         threads,
@@ -185,16 +185,16 @@ fn pruning_only_skips_never_changes_results() {
     }
     for rel in &relations {
         for &theta in &[0.0, 0.1, 0.4, 0.8] {
-            let pruned = mine_reliable(
-                rel,
+            let pruned = mine_reliable_ctx(
+                &AnalysisCtx::of(rel),
                 ReliableOptions {
                     theta,
                     prune: true,
                     ..Default::default()
                 },
             );
-            let unpruned = mine_reliable(
-                rel,
+            let unpruned = mine_reliable_ctx(
+                &AnalysisCtx::of(rel),
                 ReliableOptions {
                     theta,
                     prune: false,
@@ -217,8 +217,8 @@ fn emitted_scores_match_standalone_estimator() {
     let rel = figure4();
     let ctx = AnalysisCtx::of(&rel);
     let scorer = RfiScorer::new(&ctx, 1);
-    for f in mine_reliable(
-        &rel,
+    for f in mine_reliable_ctx(
+        &AnalysisCtx::of(&rel),
         ReliableOptions {
             theta: 0.05,
             ..Default::default()

@@ -97,12 +97,14 @@ pub fn group_attributes(values: &ValueClustering, n_attrs: usize) -> AttributeGr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::values::cluster_values;
+    use crate::values::cluster_values_ctx;
+    use dbmine_context::AnalysisCtx;
+    use dbmine_limbo::LimboParams;
     use dbmine_relation::paper::figure4;
 
     fn grouping() -> AttributeGrouping {
         let rel = figure4();
-        let values = cluster_values(&rel, 0.0, None);
+        let values = cluster_values_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(0.0), None);
         group_attributes(&values, rel.n_attrs())
     }
 
@@ -162,7 +164,7 @@ mod tests {
         b.push_row_strs(&["x1", "y1"]);
         b.push_row_strs(&["x2", "y2"]);
         let rel = b.build();
-        let values = cluster_values(&rel, 0.0, None);
+        let values = cluster_values_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(0.0), None);
         assert_eq!(values.duplicates().count(), 0);
         let g = group_attributes(&values, 2);
         assert!(g.attrs.is_empty());

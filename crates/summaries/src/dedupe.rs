@@ -106,7 +106,9 @@ fn survivor_row(rel: &Relation, members: &[usize]) -> Vec<Option<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuples::find_duplicate_tuples;
+    use crate::tuples::find_duplicate_tuples_ctx;
+    use dbmine_context::AnalysisCtx;
+    use dbmine_limbo::LimboParams;
     use dbmine_relation::RelationBuilder;
 
     fn relation_with_dups() -> Relation {
@@ -121,7 +123,7 @@ mod tests {
     #[test]
     fn exact_duplicates_collapse() {
         let rel = relation_with_dups();
-        let report = find_duplicate_tuples(&rel, 0.0);
+        let report = find_duplicate_tuples_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(0.0));
         let result = eliminate_duplicates(&rel, &report, 1e-12);
         assert_eq!(result.relation.n_tuples(), 3);
         assert_eq!(result.removed, 1);
@@ -140,7 +142,7 @@ mod tests {
         b.push_row_strs(&["x", "v", "w", "z", "q"]);
         b.push_row_strs(&["other", "o1", "o2", "o3", "o4"]);
         let rel = b.build();
-        let report = find_duplicate_tuples(&rel, 3.0);
+        let report = find_duplicate_tuples_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(3.0));
         let result = eliminate_duplicates(&rel, &report, f64::INFINITY);
         let merged = result
             .merged_groups
@@ -160,7 +162,7 @@ mod tests {
         b.push_row_strs(&["1", "x"]);
         b.push_row_strs(&["2", "y"]);
         let rel = b.build();
-        let report = find_duplicate_tuples(&rel, 0.0);
+        let report = find_duplicate_tuples_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(0.0));
         let result = eliminate_duplicates(&rel, &report, 1e-12);
         assert_eq!(result.relation.n_tuples(), 2);
         assert_eq!(result.removed, 0);
@@ -174,7 +176,7 @@ mod tests {
         b.push_row(&[Some("x"), Some("v"), None]); // missing value copy
         b.push_row_strs(&["x", "v", "w"]);
         let rel = b.build();
-        let report = find_duplicate_tuples(&rel, 3.0);
+        let report = find_duplicate_tuples_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(3.0));
         let result = eliminate_duplicates(&rel, &report, f64::INFINITY);
         if result.relation.n_tuples() == 1 {
             assert_eq!(result.relation.value_str(0, 2), "w");

@@ -25,16 +25,9 @@ pub mod vertical;
 
 pub use attributes::{group_attributes, AttributeGrouping};
 pub use dedupe::{eliminate_duplicates, DedupeResult};
-pub use partition::{
-    horizontal_partition, horizontal_partition_ctx, horizontal_partition_with, suggest_k,
-    PartitionResult,
-};
+pub use partition::{horizontal_partition_ctx, suggest_k, PartitionResult};
 pub use tuples::{
-    find_duplicate_tuples, find_duplicate_tuples_ctx, find_duplicate_tuples_with,
-    tuple_summary_assignment, tuple_summary_assignment_ctx, tuple_summary_assignment_with,
-    DuplicateReport, TupleGroup,
+    find_duplicate_tuples_ctx, tuple_summary_assignment_ctx, DuplicateReport, TupleGroup,
 };
-pub use values::{
-    cluster_values, cluster_values_ctx, cluster_values_with, ValueClustering, ValueGroup,
-};
+pub use values::{cluster_values_ctx, ValueClustering, ValueGroup};
 pub use vertical::{vertical_partition, VerticalPartition};

@@ -77,40 +77,16 @@ pub fn suggest_k(stats: &[KStat], max_k: usize) -> usize {
     best_k
 }
 
-/// Horizontally partitions `rel`.
-///
-/// * `phi_t` controls the Phase 1 summary granularity (use a value that
-///   leaves on the order of 100 summaries, per the paper).
-/// * `k`: `Some(k)` forces the partition count; `None` lets the knee
-///   heuristic choose among `2..=max_k`.
-pub fn horizontal_partition(
-    rel: &Relation,
-    phi_t: f64,
-    k: Option<usize>,
-    max_k: usize,
-) -> PartitionResult {
-    horizontal_partition_with(rel, LimboParams::with_phi(phi_t), k, max_k)
-}
-
-/// As [`horizontal_partition`], with full control over the LIMBO
-/// parameters (notably `params.threads` for the parallel Phase 2/3).
-/// Bit-identical to the serial run for every thread count.
-///
-/// Builds a transient [`AnalysisCtx`]; callers analyzing the same
-/// relation more than once should hold a context and call
-/// [`horizontal_partition_ctx`] so the tuple views are shared.
-pub fn horizontal_partition_with(
-    rel: &Relation,
-    params: LimboParams,
-    k: Option<usize>,
-    max_k: usize,
-) -> PartitionResult {
-    horizontal_partition_ctx(&AnalysisCtx::of(rel), params, k, max_k)
-}
-
-/// As [`horizontal_partition_with`], over the context's shared
+/// Horizontally partitions the context's relation, over its shared
 /// [`dbmine_relation::TupleRows`] view and memoized `I(T;V)` (each built
 /// at most once per context).
+///
+/// * `params.phi` (`φ_T`) controls the Phase 1 summary granularity (use
+///   a value that leaves on the order of 100 summaries, per the paper);
+///   `params.threads` sets the parallel Phase 2/3, bit-identical to the
+///   serial run for every thread count.
+/// * `k`: `Some(k)` forces the partition count; `None` lets the knee
+///   heuristic choose among `2..=max_k`.
 pub fn horizontal_partition_ctx(
     ctx: &AnalysisCtx,
     params: LimboParams,
@@ -188,6 +164,15 @@ mod tests {
     use super::*;
     use dbmine_relation::RelationBuilder;
 
+    fn partition(rel: &Relation, phi_t: f64, k: Option<usize>, max_k: usize) -> PartitionResult {
+        horizontal_partition_ctx(
+            &AnalysisCtx::of(rel),
+            LimboParams::with_phi(phi_t),
+            k,
+            max_k,
+        )
+    }
+
     /// An "overloaded" relation mixing two tuple types (the paper's
     /// product-orders vs service-orders example): type 1 populates
     /// attributes P1/P2, type 2 populates S1/S2 — the other pair is NULL.
@@ -211,7 +196,7 @@ mod tests {
     #[test]
     fn separates_two_tuple_types() {
         let rel = overloaded(20, 12);
-        let r = horizontal_partition(&rel, 0.0, Some(2), 10);
+        let r = partition(&rel, 0.0, Some(2), 10);
         assert_eq!(r.k, 2);
         assert_eq!(r.partitions.len(), 2);
         let sizes: Vec<usize> = r.partitions.iter().map(Vec::len).collect();
@@ -223,14 +208,14 @@ mod tests {
     #[test]
     fn heuristic_detects_k2() {
         let rel = overloaded(20, 12);
-        let r = horizontal_partition(&rel, 0.0, None, 10);
+        let r = partition(&rel, 0.0, None, 10);
         assert_eq!(r.k, 2, "knee heuristic should find the 2 tuple types");
     }
 
     #[test]
     fn partition_relations_materialize() {
         let rel = overloaded(6, 4);
-        let r = horizontal_partition(&rel, 0.0, Some(2), 10);
+        let r = partition(&rel, 0.0, Some(2), 10);
         let p0 = r.partition_relation(&rel, 0);
         assert_eq!(p0.n_tuples(), 6);
         assert_eq!(p0.n_attrs(), 5);
@@ -239,7 +224,7 @@ mod tests {
     #[test]
     fn k1_puts_everything_together() {
         let rel = overloaded(5, 5);
-        let r = horizontal_partition(&rel, 0.0, Some(1), 10);
+        let r = partition(&rel, 0.0, Some(1), 10);
         assert_eq!(r.partitions.len(), 1);
         assert_eq!(r.partitions[0].len(), 10);
     }
@@ -247,7 +232,7 @@ mod tests {
     #[test]
     fn relative_loss_in_unit_range() {
         let rel = overloaded(10, 10);
-        let r = horizontal_partition(&rel, 0.0, Some(2), 10);
+        let r = partition(&rel, 0.0, Some(2), 10);
         assert!(
             (0.0..=1.0).contains(&r.relative_loss),
             "loss {}",
@@ -263,7 +248,7 @@ mod tests {
     #[test]
     fn phase1_compression_with_positive_phi() {
         let rel = overloaded(50, 30);
-        let r = horizontal_partition(&rel, 1.0, Some(2), 10);
+        let r = partition(&rel, 1.0, Some(2), 10);
         assert!(
             r.n_summaries < 80,
             "φ=1.0 should compress: {}",

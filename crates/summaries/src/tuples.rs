@@ -14,7 +14,6 @@
 use dbmine_context::AnalysisCtx;
 use dbmine_ib::{assign_all_with, Dcf};
 use dbmine_limbo::{phase1_auto, tuple_dcfs_ctx, LimboParams};
-use dbmine_relation::Relation;
 
 /// A candidate duplicate group: the tuples Phase 3 associated with one
 /// multi-tuple summary.
@@ -71,37 +70,26 @@ impl DuplicateReport {
     }
 }
 
-/// Runs the three-step duplicate-tuple procedure on `rel` with accuracy
-/// `φ_T`.
+/// Runs the three-step duplicate-tuple procedure with accuracy
+/// `params.phi` (`φ_T`), over the context's shared
+/// [`dbmine_relation::TupleRows`] view and memoized `I(T;V)` (each built
+/// at most once per context).
 ///
 /// ```
+/// use dbmine_context::AnalysisCtx;
+/// use dbmine_limbo::LimboParams;
 /// use dbmine_relation::RelationBuilder;
 /// let mut b = RelationBuilder::new("t", &["A", "B"]);
 /// b.push_row_strs(&["x", "y"]);
 /// b.push_row_strs(&["x", "y"]); // exact duplicate
 /// b.push_row_strs(&["p", "q"]);
-/// let report = dbmine_summaries::find_duplicate_tuples(&b.build(), 0.0);
+/// let ctx = AnalysisCtx::of(&b.build());
+/// let report = dbmine_summaries::find_duplicate_tuples_ctx(&ctx, LimboParams::with_phi(0.0));
 /// // The exact pair shares a summary at zero loss; the unrelated tuple
 /// // is only force-associated (Phase 3 assigns everything) at high loss.
 /// assert!(report.same_tight_group(0, 1, 1e-12));
 /// assert!(!report.same_tight_group(0, 2, 1e-12));
 /// ```
-pub fn find_duplicate_tuples(rel: &Relation, phi_t: f64) -> DuplicateReport {
-    find_duplicate_tuples_with(rel, LimboParams::with_phi(phi_t))
-}
-
-/// As [`find_duplicate_tuples`], with full control over LIMBO parameters.
-///
-/// Builds a transient [`AnalysisCtx`]; callers analyzing the same
-/// relation more than once should hold a context and call
-/// [`find_duplicate_tuples_ctx`] so the tuple views are shared.
-pub fn find_duplicate_tuples_with(rel: &Relation, params: LimboParams) -> DuplicateReport {
-    find_duplicate_tuples_ctx(&AnalysisCtx::of(rel), params)
-}
-
-/// As [`find_duplicate_tuples_with`], over the context's shared
-/// [`dbmine_relation::TupleRows`] view and memoized `I(T;V)` (each built
-/// at most once per context).
 pub fn find_duplicate_tuples_ctx(ctx: &AnalysisCtx, params: LimboParams) -> DuplicateReport {
     let _span = dbmine_telemetry::span("summaries.duplicate_tuples");
     let n = ctx.n_tuples();
@@ -143,24 +131,12 @@ pub fn find_duplicate_tuples_ctx(ctx: &AnalysisCtx, params: LimboParams) -> Dupl
     }
 }
 
-/// Summarizes the tuples with Phase 1 at accuracy `φ_T` and assigns every
-/// tuple to its closest leaf summary — the tuple-cluster ids Double
-/// Clustering (Section 6.2) re-expresses values over. Returns the
-/// assignment (one cluster id per tuple) and the number of summaries.
-pub fn tuple_summary_assignment(rel: &Relation, phi_t: f64) -> (Vec<usize>, usize) {
-    tuple_summary_assignment_with(rel, LimboParams::with_phi(phi_t))
-}
-
-/// As [`tuple_summary_assignment`], with full control over the LIMBO
-/// parameters (notably `params.threads` for the parallel association
-/// scan). Bit-identical to the serial run for every thread count.
-pub fn tuple_summary_assignment_with(rel: &Relation, params: LimboParams) -> (Vec<usize>, usize) {
-    tuple_summary_assignment_ctx(&AnalysisCtx::of(rel), params)
-}
-
-/// As [`tuple_summary_assignment_with`], over the context's shared tuple
-/// views — the entry point for Double Clustering driven off one
-/// [`AnalysisCtx`].
+/// Summarizes the tuples with Phase 1 at accuracy `params.phi` (`φ_T`)
+/// and assigns every tuple to its closest leaf summary — the
+/// tuple-cluster ids Double Clustering (Section 6.2) re-expresses values
+/// over. Returns the assignment (one cluster id per tuple) and the number
+/// of summaries. `params.threads` sets the parallel association scan;
+/// the result is bit-identical to the serial run for every thread count.
 pub fn tuple_summary_assignment_ctx(ctx: &AnalysisCtx, params: LimboParams) -> (Vec<usize>, usize) {
     let objects = tuple_dcfs_ctx(ctx, params.threads);
     let mi = ctx.tuple_mutual_information();
@@ -181,17 +157,21 @@ pub fn tuple_summary_assignment_ctx(ctx: &AnalysisCtx, params: LimboParams) -> (
 mod tests {
     use super::*;
     use dbmine_relation::paper::figure4;
-    use dbmine_relation::RelationBuilder;
+    use dbmine_relation::{Relation, RelationBuilder};
+
+    fn duplicates(rel: &Relation, phi_t: f64) -> DuplicateReport {
+        find_duplicate_tuples_ctx(&AnalysisCtx::of(rel), LimboParams::with_phi(phi_t))
+    }
 
     #[test]
     fn summary_assignment_covers_all_tuples() {
-        let rel = figure4();
-        let (assign, n_leaves) = tuple_summary_assignment(&rel, 0.0);
+        let ctx = AnalysisCtx::of(&figure4());
+        let (assign, n_leaves) = tuple_summary_assignment_ctx(&ctx, LimboParams::with_phi(0.0));
         assert_eq!(assign.len(), 5);
         assert_eq!(n_leaves, 5); // all tuples distinct at φ = 0
         assert!(assign.iter().all(|&c| c < n_leaves));
         // With a huge φ everything lands in one summary.
-        let (assign1, n1) = tuple_summary_assignment(&rel, 100.0);
+        let (assign1, n1) = tuple_summary_assignment_ctx(&ctx, LimboParams::with_phi(100.0));
         assert_eq!(n1, 1);
         assert!(assign1.iter().all(|&c| c == 0));
     }
@@ -210,7 +190,7 @@ mod tests {
         // "Our method can identify exact duplicates introduced in the data
         //  set in any order. These duplicates are found when φT = 0.0."
         let rel = with_exact_duplicate();
-        let rep = find_duplicate_tuples(&rel, 0.0);
+        let rep = duplicates(&rel, 0.0);
         assert_eq!(rep.groups.len(), 1);
         assert!(rep.same_group(0, 2));
         assert!(rep.same_tight_group(0, 2, 1e-12));
@@ -227,7 +207,7 @@ mod tests {
     #[test]
     fn no_duplicates_no_groups_at_phi_zero() {
         let rel = figure4(); // all five tuples distinct
-        let rep = find_duplicate_tuples(&rel, 0.0);
+        let rep = duplicates(&rel, 0.0);
         assert!(rep.groups.is_empty());
         assert_eq!(rep.n_summaries, 5);
     }
@@ -242,7 +222,7 @@ mod tests {
         b.push_row_strs(&["q1", "q2", "q3", "q4"]);
         b.push_row_strs(&["r1", "r2", "r3", "r4"]);
         let rel = b.build();
-        let rep = find_duplicate_tuples(&rel, 2.0);
+        let rep = duplicates(&rel, 2.0);
         assert!(
             rep.groups.iter().any(|g| {
                 g.tuples.contains(&0) && g.tuples.contains(&1) && g.summary_count >= 2
@@ -266,7 +246,7 @@ mod tests {
     #[test]
     fn empty_relation() {
         let rel = RelationBuilder::new("e", &["A"]).build();
-        let rep = find_duplicate_tuples(&rel, 0.1);
+        let rep = duplicates(&rel, 0.1);
         assert!(rep.groups.is_empty());
     }
 }

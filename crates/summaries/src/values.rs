@@ -15,7 +15,7 @@
 use dbmine_context::AnalysisCtx;
 use dbmine_ib::{assign_all_with, Dcf};
 use dbmine_limbo::{phase1_auto, reexpress_over_clusters, value_dcfs_with, LimboParams};
-use dbmine_relation::{Relation, ValueId};
+use dbmine_relation::ValueId;
 
 /// A cluster of attribute values.
 #[derive(Clone, Debug)]
@@ -88,49 +88,29 @@ impl ValueClustering {
     }
 }
 
-/// Clusters the values of `rel` with accuracy `φ_V`, following the
-/// paper's three-step procedure (Phase 1, keep multi-object leaves as
-/// group seeds, Phase 3 association).
+/// Clusters the values of the context's relation with accuracy
+/// `params.phi` (`φ_V`), following the paper's three-step procedure
+/// (Phase 1, keep multi-object leaves as group seeds, Phase 3
+/// association), over the context's shared [`dbmine_relation::ValueIndex`]
+/// view and memoized `I(V;T)` (each built at most once per context).
+/// `params.threads` sets the parallel DCF construction and association
+/// scan; the result is bit-identical to the serial run for every count.
 ///
 /// `tuple_assignment`, when given, enables Double Clustering: values are
 /// expressed over these tuple-cluster ids instead of raw tuples.
 ///
 /// ```
-/// use dbmine_summaries::cluster_values;
+/// use dbmine_context::AnalysisCtx;
+/// use dbmine_limbo::LimboParams;
+/// use dbmine_summaries::cluster_values_ctx;
 /// let rel = dbmine_relation::paper::figure4();
-/// let c = cluster_values(&rel, 0.0, None);
+/// let c = cluster_values_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(0.0), None);
 /// // {a,1} and {2,x} co-occur perfectly → the two duplicate groups.
 /// assert_eq!(c.duplicates().count(), 2);
 /// let a = rel.dict().lookup("a").unwrap();
 /// let one = rel.dict().lookup("1").unwrap();
 /// assert!(c.same_group(a, one));
 /// ```
-pub fn cluster_values(
-    rel: &Relation,
-    phi_v: f64,
-    tuple_assignment: Option<&[usize]>,
-) -> ValueClustering {
-    cluster_values_with(rel, LimboParams::with_phi(phi_v), tuple_assignment)
-}
-
-/// As [`cluster_values`], with full control over the LIMBO parameters
-/// (notably `params.threads` for the parallel DCF construction and
-/// association scan). Bit-identical to the serial run for every count.
-///
-/// Builds a transient [`AnalysisCtx`]; callers analyzing the same
-/// relation more than once should hold a context and call
-/// [`cluster_values_ctx`] so the `ValueIndex` view is shared.
-pub fn cluster_values_with(
-    rel: &Relation,
-    params: LimboParams,
-    tuple_assignment: Option<&[usize]>,
-) -> ValueClustering {
-    cluster_values_ctx(&AnalysisCtx::of(rel), params, tuple_assignment)
-}
-
-/// As [`cluster_values_with`], over the context's shared
-/// [`dbmine_relation::ValueIndex`] view and memoized `I(V;T)` (each
-/// built at most once per context).
 pub fn cluster_values_ctx(
     ctx: &AnalysisCtx,
     params: LimboParams,
@@ -207,6 +187,15 @@ pub fn cluster_values_ctx(
 mod tests {
     use super::*;
     use dbmine_relation::paper::{figure4, figure5};
+    use dbmine_relation::Relation;
+
+    fn cluster(rel: &Relation, phi_v: f64, tuple_assignment: Option<&[usize]>) -> ValueClustering {
+        cluster_values_ctx(
+            &AnalysisCtx::of(rel),
+            LimboParams::with_phi(phi_v),
+            tuple_assignment,
+        )
+    }
 
     fn vid(rel: &Relation, s: &str) -> ValueId {
         rel.dict().lookup(s).unwrap()
@@ -218,7 +207,7 @@ mod tests {
         //  during merges (φV = 0.0), attribute values a and 1 are clustered
         //  as are values x and 2."
         let rel = figure4();
-        let c = cluster_values(&rel, 0.0, None);
+        let c = cluster(&rel, 0.0, None);
         assert!(c.same_group(vid(&rel, "a"), vid(&rel, "1")));
         assert!(c.same_group(vid(&rel, "2"), vid(&rel, "x")));
         assert!(!c.same_group(vid(&rel, "a"), vid(&rel, "x")));
@@ -235,7 +224,7 @@ mod tests {
     fn figure4_merged_o_rows() {
         // O({a,1}) = (2,2,0); O({2,x}) = (0,3,3).
         let rel = figure4();
-        let c = cluster_values(&rel, 0.0, None);
+        let c = cluster(&rel, 0.0, None);
         let g_a1 = c.group_of(vid(&rel, "a")).unwrap();
         assert_eq!(g_a1.o_row.get(0), 2.0);
         assert_eq!(g_a1.o_row.get(1), 2.0);
@@ -253,11 +242,11 @@ mod tests {
         //  values x and 2 together since they do not exhibit perfect
         //  co-occurrence any more. ... we perform clustering with φV > 0.0."
         let rel = figure5();
-        let strict = cluster_values(&rel, 0.0, None);
+        let strict = cluster(&rel, 0.0, None);
         assert!(!strict.same_group(vid(&rel, "2"), vid(&rel, "x")));
         assert!(strict.same_group(vid(&rel, "a"), vid(&rel, "1")));
 
-        let lax = cluster_values(&rel, 0.5, None);
+        let lax = cluster(&rel, 0.5, None);
         assert!(
             lax.same_group(vid(&rel, "2"), vid(&rel, "x")),
             "φV > 0 should tolerate the single erroneous x"
@@ -273,7 +262,7 @@ mod tests {
         // Matrix F: A = (2,0), B = (2,3), C = (0,4)... with group order
         // possibly swapped; verify contents irrespective of order.
         let rel = figure4();
-        let c = cluster_values(&rel, 0.0, None);
+        let c = cluster(&rel, 0.0, None);
         let f = c.f_rows(3);
         assert_eq!(f.len(), 3);
         let row = |a: usize| {
@@ -300,7 +289,7 @@ mod tests {
             b.push_row(&[Some(&k), None, None]);
         }
         let rel = b.build();
-        let c = cluster_values(&rel, 0.0, None);
+        let c = cluster(&rel, 0.0, None);
         let g = c.group_of(dbmine_relation::NULL_VALUE).unwrap();
         assert!(g.is_duplicate);
         assert_eq!(g.attr_span(), 2);
@@ -312,7 +301,7 @@ mod tests {
         let rel = figure4();
         // Tuple clusters: {t1,t2} and {t3,t4,t5}.
         let assign = vec![0usize, 0, 1, 1, 1];
-        let c = cluster_values(&rel, 0.0, Some(&assign));
+        let c = cluster(&rel, 0.0, Some(&assign));
         assert!(c.same_group(vid(&rel, "a"), vid(&rel, "1")));
         assert!(c.same_group(vid(&rel, "2"), vid(&rel, "x")));
         // Support counts still come from raw tuples.

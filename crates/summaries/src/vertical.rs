@@ -81,11 +81,13 @@ pub fn vertical_partition(
 mod tests {
     use super::*;
     use crate::attributes::group_attributes;
-    use crate::values::cluster_values;
+    use crate::values::cluster_values_ctx;
+    use dbmine_context::AnalysisCtx;
+    use dbmine_limbo::LimboParams;
     use dbmine_relation::paper::figure4;
 
     fn grouping(rel: &Relation) -> AttributeGrouping {
-        let values = cluster_values(rel, 0.0, None);
+        let values = cluster_values_ctx(&AnalysisCtx::of(rel), LimboParams::with_phi(0.0), None);
         group_attributes(&values, rel.n_attrs())
     }
 

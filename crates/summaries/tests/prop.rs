@@ -2,10 +2,12 @@
 //! groups must partition the value universe, dedupe must conserve
 //! non-duplicate tuples, and attribute grouping must stay within `A_D`.
 
+use dbmine_context::AnalysisCtx;
+use dbmine_limbo::LimboParams;
 use dbmine_relation::{Relation, RelationBuilder};
 use dbmine_summaries::{
-    cluster_values, eliminate_duplicates, find_duplicate_tuples, group_attributes,
-    horizontal_partition, vertical_partition,
+    cluster_values_ctx, eliminate_duplicates, find_duplicate_tuples_ctx, group_attributes,
+    horizontal_partition_ctx, vertical_partition,
 };
 use proptest::prelude::*;
 
@@ -36,7 +38,7 @@ proptest! {
 
     #[test]
     fn value_groups_partition_the_universe(rel in arb_relation(), phi in 0.0f64..1.0) {
-        let c = cluster_values(&rel, phi, None);
+        let c = cluster_values_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(phi), None);
         let mut seen: Vec<u32> = c.groups.iter().flat_map(|g| g.values.iter().copied()).collect();
         seen.sort_unstable();
         let before = seen.len();
@@ -53,7 +55,8 @@ proptest! {
 
     #[test]
     fn horizontal_partition_covers_all_tuples(rel in arb_relation(), k in 1usize..4) {
-        let p = horizontal_partition(&rel, 0.5, Some(k), 8);
+        let ctx = AnalysisCtx::of(&rel);
+        let p = horizontal_partition_ctx(&ctx, LimboParams::with_phi(0.5), Some(k), 8);
         let mut all: Vec<usize> = p.partitions.iter().flatten().copied().collect();
         all.sort_unstable();
         prop_assert_eq!(all, (0..rel.n_tuples()).collect::<Vec<_>>());
@@ -64,7 +67,7 @@ proptest! {
 
     #[test]
     fn dedupe_never_invents_tuples(rel in arb_relation(), phi in 0.0f64..0.5) {
-        let report = find_duplicate_tuples(&rel, phi);
+        let report = find_duplicate_tuples_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(phi));
         let result = eliminate_duplicates(&rel, &report, report.threshold);
         prop_assert!(result.relation.n_tuples() <= rel.n_tuples());
         prop_assert_eq!(
@@ -76,7 +79,7 @@ proptest! {
 
     #[test]
     fn attribute_grouping_stays_in_bounds(rel in arb_relation()) {
-        let values = cluster_values(&rel, 0.0, None);
+        let values = cluster_values_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(0.0), None);
         let g = group_attributes(&values, rel.n_attrs());
         prop_assert!(g.attrs.len() <= rel.n_attrs());
         for &a in &g.attrs {
@@ -94,7 +97,7 @@ proptest! {
 
     #[test]
     fn vertical_partition_is_exact_cover(rel in arb_relation(), k in 1usize..4) {
-        let values = cluster_values(&rel, 0.0, None);
+        let values = cluster_values_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(0.0), None);
         let g = group_attributes(&values, rel.n_attrs());
         let vp = vertical_partition(&rel, &g, k);
         let mut union = dbmine_relation::AttrSet::EMPTY;

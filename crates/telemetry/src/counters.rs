@@ -40,7 +40,7 @@ pub enum Counter {
     /// TANE key-pruning cache: subset errors that had to materialize a
     /// partition product.
     TanePruneCacheMisses,
-    /// Redundant cells counted by FD-RANK (`fdrank::redundant_cells`),
+    /// Redundant cells counted by FD-RANK (`fdrank::redundant_cells_ctx`),
     /// summed over ranked FDs.
     FdrankRedundantCells,
     /// Shared views materialized by an `AnalysisCtx` (`dbmine-context`):
@@ -72,10 +72,10 @@ pub enum Counter {
     /// plus permutation-model bias — computed from a partition pair.
     RfiEvals,
     /// Branch-and-bound upper bounds F̄ evaluated while deciding whether
-    /// a lattice node's descendants can be skipped (`mine_reliable`).
+    /// a lattice node's descendants can be skipped (`mine_reliable_ctx`).
     BnbBounds,
     /// Lattice nodes whose descendants were pruned by the
-    /// branch-and-bound bound (`mine_reliable`).
+    /// branch-and-bound bound (`mine_reliable_ctx`).
     BnbPrunes,
     /// Full in-memory `Relation` materializations performed lazily by a
     /// chunk-backed `AnalysisCtx` for row-resident consumers

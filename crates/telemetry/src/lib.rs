@@ -62,7 +62,7 @@ pub const fn compiled() -> bool {
     cfg!(feature = "telemetry")
 }
 
-/// `span!("name")` — macro spelling of [`span`], for call sites that
+/// `span!("name")` — macro spelling of [`span()`], for call sites that
 /// prefer the macro form. Expands to the same zero-cost guard.
 #[macro_export]
 macro_rules! span {

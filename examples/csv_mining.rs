@@ -6,6 +6,7 @@
 //! cargo run --release --example csv_mining            # built-in demo
 //! ```
 
+use dbmine::context::AnalysisCtx;
 use dbmine::relation::csv::{read_relation_path, write_relation_path};
 use dbmine::{MinerConfig, StructureMiner};
 
@@ -45,7 +46,7 @@ fn main() {
         psi: 0.5,
         ..Default::default()
     };
-    let report = StructureMiner::new(config).analyze(&rel);
+    let report = StructureMiner::new(config).analyze_ctx(&AnalysisCtx::of(&rel));
     let names = rel.attr_names().to_vec();
 
     println!("column profile:");

@@ -6,9 +6,11 @@
 //! cargo run --release --example data_cleaning
 //! ```
 
+use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{db2_sample, inject_near_duplicates, Db2Spec};
-use dbmine::fdmine::mine_approximate;
-use dbmine::summaries::{eliminate_duplicates, find_duplicate_tuples};
+use dbmine::fdmine::mine_approximate_ctx;
+use dbmine::limbo::LimboParams;
+use dbmine::summaries::{eliminate_duplicates, find_duplicate_tuples_ctx};
 
 fn main() {
     // 1. A clean relation, then a simulated sloppy integration: 8 copied
@@ -24,7 +26,7 @@ fn main() {
     );
 
     // 2. Duplicate discovery at φT = 0.1.
-    let report = find_duplicate_tuples(dirty, 0.1);
+    let report = find_duplicate_tuples_ctx(&AnalysisCtx::of(dirty), LimboParams::with_phi(0.1));
     let tau = report.threshold;
     println!(
         "\nduplicate discovery (φT = 0.1): {} candidate groups (τ = {tau:.3e})",
@@ -63,7 +65,7 @@ fn main() {
 
     // 4. The dirt also shows up as approximate dependencies: exact FDs of
     //    the clean data hold on the dirty data only with small g3 error.
-    let approx = mine_approximate(&repaired.relation, 0.05, Some(1));
+    let approx = mine_approximate_ctx(&AnalysisCtx::of(&repaired.relation), 0.05, Some(1), 1);
     let broken: Vec<_> = approx.iter().filter(|f| f.error > 0.0).collect();
     println!(
         "\napproximate single-LHS dependencies on the repaired data: {} ({} with residual error)",

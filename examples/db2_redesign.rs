@@ -6,6 +6,7 @@
 //! cargo run --release --example db2_redesign
 //! ```
 
+use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{db2_sample, Db2Spec};
 use dbmine::fdrank::decompose;
 use dbmine::summaries::render::render_dendrogram;
@@ -20,7 +21,7 @@ fn main() {
         rel.n_attrs()
     );
 
-    let report = StructureMiner::new(MinerConfig::default()).analyze(rel);
+    let report = StructureMiner::new(MinerConfig::default()).analyze_ctx(&AnalysisCtx::of(rel));
     let names = rel.attr_names().to_vec();
 
     // 1. The attribute grouping recovers the three source tables.
@@ -56,7 +57,8 @@ fn main() {
     // 3. Apply the best decomposition and iterate on the remainder.
     let mut current = rel.clone();
     for step in 1..=3 {
-        let rep = StructureMiner::new(MinerConfig::default()).analyze(&current);
+        let rep =
+            StructureMiner::new(MinerConfig::default()).analyze_ctx(&AnalysisCtx::of(&current));
         let Some(top) = rep.ranked.first() else { break };
         let names = current.attr_names().to_vec();
         let d = decompose(&current, &top.fd);

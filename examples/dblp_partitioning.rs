@@ -8,9 +8,11 @@
 //! DBLP_TUPLES=50000 cargo run --release --example dblp_partitioning
 //! ```
 
+use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{dblp_sample, DblpSpec};
+use dbmine::limbo::LimboParams;
 use dbmine::relation::AttrSet;
-use dbmine::summaries::horizontal_partition;
+use dbmine::summaries::horizontal_partition_ctx;
 
 fn main() {
     let n: usize = std::env::var("DBLP_TUPLES")
@@ -41,7 +43,8 @@ fn main() {
     );
 
     // Step 2: partition horizontally; the knee heuristic picks k.
-    let part = horizontal_partition(&projected, 0.75, None, 6);
+    let ctx = AnalysisCtx::of(&projected);
+    let part = horizontal_partition_ctx(&ctx, LimboParams::with_phi(0.75), None, 6);
     println!(
         "\nknee heuristic chose k = {} ({} Phase 1 summaries)",
         part.k, part.n_summaries
@@ -65,8 +68,8 @@ fn main() {
     }
 
     // Step 3: each partition is structurally simpler than the whole.
-    let whole_fds = dbmine::fdmine::mine_tane(
-        &projected,
+    let whole_fds = dbmine::fdmine::mine_tane_ctx(
+        &ctx,
         dbmine::fdmine::TaneOptions {
             max_lhs: Some(4),
             ..Default::default()
@@ -75,8 +78,8 @@ fn main() {
     println!("\nFDs on the unpartitioned projection: {}", whole_fds.len());
     for (i, _) in part.partitions.iter().enumerate() {
         let p = part.partition_relation(&projected, i);
-        let fds = dbmine::fdmine::mine_tane(
-            &p,
+        let fds = dbmine::fdmine::mine_tane_ctx(
+            &AnalysisCtx::of(&p),
             dbmine::fdmine::TaneOptions {
                 max_lhs: Some(4),
                 ..Default::default()

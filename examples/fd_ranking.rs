@@ -6,18 +6,21 @@
 //! cargo run --release --example fd_ranking
 //! ```
 
+use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{db2_sample, Db2Spec};
-use dbmine::fdmine::{mine_fdep, minimum_cover};
-use dbmine::fdrank::{rad, rank_fds, rtr};
-use dbmine::summaries::{cluster_values, group_attributes};
+use dbmine::fdmine::{mine_fdep_ctx, minimum_cover};
+use dbmine::fdrank::{rad_ctx, rank_fds, rtr_ctx};
+use dbmine::limbo::LimboParams;
+use dbmine::summaries::{cluster_values_ctx, group_attributes};
 
 fn main() {
     let rel = db2_sample(&Db2Spec::default()).relation;
+    let ctx = AnalysisCtx::of(&rel);
     let names = rel.attr_names().to_vec();
 
     // Step 1: a dependency miner "reveals hundreds or thousands of
     // potential dependencies when run on large, real data sets".
-    let fds = mine_fdep(&rel);
+    let fds = mine_fdep_ctx(&ctx);
     let cover = minimum_cover(&fds);
     println!(
         "FDEP found {} minimal dependencies; minimum cover still has {}.",
@@ -27,7 +30,7 @@ fn main() {
     println!("Which ones matter? Ranking by captured redundancy:\n");
 
     // Step 2: build the attribute grouping from duplicate value groups.
-    let values = cluster_values(&rel, 0.0, None);
+    let values = cluster_values_ctx(&ctx, LimboParams::with_phi(0.0), None);
     let grouping = group_attributes(&values, rel.n_attrs());
     println!(
         "duplicate value groups: {}; participating attributes |A_D| = {}; max merge loss = {:.3}",
@@ -53,8 +56,8 @@ fn main() {
                 "  {:<34} rank = {:.3}  RAD = {:.3}  RTR = {:.3}",
                 r.display(&names),
                 r.rank,
-                rad(&rel, attrs),
-                rtr(&rel, attrs)
+                rad_ctx(&ctx, attrs),
+                rtr_ctx(&ctx, attrs)
             );
         }
     }

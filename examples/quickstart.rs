@@ -5,6 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
+use dbmine::context::AnalysisCtx;
 use dbmine::relation::RelationBuilder;
 use dbmine::{MinerConfig, StructureMiner};
 
@@ -28,7 +29,7 @@ fn main() {
 
     // One call: profiling, duplicate discovery, value clustering,
     // attribute grouping, FD mining, minimum cover, FD-RANK.
-    let report = StructureMiner::new(MinerConfig::default()).analyze(&rel);
+    let report = StructureMiner::new(MinerConfig::default()).analyze_ctx(&AnalysisCtx::of(&rel));
     let names = rel.attr_names().to_vec();
 
     println!("columns:");

@@ -184,6 +184,10 @@ fn malformed_requests_error_and_daemon_keeps_serving() {
             "`approx` must be ≥ 0",
         ),
         (
+            "{\"cmd\":\"fds\",\"csv\":\"A\\nx\\n\",\"approx\":1.5}",
+            "`approx` must be ≥ 0 and < 1",
+        ),
+        (
             "{\"cmd\":\"fds\",\"csv\":\"A\\nx\\n\",\"max_lhs\":1.5}",
             "non-negative integer",
         ),
@@ -214,6 +218,12 @@ fn malformed_requests_error_and_daemon_keeps_serving() {
         assert!(
             msg.contains(expect),
             "for request {bad}: expected error containing {expect:?}, got {msg:?}"
+        );
+        // A known-bad input is answered by validation, never by the
+        // panic backstop.
+        assert!(
+            !msg.starts_with("internal error"),
+            "for request {bad}: reached the panic backstop: {msg:?}"
         );
         assert!(
             ok(&d.request(&good)),

@@ -116,6 +116,31 @@ fn fds_rfi_mines_reliable_dependencies() {
 }
 
 #[test]
+fn out_of_range_parameters_are_typed_errors() {
+    let csv = write_demo_csv();
+    let path = csv.to_str().unwrap();
+    for (cmd, flag, value) in [
+        ("fds", "approx", "1.5"),
+        ("fds", "approx", "NaN"),
+        ("duplicates", "phi-t", "-1"),
+        ("analyze", "psi", "2"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dbmine"))
+            .args([cmd, path, &format!("--{flag}"), value])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let what = format!("{cmd} --{flag} {value}");
+        assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: invalid value for --{flag}: `{value}`")),
+            "{what}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+    }
+}
+
+#[test]
 fn partition_runs() {
     let csv = write_demo_csv();
     let (stdout, _, ok) = run(&["partition", csv.to_str().unwrap(), "--k", "2"]);

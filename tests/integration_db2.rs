@@ -1,16 +1,18 @@
 //! Integration tests over the DB2-sample experiments (Section 8.1).
 
+use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{db2_sample, inject_near_duplicates, Db2Spec};
-use dbmine::fdmine::{mine_fdep, minimum_cover};
-use dbmine::fdrank::{rad, rank_fds, rtr};
-use dbmine::summaries::{cluster_values, find_duplicate_tuples, group_attributes};
+use dbmine::fdmine::{mine_fdep_ctx, minimum_cover};
+use dbmine::fdrank::{rad_ctx, rank_fds, rtr_ctx};
+use dbmine::limbo::LimboParams;
+use dbmine::summaries::{cluster_values_ctx, find_duplicate_tuples_ctx, group_attributes};
 
 #[test]
 fn attribute_grouping_recovers_source_schemas() {
     // Figure 14: the grouping separates employee, department and project
     // attributes (modulo small attributes outside A_D).
     let rel = db2_sample(&Db2Spec::default()).relation;
-    let values = cluster_values(&rel, 0.0, None);
+    let values = cluster_values_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(0.0), None);
     let grouping = group_attributes(&values, rel.n_attrs());
     assert!(
         grouping.attrs.len() >= 12,
@@ -41,8 +43,9 @@ fn department_dependencies_rank_top_with_high_measures() {
     // Section 8.1.4 / Table 3: the department group has the highest
     // redundancy; its dependencies rank first with RAD/RTR ≈ 0.92+.
     let rel = db2_sample(&Db2Spec::default()).relation;
-    let cover = minimum_cover(&mine_fdep(&rel));
-    let values = cluster_values(&rel, 0.0, None);
+    let ctx = AnalysisCtx::of(&rel);
+    let cover = minimum_cover(&mine_fdep_ctx(&ctx));
+    let values = cluster_values_ctx(&ctx, LimboParams::with_phi(0.0), None);
     let grouping = group_attributes(&values, rel.n_attrs());
     let ranked = rank_fds(&cover, &grouping, 0.5);
 
@@ -56,7 +59,7 @@ fn department_dependencies_rank_top_with_high_measures() {
             top.display(names)
         );
     }
-    let measures = (rad(&rel, top.attrs()), rtr(&rel, top.attrs()));
+    let measures = (rad_ctx(&ctx, top.attrs()), rtr_ctx(&ctx, top.attrs()));
     assert!(measures.0 > 0.9, "RAD = {}", measures.0);
     assert!(measures.1 > 0.9, "RTR = {}", measures.1);
 
@@ -73,7 +76,10 @@ fn department_dependencies_rank_top_with_high_measures() {
 fn exact_duplicates_recovered_at_phi_zero() {
     let rel = db2_sample(&Db2Spec::default()).relation;
     let injected = inject_near_duplicates(&rel, 5, 0, 99);
-    let report = find_duplicate_tuples(&injected.relation, 0.0);
+    let report = find_duplicate_tuples_ctx(
+        &AnalysisCtx::of(&injected.relation),
+        LimboParams::with_phi(0.0),
+    );
     for d in &injected.injected {
         assert!(
             report.same_tight_group(d.original, d.duplicate, 1e-12),
@@ -93,7 +99,10 @@ fn near_duplicates_recovered_with_phi() {
     // legitimately merged members can sit slightly above τ afterwards.)
     let rel = db2_sample(&Db2Spec::default()).relation;
     let injected = inject_near_duplicates(&rel, 5, 2, 7);
-    let report = find_duplicate_tuples(&injected.relation, 0.2);
+    let report = find_duplicate_tuples_ctx(
+        &AnalysisCtx::of(&injected.relation),
+        LimboParams::with_phi(0.2),
+    );
     let found = injected
         .injected
         .iter()
@@ -110,7 +119,10 @@ fn recovery_degrades_with_error_count() {
         (0..3u64)
             .map(|seed| {
                 let injected = inject_near_duplicates(&rel, 5, errors, 30 + seed);
-                let report = find_duplicate_tuples(&injected.relation, 0.2);
+                let report = find_duplicate_tuples_ctx(
+                    &AnalysisCtx::of(&injected.relation),
+                    LimboParams::with_phi(0.2),
+                );
                 let tau = report.threshold;
                 injected
                     .injected
@@ -135,7 +147,7 @@ fn fd_counts_match_paper_order_of_magnitude() {
     // sample has the same structure but more accidental dependencies;
     // same order of magnitude, and the cover shrinks substantially.
     let rel = db2_sample(&Db2Spec::default()).relation;
-    let fds = mine_fdep(&rel);
+    let fds = mine_fdep_ctx(&AnalysisCtx::of(&rel));
     let cover = minimum_cover(&fds);
     assert!((50..1000).contains(&fds.len()), "{} FDs", fds.len());
     assert!(

@@ -1,12 +1,14 @@
 //! Integration tests over the DBLP experiments (Section 8.2), at a
 //! test-friendly scale.
 
+use dbmine::context::AnalysisCtx;
 use dbmine::datagen::dblp::NULL_HEAVY_ATTRS;
 use dbmine::datagen::{dblp_sample, DblpSpec};
-use dbmine::fdmine::{mine_tane, TaneOptions};
+use dbmine::fdmine::{mine_tane_ctx, TaneOptions};
+use dbmine::limbo::LimboParams;
 use dbmine::relation::AttrSet;
 use dbmine::summaries::{
-    cluster_values, group_attributes, horizontal_partition, tuple_summary_assignment,
+    cluster_values_ctx, group_attributes, horizontal_partition_ctx, tuple_summary_assignment_ctx,
 };
 
 fn dblp() -> dbmine::relation::Relation {
@@ -18,8 +20,9 @@ fn null_heavy_attributes_unite_at_negligible_loss() {
     // Figure 15's headline: the six ≥98%-NULL attributes form a group at
     // (almost) zero information loss.
     let rel = dblp();
-    let (assignment, _) = tuple_summary_assignment(&rel, 0.5);
-    let values = cluster_values(&rel, 1.0, Some(&assignment));
+    let ctx = AnalysisCtx::of(&rel);
+    let (assignment, _) = tuple_summary_assignment_ctx(&ctx, LimboParams::with_phi(0.5));
+    let values = cluster_values_ctx(&ctx, LimboParams::with_phi(1.0), Some(&assignment));
     let grouping = group_attributes(&values, rel.n_attrs());
     let set: AttrSet = NULL_HEAVY_ATTRS
         .iter()
@@ -51,7 +54,12 @@ fn partitioning_separates_conference_from_journal() {
     .filter_map(|n| rel.attr_id(n))
     .collect();
     let projected = rel.project(keep);
-    let part = horizontal_partition(&projected, 0.5, Some(2), 6);
+    let part = horizontal_partition_ctx(
+        &AnalysisCtx::of(&projected),
+        LimboParams::with_phi(0.5),
+        Some(2),
+        6,
+    );
 
     let bt = projected.attr_id("BookTitle").unwrap();
     let purity = |tuples: &[usize]| {
@@ -94,8 +102,9 @@ fn partitions_have_simpler_dependency_structure() {
     .filter_map(|n| rel.attr_id(n))
     .collect();
     let projected = rel.project(keep);
-    let whole = mine_tane(
-        &projected,
+    let ctx = AnalysisCtx::of(&projected);
+    let whole = mine_tane_ctx(
+        &ctx,
         TaneOptions {
             max_lhs: Some(4),
             ..Default::default()
@@ -110,11 +119,11 @@ fn partitions_have_simpler_dependency_structure() {
         whole.iter().all(|f| !f.lhs.is_empty()),
         "the mixed relation should have no constant columns"
     );
-    let part = horizontal_partition(&projected, 0.75, Some(2), 6);
+    let part = horizontal_partition_ctx(&ctx, LimboParams::with_phi(0.75), Some(2), 6);
     for (i, _) in part.partitions.iter().enumerate() {
         let p = part.partition_relation(&projected, i);
-        let fds = mine_tane(
-            &p,
+        let fds = mine_tane_ctx(
+            &AnalysisCtx::of(&p),
             TaneOptions {
                 max_lhs: Some(4),
                 ..Default::default()
@@ -155,7 +164,12 @@ fn conference_partition_has_constant_venue_attributes() {
     .filter_map(|n| rel.attr_id(n))
     .collect();
     let projected = rel.project(keep);
-    let part = horizontal_partition(&projected, 0.75, Some(2), 6);
+    let part = horizontal_partition_ctx(
+        &AnalysisCtx::of(&projected),
+        LimboParams::with_phi(0.75),
+        Some(2),
+        6,
+    );
     let bt = projected.attr_id("BookTitle").unwrap();
     // Pick the conference-dominant partition.
     let (ci, _) = part
@@ -180,7 +194,10 @@ fn duplicate_records_exist_by_construction() {
     // The integration pipeline duplicates a quarter of the publications;
     // exact duplicate tuples must be discoverable at φT = 0.
     let rel = dblp();
-    let report = dbmine::summaries::find_duplicate_tuples(&rel, 0.0);
+    let report = dbmine::summaries::find_duplicate_tuples_ctx(
+        &AnalysisCtx::of(&rel),
+        LimboParams::with_phi(0.0),
+    );
     assert!(
         !report.groups.is_empty(),
         "mapped DBLP relation must contain exact duplicate tuples"

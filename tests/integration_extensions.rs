@@ -4,21 +4,23 @@
 //! generated data sets.
 
 use dbmine::baselines::join_candidates;
+use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{
     db2_sample, inject_near_duplicates, synthetic, Db2Spec, PlantedFd, SyntheticSpec,
 };
-use dbmine::fdmine::{mine_approximate, mine_fastfds, mine_fdep, Fd};
-use dbmine::fdrank::{column_content, redundant_cells};
+use dbmine::fdmine::{mine_approximate_ctx, mine_fastfds, mine_fdep_ctx, Fd};
+use dbmine::fdrank::{column_content, redundant_cells_ctx};
+use dbmine::limbo::LimboParams;
 use dbmine::relation::AttrSet;
 use dbmine::summaries::{
-    cluster_values, eliminate_duplicates, find_duplicate_tuples, group_attributes,
+    cluster_values_ctx, eliminate_duplicates, find_duplicate_tuples_ctx, group_attributes,
     vertical_partition,
 };
 
 #[test]
 fn three_miners_agree_on_db2() {
     let rel = db2_sample(&Db2Spec::default()).relation;
-    let mut fdep = mine_fdep(&rel);
+    let mut fdep = mine_fdep_ctx(&AnalysisCtx::of(&rel));
     let mut fast = mine_fastfds(&rel);
     fdep.sort();
     fast.sort();
@@ -40,9 +42,9 @@ fn approximate_mining_tracks_injected_noise() {
         ..Default::default()
     };
     let rel = synthetic(&spec);
-    let exact = mine_fdep(&rel);
+    let exact = mine_fdep_ctx(&AnalysisCtx::of(&rel));
     assert!(!exact.contains(&Fd::new(AttrSet::single(0), 1)));
-    let approx = mine_approximate(&rel, 0.1, Some(2));
+    let approx = mine_approximate_ctx(&AnalysisCtx::of(&rel), 0.1, Some(2), 1);
     let hit = approx
         .iter()
         .find(|f| f.fd == Fd::new(AttrSet::single(0), 1))
@@ -97,7 +99,10 @@ fn dedupe_restores_cardinality_after_injection() {
     let injected = inject_near_duplicates(&clean, 6, 1, 11);
     // φT = 0.1: wide enough for 1-error copies, tight enough not to
     // merge same-employee join rows (which differ in 6 of 19 attributes).
-    let report = find_duplicate_tuples(&injected.relation, 0.1);
+    let report = find_duplicate_tuples_ctx(
+        &AnalysisCtx::of(&injected.relation),
+        LimboParams::with_phi(0.1),
+    );
     let repaired = eliminate_duplicates(&injected.relation, &report, report.threshold);
     assert!(repaired.relation.n_tuples() < injected.relation.n_tuples());
     // Most of the planted copies are gone. A few genuinely similar
@@ -110,7 +115,7 @@ fn dedupe_restores_cardinality_after_injection() {
 #[test]
 fn vertical_partition_of_db2_reduces_storage() {
     let rel = db2_sample(&Db2Spec::default()).relation;
-    let values = cluster_values(&rel, 0.0, None);
+    let values = cluster_values_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(0.0), None);
     let grouping = group_attributes(&values, rel.n_attrs());
     let vp = vertical_partition(&rel, &grouping, 3);
     assert!(vp.fragments.len() >= 3);
@@ -135,7 +140,7 @@ fn information_content_flags_derivable_columns() {
     // pinned.
     let c = column_content(&rel, &fds, dep_name);
     assert!(c < 0.25, "DepName content {c}");
-    // And redundant_cells agrees with the count implied by 7 groups.
-    let cells = redundant_cells(&rel, AttrSet::single(dep_no), dep_name);
+    // And redundant_cells_ctx agrees with the count implied by 7 groups.
+    let cells = redundant_cells_ctx(&AnalysisCtx::of(&rel), AttrSet::single(dep_no), dep_name);
     assert_eq!(cells.len(), 90 - 7);
 }

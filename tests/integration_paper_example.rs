@@ -1,11 +1,13 @@
 //! End-to-end reproduction of the paper's running example (Figures 4–10
 //! and Section 7) through the public `dbmine` API.
 
-use dbmine::fdmine::{mine_fdep, Fd};
+use dbmine::context::AnalysisCtx;
+use dbmine::fdmine::{mine_fdep_ctx, Fd};
 use dbmine::fdrank::{decompose, rank_fds};
+use dbmine::limbo::LimboParams;
 use dbmine::relation::paper::{figure4, figure5};
 use dbmine::relation::{AttrSet, ValueIndex};
-use dbmine::summaries::{cluster_values, group_attributes};
+use dbmine::summaries::{cluster_values_ctx, group_attributes};
 use dbmine::{MinerConfig, StructureMiner};
 
 #[test]
@@ -24,7 +26,7 @@ fn figure6_matrices() {
 #[test]
 fn figure7_clusters_and_figure9_f_matrix() {
     let rel = figure4();
-    let values = cluster_values(&rel, 0.0, None);
+    let values = cluster_values_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(0.0), None);
     assert_eq!(values.duplicates().count(), 2);
     assert_eq!(values.non_duplicates().count(), 5);
     let f = values.f_rows(3);
@@ -37,7 +39,7 @@ fn figure7_clusters_and_figure9_f_matrix() {
 #[test]
 fn figure10_dendrogram_and_section7_ranking() {
     let rel = figure4();
-    let values = cluster_values(&rel, 0.0, None);
+    let values = cluster_values_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(0.0), None);
     let grouping = group_attributes(&values, 3);
     // B,C merge first (δI ≈ 0.158); A joins last (δI ≈ 0.5155 ≈ "0.52").
     let seq = grouping.merge_sequence();
@@ -64,12 +66,13 @@ fn figure10_dendrogram_and_section7_ranking() {
 #[test]
 fn figure5_error_breaks_fd_and_needs_phi() {
     let rel5 = figure5();
+    let ctx = AnalysisCtx::of(&rel5);
     // C → B no longer holds.
-    let fds = mine_fdep(&rel5);
+    let fds = mine_fdep_ctx(&ctx);
     assert!(!fds.contains(&Fd::new(AttrSet::single(2), 1)));
     // φV = 0 misses the {2,x} pair; φV = 0.5 recovers it.
-    let strict = cluster_values(&rel5, 0.0, None);
-    let lax = cluster_values(&rel5, 0.5, None);
+    let strict = cluster_values_ctx(&ctx, LimboParams::with_phi(0.0), None);
+    let lax = cluster_values_ctx(&ctx, LimboParams::with_phi(0.5), None);
     let two = rel5.dict().lookup("2").unwrap();
     let x = rel5.dict().lookup("x").unwrap();
     assert!(!strict.same_group(two, x));
@@ -78,7 +81,8 @@ fn figure5_error_breaks_fd_and_needs_phi() {
 
 #[test]
 fn full_pipeline_on_figure4() {
-    let report = StructureMiner::new(MinerConfig::default()).analyze(&figure4());
+    let report =
+        StructureMiner::new(MinerConfig::default()).analyze_ctx(&AnalysisCtx::of(&figure4()));
     assert_eq!(report.value_groups.duplicates().count(), 2);
     assert!(!report.ranked.is_empty());
     // The top dependency must be promoted and include attribute C.

@@ -1,6 +1,7 @@
 //! Cross-crate pipeline tests: CSV round-trips into the miner, miner
 //! equivalence, determinism, and the decomposition loop.
 
+use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{db2_sample, Db2Spec};
 use dbmine::fdrank::decompose;
 use dbmine::relation::csv::{read_relation, write_relation};
@@ -15,8 +16,8 @@ fn csv_roundtrip_through_full_pipeline() {
     assert_eq!(back.n_tuples(), rel.n_tuples());
     assert_eq!(back.n_attrs(), rel.n_attrs());
 
-    let a = StructureMiner::new(MinerConfig::default()).analyze(&rel);
-    let b = StructureMiner::new(MinerConfig::default()).analyze(&back);
+    let a = StructureMiner::new(MinerConfig::default()).analyze_ctx(&AnalysisCtx::of(&rel));
+    let b = StructureMiner::new(MinerConfig::default()).analyze_ctx(&AnalysisCtx::of(&back));
     // The pipeline result is invariant under serialization.
     assert_eq!(a.cover.len(), b.cover.len());
     assert_eq!(a.ranked.len(), b.ranked.len());
@@ -33,12 +34,12 @@ fn fdep_and_tane_agree_on_db2() {
         fd_miner: FdMiner::Fdep,
         ..Default::default()
     })
-    .analyze(&rel);
+    .analyze_ctx(&AnalysisCtx::of(&rel));
     let t = StructureMiner::new(MinerConfig {
         fd_miner: FdMiner::Tane,
         ..Default::default()
     })
-    .analyze(&rel);
+    .analyze_ctx(&AnalysisCtx::of(&rel));
     let mut a = f.fds.clone();
     let mut b = t.fds.clone();
     a.sort();
@@ -49,8 +50,8 @@ fn fdep_and_tane_agree_on_db2() {
 #[test]
 fn analysis_is_deterministic() {
     let rel = db2_sample(&Db2Spec::default()).relation;
-    let a = StructureMiner::default().analyze(&rel);
-    let b = StructureMiner::default().analyze(&rel);
+    let a = StructureMiner::default().analyze_ctx(&AnalysisCtx::of(&rel));
+    let b = StructureMiner::default().analyze_ctx(&AnalysisCtx::of(&rel));
     let names = rel.attr_names().to_vec();
     let da: Vec<String> = a.ranked.iter().map(|r| r.display(&names)).collect();
     let db: Vec<String> = b.ranked.iter().map(|r| r.display(&names)).collect();
@@ -66,7 +67,7 @@ fn iterative_decomposition_reduces_storage() {
     let mut extracted_cells = 0usize;
     let start_cells = current.n_tuples() * current.n_attrs();
     for _ in 0..4 {
-        let report = StructureMiner::default().analyze(&current);
+        let report = StructureMiner::default().analyze_ctx(&AnalysisCtx::of(&current));
         let Some(top) = report.ranked.iter().find(|r| r.fd.promoted) else {
             break;
         };
@@ -84,7 +85,7 @@ fn iterative_decomposition_reduces_storage() {
 #[test]
 fn report_exposes_all_layers() {
     let rel = db2_sample(&Db2Spec::default()).relation;
-    let report = StructureMiner::default().analyze(&rel);
+    let report = StructureMiner::default().analyze_ctx(&AnalysisCtx::of(&rel));
     assert_eq!(report.columns.len(), 19);
     assert!(report.value_groups.duplicates().count() > 10);
     assert!(report.attribute_grouping.attrs.len() >= 12);

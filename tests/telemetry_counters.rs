@@ -8,7 +8,7 @@
 //! assert exactly that, so the suite is meaningful in both CI legs.
 
 use dbmine::context::AnalysisCtx;
-use dbmine::fdmine::{mine_tane, TaneOptions};
+use dbmine::fdmine::{mine_tane_ctx, TaneOptions};
 use dbmine::ib::{aib, Dcf};
 use dbmine::infotheory::SparseDist;
 use dbmine::limbo::LimboParams;
@@ -84,7 +84,7 @@ fn tane_lattice_sizes_on_a_three_attribute_relation() {
         b.push_row_strs(&row);
     }
     let rel = b.build();
-    let (fds, d) = with_deltas(|| mine_tane(&rel, TaneOptions::default()));
+    let (fds, d) = with_deltas(|| mine_tane_ctx(&AnalysisCtx::of(&rel), TaneOptions::default()));
     assert!(fds.is_empty(), "no FD holds in this relation: {fds:?}");
     assert_eq!(d.get(Counter::TaneLatticeNodes), expect(7));
     assert_eq!(d.get(Counter::PartitionProducts), expect(4));
@@ -98,7 +98,9 @@ fn fdrank_counts_figure4_redundant_cells() {
     // Figure 4: under C → B, the three tuples sharing C = x all carry
     // B = 2; the first is the witness, the other two are redundant.
     let rel = figure4();
-    let (cells, d) = with_deltas(|| dbmine::fdrank::redundant_cells(&rel, AttrSet::single(2), 1));
+    let (cells, d) = with_deltas(|| {
+        dbmine::fdrank::redundant_cells_ctx(&AnalysisCtx::of(&rel), AttrSet::single(2), 1)
+    });
     assert_eq!(cells.len(), 2);
     assert_eq!(d.get(Counter::FdrankRedundantCells), expect(2));
 }
@@ -187,7 +189,7 @@ fn sharded_phase1_counts_ingests_and_merges_exactly() {
 
     // An explicit 3-chunk plan (5 objects, chunks of 2) ingests three
     // shards, and the merge stage re-inserts all three shard trees.
-    let objects = dbmine::limbo::tuple_dcfs(&rel);
+    let objects = dbmine::limbo::tuple_dcfs_ctx(&ctx, 1);
     let mi = ctx.tuple_mutual_information();
     let plan = dbmine::limbo::ShardPlan::with_chunk_size(objects.len(), 2);
     let (_, d) = with_deltas(|| {
@@ -203,9 +205,9 @@ fn collecting_spans_does_not_change_mining_output() {
     let _guard = GUARD.lock().unwrap_or_else(|e| e.into_inner());
     let rel = figure4();
     let miner = StructureMiner::new(MinerConfig::default());
-    let quiet = miner.analyze(&rel).render(&rel);
+    let quiet = miner.analyze_ctx(&AnalysisCtx::of(&rel)).render(&rel);
     telemetry::begin();
-    let collected = miner.analyze(&rel).render(&rel);
+    let collected = miner.analyze_ctx(&AnalysisCtx::of(&rel)).render(&rel);
     let report = telemetry::finish();
     assert_eq!(quiet, collected, "span collection must not alter results");
     if telemetry::compiled() {
