@@ -131,34 +131,97 @@ pub struct RfiScore {
     pub score: f64,
 }
 
-/// Natural-log factorial table `lnfact[k] = ln k!` for `k ≤ n`, the
-/// shared ingredient of every hypergeometric probability.
-fn lnfact_table(n: usize) -> Vec<f64> {
-    let mut t = vec![0.0f64; n + 1];
-    for k in 1..=n {
-        t[k] = t[k - 1] + (k as f64).ln();
+/// Up to this `k`, [`LnFact`] reads `ln k!` from an exact running-sum
+/// table; above it, from Stirling's series. A constant, so the table —
+/// at most 512 KiB — no longer grows with the relation.
+pub const LNFACT_TABLE_LIMIT: usize = 65_536;
+
+/// `ln k!`, the shared ingredient of every hypergeometric probability:
+/// an exact table `ln k! = Σ_{j ≤ k} ln j` for `k ≤ min(n,`
+/// [`LNFACT_TABLE_LIMIT`]`)` and Stirling's series above it.
+#[derive(Clone, Debug)]
+pub struct LnFact {
+    table: Vec<f64>,
+}
+
+impl LnFact {
+    /// `ln k!` for `k ≤ n` (larger `k` work too, by the series).
+    pub fn new(n: usize) -> LnFact {
+        let mut table = vec![0.0f64; n.min(LNFACT_TABLE_LIMIT) + 1];
+        for k in 1..table.len() {
+            table[k] = table[k - 1] + (k as f64).ln();
+        }
+        LnFact { table }
     }
-    t
+
+    /// `ln k!`.
+    pub fn get(&self, k: usize) -> f64 {
+        match self.table.get(k) {
+            Some(&v) => v,
+            None => ln_factorial_stirling(k),
+        }
+    }
+}
+
+/// Stirling's series for `ln k!` through the `1/(1260k⁵)` term:
+/// `k·ln k − k + ½·ln(2πk) + 1/(12k) − 1/(360k³) + 1/(1260k⁵)`. The
+/// first omitted term, `1/(1680k⁷)`, is below 10⁻³⁶ for
+/// `k >` [`LNFACT_TABLE_LIMIT`].
+fn ln_factorial_stirling(k: usize) -> f64 {
+    let x = k as f64;
+    let inv = 1.0 / x;
+    let inv2 = inv * inv;
+    let series = inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 / 1260.0));
+    x * x.ln() - x + 0.5 * (std::f64::consts::TAU * x).ln() + series
 }
 
 /// The expected empirical mutual information (in bits) between two
 /// partitions with class-size multisets `x` and `y` under the
 /// permutation null model. Exact for `n ≤ EXACT_N_LIMIT`; windowed (see
-/// module docs) above. `lnfact` must cover `0..=n`.
-pub fn m0(x: &SizeMultiset, y: &SizeMultiset, lnfact: &[f64]) -> f64 {
+/// module docs) above.
+pub fn m0(x: &SizeMultiset, y: &SizeMultiset, lnfact: &LnFact) -> f64 {
+    // When the exact table covers every index (all are ≤ n), read it as
+    // a plain slice: a per-lookup series fallback measurably slows the
+    // hot loop.
+    match lnfact.table.get(..=x.n) {
+        Some(table) => m0_with(x, y, table),
+        None => m0_with(x, y, lnfact),
+    }
+}
+
+/// A source of `ln k!` values.
+trait LnFactorials: Copy {
+    fn at(self, k: usize) -> f64;
+}
+
+impl LnFactorials for &[f64] {
+    #[inline(always)]
+    fn at(self, k: usize) -> f64 {
+        self[k]
+    }
+}
+
+impl LnFactorials for &LnFact {
+    #[inline(always)]
+    fn at(self, k: usize) -> f64 {
+        self.get(k)
+    }
+}
+
+/// [`m0`] over any `ln k!` source.
+fn m0_with(x: &SizeMultiset, y: &SizeMultiset, lnfact: impl LnFactorials) -> f64 {
     let n = x.n;
     debug_assert_eq!(n, y.n);
-    debug_assert!(lnfact.len() > n);
     if n == 0 {
         return 0.0;
     }
     let nf = n as f64;
-    let ln_n = lnfact[n];
+    let ln_n = lnfact.at(n);
     let mut total = 0.0f64;
     for &(a, ca) in &x.pairs {
         let a = a as usize;
         // ln C(n, a)⁻¹ factor shared by every k of this row size.
-        let ln_choose_n_a = ln_n - lnfact[a] - lnfact[n - a];
+        let ln_choose_n_a = ln_n - lnfact.at(a) - lnfact.at(n - a);
         for &(b, cb) in &y.pairs {
             let b = b as usize;
             // k = 0 contributes nothing; start at the support minimum.
@@ -181,9 +244,9 @@ pub fn m0(x: &SizeMultiset, y: &SizeMultiset, lnfact: &[f64]) -> f64 {
             let mut inner = 0.0f64;
             for k in lo..=hi {
                 // P_hyp(k | a, b, n) = C(b,k)·C(n−b,a−k)/C(n,a).
-                let ln_p = lnfact[b] - lnfact[k] - lnfact[b - k] + lnfact[n - b]
-                    - lnfact[a - k]
-                    - lnfact[n - b - (a - k)]
+                let ln_p = lnfact.at(b) - lnfact.at(k) - lnfact.at(b - k) + lnfact.at(n - b)
+                    - lnfact.at(a - k)
+                    - lnfact.at(n - b - (a - k))
                     - ln_choose_n_a;
                 let w = (k as f64 / nf) * (k as f64 * nf / (a as f64 * b as f64)).log2();
                 inner += w * ln_p.exp();
@@ -194,14 +257,14 @@ pub fn m0(x: &SizeMultiset, y: &SizeMultiset, lnfact: &[f64]) -> f64 {
     total
 }
 
-/// A reusable F̂/F̄ evaluator over one relation: the log-factorial table
+/// A reusable F̂/F̄ evaluator over one relation: the log-factorials
 /// plus per-attribute size multisets and entropies, built once from the
 /// context's cached single-attribute partitions. `Sync` — workers share
 /// one scorer immutably.
 #[derive(Clone, Debug)]
 pub struct RfiScorer {
     n: usize,
-    lnfact: Vec<f64>,
+    lnfact: LnFact,
     /// Per-attribute consequent size multisets.
     y_sizes: Vec<SizeMultiset>,
     /// Per-attribute consequent entropies `H(A)` in bits.
@@ -220,7 +283,7 @@ impl RfiScorer {
         let h_y = y_sizes.iter().map(SizeMultiset::entropy_bits).collect();
         RfiScorer {
             n: ctx.n_tuples(),
-            lnfact: lnfact_table(ctx.n_tuples()),
+            lnfact: LnFact::new(ctx.n_tuples()),
             y_sizes,
             h_y,
         }
@@ -388,7 +451,7 @@ mod tests {
         // k=1 overlap is certain with P = b/n and contributes
         // (1/n)·log2(n/b) per (singleton, class) pair, which telescopes
         // to the entropy.
-        let lnfact = lnfact_table(6);
+        let lnfact = LnFact::new(6);
         let key = multiset(&[(1, 6)], 6);
         for y in [
             multiset(&[(3, 2)], 6),
@@ -408,7 +471,7 @@ mod tests {
     fn m0_of_single_class_lhs_is_zero() {
         // X with one class (the empty-set partition): k = b always,
         // weight log2(b·n/(n·b)) = 0.
-        let lnfact = lnfact_table(6);
+        let lnfact = LnFact::new(6);
         let x = multiset(&[(6, 1)], 6);
         let y = multiset(&[(2, 3)], 6);
         assert!(m0(&x, &y, &lnfact).abs() < 1e-12);
@@ -418,7 +481,7 @@ mod tests {
     fn m0_hand_computed_three_three() {
         // a = b = 3, n = 6: P(k) = C(3,k)C(3,3−k)/20 for k = 0..3 =
         // 1/20, 9/20, 9/20, 1/20. Four (class, class) pairs.
-        let lnfact = lnfact_table(6);
+        let lnfact = LnFact::new(6);
         let x = multiset(&[(3, 2)], 6);
         let y = multiset(&[(3, 2)], 6);
         let w = |k: f64| (k / 6.0) * (6.0 * k / 9.0).log2();
@@ -433,7 +496,7 @@ mod tests {
         // branch by lying about EXACT_N_LIMIT via a larger-n copy of a
         // structure whose exact evaluation is still feasible.
         let n = EXACT_N_LIMIT + 96; // odd sizes exercise the window edges
-        let lnfact = lnfact_table(n);
+        let lnfact = LnFact::new(n);
         let half = (n / 2) as u64;
         let x = multiset(&[(half, 1), (1, n as u64 - half)], n);
         let y = multiset(&[(half - 3, 1), (1, n as u64 - (half - 3))], n);
@@ -443,14 +506,15 @@ mod tests {
         let nf = n as f64;
         for &(a, ca) in &x.pairs {
             let (a, ca) = (a as usize, ca as f64);
-            let ln_choose = lnfact[n] - lnfact[a] - lnfact[n - a];
+            let ln_choose = lnfact.get(n) - lnfact.get(a) - lnfact.get(n - a);
             for &(b, cb) in &y.pairs {
                 let (b, cb) = (b as usize, cb as f64);
                 let mut inner = 0.0;
                 for k in 1.max((a + b).saturating_sub(n))..=a.min(b) {
-                    let ln_p = lnfact[b] - lnfact[k] - lnfact[b - k] + lnfact[n - b]
-                        - lnfact[a - k]
-                        - lnfact[n - b - (a - k)]
+                    let ln_p = lnfact.get(b) - lnfact.get(k) - lnfact.get(b - k)
+                        + lnfact.get(n - b)
+                        - lnfact.get(a - k)
+                        - lnfact.get(n - b - (a - k))
                         - ln_choose;
                     inner += (k as f64 / nf)
                         * (k as f64 * nf / (a as f64 * b as f64)).log2()
@@ -463,6 +527,63 @@ mod tests {
             (windowed - exact).abs() < 1e-12,
             "windowed {windowed} vs exact {exact}"
         );
+    }
+
+    /// The running sum `ln k!` for `k ≤ n` — the table [`LnFact`] keeps
+    /// up to its limit, extended past it as the series' reference.
+    fn summed_lnfact(n: usize) -> Vec<f64> {
+        let mut t = vec![0.0f64; n + 1];
+        for k in 1..=n {
+            t[k] = t[k - 1] + (k as f64).ln();
+        }
+        t
+    }
+
+    #[test]
+    fn stirling_series_matches_summed_table() {
+        let summed = summed_lnfact(10 * LNFACT_TABLE_LIMIT + 8);
+        let lnfact = LnFact::new(summed.len() - 1);
+        let limit = LNFACT_TABLE_LIMIT;
+        for k in [
+            limit,
+            limit + 1,
+            2 * limit - 3,
+            2 * limit,
+            2 * limit + 5,
+            10 * limit,
+            10 * limit + 7,
+        ] {
+            let series = ln_factorial_stirling(k);
+            let rel = (series - summed[k]).abs() / summed[k];
+            assert!(
+                rel < 1e-12,
+                "k = {k}: series {series} vs summed {} (rel {rel:e})",
+                summed[k]
+            );
+            if k > limit {
+                assert_eq!(lnfact.get(k).to_bits(), series.to_bits(), "k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn lnfact_is_the_summed_table_up_to_the_limit_and_bounded_above() {
+        // Bit-identical to the old `n + 1` table wherever it still
+        // applies (every relation up to 65 536 tuples)...
+        for n in [0, 6, 20_000, LNFACT_TABLE_LIMIT] {
+            let lnfact = LnFact::new(n);
+            let summed = summed_lnfact(n);
+            assert_eq!(lnfact.table.len(), n + 1);
+            for (k, v) in summed.iter().enumerate() {
+                assert_eq!(lnfact.get(k).to_bits(), v.to_bits(), "n = {n}, k = {k}");
+            }
+        }
+        // ...and no longer grows with n: 10⁸ tuples keep the same
+        // 65 537-entry table instead of an 800 MB one.
+        for n in [LNFACT_TABLE_LIMIT + 1, 1_000_000, 100_000_000] {
+            assert_eq!(LnFact::new(n).table.len(), LNFACT_TABLE_LIMIT + 1);
+        }
+        assert!(LnFact::new(100_000_000).get(100_000_000).is_finite());
     }
 
     #[test]

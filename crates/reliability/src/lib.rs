@@ -19,5 +19,7 @@
 pub mod estimator;
 pub mod mine;
 
-pub use estimator::{m0, RfiScore, RfiScorer, SizeMultiset, EXACT_N_LIMIT, WINDOW_SIGMAS};
+pub use estimator::{
+    m0, LnFact, RfiScore, RfiScorer, SizeMultiset, EXACT_N_LIMIT, LNFACT_TABLE_LIMIT, WINDOW_SIGMAS,
+};
 pub use mine::{mine_reliable_ctx, ReliableFd, ReliableOptions, DEFAULT_THETA};

@@ -5,7 +5,7 @@
 use dbmine_context::AnalysisCtx;
 use dbmine_relation::partition::StrippedPartition;
 use dbmine_relation::{AttrSet, Relation, RelationBuilder};
-use dbmine_reliability::{m0, mine_reliable_ctx, ReliableOptions, RfiScorer, SizeMultiset};
+use dbmine_reliability::{m0, mine_reliable_ctx, LnFact, ReliableOptions, RfiScorer, SizeMultiset};
 use proptest::prelude::*;
 
 /// A tiny categorical relation: ≤ 3 attributes, ≤ 6 tuples, domain 3 —
@@ -95,11 +95,7 @@ proptest! {
     #[test]
     fn m0_matches_brute_force_permutation_expectation(rel in tiny_relation()) {
         let n = rel.n_tuples();
-        let lnfact: Vec<f64> = {
-            let mut t = vec![0.0f64; n + 1];
-            for k in 1..=n { t[k] = t[k - 1] + (k as f64).ln(); }
-            t
-        };
+        let lnfact = LnFact::new(n);
         let parts: Vec<StrippedPartition> =
             (0..rel.n_attrs()).map(|a| StrippedPartition::of_attr(&rel, a)).collect();
         let mut lhs_parts: Vec<StrippedPartition> = parts.clone();
