@@ -11,7 +11,7 @@
 //! pairs co-occurring in at least one single-attribute partition class,
 //! plus one emptiness check.
 
-use crate::partitions::StrippedPartition;
+use dbmine_relation::partition::StrippedPartition;
 use dbmine_relation::{AttrSet, Relation};
 use fxhash::FxHashSet;
 use std::collections::HashSet;

@@ -1,8 +1,8 @@
 //! Direct validity and approximation-error checks for single
 //! dependencies.
 
-use crate::partitions::{PartitionScratch, StrippedPartition};
 use dbmine_context::AnalysisCtx;
+use dbmine_relation::partition::{PartitionScratch, StrippedPartition};
 use dbmine_relation::{AttrId, AttrSet, Relation};
 
 /// Builds the stripped partition of an arbitrary attribute set.

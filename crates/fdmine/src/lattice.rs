@@ -1,0 +1,202 @@
+//! The levelwise lattice walk shared by every partition-based FD miner.
+//!
+//! TANE ([`crate::tane`]), the `g3` approximate miner
+//! ([`crate::approximate`]) and the reliable (F̂) miner of
+//! `dbmine-reliability` all visit the attribute-set lattice one level at
+//! a time, carrying one stripped partition per set. This module owns
+//! the parts of that walk they share:
+//!
+//! * [`next_level`] — GENERATE_NEXT_LEVEL, the prefix join of one
+//!   level's surviving sets into the next level's candidates and their
+//!   partition products. It is generic over the per-set payload, so
+//!   TANE carries its partitions bundled with their cached errors and
+//!   keeps its own rhs⁺ and key-pruning steps around the join.
+//! * [`walk_minimal`] — the whole walk for miners that emit every
+//!   *minimal* `X → A` passing a score test: minimality is checked
+//!   against the LHSs emitted before the level started, candidates are
+//!   scored in parallel, and emissions merge serially in set order. A
+//!   [`MinimalTest`] supplies the score, the emission rule and
+//!   (optionally) a survivor filter such as branch-and-bound.
+//!
+//! Both steps fan out over `dbmine_parallel` with deterministic chunking
+//! and one [`PartitionScratch`] per worker; candidates are enumerated
+//! serially in survivor order, so every walk is bit-identical at every
+//! thread count. Lattice maps are keyed by `u64` attribute-set bitmasks
+//! under [`fxhash`].
+
+use crate::fd::Fd;
+use dbmine_parallel::par_map_init;
+use dbmine_relation::partition::{PartitionScratch, StrippedPartition};
+use dbmine_relation::AttrSet;
+use dbmine_telemetry::Span;
+use fxhash::{FxHashMap, FxHashSet};
+
+/// The prefix join of one level: every pair of `survivors` that share
+/// all but their largest attribute is joined into a candidate, kept only
+/// if all of its one-smaller subsets survived. Returns the candidates in
+/// enumeration order with their payloads, each built by `product` from
+/// its two join parents' payloads in `parts` (in parallel, one scratch
+/// per worker).
+pub fn next_level<P: Send + Sync>(
+    threads: usize,
+    survivors: &[AttrSet],
+    parts: &FxHashMap<u64, P>,
+    product: impl Fn(&P, &P, &mut PartitionScratch) -> P + Sync,
+) -> (Vec<AttrSet>, FxHashMap<u64, P>) {
+    let survivor_bits: FxHashSet<u64> = survivors.iter().map(|s| s.bits()).collect();
+    // Prefix blocks, in first-seen order.
+    let mut block_index: FxHashMap<u64, usize> = FxHashMap::default();
+    let mut blocks: Vec<Vec<AttrSet>> = Vec::new();
+    for &s in survivors {
+        let max_attr = s.iter().last().expect("non-empty set");
+        let idx = *block_index
+            .entry(s.without(max_attr).bits())
+            .or_insert_with(|| {
+                blocks.push(Vec::new());
+                blocks.len() - 1
+            });
+        blocks[idx].push(s);
+    }
+    let mut seen: FxHashSet<u64> = FxHashSet::default();
+    let mut candidates: Vec<(AttrSet, u64, u64)> = Vec::new();
+    for group in &blocks {
+        for (i, &left) in group.iter().enumerate() {
+            for &right in &group[i + 1..] {
+                let x = left.union(right);
+                if x.iter()
+                    .all(|a| survivor_bits.contains(&x.without(a).bits()))
+                    && seen.insert(x.bits())
+                {
+                    candidates.push((x, left.bits(), right.bits()));
+                }
+            }
+        }
+    }
+    let products = par_map_init(
+        threads,
+        &candidates,
+        PartitionScratch::new,
+        |scratch, _, &(_, left, right)| product(&parts[&left], &parts[&right], scratch),
+    );
+    let sets: Vec<AttrSet> = candidates.iter().map(|c| c.0).collect();
+    let next_parts = sets.iter().map(|x| x.bits()).zip(products).collect();
+    (sets, next_parts)
+}
+
+/// A miner's plug-ins for [`walk_minimal`].
+pub trait MinimalTest: Sync {
+    /// What scoring one candidate `X∖{A} → A` yields.
+    type Score: Copy + Send + Sync;
+
+    /// Scores `lhs → a` from `π_lhs` and `π_{lhs ∪ {a}}`.
+    fn score(
+        &self,
+        p_lhs: &StrippedPartition,
+        p_x: &StrippedPartition,
+        a: usize,
+        scratch: &mut PartitionScratch,
+    ) -> Self::Score;
+
+    /// Whether a scored candidate is emitted.
+    fn emits(&self, score: &Self::Score) -> bool;
+
+    /// The sets of a scored level that seed the next level's join.
+    /// `tested[i]` holds `(a, score)` for every consequent of `sets[i]`
+    /// that was scored (those covered at level start are absent), and
+    /// `found_lhs[a]` every LHS emitted for `a` so far, this level's
+    /// included. Default: every set survives.
+    fn survivors(
+        &self,
+        sets: &[AttrSet],
+        _parts: &FxHashMap<u64, StrippedPartition>,
+        _tested: &[Vec<(usize, Self::Score)>],
+        _found_lhs: &[Vec<AttrSet>],
+    ) -> Vec<AttrSet> {
+        sets.to_vec()
+    }
+
+    /// Called as a level of `n_sets` sets starts scoring; the returned
+    /// span covers the scoring pass. Default: unobserved.
+    fn scoring(&self, _n_sets: usize) -> Option<Span> {
+        None
+    }
+
+    /// The span covering a level's join and level shift. Default:
+    /// unobserved.
+    fn generating(&self) -> Option<Span> {
+        None
+    }
+}
+
+/// Walks the lattice from the single-attribute partitions `attr_parts`
+/// of an `n`-tuple relation, emitting every minimal `X → A` the `test`
+/// accepts with LHS size at most `max_lhs` (`None` = unbounded).
+/// Returns the emissions with their scores, sorted by dependency.
+///
+/// Minimality is checked against the LHSs emitted before the level
+/// started: a same-level emission has the same LHS size as every
+/// candidate under test, so it can never cover a sibling. Each
+/// `(lhs, rhs)` pair is tested from exactly one candidate, and no
+/// emitted LHS contains its RHS, so the output needs no final sweep.
+pub fn walk_minimal<T: MinimalTest>(
+    n: usize,
+    attr_parts: Vec<&StrippedPartition>,
+    max_lhs: Option<usize>,
+    threads: usize,
+    test: &T,
+) -> Vec<(Fd, T::Score)> {
+    let mut found: Vec<(Fd, T::Score)> = Vec::new();
+    // Minimality: per RHS, the LHSs already emitted.
+    let mut found_lhs: Vec<Vec<AttrSet>> = vec![Vec::new(); attr_parts.len()];
+    let mut prev_parts: FxHashMap<u64, StrippedPartition> =
+        std::iter::once((AttrSet::EMPTY.bits(), StrippedPartition::of_empty(n))).collect();
+    let mut sets: Vec<AttrSet> = (0..attr_parts.len()).map(AttrSet::single).collect();
+    let mut parts: FxHashMap<u64, StrippedPartition> = attr_parts
+        .into_iter()
+        .enumerate()
+        .map(|(a, p)| (AttrSet::single(a).bits(), p.clone()))
+        .collect();
+    let mut level = 1usize;
+
+    while !sets.is_empty() {
+        let scoring = test.scoring(sets.len());
+        let tested: Vec<Vec<(usize, T::Score)>> =
+            par_map_init(threads, &sets, PartitionScratch::new, |scratch, _, &x| {
+                let px = &parts[&x.bits()];
+                x.iter()
+                    .filter_map(|a| {
+                        let lhs = x.without(a);
+                        if found_lhs[a].iter().any(|&f| f.is_subset_of(lhs)) {
+                            return None; // a smaller LHS already works
+                        }
+                        let p_lhs = prev_parts.get(&lhs.bits())?;
+                        Some((a, test.score(p_lhs, px, a, scratch)))
+                    })
+                    .collect()
+            });
+        drop(scoring);
+        for (&x, cases) in sets.iter().zip(&tested) {
+            for &(a, score) in cases {
+                if test.emits(&score) {
+                    let fd = Fd::new(x.without(a), a);
+                    found.push((fd, score));
+                    found_lhs[a].push(fd.lhs);
+                }
+            }
+        }
+        if max_lhs.is_some_and(|max| level > max) {
+            break;
+        }
+
+        let survivors = test.survivors(&sets, &parts, &tested, &found_lhs);
+        let _generating = test.generating();
+        let (next_sets, next_parts) =
+            next_level(threads, &survivors, &parts, |l, r, s| l.product_with(r, s));
+        prev_parts = std::mem::replace(&mut parts, next_parts);
+        sets = next_sets;
+        level += 1;
+    }
+
+    found.sort_by_key(|f| f.0);
+    found
+}

@@ -18,6 +18,9 @@
 //!   single dependencies.
 //! * [`approximate`] — approximate FDs under TANE's `g3` error (the
 //!   Figure-5 situation: one bad value turns `C → B` approximate).
+//! * [`lattice`] — the one levelwise lattice walk behind [`tane`],
+//!   [`approximate`] and the reliable miner of `dbmine-reliability`: the
+//!   prefix-join generation and the minimal-LHS scoring walk.
 //! * [`fastfds`] — the FastFDs depth-first miner of Wyss et al. (the
 //!   paper's `[28]`), a third independent implementation used for
 //!   cross-validation.
@@ -34,20 +37,16 @@ pub mod cover;
 pub mod fastfds;
 pub mod fd;
 pub mod fdep;
+pub mod lattice;
 pub mod mvd;
 pub mod tane;
 
-/// Stripped partitions now live in `dbmine-relation` (so the shared
-/// `dbmine-context` view cache can memoize them); re-exported under the
-/// historical path for existing callers.
-pub use dbmine_relation::partition as partitions;
-
-pub use approximate::{exact_subset, mine_approximate_ctx, ApproxFd};
+pub use approximate::{mine_approximate_ctx, ApproxFd};
 pub use check::{fd_error_g3, fd_holds, partition_of, partition_of_ctx};
 pub use cover::{closure, minimum_cover};
+pub use dbmine_relation::partition::{PartitionScratch, StrippedPartition};
 pub use fastfds::mine_fastfds;
 pub use fd::Fd;
 pub use fdep::mine_fdep_ctx;
 pub use mvd::{mine_mvds, mvd_holds, Mvd};
-pub use partitions::{PartitionScratch, StrippedPartition};
 pub use tane::{mine_tane_ctx, TaneOptions};

@@ -19,14 +19,16 @@
 //!   (subset, rhs) pair;
 //! * COMPUTE_DEPENDENCIES and GENERATE_NEXT_LEVEL fan out across
 //!   `dbmine_parallel` with deterministic chunking — results are
-//!   identical for every [`TaneOptions::threads`] value;
+//!   identical for every [`TaneOptions::threads`] value; the join is
+//!   the shared [`lattice::next_level`], the other steps are TANE's own;
 //! * lattice maps are keyed by `u64` attribute-set bitmasks under
 //!   [`fxhash`] (SipHash setup dominates such maps otherwise).
 
 use crate::fd::{normalize_fds, Fd};
-use crate::partitions::{PartitionScratch, StrippedPartition};
+use crate::lattice;
 use dbmine_context::AnalysisCtx;
-use dbmine_parallel::{par_map, par_map_init};
+use dbmine_parallel::par_map;
+use dbmine_relation::partition::{PartitionScratch, StrippedPartition};
 use dbmine_relation::AttrSet;
 use fxhash::{FxHashMap, FxHashSet};
 
@@ -216,62 +218,13 @@ pub fn mine_tane_ctx(ctx: &AnalysisCtx, options: TaneOptions) -> Vec<Fd> {
             .collect();
         drop(prune_span);
 
-        // GENERATE_NEXT_LEVEL: prefix join over survivors. Candidates
-        // are enumerated serially in survivor order (deterministic —
-        // the old map-iteration order leaked the hasher), then their
-        // partition products fan out with one scratch per worker.
+        // GENERATE_NEXT_LEVEL: the shared prefix join over survivors,
+        // carrying each product's TANE error along with it.
         let generate_span = dbmine_telemetry::span("tane.generate_next_level");
-        let survivor_bits: FxHashSet<u64> = survivors.iter().map(|s| s.bits()).collect();
-        let mut block_index: FxHashMap<u64, usize> = FxHashMap::default();
-        let mut blocks: Vec<Vec<AttrSet>> = Vec::new();
-        for &s in &survivors {
-            let max_attr = s.iter().last().expect("non-empty set");
-            let idx = *block_index
-                .entry(s.without(max_attr).bits())
-                .or_insert_with(|| {
-                    blocks.push(Vec::new());
-                    blocks.len() - 1
-                });
-            blocks[idx].push(s);
-        }
-        let mut seen: FxHashSet<u64> = FxHashSet::default();
-        let mut candidates: Vec<(AttrSet, u64, u64)> = Vec::new();
-        for group in &blocks {
-            for i in 0..group.len() {
-                for j in (i + 1)..group.len() {
-                    let x = group[i].union(group[j]);
-                    // All |X|-1-subsets must have survived.
-                    if !x
-                        .iter()
-                        .all(|a| survivor_bits.contains(&x.without(a).bits()))
-                    {
-                        continue;
-                    }
-                    if seen.insert(x.bits()) {
-                        candidates.push((x, group[i].bits(), group[j].bits()));
-                    }
-                }
-            }
-        }
-        let products: Vec<Part> = par_map_init(
-            threads,
-            &candidates,
-            PartitionScratch::new,
-            |scratch, _, &(_, left, right)| {
-                Part::new(
-                    current_parts[&left]
-                        .partition
-                        .product_with(&current_parts[&right].partition, scratch),
-                )
-            },
-        );
-        let mut next_sets: Vec<AttrSet> = Vec::with_capacity(candidates.len());
-        let mut next_parts: FxHashMap<u64, Part> =
-            FxHashMap::with_capacity_and_hasher(candidates.len(), Default::default());
-        for (&(x, _, _), part) in candidates.iter().zip(products) {
-            next_parts.insert(x.bits(), part);
-            next_sets.push(x);
-        }
+        let (next_sets, next_parts) =
+            lattice::next_level(threads, &survivors, &current_parts, |l, r, scratch| {
+                Part::new(l.partition.product_with(&r.partition, scratch))
+            });
 
         // Shift levels: keep partitions only for survivors (join parents),
         // but cplus for everything at this level.

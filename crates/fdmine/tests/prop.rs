@@ -34,6 +34,37 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
     })
 }
 
+/// Brute-force oracle for the minimal-LHS walks: every `X → A` over `m`
+/// attributes with `|X| ≤ max_lhs` whose score qualifies while no
+/// proper subset of `X` does, with its score, in `Fd` order.
+fn minimal_oracle<S: Copy>(
+    m: usize,
+    max_lhs: Option<usize>,
+    score: impl Fn(AttrSet, usize) -> S,
+    qualifies: impl Fn(&S) -> bool,
+) -> Vec<(Fd, S)> {
+    let mut out = Vec::new();
+    for a in 0..m {
+        let scores: Vec<S> = (0u64..1 << m)
+            .map(|bits| score(AttrSet::from_bits(bits), a))
+            .collect();
+        for bits in 0u64..1 << m {
+            let lhs = AttrSet::from_bits(bits);
+            if lhs.contains(a) || max_lhs.is_some_and(|max| lhs.len() > max) {
+                continue;
+            }
+            let proper_subset_qualifies = (0..bits)
+                .filter(|&sub| sub & !bits == 0)
+                .any(|sub| qualifies(&scores[sub as usize]));
+            if qualifies(&scores[bits as usize]) && !proper_subset_qualifies {
+                out.push((Fd::new(lhs, a), scores[bits as usize]));
+            }
+        }
+    }
+    out.sort_by_key(|f| f.0);
+    out
+}
+
 fn arb_fds() -> impl Strategy<Value = Vec<Fd>> {
     proptest::collection::vec((0u64..31, 0usize..5), 0..10).prop_map(|pairs| {
         pairs
@@ -183,6 +214,33 @@ proptest! {
                     a.error == b.error && a.error.to_bits() == b.error.to_bits(),
                     "g3 drifted across thread counts"
                 );
+            }
+        }
+    }
+
+    /// The approximate miner emits exactly the oracle's minimal
+    /// `g3 ≤ ε` dependencies — at every LHS size, not just |LHS| ≤ 2 —
+    /// with bit-identical errors, unbounded and restricted to LHS
+    /// sizes 1 and 2.
+    #[test]
+    fn approximate_matches_minimal_oracle(rel in arb_relation(), eps_pct in 0u32..50) {
+        let eps = eps_pct as f64 / 100.0;
+        let ctx = AnalysisCtx::of(&rel);
+        for max_lhs in [None, Some(1), Some(2)] {
+            let mined: Vec<(Fd, f64)> = mine_approximate_ctx(&ctx, eps, max_lhs, 1)
+                .iter()
+                .map(|f| (f.fd, f.error))
+                .collect();
+            let oracle = minimal_oracle(
+                rel.n_attrs(),
+                max_lhs,
+                |lhs, a| fd_error_g3(&rel, lhs, a),
+                |&e| e <= eps,
+            );
+            prop_assert_eq!(mined.len(), oracle.len(), "ε = {}, max_lhs = {:?}", eps, max_lhs);
+            for ((fd, error), (ofd, oerror)) in mined.iter().zip(&oracle) {
+                prop_assert_eq!(fd, ofd, "ε = {}, max_lhs = {:?}", eps, max_lhs);
+                prop_assert!(error.to_bits() == oerror.to_bits(), "{}: {} vs {}", fd, error, oerror);
             }
         }
     }

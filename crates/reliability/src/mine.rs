@@ -1,14 +1,14 @@
 //! Levelwise mining of reliable approximate dependencies with
 //! branch-and-bound pruning.
 //!
-//! [`mine_reliable_ctx`] walks the same prefix-join lattice as
-//! `fdmine::mine_approximate_ctx` — level-local partition memo, per-worker
-//! [`PartitionScratch`], serial emission merge — but scores each
-//! candidate `X∖{A} → A` with the bias-corrected F̂ of
-//! [`crate::estimator`] and emits every minimal dependency with
-//! `F̂ ≥ θ`.
+//! [`mine_reliable_ctx`] drives fdmine's shared minimal-LHS walk
+//! (`dbmine_fdmine::lattice::walk_minimal`): the walk owns generation,
+//! the minimality check and the serial emission merge, and this module
+//! plugs in a test that scores each candidate `X∖{A} → A` with the
+//! bias-corrected F̂ of [`crate::estimator`] and emits every minimal
+//! dependency with `F̂ ≥ θ`.
 //!
-//! On top of the walk sits the Mandros et al. branch-and-bound rule: a
+//! Its survivor filter is the Mandros et al. branch-and-bound rule: a
 //! candidate set `X` can be dropped from generation when **no**
 //! dependency reachable through its descendants can still clear `θ`,
 //! i.e. when `F̄ < θ` for every consequent — both `A ∈ X` (whose
@@ -22,12 +22,13 @@
 
 use crate::estimator::{RfiScore, RfiScorer, SizeMultiset};
 use dbmine_context::AnalysisCtx;
+use dbmine_fdmine::lattice::{walk_minimal, MinimalTest};
 use dbmine_fdmine::Fd;
-use dbmine_parallel::{par_map, par_map_init};
+use dbmine_parallel::par_map;
 use dbmine_relation::partition::{PartitionScratch, StrippedPartition};
 use dbmine_relation::AttrSet;
-use dbmine_telemetry::{counter_add, span, Counter};
-use fxhash::{FxHashMap, FxHashSet};
+use dbmine_telemetry::{counter_add, span, Counter, Span};
+use fxhash::FxHashMap;
 
 /// The default reliability threshold θ for CLI/daemon runs.
 pub const DEFAULT_THETA: f64 = 0.2;
@@ -76,15 +77,107 @@ pub struct ReliableFd {
     pub g3: f64,
 }
 
-/// Per-candidate, per-consequent outcome of the scoring pass, kept so
-/// the prune pass can reuse the biases it already paid for.
-enum RhsCase {
-    /// A smaller emitted LHS already covers this consequent — the FD was
-    /// not scored, and every descendant with this consequent is
-    /// non-minimal.
-    Covered,
-    /// Scored (and possibly emitted, if `rfi.score ≥ θ`).
-    Scored { rfi: RfiScore, g3: f64 },
+/// The `F̂ ≥ θ` test of the reliable walk, with branch-and-bound as its
+/// survivor filter. A candidate's score is its F̂ and its `g3` error.
+struct RfiTest {
+    scorer: RfiScorer,
+    theta: f64,
+    prune: bool,
+    threads: usize,
+}
+
+impl MinimalTest for RfiTest {
+    type Score = (RfiScore, f64);
+
+    fn score(
+        &self,
+        p_lhs: &StrippedPartition,
+        p_x: &StrippedPartition,
+        a: usize,
+        scratch: &mut PartitionScratch,
+    ) -> (RfiScore, f64) {
+        let rfi = self.scorer.score(p_lhs, p_x, a);
+        (rfi, p_lhs.g3_error_with(p_x, scratch))
+    }
+
+    fn emits(&self, (rfi, _): &(RfiScore, f64)) -> bool {
+        rfi.score >= self.theta
+    }
+
+    /// X survives into generation unless every consequent's descendants
+    /// are provably hopeless. For A ∈ X the bias from the scoring pass
+    /// is reused (its bound covers every superset of X∖{A}); for A ∉ X a
+    /// fresh bound is computed from π_X's size multiset (its bound
+    /// covers every superset of X). The minimality short-circuit is
+    /// hereditary — an emitted subset LHS covers every descendant's LHS
+    /// — so pruning never removes a dependency the unpruned walk would
+    /// emit.
+    fn survivors(
+        &self,
+        sets: &[AttrSet],
+        parts: &FxHashMap<u64, StrippedPartition>,
+        tested: &[Vec<(usize, (RfiScore, f64))>],
+        found_lhs: &[Vec<AttrSet>],
+    ) -> Vec<AttrSet> {
+        if !self.prune {
+            return sets.to_vec();
+        }
+        let _s = span("reliable.prune");
+        let (scorer, theta) = (&self.scorer, self.theta);
+        let verdicts: Vec<(bool, u64)> = par_map(
+            self.threads,
+            &sets.iter().zip(tested).collect::<Vec<_>>(),
+            |_, &(&x, cases)| {
+                let mut bounds = 0u64;
+                let mut prunable = true;
+                'decide: {
+                    for &(a, (rfi, _)) in cases {
+                        if found_lhs[a].iter().any(|&f| f.is_subset_of(x.without(a))) {
+                            continue; // covered by this level's emissions
+                        }
+                        bounds += 1;
+                        if scorer.bound_from_bias(rfi.bias, a) >= theta {
+                            prunable = false;
+                            break 'decide;
+                        }
+                    }
+                    let x_sizes = SizeMultiset::of_partition(&parts[&x.bits()]);
+                    for (b, found) in found_lhs.iter().enumerate() {
+                        if x.contains(b) {
+                            continue;
+                        }
+                        if found.iter().any(|&f| f.is_subset_of(x)) {
+                            continue;
+                        }
+                        bounds += 1;
+                        if scorer.bound(&x_sizes, b) >= theta {
+                            prunable = false;
+                            break 'decide;
+                        }
+                    }
+                }
+                (prunable, bounds)
+            },
+        );
+        counter_add(Counter::BnbBounds, verdicts.iter().map(|v| v.1).sum());
+        counter_add(
+            Counter::BnbPrunes,
+            verdicts.iter().filter(|v| v.0).count() as u64,
+        );
+        sets.iter()
+            .zip(&verdicts)
+            .filter_map(|(&x, &(prunable, _))| (!prunable).then_some(x))
+            .collect()
+    }
+
+    fn scoring(&self, n_sets: usize) -> Option<Span> {
+        counter_add(Counter::TaneLatticeNodes, n_sets as u64);
+        Some(span("reliable.score"))
+    }
+
+    fn generating(&self) -> Option<Span> {
+        Some(span("reliable.generate"))
+    }
 }
 
 /// Mines all minimal `X → A` with `F̂(X→A) ≥ θ`, seeding level 1 from
@@ -98,225 +191,28 @@ pub fn mine_reliable_ctx(ctx: &AnalysisCtx, options: ReliableOptions) -> Vec<Rel
     } = options;
     assert!((0.0..=1.0).contains(&theta), "θ must be in [0,1]");
     let _span = span("fdmine.reliable");
-    let m = ctx.n_attrs();
-    let scorer = RfiScorer::new(ctx, threads);
-    let mut found: Vec<ReliableFd> = Vec::new();
-    // Minimality: per RHS, the LHSs already emitted.
-    let mut found_lhs: Vec<Vec<AttrSet>> = vec![Vec::new(); m];
-
-    // Level 0/1 partitions (the level-local subset memo).
-    let mut prev_parts: FxHashMap<u64, StrippedPartition> = std::iter::once((
-        AttrSet::EMPTY.bits(),
-        StrippedPartition::of_empty(ctx.n_tuples()),
-    ))
-    .collect();
-    let attr_parts: Vec<StrippedPartition> = ctx
-        .attr_partitions_with(threads)
-        .into_iter()
-        .cloned()
-        .collect();
-    let mut current: Vec<AttrSet> = (0..m).map(AttrSet::single).collect();
-    let mut current_parts: FxHashMap<u64, StrippedPartition> = attr_parts
-        .into_iter()
-        .enumerate()
-        .map(|(a, p)| (AttrSet::single(a).bits(), p))
-        .collect();
-    let mut level = 1usize;
-
-    while !current.is_empty() {
-        counter_add(Counter::TaneLatticeNodes, current.len() as u64);
-        // Scoring pass: like the approximate miner, one level's tests
-        // read only the level-start `found_lhs` (LHS/RHS pairs are
-        // unique within a level), so the per-set loop is embarrassingly
-        // parallel and the serial merge below replays emissions in set
-        // order — bit-identical output at every thread count.
-        let tested: Vec<Vec<(usize, RhsCase)>> = {
-            let _s = span("reliable.score");
-            par_map_init(
-                threads,
-                &current,
-                PartitionScratch::new,
-                |scratch, _, &x| {
-                    let px = &current_parts[&x.bits()];
-                    let mut cases = Vec::with_capacity(x.len());
-                    for a in x.iter() {
-                        let lhs = x.without(a);
-                        if found_lhs[a].iter().any(|&f| f.is_subset_of(lhs)) {
-                            cases.push((a, RhsCase::Covered));
-                            continue;
-                        }
-                        let Some(p_lhs) = prev_parts.get(&lhs.bits()) else {
-                            cases.push((a, RhsCase::Covered));
-                            continue;
-                        };
-                        let rfi = scorer.score(p_lhs, px, a);
-                        let g3 = p_lhs.g3_error_with(px, scratch);
-                        cases.push((a, RhsCase::Scored { rfi, g3 }));
-                    }
-                    cases
-                },
-            )
-        };
-        for (&x, cases) in current.iter().zip(&tested) {
-            for (a, case) in cases {
-                if let RhsCase::Scored { rfi, g3 } = case {
-                    if rfi.score >= theta {
-                        let fd = Fd::new(x.without(*a), *a);
-                        found.push(ReliableFd {
-                            fd,
-                            score: rfi.score,
-                            plugin: rfi.plugin,
-                            bias: rfi.bias,
-                            g3: *g3,
-                        });
-                        found_lhs[fd.rhs].push(fd.lhs);
-                    }
-                }
-            }
-        }
-        if max_lhs.is_some_and(|max| level > max) {
-            break;
-        }
-
-        // Branch-and-bound pass: X survives into generation unless every
-        // consequent's descendants are provably hopeless. For A ∈ X the
-        // bias from the scoring pass is reused (its bound covers every
-        // superset of X∖{A}); for A ∉ X a fresh bound is computed from
-        // π_X's size multiset (its bound covers every superset of X).
-        // The minimality short-circuit is hereditary — an emitted subset
-        // LHS covers every descendant's LHS — so pruning never removes a
-        // dependency the unpruned walk would emit.
-        let survivors: Vec<AttrSet> = if !prune {
-            current.clone()
-        } else {
-            let _s = span("reliable.prune");
-            let verdicts: Vec<(bool, u64)> = par_map(
-                threads,
-                &current.iter().zip(&tested).collect::<Vec<_>>(),
-                |_, &(&x, cases)| {
-                    let mut bounds = 0u64;
-                    let mut prunable = true;
-                    'decide: {
-                        for (a, case) in cases {
-                            match case {
-                                RhsCase::Covered => {}
-                                RhsCase::Scored { rfi, .. } => {
-                                    if found_lhs[*a].iter().any(|&f| f.is_subset_of(x.without(*a)))
-                                    {
-                                        continue; // covered by this level's emissions
-                                    }
-                                    bounds += 1;
-                                    if scorer.bound_from_bias(rfi.bias, *a) >= theta {
-                                        prunable = false;
-                                        break 'decide;
-                                    }
-                                }
-                            }
-                        }
-                        let x_sizes = SizeMultiset::of_partition(&current_parts[&x.bits()]);
-                        for (b, found) in found_lhs.iter().enumerate() {
-                            if x.contains(b) {
-                                continue;
-                            }
-                            if found.iter().any(|&f| f.is_subset_of(x)) {
-                                continue;
-                            }
-                            bounds += 1;
-                            if scorer.bound(&x_sizes, b) >= theta {
-                                prunable = false;
-                                break 'decide;
-                            }
-                        }
-                    }
-                    (prunable, bounds)
-                },
-            );
-            counter_add(Counter::BnbBounds, verdicts.iter().map(|v| v.1).sum());
-            counter_add(
-                Counter::BnbPrunes,
-                verdicts.iter().filter(|v| v.0).count() as u64,
-            );
-            current
-                .iter()
-                .zip(&verdicts)
-                .filter_map(|(&x, &(prunable, _))| (!prunable).then_some(x))
-                .collect()
-        };
-
-        // Prefix join over the survivors: candidates enumerated serially
-        // (in set order), products computed in parallel with per-worker
-        // scratch — the same generation as the approximate miner.
-        let _s = span("reliable.generate");
-        let survivor_bits: FxHashSet<u64> = survivors.iter().map(|s| s.bits()).collect();
-        let mut block_index: FxHashMap<u64, usize> = FxHashMap::default();
-        let mut blocks: Vec<Vec<AttrSet>> = Vec::new();
-        for &s in &survivors {
-            let max_attr = s.iter().last().expect("non-empty");
-            let idx = *block_index
-                .entry(s.without(max_attr).bits())
-                .or_insert_with(|| {
-                    blocks.push(Vec::new());
-                    blocks.len() - 1
-                });
-            blocks[idx].push(s);
-        }
-        let mut seen: FxHashSet<u64> = FxHashSet::default();
-        let mut candidates: Vec<(AttrSet, u64, u64)> = Vec::new();
-        for group in &blocks {
-            for i in 0..group.len() {
-                for j in (i + 1)..group.len() {
-                    let x = group[i].union(group[j]);
-                    if !x
-                        .iter()
-                        .all(|a| survivor_bits.contains(&x.without(a).bits()))
-                        || !seen.insert(x.bits())
-                    {
-                        continue;
-                    }
-                    candidates.push((x, group[i].bits(), group[j].bits()));
-                }
-            }
-        }
-        let products: Vec<StrippedPartition> = par_map_init(
-            threads,
-            &candidates,
-            PartitionScratch::new,
-            |scratch, _, &(_, left, right)| {
-                current_parts[&left].product_with(&current_parts[&right], scratch)
-            },
-        );
-        let mut next: Vec<AttrSet> = Vec::with_capacity(candidates.len());
-        let mut next_parts: FxHashMap<u64, StrippedPartition> =
-            FxHashMap::with_capacity_and_hasher(candidates.len(), Default::default());
-        for (&(x, _, _), p) in candidates.iter().zip(products) {
-            next_parts.insert(x.bits(), p);
-            next.push(x);
-        }
-
-        prev_parts = current_parts;
-        current = next;
-        current_parts = next_parts;
-        level += 1;
-    }
-
-    // Final minimality sweep, as in the approximate miner: levels grow,
-    // so this is defensive dedup plus triviality filtering.
-    let mut out = found;
-    out.sort_by_key(|a| a.fd);
-    out.dedup_by(|a, b| a.fd == b.fd);
-    let keep: Vec<bool> = out
-        .iter()
-        .map(|f| {
-            !out.iter().any(|g| {
-                g.fd.rhs == f.fd.rhs && g.fd.lhs != f.fd.lhs && g.fd.lhs.is_subset_of(f.fd.lhs)
-            })
-        })
-        .collect();
-    out.into_iter()
-        .zip(keep)
-        .filter_map(|(f, k)| k.then_some(f))
-        .filter(|f| !f.fd.is_trivial())
-        .collect()
+    let test = RfiTest {
+        scorer: RfiScorer::new(ctx, threads),
+        theta,
+        prune,
+        threads,
+    };
+    walk_minimal(
+        ctx.n_tuples(),
+        ctx.attr_partitions_with(threads),
+        max_lhs,
+        threads,
+        &test,
+    )
+    .into_iter()
+    .map(|(fd, (rfi, g3))| ReliableFd {
+        fd,
+        score: rfi.score,
+        plugin: rfi.plugin,
+        bias: rfi.bias,
+        g3,
+    })
+    .collect()
 }
 
 #[cfg(test)]

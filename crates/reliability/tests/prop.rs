@@ -1,8 +1,10 @@
 //! Property tests: F̂ against a brute-force permutation-model reference
-//! on tiny domains, plus thread-count and prune on/off invariance on
-//! arbitrary small relations.
+//! on tiny domains, the miner against a brute-force minimal-LHS oracle,
+//! plus thread-count and prune on/off invariance on arbitrary small
+//! relations.
 
 use dbmine_context::AnalysisCtx;
+use dbmine_fdmine::{fd_error_g3, Fd};
 use dbmine_relation::partition::StrippedPartition;
 use dbmine_relation::{AttrSet, Relation, RelationBuilder};
 use dbmine_reliability::{m0, mine_reliable_ctx, LnFact, ReliableOptions, RfiScorer, SizeMultiset};
@@ -86,6 +88,59 @@ fn brute_force_m0_bits(x_ids: &[u32], y_ids: &[u32]) -> f64 {
     total / perms.len() as f64
 }
 
+/// A random small categorical relation (≤ 5 attributes, ≤ 12 tuples,
+/// domain 3) — wide enough for LHSs of size 3 and 4.
+fn small_relation() -> impl Strategy<Value = Relation> {
+    (2usize..=5, 1usize..=12).prop_flat_map(|(m, n)| {
+        proptest::collection::vec(proptest::collection::vec(0u8..3, m), n).prop_map(move |rows| {
+            let names: Vec<String> = (0..m).map(|a| format!("A{a}")).collect();
+            let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+            let mut b = RelationBuilder::new("small", &refs);
+            for row in rows {
+                let cells: Vec<String> = row
+                    .iter()
+                    .enumerate()
+                    .map(|(a, v)| format!("v{a}_{v}"))
+                    .collect();
+                let strs: Vec<&str> = cells.iter().map(String::as_str).collect();
+                b.push_row_strs(&strs);
+            }
+            b.build()
+        })
+    })
+}
+
+/// Brute-force oracle for the minimal-LHS walk: every `X → A` over `m`
+/// attributes with `|X| ≤ max_lhs` whose score qualifies while no
+/// proper subset of `X` does, with its score, in `Fd` order.
+fn minimal_oracle<S: Copy>(
+    m: usize,
+    max_lhs: Option<usize>,
+    score: impl Fn(AttrSet, usize) -> S,
+    qualifies: impl Fn(&S) -> bool,
+) -> Vec<(Fd, S)> {
+    let mut out = Vec::new();
+    for a in 0..m {
+        let scores: Vec<S> = (0u64..1 << m)
+            .map(|bits| score(AttrSet::from_bits(bits), a))
+            .collect();
+        for bits in 0u64..1 << m {
+            let lhs = AttrSet::from_bits(bits);
+            if lhs.contains(a) || max_lhs.is_some_and(|max| lhs.len() > max) {
+                continue;
+            }
+            let proper_subset_qualifies = (0..bits)
+                .filter(|&sub| sub & !bits == 0)
+                .any(|sub| qualifies(&scores[sub as usize]));
+            if qualifies(&scores[bits as usize]) && !proper_subset_qualifies {
+                out.push((Fd::new(lhs, a), scores[bits as usize]));
+            }
+        }
+    }
+    out.sort_by_key(|f| f.0);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -141,6 +196,38 @@ proptest! {
                     "plugin {} vs reference {plugin_ref}", s.plugin);
                 prop_assert!((s.score - (plugin_ref - bias_ref)).abs() < 1e-9,
                     "score {} vs reference {}", s.score, plugin_ref - bias_ref);
+            }
+        }
+    }
+
+    /// The miner emits exactly the oracle's minimal `F̂ ≥ θ`
+    /// dependencies, scored by the standalone scorer, with pruning on
+    /// and off, unbounded and restricted to LHS sizes 1 and 2. Every
+    /// score component and the `g3` error must match bit for bit.
+    #[test]
+    fn mine_reliable_matches_minimal_oracle(rel in small_relation(), theta_pct in 0u32..=100) {
+        let theta = theta_pct as f64 / 100.0;
+        let ctx = AnalysisCtx::of(&rel);
+        let scorer = RfiScorer::new(&ctx, 1);
+        for max_lhs in [None, Some(1), Some(2)] {
+            let oracle = minimal_oracle(
+                rel.n_attrs(),
+                max_lhs,
+                |lhs, a| scorer.score_sets(&ctx, lhs, AttrSet::single(a)),
+                |s| s.score >= theta,
+            );
+            for prune in [true, false] {
+                let mined = mine_reliable_ctx(&ctx, ReliableOptions { theta, max_lhs, prune, ..Default::default() });
+                prop_assert_eq!(mined.len(), oracle.len(), "θ = {}, max_lhs = {:?}, prune = {}", theta, max_lhs, prune);
+                for (f, (fd, s)) in mined.iter().zip(&oracle) {
+                    prop_assert_eq!(f.fd, *fd, "θ = {}, max_lhs = {:?}, prune = {}", theta, max_lhs, prune);
+                    prop_assert!(f.score.to_bits() == s.score.to_bits()
+                        && f.plugin.to_bits() == s.plugin.to_bits()
+                        && f.bias.to_bits() == s.bias.to_bits(),
+                        "{}: F̂ drifted from the standalone scorer", fd);
+                    let g3 = fd_error_g3(&rel, fd.lhs, fd.rhs);
+                    prop_assert!(f.g3.to_bits() == g3.to_bits(), "{}: g3 {} vs {}", fd, f.g3, g3);
+                }
             }
         }
     }
