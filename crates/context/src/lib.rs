@@ -667,7 +667,7 @@ mod tests {
         assert!(ctx.value_index().is_empty());
         assert_eq!(ctx.projection_distinct(rel.all_attrs()), 0);
         assert_eq!(ctx.projection_entropy(rel.all_attrs()), 0.0);
-        assert!(ctx.attr_partition(0).classes.is_empty());
+        assert!(ctx.attr_partition(0).is_key());
     }
 
     #[test]

@@ -133,13 +133,16 @@ impl StructureReport {
 
         writeln!(out, "# column profile").unwrap();
         for c in &self.columns {
+            // A constant column's entropy can come out as −0.0 (or a
+            // rounding hair below zero); print it as 0.00, not −0.00.
+            let entropy = if c.entropy > 0.0 { c.entropy } else { 0.0 };
             writeln!(
                 out,
                 "{:<20} distinct={:<6} null={:>5.1}%  H={:.2} bits",
                 c.name,
                 c.distinct,
                 100.0 * c.null_fraction,
-                c.entropy
+                entropy
             )
             .unwrap();
         }
@@ -355,6 +358,27 @@ mod tests {
                 .unwrap_or(usize::MAX)
         };
         assert!(pos("[C]→[B]") < pos("[A]→[B]"), "{:?}", report.ranked);
+    }
+
+    #[test]
+    fn constant_and_all_null_columns_print_zero_entropy() {
+        let mut b = dbmine_relation::RelationBuilder::new("deg", &["K", "C", "N"]);
+        for i in 0..6 {
+            let k = format!("k{i}");
+            b.push_row(&[Some(k.as_str()), Some("same"), None]);
+        }
+        let rel = b.build();
+        let text = StructureMiner::default()
+            .analyze_ctx(&AnalysisCtx::of(&rel))
+            .render(&rel);
+        for name in ["C", "N"] {
+            let line = text
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(name))
+                .unwrap_or_else(|| panic!("no profile line for {name}:\n{text}"));
+            assert!(line.ends_with("H=0.00 bits"), "{line}");
+        }
+        assert!(!text.contains("-0.00"), "{text}");
     }
 
     #[test]

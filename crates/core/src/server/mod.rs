@@ -150,6 +150,10 @@ impl Daemon {
 
     /// Serves a whole connection: one request per line until EOF or a
     /// `shutdown` request. Blank lines are ignored.
+    ///
+    /// Each reply goes out in a single `write_all` of the line and its
+    /// newline: on an unbuffered socket, a separate newline write would
+    /// sit behind Nagle's algorithm until the client's delayed ACK.
     pub fn serve_lines(&self, input: impl BufRead, mut output: impl Write) -> std::io::Result<()> {
         for line in input.lines() {
             let line = line?;
@@ -157,7 +161,9 @@ impl Daemon {
                 continue;
             }
             let handled = self.handle_line(&line);
-            writeln!(output, "{}", handled.line)?;
+            let mut reply = handled.line;
+            reply.push('\n');
+            output.write_all(reply.as_bytes())?;
             output.flush()?;
             if handled.shutdown {
                 break;
@@ -821,6 +827,33 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         // ping, shutdown — the post-shutdown ping is never answered.
         assert_eq!(text.lines().count(), 2);
+    }
+
+    #[test]
+    fn serve_lines_sends_each_reply_in_one_write() {
+        /// A sink that records every `write` call it receives.
+        #[derive(Default)]
+        struct CountingWriter {
+            writes: Vec<Vec<u8>>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let d = Daemon::new(4);
+        let input = format!("{}\n{}\n", request("ping"), request("stats"));
+        let mut out = CountingWriter::default();
+        d.serve_lines(input.as_bytes(), &mut out).unwrap();
+        assert_eq!(out.writes.len(), 2, "one write per reply");
+        for w in &out.writes {
+            assert_eq!(w.iter().filter(|&&b| b == b'\n').count(), 1);
+            assert_eq!(w.last(), Some(&b'\n'), "the newline rides with its line");
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub fn agree_sets_from(rel: &Relation, parts: &[&StrippedPartition]) -> HashSet<
     // Pairs sharing at least one attribute value, via the per-attribute
     // stripped partitions.
     for p in parts {
-        for class in &p.classes {
+        for class in p.classes() {
             for (i, &t1) in class.iter().enumerate() {
                 for &t2 in &class[i + 1..] {
                     if seen_pairs.insert((t1, t2)) {

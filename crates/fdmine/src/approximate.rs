@@ -15,12 +15,14 @@
 //! key `X` must stay, because `(X∪{b})∖{a} → a` (for `a ∈ X`) is only
 //! ever tested from the candidate `X∪{b}` and can still be minimal.
 //! Keys cost nothing extra to emit: a key LHS has an empty stripped
-//! partition, so its `g3` error is exactly 0.0.
+//! partition, so its `g3` error is exactly 0.0. Each `g3` is computed
+//! from π_{X∖A} and π_A's class ids, never from π_X, so a bounded walk's
+//! last level is built as class sizes only.
 
 use crate::fd::Fd;
-use crate::lattice::{walk_minimal, MinimalTest};
+use crate::lattice::{walk_minimal, Candidate, MinimalTest};
 use dbmine_context::AnalysisCtx;
-use dbmine_relation::partition::{PartitionScratch, StrippedPartition};
+use dbmine_relation::partition::PartitionScratch;
 
 /// An approximate dependency with its `g3` error.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -39,14 +41,8 @@ struct G3Test {
 impl MinimalTest for G3Test {
     type Score = f64;
 
-    fn score(
-        &self,
-        p_lhs: &StrippedPartition,
-        p_x: &StrippedPartition,
-        _a: usize,
-        scratch: &mut PartitionScratch,
-    ) -> f64 {
-        p_lhs.g3_error_with(p_x, scratch)
+    fn score(&self, candidate: &Candidate<'_>, scratch: &mut PartitionScratch) -> f64 {
+        candidate.g3_error(scratch)
     }
 
     fn emits(&self, &error: &f64) -> bool {

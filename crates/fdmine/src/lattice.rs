@@ -8,15 +8,33 @@
 //!
 //! * [`next_level`] — GENERATE_NEXT_LEVEL, the prefix join of one
 //!   level's surviving sets into the next level's candidates and their
-//!   partition products. It is generic over the per-set payload, so
-//!   TANE carries its partitions bundled with their cached errors and
-//!   keeps its own rhs⁺ and key-pruning steps around the join.
+//!   partition products. TANE keeps its own rhs⁺ and key-pruning steps
+//!   around the join.
 //! * [`walk_minimal`] — the whole walk for miners that emit every
 //!   *minimal* `X → A` passing a score test: minimality is checked
 //!   against the LHSs emitted before the level started, candidates are
 //!   scored in parallel, and emissions merge serially in set order. A
 //!   [`MinimalTest`] supplies the score, the emission rule and
 //!   (optionally) a survivor filter such as branch-and-bound.
+//!
+//! # The last level of a bounded walk
+//!
+//! With `max_lhs = Some(k)`, level `k + 1` is scored but never joined,
+//! so no consumer reads its tuples: TANE's COMPUTE_DEPENDENCIES reads
+//! only `e(π_X)`, F̂ only π_X's class sizes, and `g3` needs no π_X at
+//! all (see below). [`next_level`] therefore builds that level with the
+//! counting pass alone ([`StrippedPartition::product_sizes`]), as a
+//! [`Level::Sizes`]; each product still counts once. Every earlier
+//! level is a [`Level::Parts`].
+//!
+//! # `g3` from π_A
+//!
+//! [`walk_minimal`] hands each test a [`Candidate`]: π_{X∖A}, π_X's
+//! class sizes, and π_A's class ids, computed once per walk. Within a
+//! class of π_{X∖A}, π_X's classes are exactly π_A's classes restricted
+//! to it, so `g3(X∖A → A)` from π_A's ids
+//! ([`StrippedPartition::g3_error_ids`]) is bitwise equal to `g3`
+//! against π_X.
 //!
 //! Both steps fan out over `dbmine_parallel` with deterministic chunking
 //! and one [`PartitionScratch`] per worker; candidates are enumerated
@@ -26,23 +44,54 @@
 
 use crate::fd::Fd;
 use dbmine_parallel::par_map_init;
-use dbmine_relation::partition::{PartitionScratch, StrippedPartition};
+use dbmine_relation::partition::{ClassSizes, PartitionScratch, StrippedPartition};
 use dbmine_relation::AttrSet;
 use dbmine_telemetry::Span;
 use fxhash::{FxHashMap, FxHashSet};
 
+/// One level's partitions, keyed by attribute-set bits.
+pub enum Level {
+    /// Materialized partitions: a level the walk may still join.
+    Parts(FxHashMap<u64, StrippedPartition>),
+    /// Class sizes only: the last level of a bounded walk.
+    Sizes(FxHashMap<u64, ClassSizes>),
+}
+
+impl Level {
+    /// The class sizes of `π_x`.
+    pub fn sizes(&self, x: AttrSet) -> &ClassSizes {
+        match self {
+            Level::Parts(parts) => parts[&x.bits()].sizes(),
+            Level::Sizes(sizes) => &sizes[&x.bits()],
+        }
+    }
+
+    /// The materialized partitions of a level the walk goes on from.
+    ///
+    /// # Panics
+    ///
+    /// On a [`Level::Sizes`]: a walk never joins its last level.
+    pub fn into_parts(self) -> FxHashMap<u64, StrippedPartition> {
+        match self {
+            Level::Parts(parts) => parts,
+            Level::Sizes(_) => panic!("the last level of a bounded walk is never joined"),
+        }
+    }
+}
+
 /// The prefix join of one level: every pair of `survivors` that share
 /// all but their largest attribute is joined into a candidate, kept only
 /// if all of its one-smaller subsets survived. Returns the candidates in
-/// enumeration order with their payloads, each built by `product` from
-/// its two join parents' payloads in `parts` (in parallel, one scratch
-/// per worker).
-pub fn next_level<P: Send + Sync>(
+/// enumeration order with the products of their two join parents'
+/// partitions in `parts` (in parallel, one scratch per worker): full
+/// partitions, or only their class sizes when the candidates form the
+/// walk's `last` level.
+pub fn next_level(
     threads: usize,
     survivors: &[AttrSet],
-    parts: &FxHashMap<u64, P>,
-    product: impl Fn(&P, &P, &mut PartitionScratch) -> P + Sync,
-) -> (Vec<AttrSet>, FxHashMap<u64, P>) {
+    parts: &FxHashMap<u64, StrippedPartition>,
+    last: bool,
+) -> (Vec<AttrSet>, Level) {
     let survivor_bits: FxHashSet<u64> = survivors.iter().map(|s| s.bits()).collect();
     // Prefix blocks, in first-seen order.
     let mut block_index: FxHashMap<u64, usize> = FxHashMap::default();
@@ -72,15 +121,64 @@ pub fn next_level<P: Send + Sync>(
             }
         }
     }
+    let level = if last {
+        Level::Sizes(products(
+            threads,
+            &candidates,
+            parts,
+            StrippedPartition::product_sizes,
+        ))
+    } else {
+        Level::Parts(products(
+            threads,
+            &candidates,
+            parts,
+            StrippedPartition::product_with,
+        ))
+    };
+    let sets = candidates.iter().map(|c| c.0).collect();
+    (sets, level)
+}
+
+/// Each join candidate `(x, left, right)`'s `product` of its parents'
+/// partitions, keyed by `x`'s bits (in parallel, one scratch per worker).
+fn products<P: Send>(
+    threads: usize,
+    candidates: &[(AttrSet, u64, u64)],
+    parts: &FxHashMap<u64, StrippedPartition>,
+    product: fn(&StrippedPartition, &StrippedPartition, &mut PartitionScratch) -> P,
+) -> FxHashMap<u64, P> {
     let products = par_map_init(
         threads,
-        &candidates,
+        candidates,
         PartitionScratch::new,
         |scratch, _, &(_, left, right)| product(&parts[&left], &parts[&right], scratch),
     );
-    let sets: Vec<AttrSet> = candidates.iter().map(|c| c.0).collect();
-    let next_parts = sets.iter().map(|x| x.bits()).zip(products).collect();
-    (sets, next_parts)
+    candidates
+        .iter()
+        .map(|c| c.0.bits())
+        .zip(products)
+        .collect()
+}
+
+/// One candidate `X∖{A} → A` as [`walk_minimal`] hands it to a test.
+pub struct Candidate<'a> {
+    /// `π_{X∖{A}}`.
+    pub lhs: &'a StrippedPartition,
+    /// The class sizes of `π_X`.
+    pub x: &'a ClassSizes,
+    /// The consequent `A`.
+    pub a: usize,
+    /// `π_A`'s per-tuple class ids.
+    a_ids: &'a [u32],
+}
+
+impl Candidate<'_> {
+    /// `g3(X∖{A} → A)`, from π_A's class ids (bitwise equal to `g3`
+    /// against π_X; see the module docs).
+    pub fn g3_error(&self, scratch: &mut PartitionScratch) -> f64 {
+        self.lhs.g3_error_ids(self.a_ids, scratch)
+    }
 }
 
 /// A miner's plug-ins for [`walk_minimal`].
@@ -88,15 +186,8 @@ pub trait MinimalTest: Sync {
     /// What scoring one candidate `X∖{A} → A` yields.
     type Score: Copy + Send + Sync;
 
-    /// Scores `lhs → a` from `π_lhs` and `π_{lhs ∪ {a}}`.
-    fn score(
-        &self,
-        p_lhs: &StrippedPartition,
-        p_x: &StrippedPartition,
-        a: usize,
-        scratch: &mut PartitionScratch,
-    ) -> Self::Score;
-
+    /// Scores one candidate.
+    fn score(&self, candidate: &Candidate<'_>, scratch: &mut PartitionScratch) -> Self::Score;
     /// Whether a scored candidate is emitted.
     fn emits(&self, score: &Self::Score) -> bool;
 
@@ -148,29 +239,37 @@ pub fn walk_minimal<T: MinimalTest>(
     let mut found: Vec<(Fd, T::Score)> = Vec::new();
     // Minimality: per RHS, the LHSs already emitted.
     let mut found_lhs: Vec<Vec<AttrSet>> = vec![Vec::new(); attr_parts.len()];
+    let attr_ids: Vec<Vec<u32>> = attr_parts.iter().map(|p| p.class_ids()).collect();
     let mut prev_parts: FxHashMap<u64, StrippedPartition> =
         std::iter::once((AttrSet::EMPTY.bits(), StrippedPartition::of_empty(n))).collect();
     let mut sets: Vec<AttrSet> = (0..attr_parts.len()).map(AttrSet::single).collect();
-    let mut parts: FxHashMap<u64, StrippedPartition> = attr_parts
-        .into_iter()
-        .enumerate()
-        .map(|(a, p)| (AttrSet::single(a).bits(), p.clone()))
-        .collect();
+    let mut current = Level::Parts(
+        attr_parts
+            .into_iter()
+            .enumerate()
+            .map(|(a, p)| (AttrSet::single(a).bits(), p.clone()))
+            .collect(),
+    );
     let mut level = 1usize;
 
     while !sets.is_empty() {
         let scoring = test.scoring(sets.len());
         let tested: Vec<Vec<(usize, T::Score)>> =
             par_map_init(threads, &sets, PartitionScratch::new, |scratch, _, &x| {
-                let px = &parts[&x.bits()];
+                let x_sizes = current.sizes(x);
                 x.iter()
                     .filter_map(|a| {
                         let lhs = x.without(a);
                         if found_lhs[a].iter().any(|&f| f.is_subset_of(lhs)) {
                             return None; // a smaller LHS already works
                         }
-                        let p_lhs = prev_parts.get(&lhs.bits())?;
-                        Some((a, test.score(p_lhs, px, a, scratch)))
+                        let candidate = Candidate {
+                            lhs: prev_parts.get(&lhs.bits())?,
+                            x: x_sizes,
+                            a,
+                            a_ids: &attr_ids[a],
+                        };
+                        Some((a, test.score(&candidate, scratch)))
                     })
                     .collect()
             });
@@ -188,11 +287,16 @@ pub fn walk_minimal<T: MinimalTest>(
             break;
         }
 
+        let parts = current.into_parts();
         let survivors = test.survivors(&sets, &parts, &tested, &found_lhs);
         let _generating = test.generating();
-        let (next_sets, next_parts) =
-            next_level(threads, &survivors, &parts, |l, r, s| l.product_with(r, s));
-        prev_parts = std::mem::replace(&mut parts, next_parts);
+        // Scoring was the last reader of the previous level: free it
+        // before the join allocates the next one.
+        prev_parts.clear();
+        let last = max_lhs == Some(level);
+        let (next_sets, next) = next_level(threads, &survivors, &parts, last);
+        prev_parts = parts;
+        current = next;
         sets = next_sets;
         level += 1;
     }

@@ -10,10 +10,14 @@
 //!
 //! The lattice walk is the FD-discovery hot path (see DESIGN.md):
 //!
-//! * every partition is created once and carried with its precomputed
-//!   TANE error, so validity tests are integer comparisons;
-//! * partition products run through a reusable [`PartitionScratch`]
-//!   (zero hashing, zero per-call allocation);
+//! * every partition is flat, so its TANE error `e(π)` is O(1) and
+//!   validity tests are integer comparisons;
+//! * partition products run the sort-free two-pass kernel through a
+//!   reusable [`PartitionScratch`] (zero hashing, one exactly sized
+//!   result);
+//! * a bounded run (`max_lhs = Some(k)`) never materializes level
+//!   `k + 1`: COMPUTE_DEPENDENCIES there reads only `e(π_X)`, which the
+//!   kernel's counting pass yields without placing a tuple;
 //! * key pruning memoizes `partition_of_set` in a level-local cache, so
 //!   each subset partition is built once per level instead of once per
 //!   (subset, rhs) pair;
@@ -25,7 +29,7 @@
 //!   [`fxhash`] (SipHash setup dominates such maps otherwise).
 
 use crate::fd::{normalize_fds, Fd};
-use crate::lattice;
+use crate::lattice::{self, Level};
 use dbmine_context::AnalysisCtx;
 use dbmine_parallel::par_map;
 use dbmine_relation::partition::{PartitionScratch, StrippedPartition};
@@ -53,24 +57,11 @@ impl Default for TaneOptions {
     }
 }
 
-/// A partition bundled with its precomputed TANE error `e(π)`, so the
-/// hot validity test `e(π_X) == e(π_{X∖{A}})` never rescans classes.
-struct Part {
-    partition: StrippedPartition,
-    error: usize,
-}
-
-impl Part {
-    fn new(partition: StrippedPartition) -> Self {
-        let error = partition.error();
-        Part { partition, error }
-    }
-}
-
-struct Level {
-    /// Surviving sets, with partitions (for the next join) …
-    parts: FxHashMap<u64, Part>,
-    /// … and rhs⁺ candidate sets for *all* sets seen at this level
+/// The level before the one being computed.
+struct Prev {
+    /// Surviving sets' partitions (the join parents) …
+    parts: FxHashMap<u64, StrippedPartition>,
+    /// … and rhs⁺ candidate sets for *all* sets seen at that level
     /// (kept even for pruned sets; the key-pruning step reads them).
     cplus: FxHashMap<u64, AttrSet>,
 }
@@ -83,29 +74,28 @@ pub fn mine_tane_ctx(ctx: &AnalysisCtx, options: TaneOptions) -> Vec<Fd> {
     let r = ctx.all_attrs();
     let threads = options.threads;
     let mut out: Vec<Fd> = Vec::new();
-    // Persistent single-attribute partitions (level 1 + key pruning),
-    // cloned out of the shared view cache so the lattice walk keeps
-    // owning its own copies.
-    let attr_parts: Vec<StrippedPartition> = ctx
-        .attr_partitions_with(threads)
-        .into_iter()
-        .cloned()
-        .collect();
+    // Single-attribute partitions (level 1 + key pruning), borrowed
+    // from the shared view cache.
+    let attr_parts = ctx.attr_partitions_with(threads);
 
     // Level 0: the empty set.
-    let mut prev = Level {
+    let mut prev = Prev {
         parts: std::iter::once((
             AttrSet::EMPTY.bits(),
-            Part::new(StrippedPartition::of_empty(ctx.n_tuples())),
+            StrippedPartition::of_empty(ctx.n_tuples()),
         ))
         .collect(),
         cplus: std::iter::once((AttrSet::EMPTY.bits(), r)).collect(),
     };
     // Level 1 candidates: all single attributes.
     let mut current_sets: Vec<AttrSet> = (0..m).map(AttrSet::single).collect();
-    let mut current_parts: FxHashMap<u64, Part> = (0..m)
-        .map(|a| (AttrSet::single(a).bits(), Part::new(attr_parts[a].clone())))
-        .collect();
+    let mut current = Level::Parts(
+        attr_parts
+            .iter()
+            .enumerate()
+            .map(|(a, &p)| (AttrSet::single(a).bits(), p.clone()))
+            .collect(),
+    );
     let mut level = 1usize;
     let mut prune_scratch = PartitionScratch::new();
 
@@ -132,12 +122,12 @@ pub fn mine_tane_ctx(ctx: &AnalysisCtx, options: TaneOptions) -> Vec<Fd> {
                     }
                 }
             }
-            let px_error = current_parts[&x.bits()].error;
+            let px_error = current.sizes(x).error();
             let mut fds = Vec::new();
             for a in x.intersect(cp).iter() {
                 let parent = x.without(a);
                 let valid = match prev.parts.get(&parent.bits()) {
-                    Some(pp) => pp.error == px_error,
+                    Some(pp) => pp.error() == px_error,
                     None => false, // parent pruned ⇒ a smaller FD exists
                 };
                 if valid {
@@ -161,20 +151,21 @@ pub fn mine_tane_ctx(ctx: &AnalysisCtx, options: TaneOptions) -> Vec<Fd> {
         if options.max_lhs.is_some_and(|max| level > max) {
             break;
         }
+        let mut current_parts = current.into_parts();
 
         // PRUNE (serial: keys are rare). The level-local cache
         // memoizes subset partitions so each is built once per level,
         // not once per (subset, rhs) pair.
         let prune_span = dbmine_telemetry::span("tane.prune");
         let mut pruned: Vec<u64> = Vec::new();
-        let mut key_cache: FxHashMap<u64, Part> = FxHashMap::default();
+        let mut key_cache: FxHashMap<u64, StrippedPartition> = FxHashMap::default();
         for &x in &current_sets {
             let cp = cplus[&x.bits()];
             if cp.is_empty() {
                 pruned.push(x.bits());
                 continue;
             }
-            if current_parts[&x.bits()].partition.is_key() {
+            if current_parts[&x.bits()].is_key() {
                 // X is a key: X → A is valid for every A. Emit the minimal
                 // ones — those where no (X∖{B}) → A holds. The sets
                 // X∪{A}∖{B} the original C⁺ test consults may never have
@@ -218,29 +209,24 @@ pub fn mine_tane_ctx(ctx: &AnalysisCtx, options: TaneOptions) -> Vec<Fd> {
             .collect();
         drop(prune_span);
 
-        // GENERATE_NEXT_LEVEL: the shared prefix join over survivors,
-        // carrying each product's TANE error along with it.
+        // GENERATE_NEXT_LEVEL: the shared prefix join over survivors;
+        // the last level of a bounded run gets class sizes only.
         let generate_span = dbmine_telemetry::span("tane.generate_next_level");
-        let (next_sets, next_parts) =
-            lattice::next_level(threads, &survivors, &current_parts, |l, r, scratch| {
-                Part::new(l.partition.product_with(&r.partition, scratch))
-            });
+        // Nothing reads the previous level's partitions past PRUNE: free
+        // them before the join allocates the next level.
+        prev.parts.clear();
+        let last = options.max_lhs == Some(level);
+        let (next_sets, next) = lattice::next_level(threads, &survivors, &current_parts, last);
 
         // Shift levels: keep partitions only for survivors (join parents),
         // but cplus for everything at this level.
-        let mut survivor_parts =
-            FxHashMap::with_capacity_and_hasher(survivors.len(), Default::default());
-        for &s in &survivors {
-            if let Some(p) = current_parts.remove(&s.bits()) {
-                survivor_parts.insert(s.bits(), p);
-            }
-        }
-        prev = Level {
-            parts: survivor_parts,
+        current_parts.retain(|bits, _| !pruned_set.contains(bits));
+        prev = Prev {
+            parts: current_parts,
             cplus,
         };
         current_sets = next_sets;
-        current_parts = next_parts;
+        current = next;
         level += 1;
         drop(generate_span);
     }
@@ -256,24 +242,20 @@ pub fn mine_tane_ctx(ctx: &AnalysisCtx, options: TaneOptions) -> Vec<Fd> {
 #[allow(clippy::too_many_arguments)]
 fn cached_error(
     set: AttrSet,
-    attr_parts: &[StrippedPartition],
+    attr_parts: &[&StrippedPartition],
     n: usize,
-    prev_parts: &FxHashMap<u64, Part>,
-    current_parts: &FxHashMap<u64, Part>,
-    cache: &mut FxHashMap<u64, Part>,
+    prev_parts: &FxHashMap<u64, StrippedPartition>,
+    current_parts: &FxHashMap<u64, StrippedPartition>,
+    cache: &mut FxHashMap<u64, StrippedPartition>,
     scratch: &mut PartitionScratch,
 ) -> usize {
-    if let Some(p) = prev_parts.get(&set.bits()) {
+    if let Some(p) = prev_parts
+        .get(&set.bits())
+        .or_else(|| current_parts.get(&set.bits()))
+        .or_else(|| cache.get(&set.bits()))
+    {
         dbmine_telemetry::counter_add(dbmine_telemetry::Counter::TanePruneCacheHits, 1);
-        return p.error;
-    }
-    if let Some(p) = current_parts.get(&set.bits()) {
-        dbmine_telemetry::counter_add(dbmine_telemetry::Counter::TanePruneCacheHits, 1);
-        return p.error;
-    }
-    if let Some(p) = cache.get(&set.bits()) {
-        dbmine_telemetry::counter_add(dbmine_telemetry::Counter::TanePruneCacheHits, 1);
-        return p.error;
+        return p.error();
     }
     dbmine_telemetry::counter_add(dbmine_telemetry::Counter::TanePruneCacheMisses, 1);
     let partition = match set.len() {
@@ -298,14 +280,11 @@ fn cached_error(
                 .or_else(|| current_parts.get(&prefix.bits()))
                 .or_else(|| cache.get(&prefix.bits()))
                 .expect("prefix just materialized");
-            prefix_part
-                .partition
-                .product_with(&attr_parts[last], scratch)
+            prefix_part.product_with(attr_parts[last], scratch)
         }
     };
-    let part = Part::new(partition);
-    let error = part.error;
-    cache.insert(set.bits(), part);
+    let error = partition.error();
+    cache.insert(set.bits(), partition);
     error
 }
 

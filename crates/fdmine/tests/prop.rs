@@ -1,13 +1,15 @@
 //! Property tests for FD mining: FDEP and TANE must agree with the
 //! brute-force oracle on arbitrary relations, covers must preserve
-//! implication, and hitting sets must hit.
+//! implication, and hitting sets must hit. The partition kernel is
+//! pinned against its oracle, and bounded walks against the unbounded
+//! ones, on relations that may be degenerate.
 
 use dbmine_context::AnalysisCtx;
 use dbmine_fdmine::brute::mine_brute;
 use dbmine_fdmine::cover::{closure, implies, minimum_cover};
 use dbmine_fdmine::fdep::minimal_hitting_sets;
 use dbmine_fdmine::{
-    fd_error_g3, fd_holds, mine_approximate_ctx, mine_fdep_ctx, mine_tane_ctx, Fd,
+    fd_error_g3, fd_holds, mine_approximate_ctx, mine_fdep_ctx, mine_tane_ctx, partition_of, Fd,
     PartitionScratch, StrippedPartition, TaneOptions,
 };
 use dbmine_relation::{AttrSet, Relation, RelationBuilder};
@@ -32,6 +34,46 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
             b.build()
         })
     })
+}
+
+/// A small relation that may be degenerate: 0–10 tuples over 2–4
+/// attributes, each column random (domain 3), random with NULLs,
+/// constant, or entirely NULL.
+fn arb_edge_relation() -> impl Strategy<Value = Relation> {
+    (2usize..=4, 0usize..=10).prop_flat_map(|(m, n)| {
+        (
+            proptest::collection::vec(0u8..4, m..=m),
+            proptest::collection::vec(proptest::collection::vec(0u8..3, m..=m), n..=n),
+        )
+            .prop_map(move |(kinds, rows)| {
+                let names: Vec<String> = (0..m).map(|a| format!("A{a}")).collect();
+                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+                let mut b = RelationBuilder::new("edge", &refs);
+                for row in rows {
+                    let cells: Vec<Option<String>> = row
+                        .iter()
+                        .zip(&kinds)
+                        .enumerate()
+                        .map(|(a, (&v, &kind))| match kind {
+                            0 => Some(format!("v{a}_{v}")),
+                            1 => (v > 0).then(|| format!("v{a}_{v}")),
+                            2 => Some(format!("c{a}")),
+                            _ => None,
+                        })
+                        .collect();
+                    let refs: Vec<Option<&str>> = cells.iter().map(Option::as_deref).collect();
+                    b.push_row(&refs);
+                }
+                b.build()
+            })
+    })
+}
+
+/// `π_X` for every attribute set `X` of the relation, indexed by bits.
+fn all_set_partitions(rel: &Relation) -> Vec<StrippedPartition> {
+    (0u64..1 << rel.n_attrs())
+        .map(|bits| partition_of(rel, AttrSet::from_bits(bits)))
+        .collect()
 }
 
 /// Brute-force oracle for the minimal-LHS walks: every `X → A` over `m`
@@ -169,7 +211,8 @@ proptest! {
     #[test]
     fn product_matches_reference_bit_identically(rel in arb_relation()) {
         // One scratch across every pair: also exercises the
-        // clean-between-calls invariant.
+        // clean-between-calls invariant. Class order is kernel order,
+        // so compare canonical forms.
         let mut scratch = PartitionScratch::new();
         let parts: Vec<StrippedPartition> =
             (0..rel.n_attrs()).map(|a| StrippedPartition::of_attr(&rel, a)).collect();
@@ -177,7 +220,7 @@ proptest! {
             for pb in &parts {
                 let fast = pa.product_with(pb, &mut scratch);
                 let reference = pa.product_reference(pb);
-                prop_assert_eq!(&fast, &reference, "product mismatch");
+                prop_assert_eq!(&fast.canonical(), &reference, "product mismatch");
             }
         }
         // Multi-attribute lhs against the empty partition too.
@@ -185,9 +228,75 @@ proptest! {
         if parts.len() >= 2 {
             let pab = parts[0].product_with(&parts[1], &mut scratch);
             prop_assert_eq!(
-                pab.product_with(&empty, &mut scratch),
+                pab.product_with(&empty, &mut scratch).canonical(),
                 pab.product_reference(&empty)
             );
+        }
+    }
+
+    /// The flat kernel against the oracle for every pair of attribute
+    /// sets of a possibly degenerate relation: canonical classes equal,
+    /// every class ascending, and the counting pass alone yields the
+    /// materialized product's sizes and error.
+    #[test]
+    fn kernel_matches_oracle_on_edge_relations(rel in arb_edge_relation()) {
+        let mut scratch = PartitionScratch::new();
+        let parts = all_set_partitions(&rel);
+        for pl in &parts {
+            for pr in &parts {
+                let product = pl.product_with(pr, &mut scratch);
+                prop_assert_eq!(&product.canonical(), &pl.product_reference(pr));
+                prop_assert!(product.classes().all(|c| c.len() >= 2 && c.windows(2).all(|w| w[0] < w[1])));
+                let sizes = pl.product_sizes(pr, &mut scratch);
+                prop_assert_eq!(&sizes, product.sizes());
+                prop_assert_eq!(sizes.error(), product.error());
+                prop_assert_eq!(sizes.covered(), product.covered());
+                prop_assert_eq!(sizes.is_key(), product.is_key());
+            }
+        }
+    }
+
+    /// `g3(X → A)` from π_A's class ids equals `g3` against π_{X∪A},
+    /// bit for bit, for every LHS and consequent.
+    #[test]
+    fn g3_against_attr_ids_equals_g3_against_product(rel in arb_edge_relation()) {
+        let mut scratch = PartitionScratch::new();
+        let parts = all_set_partitions(&rel);
+        for a in 0..rel.n_attrs() {
+            let a_ids = StrippedPartition::of_attr(&rel, a).class_ids();
+            for bits in 0u64..1 << rel.n_attrs() {
+                let lhs = AttrSet::from_bits(bits);
+                if lhs.contains(a) {
+                    continue;
+                }
+                let p_lhs = &parts[bits as usize];
+                let via_attr = p_lhs.g3_error_ids(&a_ids, &mut scratch);
+                let via_x = p_lhs.g3_error_with(&parts[lhs.with(a).bits() as usize], &mut scratch);
+                prop_assert!(via_attr.to_bits() == via_x.to_bits(), "{:?} → {}: {} vs {}", lhs, a, via_attr, via_x);
+            }
+        }
+    }
+
+    /// A walk bounded at `k` — whose last level is built as class sizes
+    /// only — returns the unbounded output filtered to |lhs| ≤ k, for
+    /// TANE and for the approximate miner, scores bit for bit.
+    #[test]
+    fn bounded_walks_equal_filtered_unbounded(rel in arb_edge_relation(), eps_pct in 0u32..40) {
+        let eps = eps_pct as f64 / 100.0;
+        let ctx = AnalysisCtx::of(&rel);
+        let tane = mine_tane_ctx(&ctx, TaneOptions::default());
+        let approx = mine_approximate_ctx(&ctx, eps, None, 1);
+        for k in 0..=rel.n_attrs() {
+            let bounded = mine_tane_ctx(&ctx, TaneOptions { max_lhs: Some(k), ..Default::default() });
+            let filtered: Vec<Fd> = tane.iter().copied().filter(|f| f.lhs.len() <= k).collect();
+            prop_assert_eq!(&bounded, &filtered, "TANE, k = {}", k);
+            let bounded = mine_approximate_ctx(&ctx, eps, Some(k), 1);
+            let filtered: Vec<_> = approx.iter().filter(|f| f.fd.lhs.len() <= k).collect();
+            prop_assert_eq!(bounded.len(), filtered.len(), "approximate, k = {}", k);
+            for (b, f) in bounded.iter().zip(filtered) {
+                prop_assert_eq!(b.fd, f.fd, "approximate, k = {}", k);
+                prop_assert!(b.error.to_bits() == f.error.to_bits(), "{}: g3 drifted", b.fd);
+            }
         }
     }
 
@@ -253,7 +362,7 @@ proptest! {
         // Reference g3: the original per-class HashMap count.
         let ids = pab.class_ids();
         let mut removed = 0usize;
-        for class in &pa.classes {
+        for class in pa.classes() {
             let mut counts: std::collections::HashMap<u32, usize> = Default::default();
             for &t in class {
                 *counts.entry(ids[t as usize]).or_insert(0) += 1;

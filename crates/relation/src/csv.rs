@@ -29,6 +29,14 @@ pub enum CsvError {
     /// The header has more columns than [`crate::attrset::MAX_ATTRS`]
     /// (attribute sets are 64-bit masks).
     TooManyAttrs { got: usize, max: usize },
+    /// Two header columns resolve to the same attribute name (after
+    /// `col{i}` fallback names are assigned to empty header cells).
+    /// Columns are numbered from 0.
+    DuplicateAttr {
+        name: String,
+        first: usize,
+        second: usize,
+    },
     /// Error reading a binary columnar shard store ([`crate::spill`]).
     Store(StoreError),
     /// An error with the source file attached. Line numbers, where
@@ -72,6 +80,14 @@ impl fmt::Display for CsvError {
             CsvError::TooManyAttrs { got, max } => {
                 write!(f, "header has {got} columns; at most {max} supported")
             }
+            CsvError::DuplicateAttr {
+                name,
+                first,
+                second,
+            } => write!(
+                f,
+                "header repeats attribute name `{name}` (columns {first} and {second})"
+            ),
             CsvError::Store(e) => write!(f, "shard store: {e}"),
             CsvError::InFile { path, source } => write!(f, "{}: {source}", path.display()),
         }
@@ -193,7 +209,9 @@ fn push_field(fields: &mut Vec<Field>, field: String, was_quoted: bool) {
 }
 
 /// Resolves a parsed header record into attribute names (`col{i}`
-/// fallback for NULL header cells) and rejects too-wide schemas. Shared
+/// fallback for NULL header cells) and rejects too-wide schemas and
+/// repeated names (a repeated name would make its FDs print as
+/// `a → a`). Shared
 /// by the in-memory reader and the chunked stream ([`crate::shard`]) so
 /// both see exactly the same schema for the same bytes.
 pub(crate) fn header_names(header: Vec<Field>) -> Result<Vec<String>, CsvError> {
@@ -210,6 +228,17 @@ pub(crate) fn header_names(header: Vec<Field>) -> Result<Vec<String>, CsvError> 
             got: names.len(),
             max: crate::attrset::MAX_ATTRS,
         });
+    }
+    let mut first_of: std::collections::HashMap<&str, usize> = Default::default();
+    for (second, name) in names.iter().enumerate() {
+        if let Some(&first) = first_of.get(name.as_str()) {
+            return Err(CsvError::DuplicateAttr {
+                name: name.clone(),
+                first,
+                second,
+            });
+        }
+        first_of.insert(name, second);
     }
     Ok(names)
 }
@@ -433,6 +462,26 @@ mod tests {
         let csv = format!("{}\n", header.join(","));
         let e = read_relation(csv.as_bytes(), "wide").unwrap_err();
         assert!(matches!(e, CsvError::TooManyAttrs { got: 65, max: 64 }));
+    }
+
+    #[test]
+    fn duplicate_header_name_is_error() {
+        let e = read_relation("a,b,a\n1,2,3\n".as_bytes(), "dup").unwrap_err();
+        assert!(
+            matches!(&e, CsvError::DuplicateAttr { name, first: 0, second: 2 } if name == "a"),
+            "{e:?}"
+        );
+        assert!(e.to_string().contains("`a`"), "{e}");
+        // Fallback names count: an empty third cell resolves to `col2`.
+        let e = read_relation("col2,b,\n1,2,3\n".as_bytes(), "dup").unwrap_err();
+        assert!(matches!(
+            e,
+            CsvError::DuplicateAttr {
+                first: 0,
+                second: 2,
+                ..
+            }
+        ));
     }
 
     #[test]

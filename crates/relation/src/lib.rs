@@ -37,7 +37,7 @@ pub use attrset::AttrSet;
 pub use dict::{ValueDict, ValueId, NULL_VALUE};
 pub use hash::ContentHasher;
 pub use matrix::{qualified_row, qualified_stride, TupleRows, ValueIndex};
-pub use partition::{PartitionScratch, StrippedPartition};
+pub use partition::{ClassSizes, PartitionScratch, StrippedPartition};
 pub use relation::{AttrId, Relation, RelationBuilder};
 pub use shard::{
     attr_partitions_chunks, column_profiles_chunks, projection_stats_chunks,

@@ -5,47 +5,169 @@
 //! `e(π) = ‖π‖ − |π|` (total tuples in non-singleton classes minus class
 //! count) is what makes exact FD tests O(1) once partitions exist:
 //! `X → A` holds iff `e(π_X) = e(π_{X∪A})`.
+//!
+//! # Layout
+//!
+//! A partition is flat: one `tuples` list holding every class back to
+//! back, each class ascending, plus the class boundaries in
+//! [`ClassSizes`] (`ends[i]` = one past class `i`'s last position). A
+//! partition therefore costs two allocations however many classes it
+//! has, and `‖π‖`, `|π|`, `e(π)` and every class size are O(1) or a
+//! slice read. [`ClassSizes`] on its own — boundaries without tuples —
+//! is what a summary-only product yields.
+//!
+//! # Class order
+//!
+//! Class order is *not* an invariant. [`StrippedPartition::of_attr`]
+//! keeps first-tuple order, products emit classes in kernel order, and
+//! every consumer (errors, `g3`, size multisets, class ids) reads only
+//! counts and sizes. Compare partitions through
+//! [`StrippedPartition::canonical`].
+//!
+//! # The product kernel
+//!
+//! `π_L · π_R` runs in two passes over `π_R`'s classes, with `π_L`'s
+//! class of every tuple in a probe table. The *counting* pass tallies,
+//! per class of `π_R`, how many of its tuples fall in each class of
+//! `π_L` it touches; each tally is the size of one class of the product
+//! (kept if ≥ 2). The *placement* pass replays the same scan and writes
+//! every kept tuple straight into its slot of an exactly sized flat
+//! output. [`StrippedPartition::product_with`] runs both passes;
+//! [`StrippedPartition::product_sizes`] runs only the counting pass and
+//! returns the product's [`ClassSizes`]. No pass sorts, hashes or
+//! allocates per class.
 
 use crate::relation::{AttrId, Relation};
 
-/// A stripped partition: equivalence classes of size ≥ 2, each a sorted
-/// list of tuple indices.
+/// Marks a probe-table entry as unset (tuple outside every class, or
+/// class not yet touched by the current scan).
+const UNSET: u32 = u32::MAX;
+/// Marks a product group of size 1 during placement (stripped).
+const SINGLETON: u32 = u32::MAX - 1;
+
+/// The class sizes of a stripped partition, stored as class boundaries:
+/// `ends[i]` is one past the last flat position of class `i`, so class
+/// `i` has `ends[i] − ends[i−1]` tuples. Sizes are ≥ 2 (singletons are
+/// stripped) and listed in the partition's class order.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ClassSizes {
+    ends: Vec<u32>,
+    n: usize,
+}
+
+impl ClassSizes {
+    /// Number of tuples of the underlying relation.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// `|π|`: number of stripped (size ≥ 2) classes.
+    pub fn n_classes(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `‖π‖`: number of tuples covered by the stripped classes.
+    pub fn covered(&self) -> usize {
+        self.ends.last().map_or(0, |&e| e as usize)
+    }
+
+    /// The TANE error value `e(π) = ‖π‖ − |π|`.
+    pub fn error(&self) -> usize {
+        self.covered() - self.n_classes()
+    }
+
+    /// Number of equivalence classes of the *unstripped* partition
+    /// (stripped classes plus singletons) — i.e. the distinct count of
+    /// the projection.
+    pub fn class_count(&self) -> usize {
+        self.n - self.error()
+    }
+
+    /// True if the attribute set is a superkey (every class a singleton).
+    pub fn is_key(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The stripped class sizes, in class order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        (0..self.ends.len()).map(move |i| self.size(i))
+    }
+
+    /// Class `i`'s size.
+    fn size(&self, i: usize) -> usize {
+        (self.ends[i] - self.start(i)) as usize
+    }
+
+    /// Class `i`'s first flat position.
+    fn start(&self, i: usize) -> u32 {
+        if i == 0 {
+            0
+        } else {
+            self.ends[i - 1]
+        }
+    }
+
+    /// The boundaries of the classes whose sizes are the tallies ≥ 2
+    /// in `groups`, in order, allocated exactly once.
+    fn of_groups(groups: &[u32], n: usize) -> Self {
+        let mut ends = Vec::with_capacity(groups.iter().filter(|&&g| g >= 2).count());
+        let mut end = 0u32;
+        for &g in groups {
+            if g >= 2 {
+                end += g;
+                ends.push(end);
+            }
+        }
+        ClassSizes { ends, n }
+    }
+}
+
+/// A stripped partition: equivalence classes of size ≥ 2, stored flat
+/// (see the module docs). Each class lists its tuple indices ascending;
+/// class order is whatever the constructor produced.
+///
+/// The derived `PartialEq` compares layouts, class order included; use
+/// [`Self::canonical`] on both sides to compare partitions as sets of
+/// classes.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StrippedPartition {
-    /// The non-singleton classes.
-    pub classes: Vec<Vec<u32>>,
-    /// Number of tuples of the underlying relation.
-    pub n: usize,
+    /// Every class's tuples, back to back.
+    tuples: Vec<u32>,
+    /// Class boundaries into `tuples`, and `n`.
+    sizes: ClassSizes,
 }
 
 /// Reusable workspace for the partition hot path.
 ///
-/// [`StrippedPartition::product`] and [`StrippedPartition::g3_error`]
-/// need O(n) probe tables; allocating them per call dominates the TANE
-/// lattice walk, where every level performs thousands of products over
-/// the same relation. A caller-owned scratch amortizes those tables
-/// across calls: buffers only ever grow, and every operation restores
-/// the "clean" invariant (probe entries back to the sentinel, slots
-/// empty) before returning, so one scratch serves arbitrarily many
-/// partitions — even of different relations.
+/// [`StrippedPartition::product_with`] and
+/// [`StrippedPartition::g3_error_with`] need O(n) probe tables;
+/// allocating them per call dominates the TANE lattice walk, where every
+/// level performs thousands of products over the same relation. A
+/// caller-owned scratch amortizes those tables across calls: buffers
+/// only ever grow, and every operation restores the "clean" invariant
+/// (probe entries back to their sentinel, counts zero) before
+/// returning, so one scratch serves arbitrarily many partitions — even
+/// of different relations.
 ///
 /// Not `Clone`/`Sync` on purpose: each worker thread owns its own
 /// scratch (see `dbmine_parallel::par_map_init`).
 #[derive(Debug, Default)]
 pub struct PartitionScratch {
-    /// tuple → class id in the left partition (`u32::MAX` = singleton).
-    /// Invariant between calls: all entries are `u32::MAX`.
+    /// tuple → class id in the left partition (`UNSET` = singleton).
+    /// Invariant between calls: all entries are `UNSET`.
     class_of: Vec<u32>,
-    /// The TANE `S` table: per-left-class tuple buckets. Invariant
-    /// between calls: every bucket is empty (capacity retained).
-    slots: Vec<Vec<u32>>,
-    /// Left-class ids touched while scanning one right class.
-    touched: Vec<u32>,
-    /// Per-tuple class ids of the refined partition (`g3_error`).
-    ids: Vec<u32>,
-    /// Per-refined-class tuple counts (`g3_error`). Invariant between
-    /// calls: all entries are zero.
+    /// Per-class tallies: left classes in the counting pass, refined
+    /// classes in `g3`. Invariant between calls: all entries are zero.
     counts: Vec<u32>,
+    /// Class ids touched while scanning one class.
+    touched: Vec<u32>,
+    /// The counting pass's tallies, in kernel order (sizes ≥ 1).
+    groups: Vec<u32>,
+    /// Placement write cursor per left class. Invariant between calls:
+    /// all entries are `UNSET`.
+    next: Vec<u32>,
+    /// Per-tuple class ids of the refined partition (`g3_error_with`).
+    ids: Vec<u32>,
 }
 
 impl PartitionScratch {
@@ -55,8 +177,63 @@ impl PartitionScratch {
     }
 }
 
+/// Builds single-attribute partitions from a column fed in ascending
+/// tuple order, given each value's total count up front: a value's
+/// class gets its flat slot range at the value's first occurrence, so
+/// classes come out in first-tuple order, each ascending, with no
+/// per-class allocation. Shared by [`StrippedPartition::of_attr`] and
+/// the chunked builder (`crate::attr_partitions_chunks`), which is what
+/// makes the two bit-identical.
+#[derive(Debug)]
+pub(crate) struct ColumnPartitioner {
+    /// Occurrences of each value id.
+    count: Vec<u32>,
+    /// Write cursor of each value's class (`UNSET` until first seen).
+    next: Vec<u32>,
+    tuples: Vec<u32>,
+    ends: Vec<u32>,
+}
+
+impl ColumnPartitioner {
+    /// A builder for a column whose value id `v` occurs `count[v]` times.
+    pub(crate) fn new(count: Vec<u32>) -> Self {
+        let covered: usize = count.iter().filter(|&&c| c >= 2).map(|&c| c as usize).sum();
+        let classes = count.iter().filter(|&&c| c >= 2).count();
+        ColumnPartitioner {
+            next: vec![UNSET; count.len()],
+            count,
+            tuples: vec![0; covered],
+            ends: Vec::with_capacity(classes),
+        }
+    }
+
+    /// Records that tuple `t` holds value id `v`. Tuples must arrive in
+    /// ascending order.
+    pub(crate) fn push(&mut self, t: u32, v: u32) {
+        let c = self.count[v as usize];
+        if c >= 2 {
+            let slot = &mut self.next[v as usize];
+            if *slot == UNSET {
+                let start = self.ends.last().copied().unwrap_or(0);
+                *slot = start;
+                self.ends.push(start + c);
+            }
+            self.tuples[*slot as usize] = t;
+            *slot += 1;
+        }
+    }
+
+    /// The finished partition of an `n`-tuple column.
+    pub(crate) fn finish(self, n: usize) -> StrippedPartition {
+        StrippedPartition {
+            tuples: self.tuples,
+            sizes: ClassSizes { ends: self.ends, n },
+        }
+    }
+}
+
 impl StrippedPartition {
-    /// The partition of a single attribute.
+    /// The partition of a single attribute, classes in first-tuple order.
     ///
     /// # NULL semantics
     ///
@@ -72,7 +249,7 @@ impl StrippedPartition {
     /// partition), but note it is the *opposite* of SQL, where
     /// `NULL = NULL` is unknown and such FDs would be vacuous instead.
     pub fn of_attr(rel: &Relation, a: AttrId) -> Self {
-        // Value ids are dense (interned), so count-then-bucket over a
+        // Value ids are dense (interned), so count-then-place over a
         // value-indexed table beats a HashMap group-by.
         let col = rel.column(a);
         let width = col.iter().map(|&v| v as usize + 1).max().unwrap_or(0);
@@ -80,64 +257,128 @@ impl StrippedPartition {
         for &v in col {
             count[v as usize] += 1;
         }
-        let mut slot = vec![u32::MAX; width];
-        let mut classes: Vec<Vec<u32>> = Vec::new();
+        let mut builder = ColumnPartitioner::new(count);
         for (t, &v) in col.iter().enumerate() {
-            if count[v as usize] >= 2 {
-                let s = &mut slot[v as usize];
-                if *s == u32::MAX {
-                    *s = classes.len() as u32;
-                    classes.push(Vec::with_capacity(count[v as usize] as usize));
-                }
-                classes[*s as usize].push(t as u32);
-            }
+            builder.push(t as u32, v);
         }
-        // Classes emerge ordered by first tuple = lexicographic order
-        // (they are disjoint and internally ascending); the sort is a
-        // cheap presorted pass kept for the documented invariant.
-        classes.sort_unstable();
-        StrippedPartition {
-            classes,
-            n: rel.n_tuples(),
-        }
+        builder.finish(rel.n_tuples())
     }
 
     /// The trivial partition of the empty attribute set: one class with
     /// every tuple (stripped only if `n < 2`).
     pub fn of_empty(n: usize) -> Self {
-        let classes = if n >= 2 {
-            vec![(0..n as u32).collect()]
+        let (tuples, ends) = if n >= 2 {
+            ((0..n as u32).collect(), vec![n as u32])
         } else {
-            Vec::new()
+            (Vec::new(), Vec::new())
         };
-        StrippedPartition { classes, n }
+        StrippedPartition {
+            tuples,
+            sizes: ClassSizes { ends, n },
+        }
+    }
+
+    /// A partition of `n` tuples from explicit classes, in the given
+    /// order. Each class must list distinct tuples `< n` ascending, have
+    /// at least two members, and be disjoint from the others.
+    pub fn from_classes<C: AsRef<[u32]>>(classes: impl IntoIterator<Item = C>, n: usize) -> Self {
+        let mut tuples = Vec::new();
+        let mut ends = Vec::new();
+        for class in classes {
+            let class = class.as_ref();
+            debug_assert!(class.len() >= 2, "stripped classes have ≥ 2 members");
+            debug_assert!(class.windows(2).all(|w| w[0] < w[1]), "class not ascending");
+            debug_assert!(
+                class.iter().all(|&t| (t as usize) < n),
+                "tuple out of range"
+            );
+            tuples.extend_from_slice(class);
+            ends.push(tuples.len() as u32);
+        }
+        StrippedPartition {
+            tuples,
+            sizes: ClassSizes { ends, n },
+        }
+    }
+
+    /// Number of tuples of the underlying relation.
+    pub fn n(&self) -> usize {
+        self.sizes.n
+    }
+
+    /// The class sizes (boundaries) of this partition.
+    pub fn sizes(&self) -> &ClassSizes {
+        &self.sizes
+    }
+
+    /// `|π|`: number of stripped classes.
+    pub fn n_classes(&self) -> usize {
+        self.sizes.n_classes()
+    }
+
+    /// Class `i`'s tuples, ascending.
+    pub fn class(&self, i: usize) -> &[u32] {
+        &self.tuples[self.sizes.start(i) as usize..self.sizes.ends[i] as usize]
+    }
+
+    /// Every class, in this partition's class order.
+    pub fn classes(&self) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        (0..self.n_classes()).map(move |i| self.class(i))
     }
 
     /// `‖π‖`: number of tuples covered by the stripped classes.
     pub fn covered(&self) -> usize {
-        self.classes.iter().map(Vec::len).sum()
+        self.sizes.covered()
+    }
+
+    /// The TANE error value `e(π) = ‖π‖ − |π|`.
+    pub fn error(&self) -> usize {
+        self.sizes.error()
+    }
+
+    /// Number of equivalence classes of the *unstripped* partition
+    /// (stripped classes plus singletons) — i.e. the distinct count of
+    /// the projection.
+    pub fn class_count(&self) -> usize {
+        self.sizes.class_count()
+    }
+
+    /// True if the attribute set is a superkey (every class a singleton).
+    pub fn is_key(&self) -> bool {
+        self.sizes.is_key()
+    }
+
+    /// The same partition with its classes in canonical order: ascending
+    /// by first tuple, which for disjoint ascending classes is
+    /// lexicographic order. Two partitions of the same tuples are equal
+    /// as sets of classes iff their canonical forms are `==`.
+    pub fn canonical(&self) -> StrippedPartition {
+        let mut order: Vec<usize> = (0..self.n_classes()).collect();
+        order.sort_unstable_by_key(|&i| self.class(i)[0]);
+        StrippedPartition::from_classes(order.into_iter().map(|i| self.class(i)), self.n())
     }
 
     /// Restricts this partition onto a tuple subset and renumbers it.
     ///
     /// `map[t]` is the new index of parent tuple `t`, or `u32::MAX` for
     /// tuples outside the subset; `child_n` is the subset size. Each
-    /// class keeps only its surviving members (remapped), classes that
-    /// shrink below 2 are stripped, and the result is re-sorted into the
-    /// canonical lexicographic class order.
+    /// class keeps only its surviving members (remapped, ascending),
+    /// classes that shrink below 2 are stripped, and the result is in
+    /// canonical (first-tuple) order.
     ///
     /// When the subset is a `project_distinct_with_rows` row list over
     /// attributes that include `A`, the restriction of π_A *is* the
     /// child relation's π_A — two projected tuples agree on `A` exactly
-    /// when their (first-occurrence) parent rows do. That identity is
+    /// when their (first-occurrence) parent rows do — and canonical
+    /// order is [`Self::of_attr`]'s first-tuple order. That identity is
     /// what lets a decomposition step derive its partitions from the
     /// parent context instead of rebuilding them (bit-identity is pinned
     /// by tests in `dbmine-context`).
     pub fn restrict_remap(&self, map: &[u32], child_n: usize) -> StrippedPartition {
-        debug_assert_eq!(map.len(), self.n);
+        debug_assert_eq!(map.len(), self.n());
         let mut classes: Vec<Vec<u32>> = Vec::new();
-        for class in &self.classes {
-            let kept: Vec<u32> = class
+        for class in self.classes() {
+            let mut kept: Vec<u32> = class
                 .iter()
                 .filter_map(|&t| {
                     let c = map[t as usize];
@@ -145,36 +386,14 @@ impl StrippedPartition {
                 })
                 .collect();
             if kept.len() >= 2 {
-                let mut kept = kept;
                 // A monotone map (the project_distinct case) leaves the
-                // members presorted; sort anyway to keep the documented
-                // ascending-members invariant for arbitrary maps.
+                // members presorted; sort anyway for arbitrary maps.
                 kept.sort_unstable();
                 classes.push(kept);
             }
         }
         classes.sort_unstable();
-        StrippedPartition {
-            classes,
-            n: child_n,
-        }
-    }
-
-    /// The TANE error value `e(π) = ‖π‖ − |π|`.
-    pub fn error(&self) -> usize {
-        self.covered() - self.classes.len()
-    }
-
-    /// Number of equivalence classes of the *unstripped* partition
-    /// (stripped classes plus singletons) — i.e. the distinct count of
-    /// the projection.
-    pub fn class_count(&self) -> usize {
-        self.n - self.error()
-    }
-
-    /// True if the attribute set is a superkey (every class a singleton).
-    pub fn is_key(&self) -> bool {
-        self.classes.is_empty()
+        StrippedPartition::from_classes(classes, child_n)
     }
 
     /// The product `π_X = π_self · π_other` (partition refinement).
@@ -186,76 +405,157 @@ impl StrippedPartition {
         self.product_with(other, &mut PartitionScratch::default())
     }
 
-    /// The product `π_X = π_self · π_other` via the canonical TANE
-    /// probe-table algorithm (`T`/`S` tables), with all probe state in
-    /// the caller-owned `scratch`: zero hashing, zero per-call
-    /// allocation beyond the result itself.
+    /// The product `π_X = π_self · π_other` via the two-pass kernel (see
+    /// the module docs), with all probe state in the caller-owned
+    /// `scratch`: zero hashing, zero sorting, and two allocations (the
+    /// exactly sized result).
     ///
-    /// Output is bit-identical to [`Self::product_reference`] (pinned by
-    /// regression and property tests).
+    /// Classes come out grouped by `other`'s class order, then by first
+    /// touch; [`Self::canonical`] of the result equals
+    /// [`Self::product_reference`] (pinned by regression and property
+    /// tests).
     pub fn product_with(
         &self,
         other: &StrippedPartition,
         scratch: &mut PartitionScratch,
     ) -> StrippedPartition {
+        self.count_pass(other, scratch);
+        let sizes = ClassSizes::of_groups(&scratch.groups, self.n());
+        let tuples = self.place_pass(other, scratch, sizes.covered());
+        self.clear_probe(scratch);
+        StrippedPartition { tuples, sizes }
+    }
+
+    /// The class sizes of `π_self · π_other` from the counting pass
+    /// alone: the product's error, key test and size multiset, without
+    /// placing a single tuple. Counts as one partition product.
+    pub fn product_sizes(
+        &self,
+        other: &StrippedPartition,
+        scratch: &mut PartitionScratch,
+    ) -> ClassSizes {
+        self.count_pass(other, scratch);
+        self.clear_probe(scratch);
+        ClassSizes::of_groups(&scratch.groups, self.n())
+    }
+
+    /// The counting pass: loads `self`'s probe table and fills
+    /// `scratch.groups` with the size of every non-empty intersection
+    /// of an `other` class with a `self` class — `other`'s classes in
+    /// order, `self`'s in first-touch order. The probe table stays
+    /// loaded for the placement pass; [`Self::clear_probe`] unloads it.
+    fn count_pass(&self, other: &StrippedPartition, scratch: &mut PartitionScratch) {
         dbmine_telemetry::counter_add(dbmine_telemetry::Counter::PartitionProducts, 1);
-        debug_assert_eq!(self.n, other.n);
-        if scratch.class_of.len() < self.n {
-            scratch.class_of.resize(self.n, u32::MAX);
+        debug_assert_eq!(self.n(), other.n());
+        let PartitionScratch {
+            class_of,
+            counts,
+            touched,
+            groups,
+            ..
+        } = scratch;
+        if class_of.len() < self.n() {
+            class_of.resize(self.n(), UNSET);
         }
-        if scratch.slots.len() < self.classes.len() {
-            scratch.slots.resize_with(self.classes.len(), Vec::new);
+        if counts.len() < self.n_classes() {
+            counts.resize(self.n_classes(), 0);
         }
-        // T table: tuple → class id in `self`.
-        for (cid, class) in self.classes.iter().enumerate() {
+        for (cid, class) in self.classes().enumerate() {
             for &t in class {
-                scratch.class_of[t as usize] = cid as u32;
+                class_of[t as usize] = cid as u32;
             }
         }
-        // For each class of `other`, bucket its tuples into the S table
-        // by their `self` class; buckets inherit `other`'s ascending
-        // tuple order, so each emitted class is already sorted.
-        let mut classes: Vec<Vec<u32>> = Vec::new();
-        for class in &other.classes {
-            scratch.touched.clear();
+        groups.clear();
+        for class in other.classes() {
             for &t in class {
-                let cid = scratch.class_of[t as usize];
-                if cid != u32::MAX {
-                    let slot = &mut scratch.slots[cid as usize];
-                    if slot.is_empty() {
-                        scratch.touched.push(cid);
+                let cid = class_of[t as usize];
+                if cid != UNSET {
+                    let c = &mut counts[cid as usize];
+                    if *c == 0 {
+                        touched.push(cid);
                     }
-                    slot.push(t);
+                    *c += 1;
                 }
             }
-            for &cid in &scratch.touched {
-                let slot = &mut scratch.slots[cid as usize];
-                if slot.len() >= 2 {
-                    classes.push(slot.clone());
-                }
-                slot.clear();
+            for &cid in touched.iter() {
+                groups.push(counts[cid as usize]);
+                counts[cid as usize] = 0;
             }
+            touched.clear();
         }
-        // Restore the clean-scratch invariant (touch only what we set).
-        for class in &self.classes {
+    }
+
+    /// The placement pass: replays the counting pass's scan and writes
+    /// every tuple of a group of size ≥ 2 into its slot of a flat list
+    /// of `covered` tuples. Groups take consecutive slot ranges in
+    /// kernel order, and `other`'s classes are ascending, so each output
+    /// class is ascending too.
+    fn place_pass(
+        &self,
+        other: &StrippedPartition,
+        scratch: &mut PartitionScratch,
+        covered: usize,
+    ) -> Vec<u32> {
+        let PartitionScratch {
+            class_of,
+            touched,
+            groups,
+            next,
+            ..
+        } = scratch;
+        if next.len() < self.n_classes() {
+            next.resize(self.n_classes(), UNSET);
+        }
+        let mut tuples = vec![0u32; covered];
+        let mut group = groups.iter();
+        let mut cursor = 0u32;
+        for class in other.classes() {
             for &t in class {
-                scratch.class_of[t as usize] = u32::MAX;
+                let cid = class_of[t as usize];
+                if cid == UNSET {
+                    continue;
+                }
+                let slot = &mut next[cid as usize];
+                if *slot == UNSET {
+                    touched.push(cid);
+                    let size = *group.next().expect("placement replays the counting pass");
+                    *slot = if size >= 2 {
+                        cursor += size;
+                        cursor - size
+                    } else {
+                        SINGLETON
+                    };
+                }
+                if *slot != SINGLETON {
+                    tuples[*slot as usize] = t;
+                    *slot += 1;
+                }
+            }
+            for cid in touched.drain(..) {
+                next[cid as usize] = UNSET;
             }
         }
-        // Disjoint classes: unstable sort is total, matching the
-        // reference's lexicographic class order.
-        classes.sort_unstable();
-        StrippedPartition { classes, n: self.n }
+        debug_assert_eq!(cursor as usize, covered);
+        tuples
+    }
+
+    /// Restores the clean-scratch invariant of the probe table (touching
+    /// only the entries the counting pass set).
+    fn clear_probe(&self, scratch: &mut PartitionScratch) {
+        for &t in &self.tuples {
+            scratch.class_of[t as usize] = UNSET;
+        }
     }
 
     /// The original product implementation (probe table + per-class
-    /// `HashMap`), kept as the oracle for [`Self::product_with`]'s
-    /// regression and property tests.
+    /// `HashMap`, classes sorted), kept as the oracle for
+    /// [`Self::product_with`]'s regression and property tests. Its
+    /// output is in canonical order.
     pub fn product_reference(&self, other: &StrippedPartition) -> StrippedPartition {
-        debug_assert_eq!(self.n, other.n);
+        debug_assert_eq!(self.n(), other.n());
         // Map tuple → class id in `self` (usize::MAX for singletons).
-        let mut class_of = vec![usize::MAX; self.n];
-        for (cid, class) in self.classes.iter().enumerate() {
+        let mut class_of = vec![usize::MAX; self.n()];
+        for (cid, class) in self.classes().enumerate() {
             for &t in class {
                 class_of[t as usize] = cid;
             }
@@ -263,7 +563,7 @@ impl StrippedPartition {
         // For each class of `other`, bucket its tuples by their `self` class.
         let mut buckets: std::collections::HashMap<usize, Vec<u32>> = Default::default();
         let mut classes: Vec<Vec<u32>> = Vec::new();
-        for class in &other.classes {
+        for class in other.classes() {
             buckets.clear();
             for &t in class {
                 let cid = class_of[t as usize];
@@ -277,12 +577,12 @@ impl StrippedPartition {
             c.sort_unstable();
         }
         classes.sort();
-        StrippedPartition { classes, n: self.n }
+        StrippedPartition::from_classes(classes, self.n())
     }
 
     /// Per-tuple class ids of this partition (singletons get unique
-    /// negative-space ids ≥ `classes.len()`), used for `g3` error
-    /// computation.
+    /// negative-space ids ≥ `n_classes()`), used for `g3` error
+    /// computation. Every id is `< n`.
     pub fn class_ids(&self) -> Vec<u32> {
         let mut ids = Vec::new();
         self.class_ids_into(&mut ids);
@@ -293,13 +593,13 @@ impl StrippedPartition {
     /// refilled; no allocation once the buffer has capacity `n`).
     pub fn class_ids_into(&self, ids: &mut Vec<u32>) {
         ids.clear();
-        ids.resize(self.n, u32::MAX);
-        for (cid, class) in self.classes.iter().enumerate() {
+        ids.resize(self.n(), u32::MAX);
+        for (cid, class) in self.classes().enumerate() {
             for &t in class {
                 ids[t as usize] = cid as u32;
             }
         }
-        let mut next = self.classes.len() as u32;
+        let mut next = self.n_classes() as u32;
         for id in ids.iter_mut() {
             if *id == u32::MAX {
                 *id = next;
@@ -325,36 +625,56 @@ impl StrippedPartition {
         refined: &StrippedPartition,
         scratch: &mut PartitionScratch,
     ) -> f64 {
+        let mut ids = std::mem::take(&mut scratch.ids);
+        refined.class_ids_into(&mut ids);
+        let error = self.g3_error_ids(&ids, scratch);
+        scratch.ids = ids;
+        error
+    }
+
+    /// The `g3` error of `X → A` where `self = π_X`, from per-tuple class
+    /// ids `ids` (as [`Self::class_ids`] yields them) of either
+    /// `π_{X∪A}` or `π_A` itself — the two give bitwise-equal results.
+    ///
+    /// Within one class of `π_X` every tuple agrees on `X`, so two of
+    /// them agree on `X ∪ A` exactly when they agree on `A`: the class
+    /// splits into the same groups under either id map, and `g3` reads
+    /// only group sizes. The lattice walks rely on this to score
+    /// `X → A` from `π_A`'s ids, computed once per walk, without ever
+    /// building `π_{X∪A}`.
+    pub fn g3_error_ids(&self, ids: &[u32], scratch: &mut PartitionScratch) -> f64 {
         dbmine_telemetry::counter_add(dbmine_telemetry::Counter::G3Evals, 1);
-        if self.n == 0 {
+        if self.n() == 0 {
             return 0.0;
         }
-        debug_assert_eq!(self.n, refined.n);
-        refined.class_ids_into(&mut scratch.ids);
-        // Refined class ids live in 0..n, so a dense n-wide count table
-        // suffices; only touched entries are reset.
-        if scratch.counts.len() < self.n {
-            scratch.counts.resize(self.n, 0);
+        debug_assert_eq!(ids.len(), self.n());
+        // Ids live in 0..n, so a dense n-wide count table suffices; only
+        // touched entries are reset.
+        let PartitionScratch {
+            counts, touched, ..
+        } = scratch;
+        if counts.len() < self.n() {
+            counts.resize(self.n(), 0);
         }
         let mut removed = 0usize;
-        for class in &self.classes {
-            scratch.touched.clear();
+        for class in self.classes() {
             let mut keep = 1u32;
             for &t in class {
-                let id = scratch.ids[t as usize];
-                let c = &mut scratch.counts[id as usize];
+                let id = ids[t as usize];
+                let c = &mut counts[id as usize];
                 *c += 1;
                 if *c == 1 {
-                    scratch.touched.push(id);
+                    touched.push(id);
                 }
                 keep = keep.max(*c);
             }
             removed += class.len() - keep as usize;
-            for &id in &scratch.touched {
-                scratch.counts[id as usize] = 0;
+            for &id in touched.iter() {
+                counts[id as usize] = 0;
             }
+            touched.clear();
         }
-        removed as f64 / self.n as f64
+        removed as f64 / self.n() as f64
     }
 }
 
@@ -364,22 +684,27 @@ mod tests {
     use crate::paper::figure4;
     use crate::relation::RelationBuilder;
 
+    fn classes(p: &StrippedPartition) -> Vec<Vec<u32>> {
+        p.classes().map(<[u32]>::to_vec).collect()
+    }
+
     #[test]
     fn single_attr_partitions_figure4() {
         let rel = figure4();
         // A = a,a,w,y,z → one class {0,1}.
         let pa = StrippedPartition::of_attr(&rel, 0);
-        assert_eq!(pa.classes, vec![vec![0, 1]]);
+        assert_eq!(classes(&pa), vec![vec![0, 1]]);
         assert_eq!(pa.error(), 1);
         assert_eq!(pa.class_count(), 4);
         // B = 1,1,2,2,2 → classes {0,1}, {2,3,4}.
         let pb = StrippedPartition::of_attr(&rel, 1);
-        assert_eq!(pb.classes.len(), 2);
+        assert_eq!(pb.n_classes(), 2);
         assert_eq!(pb.error(), 3);
         assert_eq!(pb.class_count(), 2);
+        assert_eq!(pb.sizes().iter().collect::<Vec<_>>(), vec![2, 3]);
         // C = p,r,x,x,x → one class {2,3,4}.
         let pc = StrippedPartition::of_attr(&rel, 2);
-        assert_eq!(pc.classes, vec![vec![2, 3, 4]]);
+        assert_eq!(classes(&pc), vec![vec![2, 3, 4]]);
     }
 
     #[test]
@@ -389,9 +714,9 @@ mod tests {
         let pc = StrippedPartition::of_attr(&rel, 2);
         let pbc = pb.product(&pc);
         // BC classes: {(1,p)},{(1,r)},{(2,x)×3} → stripped: {2,3,4}.
-        assert_eq!(pbc.classes, vec![vec![2, 3, 4]]);
+        assert_eq!(classes(&pbc), vec![vec![2, 3, 4]]);
         // Product is symmetric here.
-        assert_eq!(pc.product(&pb), pbc);
+        assert_eq!(pc.product(&pb).canonical(), pbc.canonical());
     }
 
     #[test]
@@ -409,10 +734,11 @@ mod tests {
     #[test]
     fn empty_set_partition() {
         let p = StrippedPartition::of_empty(5);
-        assert_eq!(p.classes.len(), 1);
+        assert_eq!(p.n_classes(), 1);
         assert_eq!(p.error(), 4);
         assert_eq!(p.class_count(), 1);
-        assert!(StrippedPartition::of_empty(1).classes.is_empty());
+        assert!(StrippedPartition::of_empty(1).is_key());
+        assert!(StrippedPartition::of_empty(0).is_key());
     }
 
     #[test]
@@ -443,7 +769,9 @@ mod tests {
         let pc = StrippedPartition::of_attr(&rel, 2);
         let pbc = pb.product(&pc);
         assert!((pb.g3_error(&pbc) - 0.2).abs() < 1e-12);
-        let _ = pc; // silence unused in this configuration
+        // The same error from π_C's class ids, without π_BC.
+        let by_attr = pb.g3_error_ids(&pc.class_ids(), &mut PartitionScratch::new());
+        assert_eq!(by_attr.to_bits(), pb.g3_error(&pbc).to_bits());
     }
 
     #[test]
@@ -458,7 +786,7 @@ mod tests {
         let rel = b.build();
 
         let px = StrippedPartition::of_attr(&rel, 0);
-        assert_eq!(px.classes, vec![vec![0, 1]], "NULLs group together");
+        assert_eq!(classes(&px), vec![vec![0, 1]], "NULLs group together");
 
         // Because t0/t1 agree on X (both NULL) and on A, X → A holds …
         let pa = StrippedPartition::of_attr(&rel, 1);
@@ -478,24 +806,41 @@ mod tests {
 
     #[test]
     fn product_matches_reference_on_paper_relations() {
-        // Bit-identical output: same classes, same order, same n.
+        // Same classes as the oracle once canonically ordered, and the
+        // counting pass alone yields the same sizes.
         let mut scratch = PartitionScratch::new();
         for rel in [crate::paper::figure1(), figure4(), crate::paper::figure5()] {
             for a in 0..rel.n_attrs() {
                 for b in 0..rel.n_attrs() {
                     let pa = StrippedPartition::of_attr(&rel, a);
                     let pb = StrippedPartition::of_attr(&rel, b);
+                    let product = pa.product_with(&pb, &mut scratch);
                     assert_eq!(
-                        pa.product_with(&pb, &mut scratch),
+                        product.canonical(),
                         pa.product_reference(&pb),
                         "{} · {} on {}",
                         a,
                         b,
                         rel.name()
                     );
+                    assert_eq!(&pa.product_sizes(&pb, &mut scratch), product.sizes());
                 }
             }
         }
+    }
+
+    #[test]
+    fn product_classes_are_in_kernel_order_and_ascending() {
+        // π_L = {0,1,2,3} (one class), π_R = {3,4},{0,2}: the product
+        // follows π_R's class order, not first-tuple order.
+        let l = StrippedPartition::from_classes([[0u32, 1, 2, 3]], 5);
+        let r = StrippedPartition::from_classes([[3u32, 4], [0, 2]], 5);
+        let p = l.product(&r);
+        assert_eq!(classes(&p), vec![vec![0, 2]]);
+        let r = StrippedPartition::from_classes([vec![1u32, 3], vec![0, 2, 4]], 5);
+        let p = l.product(&r);
+        assert_eq!(classes(&p), vec![vec![1, 3], vec![0, 2]]);
+        assert_eq!(classes(&p.canonical()), vec![vec![0, 2], vec![1, 3]]);
     }
 
     #[test]
@@ -514,10 +859,11 @@ mod tests {
                 let pa = StrippedPartition::of_attr(rel, 0);
                 let pb = StrippedPartition::of_attr(rel, 1);
                 assert_eq!(
-                    pa.product_with(&pb, &mut scratch),
+                    pa.product_with(&pb, &mut scratch).canonical(),
                     pa.product_reference(&pb)
                 );
                 let pab = pa.product_with(&pb, &mut scratch);
+                assert_eq!(&pa.product_sizes(&pb, &mut scratch), pab.sizes());
                 let g3_scratch = pa.g3_error_with(&pab, &mut scratch);
                 let g3_fresh = pa.g3_error(&pab);
                 assert_eq!(g3_scratch, g3_fresh);
@@ -527,10 +873,7 @@ mod tests {
 
     #[test]
     fn empty_partition_products() {
-        let empty = StrippedPartition {
-            classes: vec![],
-            n: 5,
-        };
+        let empty = StrippedPartition::from_classes(Vec::<Vec<u32>>::new(), 5);
         let full = StrippedPartition::of_empty(5);
         let mut scratch = PartitionScratch::new();
         assert_eq!(
@@ -541,7 +884,8 @@ mod tests {
             full.product_with(&empty, &mut scratch),
             full.product_reference(&empty)
         );
-        assert!(full.product_with(&empty, &mut scratch).classes.is_empty());
+        assert!(full.product_with(&empty, &mut scratch).is_key());
+        assert!(full.product_sizes(&empty, &mut scratch).is_key());
     }
 
     #[test]
@@ -589,17 +933,14 @@ mod tests {
     fn restrict_remap_drops_shrunk_classes_and_resorts() {
         // Partition {0,1},{2,3,4} over n=5; keep tuples {1,3,4} with a
         // deliberately non-monotone renumbering.
-        let p = StrippedPartition {
-            classes: vec![vec![0, 1], vec![2, 3, 4]],
-            n: 5,
-        };
+        let p = StrippedPartition::from_classes([vec![0, 1], vec![2, 3, 4]], 5);
         let mut map = vec![u32::MAX; 5];
         map[1] = 2;
         map[3] = 0;
         map[4] = 1;
         let r = p.restrict_remap(&map, 3);
         // {0,1} shrinks to one member → stripped; {2,3,4} → {0,1}.
-        assert_eq!(r.classes, vec![vec![0, 1]]);
-        assert_eq!(r.n, 3);
+        assert_eq!(classes(&r), vec![vec![0, 1]]);
+        assert_eq!(r.n(), 3);
     }
 }

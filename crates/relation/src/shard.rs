@@ -35,7 +35,7 @@ use crate::csv::{header_names, normalize_row, parse_record, CsvError, Field};
 use crate::dict::{ValueDict, ValueId, NULL_VALUE};
 use crate::hash::ContentHasher;
 use crate::matrix::{qualified_row, qualified_stride};
-use crate::partition::StrippedPartition;
+use crate::partition::{ColumnPartitioner, StrippedPartition};
 use crate::spill::{SpillWriter, StoreChunks, StoreError, StoreFooter};
 use crate::stats::{ColumnProfile, ProjectionCounter};
 use dbmine_infotheory::{entropy, entropy_of, SparseDist};
@@ -458,13 +458,13 @@ where
 
 /// Every single-attribute stripped partition `π_A`, built by a chunked
 /// group-by over the global frozen dictionary — bit-identical to
-/// `StrippedPartition::of_attr` for every attribute, because both
-/// bucket tuples in global order into classes created at each value's
-/// first occurrence.
+/// `StrippedPartition::of_attr` for every attribute, because both feed
+/// tuples in global order through the same `ColumnPartitioner`, which
+/// opens each value's class at its first occurrence.
 ///
 /// Two chunk passes: one to count per-column value frequencies (so
-/// singleton classes are never allocated, exactly like `of_attr`), one
-/// to bucket. Peak memory is two dense `u32` tables per column plus the
+/// every partition is allocated exactly once, as in `of_attr`), one to
+/// place. Peak memory is two dense `u32` tables per column plus the
 /// partitions themselves — never the `n × m` cell matrix.
 pub fn attr_partitions_chunks(
     sharded: &ShardedRelation,
@@ -487,35 +487,18 @@ pub fn attr_partitions_chunks(
             }
         }
     }
-    // Pass 2: bucket tuples of shared values in global tuple order.
-    let mut slot: Vec<Vec<u32>> = count.iter().map(|t| vec![u32::MAX; t.len()]).collect();
-    let mut classes: Vec<Vec<Vec<u32>>> = vec![Vec::new(); m];
+    // Pass 2: place tuples of shared values in global tuple order.
+    let mut builders: Vec<ColumnPartitioner> =
+        count.into_iter().map(ColumnPartitioner::new).collect();
     for chunk in sharded.chunks()? {
         let chunk = chunk?;
-        for (a, col) in chunk.columns.iter().enumerate() {
+        for (builder, col) in builders.iter_mut().zip(&chunk.columns) {
             for (local, &v) in col.iter().enumerate() {
-                let c = count[a][v as usize];
-                if c >= 2 {
-                    let s = &mut slot[a][v as usize];
-                    if *s == u32::MAX {
-                        *s = classes[a].len() as u32;
-                        classes[a].push(Vec::with_capacity(c as usize));
-                    }
-                    classes[a][*s as usize].push((chunk.start + local) as u32);
-                }
+                builder.push((chunk.start + local) as u32, v);
             }
         }
     }
-    Ok(classes
-        .into_iter()
-        .map(|mut classes| {
-            // First-tuple order is already lexicographic; the sort is
-            // the same cheap presorted pass `of_attr` keeps for the
-            // documented invariant.
-            classes.sort_unstable();
-            StrippedPartition { classes, n }
-        })
-        .collect())
+    Ok(builders.into_iter().map(|b| b.finish(n)).collect())
 }
 
 /// Per-column profiles (distinct, NULL fraction, entropy) folded over
@@ -799,6 +782,25 @@ mod tests {
             try_spill(wide.as_bytes(), "t", 1),
             Err(CsvError::TooManyAttrs { got: 65, max: 64 })
         ));
+    }
+
+    #[test]
+    fn path_spill_rejects_duplicate_header_names() {
+        let dir = std::env::temp_dir().join("dbmine_shard_dup_header_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("dup_{}.csv", std::process::id()));
+        std::fs::write(&path, "a,a\nx,y\n").unwrap();
+        let store = dir.join(format!("dup_{}.dbss", std::process::id()));
+        let e = ShardedRelation::scan_csv_path_spill(&path, 0, &store).unwrap_err();
+        let CsvError::InFile { source, .. } = &e else {
+            panic!("expected the file to be named: {e:?}");
+        };
+        assert!(
+            matches!(&**source, CsvError::DuplicateAttr { name, first: 0, second: 1 } if name == "a"),
+            "{e:?}"
+        );
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&store).ok();
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!
 //! `m₀` depends only on the two *class-size multisets* (the joint
 //! contingency table is random under the null), so it is computable
-//! directly from the cached [`StrippedPartition`]s: for marginal class
+//! directly from the partitions' [`ClassSizes`]: for marginal class
 //! sizes `a` (from `π_X`) and `b` (from `π_Y`), the overlap count `k`
 //! is hypergeometric, and
 //!
@@ -51,7 +51,7 @@
 //! `g3` scores perfect.
 
 use dbmine_context::AnalysisCtx;
-use dbmine_relation::partition::{PartitionScratch, StrippedPartition};
+use dbmine_relation::partition::{ClassSizes, PartitionScratch, StrippedPartition};
 use dbmine_relation::AttrSet;
 use dbmine_telemetry::{counter_add, Counter};
 
@@ -78,12 +78,12 @@ pub struct SizeMultiset {
 }
 
 impl SizeMultiset {
-    /// The size multiset of a stripped partition (singletons restored
-    /// from `n − ‖π‖`).
-    pub fn of_partition(p: &StrippedPartition) -> SizeMultiset {
-        let mut sizes: Vec<u64> = p.classes.iter().map(|c| c.len() as u64).collect();
+    /// The size multiset of a stripped partition, read from its class
+    /// sizes (singletons restored from `n − ‖π‖`).
+    pub fn of_sizes(p: &ClassSizes) -> SizeMultiset {
+        let mut sizes: Vec<u64> = p.iter().map(|s| s as u64).collect();
         sizes.sort_unstable();
-        let singletons = (p.n - p.covered()) as u64;
+        let singletons = (p.n() - p.covered()) as u64;
         let mut pairs: Vec<(u64, u64)> = Vec::new();
         if singletons > 0 {
             pairs.push((1, singletons));
@@ -94,7 +94,7 @@ impl SizeMultiset {
                 _ => pairs.push((s, 1)),
             }
         }
-        SizeMultiset { pairs, n: p.n }
+        SizeMultiset { pairs, n: p.n() }
     }
 
     /// Empirical entropy in bits, `Σ c·(s/n)·log₂(n/s)`.
@@ -278,7 +278,7 @@ impl RfiScorer {
         let parts = ctx.attr_partitions_with(threads);
         let y_sizes: Vec<SizeMultiset> = parts
             .iter()
-            .map(|p| SizeMultiset::of_partition(p))
+            .map(|p| SizeMultiset::of_sizes(p.sizes()))
             .collect();
         let h_y = y_sizes.iter().map(SizeMultiset::entropy_bits).collect();
         RfiScorer {
@@ -309,18 +309,13 @@ impl RfiScorer {
         m0(x, &self.y_sizes[rhs], &self.lnfact)
     }
 
-    /// F̂(X→rhs) from the partition pair `(π_X, π_{X∪rhs})`.
+    /// F̂(X→rhs) from the class sizes of `π_X` and `π_{X∪rhs}`.
     ///
     /// `H(rhs) = 0` (a constant column) is defined as `plugin = 1`,
     /// `bias = 0`, `score = 1`: a constant consequent is determined by
     /// anything, exactly, with no room for chance agreement — and the
     /// convention keeps the score total (no NaN from `0/0`).
-    pub fn score(
-        &self,
-        p_x: &StrippedPartition,
-        p_xrhs: &StrippedPartition,
-        rhs: usize,
-    ) -> RfiScore {
+    pub fn score(&self, p_x: &ClassSizes, p_xrhs: &ClassSizes, rhs: usize) -> RfiScore {
         counter_add(Counter::RfiEvals, 1);
         let h_y = self.h_y[rhs];
         if h_y == 0.0 {
@@ -330,8 +325,8 @@ impl RfiScorer {
                 score: 1.0,
             };
         }
-        let x = SizeMultiset::of_partition(p_x);
-        let xy = SizeMultiset::of_partition(p_xrhs);
+        let x = SizeMultiset::of_sizes(p_x);
+        let xy = SizeMultiset::of_sizes(p_xrhs);
         // I(X;Y) = H(X) + H(Y) − H(XY), all from size multisets.
         let mi = x.entropy_bits() + h_y - xy.entropy_bits();
         let plugin = mi / h_y;
@@ -380,7 +375,7 @@ impl RfiScorer {
             acc
         };
         let p_y = product(rhs, &mut scratch);
-        let y = SizeMultiset::of_partition(&p_y);
+        let y = SizeMultiset::of_sizes(p_y.sizes());
         let h_y = y.entropy_bits();
         if h_y == 0.0 {
             return RfiScore {
@@ -391,8 +386,8 @@ impl RfiScorer {
         }
         let p_x = product(lhs, &mut scratch);
         let p_xy = p_x.product_with(&p_y, &mut scratch);
-        let x = SizeMultiset::of_partition(&p_x);
-        let mi = x.entropy_bits() + h_y - SizeMultiset::of_partition(&p_xy).entropy_bits();
+        let x = SizeMultiset::of_sizes(p_x.sizes());
+        let mi = x.entropy_bits() + h_y - SizeMultiset::of_sizes(p_xy.sizes()).entropy_bits();
         let plugin = mi / h_y;
         let bias = m0(&x, &y, &self.lnfact) / h_y;
         RfiScore {
@@ -421,12 +416,12 @@ mod tests {
         let rel = figure4();
         // B = 1,1,2,2,2 → sizes {2,3}.
         let pb = StrippedPartition::of_attr(&rel, 1);
-        let m = SizeMultiset::of_partition(&pb);
+        let m = SizeMultiset::of_sizes(pb.sizes());
         assert_eq!(m.pairs, vec![(2, 1), (3, 1)]);
         assert_eq!(m.n, 5);
         // A = a,a,w,y,z → one pair class + three singletons.
         let pa = StrippedPartition::of_attr(&rel, 0);
-        let m = SizeMultiset::of_partition(&pa);
+        let m = SizeMultiset::of_sizes(pa.sizes());
         assert_eq!(m.pairs, vec![(1, 3), (2, 1)]);
         assert!(!m.is_key());
         assert!(multiset(&[(1, 5)], 5).is_key());

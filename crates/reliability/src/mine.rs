@@ -22,7 +22,7 @@
 
 use crate::estimator::{RfiScore, RfiScorer, SizeMultiset};
 use dbmine_context::AnalysisCtx;
-use dbmine_fdmine::lattice::{walk_minimal, MinimalTest};
+use dbmine_fdmine::lattice::{walk_minimal, Candidate, MinimalTest};
 use dbmine_fdmine::Fd;
 use dbmine_parallel::par_map;
 use dbmine_relation::partition::{PartitionScratch, StrippedPartition};
@@ -89,15 +89,9 @@ struct RfiTest {
 impl MinimalTest for RfiTest {
     type Score = (RfiScore, f64);
 
-    fn score(
-        &self,
-        p_lhs: &StrippedPartition,
-        p_x: &StrippedPartition,
-        a: usize,
-        scratch: &mut PartitionScratch,
-    ) -> (RfiScore, f64) {
-        let rfi = self.scorer.score(p_lhs, p_x, a);
-        (rfi, p_lhs.g3_error_with(p_x, scratch))
+    fn score(&self, c: &Candidate<'_>, scratch: &mut PartitionScratch) -> (RfiScore, f64) {
+        let rfi = self.scorer.score(c.lhs.sizes(), c.x, c.a);
+        (rfi, c.g3_error(scratch))
     }
 
     fn emits(&self, (rfi, _): &(RfiScore, f64)) -> bool {
@@ -141,7 +135,7 @@ impl MinimalTest for RfiTest {
                             break 'decide;
                         }
                     }
-                    let x_sizes = SizeMultiset::of_partition(&parts[&x.bits()]);
+                    let x_sizes = SizeMultiset::of_sizes(parts[&x.bits()].sizes());
                     for (b, found) in found_lhs.iter().enumerate() {
                         if x.contains(b) {
                             continue;

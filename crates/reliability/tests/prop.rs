@@ -32,6 +32,39 @@ fn tiny_relation() -> impl Strategy<Value = Relation> {
     })
 }
 
+/// A small relation that may be degenerate: 0–10 tuples over 2–4
+/// attributes, each column random (domain 3), random with NULLs,
+/// constant, or entirely NULL.
+fn edge_relation() -> impl Strategy<Value = Relation> {
+    (2usize..=4, 0usize..=10).prop_flat_map(|(m, n)| {
+        (
+            proptest::collection::vec(0u8..4, m..=m),
+            proptest::collection::vec(proptest::collection::vec(0u8..3, m..=m), n..=n),
+        )
+            .prop_map(move |(kinds, rows)| {
+                let names: Vec<String> = (0..m).map(|a| format!("A{a}")).collect();
+                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+                let mut b = RelationBuilder::new("edge", &refs);
+                for row in rows {
+                    let cells: Vec<Option<String>> = row
+                        .iter()
+                        .zip(&kinds)
+                        .enumerate()
+                        .map(|(a, (&v, &kind))| match kind {
+                            0 => Some(format!("v{a}_{v}")),
+                            1 => (v > 0).then(|| format!("v{a}_{v}")),
+                            2 => Some(format!("c{a}")),
+                            _ => None,
+                        })
+                        .collect();
+                    let refs: Vec<Option<&str>> = cells.iter().map(Option::as_deref).collect();
+                    b.push_row(&refs);
+                }
+                b.build()
+            })
+    })
+}
+
 /// Empirical mutual information (bits) between two class-id labelings.
 fn empirical_mi_bits(x_ids: &[u32], y_ids: &[u32]) -> f64 {
     let n = x_ids.len();
@@ -160,8 +193,8 @@ proptest! {
         for px in &lhs_parts {
             for py in &parts {
                 let closed = m0(
-                    &SizeMultiset::of_partition(px),
-                    &SizeMultiset::of_partition(py),
+                    &SizeMultiset::of_sizes(px.sizes()),
+                    &SizeMultiset::of_sizes(py.sizes()),
                     &lnfact,
                 );
                 let brute = brute_force_m0_bits(&px.class_ids(), &py.class_ids());
@@ -184,7 +217,7 @@ proptest! {
                 if a == b { continue; }
                 let pa = StrippedPartition::of_attr(&rel, a);
                 let pb = StrippedPartition::of_attr(&rel, b);
-                let h_y = SizeMultiset::of_partition(&pb).entropy_bits();
+                let h_y = SizeMultiset::of_sizes(pb.sizes()).entropy_bits();
                 let s = scorer.score_sets(&ctx, AttrSet::single(a), AttrSet::single(b));
                 if h_y == 0.0 {
                     prop_assert_eq!(s.score, 1.0);
@@ -262,6 +295,32 @@ proptest! {
                 && x.bias.to_bits() == y.bias.to_bits()
                 && x.g3.to_bits() == y.g3.to_bits(),
                 "pruning changed an emitted value at θ = {}", theta);
+        }
+    }
+
+    /// A walk bounded at `k` — whose last level is built as class sizes
+    /// only — returns the unbounded output filtered to |lhs| ≤ k, with
+    /// pruning on and off, every score component bit for bit.
+    #[test]
+    fn bounded_walk_equals_filtered_unbounded(rel in edge_relation(), theta_pct in 0u32..=100) {
+        let theta = theta_pct as f64 / 100.0;
+        let ctx = AnalysisCtx::of(&rel);
+        for prune in [true, false] {
+            let options = ReliableOptions { theta, prune, ..Default::default() };
+            let unbounded = mine_reliable_ctx(&ctx, options);
+            for k in 0..=rel.n_attrs() {
+                let bounded = mine_reliable_ctx(&ctx, ReliableOptions { max_lhs: Some(k), ..options });
+                let filtered: Vec<_> = unbounded.iter().filter(|f| f.fd.lhs.len() <= k).collect();
+                prop_assert_eq!(bounded.len(), filtered.len(), "k = {}, prune = {}", k, prune);
+                for (b, f) in bounded.iter().zip(filtered) {
+                    prop_assert_eq!(b.fd, f.fd, "k = {}, prune = {}", k, prune);
+                    prop_assert!(b.score.to_bits() == f.score.to_bits()
+                        && b.plugin.to_bits() == f.plugin.to_bits()
+                        && b.bias.to_bits() == f.bias.to_bits()
+                        && b.g3.to_bits() == f.g3.to_bits(),
+                        "{}: a score drifted at k = {}", b.fd, k);
+                }
+            }
         }
     }
 }
