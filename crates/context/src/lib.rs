@@ -25,12 +25,13 @@
 //!   even the row-oriented [`TupleRows`]/[`ValueIndex`] — build from
 //!   bounded-memory chunk passes over the store and are
 //!   **bit-identical** to the in-memory builds (global interned ids +
-//!   deterministic first-occurrence folds). Only [`AnalysisCtx::relation`] materializes the full
-//!   `Relation`, lazily, for genuinely row-resident consumers (FDEP
-//!   agree-sets, tuple previews, redesign projections); each
-//!   materialization is recorded in the [`ViewStats::materializations`]
-//!   ledger and `Counter::CtxMaterializations`, so tests can pin
-//!   "`fds` from a store materializes nothing".
+//!   deterministic first-occurrence folds). Only
+//!   [`AnalysisCtx::relation`] materializes the full `Relation`, lazily,
+//!   for genuinely row-resident consumers (tuple previews, redesign
+//!   projections); each materialization is recorded in the
+//!   [`ViewStats::materializations`] ledger and
+//!   `Counter::CtxMaterializations`, so tests can pin "`fds` and
+//!   `analyze` from a store materialize nothing".
 //!
 //! # Sharing contract
 //!

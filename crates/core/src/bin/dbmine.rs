@@ -2,10 +2,11 @@
 //!
 //! ```text
 //! dbmine analyze    <file.csv> [--phi-t F] [--phi-v F] [--psi F]
+//!                   [--max-lhs N] [--score S] [--threads N]
 //! dbmine duplicates <file.csv> [--phi-t F]
 //! dbmine fds        <file.csv> [--approx EPS] [--max-lhs N]
 //! dbmine partition  <file.csv> [--k N] [--phi-t F]
-//! dbmine redesign   <file.csv> [--steps N]
+//! dbmine redesign   <file.csv> [--steps N] [--max-lhs N] [--score S] [--threads N]
 //! ```
 //!
 //! The input may also be a binary shard store (`file.dbss`, see
@@ -37,12 +38,13 @@ fn usage() -> ! {
          \n\
          USAGE:\n\
          \x20 dbmine analyze    <file.csv> [--phi-t F] [--phi-v F] [--psi F]\n\
+         \x20                   [--max-lhs N] [--score S] [--threads N]\n\
          \x20 dbmine duplicates <file.csv> [--phi-t F]\n\
          \x20 dbmine fds        <file.csv> [--approx EPS] [--score S] [--theta F] [--max-lhs N]\n\
          \x20 dbmine mvds       <file.csv> [--max-lhs N]\n\
          \x20 dbmine joins      <file.csv> --with <other.csv>\n\
          \x20 dbmine partition  <file.csv> [--k N] [--phi-t F]\n\
-         \x20 dbmine redesign   <file.csv> [--steps N]\n\
+         \x20 dbmine redesign   <file.csv> [--steps N] [--max-lhs N] [--score S] [--threads N]\n\
          \n\
          OPTIONS:\n\
          \x20 --phi-t F    tuple-clustering accuracy φT (default 0.1)\n\
@@ -239,9 +241,8 @@ impl Input {
 /// or a plain CSV read. The store paths build a chunk-backed
 /// [`AnalysisCtx`] — every view streams from the store in bounded
 /// memory, and the full relation is never materialized unless a
-/// row-resident command (duplicates previews, redesign, mvds, joins,
-/// small-`n` FDEP) asks for it. All four paths produce byte-identical
-/// command output.
+/// row-resident command (duplicates previews, redesign, mvds, joins)
+/// asks for it. All four paths produce byte-identical command output.
 fn load_input(args: &Args) -> Input {
     let path = args.path.as_str();
     let spill = args.flags.get("spill").cloned();
@@ -417,6 +418,7 @@ fn main() {
             let ctx = &input.ctx;
             let steps = args.usize_flag("steps").unwrap_or(3);
             let config = MinerConfig {
+                max_lhs: args.usize_flag("max-lhs"),
                 threads: args.threads(),
                 shards: args.shards(),
                 score: args.score(),

@@ -42,7 +42,7 @@
 //! | [`ib`] | DCFs, Agglomerative Information Bottleneck, dendrograms |
 //! | [`limbo`] | the scalable LIMBO clustering pipeline |
 //! | [`summaries`] | duplicate tuples, horizontal partitioning, value & attribute grouping |
-//! | [`fdmine`] | FDEP and TANE dependency miners, minimum covers |
+//! | [`fdmine`] | TANE (the pipeline's miner) and FDEP dependency miners, minimum covers |
 //! | [`fdrank`] | FD-RANK, RAD/RTR, vertical decomposition |
 //! | [`reliability`] | bias-corrected F̂ scoring, branch-and-bound reliable-FD mining |
 //! | [`datagen`] | DB2-sample / DBLP-style generators, error injection |

@@ -1,7 +1,7 @@
 //! The high-level structure-mining pipeline.
 
 use dbmine_context::AnalysisCtx;
-use dbmine_fdmine::{mine_fdep_ctx, mine_tane_ctx, minimum_cover, Fd, TaneOptions};
+use dbmine_fdmine::{mine_tane_ctx, minimum_cover, Fd, TaneOptions};
 use dbmine_fdrank::{rad_ctx, rank_by_rfi, rank_fds, rtr_ctx, RankedFd, ScoreKind};
 use dbmine_limbo::LimboParams;
 use dbmine_relation::stats::ColumnProfile;
@@ -11,14 +11,18 @@ use dbmine_summaries::{
     DuplicateReport, ValueClustering,
 };
 
-/// Which dependency miner to run.
+/// Ignored compatibility shim: the pipeline always mines with TANE.
+/// Kept only because the end-to-end benchmark's traced replay
+/// (`crates/bench/src/bin/bench_e2e/src/replay.rs`) still names it;
+/// it will be deleted together with that file.
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum FdMiner {
-    /// FDEP (pairwise agree sets) — the paper's choice; quadratic in `n`.
+    /// Ignored.
     Fdep,
-    /// TANE (levelwise partitions) — for large `n`.
+    /// Ignored.
     Tane,
-    /// FDEP below 2 000 tuples, TANE above.
+    /// Ignored.
     #[default]
     Auto,
 }
@@ -33,9 +37,12 @@ pub struct MinerConfig {
     pub phi_values: f64,
     /// FD-RANK threshold `ψ ∈ [0,1]`.
     pub psi: f64,
-    /// Dependency miner selection.
+    /// Ignored compatibility shim (see `FdMiner`); it will be deleted
+    /// together with `crates/bench/src/bin/bench_e2e/src/replay.rs`.
+    #[doc(hidden)]
     pub fd_miner: FdMiner,
-    /// Bound on TANE's LHS size (None = exact and unbounded).
+    /// Bound on the LHS size of the mined dependencies (None = exact and
+    /// unbounded).
     pub max_lhs: Option<usize>,
     /// Worker threads for the clustering and FD-mining stages (`1` =
     /// serial, `0` = all cores). Results are bit-identical for every
@@ -60,7 +67,7 @@ impl Default for MinerConfig {
             phi_tuples: 0.0,
             phi_values: 0.0,
             psi: 0.5,
-            fd_miner: FdMiner::Auto,
+            fd_miner: FdMiner::default(),
             max_lhs: None,
             threads: 1,
             shards: None,
@@ -246,11 +253,11 @@ impl StructureMiner {
 
     /// Runs the full pipeline over a shared [`AnalysisCtx`]: profiling →
     /// duplicate tuples → value clustering → attribute grouping → FD
-    /// mining → minimum cover → FD-RANK with RAD/RTR. One analyze run
-    /// builds `TupleRows`, `ValueIndex` and each single-attribute
-    /// partition exactly once (pinned by a telemetry regression test);
-    /// repeated runs over the same context (parameter sweeps, repeated
-    /// CLI calls) build nothing.
+    /// mining (TANE, bounded by `max_lhs`) → minimum cover → FD-RANK
+    /// with RAD/RTR. One analyze run builds `TupleRows`, `ValueIndex`
+    /// and each single-attribute partition exactly once (pinned by a
+    /// telemetry regression test); repeated runs over the same context
+    /// (parameter sweeps, repeated CLI calls) build nothing.
     pub fn analyze_ctx(&self, ctx: &AnalysisCtx) -> StructureReport {
         let _span = dbmine_telemetry::span!("miner.analyze");
         let c = &self.config;
@@ -275,16 +282,13 @@ impl StructureMiner {
 
         let fds = {
             let _s = dbmine_telemetry::span!("miner.mine_fds");
-            match self.effective_miner(ctx.n_tuples()) {
-                FdMiner::Fdep => mine_fdep_ctx(ctx),
-                _ => mine_tane_ctx(
-                    ctx,
-                    TaneOptions {
-                        max_lhs: c.max_lhs,
-                        threads: c.threads,
-                    },
-                ),
-            }
+            mine_tane_ctx(
+                ctx,
+                TaneOptions {
+                    max_lhs: c.max_lhs,
+                    threads: c.threads,
+                },
+            )
         };
         let cover = minimum_cover(&fds);
         let ranked = {
@@ -321,24 +325,12 @@ impl StructureMiner {
             ranked,
         }
     }
-
-    fn effective_miner(&self, n_tuples: usize) -> FdMiner {
-        match self.config.fd_miner {
-            FdMiner::Auto => {
-                if n_tuples <= 2_000 {
-                    FdMiner::Fdep
-                } else {
-                    FdMiner::Tane
-                }
-            }
-            other => other,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbmine_fdmine::mine_fdep_ctx;
     use dbmine_relation::paper::{figure4, figure5};
 
     #[test]
@@ -392,22 +384,12 @@ mod tests {
 
     #[test]
     fn miner_selection() {
-        let m = StructureMiner::new(MinerConfig {
-            fd_miner: FdMiner::Tane,
-            ..Default::default()
-        });
-        let report = m.analyze_ctx(&AnalysisCtx::of(&figure5()));
-        // TANE path produces the same cover as FDEP on small data.
-        let f = StructureMiner::new(MinerConfig {
-            fd_miner: FdMiner::Fdep,
-            ..Default::default()
-        })
-        .analyze_ctx(&AnalysisCtx::of(&figure5()));
-        let mut a = report.cover.clone();
-        let mut b = f.cover.clone();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
+        // FDEP, an independent algorithm, pins the pipeline's cover.
+        for rel in [figure4(), figure5()] {
+            let ctx = AnalysisCtx::of(&rel);
+            let report = StructureMiner::default().analyze_ctx(&ctx);
+            assert_eq!(minimum_cover(&mine_fdep_ctx(&ctx)), report.cover);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! bit-identical to the single-shot CLI" is a structural property, not a
 //! test-only coincidence.
 
-use crate::{FdMiner, MinerConfig, StructureMiner};
+use crate::{MinerConfig, StructureMiner};
 use dbmine_context::AnalysisCtx;
 use dbmine_fdmine::{mine_approximate_ctx, minimum_cover, TaneOptions};
 use dbmine_fdrank::ScoreKind;
@@ -293,11 +293,11 @@ pub fn analyze_config(
         phi_tuples: phi_t.unwrap_or(0.1),
         phi_values: phi_v.unwrap_or(0.0),
         psi: psi.unwrap_or(0.5),
-        fd_miner: FdMiner::Auto,
         max_lhs,
         threads,
         shards,
         score,
+        ..MinerConfig::default()
     }
 }
 
@@ -436,9 +436,10 @@ mod tests {
 
     #[test]
     fn store_backed_fds_is_byte_identical_and_never_materializes() {
-        // The PR-10 ledger contract: `fds` from a shard store — both g3
-        // and rfi scoring — prints the exact bytes of the CSV run while
-        // the chunk-backed context performs zero materializations.
+        // The ledger contract: `fds` from a shard store — both g3 and
+        // rfi scoring — and `analyze` print the exact bytes of the CSV
+        // run while the chunk-backed context performs zero
+        // materializations.
         use dbmine_relation::{csv, ShardedRelation};
         let rel = db2_sample(&Db2Spec::default()).relation;
         let dir = std::env::temp_dir().join("dbmine_render_ledger");
@@ -459,10 +460,34 @@ mod tests {
         let rfi_mem = run_fds(&mem, None, Some(2), 1, ScoreKind::Rfi, Some(0.3));
         let rfi_store = run_fds(&chunked, None, Some(2), 1, ScoreKind::Rfi, Some(0.3));
         assert_eq!(rfi_store, rfi_mem);
+        // So does the whole `analyze` pipeline, whose FD stage folds
+        // from chunks at every n.
+        let config = analyze_config(None, None, None, None, 1, None, ScoreKind::G3);
+        assert_eq!(run_analyze(&chunked, &config), run_analyze(&mem, &config));
 
         assert_eq!(chunked.view_stats().materializations, 0);
         let _ = std::fs::remove_file(&csv_path);
         let _ = std::fs::remove_file(&store_path);
+    }
+
+    #[test]
+    fn analyze_honours_max_lhs_like_fds() {
+        let rel = db2_sample(&Db2Spec::default()).relation;
+        let ctx = AnalysisCtx::of(&rel);
+        let config = analyze_config(None, None, None, Some(1), 1, None, ScoreKind::G3);
+        let analyze = run_analyze(&ctx, &config);
+        assert!(
+            analyze.contains("# dependencies: 83 mined, 25 in minimum cover"),
+            "{analyze}"
+        );
+        let fds = run_fds(&ctx, None, Some(1), 1, ScoreKind::G3, None);
+        assert!(
+            fds.starts_with("exact minimal dependencies: 83 (cover: 25)"),
+            "{fds}"
+        );
+        let report = StructureMiner::new(config).analyze_ctx(&ctx);
+        assert_eq!(report.fds.len(), 83);
+        assert!(report.fds.iter().all(|fd| fd.lhs.len() <= 1));
     }
 
     #[test]

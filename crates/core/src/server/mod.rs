@@ -306,6 +306,7 @@ fn run_command(req: &Request, ctx: &AnalysisCtx) -> Result<String, String> {
                 phi_tuples: req.params.phi_t.unwrap_or(0.0),
                 phi_values: req.params.phi_v.unwrap_or(0.0),
                 psi: req.params.psi.unwrap_or(0.5),
+                max_lhs: req.max_lhs,
                 threads: req.threads,
                 shards: req.shards,
                 score: req.score,
@@ -777,6 +778,35 @@ mod tests {
         for p in [&csv_path, &store_path, &bad_path] {
             std::fs::remove_file(p).ok();
         }
+    }
+
+    #[test]
+    fn redesign_request_honours_max_lhs() {
+        use dbmine_datagen::{db2_sample, Db2Spec};
+        let dir = std::env::temp_dir().join("dbmine_daemon_redesign_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("db2_{}.csv", std::process::id()));
+        dbmine_relation::csv::write_relation_path(&db2_sample(&Db2Spec::default()).relation, &path)
+            .unwrap();
+        let ctx = AnalysisCtx::from(dbmine_relation::csv::read_relation_path(&path).unwrap());
+
+        let d = Daemon::new(4);
+        let output = |extra: &str| {
+            let line = format!(
+                "{{\"cmd\":\"redesign\",\"path\":\"{}\"{extra}}}",
+                path.display()
+            );
+            let v = parse(&d.handle_line(&line).line).unwrap();
+            v.get("output").and_then(Json::as_str).unwrap().to_string()
+        };
+        let bounded = MinerConfig {
+            max_lhs: Some(1),
+            ..MinerConfig::default()
+        };
+        let out = output(",\"max_lhs\":1");
+        assert_eq!(out, render::run_redesign(&ctx, 3, &bounded));
+        assert_ne!(out, output(""), "max_lhs must reach the redesign miner");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

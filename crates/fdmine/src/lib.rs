@@ -4,14 +4,15 @@
 //! dependencies; this crate supplies the dependency-mining substrate the
 //! paper leans on:
 //!
+//! * [`tane`] — the TANE levelwise miner of Huhtala et al. (the paper's
+//!   `[15]`), built on stripped partitions: the exact miner the
+//!   structure-mining pipeline runs at every input size.
 //! * [`fdep`] — the FDEP algorithm of Savnik & Flach, used in the paper's
 //!   experiments: compute all **maximal invalid** dependencies by pairwise
 //!   tuple comparison (the negative cover), then derive the **minimal
-//!   valid** dependencies from it.
-//! * [`tane`] — the TANE levelwise miner of Huhtala et al. (the paper's
-//!   alternative, `[15]`), built on stripped partitions — the right tool
-//!   once relations reach tens of thousands of tuples, where FDEP's
-//!   quadratic pairwise scan is infeasible.
+//!   valid** dependencies from it. Its quadratic pairwise scan loses to
+//!   TANE beyond a few hundred tuples; it is kept as an independent
+//!   cross-check of TANE.
 //! * [`cover`] — canonical/minimum covers in the style of Maier `[16]`:
 //!   attribute-set closures, left-reduction, redundancy elimination.
 //! * [`check`] — direct validity and `g3` approximation-error checks for

@@ -159,6 +159,32 @@ fn bad_usage_exits_nonzero() {
 }
 
 #[test]
+fn redesign_honours_max_lhs() {
+    use dbmine::context::AnalysisCtx;
+    use dbmine::datagen::{db2_sample, Db2Spec};
+    use dbmine::relation::csv::{read_relation_path, write_relation_path};
+    use dbmine::{render, MinerConfig};
+
+    let dir = std::env::temp_dir().join(format!("dbmine_cli_lhs_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("db2.csv");
+    write_relation_path(&db2_sample(&Db2Spec::default()).relation, &path).unwrap();
+    let ctx = AnalysisCtx::from(read_relation_path(&path).unwrap());
+    let p = path.to_str().unwrap();
+
+    let bounded = MinerConfig {
+        max_lhs: Some(1),
+        ..MinerConfig::default()
+    };
+    let (stdout, stderr, ok) = run(&["redesign", p, "--max-lhs", "1"]);
+    assert!(ok, "stderr: {stderr}");
+    assert_eq!(stdout, render::run_redesign(&ctx, 3, &bounded));
+    let (unbounded, _, _) = run(&["redesign", p]);
+    assert_ne!(stdout, unbounded, "--max-lhs must reach the redesign miner");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn sharded_runs_are_byte_identical_to_classic() {
     // The demo relation fits one auto chunk, so every shard-worker
     // count — and the classic unsharded build — must print the same

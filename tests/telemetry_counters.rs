@@ -132,13 +132,10 @@ fn double_clustering_builds_the_value_index_exactly_once() {
 
 #[test]
 fn analyze_builds_each_shared_view_exactly_once() {
-    use dbmine::{FdMiner, MinerConfig, StructureMiner};
+    use dbmine::StructureMiner;
     let rel = figure4();
     let ctx = AnalysisCtx::of(&rel);
-    let miner = StructureMiner::new(MinerConfig {
-        fd_miner: FdMiner::Tane,
-        ..Default::default()
-    });
+    let miner = StructureMiner::default();
     let (report, d) = with_deltas(|| miner.analyze_ctx(&ctx));
 
     // Exact ledger of one analyze run over a fresh context:
