@@ -31,7 +31,8 @@
 //! Commands: `analyze`, `duplicates`, `fds`, `partition`, `redesign`
 //! (relation commands — `output` is byte-identical to the CLI's stdout),
 //! plus `ping`, `stats` and `shutdown`. Unknown fields, malformed JSON,
-//! unreadable CSV, and out-of-range parameters all produce
+//! unreadable CSV, out-of-range parameters, non-UTF-8 lines and lines
+//! longer than [`MAX_REQUEST_LINE_BYTES`] all produce
 //! `{"id":…,"ok":false,"error":"…"}` — the daemon never tears down on a
 //! bad request, and a panic on the request path is caught and reported
 //! as an error response (backstop; the handlers are panic-free by
@@ -57,7 +58,7 @@ use dbmine_relation::Relation;
 use dbmine_telemetry as telemetry;
 use dbmine_telemetry::RunReport;
 use std::fmt::Write as _;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::RwLock;
@@ -65,12 +66,52 @@ use std::sync::RwLock;
 /// Default number of resident contexts.
 pub const DEFAULT_CACHE_CAPACITY: usize = 8;
 
+/// The longest request line the daemon reads, newline excluded: 64 MiB,
+/// generous for inline `csv` while bounding what one line can make a
+/// connection hold in memory.
+pub const MAX_REQUEST_LINE_BYTES: usize = 64 << 20;
+
 /// One handled request: the response line (no trailing newline) and
 /// whether the request asked the daemon to shut down.
 #[derive(Clone, Debug)]
 pub struct Handled {
     pub line: String,
     pub shutdown: bool,
+}
+
+impl Handled {
+    /// The `"ok":false` response to request `id`.
+    fn error(id: &Json, message: &str) -> Handled {
+        Handled {
+            line: format!(
+                "{{\"id\":{},\"ok\":false,\"error\":\"{}\"}}",
+                id.to_string_compact(),
+                json::escape(message)
+            ),
+            shutdown: false,
+        }
+    }
+}
+
+/// Consumes `input` up to and including the next newline (or EOF)
+/// without keeping it.
+fn discard_line(input: &mut impl BufRead) -> std::io::Result<()> {
+    loop {
+        let chunk = input.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                input.consume(i + 1);
+                return Ok(());
+            }
+            None => {
+                let len = chunk.len();
+                input.consume(len);
+            }
+        }
+    }
 }
 
 /// The daemon state shared by every connection: the context LRU and the
@@ -137,30 +178,48 @@ impl Daemon {
                     shutdown,
                 }
             }
-            Err(message) => Handled {
-                line: format!(
-                    "{{\"id\":{},\"ok\":false,\"error\":\"{}\"}}",
-                    id.to_string_compact(),
-                    json::escape(&message)
-                ),
-                shutdown: false,
-            },
+            Err(message) => Handled::error(&id, &message),
         }
     }
 
     /// Serves a whole connection: one request per line until EOF or a
     /// `shutdown` request. Blank lines are ignored.
     ///
+    /// A line is read into memory only up to [`MAX_REQUEST_LINE_BYTES`]:
+    /// a longer one is discarded up to its newline and answered with a
+    /// `"request line exceeds … bytes"` error, and the connection keeps
+    /// serving. A line that is not UTF-8 is answered with an error too.
+    ///
     /// Each reply goes out in a single `write_all` of the line and its
     /// newline: on an unbuffered socket, a separate newline write would
     /// sit behind Nagle's algorithm until the client's delayed ACK.
-    pub fn serve_lines(&self, input: impl BufRead, mut output: impl Write) -> std::io::Result<()> {
-        for line in input.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
+    pub fn serve_lines(
+        &self,
+        mut input: impl BufRead,
+        mut output: impl Write,
+    ) -> std::io::Result<()> {
+        // One byte past the cap tells an oversize line from one at it.
+        let cap = MAX_REQUEST_LINE_BYTES as u64 + 1;
+        loop {
+            let mut buf = Vec::new();
+            if input.by_ref().take(cap).read_until(b'\n', &mut buf)? == 0 {
+                break;
             }
-            let handled = self.handle_line(&line);
+            let handled = if buf.last() == Some(&b'\n') || buf.len() <= MAX_REQUEST_LINE_BYTES {
+                let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+                let line = line.strip_suffix(b"\r").unwrap_or(line);
+                match std::str::from_utf8(line) {
+                    Ok(line) if line.trim().is_empty() => continue,
+                    Ok(line) => self.handle_line(line),
+                    Err(_) => Handled::error(&Json::Null, "request line is not valid UTF-8"),
+                }
+            } else {
+                discard_line(&mut input)?;
+                Handled::error(
+                    &Json::Null,
+                    &format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"),
+                )
+            };
             let mut reply = handled.line;
             reply.push('\n');
             output.write_all(reply.as_bytes())?;
@@ -857,6 +916,36 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         // ping, shutdown — the post-shutdown ping is never answered.
         assert_eq!(text.lines().count(), 2);
+    }
+
+    #[test]
+    fn oversize_request_line_is_an_error_and_the_connection_keeps_serving() {
+        use std::io::{repeat, BufReader};
+        let d = Daemon::new(4);
+        // Exactly the cap is still read; one byte more is refused
+        // without being held, and the next line is served.
+        let at_cap = repeat(b' ').take(MAX_REQUEST_LINE_BYTES as u64);
+        let over = repeat(b'x').take(MAX_REQUEST_LINE_BYTES as u64 + 1);
+        let ping = request("ping");
+        let tail = [b"\n", ping.as_bytes(), b"\n\xff\n", ping.as_bytes(), b"\n"].concat();
+        let input = at_cap.chain(&b"\n"[..]).chain(over).chain(&tail[..]);
+        let mut out = Vec::new();
+        d.serve_lines(BufReader::new(input), &mut out).unwrap();
+        let replies: Vec<Json> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| parse(l).unwrap())
+            .collect();
+        // The all-blank line at the cap is ignored like any blank line.
+        assert_eq!(replies.len(), 4, "{replies:?}");
+        let error = |v: &Json| v.get("error").and_then(Json::as_str).unwrap().to_string();
+        assert_eq!(
+            error(&replies[0]),
+            format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes")
+        );
+        assert_eq!(replies[1].get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(error(&replies[2]), "request line is not valid UTF-8");
+        assert_eq!(replies[3].get("ok"), Some(&Json::Bool(true)));
     }
 
     #[test]

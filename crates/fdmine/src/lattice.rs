@@ -27,6 +27,11 @@
 //! [`Level::Sizes`]; each product still counts once. Every earlier
 //! level is a [`Level::Parts`].
 //!
+//! No survivor filter runs on that level either, so emission is the
+//! only reader of its scores. Each [`Candidate`] says so in
+//! `reaches_survivors`, which lets a test compute only what emission
+//! reads there (the reliable miner skips its bias term below θ).
+//!
 //! # `g3` from π_A
 //!
 //! [`walk_minimal`] hands each test a [`Candidate`]: π_{X∖A}, π_X's
@@ -169,6 +174,10 @@ pub struct Candidate<'a> {
     pub x: &'a ClassSizes,
     /// The consequent `A`.
     pub a: usize,
+    /// Whether this level's scores reach [`MinimalTest::survivors`]:
+    /// false on the last level of a bounded walk, where emission is the
+    /// only reader of a score.
+    pub reaches_survivors: bool,
     /// `π_A`'s per-tuple class ids.
     a_ids: &'a [u32],
 }
@@ -253,6 +262,7 @@ pub fn walk_minimal<T: MinimalTest>(
     let mut level = 1usize;
 
     while !sets.is_empty() {
+        let reaches_survivors = max_lhs.is_none_or(|max| level <= max);
         let scoring = test.scoring(sets.len());
         let tested: Vec<Vec<(usize, T::Score)>> =
             par_map_init(threads, &sets, PartitionScratch::new, |scratch, _, &x| {
@@ -267,6 +277,7 @@ pub fn walk_minimal<T: MinimalTest>(
                             lhs: prev_parts.get(&lhs.bits())?,
                             x: x_sizes,
                             a,
+                            reaches_survivors,
                             a_ids: &attr_ids[a],
                         };
                         Some((a, test.score(&candidate, scratch)))
@@ -283,7 +294,7 @@ pub fn walk_minimal<T: MinimalTest>(
                 }
             }
         }
-        if max_lhs.is_some_and(|max| level > max) {
+        if !reaches_survivors {
             break;
         }
 

@@ -131,6 +131,18 @@ pub struct RfiScore {
     pub score: f64,
 }
 
+/// The plugin half of an F̂ evaluation ([`RfiScorer::plugin`]), holding
+/// what the bias half ([`RfiScorer::correct`]) needs to finish it.
+#[derive(Clone, Debug)]
+pub struct RfiPlugin {
+    /// The plugin fraction of information `I(X;Y)/H(Y)`.
+    pub plugin: f64,
+    rhs: usize,
+    /// `π_X`'s size multiset; `None` for a constant consequent, whose
+    /// bias is 0 by convention.
+    x: Option<SizeMultiset>,
+}
+
 /// Up to this `k`, [`LnFact`] reads `ln k!` from an exact running-sum
 /// table; above it, from Stirling's series. A constant, so the table —
 /// at most 512 KiB — no longer grows with the relation.
@@ -309,39 +321,54 @@ impl RfiScorer {
         m0(x, &self.y_sizes[rhs], &self.lnfact)
     }
 
-    /// F̂(X→rhs) from the class sizes of `π_X` and `π_{X∪rhs}`.
+    /// The first step of F̂(X→rhs): the plugin fraction from the class
+    /// sizes of `π_X` and `π_{X∪rhs}`. [`Self::correct`] finishes it;
+    /// a caller that only needs the plugin stops here and never pays for
+    /// `m₀`. Counts one `rfi_evals`.
     ///
     /// `H(rhs) = 0` (a constant column) is defined as `plugin = 1`,
     /// `bias = 0`, `score = 1`: a constant consequent is determined by
     /// anything, exactly, with no room for chance agreement — and the
     /// convention keeps the score total (no NaN from `0/0`).
-    pub fn score(&self, p_x: &ClassSizes, p_xrhs: &ClassSizes, rhs: usize) -> RfiScore {
+    pub fn plugin(&self, p_x: &ClassSizes, p_xrhs: &ClassSizes, rhs: usize) -> RfiPlugin {
         counter_add(Counter::RfiEvals, 1);
         let h_y = self.h_y[rhs];
         if h_y == 0.0 {
-            return RfiScore {
+            return RfiPlugin {
                 plugin: 1.0,
-                bias: 0.0,
-                score: 1.0,
+                rhs,
+                x: None,
             };
         }
         let x = SizeMultiset::of_sizes(p_x);
         let xy = SizeMultiset::of_sizes(p_xrhs);
         // I(X;Y) = H(X) + H(Y) − H(XY), all from size multisets.
         let mi = x.entropy_bits() + h_y - xy.entropy_bits();
-        let plugin = mi / h_y;
-        let bias = self.bias_bits(&x, rhs) / h_y;
+        RfiPlugin {
+            plugin: mi / h_y,
+            rhs,
+            x: Some(x),
+        }
+    }
+
+    /// The second step of F̂: subtracts the permutation-model bias
+    /// `m₀/H(rhs)` from a [`Self::plugin`] result.
+    pub fn correct(&self, p: &RfiPlugin) -> RfiScore {
+        let bias = match &p.x {
+            Some(x) => self.bias_bits(x, p.rhs) / self.h_y[p.rhs],
+            None => 0.0,
+        };
         RfiScore {
-            plugin,
+            plugin: p.plugin,
             bias,
-            score: plugin - bias,
+            score: p.plugin - bias,
         }
     }
 
     /// The admissible branch-and-bound bound `F̄ = 1 − bias` from an
     /// already-computed bias fraction: no descendant of the node can
     /// score above it (see module docs). `F̄ = 1` when `H(rhs) = 0`,
-    /// consistent with [`Self::score`]'s convention.
+    /// consistent with [`Self::plugin`]'s convention.
     pub fn bound_from_bias(&self, bias: f64, rhs: usize) -> f64 {
         if self.h_y[rhs] == 0.0 {
             1.0

@@ -19,6 +19,21 @@
 //! bit-identical with pruning on or off (pinned by tests), while the
 //! lattice shrinks by the amounts recorded in the `bnb_bounds` /
 //! `bnb_prunes` counters.
+//!
+//! # What is computed when
+//!
+//! Every candidate pays for its plugin `I(X;A)/H(A)` (one `rfi_evals`);
+//! the other values are computed only where something reads them:
+//!
+//! * **`m₀` (the bias)** when `plugin ≥ θ − ε` ([`BIAS_EPSILON`]), or
+//!   when the survivor filter will read it — pruning on and a level
+//!   that is joined (not the last level of a bounded walk). Below
+//!   `θ − ε` the candidate cannot be emitted, since the bias is never
+//!   below `−ε`.
+//! * **`g3`** only for an emitted candidate (`F̂ ≥ θ`), the only place
+//!   it is printed; `g3_evals` equals the number of emissions.
+//!
+//! Every emitted value is bit-identical to computing everything.
 
 use crate::estimator::{RfiScore, RfiScorer, SizeMultiset};
 use dbmine_context::AnalysisCtx;
@@ -77,8 +92,31 @@ pub struct ReliableFd {
     pub g3: f64,
 }
 
+/// Slack of the bias-skip rule: the reliable test computes `m₀` for a
+/// candidate only if its plugin is at least `θ − BIAS_EPSILON` (or a
+/// survivor filter reads the bias). `m₀` is the expectation of a
+/// non-negative mutual information, so the bias fraction is `≥ 0`; its
+/// computed value can round below zero, but by orders of magnitude
+/// less than this (pinned `≥ −BIAS_EPSILON/2` by the proptests). A
+/// skipped candidate therefore has `F̂ = plugin − bias < θ`: skipping
+/// never changes which dependencies are emitted, or any emitted bit.
+pub const BIAS_EPSILON: f64 = 1e-9;
+
+/// What the reliable test computed for one candidate: only the values
+/// a reader needs, so nothing unread can reach a [`ReliableFd`].
+#[derive(Clone, Copy, Debug)]
+enum Scored {
+    /// `plugin < θ − ε` and no survivor filter reads the bias: `F̂ < θ`
+    /// without computing `m₀`.
+    Skipped,
+    /// `F̂ < θ`: not emitted.
+    Rejected(RfiScore),
+    /// `F̂ ≥ θ`: emitted, with its `g3` error.
+    Emitted(RfiScore, f64),
+}
+
 /// The `F̂ ≥ θ` test of the reliable walk, with branch-and-bound as its
-/// survivor filter. A candidate's score is its F̂ and its `g3` error.
+/// survivor filter.
 struct RfiTest {
     scorer: RfiScorer,
     theta: f64,
@@ -87,15 +125,26 @@ struct RfiTest {
 }
 
 impl MinimalTest for RfiTest {
-    type Score = (RfiScore, f64);
+    type Score = Scored;
 
-    fn score(&self, c: &Candidate<'_>, scratch: &mut PartitionScratch) -> (RfiScore, f64) {
-        let rfi = self.scorer.score(c.lhs.sizes(), c.x, c.a);
-        (rfi, c.g3_error(scratch))
+    /// The plugin always; the bias where emission or the filter may
+    /// read it; `g3` only for an emitted candidate.
+    fn score(&self, c: &Candidate<'_>, scratch: &mut PartitionScratch) -> Scored {
+        let plugin = self.scorer.plugin(c.lhs.sizes(), c.x, c.a);
+        let filter_reads_bias = self.prune && c.reaches_survivors;
+        if !filter_reads_bias && plugin.plugin < self.theta - BIAS_EPSILON {
+            return Scored::Skipped;
+        }
+        let rfi = self.scorer.correct(&plugin);
+        if rfi.score >= self.theta {
+            Scored::Emitted(rfi, c.g3_error(scratch))
+        } else {
+            Scored::Rejected(rfi)
+        }
     }
 
-    fn emits(&self, (rfi, _): &(RfiScore, f64)) -> bool {
-        rfi.score >= self.theta
+    fn emits(&self, scored: &Scored) -> bool {
+        matches!(scored, Scored::Emitted(..))
     }
 
     /// X survives into generation unless every consequent's descendants
@@ -110,7 +159,7 @@ impl MinimalTest for RfiTest {
         &self,
         sets: &[AttrSet],
         parts: &FxHashMap<u64, StrippedPartition>,
-        tested: &[Vec<(usize, (RfiScore, f64))>],
+        tested: &[Vec<(usize, Scored)>],
         found_lhs: &[Vec<AttrSet>],
     ) -> Vec<AttrSet> {
         if !self.prune {
@@ -125,10 +174,13 @@ impl MinimalTest for RfiTest {
                 let mut bounds = 0u64;
                 let mut prunable = true;
                 'decide: {
-                    for &(a, (rfi, _)) in cases {
+                    for &(a, scored) in cases {
                         if found_lhs[a].iter().any(|&f| f.is_subset_of(x.without(a))) {
                             continue; // covered by this level's emissions
                         }
+                        let (Scored::Rejected(rfi) | Scored::Emitted(rfi, _)) = scored else {
+                            unreachable!("a filtered level computes every bias")
+                        };
                         bounds += 1;
                         if scorer.bound_from_bias(rfi.bias, a) >= theta {
                             prunable = false;
@@ -199,12 +251,17 @@ pub fn mine_reliable_ctx(ctx: &AnalysisCtx, options: ReliableOptions) -> Vec<Rel
         &test,
     )
     .into_iter()
-    .map(|(fd, (rfi, g3))| ReliableFd {
-        fd,
-        score: rfi.score,
-        plugin: rfi.plugin,
-        bias: rfi.bias,
-        g3,
+    .map(|(fd, scored)| {
+        let Scored::Emitted(rfi, g3) = scored else {
+            unreachable!("the walk returns only emitted candidates")
+        };
+        ReliableFd {
+            fd,
+            score: rfi.score,
+            plugin: rfi.plugin,
+            bias: rfi.bias,
+            g3,
+        }
     })
     .collect()
 }

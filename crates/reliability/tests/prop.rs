@@ -7,8 +7,12 @@ use dbmine_context::AnalysisCtx;
 use dbmine_fdmine::{fd_error_g3, Fd};
 use dbmine_relation::partition::StrippedPartition;
 use dbmine_relation::{AttrSet, Relation, RelationBuilder};
-use dbmine_reliability::{m0, mine_reliable_ctx, LnFact, ReliableOptions, RfiScorer, SizeMultiset};
+use dbmine_reliability::{
+    m0, mine_reliable_ctx, LnFact, ReliableFd, ReliableOptions, RfiScore, RfiScorer, SizeMultiset,
+    BIAS_EPSILON,
+};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// A tiny categorical relation: ≤ 3 attributes, ≤ 6 tuples, domain 3 —
 /// small enough to enumerate all n! permutations of a column.
@@ -174,6 +178,45 @@ fn minimal_oracle<S: Copy>(
     out
 }
 
+/// The miner's output must be the oracle's, every score component and
+/// the `g3` error bit for bit, and every emitted field finite.
+fn assert_matches_oracle(
+    rel: &Relation,
+    mined: &[ReliableFd],
+    oracle: &[(Fd, RfiScore)],
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(mined.len(), oracle.len(), "{}", what);
+    for (f, (fd, s)) in mined.iter().zip(oracle) {
+        prop_assert_eq!(f.fd, *fd, "{}", what);
+        prop_assert!(
+            f.score.to_bits() == s.score.to_bits()
+                && f.plugin.to_bits() == s.plugin.to_bits()
+                && f.bias.to_bits() == s.bias.to_bits(),
+            "{}: F̂ drifted from the standalone scorer ({})",
+            fd,
+            what
+        );
+        let g3 = fd_error_g3(rel, fd.lhs, fd.rhs);
+        prop_assert!(
+            f.g3.to_bits() == g3.to_bits(),
+            "{}: g3 {} vs {}",
+            fd,
+            f.g3,
+            g3
+        );
+        prop_assert!(
+            [f.score, f.plugin, f.bias, f.g3]
+                .iter()
+                .all(|v| v.is_finite()),
+            "{}: non-finite field in {:?}",
+            fd,
+            f
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -251,15 +294,77 @@ proptest! {
             );
             for prune in [true, false] {
                 let mined = mine_reliable_ctx(&ctx, ReliableOptions { theta, max_lhs, prune, ..Default::default() });
-                prop_assert_eq!(mined.len(), oracle.len(), "θ = {}, max_lhs = {:?}, prune = {}", theta, max_lhs, prune);
-                for (f, (fd, s)) in mined.iter().zip(&oracle) {
-                    prop_assert_eq!(f.fd, *fd, "θ = {}, max_lhs = {:?}, prune = {}", theta, max_lhs, prune);
-                    prop_assert!(f.score.to_bits() == s.score.to_bits()
-                        && f.plugin.to_bits() == s.plugin.to_bits()
-                        && f.bias.to_bits() == s.bias.to_bits(),
-                        "{}: F̂ drifted from the standalone scorer", fd);
-                    let g3 = fd_error_g3(&rel, fd.lhs, fd.rhs);
-                    prop_assert!(f.g3.to_bits() == g3.to_bits(), "{}: g3 {} vs {}", fd, f.g3, g3);
+                assert_matches_oracle(&rel, &mined, &oracle,
+                    &format!("θ = {theta}, max_lhs = {max_lhs:?}, prune = {prune}"))?;
+            }
+        }
+    }
+
+    /// θ set exactly to one candidate's plugin and exactly to its F̂ —
+    /// the edges of the bias-skip rule — on walks where no survivor
+    /// filter reads the bias: that candidate on the last level of a
+    /// bounded walk (pruning on and off), and an unpruned unbounded
+    /// walk. The output must still be the oracle's, bit for bit.
+    #[test]
+    fn theta_at_a_candidates_plugin_or_score_matches_minimal_oracle(
+        rel in small_relation(),
+        pick in 0u32..1 << 16,
+    ) {
+        let ctx = AnalysisCtx::of(&rel);
+        let scorer = RfiScorer::new(&ctx, 1);
+        let m = rel.n_attrs();
+        let a = pick as usize % m;
+        let lhs = AttrSet::from_bits(u64::from(pick) / m as u64 % (1 << m)).without(a);
+        let s = scorer.score_sets(&ctx, lhs, AttrSet::single(a));
+        for theta in [s.plugin, s.score] {
+            if !(0.0..=1.0).contains(&theta) {
+                continue;
+            }
+            let k = lhs.len();
+            for (max_lhs, prune) in [(Some(k), true), (Some(k), false), (None, false)] {
+                let oracle = minimal_oracle(
+                    m,
+                    max_lhs,
+                    |lhs, a| scorer.score_sets(&ctx, lhs, AttrSet::single(a)),
+                    |s| s.score >= theta,
+                );
+                let mined = mine_reliable_ctx(&ctx, ReliableOptions { theta, max_lhs, prune, ..Default::default() });
+                assert_matches_oracle(&rel, &mined, &oracle,
+                    &format!("θ = {theta} at {lhs:?} → {a}, max_lhs = {max_lhs:?}, prune = {prune}"))?;
+            }
+        }
+    }
+
+    /// m₀ is an expectation of a non-negative mutual information: its
+    /// computed value, in bits and as a fraction of H(Y), must not
+    /// round below −ε/2, or skipping the bias below `θ − ε` could
+    /// change an emission. Every LHS set against every consequent, on
+    /// degenerate and on random small relations.
+    #[test]
+    fn m0_never_rounds_below_minus_half_epsilon(
+        edge in edge_relation(),
+        small in small_relation(),
+    ) {
+        for rel in [edge, small] {
+            let ctx = AnalysisCtx::of(&rel);
+            let lnfact = LnFact::new(rel.n_tuples());
+            let m = rel.n_attrs();
+            let ys: Vec<SizeMultiset> =
+                (0..m).map(|a| SizeMultiset::of_sizes(ctx.attr_partition(a).sizes())).collect();
+            for bits in 0u64..1 << m {
+                let mut px = StrippedPartition::of_empty(rel.n_tuples());
+                for b in AttrSet::from_bits(bits).iter() {
+                    px = px.product(ctx.attr_partition(b));
+                }
+                let x = SizeMultiset::of_sizes(px.sizes());
+                for y in &ys {
+                    let bits_m0 = m0(&x, y, &lnfact);
+                    prop_assert!(bits_m0 >= -BIAS_EPSILON / 2.0, "m0 = {bits_m0:e} bits");
+                    let h_y = y.entropy_bits();
+                    if h_y > 0.0 {
+                        prop_assert!(bits_m0 / h_y >= -BIAS_EPSILON / 2.0,
+                            "bias = {:e} (H(Y) = {h_y})", bits_m0 / h_y);
+                    }
                 }
             }
         }

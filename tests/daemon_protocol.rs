@@ -2,7 +2,7 @@
 //! framing, the error model (malformed input never kills the daemon),
 //! and bit-identity between daemon `output` and single-shot CLI stdout.
 
-use dbmine::server::{parse, Json};
+use dbmine::server::{parse, Json, MAX_REQUEST_LINE_BYTES};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 
@@ -230,6 +230,22 @@ fn malformed_requests_error_and_daemon_keeps_serving() {
             "daemon must keep serving after {bad}"
         );
     }
+    // A newline-free request past the line cap, streamed in 1 MiB
+    // pieces: refused without being held, then the same connection
+    // serves the next request.
+    let piece = vec![b'x'; 1 << 20];
+    for _ in 0..=MAX_REQUEST_LINE_BYTES >> 20 {
+        d.stdin.write_all(&piece).unwrap();
+    }
+    let v = d.request("");
+    assert_eq!(
+        error_of(&v),
+        format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes")
+    );
+    assert!(
+        ok(&d.request(&good)),
+        "daemon must keep serving after an oversize line"
+    );
     d.finish();
 }
 

@@ -12,8 +12,10 @@ use dbmine::fdmine::{mine_tane_ctx, TaneOptions};
 use dbmine::ib::{aib, Dcf};
 use dbmine::infotheory::SparseDist;
 use dbmine::limbo::LimboParams;
+use dbmine::relation::csv::read_relation_path;
 use dbmine::relation::paper::figure4;
 use dbmine::relation::{AttrSet, RelationBuilder};
+use dbmine::reliability::{mine_reliable_ctx, ReliableOptions};
 use dbmine::summaries::{
     cluster_values_ctx, find_duplicate_tuples_ctx, tuple_summary_assignment_ctx,
 };
@@ -103,6 +105,32 @@ fn fdrank_counts_figure4_redundant_cells() {
     });
     assert_eq!(cells.len(), 2);
     assert_eq!(d.get(Counter::FdrankRedundantCells), expect(2));
+}
+
+#[test]
+fn reliable_mining_computes_g3_only_for_emitted_dependencies() {
+    // On the committed DB2 sample at θ = 0.2, `rfi_evals` counts every
+    // candidate the walk scores (one plugin each), unbounded and at
+    // `max_lhs = 2`, whose last level no survivor filter reads. `g3` is
+    // computed only for the dependencies the miner emits: the counts
+    // `fds --score rfi` prints.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/db2_sample.csv");
+    let ctx = AnalysisCtx::from(read_relation_path(path).expect("committed sample"));
+    for (max_lhs, rfi_evals, emitted) in [(None, 24_339, 244), (Some(2), 999, 243)] {
+        let (out, d) = with_deltas(|| {
+            mine_reliable_ctx(
+                &ctx,
+                ReliableOptions {
+                    theta: 0.2,
+                    max_lhs,
+                    ..Default::default()
+                },
+            )
+        });
+        assert_eq!(out.len(), emitted, "max_lhs = {max_lhs:?}");
+        assert_eq!(d.get(Counter::G3Evals), expect(emitted as u64));
+        assert_eq!(d.get(Counter::RfiEvals), expect(rfi_evals));
+    }
 }
 
 #[test]
