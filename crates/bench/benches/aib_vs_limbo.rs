@@ -5,8 +5,9 @@
 //! core scalability claim.
 //!
 //! Two extra groups compare the AIB implementations themselves:
-//! `aib_impl` pits the nearest-neighbor-cache [`aib`] against the
-//! all-pairs lazy-deletion-heap [`aib_reference`] oracle, and
+//! `aib_impl` pits the candidate-list [`aib`] (each cluster keeps the
+//! exact losses of its 16 best partners plus a floor bounding the rest)
+//! against the all-pairs lazy-deletion-heap [`aib_reference`] oracle, and
 //! `aib_threads` measures the `--threads` knob at `q ≥ 2000` leaves
 //! (expect wins only on multi-core machines; the results are
 //! bit-identical regardless).
@@ -56,15 +57,16 @@ fn bench(c: &mut Criterion) {
     g.finish();
 }
 
-/// NN-cache `aib` vs the all-pairs `aib_reference` oracle. The cache
-/// keeps the heap at O(q) entries instead of O(q²), which shows up both
-/// in wall-clock and peak memory as `q` grows.
+/// Candidate-list `aib` vs the all-pairs `aib_reference` oracle. The
+/// lists keep O(q·16) exact losses and an O(q)-entry heap instead of the
+/// O(q²) heap, which shows up both in wall-clock and peak memory as `q`
+/// grows.
 fn bench_impl(c: &mut Criterion) {
     let mut g = c.benchmark_group("aib_impl");
     g.sample_size(10);
     for &n in &[200usize, 400, 800] {
         let (objects, _) = dblp_objects(n);
-        g.bench_with_input(BenchmarkId::new("nn_cache", n), &n, |b, _| {
+        g.bench_with_input(BenchmarkId::new("cand_lists", n), &n, |b, _| {
             b.iter(|| aib(objects.clone(), 3))
         });
         g.bench_with_input(BenchmarkId::new("reference_heap", n), &n, |b, _| {

@@ -2,12 +2,19 @@
 //!
 //! ```text
 //! dbmine analyze    <file.csv> [--phi-t F] [--phi-v F] [--psi F]
-//!                   [--max-lhs N] [--score S] [--threads N]
-//! dbmine duplicates <file.csv> [--phi-t F]
-//! dbmine fds        <file.csv> [--approx EPS] [--max-lhs N]
-//! dbmine partition  <file.csv> [--k N] [--phi-t F]
-//! dbmine redesign   <file.csv> [--steps N] [--max-lhs N] [--score S] [--threads N]
+//!                   [--max-lhs N] [--score S] [--threads N] [--shards N]
+//! dbmine duplicates <file.csv> [--phi-t F] [--threads N] [--shards N]
+//! dbmine fds        <file.csv> [--approx EPS] [--score S] [--theta F]
+//!                   [--max-lhs N] [--threads N]
+//! dbmine mvds       <file.csv> [--max-lhs N]
+//! dbmine joins      <file.csv> --with <other.csv>
+//! dbmine partition  <file.csv> [--k N] [--phi-t F] [--threads N] [--shards N]
+//! dbmine redesign   <file.csv> [--steps N] [--phi-t F] [--phi-v F] [--psi F]
+//!                   [--max-lhs N] [--score S] [--threads N] [--shards N]
 //! ```
+//!
+//! Every command also takes `--spill P`, `--shards N` and `--profile P`;
+//! a flag the command does not read is an error (exit 2).
 //!
 //! The input may also be a binary shard store (`file.dbss`, see
 //! `dbmine::relation::spill`) — written by an earlier `--spill PATH`
@@ -17,12 +24,12 @@
 //! Every command body lives in [`dbmine::render`], shared with the
 //! `dbmined` daemon — the two front ends print byte-identical output.
 
+use dbmine::context::AnalysisCtx;
 use dbmine::fdrank::ScoreKind;
 use dbmine::relation::csv::read_relation_path;
 use dbmine::relation::{Relation, ShardedRelation};
 use dbmine::render;
 use dbmine::telemetry;
-use dbmine::{context::AnalysisCtx, MinerConfig};
 use std::process::exit;
 
 // Counting allocator for `--profile` runs: feature-independent, but only
@@ -38,16 +45,23 @@ fn usage() -> ! {
          \n\
          USAGE:\n\
          \x20 dbmine analyze    <file.csv> [--phi-t F] [--phi-v F] [--psi F]\n\
-         \x20                   [--max-lhs N] [--score S] [--threads N]\n\
-         \x20 dbmine duplicates <file.csv> [--phi-t F]\n\
-         \x20 dbmine fds        <file.csv> [--approx EPS] [--score S] [--theta F] [--max-lhs N]\n\
+         \x20                   [--max-lhs N] [--score S] [--threads N] [--shards N]\n\
+         \x20 dbmine duplicates <file.csv> [--phi-t F] [--threads N] [--shards N]\n\
+         \x20 dbmine fds        <file.csv> [--approx EPS] [--score S] [--theta F]\n\
+         \x20                   [--max-lhs N] [--threads N]\n\
          \x20 dbmine mvds       <file.csv> [--max-lhs N]\n\
          \x20 dbmine joins      <file.csv> --with <other.csv>\n\
-         \x20 dbmine partition  <file.csv> [--k N] [--phi-t F]\n\
-         \x20 dbmine redesign   <file.csv> [--steps N] [--max-lhs N] [--score S] [--threads N]\n\
+         \x20 dbmine partition  <file.csv> [--k N] [--phi-t F] [--threads N] [--shards N]\n\
+         \x20 dbmine redesign   <file.csv> [--steps N] [--phi-t F] [--phi-v F] [--psi F]\n\
+         \x20                   [--max-lhs N] [--score S] [--threads N] [--shards N]\n\
+         \n\
+         Every command also takes --spill P, --shards N and --profile P; any\n\
+         other flag a command does not read is an error.\n\
          \n\
          OPTIONS:\n\
-         \x20 --phi-t F    tuple-clustering accuracy φT (default 0.1)\n\
+         \x20 --phi-t F    tuple-clustering accuracy φT (default 0.1 for\n\
+         \x20              analyze and duplicates, 0.5 for partition,\n\
+         \x20              0.0 for redesign)\n\
          \x20 --phi-v F    value-clustering accuracy φV (default 0.0)\n\
          \x20 --psi F      FD-RANK threshold ψ in [0,1] (default 0.5)\n\
          \x20 --approx E   mine approximate FDs with g3 error ≤ E\n\
@@ -81,6 +95,27 @@ fn usage() -> ! {
     exit(2);
 }
 
+/// Flags every command reads: `--spill` and `--shards` choose how
+/// [`load_input`] loads the relation, and `--profile` wraps the run.
+const COMMON_FLAGS: &[&str] = &["spill", "shards", "profile"];
+
+/// The flags `command` reads besides [`COMMON_FLAGS`], or `None` for an
+/// unknown command.
+fn command_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "analyze" => &["phi-t", "phi-v", "psi", "max-lhs", "score", "threads"],
+        "duplicates" => &["phi-t", "threads"],
+        "fds" => &["approx", "score", "theta", "max-lhs", "threads"],
+        "mvds" => &["max-lhs"],
+        "joins" => &["with"],
+        "partition" => &["k", "phi-t", "threads"],
+        "redesign" => &[
+            "steps", "phi-t", "phi-v", "psi", "max-lhs", "score", "threads",
+        ],
+        _ => return None,
+    })
+}
+
 struct Args {
     command: String,
     path: String,
@@ -102,6 +137,17 @@ fn parse_args() -> Args {
             exit(2);
         });
         flags.insert(key, value);
+    }
+    let known = command_flags(&command).unwrap_or_else(|| usage());
+    // Sorted, so the error names the same flag on every run.
+    let mut given: Vec<&String> = flags.keys().collect();
+    given.sort();
+    if let Some(key) = given
+        .into_iter()
+        .find(|k| !COMMON_FLAGS.contains(&k.as_str()) && !known.contains(&k.as_str()))
+    {
+        eprintln!("error: unknown flag --{key} for `{command}`");
+        exit(2);
     }
     Args {
         command,
@@ -417,16 +463,18 @@ fn main() {
             let input = load_input(&args);
             let ctx = &input.ctx;
             let steps = args.usize_flag("steps").unwrap_or(3);
-            let config = MinerConfig {
-                max_lhs: args.usize_flag("max-lhs"),
-                threads: args.threads(),
-                shards: args.shards(),
-                score: args.score(),
-                ..MinerConfig::default()
-            };
+            let config = render::redesign_config(
+                args.f64_flag("phi-t"),
+                args.f64_flag("phi-v"),
+                args.f64_flag("psi"),
+                args.usize_flag("max-lhs"),
+                args.threads(),
+                args.shards(),
+                args.score(),
+            );
             print!("{}", render::run_redesign(ctx, steps, &config));
         }
-        _ => usage(),
+        _ => unreachable!("parse_args rejects unknown commands"),
     }
     if let Some(dest) = profile {
         let report = telemetry::finish();

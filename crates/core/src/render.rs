@@ -278,8 +278,8 @@ pub fn run_joins(left: &Relation, right: &Relation) -> String {
     out
 }
 
-/// The CLI per-command defaults, shared with the daemon so both front
-/// ends resolve missing parameters identically.
+/// The `analyze` defaults (`φ_T` 0.1, `φ_V` 0.0, `ψ` 0.5), shared with
+/// the daemon so both front ends resolve missing parameters identically.
 pub fn analyze_config(
     phi_t: Option<f64>,
     phi_v: Option<f64>,
@@ -298,6 +298,23 @@ pub fn analyze_config(
         shards,
         score,
         ..MinerConfig::default()
+    }
+}
+
+/// The `redesign` defaults, shared with the daemon: those of
+/// [`analyze_config`] except `φ_T`, which defaults to 0.0.
+pub fn redesign_config(
+    phi_t: Option<f64>,
+    phi_v: Option<f64>,
+    psi: Option<f64>,
+    max_lhs: Option<usize>,
+    threads: usize,
+    shards: Option<usize>,
+    score: ScoreKind,
+) -> MinerConfig {
+    MinerConfig {
+        phi_tuples: phi_t.unwrap_or(0.0),
+        ..analyze_config(phi_t, phi_v, psi, max_lhs, threads, shards, score)
     }
 }
 

@@ -50,7 +50,6 @@ mod json;
 pub use json::{parse, Json, ParseError};
 
 use crate::render;
-use crate::MinerConfig;
 use dbmine_context::{AnalysisCtx, CtxCache, CtxCacheStats};
 use dbmine_fdrank::ScoreKind;
 use dbmine_relation::csv::{read_relation, read_relation_path};
@@ -360,19 +359,19 @@ fn run_command(req: &Request, ctx: &AnalysisCtx) -> Result<String, String> {
             req.threads,
             req.shards,
         ),
-        "redesign" => {
-            let config = MinerConfig {
-                phi_tuples: req.params.phi_t.unwrap_or(0.0),
-                phi_values: req.params.phi_v.unwrap_or(0.0),
-                psi: req.params.psi.unwrap_or(0.5),
-                max_lhs: req.max_lhs,
-                threads: req.threads,
-                shards: req.shards,
-                score: req.score,
-                ..MinerConfig::default()
-            };
-            render::run_redesign(ctx, req.steps, &config)
-        }
+        "redesign" => render::run_redesign(
+            ctx,
+            req.steps,
+            &render::redesign_config(
+                req.params.phi_t,
+                req.params.phi_v,
+                req.params.psi,
+                req.max_lhs,
+                req.threads,
+                req.shards,
+                req.score,
+            ),
+        ),
         other => return Err(format!("unknown command `{other}`")),
     })
 }
@@ -858,9 +857,9 @@ mod tests {
             let v = parse(&d.handle_line(&line).line).unwrap();
             v.get("output").and_then(Json::as_str).unwrap().to_string()
         };
-        let bounded = MinerConfig {
+        let bounded = crate::MinerConfig {
             max_lhs: Some(1),
-            ..MinerConfig::default()
+            ..crate::MinerConfig::default()
         };
         let out = output(",\"max_lhs\":1");
         assert_eq!(out, render::run_redesign(&ctx, 3, &bounded));

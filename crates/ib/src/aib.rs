@@ -5,16 +5,25 @@
 //! algorithm is *"quadratic in the number of objects"*, which is exactly
 //! why LIMBO applies it only to the DCF-tree leaves.
 //!
-//! [`aib`] (and its threaded variant [`aib_with`]) maintains a per-slot
-//! nearest-neighbor cache: each alive slot remembers its best merge
-//! partner among the higher-numbered slots, and only those entries live
-//! in the candidate heap. The heap therefore holds `O(q)` entries instead
-//! of the `O(q²)` a lazy-deletion all-pairs heap accumulates, and after a
-//! merge only the slots whose cached partner was touched are rescanned.
-//! [`aib_reference`] keeps the original all-pairs lazy-deletion heap; the
-//! two produce **bit-identical** dendrograms (see the regression tests),
-//! because the cache recomputes every candidate loss with the same
-//! floating-point argument order the reference heap stored it with.
+//! [`aib`] (and its threaded variant [`aib_with`]) keeps, for every alive
+//! slot, an exact candidate list: the keys `(δI, partner)` of its
+//! `C = 16` best merge partners among the higher-numbered slots, plus a
+//! *floor* key that bounds every partner left off the list. Only each
+//! slot's best key lives in the candidate heap, so the heap holds `O(q)`
+//! entries and the lists `O(q·C)` — never the `O(q²)` of an all-pairs
+//! heap. After a merge `(a, b)` a list only drops `a` and `b`
+//! and offers the one recomputed pair `(u, a)`; a slot rescans its row
+//! only when its cluster changed (slot `a`) or its list ran dry. Every
+//! listed key is the bit-exact loss of a pair that has not changed since
+//! it was computed, and every recomputed one uses the argument order the
+//! reference heap would have stored ([`aib_reference`] keeps the original
+//! all-pairs lazy-deletion heap), so the two produce **bit-identical**
+//! dendrograms (see the regression and property tests).
+//!
+//! A run down to `k = 1` contains every coarser clustering: the first
+//! `q − k` merges of its dendrogram are exactly the run to `k`.
+//! [`aib_cut`] replays them, so a caller that needs both the full
+//! statistics and a `k`-clustering pays for one AIB run, not two.
 
 use crate::dcf::{Dcf, MergeScratch};
 use crate::dendrogram::Dendrogram;
@@ -118,23 +127,75 @@ fn pair_loss(slots: &[Option<Dcf>], last_merged: &[u32], u: usize, v: usize) -> 
         .distance(slots[second].as_ref().expect("pair_loss on dead slot"))
 }
 
-/// Recomputes slot `u`'s best merge partner among the alive slots with a
-/// larger index. `alive_ids` must be sorted ascending.
-fn rescan(
-    slots: &[Option<Dcf>],
-    last_merged: &[u32],
-    alive_ids: &[usize],
-    u: usize,
-) -> Option<(f64, usize)> {
-    let from = alive_ids.partition_point(|&v| v <= u);
-    let mut best: Option<(f64, usize)> = None;
-    for &v in &alive_ids[from..] {
-        let d = pair_loss(slots, last_merged, u, v);
-        if best.is_none_or(|b| cand_lt((d, v), b)) {
-            best = Some((d, v));
+/// How many exact candidate keys each slot keeps. Chosen from a sweep on
+/// DBLP partitioning (2 500 tuples, 1 028 Phase 1 leaves): repair JS
+/// evaluations fell with the list length — 1.25 M, 0.99 M, 0.84 M,
+/// 0.74 M, 0.67 M at 4, 8, 16, 32, 64 — against 0.53 M for unbounded
+/// lists, the cost of the one recomputed pair per slot and merge. Past
+/// 16 each doubling of the `O(q·C)` list memory saves only ~10%.
+const CANDIDATES: usize = 16;
+
+/// One slot `u`'s candidate list.
+///
+/// Invariant, over the alive partners `v > u`: `keys` holds the exact
+/// current keys `(δI(u, v), v)` of up to [`CANDIDATES`] of them, strictly
+/// ascending by [`cand_lt`]; every listed key is below `floor`, and every
+/// unlisted partner's key is at or above it. `floor == None` means no
+/// partner is unlisted. So `keys[0]`, when present, is `u`'s best merge.
+#[derive(Clone, Debug, Default)]
+struct Cands {
+    keys: Vec<(f64, usize)>,
+    floor: Option<(f64, usize)>,
+}
+
+impl Cands {
+    /// `u`'s best candidate merge, if it has a partner at all.
+    fn best(&self) -> Option<(f64, usize)> {
+        self.keys.first().copied()
+    }
+
+    /// Whether `key` belongs on the list: it sorts below the floor.
+    fn admits(&self, key: (f64, usize)) -> bool {
+        self.floor.is_none_or(|f| cand_lt(key, f))
+    }
+
+    /// Lists `key` (a partner not on the list) if it sorts below the
+    /// floor; on overflow the largest listed key becomes the new floor.
+    fn offer(&mut self, key: (f64, usize)) {
+        if !self.admits(key) {
+            return;
+        }
+        let pos = self.keys.partition_point(|&k| cand_lt(k, key));
+        self.keys.insert(pos, key);
+        if self.keys.len() > CANDIDATES {
+            self.floor = self.keys.pop();
         }
     }
-    best
+}
+
+/// Builds slot `u`'s list from scratch over `partners` (alive slots
+/// `> u`, ascending): the [`CANDIDATES`] smallest keys, and the next one
+/// as the floor.
+fn scan_row(slots: &[Option<Dcf>], last_merged: &[u32], partners: &[usize], u: usize) -> Cands {
+    let mut c = Cands {
+        keys: Vec::with_capacity(CANDIDATES + 1),
+        floor: None,
+    };
+    for &v in partners {
+        c.offer((pair_loss(slots, last_merged, u, v), v));
+    }
+    c
+}
+
+/// One slot's list edit after a merge `(a, b)`, decided from the
+/// pre-merge lists and the post-merge slots.
+enum Repair {
+    /// Neither `a` nor `b` is listed and `(u, a)` stays unlisted.
+    Keep,
+    /// Drop `a` and `b`, then list the recomputed `(u, a)` key if given.
+    Edit(Option<f64>),
+    /// Replace the list with a fresh scan of the row.
+    Refill(Box<Cands>),
 }
 
 /// Runs AIB on the given singleton/summary clusters until `k` clusters
@@ -160,8 +221,8 @@ pub fn aib(inputs: Vec<Dcf>, k: usize) -> AibResult {
     aib_with(inputs, k, 1)
 }
 
-/// [`aib`] with an explicit thread count for the initial nearest-neighbor
-/// scan and the post-merge cache repairs (`1` = serial, `0` = all cores).
+/// [`aib`] with an explicit thread count for the initial candidate scan
+/// and the post-merge list repairs (`1` = serial, `0` = all cores).
 ///
 /// The result is bit-identical for every `threads` value: parallelism
 /// only changes wall-clock time.
@@ -177,63 +238,38 @@ pub fn aib_with(inputs: Vec<Dcf>, k: usize, threads: usize) -> AibResult {
     let initial_information = mutual_information_of(&slots);
     let mut h_c = entropy(slots.iter().flatten().map(|c| c.weight));
 
+    let mut members: Vec<Vec<usize>> = (0..q).map(|i| vec![i]).collect();
     if q == 0 || k >= q {
-        let (clusters, members): (Vec<Dcf>, Vec<Vec<usize>>) = slots
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.map(|c| (c, vec![i])))
-            .unzip();
-        return AibResult {
-            clusters,
-            members,
-            dendrogram: dendro,
-            initial_information,
-            stats: Vec::new(),
-        };
+        return survivors(slots, members, dendro, initial_information, Vec::new());
     }
 
-    // Per-slot nearest-neighbor cache: best[u] is the minimum-key
-    // candidate (loss, partner) among alive partners with index > u, or
-    // None when no such partner exists. Every alive pair is covered by
-    // its smaller endpoint, and the globally best pair is necessarily
-    // the cached best of its smaller endpoint, so the heap below only
-    // ever needs one entry per slot — O(q) candidates, not O(q²).
+    // Every alive pair is covered by its smaller endpoint's list, and the
+    // globally best pair is necessarily the best of its smaller endpoint,
+    // so the heap below only ever needs one entry per slot.
     let mut last_merged: Vec<u32> = vec![0; q];
+    let mut alive_ids: Vec<usize> = (0..q).collect();
     let init_span = dbmine_telemetry::span("aib.init");
-    let mut best: Vec<Option<(f64, usize)>> = {
-        let slots_ref = &slots;
+    let mut cands: Vec<Cands> = {
+        let (slots_ref, lm_ref, ids_ref) = (&slots, &last_merged, &alive_ids);
         dbmine_parallel::par_map_range(threads, q, |i| {
-            let mut b: Option<(f64, usize)> = None;
-            for (off, sj) in slots_ref[i + 1..].iter().enumerate() {
-                let j = i + 1 + off;
-                let d = slots_ref[i]
-                    .as_ref()
-                    .expect("all slots alive at init")
-                    .distance(sj.as_ref().expect("all slots alive at init"));
-                if b.is_none_or(|cur| cand_lt((d, j), cur)) {
-                    b = Some((d, j));
-                }
-            }
-            b
+            scan_row(slots_ref, lm_ref, &ids_ref[i + 1..], i)
         })
     };
 
     // Heap of per-slot best candidates: Reverse((loss, owner, partner,
     // stamp)). An entry is valid iff the owner is alive and its stamp
-    // matches — the stamp is bumped whenever best[owner] is rewritten.
+    // matches — the stamp is bumped whenever the owner's best changes.
     let mut stamp: Vec<u32> = vec![0; q];
     let mut heap: BinaryHeap<Reverse<(OrdLoss, usize, usize, u32)>> =
         BinaryHeap::with_capacity(2 * q);
-    for (u, b) in best.iter().enumerate() {
-        if let Some((d, p)) = *b {
+    for (u, c) in cands.iter().enumerate() {
+        if let Some((d, p)) = c.best() {
             heap.push(Reverse((OrdLoss(d), u, p, 0)));
         }
     }
     drop(init_span);
 
     let mut alive = q;
-    let mut alive_ids: Vec<usize> = (0..q).collect();
-    let mut members: Vec<Vec<usize>> = (0..q).map(|i| vec![i]).collect();
     let mut stats = Vec::with_capacity(q - k);
     let mut cum_loss = 0.0;
     let mut merge_step: u32 = 0;
@@ -248,14 +284,14 @@ pub fn aib_with(inputs: Vec<Dcf>, k: usize, threads: usize) -> AibResult {
                 .pop()
                 .expect("heap exhausted before reaching k clusters");
             if slots[u].is_some() && stamp[u] == s {
-                debug_assert!(slots[p].is_some(), "cached partner died without repair");
+                debug_assert!(slots[p].is_some(), "listed partner died without repair");
                 dbmine_telemetry::counter_add(dbmine_telemetry::Counter::NnCacheHits, 1);
                 break (d, u, p);
             }
             dbmine_telemetry::counter_add(dbmine_telemetry::Counter::NnCacheMisses, 1);
         };
 
-        // Merge slot b into slot a (a < b by cache construction).
+        // Merge slot b into slot a (a < b: lists only hold larger partners).
         let cb = slots[b].take().expect("validated above");
         let ca = slots[a].as_mut().expect("validated above");
         let (wa, wb) = (ca.weight, cb.weight);
@@ -266,6 +302,7 @@ pub fn aib_with(inputs: Vec<Dcf>, k: usize, threads: usize) -> AibResult {
         alive -= 1;
         let pos = alive_ids.binary_search(&b).expect("b was alive");
         alive_ids.remove(pos);
+        cands[b] = Cands::default();
 
         let node = dendro.push(node_of[a], node_of[b], loss);
         node_of[a] = node;
@@ -285,50 +322,64 @@ pub fn aib_with(inputs: Vec<Dcf>, k: usize, threads: usize) -> AibResult {
             conditional_entropy: (h_c - mi).max(0.0),
         });
 
-        // Repair the caches. Only three kinds of slot are affected:
-        //  * slot a itself (its cluster changed): full rescan;
-        //  * slots whose cached partner was a or b (their candidate's
-        //    loss changed, or its partner died): full rescan;
-        //  * slots u < a otherwise: the pair (u, a) got a new loss, so a
-        //    single compare against the cached best suffices.
-        // Everything else is untouched. Each repair decision reads only
-        // pre-merge caches and post-merge slots, so they run in parallel;
-        // `None` = no change.
+        // Repair the lists. Only pairs with an endpoint in {a, b}
+        // changed: pairs with b died, pairs (a, v) with v > a live in
+        // a's own list (rescanned), and each pair (u, a) with u < a got
+        // one new key, offered to u's list against its floor. A list
+        // that loses its last key while partners remain unlisted is
+        // rescanned. Every decision reads only pre-merge lists and
+        // post-merge slots, so they run in parallel and apply serially.
         if alive > k {
             let _repair_span = dbmine_telemetry::span("aib.repair");
-            let (slots_ref, best_ref, lm_ref, ids_ref) = (&slots, &best, &last_merged, &alive_ids);
-            let updates: Vec<Option<Option<(f64, usize)>>> =
-                dbmine_parallel::par_map(threads, ids_ref, |_, &u| {
-                    let cached = best_ref[u];
-                    if u == a || cached.is_some_and(|(_, p)| p == a || p == b) {
-                        Some(rescan(slots_ref, lm_ref, ids_ref, u))
-                    } else if u < a {
-                        let d = pair_loss(slots_ref, lm_ref, u, a);
-                        if cached.is_none_or(|cur| cand_lt((d, a), cur)) {
-                            Some(Some((d, a)))
-                        } else {
-                            None
+            let (slots_ref, cands_ref, lm_ref, ids_ref) =
+                (&slots, &cands, &last_merged, &alive_ids);
+            let repairs: Vec<Repair> = dbmine_parallel::par_map(threads, ids_ref, |i, &u| {
+                let refill =
+                    || Repair::Refill(Box::new(scan_row(slots_ref, lm_ref, &ids_ref[i + 1..], u)));
+                if u == a {
+                    return refill();
+                }
+                let c = &cands_ref[u];
+                let gone = |&(_, p): &(f64, usize)| p == a || p == b;
+                let new_a = (u < a)
+                    .then(|| pair_loss(slots_ref, lm_ref, u, a))
+                    .filter(|&d| c.admits((d, a)));
+                if new_a.is_none() && !c.keys.iter().any(gone) {
+                    Repair::Keep
+                } else if new_a.is_none() && c.floor.is_some() && c.keys.iter().all(gone) {
+                    refill()
+                } else {
+                    Repair::Edit(new_a)
+                }
+            });
+            for (&u, repair) in alive_ids.iter().zip(repairs) {
+                let c = &mut cands[u];
+                let before = c.best();
+                match repair {
+                    Repair::Keep => continue,
+                    Repair::Edit(new_a) => {
+                        c.keys.retain(|&(_, p)| p != a && p != b);
+                        if let Some(d) = new_a {
+                            c.offer((d, a));
                         }
-                    } else {
-                        None
                     }
-                });
-            for (&u, upd) in alive_ids.iter().zip(updates) {
-                if let Some(new_best) = upd {
-                    best[u] = new_best;
+                    Repair::Refill(fresh) => *c = *fresh,
+                }
+                let after = c.best();
+                if after.map(|(d, p)| (d.to_bits(), p)) != before.map(|(d, p)| (d.to_bits(), p)) {
                     stamp[u] = stamp[u].wrapping_add(1);
-                    if let Some((d, p)) = new_best {
+                    if let Some((d, p)) = after {
                         heap.push(Reverse((OrdLoss(d), u, p, stamp[u])));
                     }
                 }
             }
-            // Stale entries accumulate slowly (one push per cache
-            // rewrite); rebuild from the live caches before they can
-            // outgrow O(q).
+            // Stale entries accumulate slowly (one push per changed
+            // best); rebuild from the live lists before they can outgrow
+            // O(q).
             if heap.len() > 4 * q + 16 {
                 heap.clear();
                 for &u in &alive_ids {
-                    if let Some((d, p)) = best[u] {
+                    if let Some((d, p)) = cands[u].best() {
                         heap.push(Reverse((OrdLoss(d), u, p, stamp[u])));
                     }
                 }
@@ -336,16 +387,93 @@ pub fn aib_with(inputs: Vec<Dcf>, k: usize, threads: usize) -> AibResult {
         }
     }
 
-    let (clusters, final_members): (Vec<Dcf>, Vec<Vec<usize>>) = slots
+    survivors(slots, members, dendro, initial_information, stats)
+}
+
+/// The `k`-clustering of `inputs` cut from `full`, a finished AIB run
+/// over the same inputs that merged down to `k` clusters or fewer.
+///
+/// An AIB run to `k` is a prefix of the run to any smaller `k`, so this
+/// replays the first `q − k` merges of `full.dendrogram` with the run's
+/// own slot rule — the left node's slot survives and absorbs the right
+/// one with [`Dcf::merge_in_place`], members appended in the same
+/// order — and copies `initial_information` and the first `q − k`
+/// stats. The result is bitwise what `aib_with(inputs, k, _)` returns,
+/// at the cost of `q − k` DCF merges and no `δI` evaluation.
+///
+/// ```
+/// use dbmine_ib::{aib, aib_cut, Dcf};
+/// use dbmine_infotheory::SparseDist;
+/// let objs: Vec<Dcf> = (0..4)
+///     .map(|i| Dcf::singleton(0.25, SparseDist::singleton(i % 2)))
+///     .collect();
+/// let full = aib(objs.clone(), 1);
+/// let cut = aib_cut(objs.clone(), &full, 2);
+/// assert_eq!(cut.members, aib(objs, 2).members);
+/// ```
+///
+/// # Panics
+///
+/// If `full` was run over a different number of inputs, or stopped
+/// above `k` clusters.
+pub fn aib_cut(inputs: Vec<Dcf>, full: &AibResult, k: usize) -> AibResult {
+    let _span = dbmine_telemetry::span("aib.cut");
+    let q = inputs.len();
+    assert_eq!(
+        full.dendrogram.n_leaves(),
+        q,
+        "aib_cut: the run was over a different input"
+    );
+    let steps = q.saturating_sub(k.max(1));
+    assert!(
+        steps <= full.dendrogram.merges().len(),
+        "aib_cut: the run stopped above k = {k}"
+    );
+    let mut slots: Vec<Option<Dcf>> = inputs.into_iter().map(Some).collect();
+    let mut dendro = Dendrogram::new(q);
+    // slot_of[node]: the slot holding dendrogram node `node`.
+    let mut slot_of: Vec<usize> = (0..q).collect();
+    let mut members: Vec<Vec<usize>> = (0..q).map(|i| vec![i]).collect();
+    let mut merge_scratch = MergeScratch::new();
+    for m in &full.dendrogram.merges()[..steps] {
+        let (a, b) = (slot_of[m.left], slot_of[m.right]);
+        let cb = slots[b].take().expect("replayed merge of a dead slot");
+        slots[a]
+            .as_mut()
+            .expect("replayed merge into a dead slot")
+            .merge_in_place(&cb, &mut merge_scratch);
+        let absorbed = std::mem::take(&mut members[b]);
+        members[a].extend(absorbed);
+        slot_of.push(a);
+        dendro.push(m.left, m.right, m.loss);
+    }
+    survivors(
+        slots,
+        members,
+        dendro,
+        full.initial_information,
+        full.stats[..steps].to_vec(),
+    )
+}
+
+/// Packs the alive slots, in slot order, and their members into an
+/// [`AibResult`].
+fn survivors(
+    slots: Vec<Option<Dcf>>,
+    members: Vec<Vec<usize>>,
+    dendrogram: Dendrogram,
+    initial_information: f64,
+    stats: Vec<KStat>,
+) -> AibResult {
+    let (clusters, members): (Vec<Dcf>, Vec<Vec<usize>>) = slots
         .into_iter()
         .zip(members)
         .filter_map(|(c, m)| c.map(|c| (c, m)))
         .unzip();
-
     AibResult {
         clusters,
-        members: final_members,
-        dendrogram: dendro,
+        members,
+        dendrogram,
         initial_information,
         stats,
     }

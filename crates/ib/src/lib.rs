@@ -23,7 +23,7 @@ pub mod assign;
 pub mod dcf;
 pub mod dendrogram;
 
-pub use aib::{aib, aib_reference, aib_with, AibResult, KStat};
+pub use aib::{aib, aib_cut, aib_reference, aib_with, AibResult, KStat};
 pub use assign::assign_all_with;
 pub use dcf::{Dcf, MergeScratch};
 pub use dendrogram::{Dendrogram, Merge};

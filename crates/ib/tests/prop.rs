@@ -1,11 +1,12 @@
 //! Property-based tests for the IB core: the parallel code paths must be
 //! bit-identical to the serial ones for every thread count, the
-//! nearest-neighbor-cache AIB must reproduce the reference algorithm, and
-//! the bounded Phase 3 scan must reproduce the plain linear scan.
+//! candidate-list AIB must reproduce the reference algorithm, a cut of a
+//! full run must reproduce the run to that `k`, and the bounded Phase 3
+//! scan must reproduce the plain linear scan.
 
 use dbmine_context::AnalysisCtx;
 use dbmine_datagen::{dblp_sample, DblpSpec};
-use dbmine_ib::{aib, aib_reference, aib_with, assign_all_with, Dcf};
+use dbmine_ib::{aib, aib_cut, aib_reference, aib_with, assign_all_with, AibResult, Dcf, KStat};
 use dbmine_infotheory::SparseDist;
 use dbmine_limbo::{phase1_auto, tuple_dcfs_ctx, value_dcfs_with, LimboParams};
 use proptest::collection::vec;
@@ -99,35 +100,73 @@ fn arb_assignment() -> impl Strategy<Value = (Vec<Dcf>, Vec<Dcf>)> {
         })
 }
 
-/// Strategy: a list of `2..=24` singleton DCFs with sparse conditionals
-/// over a 16-index universe and uniform weights.
-fn arb_dcfs() -> impl Strategy<Value = Vec<Dcf>> {
-    proptest::collection::vec(
-        proptest::collection::vec((0u32..16, 0.01f64..1.0), 1..5),
-        2..24,
+/// Strategy: `len` singleton DCFs with sparse conditionals over a
+/// 16-index universe. Weights are uniform except that about one in eight
+/// inputs has weight 0; up to 32 inputs are exact copies of earlier ones
+/// (ties in `δI`, broken by slot index). Past 16 inputs, the length of
+/// AIB's per-slot candidate lists, the lists overflow, drain and refill.
+fn arb_dcfs_len(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Dcf>> {
+    (
+        vec((0u8..8, vec((0u32..16, 0.01f64..1.0), 1..5)), len),
+        vec(0usize..1 << 20, 0..32),
     )
-    .prop_map(|rows| {
-        let n = rows.len();
-        rows.into_iter()
-            .map(|pairs| {
-                let mut d = SparseDist::from_pairs(pairs);
-                d.normalize();
-                Dcf::singleton(1.0 / n as f64, d)
-            })
-            .collect()
-    })
+        .prop_map(|(mut rows, copies)| {
+            for i in copies {
+                let row = rows[i % rows.len()].clone();
+                rows.push(row);
+            }
+            let n = rows.len();
+            rows.into_iter()
+                .map(|(kind, pairs)| {
+                    let mut d = SparseDist::from_pairs(pairs);
+                    d.normalize();
+                    let weight = if kind == 0 { 0.0 } else { 1.0 / n as f64 };
+                    Dcf::singleton(weight, d)
+                })
+                .collect()
+        })
 }
 
-fn assert_same_result(a: &dbmine_ib::AibResult, b: &dbmine_ib::AibResult) {
+/// [`arb_dcfs_len`] with `2..200` drawn inputs.
+fn arb_dcfs() -> impl Strategy<Value = Vec<Dcf>> {
+    arb_dcfs_len(2..200)
+}
+
+/// Asserts two AIB results are bitwise equal: merges and their losses,
+/// members, `I(C_q;T)`, every per-`k` statistic, and each surviving
+/// cluster's weight, count and conditional entries.
+fn assert_same_result(a: &AibResult, b: &AibResult) {
+    assert_eq!(a.dendrogram.n_leaves(), b.dendrogram.n_leaves());
     assert_eq!(a.dendrogram.merges().len(), b.dendrogram.merges().len());
     for (ma, mb) in a.dendrogram.merges().iter().zip(b.dendrogram.merges()) {
         assert_eq!((ma.left, ma.right), (mb.left, mb.right));
         assert_eq!(ma.loss.to_bits(), mb.loss.to_bits());
     }
     assert_eq!(a.members, b.members);
+    assert_eq!(
+        a.initial_information.to_bits(),
+        b.initial_information.to_bits()
+    );
+    assert_eq!(a.stats.len(), b.stats.len());
+    let bits = |s: &KStat| {
+        (
+            s.k,
+            s.cumulative_loss.to_bits(),
+            s.mutual_information.to_bits(),
+            s.cluster_entropy.to_bits(),
+            s.conditional_entropy.to_bits(),
+        )
+    };
+    for (sa, sb) in a.stats.iter().zip(&b.stats) {
+        assert_eq!(bits(sa), bits(sb));
+    }
     assert_eq!(a.clusters.len(), b.clusters.len());
+    let entries =
+        |c: &Dcf| -> Vec<(u32, u64)> { c.cond.iter().map(|(i, p)| (i, p.to_bits())).collect() };
     for (ca, cb) in a.clusters.iter().zip(&b.clusters) {
         assert_eq!(ca.weight.to_bits(), cb.weight.to_bits());
+        assert_eq!(ca.count, cb.count);
+        assert_eq!(entries(ca), entries(cb));
     }
 }
 
@@ -146,6 +185,27 @@ proptest! {
         assert_same_result(&serial, &parallel);
         let reference = aib_reference(inputs, k);
         assert_same_result(&serial, &reference);
+    }
+
+    /// Cutting a run's dendrogram at `k` is bitwise the run to `k`: at
+    /// `k = 1`, a random `k`, and `k ≥ q` (no merge), from the full run
+    /// and from a partial run that stopped at or below `k`.
+    #[test]
+    fn aib_cut_equals_the_run_to_k(
+        inputs in arb_dcfs(), k_seed in 0usize..1000, stop_seed in 0usize..1000
+    ) {
+        let q = inputs.len();
+        let full = aib(inputs.clone(), 1);
+        let random_k = 1 + k_seed % q;
+        for k in [1, random_k, q, q + 3] {
+            assert_same_result(&aib_cut(inputs.clone(), &full, k), &aib(inputs.clone(), k));
+        }
+        let stop = 1 + stop_seed % random_k;
+        let partial = aib(inputs.clone(), stop);
+        assert_same_result(
+            &aib_cut(inputs.clone(), &partial, random_k),
+            &aib(inputs, random_k),
+        );
     }
 
     /// Phase 3 assignment is embarrassingly parallel; every thread count
@@ -172,6 +232,23 @@ proptest! {
         let (objects, reps) = case;
         assert_matches_linear_scan(&objects, &reps, 1);
         assert_matches_linear_scan(&objects, &reps, threads);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// At `q ≥ 256` the list repairs and the initial scan run on worker
+    /// threads (`par_map` is serial below 128 items); every thread count
+    /// must still give the serial run's exact bits.
+    #[test]
+    fn aib_parallel_repair_is_bit_identical(
+        inputs in arb_dcfs_len(256..400), k_seed in 0usize..64, threads in 2usize..6
+    ) {
+        let k = 1 + k_seed % 8;
+        let serial = aib_with(inputs.clone(), k, 1);
+        assert_same_result(&aib_with(inputs.clone(), k, threads), &serial);
+        assert_same_result(&aib_with(inputs, k, 0), &serial);
     }
 }
 

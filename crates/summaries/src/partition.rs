@@ -4,9 +4,14 @@
 //! summaries, run AIB over them down to `k = 1` while recording the rate
 //! of change of `I(C_k;V)` and `H(C_k|V)`, pick a natural `k` from those
 //! derivatives, and Phase 3-assign every tuple.
+//!
+//! Phase 2 runs exactly once: the chosen `k`-clustering is cut from that
+//! run's dendrogram with [`dbmine_ib::aib_cut`] (a replay of its first
+//! `q − k` merges, bitwise the clustering a second AIB run to `k` would
+//! return).
 
 use dbmine_context::AnalysisCtx;
-use dbmine_ib::KStat;
+use dbmine_ib::{aib_cut, KStat};
 use dbmine_limbo::{phase1_auto, phase2_with, phase3_with, tuple_dcfs_ctx, LimboParams};
 use dbmine_relation::Relation;
 
@@ -106,8 +111,8 @@ pub fn horizontal_partition_ctx(
         .unwrap_or_else(|| suggest_k(&full.stats, max_k))
         .clamp(1, n_summaries.max(1));
 
-    // Re-cluster the summaries to the chosen k and assign all tuples.
-    let clustering = phase2_with(&model, chosen_k, threads);
+    // Cut the chosen k from the same run and assign all tuples.
+    let clustering = aib_cut(model.leaves, &full, chosen_k);
     let assignments = phase3_with(objects.iter(), &clustering, threads);
 
     let mut partitions = vec![Vec::new(); clustering.clusters.len()];

@@ -21,10 +21,11 @@ pub enum Counter {
     /// DCF-tree leaf-entry absorbs during Phase 1 (insert merged into an
     /// existing entry within the φ threshold).
     TreeAbsorbs,
-    /// AIB nearest-neighbor cache: heap pops whose cached candidate was
-    /// still valid (no rescan needed).
+    /// AIB candidate heap: pops of a slot's current best candidate (one
+    /// per merge).
     NnCacheHits,
-    /// AIB nearest-neighbor cache: stale heap pops that forced a rescan.
+    /// AIB candidate heap: stale pops, skipped because the slot died or
+    /// its best candidate changed since the push.
     NnCacheMisses,
     /// Stripped-partition products (`StrippedPartition::product_with`),
     /// the unit cost of TANE's lattice expansion.

@@ -220,3 +220,61 @@ fn invalid_shards_value_is_a_typed_error() {
         }
     }
 }
+
+#[test]
+fn redesign_honours_phi_flags_like_the_daemon() {
+    use dbmine::server::{parse, Json};
+    use std::process::Stdio;
+
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/db2_sample.csv");
+    let (stdout, stderr, ok) = run(&["redesign", path, "--phi-v", "1.0"]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(
+        stdout.starts_with("step 1: split by [EmpNo]→[MgrNo]"),
+        "{stdout}"
+    );
+    let (default, _, _) = run(&["redesign", path]);
+    assert_ne!(stdout, default, "--phi-v must reach the redesign miner");
+
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_dbmined"))
+        .arg("--stdio")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("daemon runs");
+    writeln!(
+        daemon.stdin.take().unwrap(),
+        "{{\"cmd\":\"redesign\",\"path\":\"{path}\",\"phi_v\":1.0}}\n{{\"cmd\":\"shutdown\"}}"
+    )
+    .unwrap();
+    let out = daemon.wait_with_output().unwrap();
+    let reply = String::from_utf8(out.stdout).unwrap();
+    let first = parse(reply.lines().next().unwrap()).unwrap();
+    assert_eq!(
+        first.get("output").and_then(Json::as_str),
+        Some(stdout.as_str())
+    );
+}
+
+#[test]
+fn unknown_flags_are_rejected() {
+    let csv = write_demo_csv();
+    let path = csv.to_str().unwrap();
+    for (cmd, flag) in [
+        ("redesign", "--bogus"),
+        ("analyze", "--theta"),
+        ("mvds", "--threads"),
+        ("partition", "--approx"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dbmine"))
+            .args([cmd, path, flag, "3"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd} {flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: unknown flag {flag} for `{cmd}`")),
+            "{cmd} {flag}: {stderr}"
+        );
+    }
+}
