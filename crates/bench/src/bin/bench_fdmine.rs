@@ -379,6 +379,32 @@ fn main() {
         },
     );
 
+    // Unbounded walks (`max_lhs: None`), full run only so the quick
+    // counter ledger does not move. On db2 at θ 0.6 the unpruned walk
+    // visits all 2¹⁹ − 1 attribute sets and pruning pays several times
+    // over; on DBLP 1k at θ 0.2 the bounds cost more than they save.
+    if !quick {
+        let db2 = dbmine::datagen::db2_sample(&Default::default()).relation;
+        let dblp1k = dbmine::datagen::dblp_sample(&dbmine::datagen::DblpSpec::scaled(1_000, 2004));
+        for (name, rel) in [("db2", &db2), ("dblp", &dblp1k)] {
+            for theta in [0.2, 0.6] {
+                reliable_compare(
+                    &mut results,
+                    &mut reliable_stats,
+                    samples,
+                    rel,
+                    &format!("reliable_theta{theta}_unbounded/{name}/{}", rel.n_tuples()),
+                    ReliableOptions {
+                        theta,
+                        max_lhs: None,
+                        threads: 1,
+                        prune: true,
+                    },
+                );
+            }
+        }
+    }
+
     // Store-vs-materialized mining: one shard store spilled once, then
     // mined through a chunk-backed context (zero materializations,
     // ledger-asserted) and through the fully materialized relation.

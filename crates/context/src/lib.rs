@@ -18,20 +18,25 @@
 //! in RAM or on disk. It is backed by one of two sources:
 //!
 //! * **Memory** ([`AnalysisCtx::new`] / [`AnalysisCtx::of`]) — an
-//!   `Arc<Relation>`; every view builds from the columnar matrix.
+//!   `Arc<Relation>`.
 //! * **Chunks** ([`AnalysisCtx::from_chunks`]) — a [`ShardedRelation`]
-//!   over a binary shard store. The chunk-foldable views — attribute
-//!   partitions, `I(T;V)`, column profiles, projection statistics, and
-//!   even the row-oriented [`TupleRows`]/[`ValueIndex`] — build from
-//!   bounded-memory chunk passes over the store and are
-//!   **bit-identical** to the in-memory builds (global interned ids +
-//!   deterministic first-occurrence folds). Only
-//!   [`AnalysisCtx::relation`] materializes the full `Relation`, lazily,
-//!   for genuinely row-resident consumers (tuple previews, redesign
-//!   projections); each materialization is recorded in the
-//!   [`ViewStats::materializations`] ledger and
-//!   `Counter::CtxMaterializations`, so tests can pin "`fds` and
-//!   `analyze` from a store materialize nothing".
+//!   over a binary shard store.
+//!
+//! Every view is built one way on both: one chunk fold from
+//! `dbmine-relation` over one pass of the private `AnalysisCtx::pass`
+//! (two passes for the partition sweep, which counts then places). The
+//! pass yields the resident relation as a single borrowed chunk
+//! ([`Relation::as_chunk`]) when one exists — always for a memory
+//! source, and for a chunk-backed context once it has materialized —
+//! and otherwise decodes the store in bounded-memory chunks. The folds
+//! read global interned ids in global tuple order, so a view is
+//! **bit-identical** whatever the source and wherever chunk boundaries
+//! fall. Only [`AnalysisCtx::relation`] materializes the full `Relation`
+//! of a chunk-backed context, lazily, for genuinely row-resident
+//! consumers (tuple previews, redesign projections); each
+//! materialization is recorded in the [`ViewStats::materializations`]
+//! ledger and `Counter::CtxMaterializations`, so tests can pin "`fds`
+//! and `analyze` from a store materialize nothing".
 //!
 //! # Sharing contract
 //!
@@ -56,27 +61,32 @@
 //! feature-gated). The same two numbers are additionally tracked
 //! per-context in [`ViewStats`] — always on, race-free within the
 //! context — so tests can pin exact build counts without serializing on
-//! the process-global counters. Build counts are exact even under
-//! concurrent access (the `OnceLock` initializer runs once; the
-//! projection memo computes under its lock); hit counts are exact in
-//! the single-threaded case and best-effort during a concurrent first
-//! build. Chunk-path builders run under `ctx.build_*` spans and lazy
-//! materialization under `ctx.materialize`.
+//! the process-global counters. The rule is the same on both sources:
+//! the partition sweep counts `m` builds and the access that triggered
+//! it counts nothing; the profile fold counts one build plus one per
+//! single-attribute projection it adds to the memo; every later access
+//! is a hit. Build counts are exact even under concurrent access (the
+//! `OnceLock` initializer runs once; the sweep and the projection memo
+//! compute under their locks); hit counts are exact in the
+//! single-threaded case and best-effort during a concurrent first
+//! build. Every fold runs under a `ctx.build_*` span on both sources
+//! (store passes add `spill.read` children), and lazy materialization
+//! under `ctx.materialize`.
 //!
 //! # Opting new views in
 //!
-//! A new shared view gets (1) a `OnceLock` (or bounded memo) field, (2)
-//! an accessor that goes through the private `AnalysisCtx::view` (or replicates
-//! its hit/build accounting) with a build arm per source, and (3) a
-//! line in the DESIGN.md "Analysis context" table. Nothing else:
-//! consumers receive `&AnalysisCtx` and call the accessor.
+//! A new shared view gets (1) a chunk fold next to its type in
+//! `dbmine-relation`, (2) a `OnceLock` (or bounded memo) field, (3) an
+//! accessor that goes through the private `AnalysisCtx::view` and calls
+//! the fold once over `AnalysisCtx::pass` inside a `ctx.build_*` span,
+//! and (4) a line in the DESIGN.md "Analysis context" table. Nothing
+//! else: consumers receive `&AnalysisCtx` and call the accessor.
 
 use dbmine_relation::csv::CsvError;
-use dbmine_relation::stats::{self, ColumnProfile};
+use dbmine_relation::stats::ColumnProfile;
 use dbmine_relation::{
-    attr_partitions_chunks, column_profiles_chunks, projection_stats_chunks,
-    tuple_mutual_information_chunks, AttrSet, Relation, ShardedRelation, StrippedPartition,
-    TupleRows, ValueDict, ValueIndex,
+    attr_partitions_chunks, column_profiles_chunks, projection_stats_chunks, AttrSet, Relation,
+    RelationChunk, ShardedRelation, StrippedPartition, TupleRows, ValueDict, ValueIndex,
 };
 use fxhash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,19 +94,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 mod lru;
 
+pub use dbmine_relation::ProjectionStats;
 pub use lru::{CtxCache, CtxCacheStats};
-
-/// Memoized projection statistics for one attribute set: the RTR
-/// distinct count and the RAD bag-semantics entropy, computed from a
-/// single counting pass.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ProjectionStats {
-    /// Distinct tuples in the projection (set semantics).
-    pub distinct: usize,
-    /// Shannon entropy (bits) of the projected-tuple distribution (bag
-    /// semantics).
-    pub entropy: f64,
-}
 
 /// Per-context view-cache statistics (always on, independent of the
 /// `telemetry` feature).
@@ -119,8 +118,7 @@ pub struct ViewStats {
 /// grow the context without bound.
 const PROJECTION_MEMO_CAP: usize = 4096;
 
-/// Where a context's views come from: a resident columnar relation, or
-/// chunk passes over a shard store.
+/// Where a context's relation lives: resident, or in a shard store.
 enum CtxSource {
     Mem(Arc<Relation>),
     Chunks(ShardedRelation),
@@ -129,6 +127,9 @@ enum CtxSource {
 fn chunk_fail(what: &str, e: CsvError) -> ! {
     panic!("chunk pass failed while building {what}: {e}")
 }
+
+/// One pass over a context's relation, in global tuple order.
+type Pass<'a> = Box<dyn Iterator<Item = RelationChunk<'a>> + 'a>;
 
 /// A lazily-memoized bundle of shared views over one relation. See the
 /// module docs for the sharing contract.
@@ -142,8 +143,8 @@ pub struct AnalysisCtx {
     tuple_mi: OnceLock<f64>,
     value_mi: OnceLock<f64>,
     attr_parts: Vec<OnceLock<StrippedPartition>>,
-    /// Serializes the chunked all-partitions sweep so concurrent first
-    /// accesses run exactly one double pass over the backing.
+    /// Serializes the partition sweep so concurrent first accesses run
+    /// exactly one.
     part_sweep: Mutex<()>,
     profiles: OnceLock<Vec<ColumnProfile>>,
     projections: Mutex<FxHashMap<u64, ProjectionStats>>,
@@ -204,12 +205,12 @@ impl AnalysisCtx {
         AnalysisCtx::new(Arc::new(rel.clone()))
     }
 
-    /// A chunk-backed context over a binary shard store: every
-    /// chunk-foldable view streams from the store in bounded memory, and
-    /// the full `Relation` is materialized only if a row-resident
-    /// consumer calls [`AnalysisCtx::relation`]. It cannot fail; the
-    /// `Result` lets callers chain it after
-    /// [`ShardedRelation::open_store`] with `and_then`.
+    /// A chunk-backed context over a binary shard store: every view
+    /// streams from the store in bounded memory, and the full `Relation`
+    /// is materialized only if a row-resident consumer calls
+    /// [`AnalysisCtx::relation`]. It cannot fail; the `Result` lets
+    /// callers chain it after [`ShardedRelation::open_store`] with
+    /// `and_then`.
     pub fn from_chunks(sharded: ShardedRelation) -> Result<Self, CsvError> {
         Ok(Self::with_source(CtxSource::Chunks(sharded)))
     }
@@ -220,13 +221,20 @@ impl AnalysisCtx {
         matches!(self.source, CtxSource::Chunks(_))
     }
 
-    /// The resident relation, if one exists *without* materializing:
-    /// the memory backing, or a chunk-backed context's already-cached
-    /// materialization.
-    fn resident(&self) -> Option<&Arc<Relation>> {
-        match &self.source {
-            CtxSource::Mem(rel) => Some(rel),
-            CtxSource::Chunks(_) => self.materialized.get(),
+    /// One pass over the relation for the fold building `what`: the
+    /// resident relation as a single borrowed chunk when one exists (the
+    /// memory backing, or a chunk-backed context's cached
+    /// materialization), else a store decode. A store fault panics (see
+    /// the module docs).
+    fn pass(&self, what: &'static str) -> Pass<'_> {
+        match (&self.source, self.materialized.get()) {
+            (CtxSource::Mem(rel), _) | (CtxSource::Chunks(_), Some(rel)) => {
+                Box::new(std::iter::once(rel.as_chunk()))
+            }
+            (CtxSource::Chunks(s), None) => {
+                let chunks = s.chunks().unwrap_or_else(|e| chunk_fail(what, e));
+                Box::new(chunks.map(move |c| c.unwrap_or_else(|e| chunk_fail(what, e))))
+            }
         }
     }
 
@@ -337,168 +345,92 @@ impl AnalysisCtx {
     }
 
     /// The tuple matrix `M` view (`p(V|t)`, attribute-qualified keys).
-    /// Row-oriented but chunk-buildable: a chunk-backed context streams
-    /// the rows from the backing without materializing the relation.
     pub fn tuple_rows(&self) -> &TupleRows {
-        self.view(&self.tuple_rows, || match self.resident() {
-            Some(rel) => TupleRows::build(rel),
-            None => {
-                let CtxSource::Chunks(s) = &self.source else {
-                    unreachable!("non-resident context is chunk-backed")
-                };
-                let _sp = dbmine_telemetry::span("ctx.build_tuple_rows");
-                s.chunks()
-                    .and_then(|pass| {
-                        TupleRows::from_chunks(s.dict().len(), s.n_attrs(), s.n_tuples(), pass)
-                    })
-                    .unwrap_or_else(|e| chunk_fail("the tuple view", e))
-            }
+        self.view(&self.tuple_rows, || {
+            let _sp = dbmine_telemetry::span("ctx.build_tuple_rows");
+            let pass = self.pass("the tuple view");
+            TupleRows::from_chunks(self.dict().len(), self.n_attrs(), self.n_tuples(), pass)
         })
     }
 
     /// The value view (`p(T|v)` occurrence lists + support matrix `O`).
-    /// Chunk-buildable like [`AnalysisCtx::tuple_rows`].
     pub fn value_index(&self) -> &ValueIndex {
-        self.view(&self.value_index, || match self.resident() {
-            Some(rel) => ValueIndex::build(rel),
-            None => {
-                let CtxSource::Chunks(s) = &self.source else {
-                    unreachable!("non-resident context is chunk-backed")
-                };
-                let _sp = dbmine_telemetry::span("ctx.build_value_index");
-                s.chunks()
-                    .and_then(|pass| ValueIndex::from_chunks(s.dict().len(), pass))
-                    .unwrap_or_else(|e| chunk_fail("the value view", e))
-            }
+        self.view(&self.value_index, || {
+            let _sp = dbmine_telemetry::span("ctx.build_value_index");
+            ValueIndex::from_chunks(self.dict().len(), self.pass("the value view"))
         })
     }
 
-    /// `I(T;V)` — mutual information of the tuple view. On a
-    /// chunk-backed context with no tuple view built yet this uses the
-    /// streaming fold (`tuple_mutual_information_chunks`), bit-identical
-    /// to the in-memory computation, with peak memory of one chunk plus
-    /// the marginal accumulator.
+    /// `I(T;V)` — mutual information of the tuple view (built from the
+    /// shared [`TupleRows`]).
     pub fn tuple_mutual_information(&self) -> f64 {
-        *self.view(&self.tuple_mi, || {
-            if self.resident().is_some() || self.tuple_rows.get().is_some() {
-                return self.tuple_rows().mutual_information();
-            }
-            let CtxSource::Chunks(s) = &self.source else {
-                unreachable!("non-resident context is chunk-backed")
-            };
-            let _sp = dbmine_telemetry::span("ctx.build_tuple_mi");
-            s.chunks()
-                .and_then(|pass| tuple_mutual_information_chunks(s, pass))
-                .unwrap_or_else(|e| chunk_fail("I(T;V)", e))
-        })
+        *self.view(&self.tuple_mi, || self.tuple_rows().mutual_information())
     }
 
-    /// `I(V;T)` — mutual information of the value view (built, on
-    /// either source, from the shared [`ValueIndex`]).
+    /// `I(V;T)` — mutual information of the value view (built from the
+    /// shared [`ValueIndex`]).
     pub fn value_mutual_information(&self) -> f64 {
         *self.view(&self.value_mi, || self.value_index().mutual_information())
     }
 
-    /// Runs the chunked all-partitions sweep if this chunk-backed
-    /// context's partition cells are still empty. One double pass over
-    /// the backing fills every `π_A` at once (the counting pass is
-    /// shared, and a store decode is the dominant cost, so per-attribute
-    /// passes would multiply I/O by `m`).
-    fn ensure_chunk_partitions(&self, s: &ShardedRelation) {
-        let _guard = self.part_sweep.lock().unwrap_or_else(|e| e.into_inner());
-        if self.attr_parts.first().is_none_or(|c| c.get().is_some()) {
-            return;
-        }
-        let _sp = dbmine_telemetry::span("ctx.build_partitions");
-        let parts =
-            attr_partitions_chunks(s).unwrap_or_else(|e| chunk_fail("the attribute partitions", e));
-        for (cell, part) in self.attr_parts.iter().zip(parts) {
-            if cell.set(part).is_ok() {
-                self.record_build();
-            }
-        }
-    }
-
-    /// The single-attribute stripped partition `π_A`.
+    /// The single-attribute stripped partition `π_A`. The first access
+    /// to any partition runs the sweep that fills all `m` at once: one
+    /// counting pass and one placing pass, shared by every column, so a
+    /// store decode (the dominant cost) is never multiplied by `m`.
     pub fn attr_partition(&self, a: usize) -> &StrippedPartition {
         if let Some(p) = self.attr_parts[a].get() {
             self.record_hit();
             return p;
         }
-        match (&self.source, self.resident()) {
-            (_, Some(rel)) => {
-                let rel = Arc::clone(rel);
-                self.view(&self.attr_parts[a], move || {
-                    StrippedPartition::of_attr(&rel, a)
-                })
+        let guard = self.part_sweep.lock().unwrap_or_else(|e| e.into_inner());
+        if self.attr_parts[a].get().is_none() {
+            let _sp = dbmine_telemetry::span("ctx.build_partitions");
+            let parts =
+                attr_partitions_chunks(self.n_attrs(), || self.pass("the attribute partitions"));
+            for (cell, part) in self.attr_parts.iter().zip(parts) {
+                if cell.set(part).is_ok() {
+                    self.record_build();
+                }
             }
-            (CtxSource::Chunks(s), None) => {
-                self.ensure_chunk_partitions(s);
-                self.attr_parts[a]
-                    .get()
-                    .expect("chunk sweep fills every partition cell")
-            }
-            (CtxSource::Mem(_), None) => unreachable!("memory source is always resident"),
         }
+        drop(guard);
+        self.attr_parts[a]
+            .get()
+            .expect("the sweep fills every partition cell")
     }
 
     /// All single-attribute partitions, in attribute order. `threads`
-    /// bounds the workers used to build whichever partitions are still
-    /// missing (`m ≤ 64`, so in practice the parallel map's small-input
-    /// serial fallback applies — the knob exists for interface symmetry
-    /// with the TANE seed it replaces). On a chunk-backed context the
-    /// first access triggers one shared sweep over the backing.
+    /// bounds the workers that read them (`m ≤ 64`, so in practice the
+    /// parallel map's small-input serial fallback applies — the knob
+    /// exists for interface symmetry with the TANE seed it replaces).
+    /// The first access triggers the one shared sweep.
     pub fn attr_partitions_with(&self, threads: usize) -> Vec<&StrippedPartition> {
         dbmine_parallel::par_map_range(threads, self.n_attrs(), |a| self.attr_partition(a))
     }
 
-    /// Per-column profiles (distinct, NULL fraction, entropy). The
-    /// per-column distinct/entropy numbers are routed through the
-    /// projection memo, so later single-attribute
-    /// [`Self::projection_stats`] lookups are cache hits — on either
-    /// source.
+    /// Per-column profiles (distinct, NULL fraction, entropy). The fold
+    /// also seeds the projection memo with each column's distinct count
+    /// and entropy, so later single-attribute
+    /// [`Self::projection_stats`] lookups are cache hits.
     pub fn column_profiles(&self) -> &[ColumnProfile] {
-        let v: &Vec<ColumnProfile> = self.view(&self.profiles, || match self.resident() {
-            Some(_) => (0..self.n_attrs())
-                .map(|a| {
-                    let s = self.projection_stats(AttrSet::single(a));
-                    ColumnProfile {
-                        name: self.attr_names()[a].clone(),
-                        distinct: s.distinct,
-                        null_fraction: self.resident().expect("resident").null_fraction(a),
-                        entropy: s.entropy,
-                    }
-                })
-                .collect(),
-            None => {
-                let CtxSource::Chunks(s) = &self.source else {
-                    unreachable!("non-resident context is chunk-backed")
-                };
-                let _sp = dbmine_telemetry::span("ctx.build_profiles");
-                let profiles = column_profiles_chunks(s)
-                    .unwrap_or_else(|e| chunk_fail("the column profiles", e));
-                // Seed the projection memo from the same pass, counting
-                // one build per column exactly like the in-memory path.
-                let mut memo = self.projections.lock().unwrap_or_else(|e| e.into_inner());
-                for (a, p) in profiles.iter().enumerate() {
-                    let key = AttrSet::single(a).bits();
-                    if !memo.contains_key(&key) {
-                        self.record_build();
-                        if memo.len() < PROJECTION_MEMO_CAP {
-                            memo.insert(
-                                key,
-                                ProjectionStats {
-                                    distinct: p.distinct,
-                                    entropy: p.entropy,
-                                },
-                            );
-                        }
+        let profiles: &Vec<ColumnProfile> = self.view(&self.profiles, || {
+            let _sp = dbmine_telemetry::span("ctx.build_profiles");
+            let profiles =
+                column_profiles_chunks(self.attr_names(), self.pass("the column profiles"));
+            let mut memo = self.projections.lock().unwrap_or_else(|e| e.into_inner());
+            for (a, p) in profiles.iter().enumerate() {
+                let key = AttrSet::single(a).bits();
+                if !memo.contains_key(&key) {
+                    self.record_build();
+                    if memo.len() < PROJECTION_MEMO_CAP {
+                        let (distinct, entropy) = (p.distinct, p.entropy);
+                        memo.insert(key, ProjectionStats { distinct, entropy });
                     }
                 }
-                profiles
             }
+            profiles
         });
-        v
+        profiles
     }
 
     /// Distinct count and entropy of the projection on `attrs`, served
@@ -506,8 +438,7 @@ impl AnalysisCtx {
     /// across the (single) computation so concurrent first accesses
     /// never duplicate work and build counts stay exact; projections
     /// are cheap relative to the clustering and mining stages that
-    /// surround them. On a chunk-backed context each miss is one chunk
-    /// pass over the backing.
+    /// surround them. Each miss is one pass over the relation.
     pub fn projection_stats(&self, attrs: AttrSet) -> ProjectionStats {
         let key = attrs.bits();
         let mut memo = self.projections.lock().unwrap_or_else(|e| e.into_inner());
@@ -515,18 +446,10 @@ impl AnalysisCtx {
             self.record_hit();
             return s;
         }
-        let (distinct, entropy) = match self.resident() {
-            Some(rel) => stats::projection_stats(rel, attrs),
-            None => {
-                let CtxSource::Chunks(s) = &self.source else {
-                    unreachable!("non-resident context is chunk-backed")
-                };
-                let _sp = dbmine_telemetry::span("ctx.build_projection");
-                projection_stats_chunks(s, attrs)
-                    .unwrap_or_else(|e| chunk_fail("the projection statistics", e))
-            }
+        let s = {
+            let _sp = dbmine_telemetry::span("ctx.build_projection");
+            projection_stats_chunks(attrs, self.pass("the projection statistics"))
         };
-        let s = ProjectionStats { distinct, entropy };
         self.record_build();
         if memo.len() < PROJECTION_MEMO_CAP {
             memo.insert(key, s);
@@ -655,8 +578,9 @@ mod tests {
         let ctx = AnalysisCtx::of(&rel);
         let all = rel.all_attrs();
         let s = ctx.projection_stats(all);
-        assert_eq!(s.distinct, stats::projection_distinct(&rel, all));
-        let h = stats::projection_entropy(&rel, all);
+        // Figure 1 has three distinct tuples, so H = log2 3.
+        assert_eq!(s.distinct, 3);
+        let h = 3f64.log2();
         assert!((s.entropy - h).abs() < 1e-9, "{} vs {h}", s.entropy);
     }
 
@@ -695,8 +619,8 @@ mod tests {
         let ctx = AnalysisCtx::of(&rel);
         let attrs: AttrSet = [1usize, 2].into_iter().collect();
         let child = ctx.derive_projected(attrs, "bc");
-        // The parent built π_B and π_C on demand …
-        assert_eq!(ctx.view_stats().builds, 2);
+        // The parent's first access swept all m partitions …
+        assert_eq!(ctx.view_stats().builds, rel.n_attrs() as u64);
         // … and the child starts with zero builds: its partitions were
         // seeded, so first accesses are hits, proving nothing rebuilt.
         assert_eq!(child.view_stats(), ViewStats::default());

@@ -72,7 +72,8 @@ fn usage() -> ! {
          \x20              `analyze`/`redesign --score rfi` re-rank\n\
          \x20              FD-RANK output by F̂ descending\n\
          \x20 --theta F    reliability threshold θ in [0,1] for\n\
-         \x20              --score rfi (default 0.2)\n\
+         \x20              fds --score rfi (default 0.2); an error\n\
+         \x20              with any other score\n\
          \x20 --max-lhs N  bound FD left-hand-side size\n\
          \x20 --k N        force the number of horizontal partitions\n\
          \x20 --steps N    decomposition steps for redesign (default 3)\n\
@@ -411,6 +412,10 @@ fn main() {
             let score = args.score();
             if approx.is_some() && score == ScoreKind::Rfi {
                 eprintln!("error: --approx (g3 mining) cannot be combined with --score rfi");
+                exit(2);
+            }
+            if args.flags.contains_key("theta") && score != ScoreKind::Rfi {
+                eprintln!("error: --theta requires --score rfi");
                 exit(2);
             }
             let input = load_input(&args);

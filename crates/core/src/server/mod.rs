@@ -26,7 +26,8 @@
 //! `fds` with `"score":"rfi"` mines reliable dependencies at `F̂ ≥
 //! theta` (default 0.2) instead of exact/approximate ones, and
 //! `analyze`/`redesign` re-rank FD-RANK output by F̂. `approx` and
-//! `"score":"rfi"` are mutually exclusive.
+//! `"score":"rfi"` are mutually exclusive, and `theta` is accepted only
+//! on `fds` with `"score":"rfi"` — the one request that reads it.
 //!
 //! Commands: `analyze`, `duplicates`, `fds`, `partition`, `redesign`
 //! (relation commands — `output` is byte-identical to the CLI's stdout),
@@ -481,6 +482,9 @@ impl Request {
                 "field `approx` (g3 mining) cannot be combined with score `rfi`".to_string(),
             );
         }
+        if params.theta.is_some() && (cmd != "fds" || score != ScoreKind::Rfi) {
+            return Err("field `theta` requires `fds` with score `rfi`".to_string());
+        }
         let steps = usize_field("steps")?.unwrap_or(3);
         if steps == 0 {
             return Err("field `steps` must be at least 1".to_string());
@@ -767,6 +771,30 @@ mod tests {
         // Still serving.
         let v = parse(&d.handle_line(&request("fds")).line).unwrap();
         assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn theta_without_reliable_fds_is_a_typed_error() {
+        let d = Daemon::new(4);
+        let error = |line: &str| {
+            let v = parse(&d.handle_line(line).line).expect("valid JSON");
+            assert_eq!(v.get("ok"), Some(&Json::Bool(false)), "for {line}");
+            v.get("error").and_then(Json::as_str).unwrap().to_string()
+        };
+        for line in [
+            "{\"cmd\":\"fds\",\"csv\":\"A,B\\n1,2\\n\",\"theta\":0.5}",
+            "{\"cmd\":\"fds\",\"csv\":\"A,B\\n1,2\\n\",\"score\":\"g3\",\"theta\":0.5}",
+            "{\"cmd\":\"analyze\",\"csv\":\"A,B\\n1,2\\n\",\"score\":\"rfi\",\"theta\":0.5}",
+            "{\"cmd\":\"partition\",\"csv\":\"A,B\\n1,2\\n\",\"theta\":0.5}",
+            "{\"cmd\":\"duplicates\",\"csv\":\"A,B\\n1,2\\n\",\"theta\":0.5}",
+            "{\"cmd\":\"redesign\",\"csv\":\"A,B\\n1,2\\n\",\"theta\":0.5}",
+        ] {
+            assert_eq!(error(line), "field `theta` requires `fds` with score `rfi`");
+        }
+        // The range check runs first: an out-of-range theta reports its
+        // range whatever the command.
+        let bad = error("{\"cmd\":\"analyze\",\"csv\":\"A,B\\n1,2\\n\",\"theta\":1.5}");
+        assert!(bad.starts_with("field `theta` must"), "{bad}");
     }
 
     #[test]

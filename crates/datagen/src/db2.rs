@@ -362,7 +362,8 @@ pub fn db2_sample(spec: &Db2Spec) -> Db2Sample {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbmine_relation::stats::column_distinct;
+    use dbmine_relation::stats::projection_stats;
+    use dbmine_relation::AttrSet;
 
     #[test]
     fn shape_matches_paper() {
@@ -379,7 +380,8 @@ mod tests {
     fn distinct_counts() {
         let s = db2_sample(&Db2Spec::default());
         let r = &s.relation;
-        let col = |name: &str| column_distinct(r, r.attr_id(name).unwrap());
+        let col =
+            |name: &str| projection_stats(r, AttrSet::single(r.attr_id(name).unwrap())).distinct;
         assert_eq!(col("DepNo"), 7);
         assert_eq!(col("DepName"), 7);
         assert_eq!(col("MgrNo"), 7);

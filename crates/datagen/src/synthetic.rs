@@ -186,10 +186,10 @@ mod tests {
             skew: 1.2,
             ..Default::default()
         });
-        let distinct = dbmine_relation::stats::projection_distinct(&rel, AttrSet::single(3));
-        assert!(distinct <= 20);
+        let stats = dbmine_relation::stats::projection_stats(&rel, AttrSet::single(3));
+        assert!(stats.distinct <= 20);
         // Heavy skew → heavy duplication in the column.
-        let h = dbmine_relation::stats::column_entropy(&rel, 3);
+        let h = stats.entropy;
         assert!(h < (20f64).log2(), "entropy {h} should reflect skew");
     }
 

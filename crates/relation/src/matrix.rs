@@ -13,7 +13,6 @@
 //!   value in [`ValueIndex`], and aggregated under cluster merges by the
 //!   ADCF machinery in `dbmine-limbo`.
 
-use crate::csv::CsvError;
 use crate::dict::ValueId;
 use crate::relation::Relation;
 use crate::shard::RelationChunk;
@@ -21,9 +20,10 @@ use dbmine_infotheory::{mutual_information, SparseDist};
 
 /// The feature-key stride for attribute-qualified value keys: cell
 /// `(a, v)` maps to feature `a · stride + v` with `stride = |dict|`.
-/// This is the **single definition** shared by the in-memory tuple view
-/// ([`TupleRows::build`]) and the chunked-ingest path ([`crate::shard`]),
-/// so both produce bitwise-identical conditional rows.
+/// This is the **single definition** shared by the tuple view
+/// ([`TupleRows::from_chunks`]) and the streaming `I(T;V)` fold
+/// ([`crate::tuple_mutual_information_chunks`]), so both produce
+/// bitwise-identical conditional rows.
 ///
 /// # Panics
 /// Panics if the qualified key space does not fit `u32` feature ids.
@@ -72,38 +72,33 @@ impl TupleRows {
     /// Builds `p(V|t)` for every tuple of `rel`, with attribute-qualified
     /// feature keys.
     pub fn build(rel: &Relation) -> Self {
-        let m = rel.n_attrs();
-        let stride = qualified_stride(rel.dict().len(), m);
-        let mass = 1.0 / m as f64;
-        let rows = (0..rel.n_tuples())
-            .map(|t| qualified_row(stride, mass, (0..m).map(|a| rel.value(t, a))))
-            .collect();
-        TupleRows {
-            rows,
-            n: rel.n_tuples(),
-        }
+        Self::from_chunks(
+            rel.dict().len(),
+            rel.n_attrs(),
+            rel.n_tuples(),
+            [rel.as_chunk()],
+        )
     }
 
-    /// [`TupleRows::build`] folded over a chunk stream instead of a
-    /// materialized relation: `dict_len`/`m`/`n` come from the scanned
-    /// metadata (`crate::ShardedRelation`), and chunks must arrive in
-    /// global tuple order. Chunk value ids are the global interned ids,
-    /// so every conditional row — and everything derived from it — is
-    /// bitwise the in-memory build.
-    pub fn from_chunks<I>(dict_len: usize, m: usize, n: usize, chunks: I) -> Result<Self, CsvError>
-    where
-        I: IntoIterator<Item = Result<RelationChunk, CsvError>>,
-    {
+    /// The tuple view folded over chunks in global tuple order:
+    /// `dict_len`/`m`/`n` are the relation's dictionary length, width and
+    /// tuple count. Chunk value ids are the global interned ids, so the
+    /// rows do not depend on where the chunk boundaries fall.
+    pub fn from_chunks<'a>(
+        dict_len: usize,
+        m: usize,
+        n: usize,
+        chunks: impl IntoIterator<Item = RelationChunk<'a>>,
+    ) -> Self {
         let stride = qualified_stride(dict_len, m);
         let mass = 1.0 / m as f64;
         let mut rows = Vec::with_capacity(n);
         for chunk in chunks {
-            let chunk = chunk?;
             for t in 0..chunk.n_rows() {
                 rows.push(qualified_row(stride, mass, chunk.row_values(t)));
             }
         }
-        Ok(TupleRows { rows, n })
+        TupleRows { rows, n }
     }
 
     /// Number of tuples `n`.
@@ -153,31 +148,18 @@ pub struct ValueIndex {
 impl ValueIndex {
     /// Scans the relation once and builds occurrence lists and `O` rows.
     pub fn build(rel: &Relation) -> Self {
-        let universe = rel.dict().len();
-        let mut occurrences: Vec<Vec<u32>> = vec![Vec::new(); universe];
-        let mut attr_counts: Vec<Vec<(u32, f64)>> = vec![Vec::new(); universe];
-        for (t, a, v) in rel.cells() {
-            let occ = &mut occurrences[v as usize];
-            if occ.last() != Some(&(t as u32)) {
-                occ.push(t as u32);
-            }
-            attr_counts[v as usize].push((a as u32, 1.0));
-        }
-        Self::compact(universe, occurrences, attr_counts)
+        Self::from_chunks(rel.dict().len(), [rel.as_chunk()])
     }
 
-    /// [`ValueIndex::build`] folded over a chunk stream: the same
-    /// row-major cell walk (`universe` is the frozen dictionary length),
-    /// so occurrence lists, `O` rows and everything derived from them
-    /// are bitwise the in-memory build.
-    pub fn from_chunks<I>(universe: usize, chunks: I) -> Result<Self, CsvError>
-    where
-        I: IntoIterator<Item = Result<RelationChunk, CsvError>>,
-    {
+    /// The value view folded over chunks in global tuple order, one
+    /// row-major cell walk (`universe` is the dictionary length).
+    pub fn from_chunks<'a>(
+        universe: usize,
+        chunks: impl IntoIterator<Item = RelationChunk<'a>>,
+    ) -> Self {
         let mut occurrences: Vec<Vec<u32>> = vec![Vec::new(); universe];
         let mut attr_counts: Vec<Vec<(u32, f64)>> = vec![Vec::new(); universe];
         for chunk in chunks {
-            let chunk = chunk?;
             for local in 0..chunk.n_rows() {
                 let t = (chunk.start + local) as u32;
                 for (a, v) in chunk.row_values(local).enumerate() {
@@ -189,14 +171,6 @@ impl ValueIndex {
                 }
             }
         }
-        Ok(Self::compact(universe, occurrences, attr_counts))
-    }
-
-    fn compact(
-        universe: usize,
-        mut occurrences: Vec<Vec<u32>>,
-        mut attr_counts: Vec<Vec<(u32, f64)>>,
-    ) -> Self {
         let mut values = Vec::new();
         let mut occ_out = Vec::new();
         let mut o_out = Vec::new();

@@ -38,6 +38,8 @@
 //! allocates per class.
 
 use crate::relation::{AttrId, Relation};
+use crate::shard::RelationChunk;
+use std::borrow::Cow;
 
 /// Marks a probe-table entry as unset (tuple outside every class, or
 /// class not yet touched by the current scan).
@@ -181,11 +183,10 @@ impl PartitionScratch {
 /// tuple order, given each value's total count up front: a value's
 /// class gets its flat slot range at the value's first occurrence, so
 /// classes come out in first-tuple order, each ascending, with no
-/// per-class allocation. Shared by [`StrippedPartition::of_attr`] and
-/// the chunked builder (`crate::attr_partitions_chunks`), which is what
-/// makes the two bit-identical.
+/// per-class allocation. [`attr_partitions_chunks`] drives one per
+/// column.
 #[derive(Debug)]
-pub(crate) struct ColumnPartitioner {
+struct ColumnPartitioner {
     /// Occurrences of each value id.
     count: Vec<u32>,
     /// Write cursor of each value's class (`UNSET` until first seen).
@@ -196,7 +197,7 @@ pub(crate) struct ColumnPartitioner {
 
 impl ColumnPartitioner {
     /// A builder for a column whose value id `v` occurs `count[v]` times.
-    pub(crate) fn new(count: Vec<u32>) -> Self {
+    fn new(count: Vec<u32>) -> Self {
         let covered: usize = count.iter().filter(|&&c| c >= 2).map(|&c| c as usize).sum();
         let classes = count.iter().filter(|&&c| c >= 2).count();
         ColumnPartitioner {
@@ -209,7 +210,7 @@ impl ColumnPartitioner {
 
     /// Records that tuple `t` holds value id `v`. Tuples must arrive in
     /// ascending order.
-    pub(crate) fn push(&mut self, t: u32, v: u32) {
+    fn push(&mut self, t: u32, v: u32) {
         let c = self.count[v as usize];
         if c >= 2 {
             let slot = &mut self.next[v as usize];
@@ -224,12 +225,58 @@ impl ColumnPartitioner {
     }
 
     /// The finished partition of an `n`-tuple column.
-    pub(crate) fn finish(self, n: usize) -> StrippedPartition {
+    fn finish(self, n: usize) -> StrippedPartition {
         StrippedPartition {
             tuples: self.tuples,
             sizes: ClassSizes { ends: self.ends, n },
         }
     }
+}
+
+/// Every single-attribute stripped partition `π_A` of an `m`-column
+/// relation, folded over two chunk passes that `pass` opens: one counts
+/// each column's value frequencies, so every partition is allocated
+/// exactly once; one places tuples in global order through a
+/// `ColumnPartitioner` per column, which opens each value's class at
+/// its first occurrence. Chunk boundaries therefore cannot change a
+/// bit. Value ids are dense (interned), so the count tables are
+/// value-indexed, each as wide as its column's largest id.
+///
+/// Peak memory is two `u32` tables per column, one chunk and the
+/// partitions themselves. [`StrippedPartition::of_attr`] is this fold
+/// over one borrowed column; `dbmine-context` runs it once per relation
+/// and fills every `π_A` from that one sweep.
+pub fn attr_partitions_chunks<'a, I>(
+    m: usize,
+    mut pass: impl FnMut() -> I,
+) -> Vec<StrippedPartition>
+where
+    I: IntoIterator<Item = RelationChunk<'a>>,
+{
+    let mut count: Vec<Vec<u32>> = vec![Vec::new(); m];
+    let mut n = 0usize;
+    for chunk in pass() {
+        n += chunk.n_rows();
+        for (table, col) in count.iter_mut().zip(&chunk.columns) {
+            for &v in col.iter() {
+                let v = v as usize;
+                if v >= table.len() {
+                    table.resize(v + 1, 0);
+                }
+                table[v] += 1;
+            }
+        }
+    }
+    let mut builders: Vec<ColumnPartitioner> =
+        count.into_iter().map(ColumnPartitioner::new).collect();
+    for chunk in pass() {
+        for (builder, col) in builders.iter_mut().zip(&chunk.columns) {
+            for (local, &v) in col.iter().enumerate() {
+                builder.push((chunk.start + local) as u32, v);
+            }
+        }
+    }
+    builders.into_iter().map(|b| b.finish(n)).collect()
 }
 
 impl StrippedPartition {
@@ -249,19 +296,12 @@ impl StrippedPartition {
     /// partition), but note it is the *opposite* of SQL, where
     /// `NULL = NULL` is unknown and such FDs would be vacuous instead.
     pub fn of_attr(rel: &Relation, a: AttrId) -> Self {
-        // Value ids are dense (interned), so count-then-place over a
-        // value-indexed table beats a HashMap group-by.
-        let col = rel.column(a);
-        let width = col.iter().map(|&v| v as usize + 1).max().unwrap_or(0);
-        let mut count = vec![0u32; width];
-        for &v in col {
-            count[v as usize] += 1;
-        }
-        let mut builder = ColumnPartitioner::new(count);
-        for (t, &v) in col.iter().enumerate() {
-            builder.push(t as u32, v);
-        }
-        builder.finish(rel.n_tuples())
+        let column = RelationChunk {
+            start: 0,
+            columns: vec![Cow::Borrowed(rel.column(a))],
+        };
+        let mut parts = attr_partitions_chunks(1, || [column.clone()]);
+        parts.pop().expect("one column, one partition")
     }
 
     /// The trivial partition of the empty attribute set: one class with

@@ -2,6 +2,8 @@
 
 use crate::attrset::{AttrSet, MAX_ATTRS};
 use crate::dict::{ValueDict, ValueId, NULL_VALUE};
+use crate::shard::RelationChunk;
+use std::borrow::Cow;
 
 /// Attribute identifier: an index into the schema, `0..m`.
 pub type AttrId = usize;
@@ -98,6 +100,20 @@ impl Relation {
     /// The full column of attribute `a`.
     pub fn column(&self, a: AttrId) -> &[ValueId] {
         &self.columns[a]
+    }
+
+    /// The whole relation as one chunk that borrows its columns: what
+    /// every view fold reads when the relation is resident, with no
+    /// copy of the cells.
+    pub fn as_chunk(&self) -> RelationChunk<'_> {
+        RelationChunk {
+            start: 0,
+            columns: self
+                .columns
+                .iter()
+                .map(|c| Cow::Borrowed(c.as_slice()))
+                .collect(),
+        }
     }
 
     /// The tuple `t` as a vector of value ids in schema order.

@@ -17,12 +17,21 @@
 //!   identity key `dbmined`'s context LRU uses — and the scan never
 //!   holds more than the dictionary and one chunk.
 //! * [`ShardedRelation::chunks`] — every later pass: decodes the store
-//!   into [`RelationChunk`]s of at most `chunk_tuples` rows in the
+//!   into owned [`RelationChunk`]s of at most `chunk_tuples` rows in the
 //!   relation's interned columnar layout. Peak memory is the dictionary
 //!   plus one chunk, independent of the relation size.
 //! * [`tuple_mutual_information_chunks`] — folds `I(T;V)` of the tuple
 //!   view over a chunk stream with exactly the operation sequence of
 //!   `TupleRows::mutual_information`, so the result is bit-identical.
+//!   Out-of-core LIMBO Phase 1 uses it; it never builds the tuple view.
+//!
+//! Every view fold lives next to its type and takes chunks, whatever
+//! their source: [`crate::TupleRows::from_chunks`],
+//! [`crate::ValueIndex::from_chunks`], [`crate::attr_partitions_chunks`],
+//! [`crate::column_profiles_chunks`] and
+//! [`crate::projection_stats_chunks`]. A resident relation is one
+//! borrowed chunk ([`crate::Relation::as_chunk`]), so store passes and
+//! in-memory builds run the same fold.
 //!
 //! The record scanner ([`CsvRecordStream`]) drives the same
 //! `parse_record` state machine as the in-memory reader over a rolling
@@ -30,15 +39,13 @@
 //! the input is exhausted, so buffer-boundary placement — even inside a
 //! quoted embedded newline — can never change what is parsed.
 
-use crate::attrset::AttrSet;
 use crate::csv::{header_names, normalize_row, parse_record, CsvError, Field};
 use crate::dict::{ValueDict, ValueId, NULL_VALUE};
 use crate::hash::ContentHasher;
 use crate::matrix::{qualified_row, qualified_stride};
-use crate::partition::{ColumnPartitioner, StrippedPartition};
 use crate::spill::{SpillWriter, StoreChunks, StoreError, StoreFooter};
-use crate::stats::{ColumnProfile, ProjectionCounter};
-use dbmine_infotheory::{entropy, entropy_of, SparseDist};
+use dbmine_infotheory::{entropy_of, SparseDist};
+use std::borrow::Cow;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 
@@ -139,21 +146,31 @@ impl<R: Read> CsvRecordStream<R> {
     }
 }
 
-/// One ingest chunk: up to `chunk_tuples` consecutive rows in the
-/// relation's interned columnar layout.
+/// Consecutive rows of a relation in its interned columnar layout: a
+/// decoded store block (owned columns) or a resident relation
+/// ([`crate::Relation::as_chunk`], borrowed columns). Every view fold
+/// consumes chunks in global tuple order.
 #[derive(Clone, Debug)]
-pub struct RelationChunk {
+pub struct RelationChunk<'a> {
     /// Index of this chunk's first tuple in the whole relation.
     pub start: usize,
     /// Column-major cell ids: `columns[a][t]` is the value of local row
     /// `t` in attribute `a`. All columns have equal length.
-    pub columns: Vec<Vec<ValueId>>,
+    pub columns: Vec<Cow<'a, [ValueId]>>,
 }
 
-impl RelationChunk {
+impl RelationChunk<'_> {
+    /// A chunk that owns its columns.
+    pub(crate) fn owned(start: usize, columns: Vec<Vec<ValueId>>) -> RelationChunk<'static> {
+        RelationChunk {
+            start,
+            columns: columns.into_iter().map(Cow::Owned).collect(),
+        }
+    }
+
     /// Rows in this chunk.
     pub fn n_rows(&self) -> usize {
-        self.columns.first().map_or(0, Vec::len)
+        self.columns.first().map_or(0, |c| c.len())
     }
 
     /// Attributes per row.
@@ -247,18 +264,15 @@ impl ShardedRelation {
                     &mut columns,
                     vec![Vec::with_capacity(chunk_tuples.min(1 << 16)); m],
                 );
-                writer.write_chunk(&RelationChunk {
-                    start: n - buffered,
-                    columns: full,
-                })?;
+                writer.write_chunk(&RelationChunk::owned(n - buffered, full))?;
                 buffered = 0;
             }
         }
         if buffered > 0 {
-            writer.write_chunk(&RelationChunk {
-                start: n - buffered,
-                columns: std::mem::take(&mut columns),
-            })?;
+            writer.write_chunk(&RelationChunk::owned(
+                n - buffered,
+                std::mem::take(&mut columns),
+            ))?;
         }
         let content_hash = hasher.finish();
         writer.finish(&StoreFooter {
@@ -428,12 +442,12 @@ impl ShardedRelation {
 /// content, because both fold the same conditional rows in the same
 /// order through the same marginal/entropy operations. Peak memory is
 /// the marginal accumulator plus one chunk.
-pub fn tuple_mutual_information_chunks<I>(
+pub fn tuple_mutual_information_chunks<'a, I>(
     sharded: &ShardedRelation,
     chunks: I,
 ) -> Result<f64, CsvError>
 where
-    I: IntoIterator<Item = Result<RelationChunk, CsvError>>,
+    I: IntoIterator<Item = Result<RelationChunk<'a>, CsvError>>,
 {
     let m = sharded.n_attrs();
     let n = sharded.n_tuples();
@@ -454,125 +468,6 @@ where
         }
     }
     Ok((entropy_of(&marginal) - h_cond).max(0.0))
-}
-
-/// Every single-attribute stripped partition `π_A`, built by a chunked
-/// group-by over the global frozen dictionary — bit-identical to
-/// `StrippedPartition::of_attr` for every attribute, because both feed
-/// tuples in global order through the same `ColumnPartitioner`, which
-/// opens each value's class at its first occurrence.
-///
-/// Two chunk passes: one to count per-column value frequencies (so
-/// every partition is allocated exactly once, as in `of_attr`), one to
-/// place. Peak memory is two dense `u32` tables per column plus the
-/// partitions themselves — never the `n × m` cell matrix.
-pub fn attr_partitions_chunks(
-    sharded: &ShardedRelation,
-) -> Result<Vec<StrippedPartition>, CsvError> {
-    let m = sharded.n_attrs();
-    let n = sharded.n_tuples();
-    // Pass 1: per-column value frequencies (tables grow to each
-    // column's own max id + 1, mirroring `of_attr`'s width).
-    let mut count: Vec<Vec<u32>> = vec![Vec::new(); m];
-    for chunk in sharded.chunks()? {
-        let chunk = chunk?;
-        for (a, col) in chunk.columns.iter().enumerate() {
-            let table = &mut count[a];
-            for &v in col {
-                let v = v as usize;
-                if v >= table.len() {
-                    table.resize(v + 1, 0);
-                }
-                table[v] += 1;
-            }
-        }
-    }
-    // Pass 2: place tuples of shared values in global tuple order.
-    let mut builders: Vec<ColumnPartitioner> =
-        count.into_iter().map(ColumnPartitioner::new).collect();
-    for chunk in sharded.chunks()? {
-        let chunk = chunk?;
-        for (builder, col) in builders.iter_mut().zip(&chunk.columns) {
-            for (local, &v) in col.iter().enumerate() {
-                builder.push((chunk.start + local) as u32, v);
-            }
-        }
-    }
-    Ok(builders.into_iter().map(|b| b.finish(n)).collect())
-}
-
-/// Per-column profiles (distinct, NULL fraction, entropy) folded over
-/// one chunk pass — bit-identical to `stats::profile_columns` /
-/// the single-attribute `stats::projection_stats`, because each
-/// column's counts accumulate in the same first-occurrence order the
-/// in-memory [`ProjectionCounter`] fold uses.
-pub fn column_profiles_chunks(sharded: &ShardedRelation) -> Result<Vec<ColumnProfile>, CsvError> {
-    let m = sharded.n_attrs();
-    let n = sharded.n_tuples();
-    // Slot table per column: value id → first-occurrence slot.
-    let mut slot: Vec<Vec<u32>> = vec![Vec::new(); m];
-    let mut counts: Vec<Vec<usize>> = vec![Vec::new(); m];
-    let mut nulls = vec![0usize; m];
-    for chunk in sharded.chunks()? {
-        let chunk = chunk?;
-        for (a, col) in chunk.columns.iter().enumerate() {
-            let slot = &mut slot[a];
-            let counts = &mut counts[a];
-            for &v in col {
-                if v == NULL_VALUE {
-                    nulls[a] += 1;
-                }
-                let v = v as usize;
-                if v >= slot.len() {
-                    slot.resize(v + 1, u32::MAX);
-                }
-                let s = &mut slot[v];
-                if *s == u32::MAX {
-                    *s = counts.len() as u32;
-                    counts.push(1);
-                } else {
-                    counts[*s as usize] += 1;
-                }
-            }
-        }
-    }
-    Ok((0..m)
-        .map(|a| ColumnProfile {
-            name: sharded.attr_names[a].clone(),
-            distinct: counts[a].len(),
-            null_fraction: if n == 0 {
-                0.0
-            } else {
-                nulls[a] as f64 / n as f64
-            },
-            entropy: if n == 0 {
-                0.0
-            } else {
-                let nf = n as f64;
-                entropy(counts[a].iter().map(|&c| c as f64 / nf))
-            },
-        })
-        .collect())
-}
-
-/// Distinct count and bag-semantics entropy of the projection on
-/// `attrs`, folded over one chunk pass — bit-identical to
-/// `stats::projection_stats`, which drives the same
-/// [`ProjectionCounter`] with the same keys in the same global tuple
-/// order.
-pub fn projection_stats_chunks(
-    sharded: &ShardedRelation,
-    attrs: AttrSet,
-) -> Result<(usize, f64), CsvError> {
-    let n = sharded.n_tuples();
-    let mut counter = ProjectionCounter::new();
-    for chunk in sharded.chunks()? {
-        let chunk = chunk?;
-        for t in 0..chunk.n_rows() {
-            counter.observe(attrs.iter().map(|a| chunk.value(t, a)).collect());
-        }
-    }
-    Ok((counter.distinct(), counter.entropy(n)))
 }
 
 #[cfg(test)]
@@ -822,14 +717,20 @@ mod tests {
 
     #[test]
     fn chunk_folds_match_in_memory_builds() {
+        // Every view fold over store chunks of any size equals the same
+        // fold over the resident relation as one chunk: chunk boundaries
+        // never change a bit.
         use crate::matrix::ValueIndex;
+        use crate::partition::{attr_partitions_chunks, StrippedPartition};
         use crate::stats;
+        use crate::AttrSet;
 
         let rel = in_memory(SAMPLE, "t");
         for chunk_tuples in [1, 2, 3, 100] {
             let s = spill(SAMPLE.as_bytes(), "t", chunk_tuples);
+            let pass = || s.chunks().unwrap().map(Result::unwrap);
 
-            let parts = attr_partitions_chunks(&s).unwrap();
+            let parts = attr_partitions_chunks(s.n_attrs(), pass);
             assert_eq!(parts.len(), rel.n_attrs());
             for (a, part) in parts.iter().enumerate() {
                 assert_eq!(
@@ -839,7 +740,7 @@ mod tests {
                 );
             }
 
-            let profiles = column_profiles_chunks(&s).unwrap();
+            let profiles = stats::column_profiles_chunks(s.attr_names(), pass());
             assert_eq!(profiles, stats::profile_columns(&rel));
 
             for attrs in [
@@ -848,22 +749,17 @@ mod tests {
                 [0usize, 2].into_iter().collect(),
                 rel.all_attrs(),
             ] {
-                let (d, h) = projection_stats_chunks(&s, attrs).unwrap();
-                assert_eq!(d, stats::projection_distinct(&rel, attrs));
+                let chunked = stats::projection_stats_chunks(attrs, pass());
+                let whole = stats::projection_stats(&rel, attrs);
+                assert_eq!(chunked.distinct, whole.distinct);
                 assert_eq!(
-                    h.to_bits(),
-                    stats::projection_entropy(&rel, attrs).to_bits(),
+                    chunked.entropy.to_bits(),
+                    whole.entropy.to_bits(),
                     "H(π) chunk_tuples={chunk_tuples} attrs={attrs:?}"
                 );
             }
 
-            let tr = TupleRows::from_chunks(
-                s.dict().len(),
-                s.n_attrs(),
-                s.n_tuples(),
-                s.chunks().unwrap(),
-            )
-            .unwrap();
+            let tr = TupleRows::from_chunks(s.dict().len(), s.n_attrs(), s.n_tuples(), pass());
             let mem_tr = TupleRows::build(&rel);
             assert_eq!(tr.len(), mem_tr.len());
             assert_eq!(
@@ -871,7 +767,7 @@ mod tests {
                 mem_tr.mutual_information().to_bits()
             );
 
-            let vi = ValueIndex::from_chunks(s.dict().len(), s.chunks().unwrap()).unwrap();
+            let vi = ValueIndex::from_chunks(s.dict().len(), pass());
             let mem_vi = ValueIndex::build(&rel);
             assert_eq!(vi.values(), mem_vi.values());
             for i in 0..vi.len() {

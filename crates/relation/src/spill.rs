@@ -232,7 +232,7 @@ impl SpillWriter {
     /// Appends one chunk as a checksummed column-major block. Chunks
     /// must arrive in order: `chunk.start` has to equal the rows written
     /// so far.
-    pub fn write_chunk(&mut self, chunk: &RelationChunk) -> Result<(), StoreError> {
+    pub fn write_chunk(&mut self, chunk: &RelationChunk<'_>) -> Result<(), StoreError> {
         assert_eq!(
             chunk.start, self.rows_written,
             "chunks must be spilled in order without gaps"
@@ -244,7 +244,7 @@ impl SpillWriter {
         self.block.extend_from_slice(&(rows as u64).to_le_bytes());
         for column in &chunk.columns {
             debug_assert_eq!(column.len(), rows);
-            for &id in column {
+            for &id in column.iter() {
                 self.block.extend_from_slice(&id.to_le_bytes());
             }
         }
@@ -491,7 +491,7 @@ impl<'a> StoreChunks<'a> {
         })
     }
 
-    fn next_block(&mut self) -> Result<Option<RelationChunk>, StoreError> {
+    fn next_block(&mut self) -> Result<Option<RelationChunk<'static>>, StoreError> {
         let n = self.sharded.n_tuples();
         let m = self.sharded.n_attrs();
         let chunk_tuples = self.sharded.chunk_tuples();
@@ -570,12 +570,12 @@ impl<'a> StoreChunks<'a> {
         }
         self.next_chunk += 1;
         counter_add(Counter::SpillChunksRead, 1);
-        Ok(Some(RelationChunk { start, columns }))
+        Ok(Some(RelationChunk::owned(start, columns)))
     }
 }
 
 impl Iterator for StoreChunks<'_> {
-    type Item = Result<RelationChunk, CsvError>;
+    type Item = Result<RelationChunk<'static>, CsvError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.failed {
@@ -630,7 +630,7 @@ mod tests {
         (csv, store)
     }
 
-    fn drain(rel: &ShardedRelation) -> Result<Vec<RelationChunk>, CsvError> {
+    fn drain(rel: &ShardedRelation) -> Result<Vec<RelationChunk<'static>>, CsvError> {
         rel.chunks()?.collect()
     }
 
@@ -661,7 +661,7 @@ mod tests {
                 assert_eq!(chunk.start, start);
                 for (a, col) in chunk.columns.iter().enumerate() {
                     assert_eq!(
-                        col,
+                        &col[..],
                         &rel.column(a)[start..end],
                         "chunk_tuples={chunk_tuples}"
                     );
@@ -780,10 +780,7 @@ mod tests {
         let mut dict = ValueDict::new();
         let x = dict.intern("x");
         let y = dict.intern("y");
-        let chunk = RelationChunk {
-            start: 0,
-            columns: vec![vec![x, x], vec![y, crate::dict::NULL_VALUE]],
-        };
+        let chunk = RelationChunk::owned(0, vec![vec![x, x], vec![y, crate::dict::NULL_VALUE]]);
         let mut w = SpillWriter::create(&path).unwrap();
         w.write_chunk(&chunk).unwrap();
         w.finish(&StoreFooter {

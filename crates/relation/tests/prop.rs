@@ -2,7 +2,7 @@
 //! consistency and projection invariants on arbitrary data.
 
 use dbmine_relation::csv::{read_relation, read_relation_path, write_relation};
-use dbmine_relation::stats::{projection_distinct, projection_entropy};
+use dbmine_relation::stats::projection_stats;
 use dbmine_relation::{AttrSet, Relation, RelationBuilder, ShardedRelation, TupleRows, ValueIndex};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -113,9 +113,9 @@ proptest! {
         if rel.n_tuples() == 0 { return Ok(()); }
         let attrs = AttrSet::from_bits(bits).intersect(rel.all_attrs());
         if attrs.is_empty() { return Ok(()); }
-        let d = projection_distinct(&rel, attrs);
+        let stats = projection_stats(&rel, attrs);
+        let (d, h) = (stats.distinct, stats.entropy);
         prop_assert!(d >= 1 && d <= rel.n_tuples());
-        let h = projection_entropy(&rel, attrs);
         prop_assert!(h >= -1e-9);
         prop_assert!(h <= (rel.n_tuples() as f64).log2() + 1e-9);
         // Entropy is maximal exactly when all projected rows are distinct.
@@ -123,7 +123,7 @@ proptest! {
             prop_assert!((h - (d as f64).log2()).abs() < 1e-9);
         }
         // Adding attributes never decreases the distinct count.
-        let bigger = projection_distinct(&rel, rel.all_attrs());
+        let bigger = projection_stats(&rel, rel.all_attrs()).distinct;
         prop_assert!(bigger >= d);
     }
 
@@ -168,7 +168,7 @@ proptest! {
             let end = (start + chunk_tuples).min(plain.n_tuples());
             prop_assert_eq!(chunk.start, start);
             for (a, col) in chunk.columns.iter().enumerate() {
-                prop_assert_eq!(col.as_slice(), &plain.column(a)[start..end]);
+                prop_assert_eq!(&col[..], &plain.column(a)[start..end]);
             }
         }
 

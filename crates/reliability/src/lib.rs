@@ -14,7 +14,9 @@
 //! `F̄` — into the TANE levelwise frame for branch-and-bound search
 //! ([`mine`]): bit-identical results with pruning on or off and at
 //! every thread count, with the pruning effectiveness visible in the
-//! `bnb_bounds` / `bnb_prunes` telemetry counters.
+//! `bnb_bounds` / `bnb_prunes` telemetry counters. Pruning pays on
+//! large unbounded walks and costs on bounded ones; [`mine`] has the
+//! measurements.
 
 pub mod estimator;
 pub mod mine;

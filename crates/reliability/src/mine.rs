@@ -15,10 +15,19 @@
 //! descendants test supersets of `X∖{A}`, reusing the bias already paid
 //! for in the scoring pass) and `A ∉ X` (a fresh bound from `π_X`'s
 //! size multiset). Because `F̄` is admissible and the minimality filter
-//! is hereditary, pruning can only *skip* work: the mined set is
+//! is hereditary, pruning never changes the result: the mined set is
 //! bit-identical with pruning on or off (pinned by tests), while the
 //! lattice shrinks by the amounts recorded in the `bnb_bounds` /
 //! `bnb_prunes` counters.
+//!
+//! Pruning is not free, though: the filter needs the bias of every
+//! candidate on each level it joins, and the fresh `A ∉ X` bounds, so
+//! whether it pays depends on the walk. On an unbounded walk over a
+//! wide relation it cuts the lattice by an order of magnitude (db2 at
+//! θ 0.6 visits 28 808 sets instead of all 2¹⁹ − 1) and wins several
+//! times over; on bounded walks, and on unbounded ones at low θ where
+//! few sets are cut, it costs more than it saves. `bench_fdmine`
+//! records both settings (`results/BENCH_fdmine.json`).
 //!
 //! # What is computed when
 //!
@@ -61,7 +70,8 @@ pub struct ReliableOptions {
     /// Branch-and-bound pruning. On by default; turning it off explores
     /// the full (minimality-filtered) lattice and must return the exact
     /// same dependencies — the switch exists for the pruning-
-    /// effectiveness bench and the bit-identity tests.
+    /// effectiveness bench and the bit-identity tests. Neither setting
+    /// is faster everywhere (see the module docs).
     pub prune: bool,
 }
 

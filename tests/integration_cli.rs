@@ -107,6 +107,22 @@ fn fds_rfi_mines_reliable_dependencies() {
     assert!(!ok);
     assert!(stderr.contains("--approx"), "{stderr}");
 
+    // `--theta` is read only by reliable scoring: without `--score
+    // rfi` it is a typed error (exit 2), not silently ignored.
+    for score in [&[][..], &["--score", "g3"][..]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dbmine"))
+            .args([&["fds", csv.to_str().unwrap(), "--theta", "0.5"][..], score].concat())
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(
+            stderr.contains("error: --theta requires --score rfi"),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty());
+    }
+
     // Malformed values are typed flag errors, not panics.
     for bad in [&["--score", "g4"][..], &["--theta", "1.5"][..]] {
         let (_, stderr, ok) = run(&[&["fds", csv.to_str().unwrap()][..], bad].concat());
