@@ -29,7 +29,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let mut t = DcfTree::new(4, tau);
                 for o in &objects {
-                    t.insert_ref(o);
+                    t.insert(o);
                 }
                 t.n_leaf_entries()
             })

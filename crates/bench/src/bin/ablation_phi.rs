@@ -36,7 +36,7 @@ fn main() {
     for phi in [0.0, 0.25, 0.5, 0.75, 1.0, 1.5] {
         let start = Instant::now();
         let model = phase1(
-            objects.iter().cloned(),
+            &objects,
             mi,
             objects.len(),
             LimboParams {
@@ -47,8 +47,9 @@ fn main() {
         );
         let elapsed = start.elapsed();
         // Information retained by the leaf clustering.
-        let leaf_rows: Vec<_> = model.leaves.iter().map(|d| (d.weight, &d.cond)).collect();
-        let retained = dbmine::infotheory::mutual_information(leaf_rows.iter().copied());
+        let retained = dbmine::infotheory::mutual_information(
+            model.leaves.iter().map(|d| (d.weight, &d.cond)),
+        );
         rows.push(vec![
             format!("{phi}"),
             model.leaves.len().to_string(),
@@ -67,7 +68,7 @@ fn main() {
     for b in [2usize, 4, 8, 16] {
         let start = Instant::now();
         let model = phase1(
-            objects.iter().cloned(),
+            &objects,
             mi,
             objects.len(),
             LimboParams {

@@ -235,7 +235,7 @@ fn run_scaling_column(sizes: &[usize], verify_in_memory: bool) -> Vec<ScalePoint
                 let dcfs = tuple_dcfs_for_chunk(&chunk, stride, mass, prior);
                 let mut t = DcfTree::new(params.branching, tau);
                 for o in &dcfs {
-                    t.insert_ref(o);
+                    t.insert(o);
                 }
                 t.into_leaves().len()
             });
@@ -461,12 +461,12 @@ fn main() {
 
             // Bit-identity gate: the arena tree must reproduce the
             // reference exactly before its timings mean anything. The
-            // arena side streams borrowed objects (`insert_ref`), exactly
+            // arena side streams borrowed objects (`DcfTree::insert`), exactly
             // as the timed workload below does.
             let mut arena = DcfTree::new(params.branching, tau);
             let mut reference = DcfTreeRef::new(params.branching, tau);
             for o in &objects {
-                arena.insert_ref(o);
+                arena.insert(o);
                 reference.insert(o.clone());
             }
             println!(
@@ -485,7 +485,7 @@ fn main() {
                 || {
                     let mut t = DcfTree::new(params.branching, tau);
                     for o in &objects {
-                        t.insert_ref(o);
+                        t.insert(o);
                     }
                     t.n_leaf_entries()
                 },
@@ -503,7 +503,7 @@ fn main() {
                 || {
                     let mut t = DcfTree::new(params.branching, tau);
                     for o in &objects {
-                        t.insert_ref(o);
+                        t.insert(o);
                     }
                     t.n_leaf_entries()
                 },

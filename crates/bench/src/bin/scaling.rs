@@ -46,12 +46,7 @@ fn main() {
         let mi = ctx.tuple_mutual_information();
 
         let t1 = Instant::now();
-        let model = phase1(
-            objects.iter().cloned(),
-            mi,
-            objects.len(),
-            LimboParams::with_phi(1.0),
-        );
+        let model = phase1(&objects, mi, objects.len(), LimboParams::with_phi(1.0));
         let p1 = ms(t1);
 
         let t2 = Instant::now();

@@ -30,6 +30,7 @@ use dbmine::relation::csv::read_relation_path;
 use dbmine::relation::{Relation, ShardedRelation};
 use dbmine::render;
 use dbmine::telemetry;
+use std::io::Write;
 use std::process::exit;
 
 // Counting allocator for `--profile` runs: feature-independent, but only
@@ -345,6 +346,23 @@ fn load_input(args: &Args) -> Input {
     }
 }
 
+/// Writes a command's output to stdout. A reader that closes the pipe
+/// early (`dbmine … | head`) ends the run quietly with exit 0; any other
+/// write failure is a typed error, exit 1.
+fn emit(out: &str) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout
+        .write_all(out.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            exit(0);
+        }
+        eprintln!("error: cannot write output: {e}");
+        exit(1);
+    }
+}
+
 fn main() {
     #[cfg(feature = "telemetry")]
     telemetry::alloc::mark_installed();
@@ -383,10 +401,12 @@ fn main() {
         }
         telemetry::begin();
     }
-    match args.command.as_str() {
+    // Each arm drops its input (and any temporary store) before the
+    // output is written, so a quiet early exit in `emit` leaves nothing
+    // behind.
+    let out = match args.command.as_str() {
         "analyze" => {
             let input = load_input(&args);
-            let ctx = &input.ctx;
             let config = render::analyze_config(
                 args.f64_flag("phi-t"),
                 args.f64_flag("phi-v"),
@@ -396,16 +416,12 @@ fn main() {
                 args.shards(),
                 args.score(),
             );
-            print!("{}", render::run_analyze(ctx, &config));
+            render::run_analyze(&input.ctx, &config)
         }
         "duplicates" => {
             let input = load_input(&args);
-            let ctx = &input.ctx;
             let phi = args.f64_flag("phi-t").unwrap_or(0.1);
-            print!(
-                "{}",
-                render::run_duplicates(ctx, phi, args.threads(), args.shards())
-            );
+            render::run_duplicates(&input.ctx, phi, args.threads(), args.shards())
         }
         "fds" => {
             let approx = args.f64_flag("approx");
@@ -419,22 +435,19 @@ fn main() {
                 exit(2);
             }
             let input = load_input(&args);
-            print!(
-                "{}",
-                render::run_fds(
-                    &input.ctx,
-                    approx,
-                    args.usize_flag("max-lhs"),
-                    args.threads(),
-                    score,
-                    args.f64_flag("theta"),
-                )
-            );
+            render::run_fds(
+                &input.ctx,
+                approx,
+                args.usize_flag("max-lhs"),
+                args.threads(),
+                score,
+                args.f64_flag("theta"),
+            )
         }
         "mvds" => {
             let input = load_input(&args);
             let max_lhs = args.usize_flag("max-lhs").unwrap_or(2);
-            print!("{}", render::run_mvds(input.ctx.relation(), max_lhs));
+            render::run_mvds(input.ctx.relation(), max_lhs)
         }
         "joins" => {
             let left_input = load_input(&args);
@@ -447,26 +460,21 @@ fn main() {
                     exit(2);
                 });
             let right = load(right_path);
-            print!("{}", render::run_joins(left_input.ctx.relation(), &right));
+            render::run_joins(left_input.ctx.relation(), &right)
         }
         "partition" => {
             let input = load_input(&args);
-            let ctx = &input.ctx;
             let phi = args.f64_flag("phi-t").unwrap_or(0.5);
-            print!(
-                "{}",
-                render::run_partition(
-                    ctx,
-                    phi,
-                    args.usize_flag("k"),
-                    args.threads(),
-                    args.shards()
-                )
-            );
+            render::run_partition(
+                &input.ctx,
+                phi,
+                args.usize_flag("k"),
+                args.threads(),
+                args.shards(),
+            )
         }
         "redesign" => {
             let input = load_input(&args);
-            let ctx = &input.ctx;
             let steps = args.usize_flag("steps").unwrap_or(3);
             let config = render::redesign_config(
                 args.f64_flag("phi-t"),
@@ -477,10 +485,11 @@ fn main() {
                 args.shards(),
                 args.score(),
             );
-            print!("{}", render::run_redesign(ctx, steps, &config));
+            render::run_redesign(&input.ctx, steps, &config)
         }
         _ => unreachable!("parse_args rejects unknown commands"),
-    }
+    };
+    emit(&out);
     if let Some(dest) = profile {
         let report = telemetry::finish();
         if dest == "-" {

@@ -610,12 +610,7 @@ fn xlogx_safe(x: f64) -> f64 {
 }
 
 fn mutual_information_of(slots: &[Option<Dcf>]) -> f64 {
-    let rows: Vec<_> = slots
-        .iter()
-        .flatten()
-        .map(|c| (c.weight, &c.cond))
-        .collect();
-    dbmine_infotheory::mutual_information(rows.iter().copied())
+    dbmine_infotheory::mutual_information(slots.iter().flatten().map(|c| (c.weight, &c.cond)))
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ pub mod sparse;
 
 pub use measures::{
     conditional_entropy, entropy, entropy_of, js_divergence, js_divergence_merged, kl_divergence,
-    merge_information_loss, mutual_information, uniform_entropy,
+    merge_information_loss, mutual_information, uniform_entropy, MutualInformation,
 };
 pub use sparse::SparseDist;
 

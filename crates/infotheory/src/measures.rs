@@ -2,6 +2,7 @@
 
 use crate::sparse::SparseDist;
 use crate::xlogx;
+use std::collections::BTreeMap;
 
 /// Shannon entropy `H(V) = -Σ p(v) log2 p(v)` of a probability vector,
 /// in bits. Zero entries contribute nothing (`0 log 0 = 0`).
@@ -35,21 +36,53 @@ pub fn conditional_entropy<'a>(rows: impl IntoIterator<Item = (f64, &'a SparseDi
 }
 
 /// Mutual information `I(V;T) = H(T) - H(T|V)` computed from the
-/// conditional rows `(p(v), p(T|v))`.
-///
-/// The marginal `p(T) = Σ_v p(v) p(T|v)` is accumulated on the fly, so a
-/// single pass over the rows suffices. The result is clamped at zero to
-/// absorb floating-point jitter (mutual information is non-negative).
-pub fn mutual_information<'a>(
-    rows: impl IntoIterator<Item = (f64, &'a SparseDist)> + Clone,
-) -> f64 {
-    let mut marginal = SparseDist::new();
-    let mut h_cond = 0.0;
+/// conditional rows `(p(v), p(T|v))` — a thin wrapper over
+/// [`MutualInformation`], the one fold every view's information goes
+/// through.
+pub fn mutual_information<'a>(rows: impl IntoIterator<Item = (f64, &'a SparseDist)>) -> f64 {
+    let mut mi = MutualInformation::new();
     for (pv, cond) in rows {
-        marginal = SparseDist::weighted_sum(&marginal, 1.0, cond, pv);
-        h_cond += pv * entropy_of(cond);
+        mi.add(pv, cond);
     }
-    (entropy_of(&marginal) - h_cond).max(0.0)
+    mi.finish()
+}
+
+/// Streaming `I(V;T)` over conditional rows `(p(v), p(T|v))`, one row at
+/// a time, so no caller has to collect its rows first.
+///
+/// The marginal `p(T) = Σ_v p(v) p(T|v)` accumulates in a map keyed by
+/// feature: each row adds `p(v)·p(t|v)` to its entries in row order, and
+/// [`MutualInformation::finish`] takes `H(T)` over the non-zero entries
+/// in key order. That is the arithmetic of merging every row into a
+/// running sparse marginal, in the same order, so the result is
+/// bit-identical to that fold at O(log |T|) per entry instead of
+/// O(|T|) per row. Memory is one entry per distinct feature.
+#[derive(Clone, Debug, Default)]
+pub struct MutualInformation {
+    marginal: BTreeMap<u32, f64>,
+    h_cond: f64,
+}
+
+impl MutualInformation {
+    /// An empty fold (`I = 0` until rows arrive).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Folds in one conditional row `p(T|v)` with prior `p(v)`.
+    pub fn add(&mut self, pv: f64, cond: &SparseDist) {
+        for (t, w) in cond.iter() {
+            *self.marginal.entry(t).or_insert(0.0) += pv * w;
+        }
+        self.h_cond += pv * entropy_of(cond);
+    }
+
+    /// `H(T) - H(T|V)`, clamped at zero to absorb floating-point jitter
+    /// (mutual information is non-negative).
+    pub fn finish(self) -> f64 {
+        let h_marginal = entropy(self.marginal.into_values().filter(|&w| w != 0.0));
+        (h_marginal - self.h_cond).max(0.0)
+    }
 }
 
 /// Kullback–Leibler divergence `D_KL[p ‖ q] = Σ p(v) log2(p(v)/q(v))`.

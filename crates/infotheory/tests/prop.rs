@@ -6,6 +6,67 @@ use dbmine_infotheory::{
 };
 use proptest::prelude::*;
 
+/// The quadratic fold `mutual_information` replaced: merge every row
+/// into a running sparse marginal, O(|T|) per row. Pinned as the
+/// bit-identity reference for the accumulator.
+fn mutual_information_reference<'a>(rows: impl IntoIterator<Item = (f64, &'a SparseDist)>) -> f64 {
+    let mut marginal = SparseDist::new();
+    let mut h_cond = 0.0;
+    for (pv, cond) in rows {
+        marginal = SparseDist::weighted_sum(&marginal, 1.0, cond, pv);
+        h_cond += pv * entropy_of(cond);
+    }
+    (entropy_of(&marginal) - h_cond).max(0.0)
+}
+
+/// `to_bits` equality of the accumulator and the reference on `rows`.
+fn assert_fold_pinned(rows: &[(f64, SparseDist)]) -> Result<(), TestCaseError> {
+    let fast = mutual_information(rows.iter().map(|(p, d)| (*p, d)));
+    let reference = mutual_information_reference(rows.iter().map(|(p, d)| (*p, d)));
+    prop_assert_eq!(
+        fast.to_bits(),
+        reference.to_bits(),
+        "{} vs {}",
+        fast,
+        reference
+    );
+    Ok(())
+}
+
+/// Strategy: a prior `p(v)` that is sometimes exactly zero or so small
+/// that `p(v)·p(t|v)` underflows to zero.
+fn arb_prior() -> impl Strategy<Value = f64> {
+    (0u8..8, 0.0f64..1.0).prop_map(|(pick, p)| match pick {
+        0 => 0.0,
+        1 => 1e-310,
+        _ => p,
+    })
+}
+
+/// Strategy: up to 16 conditional rows over 8 keys, so rows share keys;
+/// a conditional may be empty. Covers zero rows and a single row.
+fn arb_rows() -> impl Strategy<Value = Vec<(f64, SparseDist)>> {
+    let cond = proptest::collection::vec((0u32..8, 0.01f64..1.0), 0..6).prop_map(|pairs| {
+        let mut d = SparseDist::from_pairs(pairs);
+        d.normalize();
+        d
+    });
+    proptest::collection::vec((arb_prior(), cond), 0..16)
+}
+
+/// Strategy: rows that all put their mass on one key.
+fn arb_one_key_rows() -> impl Strategy<Value = Vec<(f64, SparseDist)>> {
+    (
+        0u32..1000,
+        proptest::collection::vec((arb_prior(), 0.01f64..1.0), 0..16),
+    )
+        .prop_map(|(key, rows)| {
+            rows.into_iter()
+                .map(|(pv, w)| (pv, SparseDist::from_pairs(vec![(key, w)])))
+                .collect()
+        })
+}
+
 /// Strategy: a random normalized sparse distribution over indices `0..32`.
 fn arb_dist() -> impl Strategy<Value = SparseDist> {
     proptest::collection::vec((0u32..32, 0.01f64..1.0), 1..12).prop_map(|pairs| {
@@ -192,6 +253,20 @@ proptest! {
         prop_assert_eq!(sum.total().to_bits(), reference.total().to_bits());
     }
 
+    /// The marginal accumulator behind `mutual_information` reproduces
+    /// the quadratic merge-per-row fold bit for bit.
+    #[test]
+    fn mutual_information_is_bit_identical_to_quadratic_fold(rows in arb_rows()) {
+        assert_fold_pinned(&rows)?;
+    }
+
+    #[test]
+    fn mutual_information_on_one_key_is_bit_identical_to_quadratic_fold(
+        rows in arb_one_key_rows()
+    ) {
+        assert_fold_pinned(&rows)?;
+    }
+
     /// Streaming `linf_distance` ≡ the old materialize-the-difference
     /// implementation, bit for bit.
     #[test]
@@ -200,4 +275,21 @@ proptest! {
         let reference = diff.iter().map(|(_, w)| w.abs()).fold(0.0, f64::max);
         prop_assert_eq!(p.linf_distance(&q).to_bits(), reference.to_bits());
     }
+}
+
+#[test]
+fn mutual_information_pins_degenerate_row_sets() {
+    assert_fold_pinned(&[]).unwrap();
+    assert_fold_pinned(&[(1.0, SparseDist::uniform(0..4))]).unwrap();
+    assert_fold_pinned(&[(0.5, SparseDist::new()), (0.5, SparseDist::new())]).unwrap();
+    assert_fold_pinned(&[
+        (0.0, SparseDist::singleton(3)),
+        (1.0, SparseDist::singleton(3)),
+    ])
+    .unwrap();
+    assert_fold_pinned(&[
+        (0.0, SparseDist::uniform(0..3)),
+        (0.0, SparseDist::singleton(5)),
+    ])
+    .unwrap();
 }

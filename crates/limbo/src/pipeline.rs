@@ -124,41 +124,10 @@ impl Limbo {
 /// `mutual_information` is `I(V;T)` of the input view — callers obtain it
 /// from `TupleRows::mutual_information` / `ValueIndex::mutual_information`
 /// (it only gates the merge threshold, so any consistent estimate works).
-pub fn phase1(
-    objects: impl IntoIterator<Item = Dcf>,
-    mutual_information: f64,
-    n_objects: usize,
-    params: LimboParams,
-) -> LimboModel {
-    let threshold = if n_objects == 0 {
-        0.0
-    } else {
-        params.phi * mutual_information / n_objects as f64
-    };
-    let _span = dbmine_telemetry::span("limbo.phase1");
-    let mut tree = DcfTree::new(params.branching, threshold);
-    let mut inserted = 0usize;
-    for dcf in objects {
-        tree.insert(dcf);
-        inserted += 1;
-    }
-    debug_assert_eq!(
-        inserted, n_objects,
-        "n_objects must match the stream length"
-    );
-    LimboModel {
-        leaves: tree.into_leaves(),
-        threshold,
-        mutual_information,
-        n_objects: inserted,
-    }
-}
-
-/// [`phase1`] over borrowed objects: absorbed inserts never clone the
-/// incoming DCF (see [`DcfTree::insert_ref`]), so in the summary regime
-/// this path performs no per-object allocation. Bit-identical to
-/// [`phase1`] over the same stream.
-pub fn phase1_ref<'a>(
+/// Objects are borrowed: an absorbed insert never clones the incoming
+/// DCF (see [`DcfTree::insert`]), so in the summary regime Phase 1
+/// performs no per-object allocation.
+pub fn phase1<'a>(
     objects: impl IntoIterator<Item = &'a Dcf>,
     mutual_information: f64,
     n_objects: usize,
@@ -173,7 +142,7 @@ pub fn phase1_ref<'a>(
     let mut tree = DcfTree::new(params.branching, threshold);
     let mut inserted = 0usize;
     for dcf in objects {
-        tree.insert_ref(dcf);
+        tree.insert(dcf);
         inserted += 1;
     }
     debug_assert_eq!(
@@ -222,7 +191,7 @@ pub fn phase3_with<'a>(
 /// ```
 pub fn run(objects: &[Dcf], mutual_information: f64, k: usize, params: LimboParams) -> Limbo {
     let _span = dbmine_telemetry::span("limbo.run");
-    let model = phase1_ref(objects.iter(), mutual_information, objects.len(), params);
+    let model = phase1(objects.iter(), mutual_information, objects.len(), params);
     let clustering = phase2_with(&model, k, params.threads);
     let assignments = phase3_with(objects.iter(), &clustering, params.threads);
     Limbo {
@@ -266,18 +235,8 @@ mod tests {
         let rows = TupleRows::build(&rel);
         let objects = tuple_dcfs_from(&rows, 1);
         let mi = rows.mutual_information();
-        let m0 = phase1(
-            objects.iter().cloned(),
-            mi,
-            objects.len(),
-            LimboParams::with_phi(0.0),
-        );
-        let m5 = phase1(
-            objects.iter().cloned(),
-            mi,
-            objects.len(),
-            LimboParams::with_phi(5.0),
-        );
+        let m0 = phase1(&objects, mi, objects.len(), LimboParams::with_phi(0.0));
+        let m5 = phase1(&objects, mi, objects.len(), LimboParams::with_phi(5.0));
         assert!(m5.leaves.len() <= m0.leaves.len());
         assert!(m5.summary_ratio() <= m0.summary_ratio());
     }
@@ -297,25 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn phase1_ref_is_bit_identical_to_phase1() {
-        let rel = figure4();
-        let rows = TupleRows::build(&rel);
-        let objects = tuple_dcfs_from(&rows, 1);
-        let mi = rows.mutual_information();
-        for phi in [0.0, 0.3, 1.0, 5.0] {
-            let params = LimboParams::with_phi(phi);
-            let owned = phase1(objects.iter().cloned(), mi, objects.len(), params);
-            let borrowed = phase1_ref(objects.iter(), mi, objects.len(), params);
-            assert_eq!(owned.leaves.len(), borrowed.leaves.len());
-            for (x, y) in owned.leaves.iter().zip(&borrowed.leaves) {
-                assert_eq!(x.weight.to_bits(), y.weight.to_bits());
-                assert_eq!(x.count, y.count);
-                assert_eq!(x.cond.entries(), y.cond.entries());
-            }
-        }
-    }
-
-    #[test]
     fn empty_input() {
         let model = phase1(std::iter::empty(), 0.0, 0, LimboParams::default());
         assert!(model.leaves.is_empty());
@@ -328,7 +268,7 @@ mod tests {
         let rows = TupleRows::build(&rel);
         let objects = tuple_dcfs_from(&rows, 1);
         let mi = rows.mutual_information();
-        let m = phase1(objects.iter().cloned(), mi, 5, LimboParams::with_phi(0.3));
+        let m = phase1(&objects, mi, 5, LimboParams::with_phi(0.3));
         assert!((m.threshold - 0.3 * mi / 5.0).abs() < 1e-12);
     }
 }

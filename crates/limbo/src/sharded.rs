@@ -11,7 +11,7 @@
 //!    [`dbmine_parallel::par_map_coarse`] across the shard workers.
 //! 2. **Tree merge** (`phase1.merge`): the shard trees merge by
 //!    re-inserting their leaves, in shard order, into one final tree via
-//!    the arena's allocation-light `insert_ref` — exactly the merge the
+//!    the arena's allocation-light borrowed insert — exactly the merge the
 //!    ROADMAP prescribes. A single-chunk plan skips this stage and is
 //!    **bit-identical** to the classic single-pass [`crate::phase1`].
 //!
@@ -33,7 +33,7 @@
 //! shard leaves, and the chunk objects are dropped — peak memory holds
 //! one batch of chunks plus the accumulated leaves, never the relation.
 
-use crate::pipeline::{phase1_ref, LimboModel, LimboParams};
+use crate::pipeline::{phase1, LimboModel, LimboParams};
 use crate::tree::DcfTree;
 use dbmine_ib::Dcf;
 use dbmine_parallel::par_map_coarse;
@@ -187,7 +187,7 @@ impl ShardedPhase1 {
             let chunk = chunk.as_ref();
             let mut tree = DcfTree::new(branching, threshold);
             for o in chunk {
-                tree.insert_ref(o);
+                tree.insert(o);
             }
             tree.into_leaves()
         });
@@ -217,7 +217,7 @@ impl ShardedPhase1 {
             for shard in &self.shard_leaves {
                 counter_add(Counter::TreeMerges, 1);
                 for leaf in shard {
-                    tree.insert_ref(leaf);
+                    tree.insert(leaf);
                 }
             }
             tree.into_leaves()
@@ -254,14 +254,14 @@ pub fn phase1_sharded(
 
 /// Phase 1 with the shard knob resolved from `params.shards`:
 ///
-/// * `None` — the classic single-pass [`phase1_ref`] (the default
+/// * `None` — the classic single-pass [`phase1`] (the default
 ///   everywhere; zero behavior change);
 /// * `Some(workers)` — [`phase1_sharded`] over [`ShardPlan::auto`],
 ///   with `workers` shard workers (`0` = all cores). Output depends
 ///   only on the object count's auto plan, never on `workers`.
 pub fn phase1_auto(objects: &[Dcf], mutual_information: f64, params: LimboParams) -> LimboModel {
     match params.shards {
-        None => phase1_ref(objects.iter(), mutual_information, objects.len(), params),
+        None => phase1(objects.iter(), mutual_information, objects.len(), params),
         Some(workers) => {
             let plan = ShardPlan::auto(objects.len());
             phase1_sharded(objects, mutual_information, params, &plan, workers)
@@ -323,7 +323,6 @@ pub fn phase1_store(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::phase1;
     use dbmine_infotheory::SparseDist;
 
     /// Deterministic xorshift64* stream (same pattern as the tree
@@ -385,7 +384,7 @@ mod tests {
             .map(|r| {
                 let mut tree = DcfTree::new(branching, tau);
                 for o in &objects[r] {
-                    tree.insert_ref(o);
+                    tree.insert(o);
                 }
                 tree.into_leaves()
             })
@@ -396,7 +395,7 @@ mod tests {
         let mut tree = DcfTree::new(branching, tau);
         for shard in &shard_leaves {
             for leaf in shard {
-                tree.insert_ref(leaf);
+                tree.insert(leaf);
             }
         }
         tree.into_leaves()
@@ -434,7 +433,7 @@ mod tests {
             let objects = random_objects(seed, n, dom);
             for phi in [0.0, 1.0, 4.0] {
                 let params = LimboParams::with_phi(phi);
-                let classic = phase1(objects.iter().cloned(), 0.9, n, params);
+                let classic = phase1(&objects, 0.9, n, params);
                 let plan = ShardPlan::with_chunk_size(n, n.max(1));
                 assert!(plan.n_chunks() <= 1);
                 for workers in [1usize, 2, 4] {
@@ -522,7 +521,7 @@ mod tests {
         // split a class.
         let n = 240;
         let objects = random_objects(23, n, 4);
-        let classic = phase1(objects.iter().cloned(), 0.9, n, LimboParams::with_phi(0.0));
+        let classic = phase1(&objects, 0.9, n, LimboParams::with_phi(0.0));
         let classes = |leaves: &[Dcf]| {
             let mut c: Vec<(Vec<(u32, u64)>, usize)> = leaves
                 .iter()
@@ -552,7 +551,7 @@ mod tests {
         let n = 100;
         let objects = random_objects(9, n, 8);
         let params = LimboParams::with_phi(1.0);
-        let classic = phase1(objects.iter().cloned(), 0.9, n, params);
+        let classic = phase1(&objects, 0.9, n, params);
         // No shard knob → the classic path, bit for bit.
         let auto_off = phase1_auto(&objects, 0.9, params);
         assert_bit_identical(&auto_off.leaves, &classic.leaves, "shards=None");
@@ -663,7 +662,7 @@ mod tests {
         let auto = phase1_auto(&objects, mi_ref, params);
         assert_eq!(mi.to_bits(), mi_ref.to_bits());
         assert_bit_identical(&model.leaves, &auto.leaves, "default chunking ≡ auto");
-        let classic = phase1(objects.iter().cloned(), mi_ref, objects.len(), params);
+        let classic = phase1(&objects, mi_ref, objects.len(), params);
         assert_bit_identical(&model.leaves, &classic.leaves, "single chunk ≡ classic");
     }
 

@@ -14,7 +14,8 @@
 //! `nodes: Vec<Node>`, both indexed by `u32`; a node holds only the ids
 //! of its entries. Insertion is iterative — the descent records a
 //! `(node, entry index)` path into a reused scratch vector, the incoming
-//! DCF is moved (never cloned) into the pool, and every summary refresh
+//! DCF is borrowed (cloned into the pool only when it opens a new
+//! entry), and every summary refresh
 //! goes through [`Dcf::merge_in_place`] with one embedded
 //! [`MergeScratch`]. Splits recycle entry slots freed by parent
 //! restructuring through a free list. In steady state an insert that is
@@ -103,22 +104,12 @@ impl DcfTree {
 
     /// Inserts one object summary (normally a singleton DCF).
     ///
-    /// The DCF is moved into the entry pool (or merged into an existing
-    /// leaf entry) without intermediate clones.
-    pub fn insert(&mut self, dcf: Dcf) {
-        if let Some(leaf) = self.descend_or_absorb(&dcf) {
-            self.insert_new_entry(leaf, dcf);
-        }
-    }
-
-    /// Inserts one object summary from a borrowed DCF.
-    ///
     /// An insert absorbed by an existing leaf entry never touches the
     /// incoming DCF's allocations at all; only an insert that opens a new
     /// leaf entry clones it into the pool. In the summary regime (`φ > 0`)
-    /// absorbs dominate, so streaming borrowed objects through this
-    /// method is the allocation-free Phase 1 fast path.
-    pub fn insert_ref(&mut self, dcf: &Dcf) {
+    /// absorbs dominate, so Phase 1 streams borrowed objects without
+    /// allocating.
+    pub fn insert(&mut self, dcf: &Dcf) {
         if let Some(leaf) = self.descend_or_absorb(dcf) {
             self.insert_new_entry(leaf, dcf.clone());
         }
@@ -447,10 +438,10 @@ mod tests {
     #[test]
     fn zero_threshold_merges_only_identical() {
         let mut t = DcfTree::new(4, 0.0);
-        t.insert(singleton(0.25, &[(0, 1.0)]));
-        t.insert(singleton(0.25, &[(0, 1.0)])); // identical → merged
-        t.insert(singleton(0.25, &[(1, 1.0)]));
-        t.insert(singleton(0.25, &[(1, 0.5), (2, 0.5)]));
+        t.insert(&singleton(0.25, &[(0, 1.0)]));
+        t.insert(&singleton(0.25, &[(0, 1.0)])); // identical → merged
+        t.insert(&singleton(0.25, &[(1, 1.0)]));
+        t.insert(&singleton(0.25, &[(1, 0.5), (2, 0.5)]));
         assert_eq!(t.n_leaf_entries(), 3);
         assert_eq!(t.n_inserted(), 4);
         let merged = t
@@ -465,7 +456,7 @@ mod tests {
     fn large_threshold_merges_everything() {
         let mut t = DcfTree::new(4, 10.0);
         for i in 0..50u32 {
-            t.insert(singleton(0.02, &[(i, 1.0)]));
+            t.insert(&singleton(0.02, &[(i, 1.0)]));
         }
         assert_eq!(t.n_leaf_entries(), 1);
         let l = t.leaves();
@@ -478,7 +469,7 @@ mod tests {
         let mut t = DcfTree::new(2, 0.0);
         let n = 40u32;
         for i in 0..n {
-            t.insert(singleton(1.0 / n as f64, &[(i, 1.0)]));
+            t.insert(&singleton(1.0 / n as f64, &[(i, 1.0)]));
         }
         assert_eq!(t.n_leaf_entries(), n as usize);
         let total: f64 = t.leaves().iter().map(|d| d.weight).sum();
@@ -494,8 +485,8 @@ mod tests {
         // but far below the between-group loss.
         let mut t = DcfTree::new(4, 0.02);
         for _ in 0..10 {
-            t.insert(singleton(0.05, &[(0, 0.95), (1, 0.05)]));
-            t.insert(singleton(0.05, &[(5, 0.95), (6, 0.05)]));
+            t.insert(&singleton(0.05, &[(0, 0.95), (1, 0.05)]));
+            t.insert(&singleton(0.05, &[(5, 0.95), (6, 0.05)]));
         }
         assert_eq!(t.n_leaf_entries(), 2);
         let leaves = t.leaves();
@@ -505,12 +496,12 @@ mod tests {
     #[test]
     fn aux_vectors_survive_tree_merges() {
         let mut t = DcfTree::new(4, 10.0);
-        t.insert(Dcf::singleton_with_aux(
+        t.insert(&Dcf::singleton_with_aux(
             0.5,
             SparseDist::from_pairs(vec![(0, 1.0)]),
             SparseDist::from_pairs(vec![(0, 2.0)]),
         ));
-        t.insert(Dcf::singleton_with_aux(
+        t.insert(&Dcf::singleton_with_aux(
             0.5,
             SparseDist::from_pairs(vec![(0, 1.0)]),
             SparseDist::from_pairs(vec![(1, 3.0)]),
@@ -525,7 +516,7 @@ mod tests {
     fn height_grows_logarithmically() {
         let mut t = DcfTree::new(3, 0.0);
         for i in 0..200u32 {
-            t.insert(singleton(0.005, &[(i, 1.0)]));
+            t.insert(&singleton(0.005, &[(i, 1.0)]));
         }
         assert_eq!(t.n_leaf_entries(), 200);
         // With B = 3 the height of a 200-leaf tree stays small.
@@ -550,7 +541,7 @@ mod tests {
     fn leaf_views_agree() {
         let mut t = DcfTree::new(3, 0.01);
         for i in 0..60u32 {
-            t.insert(singleton(1.0 / 60.0, &[(i % 7, 0.8), (i % 11, 0.2)]));
+            t.insert(&singleton(1.0 / 60.0, &[(i % 7, 0.8), (i % 11, 0.2)]));
         }
         let cloned = t.leaves();
         let borrowed: Vec<&Dcf> = t.iter_leaves().collect();
@@ -605,20 +596,13 @@ mod tests {
         ] {
             let objects = random_objects(seed, 120, 12);
             let mut arena = DcfTree::new(branching, threshold);
-            let mut arena_ref = DcfTree::new(branching, threshold);
             let mut reference = DcfTreeRef::new(branching, threshold);
             for o in &objects {
-                arena.insert(o.clone());
-                arena_ref.insert_ref(o);
+                arena.insert(o);
                 reference.insert(o.clone());
             }
             assert_eq!(arena.n_leaf_entries(), reference.n_leaf_entries());
-            assert_eq!(arena_ref.n_leaf_entries(), reference.n_leaf_entries());
             assert_eq!(arena.height(), reference.height());
-            for (x, y) in arena_ref.leaves().iter().zip(&arena.leaves()) {
-                assert_eq!(x.weight.to_bits(), y.weight.to_bits());
-                assert_eq!(x.cond.entries(), y.cond.entries());
-            }
             let a = arena.leaves();
             let r = reference.leaves();
             assert_eq!(a.len(), r.len());

@@ -53,8 +53,7 @@ fn arb_stream() -> impl Strategy<Value = Vec<Dcf>> {
 }
 
 fn info_of(dcfs: &[Dcf]) -> f64 {
-    let rows: Vec<_> = dcfs.iter().map(|d| (d.weight, &d.cond)).collect();
-    mutual_information(rows.iter().copied())
+    mutual_information(dcfs.iter().map(|d| (d.weight, &d.cond)))
 }
 
 proptest! {
@@ -63,7 +62,7 @@ proptest! {
     #[test]
     fn phase1_conserves_mass_count_and_aux(objects in arb_objects(), phi in 0.0f64..2.0) {
         let mi = info_of(&objects);
-        let model = phase1(objects.iter().cloned(), mi, objects.len(), LimboParams::with_phi(phi));
+        let model = phase1(&objects, mi, objects.len(), LimboParams::with_phi(phi));
 
         let mass: f64 = model.leaves.iter().map(|d| d.weight).sum();
         prop_assert!((mass - 1.0).abs() < 1e-9, "mass {mass}");
@@ -79,7 +78,7 @@ proptest! {
     #[test]
     fn summaries_never_gain_information(objects in arb_objects(), phi in 0.0f64..2.0) {
         let mi = info_of(&objects);
-        let model = phase1(objects.iter().cloned(), mi, objects.len(), LimboParams::with_phi(phi));
+        let model = phase1(&objects, mi, objects.len(), LimboParams::with_phi(phi));
         let retained = info_of(&model.leaves);
         prop_assert!(retained <= mi + 1e-7, "retained {retained} > input {mi}");
     }
@@ -92,7 +91,7 @@ proptest! {
         // greedy Phase 2 may then take a different — equally valid —
         // merge trajectory than AIB-on-singletons under ties).
         let mi = info_of(&objects);
-        let model = phase1(objects.iter().cloned(), mi, objects.len(), LimboParams::with_phi(0.0));
+        let model = phase1(&objects, mi, objects.len(), LimboParams::with_phi(0.0));
         let retained = info_of(&model.leaves);
         prop_assert!((retained - mi).abs() < 1e-7, "lost {} bits", mi - retained);
         // And a full Phase 2 run loses everything, exactly like AIB.
@@ -104,7 +103,7 @@ proptest! {
     #[test]
     fn phase3_assigns_every_object_within_bounds(objects in arb_objects(), phi in 0.0f64..1.5) {
         let mi = info_of(&objects);
-        let model = phase1(objects.iter().cloned(), mi, objects.len(), LimboParams::with_phi(phi));
+        let model = phase1(&objects, mi, objects.len(), LimboParams::with_phi(phi));
         let clustering = phase2_with(&model, 3.min(model.leaves.len()), 1);
         let assignments = phase3_with(objects.iter(), &clustering, 1);
         prop_assert_eq!(assignments.len(), objects.len());
@@ -125,13 +124,7 @@ proptest! {
         let mut arena = DcfTree::new(branching, threshold);
         let mut reference = DcfTreeRef::new(branching, threshold);
         for o in &objects {
-            // Alternate the owned and borrowed insert paths; they must be
-            // indistinguishable in the resulting tree.
-            if arena.n_inserted().is_multiple_of(2) {
-                arena.insert(o.clone());
-            } else {
-                arena.insert_ref(o);
-            }
+            arena.insert(o);
             reference.insert(o.clone());
         }
         prop_assert_eq!(arena.n_inserted(), reference.n_inserted());
@@ -196,7 +189,7 @@ proptest! {
         let params = LimboParams::with_phi(phi);
         let plan = ShardPlan::with_chunk_size(objects.len(), objects.len().max(1));
         let sharded = phase1_sharded(&objects, mi, params, &plan, workers);
-        let classic = phase1(objects.iter().cloned(), mi, objects.len(), params);
+        let classic = phase1(&objects, mi, objects.len(), params);
         prop_assert_eq!(sharded.leaves.len(), classic.leaves.len());
         for (x, y) in sharded.leaves.iter().zip(&classic.leaves) {
             prop_assert_eq!(x.weight.to_bits(), y.weight.to_bits());
@@ -211,7 +204,7 @@ proptest! {
         let mi = info_of(&objects);
         let mut prev = usize::MAX;
         for phi in [0.0, 0.5, 1.0, 2.0] {
-            let model = phase1(objects.iter().cloned(), mi, objects.len(), LimboParams::with_phi(phi));
+            let model = phase1(&objects, mi, objects.len(), LimboParams::with_phi(phi));
             prop_assert!(model.leaves.len() <= prev,
                 "φ={phi}: {} leaves > previous {prev}", model.leaves.len());
             prev = model.leaves.len();

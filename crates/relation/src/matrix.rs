@@ -16,7 +16,7 @@
 use crate::dict::ValueId;
 use crate::relation::Relation;
 use crate::shard::RelationChunk;
-use dbmine_infotheory::{mutual_information, SparseDist};
+use dbmine_infotheory::{mutual_information, MutualInformation, SparseDist};
 
 /// The feature-key stride for attribute-qualified value keys: cell
 /// `(a, v)` maps to feature `a · stride + v` with `stride = |dict|`.
@@ -237,16 +237,15 @@ impl ValueIndex {
         &self.o_rows[i]
     }
 
-    /// Iterates `(p(v), p(T|v))` pairs (allocates each row).
-    pub fn n_rows(&self) -> Vec<(f64, SparseDist)> {
-        let p = self.prior();
-        (0..self.len()).map(|i| (p, self.n_row(i))).collect()
-    }
-
-    /// The mutual information `I(V;T)` of the value view.
+    /// The mutual information `I(V;T)` of the value view, folded one
+    /// `N` row at a time.
     pub fn mutual_information(&self) -> f64 {
-        let rows = self.n_rows();
-        mutual_information(rows.iter().map(|(p, d)| (*p, d)))
+        let p = self.prior();
+        let mut mi = MutualInformation::new();
+        for i in 0..self.len() {
+            mi.add(p, &self.n_row(i));
+        }
+        mi.finish()
     }
 }
 

@@ -21,8 +21,10 @@
 //!   relation's interned columnar layout. Peak memory is the dictionary
 //!   plus one chunk, independent of the relation size.
 //! * [`tuple_mutual_information_chunks`] — folds `I(T;V)` of the tuple
-//!   view over a chunk stream with exactly the operation sequence of
-//!   `TupleRows::mutual_information`, so the result is bit-identical.
+//!   view over a chunk stream through the same
+//!   [`dbmine_infotheory::MutualInformation`] fold, in the same row
+//!   order, as `TupleRows::mutual_information`, so the result is
+//!   bit-identical.
 //!   Out-of-core LIMBO Phase 1 uses it; it never builds the tuple view.
 //!
 //! Every view fold lives next to its type and takes chunks, whatever
@@ -44,7 +46,7 @@ use crate::dict::{ValueDict, ValueId, NULL_VALUE};
 use crate::hash::ContentHasher;
 use crate::matrix::{qualified_row, qualified_stride};
 use crate::spill::{SpillWriter, StoreChunks, StoreError, StoreFooter};
-use dbmine_infotheory::{entropy_of, SparseDist};
+use dbmine_infotheory::MutualInformation;
 use std::borrow::Cow;
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -439,9 +441,9 @@ impl ShardedRelation {
 /// The tuple-view mutual information `I(T;V)` folded over a chunk
 /// stream — bit-identical to
 /// `TupleRows::build(&relation).mutual_information()` for the same
-/// content, because both fold the same conditional rows in the same
-/// order through the same marginal/entropy operations. Peak memory is
-/// the marginal accumulator plus one chunk.
+/// content, because both feed the same conditional rows, in the same
+/// order, into the one [`MutualInformation`] fold. Peak memory is the
+/// marginal accumulator plus one chunk.
 pub fn tuple_mutual_information_chunks<'a, I>(
     sharded: &ShardedRelation,
     chunks: I,
@@ -457,17 +459,14 @@ where
     let stride = qualified_stride(sharded.dict().len(), m);
     let mass = 1.0 / m as f64;
     let pv = 1.0 / n as f64;
-    let mut marginal = SparseDist::new();
-    let mut h_cond = 0.0;
+    let mut mi = MutualInformation::new();
     for chunk in chunks {
         let chunk = chunk?;
         for t in 0..chunk.n_rows() {
-            let cond = qualified_row(stride, mass, chunk.row_values(t));
-            marginal = SparseDist::weighted_sum(&marginal, 1.0, &cond, pv);
-            h_cond += pv * entropy_of(&cond);
+            mi.add(pv, &qualified_row(stride, mass, chunk.row_values(t)));
         }
     }
-    Ok((entropy_of(&marginal) - h_cond).max(0.0))
+    Ok(mi.finish())
 }
 
 #[cfg(test)]

@@ -124,20 +124,16 @@ pub fn horizontal_partition_ctx(
     // cluster's DCF from its *assigned* tuples and compare I(C;V) with
     // the input I(T;V).
     let mut merge_scratch = dbmine_ib::MergeScratch::new();
-    let cluster_dcfs: Vec<dbmine_ib::Dcf> = partitions
-        .iter()
-        .filter(|p| !p.is_empty())
-        .map(|p| {
-            let mut it = p.iter();
-            let mut dcf = objects[*it.next().expect("non-empty")].clone();
-            for &t in it {
-                dcf.merge_in_place(&objects[t], &mut merge_scratch);
-            }
-            dcf
-        })
-        .collect();
-    let rows: Vec<_> = cluster_dcfs.iter().map(|c| (c.weight, &c.cond)).collect();
-    let mi_clustered = dbmine_infotheory::mutual_information(rows.iter().copied());
+    let mut clustered = dbmine_infotheory::MutualInformation::new();
+    for p in partitions.iter().filter(|p| !p.is_empty()) {
+        let mut it = p.iter();
+        let mut dcf = objects[*it.next().expect("non-empty")].clone();
+        for &t in it {
+            dcf.merge_in_place(&objects[t], &mut merge_scratch);
+        }
+        clustered.add(dcf.weight, &dcf.cond);
+    }
+    let mi_clustered = clustered.finish();
     let relative_loss = if mi > 0.0 {
         (1.0 - mi_clustered / mi).max(0.0)
     } else {

@@ -129,8 +129,7 @@ pub fn cluster_values_ctx(
     // their information is computed from the objects themselves.
     let mi = match tuple_assignment {
         Some(_) => {
-            let rows: Vec<_> = objects.iter().map(|d| (d.weight, &d.cond)).collect();
-            dbmine_infotheory::mutual_information(rows.iter().copied())
+            dbmine_infotheory::mutual_information(objects.iter().map(|d| (d.weight, &d.cond)))
         }
         None => ctx.value_mutual_information(),
     };

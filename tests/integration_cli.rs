@@ -294,3 +294,42 @@ fn unknown_flags_are_rejected() {
         );
     }
 }
+
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // Thirty exact-duplicate pairs of 1.5 KB cells: the report is far
+    // larger than a pipe buffer, so the writer is still blocked on the
+    // pipe when the reader goes away.
+    let dir = std::env::temp_dir().join(format!("dbmine_cli_pipe_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("wide.csv");
+    let mut f = std::fs::File::create(&path).unwrap();
+    writeln!(f, "A,B,C,D,E,F").unwrap();
+    for pair in 0..30 {
+        let row: Vec<String> = (0..6)
+            .map(|c| format!("p{pair}c{c}-{}", "x".repeat(1500)))
+            .collect();
+        writeln!(f, "{}", row.join(",")).unwrap();
+        writeln!(f, "{}", row.join(",")).unwrap();
+    }
+    drop(f);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dbmine"))
+        .args(["duplicates", path.to_str().unwrap(), "--phi-t", "0.0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.contains("candidate groups"), "{first}");
+    // The reader (and with it the pipe's read end) is dropped here.
+    let out = child.wait_with_output().expect("child exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
