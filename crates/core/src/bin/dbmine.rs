@@ -1,20 +1,11 @@
 //! `dbmine` — command-line structure mining over CSV files.
 //!
-//! ```text
-//! dbmine analyze    <file.csv> [--phi-t F] [--phi-v F] [--psi F]
-//!                   [--max-lhs N] [--score S] [--threads N] [--shards N]
-//! dbmine duplicates <file.csv> [--phi-t F] [--threads N] [--shards N]
-//! dbmine fds        <file.csv> [--approx EPS] [--score S] [--theta F]
-//!                   [--max-lhs N] [--threads N]
-//! dbmine mvds       <file.csv> [--max-lhs N]
-//! dbmine joins      <file.csv> --with <other.csv>
-//! dbmine partition  <file.csv> [--k N] [--phi-t F] [--threads N] [--shards N]
-//! dbmine redesign   <file.csv> [--steps N] [--phi-t F] [--phi-v F] [--psi F]
-//!                   [--max-lhs N] [--score S] [--threads N] [--shards N]
-//! ```
-//!
-//! Every command also takes `--spill P`, `--shards N` and `--profile P`;
-//! a flag the command does not read is an error (exit 2).
+//! `dbmine --help` lists the commands and the flags each reads; both
+//! come from the command grammar in [`dbmine::render`], which the
+//! `dbmined` daemon parses its requests with too. The CLI itself reads
+//! only its load flags: `--spill P`, `--shards N` and `--profile P` on
+//! every command, and `--with P`, the second file of `joins`. A flag a
+//! command does not read is an error (exit 2).
 //!
 //! The input may also be a binary shard store (`file.dbss`, see
 //! `dbmine::relation::spill`) — written by an earlier `--spill PATH`
@@ -25,10 +16,9 @@
 //! `dbmined` daemon — the two front ends print byte-identical output.
 
 use dbmine::context::AnalysisCtx;
-use dbmine::fdrank::ScoreKind;
 use dbmine::relation::csv::read_relation_path;
 use dbmine::relation::{Relation, ShardedRelation};
-use dbmine::render;
+use dbmine::render::{self, Kind, ParamError, Value};
 use dbmine::telemetry;
 use std::io::Write;
 use std::process::exit;
@@ -41,20 +31,30 @@ use std::process::exit;
 static ALLOCATOR: telemetry::alloc::CountingAlloc = telemetry::alloc::CountingAlloc;
 
 fn usage() -> ! {
+    let mut synopsis = String::new();
+    for spec in render::COMMANDS {
+        let mut words = spec.synopsis();
+        if spec.name == JOINS {
+            words.push("--with <other.csv>".to_string());
+        }
+        let mut line = format!("  dbmine {:<10} <file.csv>", spec.name);
+        for word in words {
+            if line.len() + 1 + word.len() > 78 {
+                synopsis.push_str(&line);
+                synopsis.push('\n');
+                line = " ".repeat(19);
+            }
+            line.push(' ');
+            line.push_str(&word);
+        }
+        synopsis.push_str(&line);
+        synopsis.push('\n');
+    }
     eprintln!(
         "dbmine — information-theoretic database structure mining (SIGMOD 2004)\n\
          \n\
          USAGE:\n\
-         \x20 dbmine analyze    <file.csv> [--phi-t F] [--phi-v F] [--psi F]\n\
-         \x20                   [--max-lhs N] [--score S] [--threads N] [--shards N]\n\
-         \x20 dbmine duplicates <file.csv> [--phi-t F] [--threads N] [--shards N]\n\
-         \x20 dbmine fds        <file.csv> [--approx EPS] [--score S] [--theta F]\n\
-         \x20                   [--max-lhs N] [--threads N]\n\
-         \x20 dbmine mvds       <file.csv> [--max-lhs N]\n\
-         \x20 dbmine joins      <file.csv> --with <other.csv>\n\
-         \x20 dbmine partition  <file.csv> [--k N] [--phi-t F] [--threads N] [--shards N]\n\
-         \x20 dbmine redesign   <file.csv> [--steps N] [--phi-t F] [--phi-v F] [--psi F]\n\
-         \x20                   [--max-lhs N] [--score S] [--threads N] [--shards N]\n\
+         {synopsis}\
          \n\
          Every command also takes --spill P, --shards N and --profile P; any\n\
          other flag a command does not read is an error.\n\
@@ -65,7 +65,7 @@ fn usage() -> ! {
          \x20              0.0 for redesign)\n\
          \x20 --phi-v F    value-clustering accuracy φV (default 0.0)\n\
          \x20 --psi F      FD-RANK threshold ψ in [0,1] (default 0.5)\n\
-         \x20 --approx E   mine approximate FDs with g3 error ≤ E\n\
+         \x20 --approx F   mine approximate FDs with g3 error ≤ F\n\
          \x20 --score S    FD quality score: g3 (default) or rfi, the\n\
          \x20              bias-corrected reliable fraction of\n\
          \x20              information. `fds --score rfi` mines reliable\n\
@@ -75,7 +75,8 @@ fn usage() -> ! {
          \x20 --theta F    reliability threshold θ in [0,1] for\n\
          \x20              fds --score rfi (default 0.2); an error\n\
          \x20              with any other score\n\
-         \x20 --max-lhs N  bound FD left-hand-side size\n\
+         \x20 --max-lhs N  bound FD left-hand-side size (default 2\n\
+         \x20              for mvds, unbounded otherwise)\n\
          \x20 --k N        force the number of horizontal partitions\n\
          \x20 --steps N    decomposition steps for redesign (default 3)\n\
          \x20 --threads N  worker threads for clustering and FD mining\n\
@@ -97,31 +98,66 @@ fn usage() -> ! {
     exit(2);
 }
 
-/// Flags every command reads: `--spill` and `--shards` choose how
-/// [`load_input`] loads the relation, and `--profile` wraps the run.
-const COMMON_FLAGS: &[&str] = &["spill", "shards", "profile"];
+/// The flags the CLI reads itself on every command: `--spill` and
+/// `--shards` choose how [`load_input`] loads the relation, and
+/// `--profile` wraps the run. A command that reads `shards` gets it too.
+const LOAD_FLAGS: &[&str] = &["spill", "shards", "profile"];
 
-/// The flags `command` reads besides [`COMMON_FLAGS`], or `None` for an
-/// unknown command.
-fn command_flags(command: &str) -> Option<&'static [&'static str]> {
-    Some(match command {
-        "analyze" => &["phi-t", "phi-v", "psi", "max-lhs", "score", "threads"],
-        "duplicates" => &["phi-t", "threads"],
-        "fds" => &["approx", "score", "theta", "max-lhs", "threads"],
-        "mvds" => &["max-lhs"],
-        "joins" => &["with"],
-        "partition" => &["k", "phi-t", "threads"],
-        "redesign" => &[
-            "steps", "phi-t", "phi-v", "psi", "max-lhs", "score", "threads",
-        ],
-        _ => return None,
-    })
+/// The one command with a second input, read from `--with`.
+const JOINS: &str = "joins";
+
+/// Whether the CLI reads flag `name` (request-field spelling) itself.
+fn load_flag(command: &str, name: &str) -> bool {
+    LOAD_FLAGS.contains(&name) || (command == JOINS && name == "with")
 }
 
 struct Args {
-    command: String,
+    spec: &'static render::Spec,
     path: String,
-    flags: std::collections::HashMap<String, String>,
+    /// Every flag in argv order, its name spelled as a request field.
+    flags: Vec<(String, String)>,
+}
+
+impl Args {
+    fn flag(&self, name: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.as_str())
+    }
+}
+
+/// The command parameters: every flag the command reads. `--shards`
+/// is one of them where the command reads it, and a load flag anyway.
+impl render::Source for Args {
+    fn names(&self) -> Vec<&str> {
+        self.flags
+            .iter()
+            .map(|(n, _)| n.as_str())
+            .filter(|n| self.spec.param(n).is_some())
+            .collect()
+    }
+
+    fn value(&self, name: &str, kind: Kind) -> Option<Value> {
+        let raw = self.flag(name)?;
+        match kind {
+            Kind::Real => raw.parse().ok().map(Value::Real),
+            Kind::Count => raw.parse().ok().map(Value::Count),
+            Kind::Score => raw.parse().ok().map(Value::Score),
+        }
+    }
+}
+
+/// A usage error: one `error: …` line on stderr, exit 2.
+fn fail(message: &str) -> ! {
+    eprintln!("error: {message}");
+    exit(2);
+}
+
+/// A flag value that failed to parse or is out of range is a typed,
+/// named error — never a bare usage dump, and never a panic.
+fn bad_flag(name: &str, value: &str) -> ! {
+    fail(&format!("invalid value for --{name}: `{value}`"))
 }
 
 fn parse_args() -> Args {
@@ -130,79 +166,40 @@ fn parse_args() -> Args {
     if command == "--help" || command == "-h" || command == "help" {
         usage();
     }
+    let spec = render::command(&command).unwrap_or_else(|| usage());
     let path = it.next().unwrap_or_else(|| usage());
-    let mut flags = std::collections::HashMap::new();
-    while let Some(flag) = it.next() {
-        let key = flag.trim_start_matches("--").to_string();
-        let value = it.next().unwrap_or_else(|| {
-            eprintln!("error: flag --{key} requires a value");
-            exit(2);
-        });
-        flags.insert(key, value);
-    }
-    let known = command_flags(&command).unwrap_or_else(|| usage());
-    // Sorted, so the error names the same flag on every run.
-    let mut given: Vec<&String> = flags.keys().collect();
-    given.sort();
-    if let Some(key) = given
-        .into_iter()
-        .find(|k| !COMMON_FLAGS.contains(&k.as_str()) && !known.contains(&k.as_str()))
-    {
-        eprintln!("error: unknown flag --{key} for `{command}`");
-        exit(2);
-    }
-    Args {
-        command,
-        path,
-        flags,
-    }
-}
-
-/// A flag value that failed to parse is a typed, named error on stderr —
-/// never a bare usage dump, and never a panic.
-fn bad_flag(name: &str, value: &str) -> ! {
-    eprintln!("error: invalid value for --{name}: `{value}`");
-    exit(2);
-}
-
-impl Args {
-    fn f64_flag(&self, name: &str) -> Option<f64> {
-        self.flags
-            .get(name)
-            .map(|v| v.parse().unwrap_or_else(|_| bad_flag(name, v)))
-    }
-    fn usize_flag(&self, name: &str) -> Option<usize> {
-        self.flags
-            .get(name)
-            .map(|v| v.parse().unwrap_or_else(|_| bad_flag(name, v)))
-    }
-    fn threads(&self) -> usize {
-        self.usize_flag("threads").unwrap_or(1)
-    }
-    fn shards(&self) -> Option<usize> {
-        self.usize_flag("shards")
-    }
-    fn score(&self) -> ScoreKind {
-        self.flags
-            .get("score")
-            .map(|v| v.parse().unwrap_or_else(|_| bad_flag("score", v)))
-            .unwrap_or_default()
-    }
-    /// Range-checks the numeric command parameters; an out-of-range
-    /// value exits like a malformed one.
-    fn check_params(&self) {
-        let params = render::Params {
-            phi_t: self.f64_flag("phi-t"),
-            phi_v: self.f64_flag("phi-v"),
-            psi: self.f64_flag("psi"),
-            approx: self.f64_flag("approx"),
-            theta: self.f64_flag("theta"),
-            k: self.usize_flag("k"),
+    let mut flags: Vec<(String, String)> = Vec::new();
+    while let Some(token) = it.next() {
+        let Some(flag) = token.strip_prefix("--") else {
+            fail(&format!("unexpected argument `{token}`"));
         };
-        if let Err(e) = render::check_params(&params) {
-            let flag = e.name.replace('_', "-");
-            bad_flag(&flag, &self.flags[&flag]);
+        let name = flag.replace('-', "_");
+        if flag.contains('_') || (spec.param(&name).is_none() && !load_flag(&command, &name)) {
+            fail(&format!("unknown flag --{flag} for `{command}`"));
         }
+        if flags.iter().any(|(n, _)| *n == name) {
+            fail(&format!("flag --{flag} given more than once"));
+        }
+        let value = it
+            .next()
+            .unwrap_or_else(|| fail(&format!("flag --{flag} requires a value")));
+        flags.push((name, value));
+    }
+    Args { spec, path, flags }
+}
+
+/// Spells a refused command parameter as a CLI error, exit 2.
+fn param_error(args: &Args, e: &ParamError) -> ! {
+    let flag = e.name().replace('_', "-");
+    match e {
+        ParamError::Unread(_) => fail(&format!("unknown flag --{flag} for `{}`", args.spec.name)),
+        ParamError::Type(_) | ParamError::Range { .. } => {
+            bad_flag(&flag, args.flag(e.name()).unwrap_or_default())
+        }
+        ParamError::ApproxWithRfi => {
+            fail("--approx (g3 mining) cannot be combined with --score rfi")
+        }
+        ParamError::ThetaWithoutRfi => fail("--theta requires --score rfi"),
     }
 }
 
@@ -293,7 +290,7 @@ impl Input {
 /// asks for it. All four paths produce byte-identical command output.
 fn load_input(args: &Args) -> Input {
     let path = args.path.as_str();
-    let spill = args.flags.get("spill").cloned();
+    let spill = args.flag("spill");
     if path.ends_with(".dbss") {
         if spill.is_some() {
             eprintln!("error: --spill expects CSV input; {path} is already a shard store");
@@ -325,8 +322,8 @@ fn load_input(args: &Args) -> Input {
         }
     };
     if let Some(store_path) = spill {
-        Input::chunked(spill_into(std::path::Path::new(&store_path)), None)
-    } else if args.flags.contains_key("shards") {
+        Input::chunked(spill_into(std::path::Path::new(store_path)), None)
+    } else if args.flag("shards").is_some() {
         // Sharded ingest without an explicit store: spill once into a
         // temporary store so every later pass is a block decode. The
         // guard deletes the store when the process is done.
@@ -384,14 +381,20 @@ fn main() {
         }));
     }
     let args = parse_args();
-    // Validate shared numeric flags up front so every subcommand gives
-    // the typed error for a malformed value — including ones (like
-    // `fds`) whose computation never reaches LIMBO Phase 1.
-    let _ = args.threads();
-    let _ = args.shards();
-    let _ = args.score();
-    args.check_params();
-    let profile = args.flags.get("profile").cloned();
+    let command =
+        render::Command::parse(args.spec, &args).unwrap_or_else(|e| param_error(&args, &e));
+    // `--shards` also selects the auto-spill load on commands that do
+    // not read it, so its value is checked on every command.
+    if let Some(v) = args.flag("shards") {
+        if v.parse::<usize>().is_err() {
+            bad_flag("shards", v);
+        }
+    }
+    let with = args.flag("with");
+    if args.spec.name == JOINS && with.is_none() {
+        fail("`joins` needs --with <other.csv>");
+    }
+    let profile = args.flag("profile");
     if profile.is_some() {
         if !telemetry::compiled() {
             eprintln!(
@@ -401,93 +404,12 @@ fn main() {
         }
         telemetry::begin();
     }
-    // Each arm drops its input (and any temporary store) before the
-    // output is written, so a quiet early exit in `emit` leaves nothing
-    // behind.
-    let out = match args.command.as_str() {
-        "analyze" => {
-            let input = load_input(&args);
-            let config = render::analyze_config(
-                args.f64_flag("phi-t"),
-                args.f64_flag("phi-v"),
-                args.f64_flag("psi"),
-                args.usize_flag("max-lhs"),
-                args.threads(),
-                args.shards(),
-                args.score(),
-            );
-            render::run_analyze(&input.ctx, &config)
-        }
-        "duplicates" => {
-            let input = load_input(&args);
-            let phi = args.f64_flag("phi-t").unwrap_or(0.1);
-            render::run_duplicates(&input.ctx, phi, args.threads(), args.shards())
-        }
-        "fds" => {
-            let approx = args.f64_flag("approx");
-            let score = args.score();
-            if approx.is_some() && score == ScoreKind::Rfi {
-                eprintln!("error: --approx (g3 mining) cannot be combined with --score rfi");
-                exit(2);
-            }
-            if args.flags.contains_key("theta") && score != ScoreKind::Rfi {
-                eprintln!("error: --theta requires --score rfi");
-                exit(2);
-            }
-            let input = load_input(&args);
-            render::run_fds(
-                &input.ctx,
-                approx,
-                args.usize_flag("max-lhs"),
-                args.threads(),
-                score,
-                args.f64_flag("theta"),
-            )
-        }
-        "mvds" => {
-            let input = load_input(&args);
-            let max_lhs = args.usize_flag("max-lhs").unwrap_or(2);
-            render::run_mvds(input.ctx.relation(), max_lhs)
-        }
-        "joins" => {
-            let left_input = load_input(&args);
-            let right_path = args
-                .flags
-                .get("with")
-                .map(String::as_str)
-                .unwrap_or_else(|| {
-                    eprintln!("error: `joins` needs --with <other.csv>");
-                    exit(2);
-                });
-            let right = load(right_path);
-            render::run_joins(left_input.ctx.relation(), &right)
-        }
-        "partition" => {
-            let input = load_input(&args);
-            let phi = args.f64_flag("phi-t").unwrap_or(0.5);
-            render::run_partition(
-                &input.ctx,
-                phi,
-                args.usize_flag("k"),
-                args.threads(),
-                args.shards(),
-            )
-        }
-        "redesign" => {
-            let input = load_input(&args);
-            let steps = args.usize_flag("steps").unwrap_or(3);
-            let config = render::redesign_config(
-                args.f64_flag("phi-t"),
-                args.f64_flag("phi-v"),
-                args.f64_flag("psi"),
-                args.usize_flag("max-lhs"),
-                args.threads(),
-                args.shards(),
-                args.score(),
-            );
-            render::run_redesign(&input.ctx, steps, &config)
-        }
-        _ => unreachable!("parse_args rejects unknown commands"),
+    // The inputs (and any temporary store) are dropped before the output
+    // is written, so a quiet early exit in `emit` leaves nothing behind.
+    let out = {
+        let input = load_input(&args);
+        let right = with.map(load);
+        command.run(&input.ctx, right.as_ref())
     };
     emit(&out);
     if let Some(dest) = profile {
@@ -495,10 +417,10 @@ fn main() {
         if dest == "-" {
             eprint!("{}", report.render_text(10));
         } else {
-            if let Some(dir) = std::path::Path::new(&dest).parent() {
+            if let Some(dir) = std::path::Path::new(dest).parent() {
                 let _ = std::fs::create_dir_all(dir);
             }
-            match std::fs::write(&dest, report.to_json()) {
+            match std::fs::write(dest, report.to_json() + "\n") {
                 Ok(()) => eprintln!("wrote run report to {dest}"),
                 Err(e) => {
                     eprintln!("error: cannot write run report {dest}: {e}");

@@ -12,6 +12,7 @@
 //! own thread; all connections share one context LRU, and a `shutdown`
 //! request from any connection stops the whole daemon.
 
+use dbmine::render;
 use dbmine::server::{Daemon, DEFAULT_CACHE_CAPACITY};
 #[cfg(feature = "telemetry")]
 use dbmine::telemetry;
@@ -28,6 +29,11 @@ use std::sync::Arc;
 static ALLOCATOR: telemetry::alloc::CountingAlloc = telemetry::alloc::CountingAlloc;
 
 fn usage() -> ! {
+    let mut commands = String::new();
+    for spec in render::COMMANDS.iter().filter(|s| s.served) {
+        let params: Vec<&str> = spec.params.iter().map(|p| p.name).collect();
+        commands.push_str(&format!("  {:<11} {}\n", spec.name, params.join(" ")));
+    }
     eprintln!(
         "dbmined — structure-mining daemon (line-delimited JSON protocol)\n\
          \n\
@@ -43,8 +49,10 @@ fn usage() -> ! {
          PROTOCOL:\n\
          \x20 {{\"id\":1,\"cmd\":\"analyze\",\"path\":\"data.csv\"}}\n\
          \x20 {{\"id\":2,\"cmd\":\"fds\",\"csv\":\"A,B\\n1,2\\n\",\"name\":\"inline\"}}\n\
-         \x20 commands: analyze duplicates fds partition redesign ping stats shutdown\n\
-         \x20 per-request: phi_t phi_v psi threads max_lhs approx k steps profile"
+         \x20 every relation command takes `path` or `csv` (+ `name`), `profile`\n\
+         \x20 and its parameters:\n\
+         {commands}\
+         \x20 ping, stats and shutdown take only `id` and `cmd`"
     );
     exit(2);
 }

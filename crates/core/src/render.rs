@@ -6,6 +6,12 @@
 //! embeds the same string in its JSON responses, so "daemon output is
 //! bit-identical to the single-shot CLI" is a structural property, not a
 //! test-only coincidence.
+//!
+//! The command grammar lives here too: [`COMMANDS`] lists each command,
+//! the parameters it reads and their defaults, and [`Command::parse`]
+//! reads, defaults and checks them from either front end's [`Source`].
+//! The front ends keep only their transport and their spelling of a
+//! [`ParamError`].
 
 use crate::{MinerConfig, StructureMiner};
 use dbmine_context::AnalysisCtx;
@@ -60,9 +66,8 @@ pub fn run_duplicates(
 /// `fds`: exact TANE mining, approximate mining at `g3 ≤ approx`, or —
 /// with `score = rfi` — reliable mining at `F̂ ≥ theta` (branch-and-
 /// bound pruned; `theta` defaults to [`DEFAULT_THETA`]). The `approx`
-/// and `rfi` modes are mutually exclusive; both front ends reject the
-/// combination before calling here, and `rfi` wins if it ever reaches
-/// this function.
+/// and `rfi` modes are mutually exclusive; [`Command::parse`] rejects
+/// the combination, and `rfi` wins if it ever reaches this function.
 pub fn run_fds(
     ctx: &AnalysisCtx,
     approx: Option<f64>,
@@ -278,8 +283,8 @@ pub fn run_joins(left: &Relation, right: &Relation) -> String {
     out
 }
 
-/// The `analyze` defaults (`φ_T` 0.1, `φ_V` 0.0, `ψ` 0.5), shared with
-/// the daemon so both front ends resolve missing parameters identically.
+/// The `analyze` configuration for the given parameters, each `None`
+/// resolved to its [`COMMANDS`] default.
 pub fn analyze_config(
     phi_t: Option<f64>,
     phi_v: Option<f64>,
@@ -289,75 +294,149 @@ pub fn analyze_config(
     shards: Option<usize>,
     score: ScoreKind,
 ) -> MinerConfig {
-    MinerConfig {
-        phi_tuples: phi_t.unwrap_or(0.1),
-        phi_values: phi_v.unwrap_or(0.0),
-        psi: psi.unwrap_or(0.5),
+    Params {
+        phi_t: phi_t.unwrap_or(DEFAULTS.phi_t),
+        phi_v: phi_v.unwrap_or(DEFAULTS.phi_v),
+        psi: psi.unwrap_or(DEFAULTS.psi),
         max_lhs,
         threads,
         shards,
         score,
-        ..MinerConfig::default()
+        ..DEFAULTS
     }
+    .miner_config()
 }
 
-/// The `redesign` defaults, shared with the daemon: those of
-/// [`analyze_config`] except `φ_T`, which defaults to 0.0.
-pub fn redesign_config(
-    phi_t: Option<f64>,
-    phi_v: Option<f64>,
-    psi: Option<f64>,
+/// A parameter's value type; it also names the parameter's placeholder
+/// in the usage synopsis.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// A real number (`F`).
+    Real,
+    /// A non-negative integer (`N`).
+    Count,
+    /// An FD quality score, `g3` or `rfi` (`S`).
+    Score,
+}
+
+/// A parameter value, read by a front end as its parameter's [`Kind`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Value {
+    Real(f64),
+    Count(usize),
+    Score(ScoreKind),
+}
+
+/// One command parameter.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Param {
+    /// The name, spelled as a daemon request field (`phi_t`); the CLI
+    /// flag is the same name with `-` for `_` (`--phi-t`).
+    pub name: &'static str,
+    /// The value type.
+    pub kind: Kind,
+}
+
+const fn param(name: &'static str, kind: Kind) -> Param {
+    Param { name, kind }
+}
+
+const PHI_T: Param = param("phi_t", Kind::Real);
+const PHI_V: Param = param("phi_v", Kind::Real);
+const PSI: Param = param("psi", Kind::Real);
+const APPROX: Param = param("approx", Kind::Real);
+const THETA: Param = param("theta", Kind::Real);
+const K: Param = param("k", Kind::Count);
+const STEPS: Param = param("steps", Kind::Count);
+const MAX_LHS: Param = param("max_lhs", Kind::Count);
+const THREADS: Param = param("threads", Kind::Count);
+const SHARDS: Param = param("shards", Kind::Count);
+const SCORE: Param = param("score", Kind::Score);
+
+/// Every parameter some command reads.
+pub const PARAMS: &[Param] = &[
+    PHI_T, PHI_V, PSI, APPROX, THETA, K, STEPS, MAX_LHS, THREADS, SHARDS, SCORE,
+];
+
+/// One command's parameters, each resolved to its given value or the
+/// command's default.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Params {
+    phi_t: f64,
+    phi_v: f64,
+    psi: f64,
+    approx: Option<f64>,
+    theta: Option<f64>,
+    k: Option<usize>,
+    steps: usize,
     max_lhs: Option<usize>,
     threads: usize,
     shards: Option<usize>,
     score: ScoreKind,
-) -> MinerConfig {
-    MinerConfig {
-        phi_tuples: phi_t.unwrap_or(0.0),
-        ..analyze_config(phi_t, phi_v, psi, max_lhs, threads, shards, score)
+}
+
+/// The defaults every command shares; a [`COMMANDS`] row overrides the
+/// few that differ. `None` means unset: exact FDs (`approx`), the
+/// reliable miner's own default `θ` ([`run_fds`]), an automatic `k`, no
+/// LHS bound and the classic single-pass LIMBO Phase 1 (`shards`).
+const DEFAULTS: Params = Params {
+    phi_t: 0.1,
+    phi_v: 0.0,
+    psi: 0.5,
+    approx: None,
+    theta: None,
+    k: None,
+    steps: 3,
+    max_lhs: None,
+    threads: 1,
+    shards: None,
+    score: ScoreKind::G3,
+};
+
+impl Params {
+    /// Stores `value`, which the source read as `name`'s [`Kind`].
+    fn set(&mut self, name: &str, value: Value) {
+        match (name, value) {
+            ("phi_t", Value::Real(x)) => self.phi_t = x,
+            ("phi_v", Value::Real(x)) => self.phi_v = x,
+            ("psi", Value::Real(x)) => self.psi = x,
+            ("approx", Value::Real(x)) => self.approx = Some(x),
+            ("theta", Value::Real(x)) => self.theta = Some(x),
+            ("k", Value::Count(n)) => self.k = Some(n),
+            ("steps", Value::Count(n)) => self.steps = n,
+            ("max_lhs", Value::Count(n)) => self.max_lhs = Some(n),
+            ("threads", Value::Count(n)) => self.threads = n,
+            ("shards", Value::Count(n)) => self.shards = Some(n),
+            ("score", Value::Score(s)) => self.score = s,
+            _ => unreachable!("{value:?} is not a value of parameter `{name}`"),
+        }
+    }
+
+    fn miner_config(&self) -> MinerConfig {
+        MinerConfig {
+            phi_tuples: self.phi_t,
+            phi_values: self.phi_v,
+            psi: self.psi,
+            max_lhs: self.max_lhs,
+            threads: self.threads,
+            shards: self.shards,
+            score: self.score,
+            ..MinerConfig::default()
+        }
     }
 }
 
-/// The numeric command parameters both front ends range-check before any
-/// work runs. `None` = not given; every command default is in range.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Params {
-    /// Tuple-clustering accuracy `φ_T`.
-    pub phi_t: Option<f64>,
-    /// Value-clustering accuracy `φ_V`.
-    pub phi_v: Option<f64>,
-    /// FD-RANK threshold `ψ`.
-    pub psi: Option<f64>,
-    /// Approximate-FD bound on the `g3` error.
-    pub approx: Option<f64>,
-    /// Reliability threshold `θ`.
-    pub theta: Option<f64>,
-    /// Forced number of horizontal partitions.
-    pub k: Option<usize>,
-}
-
-/// A parameter outside its accepted range.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct InvalidParam {
-    /// The parameter, spelled as a daemon request field (`phi_t`); the
-    /// CLI flag is the same name with `-` for `_` (`--phi-t`).
-    pub name: &'static str,
-    /// The accepted range, phrased to follow the name
-    /// (`must be in [0, 1]`).
-    pub rule: &'static str,
-}
-
-/// Checks every given parameter against its range: `phi_t`/`phi_v`
-/// finite and ≥ 0, `psi` and `theta` in [0, 1], `approx` in [0, 1), and
-/// `k` ≥ 1. NaN fails every check. Reports the first parameter out of
-/// range, so a bad value is a typed error instead of a library panic.
-pub fn check_params(p: &Params) -> Result<(), InvalidParam> {
+/// Checks every parameter against its range: `phi_t`/`phi_v` finite and
+/// ≥ 0, `psi` and `theta` in [0, 1], `approx` in [0, 1), and `k` and
+/// `steps` ≥ 1. NaN fails every check. Every default is in range, so
+/// the first parameter out of range is a given one.
+fn check_params(p: &Params) -> Result<(), ParamError> {
     let phi = |x: f64| x.is_finite() && x >= 0.0;
     let unit = |x: f64| (0.0..=1.0).contains(&x);
     let checks = [
-        ("phi_t", "must be ≥ 0 and finite", p.phi_t.is_none_or(phi)),
-        ("phi_v", "must be ≥ 0 and finite", p.phi_v.is_none_or(phi)),
-        ("psi", "must be in [0, 1]", p.psi.is_none_or(unit)),
+        ("phi_t", "must be ≥ 0 and finite", phi(p.phi_t)),
+        ("phi_v", "must be ≥ 0 and finite", phi(p.phi_v)),
+        ("psi", "must be in [0, 1]", unit(p.psi)),
         (
             "approx",
             "must be ≥ 0 and < 1",
@@ -365,10 +444,209 @@ pub fn check_params(p: &Params) -> Result<(), InvalidParam> {
         ),
         ("theta", "must be in [0, 1]", p.theta.is_none_or(unit)),
         ("k", "must be at least 1", p.k != Some(0)),
+        ("steps", "must be at least 1", p.steps >= 1),
     ];
     match checks.into_iter().find(|&(_, _, ok)| !ok) {
-        Some((name, rule, _)) => Err(InvalidParam { name, rule }),
+        Some((name, rule, _)) => Err(ParamError::Range { name, rule }),
         None => Ok(()),
+    }
+}
+
+/// One command of the grammar both front ends parse.
+#[derive(Debug)]
+pub struct Spec {
+    /// The command name.
+    pub name: &'static str,
+    /// Whether `dbmined` serves it; `mvds` and `joins` are CLI-only.
+    pub served: bool,
+    /// The parameters it reads, in synopsis order.
+    pub params: &'static [Param],
+    defaults: Params,
+    run: fn(&Params, &AnalysisCtx, Option<&Relation>) -> String,
+}
+
+impl Spec {
+    /// The parameter `name`, if this command reads it.
+    pub fn param(&self, name: &str) -> Option<Param> {
+        self.params.iter().copied().find(|p| p.name == name)
+    }
+
+    /// The usage synopsis of its parameters: `[--phi-t F] [--threads N] …`.
+    pub fn synopsis(&self) -> Vec<String> {
+        self.params
+            .iter()
+            .map(|p| {
+                let placeholder = match p.kind {
+                    Kind::Real => "F",
+                    Kind::Count => "N",
+                    Kind::Score => "S",
+                };
+                format!("[--{} {placeholder}]", p.name.replace('_', "-"))
+            })
+            .collect()
+    }
+}
+
+/// The command grammar: every command, the parameters it reads, the
+/// defaults that differ from the ones every command shares, and the body
+/// it runs.
+pub const COMMANDS: &[Spec] = &[
+    Spec {
+        name: "analyze",
+        served: true,
+        params: &[PHI_T, PHI_V, PSI, MAX_LHS, SCORE, THREADS, SHARDS],
+        defaults: DEFAULTS,
+        run: |p, ctx, _| run_analyze(ctx, &p.miner_config()),
+    },
+    Spec {
+        name: "duplicates",
+        served: true,
+        params: &[PHI_T, THREADS, SHARDS],
+        defaults: DEFAULTS,
+        run: |p, ctx, _| run_duplicates(ctx, p.phi_t, p.threads, p.shards),
+    },
+    Spec {
+        name: "fds",
+        served: true,
+        params: &[APPROX, SCORE, THETA, MAX_LHS, THREADS],
+        defaults: DEFAULTS,
+        run: |p, ctx, _| run_fds(ctx, p.approx, p.max_lhs, p.threads, p.score, p.theta),
+    },
+    Spec {
+        name: "mvds",
+        served: false,
+        params: &[MAX_LHS],
+        defaults: Params {
+            max_lhs: Some(2),
+            ..DEFAULTS
+        },
+        // An LHS holds at most every attribute, so no bound is that one.
+        run: |p, ctx, _| run_mvds(ctx.relation(), p.max_lhs.unwrap_or(ctx.attr_names().len())),
+    },
+    Spec {
+        name: "joins",
+        served: false,
+        params: &[],
+        defaults: DEFAULTS,
+        run: |_, ctx, with| with.map_or_else(String::new, |right| run_joins(ctx.relation(), right)),
+    },
+    Spec {
+        name: "partition",
+        served: true,
+        params: &[K, PHI_T, THREADS, SHARDS],
+        defaults: Params {
+            phi_t: 0.5,
+            ..DEFAULTS
+        },
+        run: |p, ctx, _| run_partition(ctx, p.phi_t, p.k, p.threads, p.shards),
+    },
+    Spec {
+        name: "redesign",
+        served: true,
+        params: &[STEPS, PHI_T, PHI_V, PSI, MAX_LHS, SCORE, THREADS, SHARDS],
+        defaults: Params {
+            phi_t: 0.0,
+            ..DEFAULTS
+        },
+        run: |p, ctx, _| run_redesign(ctx, p.steps, &p.miner_config()),
+    },
+];
+
+/// The command named `name`.
+pub fn command(name: &str) -> Option<&'static Spec> {
+    COMMANDS.iter().find(|c| c.name == name)
+}
+
+/// Where a front end's parameters come from: CLI flags or request
+/// fields.
+pub trait Source {
+    /// The names of the given parameters, spelled as request fields.
+    fn names(&self) -> Vec<&str>;
+    /// The value given for `name`, read as `kind`; `None` if it is not
+    /// a value of that kind.
+    fn value(&self, name: &str, kind: Kind) -> Option<Value>;
+}
+
+/// Why a command's parameters were refused. Each front end spells it in
+/// its own words.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ParamError {
+    /// The command does not read this parameter.
+    Unread(String),
+    /// The value is not of the parameter's kind.
+    Type(Param),
+    /// The value is out of the parameter's range; `rule` is phrased to
+    /// follow the name (`must be in [0, 1]`).
+    Range {
+        name: &'static str,
+        rule: &'static str,
+    },
+    /// `approx` (g3 mining) was given with score `rfi`.
+    ApproxWithRfi,
+    /// `theta` was given without score `rfi`.
+    ThetaWithoutRfi,
+}
+
+impl ParamError {
+    /// The parameter the error names.
+    pub fn name(&self) -> &str {
+        match self {
+            ParamError::Unread(name) => name,
+            ParamError::Type(p) => p.name,
+            ParamError::Range { name, .. } => name,
+            ParamError::ApproxWithRfi => APPROX.name,
+            ParamError::ThetaWithoutRfi => THETA.name,
+        }
+    }
+}
+
+/// A command with its parameters read, defaulted and checked.
+#[derive(Clone, Copy, Debug)]
+pub struct Command {
+    spec: &'static Spec,
+    params: Params,
+}
+
+impl Command {
+    /// Reads `spec`'s parameters from `source`, each defaulted when not
+    /// given, and checks them in one order: every given name is one the
+    /// command reads, every value is of its parameter's [`Kind`], every
+    /// value is in range, `approx` does not come with score `rfi`, and
+    /// `theta` comes with score `rfi`.
+    pub fn parse(spec: &'static Spec, source: &impl Source) -> Result<Command, ParamError> {
+        let given = source
+            .names()
+            .into_iter()
+            .map(|name| {
+                spec.param(name)
+                    .ok_or_else(|| ParamError::Unread(name.to_string()))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut params = spec.defaults;
+        for p in given {
+            let value = source.value(p.name, p.kind).ok_or(ParamError::Type(p))?;
+            params.set(p.name, value);
+        }
+        check_params(&params)?;
+        if params.approx.is_some() && params.score == ScoreKind::Rfi {
+            return Err(ParamError::ApproxWithRfi);
+        }
+        if params.theta.is_some() && params.score != ScoreKind::Rfi {
+            return Err(ParamError::ThetaWithoutRfi);
+        }
+        Ok(Command { spec, params })
+    }
+
+    /// The command name.
+    pub fn name(&self) -> &'static str {
+        self.spec.name
+    }
+
+    /// Runs the command against `ctx` and returns the exact stdout text.
+    /// `with` is the second relation of `joins`; every other command
+    /// ignores it.
+    pub fn run(&self, ctx: &AnalysisCtx, with: Option<&Relation>) -> String {
+        (self.spec.run)(&self.params, ctx, with)
     }
 }
 
@@ -509,38 +787,28 @@ mod tests {
 
     #[test]
     fn check_params_names_the_first_parameter_out_of_range() {
-        assert_eq!(check_params(&Params::default()), Ok(()));
+        assert_eq!(check_params(&DEFAULTS), Ok(()));
         let ok = Params {
-            phi_t: Some(0.0),
-            phi_v: Some(2.5),
-            psi: Some(1.0),
+            phi_t: 0.0,
+            phi_v: 2.5,
+            psi: 1.0,
             approx: Some(0.0),
             theta: Some(0.0),
             k: Some(1),
+            steps: 1,
+            ..DEFAULTS
         };
         assert_eq!(check_params(&ok), Ok(()));
-        let name_of = |p: Params| check_params(&p).unwrap_err().name;
+        let name_of = |p: Params| check_params(&p).unwrap_err().name().to_string();
+        assert_eq!(name_of(Params { phi_t: -1.0, ..ok }), "phi_t");
         assert_eq!(
             name_of(Params {
-                phi_t: Some(-1.0),
-                ..ok
-            }),
-            "phi_t"
-        );
-        assert_eq!(
-            name_of(Params {
-                phi_v: Some(f64::INFINITY),
+                phi_v: f64::INFINITY,
                 ..ok
             }),
             "phi_v"
         );
-        assert_eq!(
-            name_of(Params {
-                psi: Some(2.0),
-                ..ok
-            }),
-            "psi"
-        );
+        assert_eq!(name_of(Params { psi: 2.0, ..ok }), "psi");
         assert_eq!(
             name_of(Params {
                 approx: Some(1.0),
@@ -570,14 +838,22 @@ mod tests {
             "theta"
         );
         assert_eq!(name_of(Params { k: Some(0), ..ok }), "k");
+        assert_eq!(name_of(Params { steps: 0, ..ok }), "steps");
         assert_eq!(
             name_of(Params {
-                phi_t: Some(f64::NAN),
-                psi: Some(2.0),
+                phi_t: f64::NAN,
+                psi: 2.0,
                 ..ok
             }),
             "phi_t"
         );
+    }
+
+    #[test]
+    fn every_command_default_is_in_range() {
+        for spec in COMMANDS {
+            assert_eq!(check_params(&spec.defaults), Ok(()), "{}", spec.name);
+        }
     }
 
     #[test]

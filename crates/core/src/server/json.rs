@@ -268,7 +268,16 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let at = self.pos;
             let key = self.string()?;
+            // A repeated key would otherwise let the last value win
+            // silently, whichever field it is.
+            if map.contains_key(&key) {
+                return Err(ParseError {
+                    offset: at,
+                    message: format!("duplicate key `{key}`"),
+                });
+            }
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
@@ -463,6 +472,8 @@ mod tests {
             "{\"a\":1} trailing",
             "\"\\ud800\"",
             "+1",
+            "{\"a\":1,\"a\":1}",
+            "{\"a\":{\"b\":1,\"b\":2}}",
         ] {
             assert!(parse(bad).is_err(), "accepted malformed input: {bad:?}");
         }

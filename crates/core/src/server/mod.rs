@@ -11,52 +11,54 @@
 //!
 //! ## Protocol
 //!
-//! Request fields (all except `cmd` optional):
+//! A request names its command in `cmd` and may carry an `id`, echoed
+//! verbatim in the response. The relation commands — `analyze`,
+//! `duplicates`, `fds`, `partition` and `redesign`, whose `output` is
+//! byte-identical to the CLI's stdout — also take the relation as a CSV
+//! `path` (or a `.dbss` shard store) or as inline `csv` text (named by
+//! `name`), `"profile": true`, and the command's parameters:
 //!
 //! ```json
-//! {"id": 1, "cmd": "analyze", "path": "data.csv",
-//!  "phi_t": 0.1, "phi_v": 0.0, "psi": 0.5, "threads": 2, "shards": 4,
-//!  "max_lhs": 3, "approx": 0.05, "k": 4, "steps": 3,
-//!  "score": "g3", "theta": 0.2,
-//!  "csv": "A,B\n1,2\n", "name": "inline", "profile": false}
+//! {"id": 1, "cmd": "partition", "path": "data.csv", "k": 4, "phi_t": 0.5}
 //! ```
 //!
-//! `score` selects the FD quality measure (`"g3"`, the default, or
-//! `"rfi"` — the bias-corrected reliable fraction of information):
-//! `fds` with `"score":"rfi"` mines reliable dependencies at `F̂ ≥
-//! theta` (default 0.2) instead of exact/approximate ones, and
-//! `analyze`/`redesign` re-rank FD-RANK output by F̂. `approx` and
-//! `"score":"rfi"` are mutually exclusive, and `theta` is accepted only
-//! on `fds` with `"score":"rfi"` — the one request that reads it.
+//! `analyze` reads `phi_t` `phi_v` `psi` `max_lhs` `score` `threads`
+//! `shards`; `duplicates` reads `phi_t` `threads` `shards`; `fds` reads
+//! `approx` `score` `theta` `max_lhs` `threads`; `partition` reads `k`
+//! `phi_t` `threads` `shards`; `redesign` reads `steps` and what
+//! `analyze` reads.
 //!
-//! Commands: `analyze`, `duplicates`, `fds`, `partition`, `redesign`
-//! (relation commands — `output` is byte-identical to the CLI's stdout),
-//! plus `ping`, `stats` and `shutdown`. Unknown fields, malformed JSON,
-//! unreadable CSV, out-of-range parameters, non-UTF-8 lines and lines
-//! longer than [`MAX_REQUEST_LINE_BYTES`] all produce
+//! They are read, defaulted and checked by [`render::Command::parse`],
+//! the grammar the CLI parses its flags with, so a field means what the
+//! flag of the same name (`-` for `_`) means. `ping`, `stats` and
+//! `shutdown` take only `id` and `cmd`.
+//!
+//! A field the command does not read, malformed JSON (a repeated key
+//! included), unreadable CSV, out-of-range parameters, non-UTF-8 lines
+//! and lines longer than [`MAX_REQUEST_LINE_BYTES`] all produce
 //! `{"id":…,"ok":false,"error":"…"}` — the daemon never tears down on a
 //! bad request, and a panic on the request path is caught and reported
 //! as an error response (backstop; the handlers are panic-free by
 //! construction).
 //!
 //! `"profile": true` wraps the request in a telemetry window and embeds
-//! the [`RunReport`] (compact single-line layout, same schema as
-//! `--profile`) in the response. Telemetry collection is process-global,
-//! so profiled requests take a write lock on the daemon while normal
-//! requests share a read lock: a profiled window never includes another
-//! request's spans.
+//! the [`RunReport`] in the response, in the single-line
+//! [`RunReport::to_json`] layout `--profile` writes. Telemetry
+//! collection is process-global, so profiled requests take a write lock
+//! on the daemon while normal requests share a read lock: a profiled
+//! window never includes another request's spans.
 
 mod json;
 
 pub use json::{parse, Json, ParseError};
 
-use crate::render;
+use crate::render::{self, Kind, ParamError, Value};
 use dbmine_context::{AnalysisCtx, CtxCache, CtxCacheStats};
-use dbmine_fdrank::ScoreKind;
 use dbmine_relation::csv::{read_relation, read_relation_path};
 use dbmine_relation::Relation;
 use dbmine_telemetry as telemetry;
 use dbmine_telemetry::RunReport;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -232,37 +234,35 @@ impl Daemon {
     }
 
     fn dispatch(&self, req: &Request) -> Result<Body, String> {
-        match req.cmd.as_str() {
-            "ping" => Ok(Body::plain(&req.cmd, "pong")),
-            "stats" => Ok(Body {
+        match req {
+            Request::Ping => Ok(Body::plain("ping", "pong")),
+            Request::Stats => Ok(Body {
                 ctx_cache: Some(self.cache.stats()),
-                ..Body::plain(&req.cmd, "ok")
+                ..Body::plain("stats", "ok")
             }),
-            "shutdown" => Ok(Body {
+            Request::Shutdown => Ok(Body {
                 shutdown: true,
-                ..Body::plain(&req.cmd, "bye")
+                ..Body::plain("shutdown", "bye")
             }),
-            "analyze" | "duplicates" | "fds" | "partition" | "redesign" => {
-                if req.profile {
-                    let _gate = self.profile_gate.write().unwrap_or_else(|e| e.into_inner());
-                    telemetry::begin();
-                    let result = self.run_relation_cmd(req);
-                    let report = telemetry::finish();
-                    result.map(|mut body| {
-                        body.report = Some(report);
-                        body
-                    })
-                } else {
-                    let _gate = self.profile_gate.read().unwrap_or_else(|e| e.into_inner());
-                    self.run_relation_cmd(req)
-                }
+            Request::Relation(req) if req.profile => {
+                let _gate = self.profile_gate.write().unwrap_or_else(|e| e.into_inner());
+                telemetry::begin();
+                let result = self.run_relation_cmd(req);
+                let report = telemetry::finish();
+                result.map(|mut body| {
+                    body.report = Some(report);
+                    body
+                })
             }
-            other => Err(format!("unknown command `{other}`")),
+            Request::Relation(req) => {
+                let _gate = self.profile_gate.read().unwrap_or_else(|e| e.into_inner());
+                self.run_relation_cmd(req)
+            }
         }
     }
 
-    fn run_relation_cmd(&self, req: &Request) -> Result<Body, String> {
-        let _span = span_for(&req.cmd);
+    fn run_relation_cmd(&self, req: &RelationRequest) -> Result<Body, String> {
+        let _span = span_for(req.command.name());
         let (name, tuples, attrs, hash, ctx, cached) = if let Some(path) = req.store_path() {
             // Store-backed relation: the footer read is cheap metadata
             // validation, and the LRU key is the *stored* content hash —
@@ -293,9 +293,9 @@ impl Daemon {
             let (ctx, cached) = self.cache.get_or_insert_relation(rel);
             (name, tuples, attrs, hash, ctx, cached)
         };
-        let output = run_command(req, &ctx)?;
+        let output = req.command.run(&ctx, None);
         Ok(Body {
-            cmd: req.cmd.clone(),
+            cmd: req.command.name().to_string(),
             relation: Some(RelationInfo {
                 name,
                 tuples,
@@ -325,58 +325,6 @@ fn span_for(cmd: &str) -> telemetry::Span {
     }
 }
 
-fn run_command(req: &Request, ctx: &AnalysisCtx) -> Result<String, String> {
-    Ok(match req.cmd.as_str() {
-        "analyze" => render::run_analyze(
-            ctx,
-            &render::analyze_config(
-                req.params.phi_t,
-                req.params.phi_v,
-                req.params.psi,
-                req.max_lhs,
-                req.threads,
-                req.shards,
-                req.score,
-            ),
-        ),
-        "duplicates" => render::run_duplicates(
-            ctx,
-            req.params.phi_t.unwrap_or(0.1),
-            req.threads,
-            req.shards,
-        ),
-        "fds" => render::run_fds(
-            ctx,
-            req.params.approx,
-            req.max_lhs,
-            req.threads,
-            req.score,
-            req.params.theta,
-        ),
-        "partition" => render::run_partition(
-            ctx,
-            req.params.phi_t.unwrap_or(0.5),
-            req.params.k,
-            req.threads,
-            req.shards,
-        ),
-        "redesign" => render::run_redesign(
-            ctx,
-            req.steps,
-            &render::redesign_config(
-                req.params.phi_t,
-                req.params.phi_v,
-                req.params.psi,
-                req.max_lhs,
-                req.threads,
-                req.shards,
-                req.score,
-            ),
-        ),
-        other => return Err(format!("unknown command `{other}`")),
-    })
-}
-
 fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {
         s
@@ -388,42 +336,95 @@ fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> &str {
 }
 
 /// A parsed, validated request.
-#[derive(Clone, Debug)]
-struct Request {
-    cmd: String,
+#[derive(Debug)]
+enum Request {
+    Ping,
+    Stats,
+    Shutdown,
+    Relation(Box<RelationRequest>),
+}
+
+/// A relation command and the relation it runs on.
+#[derive(Debug)]
+struct RelationRequest {
+    command: render::Command,
     path: Option<String>,
     csv: Option<String>,
     name: Option<String>,
-    /// The range-checked numeric parameters.
-    params: render::Params,
-    threads: usize,
-    shards: Option<usize>,
-    max_lhs: Option<usize>,
-    steps: usize,
-    score: ScoreKind,
     profile: bool,
 }
 
-const KNOWN_FIELDS: &[&str] = &[
-    "id", "cmd", "path", "csv", "name", "phi_t", "phi_v", "psi", "threads", "shards", "max_lhs",
-    "approx", "k", "steps", "score", "theta", "profile",
-];
+/// The fields the daemon reads itself; every other field of a relation
+/// request is a command parameter.
+const TRANSPORT_FIELDS: &[&str] = &["id", "cmd", "path", "csv", "name", "profile"];
+
+/// A relation request's command parameters.
+struct Fields<'a>(&'a BTreeMap<String, Json>);
+
+impl render::Source for Fields<'_> {
+    fn names(&self) -> Vec<&str> {
+        self.0
+            .keys()
+            .map(String::as_str)
+            .filter(|k| !TRANSPORT_FIELDS.contains(k))
+            .collect()
+    }
+
+    fn value(&self, name: &str, kind: Kind) -> Option<Value> {
+        let v = self.0.get(name)?;
+        match kind {
+            Kind::Real => v.as_f64().map(Value::Real),
+            Kind::Count => v.as_usize().map(Value::Count),
+            Kind::Score => v.as_str()?.parse().ok().map(Value::Score),
+        }
+    }
+}
+
+/// Spells a refused command parameter as a protocol error.
+fn param_error(cmd: &str, e: &ParamError) -> String {
+    match e {
+        ParamError::Unread(name) => format!("unknown field `{name}` for `{cmd}`"),
+        ParamError::Type(p) => format!(
+            "field `{}` must be {}",
+            p.name,
+            match p.kind {
+                Kind::Real => "a number",
+                Kind::Count => "a non-negative integer",
+                Kind::Score => "`g3` or `rfi`",
+            }
+        ),
+        ParamError::Range { name, rule } => format!("field `{name}` {rule}"),
+        ParamError::ApproxWithRfi => {
+            "field `approx` (g3 mining) cannot be combined with score `rfi`".to_string()
+        }
+        ParamError::ThetaWithoutRfi => "field `theta` requires `fds` with score `rfi`".to_string(),
+    }
+}
 
 impl Request {
     fn from_json(v: &Json) -> Result<Request, String> {
-        let Json::Obj(map) = v else {
+        let Json::Obj(fields) = v else {
             return Err("request must be a JSON object".to_string());
         };
-        for key in map.keys() {
-            if !KNOWN_FIELDS.contains(&key.as_str()) {
-                return Err(format!("unknown field `{key}`"));
-            }
-        }
         let cmd = v
             .get("cmd")
             .and_then(Json::as_str)
-            .ok_or("missing required field `cmd` (string)")?
-            .to_string();
+            .ok_or("missing required field `cmd` (string)")?;
+        let control = match cmd {
+            "ping" => Some(Request::Ping),
+            "stats" => Some(Request::Stats),
+            "shutdown" => Some(Request::Shutdown),
+            _ => None,
+        };
+        if let Some(control) = control {
+            return match fields.keys().find(|k| !matches!(k.as_str(), "id" | "cmd")) {
+                Some(key) => Err(format!("unknown field `{key}` for `{cmd}`")),
+                None => Ok(control),
+            };
+        }
+        let spec = render::command(cmd)
+            .filter(|spec| spec.served)
+            .ok_or_else(|| format!("unknown command `{cmd}`"))?;
         let str_field = |key: &str| -> Result<Option<String>, String> {
             match v.get(key) {
                 None => Ok(None),
@@ -431,83 +432,29 @@ impl Request {
                 Some(_) => Err(format!("field `{key}` must be a string")),
             }
         };
-        let num_field = |key: &str| -> Result<Option<f64>, String> {
-            match v.get(key) {
-                None => Ok(None),
-                Some(j) => {
-                    let n = j
-                        .as_f64()
-                        .ok_or_else(|| format!("field `{key}` must be a number"))?;
-                    if !n.is_finite() {
-                        return Err(format!("field `{key}` must be finite"));
-                    }
-                    Ok(Some(n))
-                }
-            }
-        };
-        let usize_field = |key: &str| -> Result<Option<usize>, String> {
-            match v.get(key) {
-                None => Ok(None),
-                Some(j) => j
-                    .as_usize()
-                    .map(Some)
-                    .ok_or_else(|| format!("field `{key}` must be a non-negative integer")),
-            }
-        };
-
         let path = str_field("path")?;
         let csv = str_field("csv")?;
         let name = str_field("name")?;
         if name.is_some() && csv.is_none() {
             return Err("field `name` is only valid with inline `csv`".to_string());
         }
-        let params = render::Params {
-            phi_t: num_field("phi_t")?,
-            phi_v: num_field("phi_v")?,
-            psi: num_field("psi")?,
-            approx: num_field("approx")?,
-            theta: num_field("theta")?,
-            k: usize_field("k")?,
-        };
-        render::check_params(&params).map_err(|e| format!("field `{}` {}", e.name, e.rule))?;
-        let score = match v.get("score") {
-            None => ScoreKind::default(),
-            Some(Json::Str(s)) => s
-                .parse::<ScoreKind>()
-                .map_err(|_| "field `score` must be `g3` or `rfi`".to_string())?,
-            Some(_) => return Err("field `score` must be a string".to_string()),
-        };
-        if params.approx.is_some() && score == ScoreKind::Rfi {
-            return Err(
-                "field `approx` (g3 mining) cannot be combined with score `rfi`".to_string(),
-            );
-        }
-        if params.theta.is_some() && (cmd != "fds" || score != ScoreKind::Rfi) {
-            return Err("field `theta` requires `fds` with score `rfi`".to_string());
-        }
-        let steps = usize_field("steps")?.unwrap_or(3);
-        if steps == 0 {
-            return Err("field `steps` must be at least 1".to_string());
-        }
         let profile = match v.get("profile") {
             None => false,
             Some(j) => j.as_bool().ok_or("field `profile` must be a boolean")?,
         };
-        Ok(Request {
-            cmd,
+        let command =
+            render::Command::parse(spec, &Fields(fields)).map_err(|e| param_error(cmd, &e))?;
+        Ok(Request::Relation(Box::new(RelationRequest {
+            command,
             path,
             csv,
             name,
-            params,
-            threads: usize_field("threads")?.unwrap_or(1),
-            shards: usize_field("shards")?,
-            max_lhs: usize_field("max_lhs")?,
-            steps,
-            score,
             profile,
-        })
+        })))
     }
+}
 
+impl RelationRequest {
     /// The request's `path`, when it names a binary shard store
     /// (`.dbss`) rather than a CSV file.
     fn store_path(&self) -> Option<&str> {
@@ -621,70 +568,9 @@ impl Body {
     }
 }
 
-/// The `--profile` RunReport JSON layout (same keys and schema version
-/// as [`RunReport::to_json`]) on a single line, for embedding in
-/// line-delimited responses.
+/// The `--profile` run report, on the one line a response embeds it in.
 pub fn report_json_compact(r: &RunReport) -> String {
-    let mut out = String::with_capacity(512);
-    write!(
-        out,
-        "{{\"schema_version\":{},\"telemetry_compiled\":{},\"wall_ms\":{:.3},\"counters\":{{",
-        telemetry::SCHEMA_VERSION,
-        r.compiled,
-        r.wall_ms
-    )
-    .unwrap();
-    for (i, c) in telemetry::COUNTERS.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write!(out, "\"{}\":{}", c.name(), r.counters.get(*c)).unwrap();
-    }
-    write!(
-        out,
-        "}},\"alloc\":{{\"installed\":{},\"events\":{},\"peak_bytes\":{}}},\"spans\":[",
-        r.alloc_installed, r.alloc_events, r.alloc_peak_bytes
-    )
-    .unwrap();
-    for (i, node) in r.roots.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_node_compact(&mut out, node);
-    }
-    out.push_str("]}");
-    out
-}
-
-fn write_node_compact(out: &mut String, node: &telemetry::ReportNode) {
-    write!(
-        out,
-        "{{\"name\":\"{}\",\"calls\":{},\"total_ms\":{:.3},\"self_ms\":{:.3},\"counters\":{{",
-        json::escape(node.name),
-        node.calls,
-        node.total_ms,
-        node.self_ms
-    )
-    .unwrap();
-    for (i, (name, v)) in node.counters.nonzero().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write!(out, "\"{name}\":{v}").unwrap();
-    }
-    write!(
-        out,
-        "}},\"alloc_events\":{},\"children\":[",
-        node.alloc_events
-    )
-    .unwrap();
-    for (i, c) in node.children.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_node_compact(out, c);
-    }
-    out.push_str("]}");
+    r.to_json()
 }
 
 #[cfg(test)]
@@ -694,6 +580,9 @@ mod tests {
     fn figure4_csv() -> &'static str {
         "A,B,C\na,1,p\na,1,r\nw,2,x\ny,2,x\nz,2,x\n"
     }
+
+    /// `ping`, `stats` and `shutdown` take no relation.
+    const PING: &str = "{\"cmd\":\"ping\"}";
 
     fn request(cmd: &str) -> String {
         format!(
@@ -784,17 +673,134 @@ mod tests {
         for line in [
             "{\"cmd\":\"fds\",\"csv\":\"A,B\\n1,2\\n\",\"theta\":0.5}",
             "{\"cmd\":\"fds\",\"csv\":\"A,B\\n1,2\\n\",\"score\":\"g3\",\"theta\":0.5}",
-            "{\"cmd\":\"analyze\",\"csv\":\"A,B\\n1,2\\n\",\"score\":\"rfi\",\"theta\":0.5}",
-            "{\"cmd\":\"partition\",\"csv\":\"A,B\\n1,2\\n\",\"theta\":0.5}",
-            "{\"cmd\":\"duplicates\",\"csv\":\"A,B\\n1,2\\n\",\"theta\":0.5}",
-            "{\"cmd\":\"redesign\",\"csv\":\"A,B\\n1,2\\n\",\"theta\":0.5}",
         ] {
             assert_eq!(error(line), "field `theta` requires `fds` with score `rfi`");
         }
-        // The range check runs first: an out-of-range theta reports its
-        // range whatever the command.
-        let bad = error("{\"cmd\":\"analyze\",\"csv\":\"A,B\\n1,2\\n\",\"theta\":1.5}");
+        // Only `fds` reads `theta`: on any other command it is an unread
+        // field, as `--theta` is an unknown flag there.
+        for (cmd, line) in [
+            (
+                "analyze",
+                "{\"cmd\":\"analyze\",\"csv\":\"A,B\\n1,2\\n\",\"score\":\"rfi\",\"theta\":0.5}",
+            ),
+            (
+                "partition",
+                "{\"cmd\":\"partition\",\"csv\":\"A,B\\n1,2\\n\",\"theta\":0.5}",
+            ),
+            (
+                "duplicates",
+                "{\"cmd\":\"duplicates\",\"csv\":\"A,B\\n1,2\\n\",\"theta\":0.5}",
+            ),
+            (
+                "redesign",
+                "{\"cmd\":\"redesign\",\"csv\":\"A,B\\n1,2\\n\",\"theta\":0.5}",
+            ),
+        ] {
+            assert_eq!(error(line), format!("unknown field `theta` for `{cmd}`"));
+        }
+        // The range check runs before the score rule: an out-of-range
+        // theta reports its range whatever the score.
+        let bad = error("{\"cmd\":\"fds\",\"csv\":\"A,B\\n1,2\\n\",\"theta\":1.5}");
         assert!(bad.starts_with("field `theta` must"), "{bad}");
+    }
+
+    #[test]
+    fn fields_the_command_does_not_read_are_errors() {
+        let d = Daemon::new(4);
+        let csv = figure4_csv().replace('\n', "\\n");
+        for (line, expect) in [
+            (
+                format!("{{\"cmd\":\"fds\",\"csv\":\"{csv}\",\"k\":3}}"),
+                "unknown field `k` for `fds`",
+            ),
+            (
+                format!("{{\"cmd\":\"duplicates\",\"csv\":\"{csv}\",\"psi\":0.3,\"max_lhs\":2}}"),
+                "unknown field `max_lhs` for `duplicates`",
+            ),
+            (
+                format!("{{\"cmd\":\"analyze\",\"csv\":\"{csv}\",\"steps\":2}}"),
+                "unknown field `steps` for `analyze`",
+            ),
+            (
+                "{\"cmd\":\"ping\",\"path\":\"x.csv\"}".to_string(),
+                "unknown field `path` for `ping`",
+            ),
+            (
+                "{\"cmd\":\"mvds\",\"path\":\"x.csv\"}".to_string(),
+                "unknown command `mvds`",
+            ),
+        ] {
+            let v = parse(&d.handle_line(&line).line).unwrap();
+            assert_eq!(v.get("ok"), Some(&Json::Bool(false)), "for {line}");
+            assert_eq!(v.get("error").and_then(Json::as_str), Some(expect));
+        }
+    }
+
+    #[test]
+    fn run_report_json_parses_with_every_counter_and_span() {
+        use telemetry::{CounterSnapshot, ReportNode, COUNTERS};
+        let mut counters = CounterSnapshot::default();
+        for (i, v) in counters.values.iter_mut().enumerate() {
+            *v = 10 + i as u64;
+        }
+        let node = |name, calls, children| ReportNode {
+            name,
+            calls,
+            total_ms: 1.25,
+            self_ms: 0.5,
+            counters,
+            alloc_events: 3,
+            children,
+        };
+        let report = RunReport {
+            compiled: true,
+            wall_ms: 2.0,
+            counters,
+            alloc_events: 7,
+            alloc_peak_bytes: 64,
+            alloc_installed: true,
+            roots: vec![
+                node(
+                    "serve.fds",
+                    1,
+                    vec![node("fdmine.tane", 2, vec![node("tane.level", 3, vec![])])],
+                ),
+                node("serve.analyze", 4, vec![]),
+            ],
+        };
+        let line = report.to_json();
+        assert!(!line.contains('\n'));
+        let v = parse(&line).expect("the run report is valid JSON");
+        assert_eq!(line, report_json_compact(&report));
+        for c in COUNTERS {
+            let got = v.get("counters").and_then(|m| m.get(c.name()));
+            assert_eq!(got.and_then(Json::as_usize), Some(counters.get(c) as usize));
+        }
+        fn check(json: &Json, node: &ReportNode) {
+            assert_eq!(json.get("name").and_then(Json::as_str), Some(node.name));
+            assert_eq!(
+                json.get("calls").and_then(Json::as_usize),
+                Some(node.calls as usize)
+            );
+            for (name, n) in node.counters.nonzero() {
+                let got = json.get("counters").and_then(|m| m.get(name));
+                assert_eq!(got.and_then(Json::as_usize), Some(n as usize));
+            }
+            let Some(Json::Arr(children)) = json.get("children") else {
+                panic!("children must be an array");
+            };
+            assert_eq!(children.len(), node.children.len());
+            for (j, c) in children.iter().zip(&node.children) {
+                check(j, c);
+            }
+        }
+        let Some(Json::Arr(spans)) = v.get("spans") else {
+            panic!("spans must be an array");
+        };
+        assert_eq!(spans.len(), report.roots.len());
+        for (j, r) in spans.iter().zip(&report.roots) {
+            check(j, r);
+        }
     }
 
     #[test]
@@ -933,11 +939,7 @@ mod tests {
     #[test]
     fn serve_lines_stops_at_shutdown() {
         let d = Daemon::new(4);
-        let input = format!(
-            "{}\n\n{{\"cmd\":\"shutdown\"}}\n{}\n",
-            request("ping"),
-            request("ping")
-        );
+        let input = format!("{PING}\n\n{{\"cmd\":\"shutdown\"}}\n{PING}\n");
         let mut out = Vec::new();
         d.serve_lines(input.as_bytes(), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
@@ -953,8 +955,7 @@ mod tests {
         // without being held, and the next line is served.
         let at_cap = repeat(b' ').take(MAX_REQUEST_LINE_BYTES as u64);
         let over = repeat(b'x').take(MAX_REQUEST_LINE_BYTES as u64 + 1);
-        let ping = request("ping");
-        let tail = [b"\n", ping.as_bytes(), b"\n\xff\n", ping.as_bytes(), b"\n"].concat();
+        let tail = [b"\n", PING.as_bytes(), b"\n\xff\n", PING.as_bytes(), b"\n"].concat();
         let input = at_cap.chain(&b"\n"[..]).chain(over).chain(&tail[..]);
         let mut out = Vec::new();
         d.serve_lines(BufReader::new(input), &mut out).unwrap();
@@ -992,7 +993,7 @@ mod tests {
             }
         }
         let d = Daemon::new(4);
-        let input = format!("{}\n{}\n", request("ping"), request("stats"));
+        let input = format!("{PING}\n{{\"cmd\":\"stats\"}}\n");
         let mut out = CountingWriter::default();
         d.serve_lines(input.as_bytes(), &mut out).unwrap();
         assert_eq!(out.writes.len(), 2, "one write per reply");

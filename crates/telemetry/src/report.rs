@@ -115,42 +115,31 @@ impl RunReport {
         self.roots.iter().find_map(|r| r.find(name))
     }
 
-    /// Serialize to the schema-versioned JSON layout (see DESIGN.md).
+    /// Serialize to the schema-versioned JSON layout (see DESIGN.md) on
+    /// one line, so a line-delimited daemon response can embed it as is.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema_version\": {},\n", SCHEMA_VERSION));
-        out.push_str(&format!("  \"telemetry_compiled\": {},\n", self.compiled));
-        out.push_str(&format!("  \"wall_ms\": {:.3},\n", self.wall_ms));
-        out.push_str("  \"counters\": {");
+        let mut out = String::with_capacity(512);
+        out.push_str(&format!(
+            "{{\"schema_version\":{SCHEMA_VERSION},\"telemetry_compiled\":{},\"wall_ms\":{:.3},\"counters\":{{",
+            self.compiled, self.wall_ms
+        ));
         for (i, c) in COUNTERS.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "\n    \"{}\": {}",
-                c.name(),
-                self.counters.get(*c)
-            ));
+            out.push_str(&format!("\"{}\":{}", c.name(), self.counters.get(*c)));
         }
-        out.push_str("\n  },\n");
         out.push_str(&format!(
-            "  \"alloc\": {{ \"installed\": {}, \"events\": {}, \"peak_bytes\": {} }},\n",
+            "}},\"alloc\":{{\"installed\":{},\"events\":{},\"peak_bytes\":{}}},\"spans\":[",
             self.alloc_installed, self.alloc_events, self.alloc_peak_bytes
         ));
-        out.push_str("  \"spans\": [");
         for (i, r) in self.roots.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push('\n');
-            write_node(&mut out, r, 2);
+            write_node(&mut out, r);
         }
-        if !self.roots.is_empty() {
-            out.push('\n');
-            out.push_str("  ");
-        }
-        out.push_str("]\n}\n");
+        out.push_str("]}");
         out
     }
 
@@ -276,39 +265,31 @@ fn aggregate(
     out
 }
 
-fn write_node(out: &mut String, node: &ReportNode, depth: usize) {
-    let pad = "  ".repeat(depth);
-    out.push_str(&format!("{pad}{{\n"));
-    out.push_str(&format!("{pad}  \"name\": \"{}\",\n", escape(node.name)));
-    out.push_str(&format!("{pad}  \"calls\": {},\n", node.calls));
-    out.push_str(&format!("{pad}  \"total_ms\": {:.3},\n", node.total_ms));
-    out.push_str(&format!("{pad}  \"self_ms\": {:.3},\n", node.self_ms));
-    out.push_str(&format!("{pad}  \"counters\": {{"));
+fn write_node(out: &mut String, node: &ReportNode) {
+    out.push_str(&format!(
+        "{{\"name\":\"{}\",\"calls\":{},\"total_ms\":{:.3},\"self_ms\":{:.3},\"counters\":{{",
+        escape(node.name),
+        node.calls,
+        node.total_ms,
+        node.self_ms
+    ));
     for (i, (name, v)) in node.counters.nonzero().into_iter().enumerate() {
         if i > 0 {
-            out.push_str(", ");
+            out.push(',');
         }
-        out.push_str(&format!("\"{name}\": {v}"));
+        out.push_str(&format!("\"{name}\":{v}"));
     }
-    out.push_str("},\n");
     out.push_str(&format!(
-        "{pad}  \"alloc_events\": {},\n",
+        "}},\"alloc_events\":{},\"children\":[",
         node.alloc_events
     ));
-    out.push_str(&format!("{pad}  \"children\": ["));
     for (i, c) in node.children.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push('\n');
-        write_node(out, c, depth + 2);
+        write_node(out, c);
     }
-    if !node.children.is_empty() {
-        out.push('\n');
-        out.push_str(&format!("{pad}  "));
-    }
-    out.push_str("]\n");
-    out.push_str(&format!("{pad}}}"));
+    out.push_str("]}");
 }
 
 fn render_tree(out: &mut String, node: &ReportNode, depth: usize) {
@@ -400,10 +381,10 @@ mod tests {
         let records = vec![raw(1, None, "root", 1_500_000)];
         let rep = RunReport::build(records, 2_000_000, CounterSnapshot::default(), 0, 0);
         let json = rep.to_json();
-        assert!(json.contains("\"schema_version\": 1"));
-        assert!(json.contains("\"wall_ms\": 2.000"));
-        assert!(json.contains("\"name\": \"root\""));
-        assert!(json.contains("\"js_evals\": 0"));
+        assert!(json.contains("\"schema_version\":1"));
+        assert!(json.contains("\"wall_ms\":2.000"));
+        assert!(json.contains("\"name\":\"root\""));
+        assert!(json.contains("\"js_evals\":0"));
         // Balanced braces/brackets as a cheap well-formedness check.
         let opens = json.matches('{').count() + json.matches('[').count();
         let closes = json.matches('}').count() + json.matches(']').count();

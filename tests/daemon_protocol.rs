@@ -211,6 +211,21 @@ fn malformed_requests_error_and_daemon_keeps_serving() {
             "{\"cmd\":\"analyze\",\"path\":\"a.csv\",\"name\":\"t\"}",
             "only valid with inline `csv`",
         ),
+        // A field the command does not read, as the CLI's unknown flag.
+        (
+            "{\"cmd\":\"fds\",\"csv\":\"A\\nx\\n\",\"k\":3}",
+            "unknown field `k` for `fds`",
+        ),
+        (
+            "{\"cmd\":\"ping\",\"path\":\"x.csv\"}",
+            "unknown field `path` for `ping`",
+        ),
+        // A repeated key never lets the last value win: this request
+        // must not shut the daemon down.
+        (
+            "{\"id\":9,\"cmd\":\"ping\",\"cmd\":\"shutdown\"}",
+            "duplicate key `cmd`",
+        ),
     ];
     for (bad, expect) in cases {
         let v = d.request(bad);

@@ -296,6 +296,43 @@ fn unknown_flags_are_rejected() {
 }
 
 #[test]
+fn malformed_flags_are_typed_errors() {
+    let csv = write_demo_csv();
+    let path = csv.to_str().unwrap();
+    for (args, expect) in [
+        (
+            &["fds", path, "--max-lhs", "1", "--max-lhs", "3"][..],
+            "error: flag --max-lhs given more than once",
+        ),
+        (
+            &["fds", path, "max-lhs", "1"][..],
+            "error: unexpected argument `max-lhs`",
+        ),
+        (
+            &["fds", path, "--max-lhs=2"][..],
+            "error: unknown flag --max-lhs=2 for `fds`",
+        ),
+        (
+            &["fds", path, "--max_lhs", "2"][..],
+            "error: unknown flag --max_lhs for `fds`",
+        ),
+        (
+            &["redesign", path, "--steps", "0"][..],
+            "error: invalid value for --steps: `0`",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dbmine"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(expect), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+#[test]
 fn closed_stdout_ends_the_run_quietly() {
     use std::io::{BufRead, BufReader};
     use std::process::Stdio;
