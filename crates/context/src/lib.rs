@@ -22,6 +22,10 @@
 //! * **Chunks** ([`AnalysisCtx::from_chunks`]) — a [`ShardedRelation`]
 //!   over a binary shard store.
 //!
+//! [`AnalysisCtx::open`] is the one way a front end turns a path into a
+//! context: a `.dbss` path opens its store, any other is read as CSV.
+//! Both front ends serve exactly what those two readers accept.
+//!
 //! Every view is built one way on both: one chunk fold from
 //! `dbmine-relation` over one pass of the private `AnalysisCtx::pass`
 //! (two passes for the partition sweep, which counts then places). The
@@ -82,13 +86,14 @@
 //! and (4) a line in the DESIGN.md "Analysis context" table. Nothing
 //! else: consumers receive `&AnalysisCtx` and call the accessor.
 
-use dbmine_relation::csv::CsvError;
+use dbmine_relation::csv::{read_relation_path, CsvError};
 use dbmine_relation::stats::ColumnProfile;
 use dbmine_relation::{
     attr_partitions_chunks, column_profiles_chunks, projection_stats_chunks, AttrSet, Relation,
     RelationChunk, ShardedRelation, StrippedPartition, TupleRows, ValueDict, ValueIndex,
 };
 use fxhash::FxHashMap;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -213,6 +218,31 @@ impl AnalysisCtx {
     /// `and_then`.
     pub fn from_chunks(sharded: ShardedRelation) -> Result<Self, CsvError> {
         Ok(Self::with_source(CtxSource::Chunks(sharded)))
+    }
+
+    /// Opens the relation at `path`: a chunk-backed context over the
+    /// store when [`is_store_path`] holds, else a memory-backed context
+    /// over the CSV read whole. Opening a store reads and validates its
+    /// footer and decodes no block. The CSV's file stem, or the name the
+    /// store recorded, names the relation.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, CsvError> {
+        let path = path.as_ref();
+        if is_store_path(path) {
+            ShardedRelation::open_store(path).and_then(Self::from_chunks)
+        } else {
+            read_relation_path(path).map(Self::from)
+        }
+    }
+
+    /// The relation's content hash ([`Relation::content_hash`]), the key
+    /// of a [`CtxCache`]: equal for a CSV and the store spilled from it.
+    /// A store reads it from its footer; a resident relation hashes its
+    /// cells on every call.
+    pub fn content_hash(&self) -> u64 {
+        match &self.source {
+            CtxSource::Mem(rel) => rel.content_hash(),
+            CtxSource::Chunks(s) => s.content_hash(),
+        }
     }
 
     /// True when views stream from a shard store instead of a resident
@@ -502,6 +532,12 @@ impl AnalysisCtx {
     }
 }
 
+/// Whether [`AnalysisCtx::open`] reads `path` as a binary shard store:
+/// its extension is `dbss`.
+pub fn is_store_path(path: impl AsRef<Path>) -> bool {
+    path.as_ref().extension().is_some_and(|e| e == "dbss")
+}
+
 impl From<Relation> for AnalysisCtx {
     fn from(rel: Relation) -> Self {
         AnalysisCtx::new(Arc::new(rel))
@@ -713,6 +749,28 @@ mod tests {
         let mem_vi = ValueIndex::build(&rel);
         assert_eq!(ctx.value_index().values(), mem_vi.values());
         assert_eq!(ctx.view_stats().materializations, 0, "{ctx:?}");
+    }
+
+    #[test]
+    fn open_reads_a_store_path_from_its_footer_and_any_other_as_csv() {
+        let dir = std::env::temp_dir().join("dbmine_ctx_open_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let csv = dir.join(format!("sample_{}.csv", std::process::id()));
+        let store = csv.with_extension("dbss");
+        std::fs::write(&csv, CHUNK_SAMPLE).unwrap();
+        ShardedRelation::scan_csv_path_spill(&csv, 2, &store).unwrap();
+        let mem = AnalysisCtx::open(&csv).unwrap();
+        let chunked = AnalysisCtx::open(&store).unwrap();
+        assert!(!mem.is_chunk_backed() && chunked.is_chunk_backed());
+        assert_eq!(chunked.name(), mem.name());
+        assert_eq!(chunked.content_hash(), mem.content_hash());
+        assert_eq!(mem.content_hash(), mem.relation().content_hash());
+        // Opening decoded nothing.
+        assert_eq!(chunked.view_stats(), ViewStats::default());
+        assert!(AnalysisCtx::open(dir.join("missing.dbss")).is_err());
+        assert!(AnalysisCtx::open(dir.join("missing.csv")).is_err());
+        std::fs::remove_file(csv).ok();
+        std::fs::remove_file(store).ok();
     }
 
     #[test]

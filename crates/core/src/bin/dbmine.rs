@@ -7,20 +7,23 @@
 //! every command, and `--with P`, the second file of `joins`. A flag a
 //! command does not read is an error (exit 2).
 //!
-//! The input may also be a binary shard store (`file.dbss`, see
-//! `dbmine::relation::spill`) — written by an earlier `--spill PATH`
-//! run — which loads with zero re-tokenization and zero dictionary
-//! hashing and produces byte-identical output to the CSV it spilled.
+//! Every path, the input and the `--with` file alike, opens through
+//! [`AnalysisCtx::open`], as the daemon's `path` does: a binary shard
+//! store (`file.dbss`, see `dbmine::relation::spill`) — written by an
+//! earlier `--spill PATH` run — loads with zero re-tokenization and
+//! zero dictionary hashing and produces byte-identical output to the
+//! CSV it spilled.
 //!
 //! Every command body lives in [`dbmine::render`], shared with the
 //! `dbmined` daemon — the two front ends print byte-identical output.
 
-use dbmine::context::AnalysisCtx;
-use dbmine::relation::csv::read_relation_path;
-use dbmine::relation::{Relation, ShardedRelation};
+use dbmine::context::{is_store_path, AnalysisCtx};
+use dbmine::relation::csv::CsvError;
+use dbmine::relation::ShardedRelation;
 use dbmine::render::{self, Kind, ParamError, Value};
 use dbmine::telemetry;
 use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::process::exit;
 
 // Counting allocator for `--profile` runs: feature-independent, but only
@@ -203,49 +206,39 @@ fn param_error(args: &Args, e: &ParamError) -> ! {
     }
 }
 
-fn loaded_line(r: &Relation) {
-    eprintln!(
-        "loaded {}: {} tuples × {} attributes, {} distinct values",
-        r.name(),
-        r.n_tuples(),
-        r.n_attrs(),
-        r.distinct_value_count()
-    );
+/// Exits with `error: {what}: {e}`, exit 1, on a load failure.
+fn or_exit<T>(result: Result<T, CsvError>, what: &str) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {what}: {e}");
+        exit(1);
+    })
 }
 
-fn load(path: &str) -> Relation {
-    match read_relation_path(path) {
-        Ok(r) => {
-            loaded_line(&r);
-            r
-        }
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            exit(1);
-        }
-    }
-}
-
-fn loaded_store_line(s: &ShardedRelation) {
-    // A scanned/stored relation's dictionary holds the NULL sentinel
-    // plus exactly the non-null values that occur, so `dict().len() - 1`
-    // matches the CSV loader's count without materializing anything.
-    // (On relations where NULLs occur, the CSV line counts NULL as one
-    // more distinct value; whether NULL occurs is not in the footer.)
+/// Prints the one `loaded` line of an opened relation. Its dictionary
+/// holds the NULL sentinel plus exactly the non-null values that occur,
+/// so the count is the same from a CSV, a spill and the stored file.
+fn loaded(ctx: AnalysisCtx) -> AnalysisCtx {
     eprintln!(
         "loaded {}: {} tuples × {} attributes, {} distinct values",
-        s.name(),
-        s.n_tuples(),
-        s.n_attrs(),
-        s.dict().len() - 1
+        ctx.name(),
+        ctx.n_tuples(),
+        ctx.n_attrs(),
+        ctx.dict().len() - 1
     );
+    ctx
+}
+
+/// Opens a path the one way both front ends do, [`AnalysisCtx::open`].
+fn open(path: &str) -> AnalysisCtx {
+    let ctx = AnalysisCtx::open(path);
+    loaded(or_exit(ctx, &format!("cannot read {path}")))
 }
 
 /// Deletes an automatic temporary spill store when the process is done
 /// with it. Held for the whole run: a chunk-backed context re-reads the
 /// store lazily on each view build, so the file must outlive every
 /// command body.
-struct TempStore(std::path::PathBuf);
+struct TempStore(PathBuf);
 
 impl Drop for TempStore {
     fn drop(&mut self) {
@@ -253,94 +246,50 @@ impl Drop for TempStore {
     }
 }
 
-/// A loaded input: the analysis context plus, for `--shards` auto-spill
-/// runs, the guard keeping the temporary store on disk.
-struct Input {
-    ctx: AnalysisCtx,
-    _temp: Option<TempStore>,
-}
-
-impl Input {
-    fn mem(rel: Relation) -> Input {
-        Input {
-            ctx: AnalysisCtx::from(rel),
-            _temp: None,
-        }
-    }
-
-    fn chunked(store: ShardedRelation, temp: Option<TempStore>) -> Input {
-        loaded_store_line(&store);
-        match AnalysisCtx::from_chunks(store) {
-            Ok(ctx) => Input { ctx, _temp: temp },
-            Err(e) => {
-                eprintln!("error: cannot build analysis context: {e}");
-                exit(1);
-            }
-        }
-    }
-}
-
-/// Loads the primary input: a binary shard store directly (`.dbss`), a
-/// CSV spilled to a store on the way in (`--spill PATH`, or an
-/// automatic temporary store when `--shards` selects sharded ingest),
-/// or a plain CSV read. The store paths build a chunk-backed
-/// [`AnalysisCtx`] — every view streams from the store in bounded
-/// memory, and the full relation is never materialized unless a
-/// row-resident command (duplicates previews, redesign, mvds, joins)
-/// asks for it. All four paths produce byte-identical command output.
-fn load_input(args: &Args) -> Input {
+/// Loads the primary input: its context plus, for `--shards` auto-spill
+/// runs, the guard keeping the temporary store on disk. A CSV is
+/// spilled to a store on the way in when `--spill PATH` names one, or
+/// into an automatic temporary store when `--shards` selects sharded
+/// ingest, and its context then streams every view from that store. Any
+/// other input — a CSV, or a `.dbss` store whatever the flags — opens
+/// through [`AnalysisCtx::open`]. All paths produce byte-identical
+/// command output.
+fn load_input(args: &Args) -> (AnalysisCtx, Option<TempStore>) {
     let path = args.path.as_str();
     let spill = args.flag("spill");
-    if path.ends_with(".dbss") {
-        if spill.is_some() {
-            eprintln!("error: --spill expects CSV input; {path} is already a shard store");
-            exit(2);
-        }
-        let store = match ShardedRelation::open_store(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                exit(1);
-            }
-        };
-        return Input::chunked(store, None);
+    let store_input = is_store_path(path);
+    if store_input && spill.is_some() {
+        eprintln!("error: --spill expects CSV input; {path} is already a shard store");
+        exit(2);
     }
-    let spill_into = |store_path: &std::path::Path| -> ShardedRelation {
-        match ShardedRelation::scan_csv_path_spill(path, 0, store_path) {
-            Ok(s) => {
-                eprintln!(
-                    "spilled {} chunks to {}",
-                    s.n_chunks(),
-                    store_path.display()
-                );
-                s
-            }
-            Err(e) => {
-                eprintln!("error: cannot spill {path}: {e}");
-                exit(1);
-            }
-        }
-    };
-    if let Some(store_path) = spill {
-        Input::chunked(spill_into(std::path::Path::new(store_path)), None)
-    } else if args.flag("shards").is_some() {
+    let (store_path, temp) = match spill {
+        Some(store_path) => (PathBuf::from(store_path), None),
         // Sharded ingest without an explicit store: spill once into a
         // temporary store so every later pass is a block decode. The
         // guard deletes the store when the process is done.
-        let stem = std::path::Path::new(path)
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("relation")
-            .to_string();
-        let store_path = std::env::temp_dir().join(format!(
-            "dbmine_autospill_{}_{stem}.dbss",
-            std::process::id()
-        ));
-        let store = spill_into(&store_path);
-        Input::chunked(store, Some(TempStore(store_path)))
-    } else {
-        Input::mem(load(path))
-    }
+        None if args.flag("shards").is_some() && !store_input => {
+            let stem = Path::new(path)
+                .file_stem()
+                .and_then(|s| s.to_str())
+                .unwrap_or("relation");
+            let store_path = std::env::temp_dir().join(format!(
+                "dbmine_autospill_{}_{stem}.dbss",
+                std::process::id()
+            ));
+            (store_path.clone(), Some(TempStore(store_path)))
+        }
+        None => return (open(path), None),
+    };
+    let ctx = ShardedRelation::scan_csv_path_spill(path, 0, &store_path)
+        .inspect(|s| {
+            eprintln!(
+                "spilled {} chunks to {}",
+                s.n_chunks(),
+                store_path.display()
+            )
+        })
+        .and_then(AnalysisCtx::from_chunks);
+    (loaded(or_exit(ctx, &format!("cannot spill {path}"))), temp)
 }
 
 /// Writes a command's output to stdout. A reader that closes the pipe
@@ -407,9 +356,9 @@ fn main() {
     // The inputs (and any temporary store) are dropped before the output
     // is written, so a quiet early exit in `emit` leaves nothing behind.
     let out = {
-        let input = load_input(&args);
-        let right = with.map(load);
-        command.run(&input.ctx, right.as_ref())
+        let (ctx, _temp) = load_input(&args);
+        let right = with.map(open);
+        command.run(&ctx, right.as_ref())
     };
     emit(&out);
     if let Some(dest) = profile {

@@ -5,7 +5,7 @@ use dbmine_fdmine::{mine_tane_ctx, minimum_cover, Fd, TaneOptions};
 use dbmine_fdrank::{rad_ctx, rank_by_rfi, rank_fds, rtr_ctx, RankedFd, ScoreKind};
 use dbmine_limbo::LimboParams;
 use dbmine_relation::stats::ColumnProfile;
-use dbmine_relation::{Relation, ValueDict};
+use dbmine_relation::ValueDict;
 use dbmine_summaries::{
     cluster_values_ctx, find_duplicate_tuples_ctx, group_attributes, AttributeGrouping,
     DuplicateReport, ValueClustering,
@@ -125,12 +125,7 @@ impl StructureReport {
     }
 
     /// Renders the full report as human-readable text (the CLI's
-    /// `analyze` output). `rel` must be the relation that was analyzed.
-    pub fn render(&self, rel: &Relation) -> String {
-        self.render_with(rel.attr_names(), rel.dict())
-    }
-
-    /// As [`Self::render`], from the schema metadata alone — `names` and
+    /// `analyze` output) from the schema metadata alone — `names` and
     /// `dict` must come from the relation (or context) that was
     /// analyzed. This is what lets a chunk-backed context render an
     /// `analyze` report without materializing the relation.
@@ -362,7 +357,7 @@ mod tests {
         let rel = b.build();
         let text = StructureMiner::default()
             .analyze_ctx(&AnalysisCtx::of(&rel))
-            .render(&rel);
+            .render_with(rel.attr_names(), rel.dict());
         for name in ["C", "N"] {
             let line = text
                 .lines()
@@ -397,7 +392,7 @@ mod tests {
         let rel = figure4();
         let g3 = StructureMiner::default().analyze_ctx(&AnalysisCtx::of(&rel));
         assert!(g3.ranked.iter().all(|r| r.rfi.is_none()));
-        assert!(!g3.render(&rel).contains("F̂="));
+        assert!(!g3.render_with(rel.attr_names(), rel.dict()).contains("F̂="));
 
         let report = StructureMiner::new(MinerConfig {
             score: ScoreKind::Rfi,
@@ -412,7 +407,9 @@ mod tests {
                 report.ranked
             );
         }
-        assert!(report.render(&rel).contains("F̂="));
+        assert!(report
+            .render_with(rel.attr_names(), rel.dict())
+            .contains("F̂="));
     }
 
     #[test]

@@ -462,7 +462,7 @@ pub struct Spec {
     /// The parameters it reads, in synopsis order.
     pub params: &'static [Param],
     defaults: Params,
-    run: fn(&Params, &AnalysisCtx, Option<&Relation>) -> String,
+    run: fn(&Params, &AnalysisCtx, Option<&AnalysisCtx>) -> String,
 }
 
 impl Spec {
@@ -528,7 +528,9 @@ pub const COMMANDS: &[Spec] = &[
         served: false,
         params: &[],
         defaults: DEFAULTS,
-        run: |_, ctx, with| with.map_or_else(String::new, |right| run_joins(ctx.relation(), right)),
+        run: |_, ctx, with| {
+            with.map_or_else(String::new, |w| run_joins(ctx.relation(), w.relation()))
+        },
     },
     Spec {
         name: "partition",
@@ -645,7 +647,7 @@ impl Command {
     /// Runs the command against `ctx` and returns the exact stdout text.
     /// `with` is the second relation of `joins`; every other command
     /// ignores it.
-    pub fn run(&self, ctx: &AnalysisCtx, with: Option<&Relation>) -> String {
+    pub fn run(&self, ctx: &AnalysisCtx, with: Option<&AnalysisCtx>) -> String {
         (self.spec.run)(&self.params, ctx, with)
     }
 }

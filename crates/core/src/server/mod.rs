@@ -1,45 +1,48 @@
 //! `dbmined` — the serving daemon behind the single-shot CLI.
 //!
 //! A [`Daemon`] answers a line-delimited JSON protocol: one request
-//! object per line in, one response object per line out. Relations are
-//! loaded per request (from a CSV `path` or inline `csv` text), keyed by
-//! [`Relation::content_hash`], and resolved through a shared
-//! [`CtxCache`] LRU of `Arc<AnalysisCtx>` — so repeated requests against
-//! the same relation reuse every memoized view (tuple rows, value index,
-//! partitions) and perform **zero** view rebuilds, which each response
-//! proves by echoing the context's cumulative `view_stats`.
+//! object per line in, one response object per line out. Each relation
+//! request opens its relation the way the CLI does — a `path` through
+//! [`AnalysisCtx::open`] (a `.dbss` shard store, or else a CSV), inline
+//! `csv` text read into memory — and resolves it by
+//! [`AnalysisCtx::content_hash`] through a shared [`CtxCache`] LRU of
+//! `Arc<AnalysisCtx>`. Repeated requests against the same relation
+//! reuse every memoized view (tuple rows, value index, partitions) and
+//! perform **zero** view rebuilds, which each response proves by
+//! echoing the context's cumulative `view_stats`. A CSV request is
+//! parsed and hashed once; a store request reads the hash from the
+//! footer and decodes no block, warm or cold.
 //!
 //! ## Protocol
 //!
 //! A request names its command in `cmd` and may carry an `id`, echoed
-//! verbatim in the response. The relation commands — `analyze`,
-//! `duplicates`, `fds`, `partition` and `redesign`, whose `output` is
-//! byte-identical to the CLI's stdout — also take the relation as a CSV
-//! `path` (or a `.dbss` shard store) or as inline `csv` text (named by
-//! `name`), `"profile": true`, and the command's parameters:
+//! verbatim in the response. The relation commands, whose `output` is
+//! byte-identical to the CLI's stdout, also take the relation as a
+//! `path` or as inline `csv` text (named by `name`), `"profile": true`,
+//! and the command's parameters:
 //!
 //! ```json
 //! {"id": 1, "cmd": "partition", "path": "data.csv", "k": 4, "phi_t": 0.5}
 //! ```
 //!
-//! `analyze` reads `phi_t` `phi_v` `psi` `max_lhs` `score` `threads`
-//! `shards`; `duplicates` reads `phi_t` `threads` `shards`; `fds` reads
-//! `approx` `score` `theta` `max_lhs` `threads`; `partition` reads `k`
-//! `phi_t` `threads` `shards`; `redesign` reads `steps` and what
-//! `analyze` reads.
+//! The served commands and the parameters each reads are the rows of
+//! [`render::COMMANDS`] (`dbmined --help` lists them). They are read,
+//! defaulted and checked by [`render::Command::parse`], the grammar the
+//! CLI parses its flags with, so a field means what the flag of the
+//! same name (`-` for `_`) means. `ping`, `stats` and `shutdown` take
+//! only `id` and `cmd`.
 //!
-//! They are read, defaulted and checked by [`render::Command::parse`],
-//! the grammar the CLI parses its flags with, so a field means what the
-//! flag of the same name (`-` for `_`) means. `ping`, `stats` and
-//! `shutdown` take only `id` and `cmd`.
+//! The daemon serves exactly the relations the CSV and `.dbss` readers
+//! accept, as the CLI does: an empty relation (a header-only CSV, n = 0)
+//! is answered `ok`, with the CLI's output for it.
 //!
 //! A field the command does not read, malformed JSON (a repeated key
-//! included), unreadable CSV, out-of-range parameters, non-UTF-8 lines
-//! and lines longer than [`MAX_REQUEST_LINE_BYTES`] all produce
-//! `{"id":…,"ok":false,"error":"…"}` — the daemon never tears down on a
-//! bad request, and a panic on the request path is caught and reported
-//! as an error response (backstop; the handlers are panic-free by
-//! construction).
+//! included), an unreadable CSV or store, out-of-range parameters,
+//! non-UTF-8 lines and lines longer than [`MAX_REQUEST_LINE_BYTES`] all
+//! produce `{"id":…,"ok":false,"error":"…"}` — the daemon never tears
+//! down on a bad request, and a panic on the request path is caught and
+//! reported as an error response (backstop; the handlers are panic-free
+//! by construction).
 //!
 //! `"profile": true` wraps the request in a telemetry window and embeds
 //! the [`RunReport`] in the response, in the single-line
@@ -54,8 +57,7 @@ pub use json::{parse, Json, ParseError};
 
 use crate::render::{self, Kind, ParamError, Value};
 use dbmine_context::{AnalysisCtx, CtxCache, CtxCacheStats};
-use dbmine_relation::csv::{read_relation, read_relation_path};
-use dbmine_relation::Relation;
+use dbmine_relation::csv::read_relation;
 use dbmine_telemetry as telemetry;
 use dbmine_telemetry::RunReport;
 use std::collections::BTreeMap;
@@ -63,7 +65,7 @@ use std::fmt::Write as _;
 use std::io::{BufRead, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 /// Default number of resident contexts.
 pub const DEFAULT_CACHE_CAPACITY: usize = 8;
@@ -261,50 +263,26 @@ impl Daemon {
         }
     }
 
+    /// Opens the request's relation and resolves it through the LRU by
+    /// content hash. A CSV is parsed and hashed once; a `.dbss` store
+    /// is keyed by the hash its footer recorded, so neither a warm hit
+    /// (one warmed by a CSV request over the same content included) nor
+    /// a cold admission decodes a block — the admitted context streams
+    /// its views from the store on demand.
     fn run_relation_cmd(&self, req: &RelationRequest) -> Result<Body, String> {
         let _span = span_for(req.command.name());
-        let (name, tuples, attrs, hash, ctx, cached) = if let Some(path) = req.store_path() {
-            // Store-backed relation: the footer read is cheap metadata
-            // validation, and the LRU key is the *stored* content hash —
-            // a warm hit (including one warmed by a CSV request over the
-            // same content) never decodes a single block. A cold miss
-            // admits a *chunk-backed* context: views stream from the
-            // store on demand and the relation is never materialized,
-            // so admission itself decodes nothing either.
-            let store = dbmine_relation::ShardedRelation::open_store(path)
-                .map_err(|e| format!("cannot read {path}: {e}"))?;
-            if store.n_attrs() == 0 {
-                return Err("relation has no columns".to_string());
-            }
-            if store.n_tuples() == 0 {
-                return Err("relation has no rows".to_string());
-            }
-            let hash = store.content_hash();
-            let (name, tuples, attrs) =
-                (store.name().to_string(), store.n_tuples(), store.n_attrs());
-            let (ctx, cached) = self.cache.get_or_insert_with(hash, || {
-                AnalysisCtx::from_chunks(store).map_err(|e| format!("cannot read {path}: {e}"))
-            })?;
-            (name, tuples, attrs, hash, ctx, cached)
-        } else {
-            let rel = req.load_relation()?;
-            let hash = rel.content_hash();
-            let (name, tuples, attrs) = (rel.name().to_string(), rel.n_tuples(), rel.n_attrs());
-            let (ctx, cached) = self.cache.get_or_insert_relation(rel);
-            (name, tuples, attrs, hash, ctx, cached)
-        };
+        let ctx = req.open()?;
+        let hash = ctx.content_hash();
+        let (ctx, cached) = self
+            .cache
+            .get_or_insert_with(hash, || Ok::<_, String>(ctx))?;
         let output = req.command.run(&ctx, None);
         Ok(Body {
             cmd: req.command.name().to_string(),
-            relation: Some(RelationInfo {
-                name,
-                tuples,
-                attrs,
-                content_hash: hash,
-            }),
             cached: Some(cached),
             output,
             view_stats: Some(ctx.view_stats()),
+            relation: Some((ctx, hash)),
             ctx_cache: Some(self.cache.stats()),
             report: None,
             shutdown: false,
@@ -455,49 +433,30 @@ impl Request {
 }
 
 impl RelationRequest {
-    /// The request's `path`, when it names a binary shard store
-    /// (`.dbss`) rather than a CSV file.
-    fn store_path(&self) -> Option<&str> {
-        self.path
-            .as_deref()
-            .filter(|p| self.csv.is_none() && p.ends_with(".dbss"))
-    }
-
-    fn load_relation(&self) -> Result<Relation, String> {
-        let rel = match (&self.path, &self.csv) {
+    /// The relation the request names: a `path` through
+    /// [`AnalysisCtx::open`], or inline `csv` read into memory.
+    fn open(&self) -> Result<AnalysisCtx, String> {
+        match (&self.path, &self.csv) {
             (Some(path), None) => {
-                read_relation_path(path).map_err(|e| format!("cannot read {path}: {e}"))?
+                AnalysisCtx::open(path).map_err(|e| format!("cannot read {path}: {e}"))
             }
             (None, Some(csv)) => {
                 let name = self.name.as_deref().unwrap_or("inline");
                 read_relation(csv.as_bytes(), name)
-                    .map_err(|e| format!("cannot parse inline csv: {e}"))?
+                    .map(AnalysisCtx::from)
+                    .map_err(|e| format!("cannot parse inline csv: {e}"))
             }
-            _ => return Err("exactly one of `path` or `csv` must be given".to_string()),
-        };
-        if rel.n_attrs() == 0 {
-            return Err("relation has no columns".to_string());
+            _ => Err("exactly one of `path` or `csv` must be given".to_string()),
         }
-        if rel.n_tuples() == 0 {
-            return Err("relation has no rows".to_string());
-        }
-        Ok(rel)
     }
-}
-
-#[derive(Clone, Debug)]
-struct RelationInfo {
-    name: String,
-    tuples: usize,
-    attrs: usize,
-    content_hash: u64,
 }
 
 /// An `"ok":true` response under construction.
 #[derive(Debug)]
 struct Body {
     cmd: String,
-    relation: Option<RelationInfo>,
+    /// The context a relation command ran on, and its content hash.
+    relation: Option<(Arc<AnalysisCtx>, u64)>,
     cached: Option<bool>,
     output: String,
     view_stats: Option<dbmine_context::ViewStats>,
@@ -529,14 +488,14 @@ impl Body {
             json::escape(&self.cmd)
         )
         .unwrap();
-        if let Some(r) = &self.relation {
+        if let Some((ctx, hash)) = &self.relation {
             write!(
                 out,
                 ",\"relation\":{{\"name\":\"{}\",\"tuples\":{},\"attrs\":{},\"content_hash\":\"{:016x}\"}}",
-                json::escape(&r.name),
-                r.tuples,
-                r.attrs,
-                r.content_hash
+                json::escape(ctx.name()),
+                ctx.n_tuples(),
+                ctx.n_attrs(),
+                hash
             )
             .unwrap();
         }

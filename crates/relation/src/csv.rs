@@ -229,18 +229,29 @@ pub(crate) fn header_names(header: Vec<Field>) -> Result<Vec<String>, CsvError> 
             max: crate::attrset::MAX_ATTRS,
         });
     }
+    if let Some((first, second)) = repeated_name(&names) {
+        return Err(CsvError::DuplicateAttr {
+            name: names[second].clone(),
+            first,
+            second,
+        });
+    }
+    Ok(names)
+}
+
+/// The first attribute name that repeats in `names`, as the positions
+/// of its first and second occurrence. The one schema rule both readers
+/// enforce: a CSV header refuses it as [`CsvError::DuplicateAttr`], a
+/// `.dbss` footer ([`crate::spill`]) as a corrupt store.
+pub(crate) fn repeated_name(names: &[String]) -> Option<(usize, usize)> {
     let mut first_of: std::collections::HashMap<&str, usize> = Default::default();
     for (second, name) in names.iter().enumerate() {
         if let Some(&first) = first_of.get(name.as_str()) {
-            return Err(CsvError::DuplicateAttr {
-                name: name.clone(),
-                first,
-                second,
-            });
+            return Some((first, second));
         }
         first_of.insert(name, second);
     }
-    Ok(names)
+    None
 }
 
 /// Classifies a parsed data record against the schema width: `None` for

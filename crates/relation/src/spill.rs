@@ -46,6 +46,8 @@
 //! * Block `i` must declare `chunk_index == i` and exactly
 //!   `min(chunk_tuples, n_tuples − i·chunk_tuples)` rows; every decoded
 //!   id must be below the dictionary length.
+//! * The footer names at least one attribute and no name twice — the
+//!   schema rule a CSV header obeys too ([`crate::csv`]).
 //! * Dictionary entry 0 is the reserved NULL value; entries `1..len`
 //!   are the interned strings in id order, so rebuilding by re-interning
 //!   reproduces the exact [`ValueDict`] of the scan pass.
@@ -392,6 +394,9 @@ pub(crate) fn read_meta(path: &Path) -> Result<StoreMeta, StoreError> {
     let content_hash = cur.u64("content hash")?;
     let name = cur.str("relation name")?;
     let m = cur.u64("attribute count")? as usize;
+    if m == 0 {
+        return Err(corrupt(None, "footer declares no attributes"));
+    }
     if m > crate::attrset::MAX_ATTRS {
         return Err(corrupt(
             None,
@@ -404,6 +409,15 @@ pub(crate) fn read_meta(path: &Path) -> Result<StoreMeta, StoreError> {
     let mut attr_names = Vec::with_capacity(m);
     for i in 0..m {
         attr_names.push(cur.str(&format!("attribute name {i}"))?);
+    }
+    if let Some((first, second)) = crate::csv::repeated_name(&attr_names) {
+        return Err(corrupt(
+            None,
+            format!(
+                "footer repeats attribute name `{}` (attributes {first} and {second})",
+                attr_names[second]
+            ),
+        ));
     }
     let dict_len = cur.u64("dictionary length")? as usize;
     if dict_len == 0 {
@@ -806,6 +820,65 @@ mod tests {
             }
             other => panic!("wrong error variant: {other:?}"),
         }
+        std::fs::remove_file(path).ok();
+    }
+
+    /// Seals a store of `columns` (one chunk, or none when there are no
+    /// columns) under the footer schema `attrs`.
+    fn store_with_schema(attrs: &[&str], columns: Vec<Vec<ValueId>>) -> PathBuf {
+        let path = tmp("dbss");
+        let n = columns.first().map_or(0, Vec::len);
+        let mut w = SpillWriter::create(&path).unwrap();
+        if !columns.is_empty() {
+            w.write_chunk(&RelationChunk::owned(0, columns)).unwrap();
+        }
+        let attr_names: Vec<String> = attrs.iter().map(|a| a.to_string()).collect();
+        let mut dict = ValueDict::new();
+        dict.intern("x");
+        w.finish(&StoreFooter {
+            name: "t",
+            attr_names: &attr_names,
+            chunk_tuples: 2,
+            n_tuples: n,
+            content_hash: 0,
+            dict: &dict,
+        })
+        .unwrap();
+        path
+    }
+
+    #[test]
+    fn footer_with_repeated_attribute_name_is_corrupt() {
+        // The schema a CSV header `a,a` is refused for.
+        let path = store_with_schema(&["a", "a"], vec![vec![1, 1], vec![1, 0]]);
+        let err = ShardedRelation::open_store(&path).unwrap_err();
+        match &err {
+            CsvError::InFile { source, .. } => assert!(
+                matches!(
+                    source.as_ref(),
+                    CsvError::Store(StoreError::Corrupt { chunk: None, .. })
+                ),
+                "{err:?}"
+            ),
+            other => panic!("wrong error variant: {other:?}"),
+        }
+        assert!(
+            err.to_string()
+                .contains("corrupt store: footer repeats attribute name `a` (attributes 0 and 1)"),
+            "{err}"
+        );
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn footer_with_no_attributes_is_corrupt() {
+        let path = store_with_schema(&[], vec![]);
+        let err = ShardedRelation::open_store(&path).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("corrupt store: footer declares no attributes"),
+            "{err}"
+        );
         std::fs::remove_file(path).ok();
     }
 

@@ -156,14 +156,11 @@ fn malformed_requests_error_and_daemon_keeps_serving() {
             "{\"cmd\":\"analyze\",\"path\":\"/nope/missing.csv\"}",
             "cannot read",
         ),
-        // Degenerate CSV: ragged row, header only, empty input.
+        // Degenerate CSV: ragged row, empty input. (A header-only CSV
+        // is a relation; see `header_only_relation_is_served_like_the_cli`.)
         (
             "{\"cmd\":\"fds\",\"csv\":\"A,B\\nonly-one\\n\"}",
             "cannot parse inline csv",
-        ),
-        (
-            "{\"cmd\":\"fds\",\"csv\":\"A,B\\n\"}",
-            "relation has no rows",
         ),
         ("{\"cmd\":\"fds\",\"csv\":\"\"}", "cannot parse inline csv"),
         // Out-of-range parameters, one per handler knob.
@@ -262,6 +259,43 @@ fn malformed_requests_error_and_daemon_keeps_serving() {
         "daemon must keep serving after an oversize line"
     );
     d.finish();
+}
+
+#[test]
+fn header_only_relation_is_served_like_the_cli() {
+    // n = 0 is a relation both readers accept: the daemon answers it
+    // `ok` with the CLI's stdout, inline and from a `.dbss` store.
+    let dir = std::env::temp_dir().join(format!("dbmined_empty_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("empty.csv");
+    let store = dir.join("empty.dbss");
+    std::fs::write(&csv, "A,B\n").unwrap();
+    let cli = |args: &[&str]| -> String {
+        let out = Command::new(env!("CARGO_BIN_EXE_dbmine"))
+            .args(args)
+            .output()
+            .expect("cli runs");
+        assert!(out.status.success(), "{args:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let (csv, store) = (csv.to_str().unwrap(), store.to_str().unwrap());
+    cli(&["fds", csv, "--spill", store]);
+    let mut d = DaemonProc::spawn(&[]);
+    for cmd in ["analyze", "duplicates", "fds", "partition", "redesign"] {
+        let expected = cli(&[cmd, csv]);
+        assert_eq!(cli(&[cmd, store]), expected, "{cmd}");
+        for source in [
+            "\"csv\":\"A,B\\n\",\"name\":\"empty\"".to_string(),
+            format!("\"path\":\"{store}\""),
+        ] {
+            let v = d.request(&format!("{{\"cmd\":\"{cmd}\",{source}}}"));
+            assert_eq!(output_of(&v), expected, "{cmd} over {source}");
+            let relation = v.get("relation").unwrap();
+            assert_eq!(relation.get("tuples").and_then(Json::as_usize), Some(0));
+        }
+    }
+    d.finish();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -332,6 +332,64 @@ fn malformed_flags_are_typed_errors() {
     }
 }
 
+/// A fresh scratch directory for one test's files.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("dbmine_cli_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn loaded_line_is_the_same_from_csv_spill_and_store() {
+    // An empty cell is a NULL: the `loaded` line counts distinct
+    // non-null values, whichever way the relation was opened.
+    let dir = scratch_dir("loaded");
+    let csv = dir.join("nulls.csv");
+    let store = dir.join("nulls.dbss");
+    std::fs::write(&csv, "A,B\nx,\n,y\nx,y\n").unwrap();
+    let (csv, store) = (csv.to_str().unwrap(), store.to_str().unwrap());
+    let loaded = |args: &[&str]| {
+        let (_, stderr, ok) = run(args);
+        assert!(ok, "{args:?}: {stderr}");
+        let line = stderr.lines().find(|l| l.starts_with("loaded "));
+        line.unwrap_or_else(|| panic!("{args:?}: {stderr}"))
+            .to_string()
+    };
+    let from_csv = loaded(&["fds", csv]);
+    assert_eq!(
+        from_csv,
+        "loaded nulls: 3 tuples × 2 attributes, 2 distinct values"
+    );
+    assert_eq!(loaded(&["fds", csv, "--spill", store]), from_csv);
+    assert_eq!(loaded(&["fds", store]), from_csv);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn joins_with_a_store_matches_joins_with_its_csv() {
+    let dir = scratch_dir("joins");
+    let other = dir.join("offices.csv");
+    let store = dir.join("offices.dbss");
+    std::fs::write(
+        &other,
+        "Office,Town\nb1,Boston\nb2,Boston\nt1,Toronto\nt2,Toronto\n",
+    )
+    .unwrap();
+    let (other, store) = (other.to_str().unwrap(), store.to_str().unwrap());
+    let (_, stderr, ok) = run(&["fds", other, "--spill", store]);
+    assert!(ok, "{stderr}");
+    let demo = write_demo_csv();
+    let joins = |with: &str| {
+        let (stdout, stderr, ok) = run(&["joins", demo.to_str().unwrap(), "--with", with]);
+        assert!(ok, "--with {with}: {stderr}");
+        stdout
+    };
+    let from_csv = joins(other);
+    assert!(from_csv.contains("demo.City ~ offices.Town"), "{from_csv}");
+    assert_eq!(joins(store), from_csv);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn closed_stdout_ends_the_run_quietly() {
     use std::io::{BufRead, BufReader};

@@ -196,7 +196,8 @@ fn analyze_builds_each_shared_view_exactly_once() {
     // reproduces the report bit-for-bit.
     let again = miner.analyze_ctx(&ctx);
     assert_eq!(ctx.view_stats().builds, expected);
-    assert_eq!(report.render(&rel), again.render(&rel));
+    let text = |r: &dbmine::StructureReport| r.render_with(rel.attr_names(), rel.dict());
+    assert_eq!(text(&report), text(&again));
 }
 
 #[test]
@@ -230,9 +231,14 @@ fn collecting_spans_does_not_change_mining_output() {
     let _guard = GUARD.lock().unwrap_or_else(|e| e.into_inner());
     let rel = figure4();
     let miner = StructureMiner::new(MinerConfig::default());
-    let quiet = miner.analyze_ctx(&AnalysisCtx::of(&rel)).render(&rel);
+    let analyze = || {
+        miner
+            .analyze_ctx(&AnalysisCtx::of(&rel))
+            .render_with(rel.attr_names(), rel.dict())
+    };
+    let quiet = analyze();
     telemetry::begin();
-    let collected = miner.analyze_ctx(&AnalysisCtx::of(&rel)).render(&rel);
+    let collected = analyze();
     let report = telemetry::finish();
     assert_eq!(quiet, collected, "span collection must not alter results");
     if telemetry::compiled() {
