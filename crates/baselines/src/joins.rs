@@ -9,7 +9,7 @@
 //! high containment of a column in another is the classic
 //! foreign-key-candidate signal.
 
-use dbmine_relation::{AttrId, Relation, ValueId, NULL_VALUE};
+use dbmine_relation::{AttrId, Relation, NULL_VALUE};
 use std::collections::HashSet;
 
 /// A candidate join edge between a column of `left` and a column of
@@ -109,16 +109,6 @@ pub fn self_join_candidates(rel: &Relation, min_jaccard: f64) -> Vec<JoinCandida
     let mut out = join_candidates(rel, rel, min_jaccard, 1.1);
     out.retain(|c| c.left_attr < c.right_attr);
     out
-}
-
-/// The distinct value ids of a column (shared-dictionary fast path used
-/// by tests and same-dictionary callers).
-pub fn distinct_ids(rel: &Relation, a: AttrId) -> HashSet<ValueId> {
-    rel.column(a)
-        .iter()
-        .copied()
-        .filter(|&v| v != NULL_VALUE)
-        .collect()
 }
 
 #[cfg(test)]

@@ -17,7 +17,6 @@ use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{dblp_sample, DblpSpec};
 use dbmine::ib::{aib, aib_reference, aib_with};
 use dbmine::limbo::{phase1, phase2_with, tuple_dcfs_ctx, LimboParams};
-use dbmine::relation::TupleRows;
 
 fn dblp_objects(n: usize) -> (Vec<dbmine::ib::Dcf>, f64) {
     let spec = DblpSpec {
@@ -28,8 +27,9 @@ fn dblp_objects(n: usize) -> (Vec<dbmine::ib::Dcf>, f64) {
         ..Default::default()
     };
     let rel = dblp_sample(&spec);
-    let objects = tuple_dcfs_ctx(&AnalysisCtx::of(&rel), 1);
-    let mi = TupleRows::build(&rel).mutual_information();
+    let ctx = AnalysisCtx::of(&rel);
+    let objects = tuple_dcfs_ctx(&ctx, 1);
+    let mi = ctx.tuple_mutual_information();
     (objects, mi)
 }
 

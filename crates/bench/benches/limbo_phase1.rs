@@ -8,7 +8,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{dblp_sample, DblpSpec};
 use dbmine::limbo::{tuple_dcfs_ctx, DcfTree, DcfTreeRef};
-use dbmine::relation::TupleRows;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("limbo_phase1_kernels");
@@ -19,8 +18,9 @@ fn bench(c: &mut Criterion) {
             ..DblpSpec::small()
         };
         let rel = dblp_sample(&spec);
-        let objects = tuple_dcfs_ctx(&AnalysisCtx::of(&rel), 1);
-        let mi = TupleRows::build(&rel).mutual_information();
+        let ctx = AnalysisCtx::of(&rel);
+        let objects = tuple_dcfs_ctx(&ctx, 1);
+        let mi = ctx.tuple_mutual_information();
         // φ = 1.0: the paper's summary regime, where most inserts are
         // absorbed by an existing leaf entry.
         let tau = mi / n as f64;

@@ -6,7 +6,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{dblp_sample, DblpSpec};
 use dbmine::limbo::{phase1, run, tuple_dcfs_ctx, LimboParams};
-use dbmine::relation::TupleRows;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("limbo_phase1_scaling");
@@ -17,8 +16,9 @@ fn bench(c: &mut Criterion) {
             ..DblpSpec::small()
         };
         let rel = dblp_sample(&spec);
-        let objects = tuple_dcfs_ctx(&AnalysisCtx::of(&rel), 1);
-        let mi = TupleRows::build(&rel).mutual_information();
+        let ctx = AnalysisCtx::of(&rel);
+        let objects = tuple_dcfs_ctx(&ctx, 1);
+        let mi = ctx.tuple_mutual_information();
         g.throughput(Throughput::Elements(n as u64));
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| phase1(&objects, mi, objects.len(), LimboParams::with_phi(1.0)))
@@ -38,8 +38,9 @@ fn bench_threads(c: &mut Criterion) {
         ..DblpSpec::small()
     };
     let rel = dblp_sample(&spec);
-    let objects = tuple_dcfs_ctx(&AnalysisCtx::of(&rel), 1);
-    let mi = TupleRows::build(&rel).mutual_information();
+    let ctx = AnalysisCtx::of(&rel);
+    let objects = tuple_dcfs_ctx(&ctx, 1);
+    let mi = ctx.tuple_mutual_information();
     for &t in &[1usize, 4] {
         g.bench_with_input(BenchmarkId::new(format!("threads_{t}"), n), &n, |b, _| {
             b.iter(|| run(&objects, mi, 3, LimboParams::with_phi(1.0).threads(t)))

@@ -22,7 +22,7 @@ use dbmine::limbo::{
     phase1_auto, phase1_store, run, tuple_dcfs_ctx, tuple_dcfs_for_chunk, DcfTree, DcfTreeRef,
     LimboParams,
 };
-use dbmine::relation::{qualified_stride, Relation, ShardedRelation};
+use dbmine::relation::{Relation, ShardedRelation};
 use dbmine::telemetry::{self, Counter};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -198,11 +198,13 @@ fn run_scaling_column(sizes: &[usize], verify_in_memory: bool) -> Vec<ScalePoint
         }
         assert_eq!(rows, n, "chunk pass row count");
         let store_pass_ms = start.elapsed().as_secs_f64() * 1e3;
+        let (n_chunks, distinct_values) = (spilled.n_chunks(), spilled.dict().len());
+        let ctx = AnalysisCtx::from_chunks(spilled).expect("store-backed context");
 
         let before = telemetry::snapshot();
         let start = Instant::now();
-        let ((mi, model), stats) =
-            telemetry::alloc::measure(|| phase1_store(&spilled, params).expect("phase1_store"));
+        let (model, stats) = telemetry::alloc::measure(|| phase1_store(&ctx, params));
+        let mi = model.mutual_information;
         let phase1_ms = start.elapsed().as_secs_f64() * 1e3;
         let d = telemetry::snapshot().delta(&before);
 
@@ -225,14 +227,10 @@ fn run_scaling_column(sizes: &[usize], verify_in_memory: bool) -> Vec<ScalePoint
         } else {
             params.phi * mi / n as f64
         };
-        let stride = qualified_stride(spilled.dict().len(), spilled.n_attrs());
-        let mass = 1.0 / spilled.n_attrs().max(1) as f64;
-        let prior = 1.0 / n.max(1) as f64;
         let mut chunk_peaks: Vec<u64> = Vec::new();
-        for chunk in spilled.chunks().expect("re-open scaling store") {
-            let chunk = chunk.expect("chunk pass");
+        for chunk in ctx.chunks() {
             let (_, s) = telemetry::alloc::measure(|| {
-                let dcfs = tuple_dcfs_for_chunk(&chunk, stride, mass, prior);
+                let dcfs = tuple_dcfs_for_chunk(&ctx, &chunk, 1);
                 let mut t = DcfTree::new(params.branching, tau);
                 for o in &dcfs {
                     t.insert(o);
@@ -250,11 +248,10 @@ fn run_scaling_column(sizes: &[usize], verify_in_memory: bool) -> Vec<ScalePoint
             // shard plan is fixed by n, so every worker count must
             // reproduce the same leaves exactly.
             for workers in [1usize, 4] {
-                let (mi_w, model_w) =
-                    phase1_store(&spilled, params.shards(Some(workers))).expect("phase1_store");
+                let model_w = phase1_store(&ctx, params.shards(Some(workers)));
                 assert_eq!(
                     mi.to_bits(),
-                    mi_w.to_bits(),
+                    model_w.mutual_information.to_bits(),
                     "MI diverges at {workers} workers"
                 );
                 assert_leaves_bit_identical(
@@ -279,8 +276,8 @@ fn run_scaling_column(sizes: &[usize], verify_in_memory: bool) -> Vec<ScalePoint
 
         let p = ScalePoint {
             tuples: n,
-            n_chunks: spilled.n_chunks(),
-            distinct_values: spilled.dict().len(),
+            n_chunks,
+            distinct_values,
             leaves: model.leaves.len(),
             gen_ms,
             spill_ms,

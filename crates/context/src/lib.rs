@@ -2,15 +2,17 @@
 //! relation.
 //!
 //! Every tool in the paper consumes the same handful of probabilistic
-//! views of the relation: the tuple matrix `M` ([`TupleRows`]), the
-//! value matrix `N` / support matrix `O` ([`ValueIndex`]), the mutual
-//! informations `I(T;V)` and `I(V;T)`, single-attribute stripped
-//! partitions (`π_A`), per-column profiles, and projection
-//! entropy/distinct-count statistics. Historically each consumer rebuilt
-//! them from scratch; an [`AnalysisCtx`] builds each view **at most
-//! once**, on first use, behind a [`OnceLock`] (or a bounded
-//! `Mutex`-guarded memo for the [`AttrSet`]-keyed projection
-//! statistics).
+//! views of the relation: the value matrix `N` / support matrix `O`
+//! ([`ValueIndex`]), the mutual informations `I(T;V)` and `I(V;T)`,
+//! single-attribute stripped partitions (`π_A`), per-column profiles,
+//! and projection entropy/distinct-count statistics. Historically each
+//! consumer rebuilt them from scratch; an [`AnalysisCtx`] builds each
+//! view **at most once**, on first use, behind a [`OnceLock`] (or a
+//! bounded `Mutex`-guarded memo for the [`AttrSet`]-keyed projection
+//! statistics). The tuple matrix `M` is not a view: its readers fold
+//! its rows straight from [`AnalysisCtx::chunks`] — the tuple-DCF build
+//! in `dbmine-limbo` on every call, `I(T;V)` once — so the context
+//! keeps no n-row matrix, only the memoized `I(T;V)` scalar.
 //!
 //! # Sources
 //!
@@ -27,9 +29,9 @@
 //! Both front ends serve exactly what those two readers accept.
 //!
 //! Every view is built one way on both: one chunk fold from
-//! `dbmine-relation` over one pass of the private `AnalysisCtx::pass`
-//! (two passes for the partition sweep, which counts then places). The
-//! pass yields the resident relation as a single borrowed chunk
+//! `dbmine-relation` over one pass of [`AnalysisCtx::chunks`] (two
+//! passes for the partition sweep, which counts then places). The pass
+//! yields the resident relation as a single borrowed chunk
 //! ([`Relation::as_chunk`]) when one exists — always for a memory
 //! source, and for a chunk-backed context once it has materialized —
 //! and otherwise decodes the store in bounded-memory chunks. The folds
@@ -82,15 +84,21 @@
 //! A new shared view gets (1) a chunk fold next to its type in
 //! `dbmine-relation`, (2) a `OnceLock` (or bounded memo) field, (3) an
 //! accessor that goes through the private `AnalysisCtx::view` and calls
-//! the fold once over `AnalysisCtx::pass` inside a `ctx.build_*` span,
-//! and (4) a line in the DESIGN.md "Analysis context" table. Nothing
-//! else: consumers receive `&AnalysisCtx` and call the accessor.
+//! the fold once over [`AnalysisCtx::chunks`] inside a `ctx.build_*`
+//! span, and (4) a line in the DESIGN.md "Analysis context" table.
+//! Nothing else: consumers receive `&AnalysisCtx` and call the accessor.
+//!
+//! A result that a consumer reads once per call is not a view: the
+//! consumer folds it over [`AnalysisCtx::chunks`] itself, under its own
+//! span, and the context caches nothing (the tuple DCFs of LIMBO are
+//! such a per-call fold).
 
 use dbmine_relation::csv::{read_relation_path, CsvError};
 use dbmine_relation::stats::ColumnProfile;
 use dbmine_relation::{
-    attr_partitions_chunks, column_profiles_chunks, projection_stats_chunks, AttrSet, Relation,
-    RelationChunk, ShardedRelation, StrippedPartition, TupleRows, ValueDict, ValueIndex,
+    attr_partitions_chunks, column_profiles_chunks, projection_stats_chunks,
+    tuple_mutual_information_chunks, AttrSet, Relation, RelationChunk, ShardedRelation,
+    StrippedPartition, ValueDict, ValueIndex,
 };
 use fxhash::FxHashMap;
 use std::path::Path;
@@ -129,12 +137,9 @@ enum CtxSource {
     Chunks(ShardedRelation),
 }
 
-fn chunk_fail(what: &str, e: CsvError) -> ! {
-    panic!("chunk pass failed while building {what}: {e}")
+fn chunk_fail(e: CsvError) -> ! {
+    panic!("chunk pass failed: {e}")
 }
-
-/// One pass over a context's relation, in global tuple order.
-type Pass<'a> = Box<dyn Iterator<Item = RelationChunk<'a>> + 'a>;
 
 /// A lazily-memoized bundle of shared views over one relation. See the
 /// module docs for the sharing contract.
@@ -143,7 +148,6 @@ pub struct AnalysisCtx {
     /// Lazily-materialized full relation of a chunk-backed source
     /// ([`AnalysisCtx::relation`]); unused for memory-backed contexts.
     materialized: OnceLock<Arc<Relation>>,
-    tuple_rows: OnceLock<TupleRows>,
     value_index: OnceLock<ValueIndex>,
     tuple_mi: OnceLock<f64>,
     value_mi: OnceLock<f64>,
@@ -179,7 +183,6 @@ impl AnalysisCtx {
         AnalysisCtx {
             source,
             materialized: OnceLock::new(),
-            tuple_rows: OnceLock::new(),
             value_index: OnceLock::new(),
             tuple_mi: OnceLock::new(),
             value_mi: OnceLock::new(),
@@ -251,36 +254,24 @@ impl AnalysisCtx {
         matches!(self.source, CtxSource::Chunks(_))
     }
 
-    /// One pass over the relation for the fold building `what`: the
-    /// resident relation as a single borrowed chunk when one exists (the
-    /// memory backing, or a chunk-backed context's cached
-    /// materialization), else a store decode. A store fault panics (see
-    /// the module docs).
-    fn pass(&self, what: &'static str) -> Pass<'_> {
-        match (&self.source, self.materialized.get()) {
-            (CtxSource::Mem(rel), _) | (CtxSource::Chunks(_), Some(rel)) => {
-                Box::new(std::iter::once(rel.as_chunk()))
-            }
-            (CtxSource::Chunks(s), None) => {
-                let chunks = s.chunks().unwrap_or_else(|e| chunk_fail(what, e));
-                Box::new(chunks.map(move |c| c.unwrap_or_else(|e| chunk_fail(what, e))))
-            }
-        }
-    }
-
-    fn materialized_arc(&self) -> &Arc<Relation> {
-        match &self.source {
-            CtxSource::Mem(rel) => rel,
-            CtxSource::Chunks(sharded) => self.materialized.get_or_init(|| {
-                let _s = dbmine_telemetry::span("ctx.materialize");
-                self.materializations.fetch_add(1, Ordering::Relaxed);
-                dbmine_telemetry::counter_add(dbmine_telemetry::Counter::CtxMaterializations, 1);
-                match sharded.materialize() {
-                    Ok(rel) => Arc::new(rel),
-                    Err(e) => chunk_fail("the materialized relation", e),
+    /// One pass over the relation, in global tuple order: the resident
+    /// relation as a single borrowed chunk when one exists (the memory
+    /// backing, or a chunk-backed context's cached materialization),
+    /// else a store decode in bounded-memory chunks. Every view fold
+    /// runs over it, and so may a consumer's own per-call fold. A store
+    /// fault panics (see the module docs).
+    pub fn chunks(&self) -> impl Iterator<Item = RelationChunk<'_>> + '_ {
+        let pass: Box<dyn Iterator<Item = RelationChunk<'_>>> =
+            match (&self.source, self.materialized.get()) {
+                (CtxSource::Mem(rel), _) | (CtxSource::Chunks(_), Some(rel)) => {
+                    Box::new(std::iter::once(rel.as_chunk()))
                 }
-            }),
-        }
+                (CtxSource::Chunks(s), None) => {
+                    let chunks = s.chunks().unwrap_or_else(|e| chunk_fail(e));
+                    Box::new(chunks.map(|c| c.unwrap_or_else(|e| chunk_fail(e))))
+                }
+            };
+        pass
     }
 
     /// The underlying relation. On a chunk-backed context this
@@ -289,13 +280,18 @@ impl AnalysisCtx {
     /// chunk-foldable consumers should use the schema accessors and
     /// view methods instead.
     pub fn relation(&self) -> &Relation {
-        self.materialized_arc()
-    }
-
-    /// A new handle on the underlying relation's `Arc` (materializing
-    /// like [`AnalysisCtx::relation`] on a chunk-backed context).
-    pub fn relation_arc(&self) -> Arc<Relation> {
-        Arc::clone(self.materialized_arc())
+        match &self.source {
+            CtxSource::Mem(rel) => rel,
+            CtxSource::Chunks(sharded) => self.materialized.get_or_init(|| {
+                let _s = dbmine_telemetry::span("ctx.materialize");
+                self.materializations.fetch_add(1, Ordering::Relaxed);
+                dbmine_telemetry::counter_add(dbmine_telemetry::Counter::CtxMaterializations, 1);
+                match sharded.materialize() {
+                    Ok(rel) => Arc::new(rel),
+                    Err(e) => chunk_fail(e),
+                }
+            }),
+        }
     }
 
     /// Number of tuples `n` (schema metadata; never materializes).
@@ -374,27 +370,22 @@ impl AnalysisCtx {
         })
     }
 
-    /// The tuple matrix `M` view (`p(V|t)`, attribute-qualified keys).
-    pub fn tuple_rows(&self) -> &TupleRows {
-        self.view(&self.tuple_rows, || {
-            let _sp = dbmine_telemetry::span("ctx.build_tuple_rows");
-            let pass = self.pass("the tuple view");
-            TupleRows::from_chunks(self.dict().len(), self.n_attrs(), self.n_tuples(), pass)
-        })
-    }
-
     /// The value view (`p(T|v)` occurrence lists + support matrix `O`).
     pub fn value_index(&self) -> &ValueIndex {
         self.view(&self.value_index, || {
             let _sp = dbmine_telemetry::span("ctx.build_value_index");
-            ValueIndex::from_chunks(self.dict().len(), self.pass("the value view"))
+            ValueIndex::from_chunks(self.dict().len(), self.chunks())
         })
     }
 
-    /// `I(T;V)` — mutual information of the tuple view (built from the
-    /// shared [`TupleRows`]).
+    /// `I(T;V)` — mutual information of the tuple matrix `M`, folded
+    /// once over [`Self::chunks`] row by row (no row outlives its fold).
     pub fn tuple_mutual_information(&self) -> f64 {
-        *self.view(&self.tuple_mi, || self.tuple_rows().mutual_information())
+        *self.view(&self.tuple_mi, || {
+            let _sp = dbmine_telemetry::span("ctx.build_tuple_mi");
+            let (d, m, n) = (self.dict().len(), self.n_attrs(), self.n_tuples());
+            tuple_mutual_information_chunks(d, m, n, self.chunks())
+        })
     }
 
     /// `I(V;T)` — mutual information of the value view (built from the
@@ -415,8 +406,7 @@ impl AnalysisCtx {
         let guard = self.part_sweep.lock().unwrap_or_else(|e| e.into_inner());
         if self.attr_parts[a].get().is_none() {
             let _sp = dbmine_telemetry::span("ctx.build_partitions");
-            let parts =
-                attr_partitions_chunks(self.n_attrs(), || self.pass("the attribute partitions"));
+            let parts = attr_partitions_chunks(self.n_attrs(), || self.chunks());
             for (cell, part) in self.attr_parts.iter().zip(parts) {
                 if cell.set(part).is_ok() {
                     self.record_build();
@@ -445,8 +435,7 @@ impl AnalysisCtx {
     pub fn column_profiles(&self) -> &[ColumnProfile] {
         let profiles: &Vec<ColumnProfile> = self.view(&self.profiles, || {
             let _sp = dbmine_telemetry::span("ctx.build_profiles");
-            let profiles =
-                column_profiles_chunks(self.attr_names(), self.pass("the column profiles"));
+            let profiles = column_profiles_chunks(self.attr_names(), self.chunks());
             let mut memo = self.projections.lock().unwrap_or_else(|e| e.into_inner());
             for (a, p) in profiles.iter().enumerate() {
                 let key = AttrSet::single(a).bits();
@@ -478,7 +467,7 @@ impl AnalysisCtx {
         }
         let s = {
             let _sp = dbmine_telemetry::span("ctx.build_projection");
-            projection_stats_chunks(attrs, self.pass("the projection statistics"))
+            projection_stats_chunks(attrs, self.chunks())
         };
         self.record_build();
         if memo.len() < PROJECTION_MEMO_CAP {
@@ -549,6 +538,12 @@ mod tests {
     use super::*;
     use dbmine_relation::paper::{figure1, figure4};
 
+    /// `I(T;V)` of `rel` folded over its one borrowed chunk.
+    fn tuple_mi(rel: &Relation) -> f64 {
+        let (d, m, n) = (rel.dict().len(), rel.n_attrs(), rel.n_tuples());
+        tuple_mutual_information_chunks(d, m, n, [rel.as_chunk()])
+    }
+
     fn assert_send_sync<T: Send + Sync>() {}
 
     #[test]
@@ -560,12 +555,8 @@ mod tests {
     fn views_match_fresh_builds() {
         let rel = figure4();
         let ctx = AnalysisCtx::of(&rel);
-        assert_eq!(ctx.tuple_rows().len(), rel.n_tuples());
         assert_eq!(ctx.value_index().len(), ValueIndex::build(&rel).len());
-        assert_eq!(
-            ctx.tuple_mutual_information(),
-            TupleRows::build(&rel).mutual_information()
-        );
+        assert_eq!(ctx.tuple_mutual_information(), tuple_mi(&rel));
         assert_eq!(
             ctx.value_mutual_information(),
             ValueIndex::build(&rel).mutual_information()
@@ -579,14 +570,19 @@ mod tests {
     fn each_view_builds_once() {
         let rel = figure4();
         let ctx = AnalysisCtx::of(&rel);
-        ctx.tuple_rows();
-        ctx.tuple_rows();
-        // The MI initializer touches tuple_rows (one hit) and builds MI.
+        // I(T;V) folds straight from the chunk pass: one build, no view
+        // under it.
         ctx.tuple_mutual_information();
         ctx.tuple_mutual_information();
+        assert_eq!(ctx.view_stats().builds, 1, "{:?}", ctx.view_stats());
+        assert_eq!(ctx.view_stats().hits, 1);
+        // The first I(V;T) builds itself and, under it, the value index;
+        // the second is one hit.
+        ctx.value_mutual_information();
+        ctx.value_mutual_information();
         let s = ctx.view_stats();
-        assert_eq!(s.builds, 2, "TupleRows + I(T;V): {s:?}");
-        assert_eq!(s.hits, 3, "{s:?}");
+        assert_eq!(s.builds, 3, "I(T;V) + ValueIndex + I(V;T): {s:?}");
+        assert_eq!(s.hits, 2, "{s:?}");
     }
 
     #[test]
@@ -624,7 +620,8 @@ mod tests {
     fn empty_relation_views() {
         let rel = dbmine_relation::RelationBuilder::new("e", &["X", "Y"]).build();
         let ctx = AnalysisCtx::of(&rel);
-        assert!(ctx.tuple_rows().is_empty());
+        assert_eq!(ctx.chunks().map(|c| c.n_rows()).sum::<usize>(), 0);
+        assert_eq!(ctx.tuple_mutual_information(), 0.0);
         assert!(ctx.value_index().is_empty());
         assert_eq!(ctx.projection_distinct(rel.all_attrs()), 0);
         assert_eq!(ctx.projection_entropy(rel.all_attrs()), 0.0);
@@ -740,11 +737,25 @@ mod tests {
     #[test]
     fn chunk_backed_row_views_stream_without_materializing() {
         let (ctx, rel) = chunked_pair(CHUNK_SAMPLE, 2, "rows");
-        let mem_tr = TupleRows::build(&rel);
-        assert_eq!(ctx.tuple_rows().len(), mem_tr.len());
+        // The pass yields the store's chunks in tuple order, each row
+        // equal to the relation's.
+        let mut next = 0;
+        for chunk in ctx.chunks() {
+            assert_eq!(
+                (chunk.start, chunk.n_rows()),
+                (next, 2.min(rel.n_tuples() - next))
+            );
+            for t in 0..chunk.n_rows() {
+                let row: Vec<_> = chunk.row_values(t).collect();
+                let want: Vec<_> = (0..rel.n_attrs()).map(|a| rel.value(next + t, a)).collect();
+                assert_eq!(row, want);
+            }
+            next += chunk.n_rows();
+        }
+        assert_eq!(next, rel.n_tuples());
         assert_eq!(
-            ctx.tuple_rows().mutual_information().to_bits(),
-            mem_tr.mutual_information().to_bits()
+            ctx.tuple_mutual_information().to_bits(),
+            tuple_mi(&rel).to_bits()
         );
         let mem_vi = ValueIndex::build(&rel);
         assert_eq!(ctx.value_index().values(), mem_vi.values());
@@ -782,12 +793,9 @@ mod tests {
         assert_eq!(ctx.view_stats().materializations, 1);
         // Cached: later accesses don't re-stream.
         let _ = ctx.relation();
-        let _ = ctx.relation_arc();
         assert_eq!(ctx.view_stats().materializations, 1);
-        // The materialized relation now serves resident-path builds.
-        assert_eq!(
-            ctx.tuple_mutual_information(),
-            TupleRows::build(&rel).mutual_information()
-        );
+        // The materialized relation now serves the pass as one chunk.
+        assert_eq!(ctx.chunks().count(), 1);
+        assert_eq!(ctx.tuple_mutual_information(), tuple_mi(&rel));
     }
 }

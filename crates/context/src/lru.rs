@@ -3,8 +3,8 @@
 //!
 //! This is the serving daemon's resident state: every request for a
 //! relation the cache already holds reuses the same `Arc<AnalysisCtx>`,
-//! so all of the context's memoized views (TupleRows, ValueIndex,
-//! partitions, projection stats) are amortized across requests — the
+//! so all of the context's memoized views (ValueIndex, the mutual
+//! informations, partitions, projection stats) are amortized across requests — the
 //! "keep the per-node caches hot across repeated queries" pattern.
 //!
 //! Keys are [`Relation::content_hash`] values, so two loads of

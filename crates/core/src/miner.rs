@@ -249,7 +249,7 @@ impl StructureMiner {
     /// Runs the full pipeline over a shared [`AnalysisCtx`]: profiling →
     /// duplicate tuples → value clustering → attribute grouping → FD
     /// mining (TANE, bounded by `max_lhs`) → minimum cover → FD-RANK
-    /// with RAD/RTR. One analyze run builds `TupleRows`, `ValueIndex`
+    /// with RAD/RTR. One analyze run builds `I(T;V)`, `ValueIndex`
     /// and each single-attribute partition exactly once (pinned by a
     /// telemetry regression test); repeated runs over the same context
     /// (parameter sweeps, repeated CLI calls) build nothing.

@@ -141,9 +141,8 @@ impl SparseDist {
     /// `p(T|c*) = p(ci)/p(c*) · p(T|ci) + p(cj)/p(c*) · p(T|cj)`.
     ///
     /// Allocates a fresh vector per call; the clustering hot paths use
-    /// [`SparseDist::weighted_sum_into`] / [`SparseDist::merge_from`]
-    /// instead, and this function is kept as their pinned bit-identity
-    /// reference (see the property tests).
+    /// [`SparseDist::merge_from`] instead, and this function is kept as
+    /// its pinned bit-identity reference (see the property tests).
     pub fn weighted_sum(a: &Self, wa: f64, b: &Self, wb: f64) -> Self {
         let mut entries = Vec::with_capacity(a.entries.len() + b.entries.len());
         let (mut ia, mut ib) = (0, 0);
@@ -171,19 +170,6 @@ impl SparseDist {
         entries.retain(|&(_, w)| w != 0.0);
         let total = entries.iter().map(|&(_, w)| w).sum();
         Self { entries, total }
-    }
-
-    /// [`SparseDist::weighted_sum`] written into a caller-owned output
-    /// vector: `out` becomes `wa * a + wb * b` without allocating (beyond
-    /// growing `out`'s buffer once to the union support size).
-    ///
-    /// Bit-identical to `weighted_sum` — same merge pass, same zero
-    /// dropping, same left-to-right total summation (property-tested).
-    pub fn weighted_sum_into(a: &Self, wa: f64, b: &Self, wb: f64, out: &mut Self) {
-        out.entries.clear();
-        merge_into(&a.entries, wa, &b.entries, wb, &mut out.entries);
-        out.entries.retain(|&(_, w)| w != 0.0);
-        out.total = out.entries.iter().map(|&(_, w)| w).sum();
     }
 
     /// Replaces `self` with `w_self * self + w_other * other`, merging
@@ -331,11 +317,6 @@ impl SparseDist {
         self.entries.truncate(merged);
     }
 
-    /// Consumes the vector, returning its raw entries.
-    pub fn into_entries(self) -> Vec<(u32, f64)> {
-        self.entries
-    }
-
     /// Borrowed view of the raw entries.
     pub fn entries(&self) -> &[(u32, f64)] {
         &self.entries
@@ -348,51 +329,10 @@ impl SparseDist {
     pub fn map_indices(&self, mut f: impl FnMut(u32) -> u32) -> Self {
         Self::from_pairs(self.entries.iter().map(|&(i, w)| (f(i), w)).collect())
     }
-
-    /// Maximum absolute difference against another sparse vector.
-    ///
-    /// Streams both entry lists with two pointers — no difference vector
-    /// is materialized. Pinned bit-identical to the old
-    /// `weighted_sum(self, 1.0, other, -1.0)` + fold path by regression
-    /// and property tests: `a - b` is IEEE-identical to
-    /// `1.0*a + (-1.0)*b`, and the fold visits the same values in the
-    /// same index order.
-    pub fn linf_distance(&self, other: &Self) -> f64 {
-        let (ae, be) = (&self.entries, &other.entries);
-        let mut max = 0.0f64;
-        let (mut ia, mut ib) = (0, 0);
-        while ia < ae.len() && ib < be.len() {
-            let (ka, va) = ae[ia];
-            let (kb, vb) = be[ib];
-            match ka.cmp(&kb) {
-                std::cmp::Ordering::Less => {
-                    max = max.max(va.abs());
-                    ia += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    max = max.max(vb.abs());
-                    ib += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    max = max.max((va - vb).abs());
-                    ia += 1;
-                    ib += 1;
-                }
-            }
-        }
-        for &(_, va) in &ae[ia..] {
-            max = max.max(va.abs());
-        }
-        for &(_, vb) in &be[ib..] {
-            max = max.max(vb.abs());
-        }
-        max
-    }
 }
 
-/// The `wa * a + wb * b` merge pass shared by
-/// [`SparseDist::weighted_sum_into`] and [`SparseDist::merge_from`]:
-/// pushes the weighted union onto `out` in index order, summing weights
+/// The `wa * a + wb * b` merge pass of [`SparseDist::merge_from`]'s
+/// general (non-subset) path: pushes the weighted union onto `out` in index order, summing weights
 /// on equal indices exactly as [`SparseDist::weighted_sum`] does. Zero
 /// dropping and total computation are left to the caller.
 fn merge_into(ae: &[(u32, f64)], wa: f64, be: &[(u32, f64)], wb: f64, out: &mut Vec<(u32, f64)>) {
@@ -504,20 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_sum_into_matches_reference() {
-        let a = SparseDist::from_pairs(vec![(0, 0.5), (2, 0.5)]);
-        let b = SparseDist::from_pairs(vec![(1, 0.25), (2, 0.75)]);
-        let reference = SparseDist::weighted_sum(&a, 0.3, &b, 0.7);
-        let mut out = SparseDist::new();
-        SparseDist::weighted_sum_into(&a, 0.3, &b, 0.7, &mut out);
-        assert_eq!(out.entries(), reference.entries());
-        assert_eq!(out.total().to_bits(), reference.total().to_bits());
-        // The output buffer is reused (cleared) across calls.
-        SparseDist::weighted_sum_into(&b, 1.0, &a, 0.0, &mut out);
-        assert_eq!(out.entries(), b.entries());
-    }
-
-    #[test]
     fn merge_from_swaps_scratch() {
         let mut a = SparseDist::from_pairs(vec![(0, 0.5), (2, 0.5)]);
         let b = SparseDist::from_pairs(vec![(1, 0.25), (2, 0.75)]);
@@ -550,22 +476,5 @@ mod tests {
             assert_eq!(x.entries(), reference.entries());
             assert_eq!(x.total().to_bits(), reference.total().to_bits());
         }
-    }
-
-    #[test]
-    fn linf_distance_matches_materialized_reference() {
-        let a = SparseDist::from_pairs(vec![(0, 0.7), (1, 0.3), (7, 0.1)]);
-        let b = SparseDist::from_pairs(vec![(0, 0.4), (2, 0.6), (7, 0.1)]);
-        let diff = SparseDist::weighted_sum(&a, 1.0, &b, -1.0);
-        let reference = diff.iter().map(|(_, w)| w.abs()).fold(0.0, f64::max);
-        assert_eq!(a.linf_distance(&b).to_bits(), reference.to_bits());
-    }
-
-    #[test]
-    fn linf_distance_symmetric() {
-        let a = SparseDist::from_pairs(vec![(0, 0.7), (1, 0.3)]);
-        let b = SparseDist::from_pairs(vec![(0, 0.4), (2, 0.6)]);
-        assert!((a.linf_distance(&b) - 0.6).abs() < 1e-12);
-        assert!((b.linf_distance(&a) - 0.6).abs() < 1e-12);
     }
 }

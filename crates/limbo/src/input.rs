@@ -1,7 +1,9 @@
 //! DCF streams for the paper's three clustering tasks.
 //!
 //! * [`tuple_dcfs_ctx`] — Section 6.1: objects are tuples, expressed over
-//!   values; `p(t) = 1/n`, `p(V|t)` from matrix `M`.
+//!   values; `p(t) = 1/n`, `p(V|t)` a row of matrix `M`
+//!   ([`dbmine_relation::qualified_row`]), built chunk by chunk from the
+//!   context's pass ([`tuple_dcfs_for_chunk`]).
 //! * [`value_dcfs_with`] — Section 6.2: objects are distinct attribute values,
 //!   expressed over tuples; `p(v) = 1/d`, `p(T|v)` from matrix `N`, and
 //!   the ADCF auxiliary vector carries the value's `O` row so clusters
@@ -12,34 +14,34 @@
 use dbmine_context::AnalysisCtx;
 use dbmine_ib::Dcf;
 use dbmine_infotheory::SparseDist;
-use dbmine_relation::{qualified_row, RelationChunk, TupleRows, ValueIndex};
+use dbmine_relation::{qualified_row, qualified_stride, RelationChunk, ValueIndex};
 
-/// Singleton DCFs for every tuple of the relation (matrix `M` rows),
-/// over the context's shared [`TupleRows`] view (built at most once per
-/// context). `threads`: `1` = serial, `0` = all cores. Each tuple's DCF
-/// is built independently, so the result is bit-identical for every
-/// thread count.
+/// Singleton DCFs for every tuple of the relation (matrix `M` rows), in
+/// tuple order: one fold of [`tuple_dcfs_for_chunk`] over the context's
+/// chunk pass ([`AnalysisCtx::chunks`]), so the context caches nothing.
+/// `threads`: `1` = serial, `0` = all cores. Each tuple's DCF is built
+/// independently, so the result is bit-identical for every thread count
+/// and every chunking.
 pub fn tuple_dcfs_ctx(ctx: &AnalysisCtx, threads: usize) -> Vec<Dcf> {
-    tuple_dcfs_from(ctx.tuple_rows(), threads)
+    let _span = dbmine_telemetry::span("limbo.tuple_dcfs");
+    let mut out = Vec::with_capacity(ctx.n_tuples());
+    for chunk in ctx.chunks() {
+        out.extend(tuple_dcfs_for_chunk(ctx, &chunk, threads));
+    }
+    out
 }
 
-/// The common core: singleton DCFs from an already-built tuple view.
-pub fn tuple_dcfs_from(rows: &TupleRows, threads: usize) -> Vec<Dcf> {
-    let p = rows.prior();
-    dbmine_parallel::par_map_range(threads, rows.len(), |t| {
-        Dcf::singleton(p, rows.row(t).clone())
+/// Singleton tuple DCFs for the rows of one chunk of `ctx`'s pass, with
+/// `threads` workers. The stride, the cell mass `1/m` and the prior
+/// `p(t) = 1/n` are the whole relation's, so a chunk's DCFs are bitwise
+/// the slice `objects[chunk.start..]` of [`tuple_dcfs_ctx`].
+pub fn tuple_dcfs_for_chunk(ctx: &AnalysisCtx, chunk: &RelationChunk, threads: usize) -> Vec<Dcf> {
+    let m = ctx.n_attrs();
+    let stride = qualified_stride(ctx.dict().len(), m);
+    let (mass, prior) = (1.0 / m as f64, 1.0 / ctx.n_tuples() as f64);
+    dbmine_parallel::par_map_range(threads, chunk.n_rows(), |t| {
+        Dcf::singleton(prior, qualified_row(stride, mass, chunk.row_values(t)))
     })
-}
-
-/// Singleton tuple DCFs for one ingest chunk — the chunked counterpart
-/// of [`tuple_dcfs_from`]. `stride`/`mass`/`prior` come from the whole
-/// relation (`qualified_stride(|dict|, m)`, `1/m`, `1/n`), so a chunk's
-/// DCFs are bitwise the slice `objects[chunk.start..]` of the in-memory
-/// construction.
-pub fn tuple_dcfs_for_chunk(chunk: &RelationChunk, stride: u32, mass: f64, prior: f64) -> Vec<Dcf> {
-    (0..chunk.n_rows())
-        .map(|t| Dcf::singleton(prior, qualified_row(stride, mass, chunk.row_values(t))))
-        .collect()
 }
 
 /// Singleton ADCFs for every distinct value of the relation: the `N` row

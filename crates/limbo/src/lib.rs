@@ -28,9 +28,7 @@ pub mod tree;
 pub mod tree_reference;
 
 pub use double::reexpress_over_clusters;
-pub use input::{
-    attribute_dcfs, tuple_dcfs_ctx, tuple_dcfs_for_chunk, tuple_dcfs_from, value_dcfs_with,
-};
+pub use input::{attribute_dcfs, tuple_dcfs_ctx, tuple_dcfs_for_chunk, value_dcfs_with};
 pub use pipeline::{phase1, phase2_with, phase3_with, run, Limbo, LimboModel, LimboParams};
 pub use sharded::{
     phase1_auto, phase1_sharded, phase1_store, ShardPlan, ShardedPhase1, DEFAULT_CHUNK_TUPLES,

@@ -71,17 +71,6 @@ pub struct LimboModel {
     pub n_objects: usize,
 }
 
-impl LimboModel {
-    /// The compression achieved by Phase 1: leaves per object.
-    pub fn summary_ratio(&self) -> f64 {
-        if self.n_objects == 0 {
-            1.0
-        } else {
-            self.leaves.len() as f64 / self.n_objects as f64
-        }
-    }
-}
-
 /// The full LIMBO run: Phase 1 summary, Phase 2 clustering, Phase 3
 /// assignments.
 #[derive(Clone, Debug)]
@@ -95,35 +84,12 @@ pub struct Limbo {
     pub assignments: Vec<(usize, f64)>,
 }
 
-impl Limbo {
-    /// Member object indices per final cluster.
-    pub fn cluster_members(&self) -> Vec<Vec<usize>> {
-        let mut out = vec![Vec::new(); self.clustering.clusters.len()];
-        for (obj, &(c, _)) in self.assignments.iter().enumerate() {
-            out[c].push(obj);
-        }
-        out
-    }
-
-    /// The information lost by the Phase 3 assignment, relative to the
-    /// input information (the paper reports e.g. *"the loss of initial
-    /// information after Phase 3 was 9.45%"*).
-    pub fn assignment_relative_loss(&self) -> f64 {
-        let total: f64 = self.assignments.iter().map(|&(_, l)| l).sum();
-        if self.model.mutual_information <= 0.0 {
-            0.0
-        } else {
-            total / self.model.mutual_information
-        }
-    }
-}
-
 /// Phase 1: streams `objects` into a DCF-tree with threshold
 /// `φ · mutual_information / n_objects` and returns the leaf summary.
 ///
 /// `mutual_information` is `I(V;T)` of the input view — callers obtain it
-/// from `TupleRows::mutual_information` / `ValueIndex::mutual_information`
-/// (it only gates the merge threshold, so any consistent estimate works).
+/// from `AnalysisCtx::tuple_mutual_information` /
+/// `AnalysisCtx::value_mutual_information` (it only gates the merge threshold, so any consistent estimate works).
 /// Objects are borrowed: an absorbed insert never clones the incoming
 /// DCF (see [`DcfTree::insert`]), so in the summary regime Phase 1
 /// performs no per-object allocation.
@@ -204,70 +170,70 @@ pub fn run(objects: &[Dcf], mutual_information: f64, k: usize, params: LimboPara
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::tuple_dcfs_from;
+    use crate::input::tuple_dcfs_ctx;
+    use dbmine_context::AnalysisCtx;
     use dbmine_ib::aib;
     use dbmine_relation::paper::figure4;
-    use dbmine_relation::TupleRows;
+
+    /// Figure 4's tuple DCFs and `I(T;V)`.
+    fn figure4_objects() -> (Vec<Dcf>, f64) {
+        let ctx = AnalysisCtx::of(&figure4());
+        (tuple_dcfs_ctx(&ctx, 1), ctx.tuple_mutual_information())
+    }
+
+    /// Object indices per final cluster, read from the assignments.
+    fn members(l: &Limbo) -> Vec<Vec<usize>> {
+        let mut out = vec![Vec::new(); l.clustering.clusters.len()];
+        for (obj, &(c, _)) in l.assignments.iter().enumerate() {
+            out[c].push(obj);
+        }
+        out
+    }
 
     #[test]
     fn phi_zero_equals_aib() {
         // "For instance using φ = 0.0, we only merge identical objects and
         //  LIMBO becomes equivalent to AIB."
-        let rel = figure4();
-        let rows = TupleRows::build(&rel);
-        let objects = tuple_dcfs_from(&rows, 1);
-        let mi = rows.mutual_information();
+        let (objects, mi) = figure4_objects();
         let l = run(&objects, mi, 2, LimboParams::with_phi(0.0));
         let direct = aib(objects.clone(), 2);
         assert_eq!(l.model.leaves.len(), 5);
         // Same final information retained.
         assert!((l.clustering.final_information() - direct.final_information()).abs() < 1e-9);
         // t3,t4,t5 (sharing 2 and x) end up together; t1,t2 together.
-        let members = l.cluster_members();
-        let mut sizes: Vec<usize> = members.iter().map(Vec::len).collect();
+        let mut sizes: Vec<usize> = members(&l).iter().map(Vec::len).collect();
         sizes.sort_unstable();
         assert_eq!(sizes, vec![2, 3]);
     }
 
     #[test]
     fn larger_phi_smaller_summary() {
-        let rel = figure4();
-        let rows = TupleRows::build(&rel);
-        let objects = tuple_dcfs_from(&rows, 1);
-        let mi = rows.mutual_information();
+        let (objects, mi) = figure4_objects();
         let m0 = phase1(&objects, mi, objects.len(), LimboParams::with_phi(0.0));
         let m5 = phase1(&objects, mi, objects.len(), LimboParams::with_phi(5.0));
         assert!(m5.leaves.len() <= m0.leaves.len());
-        assert!(m5.summary_ratio() <= m0.summary_ratio());
     }
 
     #[test]
     fn every_object_assigned() {
-        let rel = figure4();
-        let rows = TupleRows::build(&rel);
-        let objects = tuple_dcfs_from(&rows, 1);
-        let mi = rows.mutual_information();
+        let (objects, mi) = figure4_objects();
         let l = run(&objects, mi, 2, LimboParams::default());
         assert_eq!(l.assignments.len(), 5);
-        let members = l.cluster_members();
-        let total: usize = members.iter().map(Vec::len).sum();
+        let total: usize = members(&l).iter().map(Vec::len).sum();
         assert_eq!(total, 5);
-        assert!(l.assignment_relative_loss() >= 0.0);
+        assert!(l.assignments.iter().all(|&(_, loss)| loss >= 0.0));
     }
 
     #[test]
     fn empty_input() {
         let model = phase1(std::iter::empty(), 0.0, 0, LimboParams::default());
         assert!(model.leaves.is_empty());
-        assert_eq!(model.summary_ratio(), 1.0);
+        assert_eq!(model.n_objects, 0);
     }
 
     #[test]
     fn threshold_formula() {
-        let rel = figure4();
-        let rows = TupleRows::build(&rel);
-        let objects = tuple_dcfs_from(&rows, 1);
-        let mi = rows.mutual_information();
+        let (objects, mi) = figure4_objects();
         let m = phase1(&objects, mi, 5, LimboParams::with_phi(0.3));
         assert!((m.threshold - 0.3 * mi / 5.0).abs() < 1e-12);
     }

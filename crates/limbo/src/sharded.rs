@@ -33,12 +33,12 @@
 //! shard leaves, and the chunk objects are dropped — peak memory holds
 //! one batch of chunks plus the accumulated leaves, never the relation.
 
+use crate::input::tuple_dcfs_for_chunk;
 use crate::pipeline::{phase1, LimboModel, LimboParams};
 use crate::tree::DcfTree;
+use dbmine_context::AnalysisCtx;
 use dbmine_ib::Dcf;
 use dbmine_parallel::par_map_coarse;
-use dbmine_relation::csv::CsvError;
-use dbmine_relation::{tuple_mutual_information_chunks, ShardedRelation};
 use dbmine_telemetry::{counter_add, Counter};
 use std::ops::Range;
 
@@ -269,61 +269,48 @@ pub fn phase1_auto(objects: &[Dcf], mutual_information: f64, params: LimboParams
     }
 }
 
-/// Fully out-of-core Phase 1 over a shard store
-/// ([`ShardedRelation::open_store`] /
-/// [`ShardedRelation::scan_csv_path_spill`]): two more streaming passes
-/// of checksummed block decodes, never materializing the relation.
+/// Streaming Phase 1 over the context's chunk pass, never holding more
+/// than one batch of chunk objects:
 ///
-/// * **Pass 2** — [`tuple_mutual_information_chunks`] folds `I(T;V)`
-///   over a fresh chunk stream (bit-identical to the in-memory
-///   `TupleRows` fold).
-/// * **Pass 3** — each chunk becomes its singleton tuple DCFs
-///   ([`crate::input::tuple_dcfs_for_chunk`]) and streams through
-///   [`ShardedPhase1`] in worker-sized batches; chunk objects drop as
-///   soon as their shard tree is built, so peak memory holds one batch
-///   of chunks plus the accumulated shard leaves — bounded by the chunk
-///   size, never by `n`.
+/// * `I(T;V)` is the context's memoized fold
+///   ([`AnalysisCtx::tuple_mutual_information`]), one pass on first use;
+/// * then each chunk of [`AnalysisCtx::chunks`] becomes its singleton
+///   tuple DCFs ([`crate::input::tuple_dcfs_for_chunk`]) and streams
+///   through [`ShardedPhase1`] in worker-sized batches; chunk objects
+///   drop as soon as their shard tree is built.
+///
+/// On a store-backed context peak memory holds one batch of chunks plus
+/// the accumulated shard leaves — bounded by the store's chunk size,
+/// never by `n` — and no relation is materialized. A memory context is
+/// one chunk, so it runs the classic single-pass tree.
 ///
 /// `params.shards` gives the shard workers (`None` → 1); when the store
 /// chunk size is the default, the chunking equals [`ShardPlan::auto`],
-/// so the result is bit-identical to loading the relation in memory and
-/// running [`phase1_auto`] with the same `params` — pinned by tests.
-///
-/// Returns the streamed `I(T;V)` alongside the Phase 1 model.
-pub fn phase1_store(
-    sharded: &ShardedRelation,
-    params: LimboParams,
-) -> Result<(f64, LimboModel), CsvError> {
-    let mutual_information = tuple_mutual_information_chunks(sharded, sharded.chunks()?)?;
-    let n = sharded.n_tuples();
-    let m = sharded.n_attrs();
+/// so the result is bit-identical to running [`phase1_auto`] with the
+/// same `params` on [`crate::tuple_dcfs_ctx`]'s objects — pinned by
+/// tests. The model carries the `I(T;V)` it used.
+pub fn phase1_store(ctx: &AnalysisCtx, params: LimboParams) -> LimboModel {
+    let mutual_information = ctx.tuple_mutual_information();
     let workers = params.shards.unwrap_or(1);
     let batch_size = dbmine_parallel::effective_threads(workers).max(1);
-    let mut driver = ShardedPhase1::new(mutual_information, n, params, workers);
-    if n > 0 {
-        let stride = dbmine_relation::qualified_stride(sharded.dict().len(), m);
-        let mass = 1.0 / m as f64;
-        let prior = 1.0 / n as f64;
-        let mut batch: Vec<Vec<Dcf>> = Vec::with_capacity(batch_size);
-        for chunk in sharded.chunks()? {
-            let chunk = chunk?;
-            batch.push(crate::input::tuple_dcfs_for_chunk(
-                &chunk, stride, mass, prior,
-            ));
-            if batch.len() == batch_size {
-                driver.ingest_chunks(&batch);
-                batch.clear();
-            }
+    let mut driver = ShardedPhase1::new(mutual_information, ctx.n_tuples(), params, workers);
+    let mut batch: Vec<Vec<Dcf>> = Vec::with_capacity(batch_size);
+    for chunk in ctx.chunks() {
+        batch.push(tuple_dcfs_for_chunk(ctx, &chunk, 1));
+        if batch.len() == batch_size {
+            driver.ingest_chunks(&batch);
+            batch.clear();
         }
-        driver.ingest_chunks(&batch);
     }
-    Ok((mutual_information, driver.finish()))
+    driver.ingest_chunks(&batch);
+    driver.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dbmine_infotheory::SparseDist;
+    use dbmine_relation::ShardedRelation;
 
     /// Deterministic xorshift64* stream (same pattern as the tree
     /// reference tests) so the proptests need no RNG dependency.
@@ -592,8 +579,8 @@ mod tests {
     }
 
     /// Spills `csv` (named `t`) into a fresh temporary store, removed
-    /// once the test is done with it.
-    fn with_store<T>(csv: &str, chunk: usize, f: impl FnOnce(&ShardedRelation) -> T) -> T {
+    /// once the test is done with it, and hands `f` a context over it.
+    fn with_store<T>(csv: &str, chunk: usize, f: impl FnOnce(&AnalysisCtx) -> T) -> T {
         use std::sync::atomic::{AtomicU64, Ordering};
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join("dbmine_limbo_store_test");
@@ -601,28 +588,33 @@ mod tests {
         let id = SEQ.fetch_add(1, Ordering::Relaxed);
         let store = dir.join(format!("{}_{id}.dbss", std::process::id()));
         let sharded = ShardedRelation::scan_csv_spill(csv.as_bytes(), "t", chunk, &store).unwrap();
-        let out = f(&sharded);
+        let out = f(&AnalysisCtx::from_chunks(sharded).unwrap());
         std::fs::remove_file(&store).ok();
         out
     }
 
+    /// The tuple DCFs and `I(T;V)` of `csv` loaded in memory.
+    fn in_memory(csv: &str) -> (Vec<Dcf>, f64) {
+        let rel = dbmine_relation::csv::read_relation(csv.as_bytes(), "t").unwrap();
+        let ctx = AnalysisCtx::from(rel);
+        (
+            crate::tuple_dcfs_ctx(&ctx, 1),
+            ctx.tuple_mutual_information(),
+        )
+    }
+
     #[test]
     fn out_of_core_phase1_is_bit_identical_to_in_memory() {
-        use dbmine_relation::csv::read_relation;
-        use dbmine_relation::TupleRows;
-
         let n = 400;
         let csv = synthetic_csv(n);
-        let rel = read_relation(csv.as_bytes(), "t").unwrap();
-        let rows = TupleRows::build(&rel);
-        let objects = crate::input::tuple_dcfs_from(&rows, 1);
-        let mi_ref = rows.mutual_information();
+        let (objects, mi_ref) = in_memory(&csv);
         for chunk in [64usize, 150, 1000] {
-            with_store(&csv, chunk, |sharded| {
+            with_store(&csv, chunk, |ctx| {
                 for phi in [0.0, 1.0, 4.0] {
                     for workers in [1usize, 2, 4] {
                         let params = LimboParams::with_phi(phi).shards(Some(workers));
-                        let (mi, model) = phase1_store(sharded, params).unwrap();
+                        let model = phase1_store(ctx, params);
+                        let mi = model.mutual_information;
                         assert_eq!(mi.to_bits(), mi_ref.to_bits(), "chunk={chunk} phi={phi}");
                         // Reference: the same plan over in-memory objects.
                         let plan = ShardPlan::with_chunk_size(n, chunk);
@@ -636,6 +628,7 @@ mod tests {
                         );
                     }
                 }
+                assert_eq!(ctx.view_stats().materializations, 0);
             });
         }
     }
@@ -646,24 +639,19 @@ mod tests {
         // plan, so the fully streamed run equals the in-memory
         // `--shards` run bit for bit (here n < chunk, which also pins it
         // to classic).
-        use dbmine_relation::csv::read_relation;
-        use dbmine_relation::TupleRows;
-
         let csv = synthetic_csv(300);
-        let rel = read_relation(csv.as_bytes(), "t").unwrap();
-        let rows = TupleRows::build(&rel);
-        let objects = crate::input::tuple_dcfs_from(&rows, 1);
-        let mi_ref = rows.mutual_information();
+        let (objects, mi_ref) = in_memory(&csv);
         let params = LimboParams::with_phi(1.0).shards(Some(2));
-        let (mi, model) = with_store(&csv, 0, |sharded| {
-            assert_eq!(sharded.chunk_tuples(), DEFAULT_CHUNK_TUPLES);
-            phase1_store(sharded, params).unwrap()
-        });
+        let model = with_store(&csv, 0, |ctx| phase1_store(ctx, params));
         let auto = phase1_auto(&objects, mi_ref, params);
-        assert_eq!(mi.to_bits(), mi_ref.to_bits());
+        assert_eq!(model.mutual_information.to_bits(), mi_ref.to_bits());
         assert_bit_identical(&model.leaves, &auto.leaves, "default chunking ≡ auto");
         let classic = phase1(&objects, mi_ref, objects.len(), params);
         assert_bit_identical(&model.leaves, &classic.leaves, "single chunk ≡ classic");
+        // A memory context is one chunk: the classic tree again.
+        let rel = dbmine_relation::csv::read_relation(csv.as_bytes(), "t").unwrap();
+        let resident = phase1_store(&AnalysisCtx::from(rel), params);
+        assert_bit_identical(&resident.leaves, &classic.leaves, "memory ≡ classic");
     }
 
     #[test]
@@ -672,65 +660,45 @@ mod tests {
         // the output of the in-memory sharded build over the same plan,
         // and be invariant in the worker count — for several chunk
         // sizes and φ values.
-        use dbmine_relation::csv::read_relation_path;
-        use dbmine_relation::TupleRows;
-
-        let dir = std::env::temp_dir().join("dbmine_limbo_store_path_test");
-        std::fs::create_dir_all(&dir).unwrap();
         let n = 400;
-        let csv_path = dir.join("synth.csv");
-        std::fs::write(&csv_path, synthetic_csv(n)).unwrap();
-        let rel = read_relation_path(&csv_path).unwrap();
-        let rows = TupleRows::build(&rel);
-        let objects = crate::input::tuple_dcfs_from(&rows, 1);
-        let mi_ref = rows.mutual_information();
+        let csv = synthetic_csv(n);
+        let (objects, mi_ref) = in_memory(&csv);
         for chunk in [64usize, 150] {
-            let store_path = dir.join(format!("synth_{chunk}.dbss"));
-            let stored =
-                ShardedRelation::scan_csv_path_spill(&csv_path, chunk, &store_path).unwrap();
-            assert_eq!(stored.content_hash(), rel.content_hash());
-            for phi in [0.0, 1.0, 4.0] {
-                let params = LimboParams::with_phi(phi);
-                let (_, serial) = phase1_store(&stored, params.shards(Some(1))).unwrap();
-                for workers in [1usize, 2, 4] {
-                    let params = params.shards(Some(workers));
-                    let (mi_store, from_store) = phase1_store(&stored, params).unwrap();
-                    assert_eq!(mi_store.to_bits(), mi_ref.to_bits());
-                    let plan = ShardPlan::with_chunk_size(n, chunk);
-                    let reference = phase1_sharded(&objects, mi_ref, params, &plan, workers);
-                    let what = format!("store chunk={chunk} phi={phi} workers={workers}");
-                    assert_bit_identical(&from_store.leaves, &reference.leaves, &what);
-                    assert_bit_identical(&from_store.leaves, &serial.leaves, &what);
+            with_store(&csv, chunk, |ctx| {
+                for phi in [0.0, 1.0, 4.0] {
+                    let params = LimboParams::with_phi(phi);
+                    let serial = phase1_store(ctx, params.shards(Some(1)));
+                    for workers in [1usize, 2, 4] {
+                        let params = params.shards(Some(workers));
+                        let from_store = phase1_store(ctx, params);
+                        let mi_store = from_store.mutual_information;
+                        assert_eq!(mi_store.to_bits(), mi_ref.to_bits());
+                        let plan = ShardPlan::with_chunk_size(n, chunk);
+                        let reference = phase1_sharded(&objects, mi_ref, params, &plan, workers);
+                        let what = format!("store chunk={chunk} phi={phi} workers={workers}");
+                        assert_bit_identical(&from_store.leaves, &reference.leaves, &what);
+                        assert_bit_identical(&from_store.leaves, &serial.leaves, &what);
+                    }
                 }
-            }
+            });
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn out_of_core_empty_relation() {
-        let (mi, model) = with_store("A,B\n", 4, |sharded| {
-            phase1_store(sharded, LimboParams::default()).unwrap()
-        });
-        assert_eq!(mi, 0.0);
+        let model = with_store("A,B\n", 4, |ctx| phase1_store(ctx, LimboParams::default()));
+        assert_eq!(model.mutual_information, 0.0);
         assert!(model.leaves.is_empty());
         assert_eq!(model.n_objects, 0);
     }
 
     #[test]
     fn out_of_core_path_backed_run() {
-        let dir = std::env::temp_dir().join("dbmine_limbo_ooc_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("synth.csv");
-        std::fs::write(&path, synthetic_csv(200)).unwrap();
-        let store = dir.join("synth.dbss");
-        let sharded = ShardedRelation::scan_csv_path_spill(&path, 64, &store).unwrap();
-        let (mi, model) =
-            phase1_store(&sharded, LimboParams::with_phi(1.0).shards(Some(2))).unwrap();
-        assert!(mi > 0.0);
+        let params = LimboParams::with_phi(1.0).shards(Some(2));
+        let model = with_store(&synthetic_csv(200), 64, |ctx| phase1_store(ctx, params));
+        assert!(model.mutual_information > 0.0);
         assert_eq!(model.n_objects, 200);
         let count: usize = model.leaves.iter().map(|d| d.count).sum();
         assert_eq!(count, 200);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,12 +2,17 @@
 //! auxiliary vectors for arbitrary inputs, and must never retain more
 //! information than the input carries.
 
+use dbmine_context::AnalysisCtx;
 use dbmine_ib::{aib, Dcf};
 use dbmine_infotheory::{mutual_information, SparseDist};
 use dbmine_limbo::{
-    phase1, phase1_sharded, phase2_with, phase3_with, DcfTree, DcfTreeRef, LimboParams, ShardPlan,
+    phase1, phase1_auto, phase1_sharded, phase1_store, phase2_with, phase3_with, tuple_dcfs_ctx,
+    DcfTree, DcfTreeRef, LimboModel, LimboParams, ShardPlan,
 };
+use dbmine_relation::csv::read_relation;
+use dbmine_relation::{qualified_row, qualified_stride, ShardedRelation};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Random singleton DCFs over a small domain, with equal masses.
 fn arb_objects() -> impl Strategy<Value = Vec<Dcf>> {
@@ -50,6 +55,63 @@ fn arb_stream() -> impl Strategy<Value = Vec<Dcf>> {
             }
             objects
         })
+}
+
+/// A random categorical relation as CSV text: 1–4 attributes, 0–20
+/// tuples or 130–260 (enough for the parallel map to split), domain 3
+/// plus NULL (empty) cells, and columns that may be entirely NULL.
+fn arb_csv() -> impl Strategy<Value = String> {
+    let n = (0usize..=20, 0u8..2).prop_map(|(n, big)| if big == 1 { 130 + 6 * n } else { n });
+    (1usize..=4, n).prop_flat_map(|(m, n)| {
+        let rows = proptest::collection::vec(
+            proptest::collection::vec(proptest::option::weighted(0.8, 0u8..3), m),
+            n,
+        );
+        // A column whose draw is 0 (one in four) is entirely NULL.
+        let all_null = proptest::collection::vec(0u8..4, m);
+        (rows, all_null).prop_map(move |(rows, all_null)| {
+            let header: Vec<String> = (0..m).map(|a| format!("A{a}")).collect();
+            let mut csv = header.join(",") + "\n";
+            for row in rows {
+                let cells: Vec<String> = row
+                    .iter()
+                    .enumerate()
+                    .map(|(a, v)| match v.filter(|_| all_null[a] != 0) {
+                        Some(v) => format!("v{v}"),
+                        None => String::new(),
+                    })
+                    .collect();
+                csv += &(cells.join(",") + "\n");
+            }
+            csv
+        })
+    })
+}
+
+static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// A store-backed context over `csv` spilled at `chunk` tuples per
+/// chunk (`0` = the default), and the store's path for cleanup.
+fn store_ctx(csv: &str, chunk: usize) -> (AnalysisCtx, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join("dbmine_limbo_prop");
+    std::fs::create_dir_all(&dir).unwrap();
+    let id = STORE_SEQ.fetch_add(1, Ordering::Relaxed);
+    let store = dir.join(format!("{}_{id}.dbss", std::process::id()));
+    let sharded = ShardedRelation::scan_csv_spill(csv.as_bytes(), "t", chunk, &store).unwrap();
+    (AnalysisCtx::from_chunks(sharded).unwrap(), store)
+}
+
+/// Bitwise equality of two DCF lists: weights, counts, conditionals.
+fn same_bits(a: &[Dcf], b: &[Dcf]) -> bool {
+    let bits = |d: &Dcf| -> (u64, usize, Vec<(u32, u64)>) {
+        let cond = d.cond.iter().map(|(k, w)| (k, w.to_bits())).collect();
+        (d.weight.to_bits(), d.count, cond)
+    };
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| bits(x) == bits(y))
+}
+
+fn same_leaves(a: &LimboModel, b: &LimboModel) -> bool {
+    a.threshold.to_bits() == b.threshold.to_bits() && same_bits(&a.leaves, &b.leaves)
 }
 
 fn info_of(dcfs: &[Dcf]) -> f64 {
@@ -208,6 +270,70 @@ proptest! {
             prop_assert!(model.leaves.len() <= prev,
                 "φ={phi}: {} leaves > previous {prev}", model.leaves.len());
             prev = model.leaves.len();
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The chunked tuple folds: tuple DCFs and `I(T;V)` read the
+    /// context's chunk pass, so a store context at any chunk size and any
+    /// thread count yields the memory context's bits, and those equal a
+    /// row-by-row oracle. Phase 1 streamed from a store at the default
+    /// chunk size is the in-memory `--shards` run.
+    #[test]
+    fn chunked_tuple_folds_are_bit_identical(csv in arb_csv(), phi in 0.0f64..2.0) {
+        let rel = read_relation(csv.as_bytes(), "t").unwrap();
+        let (m, n) = (rel.n_attrs(), rel.n_tuples());
+        let stride = qualified_stride(rel.dict().len(), m);
+        let oracle: Vec<Dcf> = (0..n)
+            .map(|t| {
+                let row = qualified_row(stride, 1.0 / m as f64, (0..m).map(|a| rel.value(t, a)));
+                Dcf::singleton(1.0 / n as f64, row)
+            })
+            .collect();
+        let mem = AnalysisCtx::from(rel);
+        let mi = mem.tuple_mutual_information();
+        let objects = tuple_dcfs_ctx(&mem, 1);
+        prop_assert!(same_bits(&objects, &oracle), "memory context vs oracle");
+
+        let mut stores = Vec::new();
+        for chunk in [1usize, 3, 16] {
+            let (ctx, store) = store_ctx(&csv, chunk);
+            prop_assert_eq!(ctx.tuple_mutual_information().to_bits(), mi.to_bits());
+            for threads in [1usize, 2, 4] {
+                prop_assert!(same_bits(&tuple_dcfs_ctx(&ctx, threads), &oracle),
+                    "chunk={} threads={}", chunk, threads);
+            }
+            let params = LimboParams::with_phi(phi).shards(Some(2));
+            let plan = ShardPlan::with_chunk_size(n, chunk);
+            let streamed = phase1_store(&ctx, params);
+            prop_assert!(same_leaves(&streamed, &phase1_sharded(&objects, mi, params, &plan, 2)),
+                "phase1_store chunk={}", chunk);
+            prop_assert_eq!(ctx.view_stats().materializations, 0);
+            stores.push(store);
+        }
+        for threads in [2usize, 4] {
+            prop_assert!(same_bits(&tuple_dcfs_ctx(&mem, threads), &oracle), "threads={}", threads);
+        }
+
+        // The default chunk size is the auto plan: every shard worker
+        // count streams the in-memory `--shards 1` leaves.
+        let (ctx, store) = store_ctx(&csv, 0);
+        for threads in [1usize, 2, 4] {
+            prop_assert!(same_bits(&tuple_dcfs_ctx(&ctx, threads), &oracle),
+                "default chunk threads={}", threads);
+        }
+        let auto = phase1_auto(&objects, mi, LimboParams::with_phi(phi).shards(Some(1)));
+        for workers in [1usize, 2, 4] {
+            let streamed = phase1_store(&ctx, LimboParams::with_phi(phi).shards(Some(workers)));
+            prop_assert_eq!(streamed.mutual_information.to_bits(), mi.to_bits());
+            prop_assert!(same_leaves(&streamed, &auto), "default chunking workers={}", workers);
+        }
+        stores.push(store);
+        for store in stores {
+            std::fs::remove_file(store).ok();
         }
     }
 }

@@ -24,8 +24,19 @@
 //! logical content, never on dictionary internals or the interning
 //! order of other relations.
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+/// The 64-bit FNV-1a offset basis: the state before any byte.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
+
+/// 64-bit FNV-1a: folds `bytes` into `state` (start from
+/// [`FNV_OFFSET`]). The one hash function of the crate: the content hash
+/// below and the shard store's block and footer checksums
+/// ([`crate::spill`]) both call it.
+pub(crate) fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(state, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+}
 
 /// Streaming FNV-1a hasher over a relation's logical content. See the
 /// module docs for the exact byte layout.
@@ -84,16 +95,22 @@ impl ContentHasher {
     }
 
     fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.h ^= b as u64;
-            self.h = self.h.wrapping_mul(FNV_PRIME);
-        }
+        self.h = fnv1a(self.h, bytes);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_known_answers() {
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x85944171f73967e8);
+        // Folding in pieces is folding the concatenation.
+        assert_eq!(fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"), 0x85944171f73967e8);
+    }
 
     #[test]
     fn chunked_and_one_shot_feeding_agree() {

@@ -2,9 +2,12 @@
 //!
 //! * **Tuple matrix `M`** (Figure 2): row `t` is the conditional
 //!   distribution `p(V|t)` — uniform mass `1/m` on each (attribute,
-//!   value) cell of the tuple, with `p(t) = 1/n`. Exposed by
-//!   [`TupleRows`]; feature keys are attribute-qualified to honor the
-//!   paper's assumption that attribute value sets are disjoint.
+//!   value) cell of the tuple, with `p(t) = 1/n`. One row is
+//!   [`qualified_row`]; nothing stores the whole matrix. Its consumers
+//!   fold it a chunk at a time: [`tuple_mutual_information_chunks`]
+//!   here, and the tuple-DCF builder in `dbmine-limbo`. Feature keys are
+//!   attribute-qualified to honor the paper's assumption that attribute
+//!   value sets are disjoint.
 //! * **Value matrix `N`** (Figures 3/6, left): row `v` is `p(T|v)` —
 //!   uniform mass `1/dv` on each of the `dv` tuples containing `v`, with
 //!   `p(v) = 1/d`. Exposed by [`ValueIndex`].
@@ -16,14 +19,12 @@
 use crate::dict::ValueId;
 use crate::relation::Relation;
 use crate::shard::RelationChunk;
-use dbmine_infotheory::{mutual_information, MutualInformation, SparseDist};
+use dbmine_infotheory::{MutualInformation, SparseDist};
 
 /// The feature-key stride for attribute-qualified value keys: cell
 /// `(a, v)` maps to feature `a · stride + v` with `stride = |dict|`.
-/// This is the **single definition** shared by the tuple view
-/// ([`TupleRows::from_chunks`]) and the streaming `I(T;V)` fold
-/// ([`crate::tuple_mutual_information_chunks`]), so both produce
-/// bitwise-identical conditional rows.
+/// This is the **single definition** every fold of the tuple matrix
+/// uses, so they all produce bitwise-identical conditional rows.
 ///
 /// # Panics
 /// Panics if the qualified key space does not fit `u32` feature ids.
@@ -39,6 +40,18 @@ pub fn qualified_stride(dict_len: usize, m: usize) -> u32 {
 /// One tuple's conditional row `p(V|t)`: uniform `mass` on the qualified
 /// feature key of each cell, in attribute order. `values` yields the
 /// tuple's cell value ids for attributes `0..m`.
+///
+/// The paper assumes the value sets of distinct attributes are disjoint
+/// (Section 2 — values can always be made so by prefixing the attribute
+/// name). The dictionary interns by string *globally*, so the row
+/// qualifies every cell by its attribute: `Volume = "3"` and
+/// `Number = "3"` are different features, and — most importantly —
+/// `BookTitle = NULL` and `Journal = NULL` are different features.
+/// Without the qualification, every NULL in every attribute collapses
+/// onto one shared feature, which drags NULL-containing tuples of
+/// *different* types together and visibly corrupts tuple clustering
+/// (duplicate detection, horizontal partitioning) on sparse relations
+/// like DBLP.
 pub fn qualified_row(stride: u32, mass: f64, values: impl Iterator<Item = ValueId>) -> SparseDist {
     SparseDist::from_pairs(
         values
@@ -48,89 +61,28 @@ pub fn qualified_row(stride: u32, mass: f64, values: impl Iterator<Item = ValueI
     )
 }
 
-/// The tuple view of a relation: `p(t) = 1/n`, `p(V|t)` uniform mass
-/// `1/m` on each of the tuple's `m` cells.
-///
-/// The paper assumes the value sets of distinct attributes are disjoint
-/// (Section 2 — values can always be made so by prefixing the attribute
-/// name). The dictionary interns by string *globally*, so this view
-/// qualifies every cell by its attribute when forming feature keys:
-/// `Volume = "3"` and `Number = "3"` are different features, and — most
-/// importantly — `BookTitle = NULL` and `Journal = NULL` are different
-/// features. Without the qualification, every NULL in every attribute
-/// collapses onto one shared feature, which drags NULL-containing tuples
-/// of *different* types together and visibly corrupts tuple clustering
-/// (duplicate detection, horizontal partitioning) on sparse relations
-/// like DBLP.
-#[derive(Clone, Debug)]
-pub struct TupleRows {
-    rows: Vec<SparseDist>,
+/// The tuple-view mutual information `I(T;V)` folded over chunks in
+/// global tuple order: every [`qualified_row`] goes, with prior `1/n`,
+/// into the one [`MutualInformation`] fold. `dict_len`/`m`/`n` are the
+/// relation's dictionary length, width and tuple count. Chunk value ids
+/// are the global interned ids, so the result does not depend on where
+/// the chunk boundaries fall. Peak memory is the marginal accumulator
+/// plus one row.
+pub fn tuple_mutual_information_chunks<'a>(
+    dict_len: usize,
+    m: usize,
     n: usize,
-}
-
-impl TupleRows {
-    /// Builds `p(V|t)` for every tuple of `rel`, with attribute-qualified
-    /// feature keys.
-    pub fn build(rel: &Relation) -> Self {
-        Self::from_chunks(
-            rel.dict().len(),
-            rel.n_attrs(),
-            rel.n_tuples(),
-            [rel.as_chunk()],
-        )
-    }
-
-    /// The tuple view folded over chunks in global tuple order:
-    /// `dict_len`/`m`/`n` are the relation's dictionary length, width and
-    /// tuple count. Chunk value ids are the global interned ids, so the
-    /// rows do not depend on where the chunk boundaries fall.
-    pub fn from_chunks<'a>(
-        dict_len: usize,
-        m: usize,
-        n: usize,
-        chunks: impl IntoIterator<Item = RelationChunk<'a>>,
-    ) -> Self {
-        let stride = qualified_stride(dict_len, m);
-        let mass = 1.0 / m as f64;
-        let mut rows = Vec::with_capacity(n);
-        for chunk in chunks {
-            for t in 0..chunk.n_rows() {
-                rows.push(qualified_row(stride, mass, chunk.row_values(t)));
-            }
+    chunks: impl IntoIterator<Item = RelationChunk<'a>>,
+) -> f64 {
+    let stride = qualified_stride(dict_len, m);
+    let (mass, pv) = (1.0 / m as f64, 1.0 / n as f64);
+    let mut mi = MutualInformation::new();
+    for chunk in chunks {
+        for t in 0..chunk.n_rows() {
+            mi.add(pv, &qualified_row(stride, mass, chunk.row_values(t)));
         }
-        TupleRows { rows, n }
     }
-
-    /// Number of tuples `n`.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True if the relation had no tuples.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The prior `p(t) = 1/n`.
-    pub fn prior(&self) -> f64 {
-        1.0 / self.n as f64
-    }
-
-    /// The conditional row `p(V|t)`.
-    pub fn row(&self, t: usize) -> &SparseDist {
-        &self.rows[t]
-    }
-
-    /// Iterates `(p(t), p(V|t))` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, &SparseDist)> + Clone {
-        let p = self.prior();
-        self.rows.iter().map(move |r| (p, r))
-    }
-
-    /// The mutual information `I(T;V)` of the tuple view.
-    pub fn mutual_information(&self) -> f64 {
-        mutual_information(self.iter())
-    }
+    mi.finish()
 }
 
 /// The value view of a relation: occurrence lists, `p(T|v)` rows and the
@@ -255,65 +207,58 @@ mod tests {
     use crate::paper::{figure1, figure4, figure5};
     use dbmine_infotheory::EPS;
 
+    /// Row `t` of `rel`'s tuple matrix `M`.
+    fn tuple_row(rel: &Relation, t: usize) -> SparseDist {
+        let m = rel.n_attrs();
+        let stride = qualified_stride(rel.dict().len(), m);
+        qualified_row(stride, 1.0 / m as f64, (0..m).map(|a| rel.value(t, a)))
+    }
+
+    /// Features two rows share.
+    fn shared(a: &SparseDist, b: &SparseDist) -> usize {
+        a.iter().filter(|&(k, _)| b.get(k) > 0.0).count()
+    }
+
     #[test]
-    fn tuple_rows_match_figure2() {
+    fn qualified_rows_match_figure2() {
         // Figure 2: each Figure-1 tuple row has mass 1/3 on its 3 values.
         let rel = figure1();
-        let rows = TupleRows::build(&rel);
-        assert_eq!(rows.len(), 3);
-        let r0 = rows.row(0);
+        let r0 = tuple_row(&rel, 0);
         assert_eq!(r0.support(), 3);
         for (_, w) in r0.iter() {
             assert!((w - 1.0 / 3.0).abs() < EPS);
         }
         // t1 and t2 share Pat and Boston but differ in zip.
-        let shared: Vec<_> = r0
-            .iter()
-            .filter(|&(v, _)| rows.row(1).get(v) > 0.0)
-            .collect();
-        assert_eq!(shared.len(), 2);
+        assert_eq!(shared(&r0, &tuple_row(&rel, 1)), 2);
     }
 
     #[test]
-    fn tuple_rows_sum_to_one_with_duplicate_values() {
+    fn qualified_rows_sum_to_one_with_duplicate_values() {
         // The same string in two attributes is two *different* features
         // (the paper's disjoint-value-sets assumption, Section 2); the
         // row still sums to 1.
         let mut b = crate::relation::RelationBuilder::new("t", &["X", "Y"]);
         b.push_row_strs(&["same", "same"]);
-        let rel = b.build();
-        let rows = TupleRows::build(&rel);
-        assert_eq!(rows.row(0).support(), 2);
-        assert!((rows.row(0).total() - 1.0).abs() < EPS);
+        let row = tuple_row(&b.build(), 0);
+        assert_eq!(row.support(), 2);
+        assert!((row.total() - 1.0).abs() < EPS);
     }
 
     #[test]
-    fn tuple_rows_distinguish_nulls_per_attribute() {
+    fn qualified_rows_distinguish_nulls_per_attribute() {
         // A tuple NULL in X and one NULL in Y share *no* feature: NULL is
         // not one global value in the tuple view.
         let mut b = crate::relation::RelationBuilder::new("t", &["X", "Y"]);
         b.push_row(&[None, Some("v")]);
         b.push_row(&[Some("w"), None]);
         let rel = b.build();
-        let rows = TupleRows::build(&rel);
-        let shared = rows
-            .row(0)
-            .iter()
-            .filter(|&(k, _)| rows.row(1).get(k) > 0.0)
-            .count();
-        assert_eq!(shared, 0);
+        assert_eq!(shared(&tuple_row(&rel, 0), &tuple_row(&rel, 1)), 0);
         // ... while two tuples NULL in the same attribute do share it.
         let mut b2 = crate::relation::RelationBuilder::new("t", &["X", "Y"]);
         b2.push_row(&[None, Some("v")]);
         b2.push_row(&[None, Some("u")]);
         let rel2 = b2.build();
-        let rows2 = TupleRows::build(&rel2);
-        let shared2 = rows2
-            .row(0)
-            .iter()
-            .filter(|&(k, _)| rows2.row(1).get(k) > 0.0)
-            .count();
-        assert_eq!(shared2, 1);
+        assert_eq!(shared(&tuple_row(&rel2, 0), &tuple_row(&rel2, 1)), 1);
     }
 
     #[test]
@@ -360,7 +305,8 @@ mod tests {
     #[test]
     fn mutual_information_positive_for_structured_data() {
         let rel = figure4();
-        let t = TupleRows::build(&rel).mutual_information();
+        let (d, m, n) = (rel.dict().len(), rel.n_attrs(), rel.n_tuples());
+        let t = tuple_mutual_information_chunks(d, m, n, [rel.as_chunk()]);
         let v = ValueIndex::build(&rel).mutual_information();
         assert!(t > 0.0);
         assert!(v > 0.0);

@@ -20,15 +20,9 @@
 //!   into owned [`RelationChunk`]s of at most `chunk_tuples` rows in the
 //!   relation's interned columnar layout. Peak memory is the dictionary
 //!   plus one chunk, independent of the relation size.
-//! * [`tuple_mutual_information_chunks`] — folds `I(T;V)` of the tuple
-//!   view over a chunk stream through the same
-//!   [`dbmine_infotheory::MutualInformation`] fold, in the same row
-//!   order, as `TupleRows::mutual_information`, so the result is
-//!   bit-identical.
-//!   Out-of-core LIMBO Phase 1 uses it; it never builds the tuple view.
 //!
-//! Every view fold lives next to its type and takes chunks, whatever
-//! their source: [`crate::TupleRows::from_chunks`],
+//! Every fold lives next to its type and takes chunks, whatever their
+//! source: [`crate::tuple_mutual_information_chunks`],
 //! [`crate::ValueIndex::from_chunks`], [`crate::attr_partitions_chunks`],
 //! [`crate::column_profiles_chunks`] and
 //! [`crate::projection_stats_chunks`]. A resident relation is one
@@ -44,9 +38,7 @@
 use crate::csv::{header_names, normalize_row, parse_record, CsvError, Field};
 use crate::dict::{ValueDict, ValueId, NULL_VALUE};
 use crate::hash::ContentHasher;
-use crate::matrix::{qualified_row, qualified_stride};
 use crate::spill::{SpillWriter, StoreChunks, StoreError, StoreFooter};
-use dbmine_infotheory::MutualInformation;
 use std::borrow::Cow;
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -438,42 +430,11 @@ impl ShardedRelation {
     }
 }
 
-/// The tuple-view mutual information `I(T;V)` folded over a chunk
-/// stream — bit-identical to
-/// `TupleRows::build(&relation).mutual_information()` for the same
-/// content, because both feed the same conditional rows, in the same
-/// order, into the one [`MutualInformation`] fold. Peak memory is the
-/// marginal accumulator plus one chunk.
-pub fn tuple_mutual_information_chunks<'a, I>(
-    sharded: &ShardedRelation,
-    chunks: I,
-) -> Result<f64, CsvError>
-where
-    I: IntoIterator<Item = Result<RelationChunk<'a>, CsvError>>,
-{
-    let m = sharded.n_attrs();
-    let n = sharded.n_tuples();
-    if n == 0 {
-        return Ok(0.0);
-    }
-    let stride = qualified_stride(sharded.dict().len(), m);
-    let mass = 1.0 / m as f64;
-    let pv = 1.0 / n as f64;
-    let mut mi = MutualInformation::new();
-    for chunk in chunks {
-        let chunk = chunk?;
-        for t in 0..chunk.n_rows() {
-            mi.add(pv, &qualified_row(stride, mass, chunk.row_values(t)));
-        }
-    }
-    Ok(mi.finish())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csv::read_relation;
-    use crate::matrix::TupleRows;
+    use crate::matrix::tuple_mutual_information_chunks;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A reader that dribbles bytes out in fixed-size drips, forcing the
@@ -593,10 +554,12 @@ mod tests {
     #[test]
     fn streaming_mi_is_bit_identical_to_tuple_rows() {
         let rel = in_memory(SAMPLE, "t");
-        let reference = TupleRows::build(&rel).mutual_information();
+        let (d, m, n) = (rel.dict().len(), rel.n_attrs(), rel.n_tuples());
+        let reference = tuple_mutual_information_chunks(d, m, n, [rel.as_chunk()]);
         for chunk_tuples in [1, 2, 3, 100] {
             let s = spill(drip(SAMPLE, 5), "t", chunk_tuples);
-            let mi = tuple_mutual_information_chunks(&s, s.chunks().unwrap()).unwrap();
+            let chunks = s.chunks().unwrap().map(Result::unwrap);
+            let mi = tuple_mutual_information_chunks(d, m, n, chunks);
             assert_eq!(
                 mi.to_bits(),
                 reference.to_bits(),
@@ -758,12 +721,10 @@ mod tests {
                 );
             }
 
-            let tr = TupleRows::from_chunks(s.dict().len(), s.n_attrs(), s.n_tuples(), pass());
-            let mem_tr = TupleRows::build(&rel);
-            assert_eq!(tr.len(), mem_tr.len());
+            let (d, m, n) = (s.dict().len(), s.n_attrs(), s.n_tuples());
             assert_eq!(
-                tr.mutual_information().to_bits(),
-                mem_tr.mutual_information().to_bits()
+                tuple_mutual_information_chunks(d, m, n, pass()).to_bits(),
+                tuple_mutual_information_chunks(d, m, n, [rel.as_chunk()]).to_bits()
             );
 
             let vi = ValueIndex::from_chunks(s.dict().len(), pass());

@@ -54,6 +54,7 @@
 
 use crate::csv::CsvError;
 use crate::dict::{ValueDict, ValueId};
+use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::shard::{RelationChunk, ShardedRelation};
 use dbmine_telemetry::{counter_add, Counter};
 use std::fmt;
@@ -73,30 +74,6 @@ pub const VERSION: u32 = 1;
 
 /// Bytes before the first block: leading magic + version.
 const PRELUDE_LEN: u64 = 8;
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-/// Incremental FNV-1a (the same function the relation content hash
-/// uses) over raw store bytes.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Errors reading or writing a binary shard store. Corruption is always
 /// typed — checksum or length mismatches name the offending chunk.
@@ -250,9 +227,8 @@ impl SpillWriter {
                 self.block.extend_from_slice(&id.to_le_bytes());
             }
         }
-        let mut fnv = Fnv::new();
-        fnv.update(&self.block);
-        self.block.extend_from_slice(&fnv.finish().to_le_bytes());
+        let check = fnv1a(FNV_OFFSET, &self.block);
+        self.block.extend_from_slice(&check.to_le_bytes());
         self.out.write_all(&self.block)?;
         self.bytes_written += self.block.len() as u64;
         self.chunks_written += 1;
@@ -285,9 +261,8 @@ impl SpillWriter {
         for id in 1..dict_len {
             write_str(&mut buf, footer.dict.string(id as ValueId));
         }
-        let mut fnv = Fnv::new();
-        fnv.update(&buf);
-        buf.extend_from_slice(&fnv.finish().to_le_bytes());
+        let check = fnv1a(FNV_OFFSET, &buf);
+        buf.extend_from_slice(&check.to_le_bytes());
         buf.extend_from_slice(&footer_offset.to_le_bytes());
         buf.extend_from_slice(&TRAILER_MAGIC);
         self.out.write_all(&buf)?;
@@ -381,9 +356,7 @@ pub(crate) fn read_meta(path: &Path) -> Result<StoreMeta, StoreError> {
     let mut footer = vec![0u8; footer_len];
     file.read_exact(&mut footer)?;
     let (body, check) = footer.split_at(footer_len - 8);
-    let mut fnv = Fnv::new();
-    fnv.update(body);
-    if fnv.finish() != u64::from_le_bytes(check.try_into().unwrap()) {
+    if fnv1a(FNV_OFFSET, body) != u64::from_le_bytes(check.try_into().unwrap()) {
         return Err(corrupt(None, "footer checksum mismatch"));
     }
 
@@ -546,9 +519,7 @@ impl<'a> StoreChunks<'a> {
         })?;
         self.pos += block_len as u64;
         let (payload, check) = self.block.split_at(payload_len);
-        let mut fnv = Fnv::new();
-        fnv.update(payload);
-        if fnv.finish() != u64::from_le_bytes(check.try_into().unwrap()) {
+        if fnv1a(FNV_OFFSET, payload) != u64::from_le_bytes(check.try_into().unwrap()) {
             return Err(corrupt(Some(i), "block checksum mismatch"));
         }
         let stored_index = u64::from_le_bytes(payload[..8].try_into().unwrap());

@@ -3,7 +3,10 @@
 
 use dbmine_relation::csv::{read_relation, read_relation_path, write_relation};
 use dbmine_relation::stats::projection_stats;
-use dbmine_relation::{AttrSet, Relation, RelationBuilder, ShardedRelation, TupleRows, ValueIndex};
+use dbmine_relation::{
+    qualified_row, qualified_stride, tuple_mutual_information_chunks, AttrSet, Relation,
+    RelationBuilder, ShardedRelation, ValueIndex,
+};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -86,13 +89,15 @@ proptest! {
     }
 
     #[test]
-    fn tuple_rows_are_distributions(rel in arb_relation()) {
-        if rel.n_tuples() == 0 { return Ok(()); }
-        let rows = TupleRows::build(&rel);
-        for t in 0..rel.n_tuples() {
-            prop_assert!(rows.row(t).is_normalized(1e-9));
+    fn qualified_rows_are_distributions(rel in arb_relation()) {
+        let (d, m, n) = (rel.dict().len(), rel.n_attrs(), rel.n_tuples());
+        let stride = qualified_stride(d, m);
+        for t in 0..n {
+            let row = qualified_row(stride, 1.0 / m as f64, (0..m).map(|a| rel.value(t, a)));
+            prop_assert_eq!(row.support(), m);
+            prop_assert!(row.is_normalized(1e-9));
         }
-        prop_assert!(rows.mutual_information() >= -1e-9);
+        prop_assert!(tuple_mutual_information_chunks(d, m, n, [rel.as_chunk()]) >= 0.0);
     }
 
     #[test]

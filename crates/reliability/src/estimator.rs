@@ -311,11 +311,6 @@ impl RfiScorer {
         self.h_y[a]
     }
 
-    /// The size multiset of attribute `a`'s partition.
-    pub fn attr_sizes(&self, a: usize) -> &SizeMultiset {
-        &self.y_sizes[a]
-    }
-
     /// `m₀` (bits) between an LHS size multiset and attribute `rhs`.
     pub fn bias_bits(&self, x: &SizeMultiset, rhs: usize) -> f64 {
         m0(x, &self.y_sizes[rhs], &self.lnfact)

@@ -82,9 +82,9 @@ pub fn suggest_k(stats: &[KStat], max_k: usize) -> usize {
     best_k
 }
 
-/// Horizontally partitions the context's relation, over its shared
-/// [`dbmine_relation::TupleRows`] view and memoized `I(T;V)` (each built
-/// at most once per context).
+/// Horizontally partitions the context's relation: its tuple DCFs are
+/// folded from the context's chunk pass, and `I(T;V)` is the context's
+/// memoized fold (built at most once per context).
 ///
 /// * `params.phi` (`φ_T`) controls the Phase 1 summary granularity (use
 ///   a value that leaves on the order of 100 summaries, per the paper);

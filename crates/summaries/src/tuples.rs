@@ -71,9 +71,9 @@ impl DuplicateReport {
 }
 
 /// Runs the three-step duplicate-tuple procedure with accuracy
-/// `params.phi` (`φ_T`), over the context's shared
-/// [`dbmine_relation::TupleRows`] view and memoized `I(T;V)` (each built
-/// at most once per context).
+/// `params.phi` (`φ_T`): the tuple DCFs are folded from the context's
+/// chunk pass, and `I(T;V)` is the context's memoized fold (built at
+/// most once per context).
 ///
 /// ```
 /// use dbmine_context::AnalysisCtx;

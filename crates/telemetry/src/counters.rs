@@ -45,8 +45,8 @@ pub enum Counter {
     /// summed over ranked FDs.
     FdrankRedundantCells,
     /// Shared views materialized by an `AnalysisCtx` (`dbmine-context`):
-    /// every `TupleRows`/`ValueIndex`/mutual-information/partition/
-    /// column-profile/projection-memo construction counts once.
+    /// every `ValueIndex`/mutual-information/partition/column-profile/
+    /// projection-memo construction counts once.
     ViewBuilds,
     /// `AnalysisCtx` accesses served from an already-built view.
     ViewCacheHits,

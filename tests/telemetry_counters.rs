@@ -137,17 +137,18 @@ fn reliable_mining_computes_g3_only_for_emitted_dependencies() {
 fn double_clustering_builds_the_value_index_exactly_once() {
     // Regression: the Double Clustering path used to rebuild the
     // ValueIndex once per stage. Through one context the whole run
-    // materializes exactly three views — TupleRows and I(T;V) for the
-    // tuple pass, the ValueIndex for the value pass; re-expressing
-    // values over the tuple clusters reuses the cached index.
+    // materializes exactly two views — I(T;V) for the tuple pass (the
+    // tuple DCFs fold from the chunk pass and cache nothing), the
+    // ValueIndex for the value pass; re-expressing values over the tuple
+    // clusters reuses the cached index.
     let rel = figure4();
     let ctx = AnalysisCtx::of(&rel);
     let (_, d) = with_deltas(|| {
         let (assignment, _) = tuple_summary_assignment_ctx(&ctx, LimboParams::with_phi(0.5));
         cluster_values_ctx(&ctx, LimboParams::with_phi(0.5), Some(&assignment))
     });
-    assert_eq!(ctx.view_stats().builds, 3, "{:?}", ctx.view_stats());
-    assert_eq!(d.get(Counter::ViewBuilds), expect(3));
+    assert_eq!(ctx.view_stats().builds, 2, "{:?}", ctx.view_stats());
+    assert_eq!(d.get(Counter::ViewBuilds), expect(2));
 
     // A second full pass over the same context builds nothing new.
     let before = ctx.view_stats();
@@ -169,7 +170,7 @@ fn analyze_builds_each_shared_view_exactly_once() {
     // Exact ledger of one analyze run over a fresh context:
     //   1     column-profile vector
     //   m     single-attribute projection-memo entries (profiling)
-    //   2     TupleRows + I(T;V)          (duplicate-tuple discovery)
+    //   1     I(T;V)                      (duplicate-tuple discovery)
     //   2     ValueIndex + I(V;T)         (value clustering)
     //   m     single-attribute partitions (TANE seed)
     //   k     distinct multi-attribute projections (RAD/RTR of the
@@ -183,7 +184,7 @@ fn analyze_builds_each_shared_view_exactly_once() {
         .filter(|s| s.len() >= 2)
         .map(|s| s.bits())
         .collect();
-    let expected = 1 + m + 2 + 2 + m + multi_sets.len() as u64;
+    let expected = 1 + m + 1 + 2 + m + multi_sets.len() as u64;
     let s = ctx.view_stats();
     assert_eq!(s.builds, expected, "{s:?}");
     assert!(s.hits > 0, "{s:?}");
