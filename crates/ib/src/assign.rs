@@ -53,7 +53,8 @@ const MAX_BOUNDED: f64 = 1e30;
 /// `(representative index, information loss)` pair minimizing
 /// `δI(object, rep)`; ties break toward the smaller index. Each object's
 /// assignment is independent, so the result is bit-identical for every
-/// thread count.
+/// thread count. Runs under one `ib.assign` span, so every Phase 3 —
+/// duplicates, value clustering, partitioning — is attributed.
 ///
 /// # Panics
 ///
@@ -63,6 +64,7 @@ pub fn assign_all_with<'a>(
     reps: &[Dcf],
     threads: usize,
 ) -> Vec<(usize, f64)> {
+    let _span = dbmine_telemetry::span("ib.assign");
     let objects: Vec<&Dcf> = objects.into_iter().collect();
     if objects.is_empty() {
         return Vec::new();

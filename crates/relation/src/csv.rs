@@ -4,11 +4,27 @@
 //! embedded commas and newlines). Empty unquoted fields are read as NULL;
 //! quoted empty fields (`""`) are read as the empty-string value, so NULLs
 //! survive a round-trip.
+//!
+//! Input is UTF-8. A field whose bytes are not valid UTF-8 fails the read
+//! with [`CsvError::InvalidUtf8`], naming the record's first line and the
+//! field's column; no byte is ever re-encoded or dropped.
+//!
+//! Both readers — [`read_relation`] into memory and
+//! [`crate::ShardedRelation::scan_csv_spill`] into a shard store — run
+//! one streaming scan (`CsvScan`): the header and row rules
+//! (`header_names`, `keep_row`) decide the schema and the rows, and
+//! cells intern row-major into one dictionary, so both readers assign
+//! the same ids to the same bytes. The parse state survives every
+//! refill of the read window: a record of L bytes costs O(L) work
+//! however the reader splits it, and the scan holds one window, the
+//! current record and the current chunk, never the whole input.
 
-use crate::relation::{Relation, RelationBuilder};
+use crate::dict::ValueDict;
+use crate::relation::Relation;
+use crate::shard::RelationChunk;
 use crate::spill::StoreError;
 use std::fmt;
-use std::io::{BufReader, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Errors produced by the CSV reader.
@@ -16,7 +32,8 @@ use std::path::{Path, PathBuf};
 pub enum CsvError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// A record had a different number of fields than the header.
+    /// A record had a different number of fields than the header. `line`
+    /// is the record's first line.
     RaggedRow {
         line: usize,
         expected: usize,
@@ -24,8 +41,12 @@ pub enum CsvError {
     },
     /// The input was empty (no header).
     Empty,
-    /// A quoted field was never closed.
+    /// A quoted field was never closed. `line` is the record's first
+    /// line.
     UnterminatedQuote { line: usize },
+    /// A field is not valid UTF-8. `line` is the record's first line;
+    /// columns are numbered from 0.
+    InvalidUtf8 { line: usize, column: usize },
     /// The header has more columns than [`crate::attrset::MAX_ATTRS`]
     /// (attribute sets are 64-bit masks).
     TooManyAttrs { got: usize, max: usize },
@@ -39,11 +60,11 @@ pub enum CsvError {
     },
     /// Error reading a binary columnar shard store ([`crate::spill`]).
     Store(StoreError),
-    /// An error with the source file attached. Line numbers, where
-    /// known, stay on the wrapped error — the `Display` output is
-    /// `path: line N: …` for a CSV scan and `path: shard store: … chunk
-    /// i …` for a store pass, so a failure deep in a 10⁷-row file names
-    /// the exact file and record or block.
+    /// An error in a file other than the one a call reads: the store a
+    /// spill writes, or the store a chunk pass decodes. A call that
+    /// reads a path returns its errors about it bare, so the caller
+    /// names that path exactly once. The `Display` output is `path: …`,
+    /// with the chunk, where known, on the wrapped error.
     InFile {
         path: PathBuf,
         source: Box<CsvError>,
@@ -76,6 +97,9 @@ impl fmt::Display for CsvError {
             CsvError::Empty => write!(f, "empty CSV input (missing header)"),
             CsvError::UnterminatedQuote { line } => {
                 write!(f, "line {line}: unterminated quoted field")
+            }
+            CsvError::InvalidUtf8 { line, column } => {
+                write!(f, "line {line}: column {column} is not valid UTF-8")
             }
             CsvError::TooManyAttrs { got, max } => {
                 write!(f, "header has {got} columns; at most {max} supported")
@@ -117,113 +141,239 @@ impl From<StoreError> for CsvError {
     }
 }
 
-/// A parsed field: `None` = NULL (empty unquoted field).
-pub(crate) type Field = Option<String>;
+/// Size of the scan's read window, in bytes.
+const READ_BLOCK: usize = 64 * 1024;
 
-/// Splits one logical CSV record starting at `input[pos..]`.
-/// Returns the fields and the next position, or None at end of input.
-pub(crate) fn parse_record(
-    input: &[u8],
-    pos: &mut usize,
-    line: &mut usize,
-) -> Result<Option<Vec<Field>>, CsvError> {
-    if *pos >= input.len() {
-        return Ok(None);
+/// Where the parser stands in the current field.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// No byte of the field yet: a `"` opens quotes, and a field that
+    /// ends here is NULL.
+    Start,
+    /// Inside an unquoted field, or after the quotes closed.
+    Unquoted,
+    /// Inside quotes.
+    Quoted,
+    /// A `"` inside quotes: a second `"` is an escaped quote, anything
+    /// else closes the quotes.
+    QuotedQuote,
+    /// A `\r` outside quotes, in a field that had not begun (`true`) or
+    /// had: `\r\n` ends the record, anything else keeps the `\r` as data.
+    Cr(bool),
+}
+
+/// The one CSV ingest: reads the header, then yields the rows as
+/// interned chunks of `chunk_tuples` rows each (the rest last).
+/// [`read_relation`] takes one unbounded chunk;
+/// [`crate::ShardedRelation::scan_csv_spill`] spills every chunk as it
+/// comes. Cells intern row-major, so every id in a chunk is final when
+/// the chunk is yielded.
+///
+/// The input streams through one fixed read window, and the parse state
+/// survives every refill: a record of L bytes costs O(L) work however
+/// the reader splits it, and memory is the window, the longest record
+/// and one chunk, never the input.
+pub(crate) struct CsvScan<R: Read> {
+    reader: R,
+    window: Vec<u8>,
+    pos: usize,
+    filled: usize,
+    /// The line the next unread byte is on, 1-based.
+    line: usize,
+    state: State,
+    /// The current record's field bytes, concatenated.
+    bytes: Vec<u8>,
+    /// The current record's fields: end offset in `bytes`, and whether
+    /// the field is NULL.
+    fields: Vec<(usize, bool)>,
+    attr_names: Vec<String>,
+    dict: ValueDict,
+    chunk_tuples: usize,
+    n: usize,
+}
+
+impl<R: Read> CsvScan<R> {
+    /// Starts a scan: reads and checks the header.
+    pub(crate) fn new(reader: R, chunk_tuples: usize) -> Result<Self, CsvError> {
+        let mut scan = CsvScan {
+            reader,
+            window: vec![0; READ_BLOCK],
+            pos: 0,
+            filled: 0,
+            line: 1,
+            state: State::Start,
+            bytes: Vec::new(),
+            fields: Vec::new(),
+            attr_names: Vec::new(),
+            dict: ValueDict::new(),
+            chunk_tuples,
+            n: 0,
+        };
+        let line = scan.next_record()?.ok_or(CsvError::Empty)?;
+        scan.attr_names = header_names(cells(&scan.bytes, &scan.fields, line))?;
+        Ok(scan)
     }
-    let mut fields: Vec<Field> = Vec::new();
-    let mut field = String::new();
-    let mut quoted = false;
-    let mut was_quoted = false;
-    let start_line = *line;
-    let mut i = *pos;
-    loop {
-        if i >= input.len() {
-            if quoted {
-                return Err(CsvError::UnterminatedQuote { line: start_line });
+
+    /// Attribute names, in schema order.
+    pub(crate) fn attr_names(&self) -> &[String] {
+        &self.attr_names
+    }
+
+    /// The dictionary of every row yielded so far.
+    pub(crate) fn dict(&self) -> &ValueDict {
+        &self.dict
+    }
+
+    /// The next chunk, or `None` once every row was yielded.
+    pub(crate) fn next_chunk(&mut self) -> Result<Option<RelationChunk<'static>>, CsvError> {
+        let m = self.attr_names.len();
+        let mut columns: Vec<Vec<_>> = vec![Vec::new(); m];
+        let mut rows = 0;
+        while rows < self.chunk_tuples {
+            let Some(line) = self.next_record()? else {
+                break;
+            };
+            if !keep_row(&self.fields, m, line)? {
+                continue;
             }
-            push_field(&mut fields, std::mem::take(&mut field), was_quoted);
-            *pos = i;
-            return Ok(Some(fields));
+            for (column, cell) in columns
+                .iter_mut()
+                .zip(cells(&self.bytes, &self.fields, line))
+            {
+                column.push(self.dict.intern_cell(cell?));
+            }
+            rows += 1;
         }
-        let b = input[i];
-        if quoted {
-            match b {
-                b'"' => {
-                    if input.get(i + 1) == Some(&b'"') {
-                        field.push('"');
-                        i += 2;
-                    } else {
-                        quoted = false;
-                        i += 1;
-                    }
-                }
-                b'\n' => {
-                    field.push('\n');
-                    *line += 1;
-                    i += 1;
-                }
-                _ => {
-                    field.push(b as char);
-                    i += 1;
-                }
+        let start = self.n;
+        self.n += rows;
+        Ok((rows > 0).then(|| RelationChunk::owned(start, columns)))
+    }
+
+    /// Ends the scan: the schema, the dictionary and the row count.
+    pub(crate) fn finish(self) -> (Vec<String>, ValueDict, usize) {
+        (self.attr_names, self.dict, self.n)
+    }
+
+    /// Parses the next record into `bytes` and `fields`. Returns its
+    /// first line, or `None` at end of input.
+    fn next_record(&mut self) -> Result<Option<usize>, CsvError> {
+        self.bytes.clear();
+        self.fields.clear();
+        self.state = State::Start;
+        let line = self.line;
+        while self.pos < self.filled || self.refill()? {
+            let b = self.window[self.pos];
+            self.pos += 1;
+            if self.push(b) {
+                return Ok(Some(line));
             }
-            continue;
         }
-        match b {
-            b'"' if field.is_empty() && !was_quoted => {
-                quoted = true;
-                was_quoted = true;
-                i += 1;
+        // End of input ends the record, if one began.
+        let null = match self.state {
+            State::Start if self.bytes.is_empty() && self.fields.is_empty() => return Ok(None),
+            State::Quoted => return Err(CsvError::UnterminatedQuote { line }),
+            State::Cr(_) => {
+                self.bytes.push(b'\r');
+                false
             }
-            b',' => {
-                push_field(&mut fields, std::mem::take(&mut field), was_quoted);
-                was_quoted = false;
-                i += 1;
+            state => state == State::Start,
+        };
+        self.fields.push((self.bytes.len(), null));
+        Ok(Some(line))
+    }
+
+    /// Reads the next block into the window; false at end of input.
+    fn refill(&mut self) -> Result<bool, CsvError> {
+        loop {
+            match self.reader.read(&mut self.window) {
+                Ok(got) => {
+                    (self.pos, self.filled) = (0, got);
+                    return Ok(got > 0);
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
             }
-            b'\r' if input.get(i + 1) == Some(&b'\n') => {
-                push_field(&mut fields, std::mem::take(&mut field), was_quoted);
-                *line += 1;
-                *pos = i + 2;
-                return Ok(Some(fields));
+        }
+    }
+
+    /// Feeds one byte to the parser; true when it ends the record.
+    fn push(&mut self, b: u8) -> bool {
+        match (self.state, b) {
+            (State::Quoted, b'"') => self.state = State::QuotedQuote,
+            (State::Quoted, _) => {
+                self.bytes.push(b);
+                self.line += (b == b'\n') as usize;
             }
-            b'\n' => {
-                push_field(&mut fields, std::mem::take(&mut field), was_quoted);
-                *line += 1;
-                *pos = i + 1;
-                return Ok(Some(fields));
+            (State::QuotedQuote, b'"') => {
+                self.bytes.push(b'"');
+                self.state = State::Quoted;
             }
+            (State::QuotedQuote, _) => {
+                self.state = State::Unquoted;
+                return self.push(b);
+            }
+            (State::Cr(null), b'\n') => {
+                self.fields.push((self.bytes.len(), null));
+                self.line += 1;
+                return true;
+            }
+            (State::Cr(_), _) => {
+                self.bytes.push(b'\r');
+                self.state = State::Unquoted;
+                return self.push(b);
+            }
+            (State::Start, b'"') => self.state = State::Quoted,
+            (state, b',') => {
+                self.fields.push((self.bytes.len(), state == State::Start));
+                self.state = State::Start;
+            }
+            (state, b'\n') => {
+                self.fields.push((self.bytes.len(), state == State::Start));
+                self.line += 1;
+                return true;
+            }
+            (state, b'\r') => self.state = State::Cr(state == State::Start),
             _ => {
-                field.push(b as char);
-                i += 1;
+                self.bytes.push(b);
+                self.state = State::Unquoted;
             }
         }
+        false
     }
 }
 
-fn push_field(fields: &mut Vec<Field>, field: String, was_quoted: bool) {
-    if field.is_empty() && !was_quoted {
-        fields.push(None);
-    } else {
-        fields.push(Some(field));
-    }
-}
-
-/// Resolves a parsed header record into attribute names (`col{i}`
-/// fallback for NULL header cells) and rejects too-wide schemas and
-/// repeated names (a repeated name would make its FDs print as
-/// `a → a`). Shared
-/// by the in-memory reader and the chunked stream ([`crate::shard`]) so
-/// both see exactly the same schema for the same bytes.
-pub(crate) fn header_names(header: Vec<Field>) -> Result<Vec<String>, CsvError> {
-    let names: Vec<String> = header
-        .into_iter()
+/// A parsed record's fields in order, each decoded as UTF-8; `None` is
+/// NULL. A field that is not UTF-8 is [`CsvError::InvalidUtf8`].
+fn cells<'a>(
+    bytes: &'a [u8],
+    fields: &'a [(usize, bool)],
+    line: usize,
+) -> impl Iterator<Item = Result<Option<&'a str>, CsvError>> + 'a {
+    let starts = std::iter::once(0).chain(fields.iter().map(|&(end, _)| end));
+    starts
+        .zip(fields)
         .enumerate()
-        .map(|(i, f)| f.unwrap_or_else(|| format!("col{i}")))
-        .collect();
+        .map(move |(column, (start, &(end, null)))| {
+            let field = std::str::from_utf8(&bytes[start..end])
+                .map_err(|_| CsvError::InvalidUtf8 { line, column })?;
+            Ok((!null).then_some(field))
+        })
+}
+
+/// The header rule: resolves the header's cells into attribute names
+/// (`col{i}` fallback for NULL header cells) and rejects too-wide
+/// schemas and repeated names (a repeated name would make its FDs print
+/// as `a → a`).
+fn header_names<'a>(
+    header: impl Iterator<Item = Result<Option<&'a str>, CsvError>>,
+) -> Result<Vec<String>, CsvError> {
+    let names = header
+        .enumerate()
+        .map(|(i, f)| Ok(f?.map_or_else(|| format!("col{i}"), str::to_string)))
+        .collect::<Result<Vec<String>, CsvError>>()?;
     if names.len() > crate::attrset::MAX_ATTRS {
-        // RelationBuilder::new would panic on a too-wide schema; a CSV
-        // reader must fail typed instead (the daemon's request path
-        // feeds it untrusted input).
+        // Attribute sets are 64-bit masks; a CSV reader must fail typed
+        // (the daemon's request path feeds it untrusted input).
         return Err(CsvError::TooManyAttrs {
             got: names.len(),
             max: crate::attrset::MAX_ATTRS,
@@ -254,55 +404,36 @@ pub(crate) fn repeated_name(names: &[String]) -> Option<(usize, usize)> {
     None
 }
 
-/// Classifies a parsed data record against the schema width: `None` for
-/// a skippable blank line, the record for a well-formed row, an error for
-/// a ragged one. Shared by the in-memory reader and the chunked stream
-/// so both accept exactly the same rows.
-pub(crate) fn normalize_row(
-    rec: Vec<Field>,
-    expected: usize,
-    line: usize,
-) -> Result<Option<Vec<Field>>, CsvError> {
+/// The row rule: false for a skippable blank line, true for a record of
+/// the schema's width, an error naming the record's first line for a
+/// ragged one.
+fn keep_row(fields: &[(usize, bool)], expected: usize, line: usize) -> Result<bool, CsvError> {
     // A blank line parses as one NULL field. For multi-column schemas
     // it is decoration and skipped; for single-column schemas it IS a
     // valid record (a NULL cell), so it must round-trip.
-    if expected > 1 && rec.len() == 1 && rec[0].is_none() {
-        return Ok(None);
+    if expected > 1 && fields == [(0, true)] {
+        return Ok(false);
     }
-    if rec.len() != expected {
+    if fields.len() != expected {
         return Err(CsvError::RaggedRow {
             line,
             expected,
-            got: rec.len(),
+            got: fields.len(),
         });
     }
-    Ok(Some(rec))
+    Ok(true)
 }
 
 /// Reads a relation from CSV text. The first record is the header.
 pub fn read_relation(reader: impl Read, name: &str) -> Result<Relation, CsvError> {
-    let mut buf = Vec::new();
-    BufReader::new(reader).read_to_end(&mut buf)?;
-    let mut pos = 0usize;
-    let mut line = 1usize;
-    let header = match parse_record(&buf, &mut pos, &mut line)? {
-        Some(h) => h,
-        None => return Err(CsvError::Empty),
-    };
-    let names = header_names(header)?;
-    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let mut b = RelationBuilder::new(name, &name_refs);
-    while let Some(rec) = parse_record(&buf, &mut pos, &mut line)? {
-        let Some(rec) = normalize_row(rec, names.len(), line)? else {
-            continue;
-        };
-        let cells: Vec<Option<&str>> = rec.iter().map(|f| f.as_deref()).collect();
-        b.push_row(&cells);
-    }
-    Ok(b.build())
+    let mut scan = CsvScan::new(reader, usize::MAX)?;
+    let whole = scan.next_chunk()?;
+    let (attr_names, dict, n) = scan.finish();
+    Relation::from_chunks(name, attr_names, dict, n, whole.map(Ok))
 }
 
 /// Reads a relation from a CSV file; the file stem becomes the name.
+/// Errors do not repeat the path: the caller names it.
 pub fn read_relation_path(path: impl AsRef<Path>) -> Result<Relation, CsvError> {
     let path = path.as_ref();
     let name = path
@@ -377,6 +508,7 @@ pub fn write_relation_path(rel: &Relation, path: impl AsRef<Path>) -> std::io::R
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RelationBuilder;
 
     fn parse(s: &str) -> Relation {
         read_relation(s.as_bytes(), "t").unwrap()
@@ -444,11 +576,105 @@ mod tests {
         assert!(matches!(
             e,
             CsvError::RaggedRow {
+                line: 2,
                 expected: 2,
                 got: 1,
-                ..
             }
         ));
+        // The record's first line, whatever follows it: a final newline,
+        // none, or a quoted field spanning two lines.
+        for csv in ["A,B\nx,y,z\n", "A,B\nx,y,z", "A,B\n\"x\ny\",y,z\n"] {
+            let e = read_relation(csv.as_bytes(), "t").unwrap_err();
+            assert!(
+                matches!(
+                    e,
+                    CsvError::RaggedRow {
+                        line: 2,
+                        got: 3,
+                        ..
+                    }
+                ),
+                "{csv:?}: {e:?}"
+            );
+        }
+    }
+
+    /// A reader that returns at most `step` bytes per `read`.
+    struct Drip<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Drip<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let take = self.step.min(out.len()).min(self.data.len());
+            out[..take].copy_from_slice(&self.data[..take]);
+            self.data = &self.data[take..];
+            Ok(take)
+        }
+    }
+
+    #[test]
+    fn fields_decode_as_utf8() {
+        let csv = "Name,City\ncafé,日本\n\"thé, 🦀\",\"\"\"日\"\"\"\n";
+        for step in [1, 2, 3, 64] {
+            let r = read_relation(
+                Drip {
+                    data: csv.as_bytes(),
+                    step,
+                },
+                "t",
+            )
+            .unwrap();
+            assert_eq!(r.value_str(0, 0), "café");
+            assert_eq!(r.value_str(0, 1), "日本");
+            assert_eq!(r.value_str(1, 0), "thé, 🦀");
+            assert_eq!(r.value_str(1, 1), "\"日\"");
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_is_a_typed_error_naming_its_line() {
+        let cases: [(&[u8], usize, usize); 5] = [
+            // A Latin-1 byte in a data row.
+            (b"A,B\nx,y\ncaf\xe9,z\n", 3, 0),
+            // In a quoted multi-line field: the record's first line.
+            (b"A,B\nx,\"a\nb\xff\"\n", 2, 1),
+            // A character cut by a comma is invalid in both fields.
+            (b"A,B\n\xc3,\xa9\n", 2, 0),
+            // A truncated character at end of input.
+            (b"A,B\nx,\xe6\x97", 2, 1),
+            // The header too.
+            (b"A,\xfe\nx,y\n", 1, 1),
+        ];
+        for (csv, line, column) in cases {
+            for step in [1, 3, 4096] {
+                let e = read_relation(Drip { data: csv, step }, "t").unwrap_err();
+                assert!(
+                    matches!(e, CsvError::InvalidUtf8 { line: l, column: c } if (l, c) == (line, column)),
+                    "{csv:?} step={step}: {e:?}"
+                );
+                assert!(e.to_string().starts_with(&format!("line {line}: ")), "{e}");
+            }
+        }
+    }
+
+    #[test]
+    fn megabyte_field_read_one_byte_at_a_time() {
+        // Parse work is linear in the record: a 1 MiB quoted field fed
+        // one byte per `read` parses each byte once.
+        let big = "é\"\"x".repeat(1 << 18);
+        let csv = format!("A,B\n\"{big}\",y\n");
+        let r = read_relation(
+            Drip {
+                data: csv.as_bytes(),
+                step: 1,
+            },
+            "t",
+        )
+        .unwrap();
+        assert_eq!(r.value_str(0, 0), big.replace("\"\"", "\""));
+        assert_eq!(r.value_str(0, 1), "y");
     }
 
     #[test]

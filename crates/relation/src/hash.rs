@@ -1,10 +1,12 @@
 //! Incremental relation content hashing.
 //!
 //! [`ContentHasher`] is the **single definition** of the relation
-//! content hash: [`crate::Relation::content_hash`] and the streaming
-//! chunked-ingest path both drive it, so a relation loaded in memory and
-//! the same CSV streamed chunk by chunk hash identically (pinned by
-//! tests in `crate::shard`). That identity is what lets `dbmined`'s
+//! content hash, and [`ContentHasher::push_chunk`] its one fold:
+//! [`crate::Relation::content_hash`] (the relation as one chunk), the
+//! spill scan and [`crate::ShardedRelation::verify_content`] (store
+//! chunks) all run it, so a relation loaded in memory and the same CSV
+//! spilled chunk by chunk hash identically (pinned by tests in
+//! `crate::shard`). That identity is what lets `dbmined`'s
 //! `CtxCache` key out-of-core ingests the same way it keys in-memory
 //! loads.
 //!
@@ -23,6 +25,9 @@
 //! knows `n` once the input is exhausted. The hash depends only on
 //! logical content, never on dictionary internals or the interning
 //! order of other relations.
+
+use crate::dict::{ValueDict, NULL_VALUE};
+use crate::shard::RelationChunk;
 
 /// The 64-bit FNV-1a offset basis: the state before any byte.
 pub(crate) const FNV_OFFSET: u64 = 0xcbf29ce484222325;
@@ -64,14 +69,16 @@ impl ContentHasher {
         hasher
     }
 
-    /// Folds one tuple, cell by cell in schema order. `None` cells are
-    /// NULL — hashed distinct from the literal string `"NULL"` via the
-    /// marker byte.
-    pub fn push_row<S: AsRef<str>>(&mut self, row: &[Option<S>]) {
-        for cell in row {
-            self.push_cell(cell.as_ref().map(AsRef::as_ref));
+    /// Folds a chunk's rows in order, cell by cell in schema order,
+    /// reading each value's string from `dict`. NULL cells hash
+    /// distinct from the literal string `"NULL"` via the marker byte.
+    pub fn push_chunk(&mut self, chunk: &RelationChunk<'_>, dict: &ValueDict) {
+        for t in 0..chunk.n_rows() {
+            for v in chunk.row_values(t) {
+                self.push_cell((v != NULL_VALUE).then(|| dict.string(v)));
+            }
         }
-        self.rows += 1;
+        self.rows += chunk.n_rows() as u64;
     }
 
     /// Folds the row count and returns the hash.
@@ -80,11 +87,6 @@ impl ContentHasher {
         let rows = hasher.rows;
         hasher.eat(&rows.to_le_bytes());
         hasher.h
-    }
-
-    /// Rows folded so far.
-    pub fn n_rows(&self) -> u64 {
-        self.rows
     }
 
     fn push_cell(&mut self, cell: Option<&str>) {
@@ -112,49 +114,38 @@ mod tests {
         assert_eq!(fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"), 0x85944171f73967e8);
     }
 
+    /// The hash of `rows` under `name`/`attrs`, fed as chunks of
+    /// `chunk` rows.
+    fn hash(name: &str, attrs: &[&str], rows: &[&[Option<&str>]], chunk: usize) -> u64 {
+        let mut dict = ValueDict::new();
+        let mut h = ContentHasher::new(name, attrs);
+        for (i, part) in rows.chunks(chunk).enumerate() {
+            let columns = (0..attrs.len())
+                .map(|a| part.iter().map(|row| dict.intern_cell(row[a])).collect())
+                .collect();
+            h.push_chunk(&RelationChunk::owned(i * chunk, columns), &dict);
+        }
+        h.finish()
+    }
+
     #[test]
     fn chunked_and_one_shot_feeding_agree() {
-        // The hash must be a pure function of the content, not of how
-        // the rows were batched into push_row calls (one call per row is
-        // the only batching, but the header/finish split must not leak).
-        let mut a = ContentHasher::new("t", &["A", "B"]);
-        a.push_row(&[Some("x"), None]);
-        a.push_row(&[Some("y"), Some("z")]);
-        let mut b = ContentHasher::new("t", &["A", "B"]);
-        b.push_row(&[Some("x"), None::<&str>]);
-        b.push_row(&[Some("y"), Some("z")]);
-        assert_eq!(a.n_rows(), 2);
-        assert_eq!(a.finish(), b.finish());
+        // The hash is a pure function of the content, not of how the
+        // rows were cut into chunks.
+        let rows: &[&[Option<&str>]] = &[&[Some("x"), None], &[Some("y"), Some("z")]];
+        assert_eq!(
+            hash("t", &["A", "B"], rows, 1),
+            hash("t", &["A", "B"], rows, 2)
+        );
     }
 
     #[test]
     fn header_cells_and_count_all_matter() {
-        let base = {
-            let mut h = ContentHasher::new("t", &["A"]);
-            h.push_row(&[Some("x")]);
-            h.finish()
-        };
-        let renamed = {
-            let mut h = ContentHasher::new("u", &["A"]);
-            h.push_row(&[Some("x")]);
-            h.finish()
-        };
-        let reattr = {
-            let mut h = ContentHasher::new("t", &["B"]);
-            h.push_row(&[Some("x")]);
-            h.finish()
-        };
-        let recell = {
-            let mut h = ContentHasher::new("t", &["A"]);
-            h.push_row(&[Some("y")]);
-            h.finish()
-        };
-        let doubled = {
-            let mut h = ContentHasher::new("t", &["A"]);
-            h.push_row(&[Some("x")]);
-            h.push_row(&[Some("x")]);
-            h.finish()
-        };
+        let base = hash("t", &["A"], &[&[Some("x")]], 1);
+        let renamed = hash("u", &["A"], &[&[Some("x")]], 1);
+        let reattr = hash("t", &["B"], &[&[Some("x")]], 1);
+        let recell = hash("t", &["A"], &[&[Some("y")]], 1);
+        let doubled = hash("t", &["A"], &[&[Some("x")], &[Some("x")]], 1);
         for other in [renamed, reattr, recell, doubled] {
             assert_ne!(base, other);
         }
@@ -162,10 +153,9 @@ mod tests {
 
     #[test]
     fn null_distinct_from_literal_null() {
-        let mut a = ContentHasher::new("t", &["X"]);
-        a.push_row(&[None::<&str>]);
-        let mut b = ContentHasher::new("t", &["X"]);
-        b.push_row(&[Some("NULL")]);
-        assert_ne!(a.finish(), b.finish());
+        assert_ne!(
+            hash("t", &["X"], &[&[None]], 1),
+            hash("t", &["X"], &[&[Some("NULL")]], 1)
+        );
     }
 }

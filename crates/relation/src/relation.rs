@@ -26,25 +26,36 @@ pub struct Relation {
 }
 
 impl Relation {
-    /// Assembles a relation from already-validated parts — the
-    /// store-backed materialization path in [`crate::shard`], which has
-    /// checked column count, lengths and value-id ranges block by block.
-    pub(crate) fn from_parts(
-        name: String,
+    /// Assembles a resident relation from its chunks, in tuple order:
+    /// the one assembly behind [`crate::csv::read_relation`] and
+    /// [`crate::ShardedRelation::materialize`]. A first chunk that owns
+    /// its columns moves in without a copy; later chunks append.
+    pub(crate) fn from_chunks<'a, E>(
+        name: &str,
         attr_names: Vec<String>,
         dict: ValueDict,
-        columns: Vec<Vec<ValueId>>,
         n: usize,
-    ) -> Relation {
-        debug_assert_eq!(columns.len(), attr_names.len());
+        chunks: impl IntoIterator<Item = Result<RelationChunk<'a>, E>>,
+    ) -> Result<Relation, E> {
+        let mut columns: Vec<Vec<ValueId>> = vec![Vec::new(); attr_names.len()];
+        for chunk in chunks {
+            for (column, part) in columns.iter_mut().zip(chunk?.columns) {
+                if column.is_empty() {
+                    *column = part.into_owned();
+                    column.reserve(n - column.len());
+                } else {
+                    column.extend_from_slice(&part);
+                }
+            }
+        }
         debug_assert!(columns.iter().all(|c| c.len() == n));
-        Relation {
-            name,
+        Ok(Relation {
+            name: name.to_string(),
             attr_names,
             dict,
             columns,
             n,
-        }
+        })
     }
 
     /// Number of tuples `n`.
@@ -216,20 +227,13 @@ impl Relation {
     /// logical content, never on dictionary internals or load order of
     /// *other* relations.
     ///
-    /// Defined by [`crate::ContentHasher`], which hashes cells row-major
-    /// so the streaming chunked-ingest path ([`crate::shard`]) computes
-    /// the identical hash without materializing the relation.
+    /// The [`crate::ContentHasher`] chunk fold over the relation as one
+    /// chunk: the spill scan and [`crate::ShardedRelation::verify_content`]
+    /// run the same fold over store-sized chunks, so a store's hash is
+    /// computed without materializing the relation.
     pub fn content_hash(&self) -> u64 {
         let mut hasher = crate::hash::ContentHasher::new(&self.name, &self.attr_names);
-        let mut row: Vec<Option<&str>> = Vec::with_capacity(self.n_attrs());
-        for t in 0..self.n {
-            row.clear();
-            row.extend(self.columns.iter().map(|col| {
-                let v = col[t];
-                (v != NULL_VALUE).then(|| self.dict.string(v))
-            }));
-            hasher.push_row(&row);
-        }
+        hasher.push_chunk(&self.as_chunk(), &self.dict);
         hasher.finish()
     }
 

@@ -1,18 +1,17 @@
 //! Out-of-core sharded CSV ingest.
 //!
-//! [`crate::csv::read_relation`] buffers the whole file and builds the
-//! whole columnar relation before any mining starts — fine at paper
-//! scale, hopeless at 10⁷ tuples. This module ingests the same CSV in
-//! **bounded-memory chunks** while producing *bitwise* the same derived
-//! quantities as the in-memory path:
+//! [`crate::csv::read_relation`] builds the whole columnar relation
+//! before any mining starts — fine at paper scale, hopeless at 10⁷
+//! tuples. This module ingests the same CSV in **bounded-memory
+//! chunks** while producing *bitwise* the same derived quantities as
+//! the in-memory path:
 //!
 //! * [`ShardedRelation::scan_csv_spill`] — the one pass over the CSV:
-//!   resolves the header (same `col{i}`/width semantics as
-//!   `read_relation`), interns every cell into the global [`ValueDict`]
-//!   **in row-major order** (so ids match a [`crate::RelationBuilder`]
-//!   load exactly), counts tuples, folds the incremental
-//!   [`ContentHasher`], and spills each chunk into a binary shard store
-//!   ([`crate::spill`]). The hash equals
+//!   the same streaming scan as `read_relation` (header rule, row rule,
+//!   row-major interning into the global [`ValueDict`], so ids match the
+//!   in-memory load exactly), cut into chunks that fold into the
+//!   [`ContentHasher`] and spill into a binary shard store
+//!   ([`crate::spill`]) as they come. The hash equals
 //!   [`crate::Relation::content_hash`] of the in-memory load — the
 //!   identity key `dbmined`'s context LRU uses — and the scan never
 //!   holds more than the dictionary and one chunk.
@@ -24,19 +23,13 @@
 //! Every fold lives next to its type and takes chunks, whatever their
 //! source: [`crate::tuple_mutual_information_chunks`],
 //! [`crate::ValueIndex::from_chunks`], [`crate::attr_partitions_chunks`],
-//! [`crate::column_profiles_chunks`] and
-//! [`crate::projection_stats_chunks`]. A resident relation is one
+//! [`crate::column_profiles_chunks`], [`crate::projection_stats_chunks`]
+//! and [`ContentHasher::push_chunk`]. A resident relation is one
 //! borrowed chunk ([`crate::Relation::as_chunk`]), so store passes and
 //! in-memory builds run the same fold.
-//!
-//! The record scanner ([`CsvRecordStream`]) drives the same
-//! `parse_record` state machine as the in-memory reader over a rolling
-//! buffer: a record is accepted only once it is newline-terminated or
-//! the input is exhausted, so buffer-boundary placement — even inside a
-//! quoted embedded newline — can never change what is parsed.
 
-use crate::csv::{header_names, normalize_row, parse_record, CsvError, Field};
-use crate::dict::{ValueDict, ValueId, NULL_VALUE};
+use crate::csv::{CsvError, CsvScan};
+use crate::dict::{ValueDict, ValueId};
 use crate::hash::ContentHasher;
 use crate::spill::{SpillWriter, StoreChunks, StoreError, StoreFooter};
 use std::borrow::Cow;
@@ -47,98 +40,6 @@ use std::path::{Path, PathBuf};
 /// cells keep a chunk in the low megabytes for paper-scale schemas
 /// while amortizing per-chunk costs at 10⁷-tuple scale.
 pub const DEFAULT_CHUNK_TUPLES: usize = 65_536;
-
-/// Read granularity of the rolling buffer, in bytes.
-const READ_BLOCK: usize = 64 * 1024;
-
-/// Consumed-prefix length beyond which the rolling buffer is compacted.
-const COMPACT_THRESHOLD: usize = 4 * READ_BLOCK;
-
-/// Streams logical CSV records from a reader through a rolling buffer,
-/// parsing with the exact `parse_record` state machine of the in-memory
-/// reader. Memory use is bounded by the longest single record, not the
-/// input length.
-pub struct CsvRecordStream<R: Read> {
-    reader: R,
-    buf: Vec<u8>,
-    pos: usize,
-    line: usize,
-    eof: bool,
-}
-
-impl<R: Read> CsvRecordStream<R> {
-    /// Wraps a reader positioned at the start of the CSV text.
-    pub fn new(reader: R) -> Self {
-        CsvRecordStream {
-            reader,
-            buf: Vec::new(),
-            pos: 0,
-            line: 1,
-            eof: false,
-        }
-    }
-
-    /// The 1-based line number of the *next* unparsed position (the same
-    /// counter the in-memory reader reports in errors).
-    pub fn line(&self) -> usize {
-        self.line
-    }
-
-    fn fill(&mut self) -> Result<(), CsvError> {
-        let mut block = [0u8; READ_BLOCK];
-        let got = self.reader.read(&mut block)?;
-        if got == 0 {
-            self.eof = true;
-        } else {
-            self.buf.extend_from_slice(&block[..got]);
-        }
-        Ok(())
-    }
-
-    /// The next logical record, or `None` at end of input.
-    pub fn next_record(&mut self) -> Result<Option<Vec<Field>>, CsvError> {
-        loop {
-            let mut try_pos = self.pos;
-            let mut try_line = self.line;
-            match parse_record(&self.buf, &mut try_pos, &mut try_line) {
-                Ok(None) => {
-                    if self.eof {
-                        return Ok(None);
-                    }
-                    self.fill()?;
-                }
-                Ok(Some(rec)) => {
-                    // Only accept a record the in-memory parser would
-                    // also have produced: one ending at a newline, or
-                    // one ending at true end-of-input. A parse that
-                    // merely ran out of *buffer* re-runs after a refill
-                    // (the state machine is deterministic on prefixes,
-                    // so re-parsing from the record start is exact).
-                    let newline_terminated =
-                        try_pos > 0 && try_pos <= self.buf.len() && self.buf[try_pos - 1] == b'\n';
-                    if newline_terminated || self.eof {
-                        self.pos = try_pos;
-                        self.line = try_line;
-                        if self.pos >= COMPACT_THRESHOLD {
-                            self.buf.drain(..self.pos);
-                            self.pos = 0;
-                        }
-                        return Ok(Some(rec));
-                    }
-                    self.fill()?;
-                }
-                Err(e) => {
-                    // E.g. an open quote at the buffer end: an error only
-                    // if no more input can close it.
-                    if self.eof {
-                        return Err(e);
-                    }
-                    self.fill()?;
-                }
-            }
-        }
-    }
-}
 
 /// Consecutive rows of a relation in its interned columnar layout: a
 /// decoded store block (owned columns) or a resident relation
@@ -191,8 +92,8 @@ impl RelationChunk<'_> {
 /// Built by [`ShardedRelation::scan_csv_spill`] (one CSV pass that also
 /// writes the store) or [`ShardedRelation::open_store`]; every later
 /// pass decodes the store via [`ShardedRelation::chunks`]. The
-/// dictionary is interned in the same row-major order as an in-memory
-/// [`crate::RelationBuilder`] load, so every id — and every quantity
+/// dictionary is interned by the same scan as an in-memory
+/// [`crate::csv::read_relation`] load, so every id — and every quantity
 /// derived from ids — matches the in-memory path bitwise.
 #[derive(Clone, Debug)]
 pub struct ShardedRelation {
@@ -225,66 +126,39 @@ impl ShardedRelation {
         store_path: impl AsRef<Path>,
     ) -> Result<Self, CsvError> {
         let store_path = store_path.as_ref();
+        let in_store = |e: StoreError| CsvError::from(e).in_file(store_path);
         let chunk_tuples = if chunk_tuples == 0 {
             DEFAULT_CHUNK_TUPLES
         } else {
             chunk_tuples
         };
-        let mut stream = CsvRecordStream::new(reader);
-        let header = match stream.next_record()? {
-            Some(h) => h,
-            None => return Err(CsvError::Empty),
-        };
-        let attr_names = header_names(header)?;
-        let m = attr_names.len();
-        let mut dict = ValueDict::new();
-        let mut hasher = ContentHasher::new(name, &attr_names);
-        let mut n = 0usize;
-        let mut writer = SpillWriter::create(store_path)?;
-        let mut columns: Vec<Vec<ValueId>> = vec![Vec::with_capacity(chunk_tuples.min(1 << 16)); m];
-        let mut buffered = 0usize;
-        while let Some(rec) = stream.next_record()? {
-            let Some(rec) = normalize_row(rec, m, stream.line())? else {
-                continue;
-            };
-            hasher.push_row(&rec);
-            for (a, cell) in rec.iter().enumerate() {
-                columns[a].push(dict.intern_cell(cell.as_deref()));
-            }
-            n += 1;
-            buffered += 1;
-            if buffered == chunk_tuples {
-                let full = std::mem::replace(
-                    &mut columns,
-                    vec![Vec::with_capacity(chunk_tuples.min(1 << 16)); m],
-                );
-                writer.write_chunk(&RelationChunk::owned(n - buffered, full))?;
-                buffered = 0;
-            }
+        let mut scan = CsvScan::new(reader, chunk_tuples)?;
+        let mut hasher = ContentHasher::new(name, scan.attr_names());
+        let mut writer = SpillWriter::create(store_path).map_err(in_store)?;
+        while let Some(chunk) = scan.next_chunk()? {
+            hasher.push_chunk(&chunk, scan.dict());
+            writer.write_chunk(&chunk).map_err(in_store)?;
         }
-        if buffered > 0 {
-            writer.write_chunk(&RelationChunk::owned(
-                n - buffered,
-                std::mem::take(&mut columns),
-            ))?;
-        }
-        let content_hash = hasher.finish();
-        writer.finish(&StoreFooter {
-            name,
-            attr_names: &attr_names,
-            chunk_tuples,
-            n_tuples: n,
-            content_hash,
-            dict: &dict,
-        })?;
+        let (attr_names, dict, n_tuples) = scan.finish();
+        writer
+            .finish(&StoreFooter {
+                name,
+                attr_names: &attr_names,
+                chunk_tuples,
+                n_tuples,
+                content_hash: hasher.finish(),
+                dict: &dict,
+            })
+            .map_err(in_store)?;
         // Re-open through the validated metadata path so the relation
         // carries the verified footer offset.
-        Self::open_store(store_path)
+        Self::open_store(store_path).map_err(|e| e.in_file(store_path))
     }
 
     /// [`ShardedRelation::scan_csv_spill`] over a CSV file. The file
     /// stem becomes the relation name, as in
-    /// [`crate::csv::read_relation_path`]; errors carry the source path.
+    /// [`crate::csv::read_relation_path`]. CSV errors do not repeat the
+    /// path (the caller names it); store errors carry the store path.
     pub fn scan_csv_path_spill(
         path: impl AsRef<Path>,
         chunk_tuples: usize,
@@ -295,17 +169,18 @@ impl ShardedRelation {
             .file_stem()
             .and_then(|s| s.to_str())
             .unwrap_or("relation");
-        let file = std::fs::File::open(path).map_err(|e| CsvError::from(e).in_file(path))?;
-        Self::scan_csv_spill(file, name, chunk_tuples, store_path).map_err(|e| e.in_file(path))
+        let file = std::fs::File::open(path)?;
+        Self::scan_csv_spill(file, name, chunk_tuples, store_path)
     }
 
     /// Opens an existing binary shard store: validates magic, version,
     /// trailer, footer checksum and counts, rebuilds the frozen
     /// dictionary, and returns the relation. Later chunk passes decode
-    /// blocks directly — zero tokenization, zero hashing.
+    /// blocks directly — zero tokenization, zero hashing. Errors do not
+    /// repeat the path: the caller names it.
     pub fn open_store(path: impl AsRef<Path>) -> Result<Self, CsvError> {
         let path = path.as_ref();
-        let meta = crate::spill::read_meta(path).map_err(|e| CsvError::from(e).in_file(path))?;
+        let meta = crate::spill::read_meta(path)?;
         Ok(ShardedRelation {
             name: meta.name,
             attr_names: meta.attr_names,
@@ -323,21 +198,13 @@ impl ShardedRelation {
     /// CSV with [`crate::csv::read_relation_path`] — same ids, same
     /// content hash.
     pub fn materialize(&self) -> Result<crate::Relation, CsvError> {
-        let m = self.n_attrs();
-        let mut columns: Vec<Vec<ValueId>> = (0..m).map(|_| Vec::with_capacity(self.n)).collect();
-        for chunk in self.chunks()? {
-            let chunk = chunk?;
-            for (a, col) in chunk.columns.iter().enumerate() {
-                columns[a].extend_from_slice(col);
-            }
-        }
-        Ok(crate::Relation::from_parts(
-            self.name.clone(),
+        crate::Relation::from_chunks(
+            &self.name,
             self.attr_names.clone(),
             self.dict.clone(),
-            columns,
             self.n,
-        ))
+            self.chunks()?,
+        )
     }
 
     /// Recomputes the content hash from the store's chunks and checks it
@@ -347,18 +214,8 @@ impl ShardedRelation {
     /// [`StoreError::ContentHashMismatch`].
     pub fn verify_content(&self) -> Result<(), CsvError> {
         let mut hasher = ContentHasher::new(&self.name, &self.attr_names);
-        let mut row: Vec<Option<&str>> = Vec::with_capacity(self.n_attrs());
         for chunk in self.chunks()? {
-            let chunk = chunk?;
-            for t in 0..chunk.n_rows() {
-                row.clear();
-                row.extend(
-                    chunk
-                        .row_values(t)
-                        .map(|v| (v != NULL_VALUE).then(|| self.dict.string(v))),
-                );
-                hasher.push_row(&row);
-            }
+            hasher.push_chunk(&chunk?, &self.dict);
         }
         let found = hasher.finish();
         if found != self.content_hash {
@@ -570,8 +427,8 @@ mod tests {
 
     #[test]
     fn dictionary_ids_match_builder_interning_order() {
-        // Row-major interning must assign the exact ids RelationBuilder
-        // does — ids are load-bearing for bitwise-equal derived views.
+        // Row-major interning must assign the exact ids the in-memory
+        // load does — ids are load-bearing for bitwise-equal derived views.
         let rel = in_memory(SAMPLE, "t");
         let s = spill(SAMPLE.as_bytes(), "t", 10);
         for id in 0..rel.dict().len() {
@@ -619,14 +476,34 @@ mod tests {
         assert!(matches!(
             try_spill("A,B\n1\n".as_bytes(), "t", 1),
             Err(CsvError::RaggedRow {
+                line: 2,
                 expected: 2,
                 got: 1,
-                ..
             })
         ));
+        // A ragged record names its first line, whatever follows it.
+        for csv in ["A,B\nx,y,z\n", "A,B\nx,y,z", "A,B\n\"x\ny\",y,z\n"] {
+            for step in [1, 2, 4096] {
+                assert!(
+                    matches!(
+                        try_spill(drip(csv, step), "t", 1),
+                        Err(CsvError::RaggedRow {
+                            line: 2,
+                            got: 3,
+                            ..
+                        })
+                    ),
+                    "{csv:?} step={step}"
+                );
+            }
+        }
         assert!(matches!(
             try_spill("A\n\"oops\n".as_bytes(), "t", 1),
-            Err(CsvError::UnterminatedQuote { .. })
+            Err(CsvError::UnterminatedQuote { line: 2 })
+        ));
+        assert!(matches!(
+            try_spill(&b"A\nok\ncaf\xe9\n"[..], "t", 1),
+            Err(CsvError::InvalidUtf8 { line: 3, column: 0 })
         ));
         let wide: String = format!(
             "{}\n",
@@ -649,11 +526,9 @@ mod tests {
         std::fs::write(&path, "a,a\nx,y\n").unwrap();
         let store = dir.join(format!("dup_{}.dbss", std::process::id()));
         let e = ShardedRelation::scan_csv_path_spill(&path, 0, &store).unwrap_err();
-        let CsvError::InFile { source, .. } = &e else {
-            panic!("expected the file to be named: {e:?}");
-        };
+        // The caller named the CSV path; the error does not repeat it.
         assert!(
-            matches!(&**source, CsvError::DuplicateAttr { name, first: 0, second: 1 } if name == "a"),
+            matches!(&e, CsvError::DuplicateAttr { name, first: 0, second: 1 } if name == "a"),
             "{e:?}"
         );
         std::fs::remove_file(&path).ok();
@@ -743,9 +618,9 @@ mod tests {
 
     #[test]
     fn record_stream_survives_long_records_and_compaction() {
-        // A value far larger than the read block exercises refill-retry
-        // and compaction; content must still round-trip exactly.
-        let big = "v".repeat(3 * READ_BLOCK);
+        // A value far larger than the read window spans several
+        // refills; content must still round-trip exactly.
+        let big = "v".repeat(3 * 64 * 1024);
         let csv = format!("A,B\n{big},w\nx,y\n");
         let rel = in_memory(&csv, "t");
         let s = spill(csv.as_bytes(), "t", 1);

@@ -468,3 +468,62 @@ fn profiled_request_embeds_report() {
     assert!(v.get("report").is_none());
     d.finish();
 }
+
+#[test]
+fn non_ascii_values_and_load_errors_match_the_cli() {
+    let dir = std::env::temp_dir().join(format!("dbmined_utf8_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("u.csv");
+    let store = dir.join("u.dbss");
+    let ragged = dir.join("q.csv");
+    let latin1 = dir.join("l.csv");
+    let bad_store = dir.join("g.dbss");
+    std::fs::write(&csv, "A,B\ncafé,日本\ncafé,日本\nthé,y\n").unwrap();
+    std::fs::write(&ragged, "A,B\nx,y,z\n").unwrap();
+    std::fs::write(&latin1, b"A,B\nx,y\ncaf\xe9,z\n").unwrap();
+    std::fs::write(&bad_store, "A,B\n1,2\n").unwrap();
+    let [csv, store, ragged, latin1, bad_store] =
+        [&csv, &store, &ragged, &latin1, &bad_store].map(|p| p.to_str().unwrap());
+    let out = Command::new(env!("CARGO_BIN_EXE_dbmine"))
+        .args(["duplicates", csv, "--phi-t", "0.0", "--spill", store])
+        .output()
+        .expect("cli runs");
+    assert!(out.status.success());
+    let expected = String::from_utf8(out.stdout).unwrap();
+    assert!(expected.contains("café | 日本"), "{expected}");
+
+    let mut d = DaemonProc::spawn(&[]);
+    for source in [
+        format!("\"path\":\"{csv}\""),
+        format!("\"path\":\"{store}\""),
+        "\"csv\":\"A,B\\ncafé,日本\\ncafé,日本\\nthé,y\\n\",\"name\":\"u\"".to_string(),
+    ] {
+        let v = d.request(&format!(
+            "{{\"cmd\":\"duplicates\",\"phi_t\":0.0,{source}}}"
+        ));
+        assert_eq!(output_of(&v), expected, "{source}");
+    }
+    // Every load error names its path exactly once.
+    for (path, expect) in [
+        (
+            ragged,
+            format!("cannot read {ragged}: line 2: expected 2 fields, got 3"),
+        ),
+        (
+            latin1,
+            format!("cannot read {latin1}: line 3: column 0 is not valid UTF-8"),
+        ),
+        (
+            bad_store,
+            format!(
+                "cannot read {bad_store}: shard store: not a dbmine shard store: \
+                 file is only 8 bytes"
+            ),
+        ),
+    ] {
+        let v = d.request(&format!("{{\"cmd\":\"fds\",\"path\":\"{path}\"}}"));
+        assert_eq!(error_of(&v), expect);
+    }
+    d.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -428,3 +428,85 @@ fn closed_stdout_ends_the_run_quietly() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Runs the CLI, returning its stdout, stderr and exit code.
+fn run_code(args: &[&str]) -> (String, String, Option<i32>) {
+    let out = Command::new(env!("CARGO_BIN_EXE_dbmine"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    (
+        String::from_utf8(out.stdout).expect("stdout is UTF-8"),
+        String::from_utf8(out.stderr).expect("stderr is UTF-8"),
+        out.status.code(),
+    )
+}
+
+#[test]
+fn load_errors_name_the_file_once() {
+    let dir = scratch_dir("load_errors");
+    let ragged = dir.join("q.csv");
+    let latin1 = dir.join("l.csv");
+    let bad_store = dir.join("g.dbss");
+    let spill_to = dir.join("q.dbss");
+    std::fs::write(&ragged, "A,B\nx,y,z\n").unwrap();
+    std::fs::write(&latin1, b"A,B\nx,y\ncaf\xe9,z\n").unwrap();
+    std::fs::write(&bad_store, "A,B\n1,2\n").unwrap();
+    let [ragged, latin1, bad_store, spill_to] =
+        [&ragged, &latin1, &bad_store, &spill_to].map(|p| p.to_str().unwrap());
+    for (args, expect) in [
+        (
+            vec!["fds", ragged],
+            format!("error: cannot read {ragged}: line 2: expected 2 fields, got 3\n"),
+        ),
+        (
+            vec!["fds", ragged, "--spill", spill_to],
+            format!("error: cannot spill {ragged}: line 2: expected 2 fields, got 3\n"),
+        ),
+        (
+            vec!["fds", latin1],
+            format!("error: cannot read {latin1}: line 3: column 0 is not valid UTF-8\n"),
+        ),
+        (
+            vec!["fds", latin1, "--spill", spill_to],
+            format!("error: cannot spill {latin1}: line 3: column 0 is not valid UTF-8\n"),
+        ),
+        (
+            vec!["fds", bad_store],
+            format!(
+                "error: cannot read {bad_store}: shard store: not a dbmine shard store: \
+                 file is only 8 bytes\n"
+            ),
+        ),
+    ] {
+        let (stdout, stderr, code) = run_code(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr, expect, "{args:?}");
+        assert!(stdout.is_empty(), "{args:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn non_ascii_values_print_verbatim_from_csv_spill_and_store() {
+    let dir = scratch_dir("utf8");
+    let csv = dir.join("u.csv");
+    let store = dir.join("u.dbss");
+    std::fs::write(&csv, "A,B\ncafé,日本\ncafé,日本\nthé,\"🦀, y\"\n").unwrap();
+    let (csv, store) = (csv.to_str().unwrap(), store.to_str().unwrap());
+    let duplicates = |args: &[&str]| {
+        let (stdout, stderr, code) = run_code(args);
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+        stdout
+    };
+    let from_csv = duplicates(&["duplicates", csv, "--phi-t", "0.0"]);
+    assert!(from_csv.contains("café | 日本"), "{from_csv}");
+    assert!(from_csv.contains("thé | 🦀, y"), "{from_csv}");
+    let spilled = duplicates(&["duplicates", csv, "--phi-t", "0.0", "--spill", store]);
+    assert_eq!(spilled, from_csv);
+    assert_eq!(
+        duplicates(&["duplicates", store, "--phi-t", "0.0"]),
+        from_csv
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
