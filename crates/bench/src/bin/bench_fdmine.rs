@@ -162,6 +162,44 @@ fn reliable_compare(
     stats.push(s);
 }
 
+/// One bounded lattice walk: its median time and the partition
+/// products one run builds (its last level builds none).
+struct WalkStats {
+    id: String,
+    median_ms: f64,
+    partition_products: u64,
+}
+
+/// Times bounded TANE on `rel` and counts one run's partition products.
+fn bounded_tane(
+    results: &mut Vec<Measurement>,
+    walks: &mut Vec<WalkStats>,
+    samples: usize,
+    rel: &Relation,
+    id: &str,
+    max_lhs: usize,
+) {
+    let options = TaneOptions {
+        max_lhs: Some(max_lhs),
+        threads: 1,
+    };
+    measure(results, id, samples, || {
+        mine_tane_ctx(&AnalysisCtx::of(rel), options)
+    });
+    let median_ms = results.last().expect("just pushed").median_ms;
+    let before = telemetry::snapshot();
+    std::hint::black_box(mine_tane_ctx(&AnalysisCtx::of(rel), options));
+    let partition_products = telemetry::snapshot()
+        .delta(&before)
+        .get(telemetry::Counter::PartitionProducts);
+    println!("{id:<44} partition products {partition_products:>8}");
+    walks.push(WalkStats {
+        id: id.to_string(),
+        median_ms,
+        partition_products,
+    });
+}
+
 /// One store-vs-materialized mining comparison: the same miner driven
 /// from a chunk-backed `AnalysisCtx` over a shard store (bounded
 /// memory; the materialization ledger is asserted to stay at zero) and
@@ -269,6 +307,7 @@ fn main() {
     let mut results: Vec<Measurement> = Vec::new();
     let mut allocs: Vec<AllocCount> = Vec::new();
     let mut reliable_stats: Vec<ReliableStats> = Vec::new();
+    let mut walks: Vec<WalkStats> = Vec::new();
     for &n in sizes {
         let rel = scaling_relation(n);
         measure(&mut results, &format!("tane/synth8/{n}"), samples, || {
@@ -377,6 +416,22 @@ fn main() {
             threads: 1,
             prune: true,
         },
+    );
+
+    // Bounded TANE over DBLP, the `fds --max-lhs 3` walk: the lattice
+    // walk's kernel (the partition product) dominates it, and its last
+    // level builds no products.
+    let dblp_walk = dbmine::datagen::dblp_sample(&dbmine::datagen::DblpSpec::scaled(
+        if quick { 2_000 } else { 20_000 },
+        2004,
+    ));
+    bounded_tane(
+        &mut results,
+        &mut walks,
+        samples,
+        &dblp_walk,
+        &format!("tane_lhs3/dblp/{}", dblp_walk.n_tuples()),
+        3,
     );
 
     // Unbounded walks (`max_lhs: None`), full run only so the quick
@@ -524,6 +579,15 @@ fn main() {
         } else {
             "\n"
         });
+    }
+    json.push_str("  ],\n  \"bounded_walks\": [\n");
+    for (i, w) in walks.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"id\": \"{}\", \"median_ms\": {:.4}, \"partition_products\": {}}}",
+            w.id, w.median_ms, w.partition_products
+        );
+        json.push_str(if i + 1 < walks.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n  \"store_vs_mem\": [\n");
     for (i, s) in store_rows.iter().enumerate() {

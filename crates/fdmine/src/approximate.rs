@@ -16,8 +16,8 @@
 //! ever tested from the candidate `X∪{b}` and can still be minimal.
 //! Keys cost nothing extra to emit: a key LHS has an empty stripped
 //! partition, so its `g3` error is exactly 0.0. Each `g3` is computed
-//! from π_{X∖A} and π_A's class ids, never from π_X, so a bounded walk's
-//! last level is built as class sizes only.
+//! from π_{X∖A} and π_A's class ids, never from π_X, so a bounded walk
+//! builds no products for its last level (`READS_X_SIZES` is false).
 
 use crate::fd::Fd;
 use crate::lattice::{walk_minimal, Candidate, MinimalTest};
@@ -40,6 +40,7 @@ struct G3Test {
 
 impl MinimalTest for G3Test {
     type Score = f64;
+    const READS_X_SIZES: bool = false;
 
     fn score(&self, candidate: &Candidate<'_>, scratch: &mut PartitionScratch) -> f64 {
         candidate.g3_error(scratch)

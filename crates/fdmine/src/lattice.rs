@@ -20,12 +20,14 @@
 //! # The last level of a bounded walk
 //!
 //! With `max_lhs = Some(k)`, level `k + 1` is scored but never joined,
-//! so no consumer reads its tuples: TANE's COMPUTE_DEPENDENCIES reads
-//! only `e(π_X)`, F̂ only π_X's class sizes, and `g3` needs no π_X at
-//! all (see below). [`next_level`] therefore builds that level with the
-//! counting pass alone ([`StrippedPartition::product_sizes`]), as a
-//! [`Level::Sizes`]; each product still counts once. Every earlier
-//! level is a [`Level::Parts`].
+//! so [`next_level`] builds only what its test reads there
+//! ([`Build`]): TANE decides `X∖A → A` by scanning π_{X∖A} against
+//! π_A's class ids ([`StrippedPartition::determines`]), and `g3` needs
+//! no π_X at all (see below), so their last level builds no products
+//! ([`Level::Unbuilt`]); F̂ reads π_X's class sizes, so its last level
+//! is built by the counting loop alone
+//! ([`StrippedPartition::product_sizes`], one product each) as a
+//! [`Level::Sizes`]. Every earlier level is a [`Level::Parts`].
 //!
 //! No survivor filter runs on that level either, so emission is the
 //! only reader of its scores. Each [`Candidate`] says so in
@@ -35,11 +37,20 @@
 //! # `g3` from π_A
 //!
 //! [`walk_minimal`] hands each test a [`Candidate`]: π_{X∖A}, π_X's
-//! class sizes, and π_A's class ids, computed once per walk. Within a
-//! class of π_{X∖A}, π_X's classes are exactly π_A's classes restricted
-//! to it, so `g3(X∖A → A)` from π_A's ids
-//! ([`StrippedPartition::g3_error_ids`]) is bitwise equal to `g3`
-//! against π_X.
+//! class sizes (where built), and π_A's class ids, computed once per
+//! walk ([`attr_class_ids`]). Within a class of π_{X∖A}, π_X's classes
+//! are exactly π_A's classes restricted to it, so `g3(X∖A → A)` from
+//! π_A's ids ([`StrippedPartition::g3_error_ids`]) is bitwise equal to
+//! `g3` against π_X.
+//!
+//! # Products per join parent
+//!
+//! [`next_level`] emits a level's candidates contiguously by left join
+//! parent, and builds them one run per parent: it loads π_left's probe
+//! table once ([`StrippedPartition::probe`]), computes the product (or
+//! its sizes) with every right parent of the run, and unloads it. The
+//! runs fan out in parallel, cut into one group of whole runs per
+//! worker, and their results are reassembled in candidate order.
 //!
 //! Both steps fan out over `dbmine_parallel` with deterministic chunking
 //! and one [`PartitionScratch`] per worker; candidates are enumerated
@@ -48,8 +59,8 @@
 //! under [`fxhash`].
 
 use crate::fd::Fd;
-use dbmine_parallel::par_map_init;
-use dbmine_relation::partition::{ClassSizes, PartitionScratch, StrippedPartition};
+use dbmine_parallel::{effective_threads, par_map_coarse, par_map_init};
+use dbmine_relation::partition::{ClassSizes, PartitionScratch, Probe, StrippedPartition};
 use dbmine_relation::AttrSet;
 use dbmine_telemetry::Span;
 use fxhash::{FxHashMap, FxHashSet};
@@ -58,16 +69,21 @@ use fxhash::{FxHashMap, FxHashSet};
 pub enum Level {
     /// Materialized partitions: a level the walk may still join.
     Parts(FxHashMap<u64, StrippedPartition>),
-    /// Class sizes only: the last level of a bounded walk.
+    /// Class sizes only: the last level of a bounded walk whose test
+    /// reads π_X's sizes.
     Sizes(FxHashMap<u64, ClassSizes>),
+    /// Nothing built: the last level of a bounded walk whose test reads
+    /// only π_{X∖A} and π_A.
+    Unbuilt,
 }
 
 impl Level {
-    /// The class sizes of `π_x`.
-    pub fn sizes(&self, x: AttrSet) -> &ClassSizes {
+    /// The class sizes of `π_x`, if the level built them.
+    pub fn sizes(&self, x: AttrSet) -> Option<&ClassSizes> {
         match self {
-            Level::Parts(parts) => parts[&x.bits()].sizes(),
-            Level::Sizes(sizes) => &sizes[&x.bits()],
+            Level::Parts(parts) => Some(parts[&x.bits()].sizes()),
+            Level::Sizes(sizes) => Some(&sizes[&x.bits()]),
+            Level::Unbuilt => None,
         }
     }
 
@@ -75,27 +91,42 @@ impl Level {
     ///
     /// # Panics
     ///
-    /// On a [`Level::Sizes`]: a walk never joins its last level.
+    /// On a last level: a walk never joins it.
     pub fn into_parts(self) -> FxHashMap<u64, StrippedPartition> {
         match self {
             Level::Parts(parts) => parts,
-            Level::Sizes(_) => panic!("the last level of a bounded walk is never joined"),
+            Level::Sizes(_) | Level::Unbuilt => {
+                panic!("the last level of a bounded walk is never joined")
+            }
         }
     }
+}
+
+/// What [`next_level`] builds for each candidate.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Build {
+    /// Full partitions ([`Level::Parts`]): a level the walk may join.
+    Parts,
+    /// Class sizes ([`Level::Sizes`]): a last level whose test reads
+    /// π_X's sizes.
+    Sizes,
+    /// No products ([`Level::Unbuilt`]): a last level whose test reads
+    /// only π_{X∖A} and π_A.
+    Nothing,
 }
 
 /// The prefix join of one level: every pair of `survivors` that share
 /// all but their largest attribute is joined into a candidate, kept only
 /// if all of its one-smaller subsets survived. Returns the candidates in
-/// enumeration order with the products of their two join parents'
-/// partitions in `parts` (in parallel, one scratch per worker): full
-/// partitions, or only their class sizes when the candidates form the
-/// walk's `last` level.
+/// enumeration order — contiguous by left join parent — with what
+/// `build` asks for of the products of their two join parents'
+/// partitions in `parts` (one probe load per left parent, the parents
+/// in parallel with one scratch per worker).
 pub fn next_level(
     threads: usize,
     survivors: &[AttrSet],
     parts: &FxHashMap<u64, StrippedPartition>,
-    last: bool,
+    build: Build,
 ) -> (Vec<AttrSet>, Level) {
     let survivor_bits: FxHashSet<u64> = survivors.iter().map(|s| s.bits()).collect();
     // Prefix blocks, in first-seen order.
@@ -126,52 +157,97 @@ pub fn next_level(
             }
         }
     }
-    let level = if last {
-        Level::Sizes(products(
-            threads,
-            &candidates,
-            parts,
-            StrippedPartition::product_sizes,
-        ))
-    } else {
-        Level::Parts(products(
-            threads,
-            &candidates,
-            parts,
-            StrippedPartition::product_with,
-        ))
+    let level = match build {
+        Build::Parts => Level::Parts(products(threads, &candidates, parts, |probe, right| {
+            probe.product(right)
+        })),
+        Build::Sizes => Level::Sizes(products(threads, &candidates, parts, |probe, right| {
+            probe.product_sizes(right)
+        })),
+        Build::Nothing => Level::Unbuilt,
     };
     let sets = candidates.iter().map(|c| c.0).collect();
     (sets, level)
 }
 
 /// Each join candidate `(x, left, right)`'s `product` of its parents'
-/// partitions, keyed by `x`'s bits (in parallel, one scratch per worker).
+/// partitions, keyed by `x`'s bits. The candidates are cut into one
+/// group of whole runs per worker (a run: the candidates of one left
+/// parent); a worker walks its group run by run under one loaded probe
+/// each, into one vector, and the groups are reassembled in candidate
+/// order.
 fn products<P: Send>(
     threads: usize,
     candidates: &[(AttrSet, u64, u64)],
     parts: &FxHashMap<u64, StrippedPartition>,
-    product: fn(&StrippedPartition, &StrippedPartition, &mut PartitionScratch) -> P,
+    product: fn(&mut Probe<'_>, &StrippedPartition) -> P,
 ) -> FxHashMap<u64, P> {
-    let products = par_map_init(
-        threads,
-        candidates,
-        PartitionScratch::new,
-        |scratch, _, &(_, left, right)| product(&parts[&left], &parts[&right], scratch),
+    let workers = if candidates.len() < SERIAL_BELOW {
+        1
+    } else {
+        effective_threads(threads)
+    };
+    let groups = run_groups(candidates, workers);
+    let products = par_map_coarse(threads, &groups, |_, group| {
+        let mut scratch = PartitionScratch::new();
+        let mut out = Vec::with_capacity(group.len());
+        for run in group.chunk_by(|a, b| a.1 == b.1) {
+            let mut probe = parts[&run[0].1].probe(&mut scratch);
+            out.extend(
+                run.iter()
+                    .map(|&(_, _, right)| product(&mut probe, &parts[&right])),
+            );
+        }
+        out
+    });
+    let mut level = FxHashMap::with_capacity_and_hasher(candidates.len(), Default::default());
+    level.extend(
+        candidates
+            .iter()
+            .map(|c| c.0.bits())
+            .zip(products.into_iter().flatten()),
     );
-    candidates
-        .iter()
-        .map(|c| c.0.bits())
-        .zip(products)
-        .collect()
+    level
+}
+
+/// Below this many candidates a level's products run on one thread.
+const SERIAL_BELOW: usize = 128;
+
+/// `candidates` cut into at most `workers` contiguous groups of whole
+/// runs of one left parent, each closed once it holds
+/// `⌈len / workers⌉` candidates.
+fn run_groups(candidates: &[(AttrSet, u64, u64)], workers: usize) -> Vec<&[(AttrSet, u64, u64)]> {
+    let target = candidates.len().div_ceil(workers.max(1));
+    let mut groups = Vec::with_capacity(workers);
+    let (mut start, mut end) = (0, 0);
+    for run in candidates.chunk_by(|a, b| a.1 == b.1) {
+        end += run.len();
+        if end - start >= target {
+            groups.push(&candidates[start..end]);
+            start = end;
+        }
+    }
+    if start < end {
+        groups.push(&candidates[start..end]);
+    }
+    groups
+}
+
+/// Every single-attribute partition's per-tuple class ids
+/// ([`StrippedPartition::class_ids`]), indexed by attribute: the π_A
+/// side of the walks' `g3` scores and of TANE's last-level test.
+pub fn attr_class_ids(attr_parts: &[&StrippedPartition]) -> Vec<Vec<u32>> {
+    attr_parts.iter().map(|p| p.class_ids()).collect()
 }
 
 /// One candidate `X∖{A} → A` as [`walk_minimal`] hands it to a test.
 pub struct Candidate<'a> {
     /// `π_{X∖{A}}`.
     pub lhs: &'a StrippedPartition,
-    /// The class sizes of `π_X`.
-    pub x: &'a ClassSizes,
+    /// The class sizes of `π_X`; `None` only on the last level of a
+    /// bounded walk whose test does not read them
+    /// ([`MinimalTest::READS_X_SIZES`]).
+    x: Option<&'a ClassSizes>,
     /// The consequent `A`.
     pub a: usize,
     /// Whether this level's scores reach [`MinimalTest::survivors`]:
@@ -183,6 +259,17 @@ pub struct Candidate<'a> {
 }
 
 impl Candidate<'_> {
+    /// The class sizes of `π_X`.
+    ///
+    /// # Panics
+    ///
+    /// On the last level of a bounded walk whose test declares
+    /// [`MinimalTest::READS_X_SIZES`] false.
+    pub fn x(&self) -> &ClassSizes {
+        self.x
+            .expect("a test that reads π_X's sizes declares READS_X_SIZES")
+    }
+
     /// `g3(X∖{A} → A)`, from π_A's class ids (bitwise equal to `g3`
     /// against π_X; see the module docs).
     pub fn g3_error(&self, scratch: &mut PartitionScratch) -> f64 {
@@ -194,6 +281,11 @@ impl Candidate<'_> {
 pub trait MinimalTest: Sync {
     /// What scoring one candidate `X∖{A} → A` yields.
     type Score: Copy + Send + Sync;
+
+    /// Whether [`Self::score`] reads π_X's class sizes
+    /// ([`Candidate::x`]). A test that does not lets a bounded walk skip
+    /// its last level's products. Default: true.
+    const READS_X_SIZES: bool = true;
 
     /// Scores one candidate.
     fn score(&self, candidate: &Candidate<'_>, scratch: &mut PartitionScratch) -> Self::Score;
@@ -248,7 +340,7 @@ pub fn walk_minimal<T: MinimalTest>(
     let mut found: Vec<(Fd, T::Score)> = Vec::new();
     // Minimality: per RHS, the LHSs already emitted.
     let mut found_lhs: Vec<Vec<AttrSet>> = vec![Vec::new(); attr_parts.len()];
-    let attr_ids: Vec<Vec<u32>> = attr_parts.iter().map(|p| p.class_ids()).collect();
+    let attr_ids = attr_class_ids(&attr_parts);
     let mut prev_parts: FxHashMap<u64, StrippedPartition> =
         std::iter::once((AttrSet::EMPTY.bits(), StrippedPartition::of_empty(n))).collect();
     let mut sets: Vec<AttrSet> = (0..attr_parts.len()).map(AttrSet::single).collect();
@@ -304,8 +396,12 @@ pub fn walk_minimal<T: MinimalTest>(
         // Scoring was the last reader of the previous level: free it
         // before the join allocates the next one.
         prev_parts.clear();
-        let last = max_lhs == Some(level);
-        let (next_sets, next) = next_level(threads, &survivors, &parts, last);
+        let build = match max_lhs == Some(level) {
+            false => Build::Parts,
+            true if T::READS_X_SIZES => Build::Sizes,
+            true => Build::Nothing,
+        };
+        let (next_sets, next) = next_level(threads, &survivors, &parts, build);
         prev_parts = parts;
         current = next;
         sets = next_sets;

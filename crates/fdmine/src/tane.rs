@@ -12,12 +12,16 @@
 //!
 //! * every partition is flat, so its TANE error `e(π)` is O(1) and
 //!   validity tests are integer comparisons;
-//! * partition products run the sort-free two-pass kernel through a
+//! * partition products run the sort-free fused kernel through a
 //!   reusable [`PartitionScratch`] (zero hashing, one exactly sized
-//!   result);
-//! * a bounded run (`max_lhs = Some(k)`) never materializes level
-//!   `k + 1`: COMPUTE_DEPENDENCIES there reads only `e(π_X)`, which the
-//!   kernel's counting pass yields without placing a tuple;
+//!   result), and GENERATE_NEXT_LEVEL loads each left join parent's
+//!   probe table once for all of its products;
+//! * a bounded run (`max_lhs = Some(k)`) builds no products for level
+//!   `k + 1`: COMPUTE_DEPENDENCIES there decides `X∖A → A` by scanning
+//!   π_{X∖A} against π_A's class ids
+//!   ([`StrippedPartition::determines`]), which equals the
+//!   `e(π_X) = e(π_{X∖A})` test, and stops at the first class of
+//!   π_{X∖A} that A splits;
 //! * key pruning memoizes `partition_of_set` in a level-local cache, so
 //!   each subset partition is built once per level instead of once per
 //!   (subset, rhs) pair;
@@ -29,7 +33,7 @@
 //!   [`fxhash`] (SipHash setup dominates such maps otherwise).
 
 use crate::fd::{normalize_fds, Fd};
-use crate::lattice::{self, Level};
+use crate::lattice::{self, Build, Level};
 use dbmine_context::AnalysisCtx;
 use dbmine_parallel::par_map;
 use dbmine_relation::partition::{PartitionScratch, StrippedPartition};
@@ -110,6 +114,12 @@ pub fn mine_tane_ctx(ctx: &AnalysisCtx, options: TaneOptions) -> Vec<Fd> {
         // out in parallel; the serial merge below keeps emission order
         // (and therefore the whole run) independent of the chunking.
         let compute_span = dbmine_telemetry::span("tane.compute_dependencies");
+        // The last level of a bounded run has no π_X: its tests read
+        // π_A's class ids instead.
+        let attr_ids = match current {
+            Level::Unbuilt => lattice::attr_class_ids(&attr_parts),
+            _ => Vec::new(),
+        };
         let computed: Vec<(AttrSet, Vec<Fd>)> = par_map(threads, &current_sets, |_, &x| {
             // C+(X) = ∩_{A∈X} C+(X∖{A}).
             let mut cp = r;
@@ -122,13 +132,14 @@ pub fn mine_tane_ctx(ctx: &AnalysisCtx, options: TaneOptions) -> Vec<Fd> {
                     }
                 }
             }
-            let px_error = current.sizes(x).error();
+            let px_error = current.sizes(x).map(|sizes| sizes.error());
             let mut fds = Vec::new();
             for a in x.intersect(cp).iter() {
                 let parent = x.without(a);
-                let valid = match prev.parts.get(&parent.bits()) {
-                    Some(pp) => pp.error() == px_error,
-                    None => false, // parent pruned ⇒ a smaller FD exists
+                let valid = match (prev.parts.get(&parent.bits()), px_error) {
+                    (Some(pp), Some(px_error)) => pp.error() == px_error,
+                    (Some(pp), None) => pp.determines(&attr_ids[a]),
+                    (None, _) => false, // parent pruned ⇒ a smaller FD exists
                 };
                 if valid {
                     fds.push(Fd::new(parent, a));
@@ -210,13 +221,17 @@ pub fn mine_tane_ctx(ctx: &AnalysisCtx, options: TaneOptions) -> Vec<Fd> {
         drop(prune_span);
 
         // GENERATE_NEXT_LEVEL: the shared prefix join over survivors;
-        // the last level of a bounded run gets class sizes only.
+        // the last level of a bounded run builds no products.
         let generate_span = dbmine_telemetry::span("tane.generate_next_level");
         // Nothing reads the previous level's partitions past PRUNE: free
         // them before the join allocates the next level.
         prev.parts.clear();
-        let last = options.max_lhs == Some(level);
-        let (next_sets, next) = lattice::next_level(threads, &survivors, &current_parts, last);
+        let build = if options.max_lhs == Some(level) {
+            Build::Nothing
+        } else {
+            Build::Parts
+        };
+        let (next_sets, next) = lattice::next_level(threads, &survivors, &current_parts, build);
 
         // Shift levels: keep partitions only for survivors (join parents),
         // but cplus for everything at this level.

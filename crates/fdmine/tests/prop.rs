@@ -14,8 +14,10 @@ use dbmine_fdmine::{
     fd_error_g3, fd_holds, mine_approximate_ctx, mine_fdep_ctx, mine_tane_ctx, partition_of, Fd,
     PartitionScratch, StrippedPartition, TaneOptions,
 };
-use dbmine_relation::{AttrSet, Relation, RelationBuilder};
+use dbmine_relation::csv::write_relation_path;
+use dbmine_relation::{AttrSet, Relation, RelationBuilder, ShardedRelation};
 use proptest::prelude::*;
+use std::path::PathBuf;
 
 /// A random small categorical relation (≤5 attrs, ≤12 tuples, domain 3).
 fn arb_relation() -> impl Strategy<Value = Relation> {
@@ -107,6 +109,25 @@ fn minimal_oracle<S: Copy>(
     }
     out.sort_by_key(|f| f.0);
     out
+}
+
+/// A chunk-backed context over `rel`, spilled through its CSV to a
+/// store of 3-tuple chunks, with the store's path (remove it once the
+/// context is done).
+fn store_ctx(rel: &Relation) -> (AnalysisCtx, PathBuf) {
+    static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join("dbmine_fdmine_prop");
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let id = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let csv = dir.join(format!("{}_{id}.csv", std::process::id()));
+    let store = csv.with_extension("dbss");
+    write_relation_path(rel, &csv).expect("write csv");
+    let sharded = ShardedRelation::scan_csv_path_spill(&csv, 3, &store).expect("spill store");
+    let _ = std::fs::remove_file(&csv);
+    (
+        AnalysisCtx::from_chunks(sharded).expect("chunk-backed context"),
+        store,
+    )
 }
 
 fn arb_fds() -> impl Strategy<Value = Vec<Fd>> {
@@ -281,9 +302,9 @@ proptest! {
         }
     }
 
-    /// A walk bounded at `k` — whose last level is built as class sizes
-    /// only — returns the unbounded output filtered to |lhs| ≤ k, for
-    /// TANE and for the approximate miner, scores bit for bit.
+    /// A walk bounded at `k` — whose last level builds no products —
+    /// returns the unbounded output filtered to |lhs| ≤ k, for TANE and
+    /// for the approximate miner, scores bit for bit.
     #[test]
     fn bounded_walks_equal_filtered_unbounded(rel in arb_edge_relation(), eps_pct in 0u32..40) {
         let eps = eps_pct as f64 / 100.0;
@@ -300,6 +321,68 @@ proptest! {
             for (b, f) in bounded.iter().zip(filtered) {
                 prop_assert_eq!(b.fd, f.fd, "approximate, k = {}", k);
                 prop_assert!(b.error.to_bits() == f.error.to_bits(), "{}: g3 drifted", b.fd);
+            }
+        }
+    }
+
+    /// Bounded TANE, whose last level tests `X∖A → A` against π_A's
+    /// class ids, emits exactly the brute-force minimal FDs with
+    /// |lhs| ≤ k, and the bounded `g3` walk its unbounded output
+    /// filtered the same way — at every thread count, from a memory and
+    /// from a store context.
+    #[test]
+    fn bounded_walks_match_oracles_from_memory_and_store(
+        wide in arb_relation(),
+        edge in arb_edge_relation(),
+        eps_pct in 0u32..40,
+    ) {
+        let eps = eps_pct as f64 / 100.0;
+        for rel in [wide, edge] {
+            let mut brute = mine_brute(&rel);
+            brute.sort();
+            let mem = AnalysisCtx::of(&rel);
+            let approx = mine_approximate_ctx(&mem, eps, None, 1);
+            let (store, path) = store_ctx(&rel);
+            for k in 1..=3 {
+                let exact: Vec<Fd> = brute.iter().copied().filter(|f| f.lhs.len() <= k).collect();
+                let approx_k: Vec<_> = approx.iter().filter(|f| f.fd.lhs.len() <= k).collect();
+                for (source, ctx) in [("memory", &mem), ("store", &store)] {
+                    for threads in [1usize, 2, 4] {
+                        let mut tane = mine_tane_ctx(ctx, TaneOptions { max_lhs: Some(k), threads });
+                        tane.sort();
+                        prop_assert_eq!(&tane, &exact, "TANE, k = {}, {}, threads = {}", k, source, threads);
+                        let bounded = mine_approximate_ctx(ctx, eps, Some(k), threads);
+                        prop_assert_eq!(bounded.len(), approx_k.len(), "g3, k = {}, {}, threads = {}", k, source, threads);
+                        for (b, f) in bounded.iter().zip(&approx_k) {
+                            prop_assert_eq!(b.fd, f.fd, "g3, k = {}, {}, threads = {}", k, source, threads);
+                            prop_assert!(b.error.to_bits() == f.error.to_bits(), "{}: g3 drifted", b.fd);
+                        }
+                    }
+                }
+            }
+            drop(store);
+            let _ = std::fs::remove_file(path);
+        }
+    }
+
+    /// One loaded left probe serves a run of right partitions — every
+    /// attribute set's, the empty set's one class and a key's no class
+    /// — and each product equals the oracle's classes and, layout
+    /// included, the one-shot product; the count-only form yields its
+    /// sizes.
+    #[test]
+    fn one_probe_serves_many_products(rel in arb_edge_relation()) {
+        let mut parts = all_set_partitions(&rel);
+        parts.push(StrippedPartition::from_classes(Vec::<Vec<u32>>::new(), rel.n_tuples()));
+        let mut scratch = PartitionScratch::new();
+        let mut one_shot = PartitionScratch::new();
+        for left in &parts {
+            let mut probe = left.probe(&mut scratch);
+            for right in &parts {
+                let product = probe.product(right);
+                prop_assert_eq!(&product.canonical(), &left.product_reference(right));
+                prop_assert_eq!(&product, &left.product_with(right, &mut one_shot));
+                prop_assert_eq!(&probe.product_sizes(right), product.sizes());
             }
         }
     }

@@ -26,16 +26,21 @@
 //!
 //! # The product kernel
 //!
-//! `π_L · π_R` runs in two passes over `π_R`'s classes, with `π_L`'s
-//! class of every tuple in a probe table. The *counting* pass tallies,
-//! per class of `π_R`, how many of its tuples fall in each class of
-//! `π_L` it touches; each tally is the size of one class of the product
-//! (kept if ≥ 2). The *placement* pass replays the same scan and writes
-//! every kept tuple straight into its slot of an exactly sized flat
-//! output. [`StrippedPartition::product_with`] runs both passes;
-//! [`StrippedPartition::product_sizes`] runs only the counting pass and
-//! returns the product's [`ClassSizes`]. No pass sorts, hashes or
-//! allocates per class.
+//! `π_L · π_R` loads `π_L`'s class of every tuple into a probe table
+//! ([`StrippedPartition::probe`]) and then makes one pass over `π_R`'s
+//! classes. For each class it *counts*, per class of `π_L` the class
+//! touches, how many of its tuples fall there; each tally is the size of
+//! one class of the product (kept if ≥ 2), and kept tallies take the
+//! next slot ranges of the output. It then *places* the class's tuples
+//! into those slots while the class is still in cache, skipping classes
+//! with no tally ≥ 2. [`Probe::product`] counts and places;
+//! [`Probe::product_sizes`] only counts and returns the product's
+//! [`ClassSizes`]. One loaded probe serves any number of right
+//! partitions (the lattice walks join each left parent with all of its
+//! right siblings), and [`StrippedPartition::product_with`] is the
+//! one-product form. No pass sorts, hashes or allocates per class; the
+//! result is copied out of reused scratch buffers into exactly sized
+//! vectors.
 
 use crate::relation::{AttrId, Relation};
 use crate::shard::RelationChunk;
@@ -108,20 +113,6 @@ impl ClassSizes {
             self.ends[i - 1]
         }
     }
-
-    /// The boundaries of the classes whose sizes are the tallies ≥ 2
-    /// in `groups`, in order, allocated exactly once.
-    fn of_groups(groups: &[u32], n: usize) -> Self {
-        let mut ends = Vec::with_capacity(groups.iter().filter(|&&g| g >= 2).count());
-        let mut end = 0u32;
-        for &g in groups {
-            if g >= 2 {
-                end += g;
-                ends.push(end);
-            }
-        }
-        ClassSizes { ends, n }
-    }
 }
 
 /// A stripped partition: equivalence classes of size ≥ 2, stored flat
@@ -156,18 +147,21 @@ pub struct StrippedPartition {
 #[derive(Debug, Default)]
 pub struct PartitionScratch {
     /// tuple → class id in the left partition (`UNSET` = singleton).
-    /// Invariant between calls: all entries are `UNSET`.
+    /// Invariant between probes: all entries are `UNSET`.
     class_of: Vec<u32>,
-    /// Per-class tallies: left classes in the counting pass, refined
-    /// classes in `g3`. Invariant between calls: all entries are zero.
+    /// Per-class tallies: left classes in a product, refined classes in
+    /// `g3`. Invariant between calls: all entries are zero.
     counts: Vec<u32>,
     /// Class ids touched while scanning one class.
     touched: Vec<u32>,
-    /// The counting pass's tallies, in kernel order (sizes ≥ 1).
-    groups: Vec<u32>,
-    /// Placement write cursor per left class. Invariant between calls:
-    /// all entries are `UNSET`.
+    /// Placement write cursor per left class (`SINGLETON` for a tally
+    /// of 1), set for the classes one right class touches before any of
+    /// them is read.
     next: Vec<u32>,
+    /// The product's tuples as they are placed.
+    tuples: Vec<u32>,
+    /// The product's class boundaries as they are counted.
+    ends: Vec<u32>,
     /// Per-tuple class ids of the refined partition (`g3_error_with`).
     ids: Vec<u32>,
 }
@@ -445,7 +439,7 @@ impl StrippedPartition {
         self.product_with(other, &mut PartitionScratch::default())
     }
 
-    /// The product `π_X = π_self · π_other` via the two-pass kernel (see
+    /// The product `π_X = π_self · π_other` via the fused kernel (see
     /// the module docs), with all probe state in the caller-owned
     /// `scratch`: zero hashing, zero sorting, and two allocations (the
     /// exactly sized result).
@@ -459,14 +453,10 @@ impl StrippedPartition {
         other: &StrippedPartition,
         scratch: &mut PartitionScratch,
     ) -> StrippedPartition {
-        self.count_pass(other, scratch);
-        let sizes = ClassSizes::of_groups(&scratch.groups, self.n());
-        let tuples = self.place_pass(other, scratch, sizes.covered());
-        self.clear_probe(scratch);
-        StrippedPartition { tuples, sizes }
+        self.probe(scratch).product(other)
     }
 
-    /// The class sizes of `π_self · π_other` from the counting pass
+    /// The class sizes of `π_self · π_other` from the counting loop
     /// alone: the product's error, key test and size multiset, without
     /// placing a single tuple. Counts as one partition product.
     pub fn product_sizes(
@@ -474,116 +464,36 @@ impl StrippedPartition {
         other: &StrippedPartition,
         scratch: &mut PartitionScratch,
     ) -> ClassSizes {
-        self.count_pass(other, scratch);
-        self.clear_probe(scratch);
-        ClassSizes::of_groups(&scratch.groups, self.n())
+        self.probe(scratch).product_sizes(other)
     }
 
-    /// The counting pass: loads `self`'s probe table and fills
-    /// `scratch.groups` with the size of every non-empty intersection
-    /// of an `other` class with a `self` class — `other`'s classes in
-    /// order, `self`'s in first-touch order. The probe table stays
-    /// loaded for the placement pass; [`Self::clear_probe`] unloads it.
-    fn count_pass(&self, other: &StrippedPartition, scratch: &mut PartitionScratch) {
-        dbmine_telemetry::counter_add(dbmine_telemetry::Counter::PartitionProducts, 1);
-        debug_assert_eq!(self.n(), other.n());
+    /// Loads this partition's probe table (every covered tuple's class
+    /// id) into `scratch`, for any number of products with `self` on
+    /// the left. Dropping the [`Probe`] unloads it.
+    pub fn probe<'a>(&'a self, scratch: &'a mut PartitionScratch) -> Probe<'a> {
         let PartitionScratch {
             class_of,
             counts,
-            touched,
-            groups,
+            next,
             ..
-        } = scratch;
+        } = &mut *scratch;
         if class_of.len() < self.n() {
             class_of.resize(self.n(), UNSET);
         }
         if counts.len() < self.n_classes() {
             counts.resize(self.n_classes(), 0);
         }
+        if next.len() < self.n_classes() {
+            next.resize(self.n_classes(), 0);
+        }
         for (cid, class) in self.classes().enumerate() {
             for &t in class {
                 class_of[t as usize] = cid as u32;
             }
         }
-        groups.clear();
-        for class in other.classes() {
-            for &t in class {
-                let cid = class_of[t as usize];
-                if cid != UNSET {
-                    let c = &mut counts[cid as usize];
-                    if *c == 0 {
-                        touched.push(cid);
-                    }
-                    *c += 1;
-                }
-            }
-            for &cid in touched.iter() {
-                groups.push(counts[cid as usize]);
-                counts[cid as usize] = 0;
-            }
-            touched.clear();
-        }
-    }
-
-    /// The placement pass: replays the counting pass's scan and writes
-    /// every tuple of a group of size ≥ 2 into its slot of a flat list
-    /// of `covered` tuples. Groups take consecutive slot ranges in
-    /// kernel order, and `other`'s classes are ascending, so each output
-    /// class is ascending too.
-    fn place_pass(
-        &self,
-        other: &StrippedPartition,
-        scratch: &mut PartitionScratch,
-        covered: usize,
-    ) -> Vec<u32> {
-        let PartitionScratch {
-            class_of,
-            touched,
-            groups,
-            next,
-            ..
-        } = scratch;
-        if next.len() < self.n_classes() {
-            next.resize(self.n_classes(), UNSET);
-        }
-        let mut tuples = vec![0u32; covered];
-        let mut group = groups.iter();
-        let mut cursor = 0u32;
-        for class in other.classes() {
-            for &t in class {
-                let cid = class_of[t as usize];
-                if cid == UNSET {
-                    continue;
-                }
-                let slot = &mut next[cid as usize];
-                if *slot == UNSET {
-                    touched.push(cid);
-                    let size = *group.next().expect("placement replays the counting pass");
-                    *slot = if size >= 2 {
-                        cursor += size;
-                        cursor - size
-                    } else {
-                        SINGLETON
-                    };
-                }
-                if *slot != SINGLETON {
-                    tuples[*slot as usize] = t;
-                    *slot += 1;
-                }
-            }
-            for cid in touched.drain(..) {
-                next[cid as usize] = UNSET;
-            }
-        }
-        debug_assert_eq!(cursor as usize, covered);
-        tuples
-    }
-
-    /// Restores the clean-scratch invariant of the probe table (touching
-    /// only the entries the counting pass set).
-    fn clear_probe(&self, scratch: &mut PartitionScratch) {
-        for &t in &self.tuples {
-            scratch.class_of[t as usize] = UNSET;
+        Probe {
+            left: self,
+            scratch,
         }
     }
 
@@ -715,6 +625,121 @@ impl StrippedPartition {
             touched.clear();
         }
         removed as f64 / self.n() as f64
+    }
+
+    /// Whether `X → A` holds, where `self = π_X` and `ids` are π_A's
+    /// per-tuple class ids (as [`Self::class_ids`] yields them): every
+    /// class of `self` holds a single id. Stops at the first class that
+    /// holds two. The verdict equals `e(π_X) == e(π_X · π_A)` — a class
+    /// split by A lowers the error — without building the product.
+    pub fn determines(&self, ids: &[u32]) -> bool {
+        debug_assert_eq!(ids.len(), self.n());
+        self.classes().all(|class| {
+            let id = ids[class[0] as usize];
+            class[1..].iter().all(|&t| ids[t as usize] == id)
+        })
+    }
+}
+
+/// A left partition's probe table, loaded into a [`PartitionScratch`]
+/// by [`StrippedPartition::probe`]: the product of that partition with
+/// any number of right partitions, each one pass of the fused kernel
+/// (see the module docs) over the same table. Dropping it unloads the
+/// table, restoring the clean-scratch invariant.
+pub struct Probe<'a> {
+    left: &'a StrippedPartition,
+    scratch: &'a mut PartitionScratch,
+}
+
+impl Probe<'_> {
+    /// The product `π_left · π_right`, classes in kernel order.
+    pub fn product(&mut self, right: &StrippedPartition) -> StrippedPartition {
+        let bound = self.left.covered().min(right.covered());
+        if self.scratch.tuples.len() < bound {
+            self.scratch.tuples.resize(bound, 0);
+        }
+        let covered = self.scan::<true>(right);
+        StrippedPartition {
+            tuples: self.scratch.tuples[..covered].to_vec(),
+            sizes: ClassSizes {
+                ends: self.scratch.ends.to_vec(),
+                n: self.left.n(),
+            },
+        }
+    }
+
+    /// The class sizes of `π_left · π_right`, without placing a tuple.
+    pub fn product_sizes(&mut self, right: &StrippedPartition) -> ClassSizes {
+        self.scan::<false>(right);
+        ClassSizes {
+            ends: self.scratch.ends.to_vec(),
+            n: self.left.n(),
+        }
+    }
+
+    /// The one pass over `right`'s classes: counts each class's
+    /// intersections with the left classes into `scratch.ends`, and with
+    /// `PLACE` writes each kept group's tuples into its slots of
+    /// `scratch.tuples`. Returns the product's covered tuple count.
+    fn scan<const PLACE: bool>(&mut self, right: &StrippedPartition) -> usize {
+        dbmine_telemetry::counter_add(dbmine_telemetry::Counter::PartitionProducts, 1);
+        debug_assert_eq!(self.left.n(), right.n());
+        let PartitionScratch {
+            class_of,
+            counts,
+            touched,
+            next,
+            tuples,
+            ends,
+            ..
+        } = &mut *self.scratch;
+        ends.clear();
+        let mut cursor = 0u32;
+        for class in right.classes() {
+            for &t in class {
+                let cid = class_of[t as usize];
+                if cid != UNSET {
+                    let c = &mut counts[cid as usize];
+                    if *c == 0 {
+                        touched.push(cid);
+                    }
+                    *c += 1;
+                }
+            }
+            let first = cursor;
+            for &cid in touched.iter() {
+                let size = std::mem::take(&mut counts[cid as usize]);
+                if size >= 2 {
+                    next[cid as usize] = cursor;
+                    cursor += size;
+                    ends.push(cursor);
+                } else {
+                    next[cid as usize] = SINGLETON;
+                }
+            }
+            touched.clear();
+            if PLACE && cursor > first {
+                for &t in class {
+                    let cid = class_of[t as usize];
+                    if cid != UNSET {
+                        let slot = &mut next[cid as usize];
+                        if *slot != SINGLETON {
+                            tuples[*slot as usize] = t;
+                            *slot += 1;
+                        }
+                    }
+                }
+            }
+        }
+        cursor as usize
+    }
+}
+
+impl Drop for Probe<'_> {
+    fn drop(&mut self) {
+        for &t in &self.left.tuples {
+            self.scratch.class_of[t as usize] = UNSET;
+        }
     }
 }
 

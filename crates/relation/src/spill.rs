@@ -51,6 +51,10 @@
 //! * Dictionary entry 0 is the reserved NULL value; entries `1..len`
 //!   are the interned strings in id order, so rebuilding by re-interning
 //!   reproduces the exact [`ValueDict`] of the scan pass.
+//! * A store appears at its path only sealed: [`SpillWriter`] writes a
+//!   temporary sibling and renames it over the path when it seals, so a
+//!   scan that fails leaves no store behind and an existing store at
+//!   that path untouched.
 
 use crate::csv::CsvError;
 use crate::dict::{ValueDict, ValueId};
@@ -60,7 +64,8 @@ use dbmine_telemetry::{counter_add, Counter};
 use std::fmt;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Leading file magic.
 pub const MAGIC: [u8; 4] = *b"DBSS";
@@ -175,10 +180,19 @@ pub(crate) struct StoreMeta {
 /// content hash) is only known once the scan pass is done, which is why
 /// it goes last.
 ///
+/// The blocks go to a temporary sibling of the store path, which
+/// `finish` renames over the path; a writer dropped unsealed (a failed
+/// scan) removes it, so the path only ever holds a sealed store.
+///
 /// Holds a `spill.write` telemetry span for the lifetime of the writer
 /// and bumps [`Counter::SpillChunksWritten`] per block.
 pub struct SpillWriter {
     out: BufWriter<File>,
+    /// The store's path.
+    path: PathBuf,
+    /// The temporary sibling written until the store is sealed; `None`
+    /// once it has been renamed to `path`.
+    tmp: Option<PathBuf>,
     block: Vec<u8>,
     chunks_written: usize,
     rows_written: usize,
@@ -187,20 +201,35 @@ pub struct SpillWriter {
 }
 
 impl SpillWriter {
-    /// Creates (truncating) the store file and writes the leading magic.
+    /// Starts a store at `path`: creates its temporary sibling and
+    /// writes the leading magic. `path` itself is not touched until
+    /// [`Self::finish`].
     pub fn create(path: impl AsRef<Path>) -> Result<SpillWriter, StoreError> {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
         let _span = dbmine_telemetry::span("spill.write");
-        let mut out = BufWriter::new(File::create(path.as_ref())?);
-        out.write_all(&MAGIC)?;
-        out.write_all(&VERSION.to_le_bytes())?;
-        Ok(SpillWriter {
-            out,
+        let path = path.as_ref().to_path_buf();
+        let mut tmp_name = std::ffi::OsString::from(".");
+        tmp_name.push(path.file_name().unwrap_or_default());
+        tmp_name.push(format!(
+            ".{}.{}.tmp",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let tmp = path.with_file_name(tmp_name);
+        let file = File::create(&tmp)?;
+        let mut writer = SpillWriter {
+            out: BufWriter::new(file),
+            path,
+            tmp: Some(tmp),
             block: Vec::new(),
             chunks_written: 0,
             rows_written: 0,
             bytes_written: PRELUDE_LEN,
             _span,
-        })
+        };
+        writer.out.write_all(&MAGIC)?;
+        writer.out.write_all(&VERSION.to_le_bytes())?;
+        Ok(writer)
     }
 
     /// Chunks written so far.
@@ -237,9 +266,9 @@ impl SpillWriter {
         Ok(())
     }
 
-    /// Writes the footer + trailer and flushes. Returns the total store
-    /// size in bytes. The declared tuple count must match the rows
-    /// actually spilled.
+    /// Writes the footer + trailer, flushes, and renames the finished
+    /// file over the store path. Returns the total store size in bytes.
+    /// The declared tuple count must match the rows actually spilled.
     pub fn finish(mut self, footer: &StoreFooter<'_>) -> Result<u64, StoreError> {
         assert_eq!(
             footer.n_tuples, self.rows_written,
@@ -267,7 +296,19 @@ impl SpillWriter {
         buf.extend_from_slice(&TRAILER_MAGIC);
         self.out.write_all(&buf)?;
         self.out.flush()?;
+        let tmp = self.tmp.as_ref().expect("an unsealed writer has its file");
+        std::fs::rename(tmp, &self.path)?;
+        self.tmp = None;
         Ok(footer_offset + buf.len() as u64)
+    }
+}
+
+impl Drop for SpillWriter {
+    /// Removes the temporary file of a store that was never sealed.
+    fn drop(&mut self) {
+        if let Some(tmp) = &self.tmp {
+            let _ = std::fs::remove_file(tmp);
+        }
     }
 }
 

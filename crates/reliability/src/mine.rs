@@ -140,7 +140,7 @@ impl MinimalTest for RfiTest {
     /// The plugin always; the bias where emission or the filter may
     /// read it; `g3` only for an emitted candidate.
     fn score(&self, c: &Candidate<'_>, scratch: &mut PartitionScratch) -> Scored {
-        let plugin = self.scorer.plugin(c.lhs.sizes(), c.x, c.a);
+        let plugin = self.scorer.plugin(c.lhs.sizes(), c.x(), c.a);
         let filter_reads_bias = self.prune && c.reaches_survivors;
         if !filter_reads_bias && plugin.plugin < self.theta - BIAS_EPSILON {
             return Scored::Skipped;

@@ -27,8 +27,11 @@ pub enum Counter {
     /// AIB candidate heap: stale pops, skipped because the slot died or
     /// its best candidate changed since the push.
     NnCacheMisses,
-    /// Stripped-partition products (`StrippedPartition::product_with`),
-    /// the unit cost of TANE's lattice expansion.
+    /// Stripped-partition products, the unit cost of the lattice walks'
+    /// expansion: one per product or count-only product
+    /// (`Probe::product` / `Probe::product_sizes`), however many
+    /// products share one loaded probe. A bounded TANE or `g3` walk
+    /// builds none for its last level; F̂ builds count-only ones there.
     PartitionProducts,
     /// g3 approximation-error evaluations (`g3_error_with`).
     G3Evals,

@@ -510,3 +510,47 @@ fn non_ascii_values_print_verbatim_from_csv_spill_and_store() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn failed_spill_leaves_no_store_and_keeps_an_existing_one() {
+    let dir = scratch_dir("failed_spill");
+    let good = dir.join("good.csv");
+    let ragged = dir.join("q.csv");
+    let fresh = dir.join("fresh.dbss");
+    let store = dir.join("good.dbss");
+    std::fs::write(&good, "A,B\nx,y\nx,z\n").unwrap();
+    std::fs::write(&ragged, "A,B\nx,y\nx,y,z\n").unwrap();
+    let [good, ragged, fresh_s, store_s] =
+        [&good, &ragged, &fresh, &store].map(|p| p.to_str().unwrap());
+    let (_, stderr, code) = run_code(&["fds", good, "--spill", store_s]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let sealed = std::fs::read(&store).unwrap();
+    // A scan that fails after its first row: the fresh path stays
+    // absent, the existing store keeps its bytes, and no temporary
+    // file is left next to either.
+    for path in [fresh_s, store_s] {
+        let (stdout, stderr, code) = run_code(&["fds", ragged, "--spill", path]);
+        assert_eq!(code, Some(1), "{stderr}");
+        assert!(
+            stderr.contains("line 3: expected 2 fields, got 3"),
+            "{stderr}"
+        );
+        assert!(stdout.is_empty());
+    }
+    assert!(!fresh.exists(), "a failed spill created {fresh_s}");
+    assert_eq!(
+        std::fs::read(&store).unwrap(),
+        sealed,
+        "a failed spill rewrote {store_s}"
+    );
+    let (stdout, stderr, code) = run_code(&["fds", store_s]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("[]→[A]"), "{stdout}");
+    let mut left: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    left.sort();
+    assert_eq!(left, ["good.csv", "good.dbss", "q.csv"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}

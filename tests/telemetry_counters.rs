@@ -65,15 +65,9 @@ fn aib_on_four_values_performs_exactly_three_merges() {
     assert_eq!(d.get(Counter::NnCacheHits), expect(3));
 }
 
-#[test]
-fn tane_lattice_sizes_on_a_three_attribute_relation() {
-    // Hand-checked relation where no FD holds and no proper subset of
-    // {A,B,C} is a key:
-    //   level 1 visits {A},{B},{C}          → 3 lattice nodes
-    //   level 2 visits {AB},{AC},{BC}       → 3 nodes (3 products built)
-    //   level 3 visits {ABC}                → 1 node  (1 product built)
-    // {ABC} is a key, but C+({ABC}) ∖ {ABC} is empty, so nothing is
-    // emitted and the next level is empty: 7 nodes, 4 products total.
+/// A hand-checked relation where no FD holds and no proper subset of
+/// {A,B,C} is a key.
+fn three_attribute_relation() -> dbmine::relation::Relation {
     let mut b = RelationBuilder::new("t3", &["A", "B", "C"]);
     for row in [
         ["a", "x", "p"],
@@ -85,7 +79,18 @@ fn tane_lattice_sizes_on_a_three_attribute_relation() {
     ] {
         b.push_row_strs(&row);
     }
-    let rel = b.build();
+    b.build()
+}
+
+#[test]
+fn tane_lattice_sizes_on_a_three_attribute_relation() {
+    // On the relation of `three_attribute_relation`:
+    //   level 1 visits {A},{B},{C}          → 3 lattice nodes
+    //   level 2 visits {AB},{AC},{BC}       → 3 nodes (3 products built)
+    //   level 3 visits {ABC}                → 1 node  (1 product built)
+    // {ABC} is a key, but C+({ABC}) ∖ {ABC} is empty, so nothing is
+    // emitted and the next level is empty: 7 nodes, 4 products total.
+    let rel = three_attribute_relation();
     let (fds, d) = with_deltas(|| mine_tane_ctx(&AnalysisCtx::of(&rel), TaneOptions::default()));
     assert!(fds.is_empty(), "no FD holds in this relation: {fds:?}");
     assert_eq!(d.get(Counter::TaneLatticeNodes), expect(7));
@@ -93,6 +98,43 @@ fn tane_lattice_sizes_on_a_three_attribute_relation() {
     // The key-pruning minimality check never ran (no emissions).
     assert_eq!(d.get(Counter::TanePruneCacheHits), 0);
     assert_eq!(d.get(Counter::TanePruneCacheMisses), 0);
+}
+
+#[test]
+fn bounded_tane_builds_no_products_for_its_last_level() {
+    // The same relation bounded at `max_lhs = k`: level k + 1 tests each
+    // `X∖A → A` against π_A's class ids, so only levels 2..=k build
+    // products. k = 1: level 2 is the last → 6 nodes, 0 products.
+    // k = 2: level 2 is built (3 products), level 3 is the last → 7
+    // nodes, 3 products. Both emit the unbounded FDs with |lhs| ≤ k.
+    let rel = three_attribute_relation();
+    // Counters are process-global: every run moves them, so this one
+    // runs under the lock too.
+    let (unbounded, _) =
+        with_deltas(|| mine_tane_ctx(&AnalysisCtx::of(&rel), TaneOptions::default()));
+    for (k, nodes, products) in [(1, 6, 0), (2, 7, 3)] {
+        let options = TaneOptions {
+            max_lhs: Some(k),
+            ..Default::default()
+        };
+        let (fds, d) = with_deltas(|| mine_tane_ctx(&AnalysisCtx::of(&rel), options));
+        let filtered: Vec<_> = unbounded
+            .iter()
+            .copied()
+            .filter(|f| f.lhs.len() <= k)
+            .collect();
+        assert_eq!(fds, filtered, "max_lhs = {k}");
+        assert_eq!(
+            d.get(Counter::TaneLatticeNodes),
+            expect(nodes),
+            "max_lhs = {k}"
+        );
+        assert_eq!(
+            d.get(Counter::PartitionProducts),
+            expect(products),
+            "max_lhs = {k}"
+        );
+    }
 }
 
 #[test]
