@@ -1,6 +1,9 @@
 //! FD-discovery bench runner: times the `fdmine_scaling` workloads and
-//! writes the medians to `results/BENCH_fdmine.json`, the machine-read
-//! bench trajectory for this subsystem (see EXPERIMENTS.md).
+//! writes their medians and quartiles to `results/BENCH_fdmine.json`,
+//! the machine-read bench trajectory for this subsystem (see
+//! EXPERIMENTS.md). A `paired` row times two sides alternately inside
+//! one sampling loop, so the machine's drift cannot pass for a
+//! difference between them.
 //!
 //! ```text
 //! cargo run --release -p dbmine-bench --bin bench_fdmine [--quick] [--out PATH]
@@ -53,7 +56,31 @@ struct Measurement {
     id: String,
     samples: usize,
     median_ms: f64,
+    /// The quartiles around the median: the row's own spread.
+    p25_ms: f64,
+    p75_ms: f64,
     min_ms: f64,
+}
+
+impl Measurement {
+    /// The summary of `times` (per-run wall clock, ms).
+    fn of(id: &str, mut times: Vec<f64>) -> Measurement {
+        times.sort_by(f64::total_cmp);
+        let at = |q: f64| times[((times.len() - 1) as f64 * q).round() as usize];
+        let m = Measurement {
+            id: id.to_string(),
+            samples: times.len(),
+            median_ms: times[times.len() / 2],
+            p25_ms: at(0.25),
+            p75_ms: at(0.75),
+            min_ms: times[0],
+        };
+        println!(
+            "{:<44} median {:>10.3} ms  p25–p75 {:>10.3}–{:<10.3} min {:>10.3} ms",
+            m.id, m.median_ms, m.p25_ms, m.p75_ms, m.min_ms
+        );
+        m
+    }
 }
 
 /// One pruned-vs-unpruned comparison of the reliable miner: identical
@@ -69,29 +96,68 @@ struct ReliableStats {
     bnb_prunes: u64,
 }
 
+/// One run of `f`'s wall clock, in ms.
+fn time_ms<R>(f: &mut impl FnMut() -> R) -> f64 {
+    let start = Instant::now();
+    std::hint::black_box(f());
+    start.elapsed().as_secs_f64() * 1e3
+}
+
 /// Times `f` over `samples` runs (plus one untimed warmup) and records
-/// the median and minimum per-run wall clock.
+/// the median, quartiles and minimum per-run wall clock.
 fn measure<R>(out: &mut Vec<Measurement>, id: &str, samples: usize, mut f: impl FnMut() -> R) {
     std::hint::black_box(f());
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    let m = Measurement {
-        id: id.to_string(),
-        samples,
-        median_ms: times[times.len() / 2],
-        min_ms: times[0],
+    let times = (0..samples).map(|_| time_ms(&mut f)).collect();
+    out.push(Measurement::of(id, times));
+}
+
+/// One side of a paired comparison: its timing, and the lattice one
+/// run walks.
+struct PairSide {
+    time: Measurement,
+    tane_lattice_nodes: u64,
+    partition_products: u64,
+}
+
+/// Times two ways of computing the same thing alternately — one run of
+/// each per sample, after one warmup of each — so drift on the machine
+/// hits both sides alike, and counts each side's lattice nodes and
+/// partition products over one more run. The sides are recorded as
+/// `{id}/{name}`.
+fn paired<R>(
+    pairs: &mut Vec<[PairSide; 2]>,
+    samples: usize,
+    id: &str,
+    mut sides: [(&str, &mut dyn FnMut() -> R); 2],
+) {
+    for (_, f) in sides.iter_mut() {
+        std::hint::black_box(f());
+    }
+    let mut times = [Vec::new(), Vec::new()];
+    for _ in 0..samples {
+        for (t, (_, f)) in times.iter_mut().zip(sides.iter_mut()) {
+            t.push(time_ms(f));
+        }
+    }
+    let [a, b] = sides;
+    let [ta, tb] = times;
+    pairs.push([pair_side(id, a, ta), pair_side(id, b, tb)]);
+}
+
+fn pair_side<R>(id: &str, (name, f): (&str, &mut dyn FnMut() -> R), times: Vec<f64>) -> PairSide {
+    let before = telemetry::snapshot();
+    std::hint::black_box(f());
+    let d = telemetry::snapshot().delta(&before);
+    let side = PairSide {
+        time: Measurement::of(&format!("{id}/{name}"), times),
+        tane_lattice_nodes: d.get(telemetry::Counter::TaneLatticeNodes),
+        partition_products: d.get(telemetry::Counter::PartitionProducts),
     };
     println!(
-        "{:<44} median {:>10.3} ms  min {:>10.3} ms",
-        m.id, m.median_ms, m.min_ms
+        "{:<44} nodes {:>8}  partition products {:>8}",
+        side.time.id, side.tane_lattice_nodes, side.partition_products
     );
-    out.push(m);
+    side
 }
 
 /// Times reliable (F̂ ≥ θ) mining with branch-and-bound on and off,
@@ -434,6 +500,23 @@ fn main() {
         3,
     );
 
+    // Exact TANE against the g3 walk at ε = 0, which is the same walk:
+    // unbounded, on the same DBLP relation, sides alternating.
+    let mut pairs: Vec<[PairSide; 2]> = Vec::new();
+    paired(
+        &mut pairs,
+        samples,
+        &format!("exact_vs_g3_0/dblp/{}", dblp_walk.n_tuples()),
+        [
+            ("exact", &mut || {
+                mine_tane_ctx(&AnalysisCtx::of(&dblp_walk), TaneOptions::default()).len()
+            }),
+            ("g3_0", &mut || {
+                mine_approximate_ctx(&AnalysisCtx::of(&dblp_walk), 0.0, None, 1).len()
+            }),
+        ],
+    );
+
     // Unbounded walks (`max_lhs: None`), full run only so the quick
     // counter ledger does not move. On db2 at θ 0.6 the unpruned walk
     // visits all 2¹⁹ − 1 attribute sets and pruning pays several times
@@ -544,8 +627,9 @@ fn main() {
     for (i, m) in results.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"id\": \"{}\", \"samples\": {}, \"median_ms\": {:.4}, \"min_ms\": {:.4}}}",
-            m.id, m.samples, m.median_ms, m.min_ms
+            "    {{\"id\": \"{}\", \"samples\": {}, \"median_ms\": {:.4}, \"p25_ms\": {:.4}, \
+             \"p75_ms\": {:.4}, \"min_ms\": {:.4}}}",
+            m.id, m.samples, m.median_ms, m.p25_ms, m.p75_ms, m.min_ms
         );
         json.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
     }
@@ -588,6 +672,27 @@ fn main() {
             w.id, w.median_ms, w.partition_products
         );
         json.push_str(if i + 1 < walks.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ],\n  \"paired\": [\n");
+    for (i, pair) in pairs.iter().enumerate() {
+        json.push_str("    [");
+        for (j, side) in pair.iter().enumerate() {
+            let m = &side.time;
+            let _ = write!(
+                json,
+                "{}{{\"id\": \"{}\", \"samples\": {}, \"median_ms\": {:.4}, \"p25_ms\": {:.4}, \
+                 \"p75_ms\": {:.4}, \"tane_lattice_nodes\": {}, \"partition_products\": {}}}",
+                if j == 0 { "" } else { ", " },
+                m.id,
+                m.samples,
+                m.median_ms,
+                m.p25_ms,
+                m.p75_ms,
+                side.tane_lattice_nodes,
+                side.partition_products
+            );
+        }
+        json.push_str(if i + 1 < pairs.len() { "],\n" } else { "]\n" });
     }
     json.push_str("  ],\n  \"store_vs_mem\": [\n");
     for (i, s) in store_rows.iter().enumerate() {

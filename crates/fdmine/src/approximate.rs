@@ -7,22 +7,22 @@
 //! miner meets on dirty, integrated data, and both FDEP-style and
 //! TANE-style miners in the paper's related work support them.
 //!
-//! [`mine_approximate_ctx`] drives the shared minimal-LHS walk
+//! [`mine_approximate_ctx`] drives the lattice walk
 //! ([`crate::lattice::walk_minimal`]) with a `g3` test, emitting all
-//! minimal `X → A` with `g3(X → A) ≤ ε`. The rhs⁺ pruning of exact TANE
-//! is not sound under approximation, so minimality is enforced directly
-//! against the discovered set, and no set is pruned from generation: a
-//! key `X` must stay, because `(X∪{b})∖{a} → a` (for `a ∈ X`) is only
-//! ever tested from the candidate `X∪{b}` and can still be minimal.
-//! Keys cost nothing extra to emit: a key LHS has an empty stripped
-//! partition, so its `g3` error is exactly 0.0. Each `g3` is computed
-//! from π_{X∖A} and π_A's class ids, never from π_X, so a bounded walk
-//! builds no products for its last level (`READS_X_SIZES` is false).
+//! minimal `X → A` with `g3(X → A) ≤ ε`. At ε = 0 the test is exact TANE
+//! ([`crate::tane`] wraps it) and opens TANE's per-level spans. `g3` is
+//! a function of the partitions, so the walk's rhs⁺ (`C⁺`) rules hold
+//! at every ε, but its key rule only at ε = 0 (the lattice module docs
+//! have the arguments and a counterexample). At ε > 0 each `g3` is
+//! computed from π_{X∖A} and π_A's class ids; at ε = 0 only whether
+//! `X∖A → A` holds is read ([`Candidate::holds`]). Neither needs π_X on
+//! a bounded walk's last level, which builds no products.
 
 use crate::fd::Fd;
-use crate::lattice::{walk_minimal, Candidate, MinimalTest};
+use crate::lattice::{walk_minimal, Candidate, MinimalTest, Step};
 use dbmine_context::AnalysisCtx;
 use dbmine_relation::partition::PartitionScratch;
+use dbmine_telemetry::Span;
 
 /// An approximate dependency with its `g3` error.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -39,25 +39,51 @@ struct G3Test {
 }
 
 impl MinimalTest for G3Test {
+    /// `g3(X∖A → A)`; at ε = 0, `0.0` for a dependency that holds and
+    /// `f64::INFINITY` for one that does not, whose error nothing reads.
     type Score = f64;
     const READS_X_SIZES: bool = false;
 
     fn score(&self, candidate: &Candidate<'_>, scratch: &mut PartitionScratch) -> f64 {
-        candidate.g3_error(scratch)
+        if self.epsilon > 0.0 {
+            candidate.g3_error(scratch)
+        } else if candidate.holds() {
+            0.0
+        } else {
+            f64::INFINITY
+        }
     }
 
     fn emits(&self, &error: &f64) -> bool {
         error <= self.epsilon
     }
+
+    fn exact(&self, &error: &f64) -> bool {
+        error == 0.0
+    }
+
+    fn key_score(&self) -> Option<f64> {
+        (self.epsilon == 0.0).then_some(0.0)
+    }
+
+    fn span(&self, step: Step) -> Option<Span> {
+        (self.epsilon == 0.0).then(|| {
+            dbmine_telemetry::span(match step {
+                Step::Score => "tane.compute_dependencies",
+                Step::Prune => "tane.prune",
+                Step::Generate => "tane.generate_next_level",
+            })
+        })
+    }
 }
 
 /// Mines all minimal dependencies with `g3` error at most `epsilon`
-/// (`epsilon = 0` reduces to exact mining), seeding level 1 from the
-/// context's memoized single-attribute partitions. `max_lhs` bounds the
-/// LHS size (`None` = unbounded). `threads` is the worker count (`1` =
-/// serial, `0` = all cores): the `g3` tests and the prefix-join products
-/// fan out with deterministic chunking, so results are bit-identical for
-/// every thread count.
+/// (`epsilon = 0` is exact mining), seeding level 1 from the context's
+/// memoized single-attribute partitions. `max_lhs` bounds the LHS size
+/// (`None` = unbounded). `threads` is the worker count (`1` = serial,
+/// `0` = all cores): the `g3` tests and the prefix-join products fan out
+/// with deterministic chunking, so results are bit-identical for every
+/// thread count.
 pub fn mine_approximate_ctx(
     ctx: &AnalysisCtx,
     epsilon: f64,
@@ -65,8 +91,23 @@ pub fn mine_approximate_ctx(
     threads: usize,
 ) -> Vec<ApproxFd> {
     assert!((0.0..1.0).contains(&epsilon), "ε must be in [0,1)");
+    mine_g3(ctx, epsilon, max_lhs, threads, "fdmine.approximate")
+        .into_iter()
+        .map(|(fd, error)| ApproxFd { fd, error })
+        .collect()
+}
+
+/// The `g3 ≤ ε` walk, sorted by dependency, under a span named `name`
+/// that opens once the single-attribute partitions are built.
+pub(crate) fn mine_g3(
+    ctx: &AnalysisCtx,
+    epsilon: f64,
+    max_lhs: Option<usize>,
+    threads: usize,
+    name: &'static str,
+) -> Vec<(Fd, f64)> {
     let attr_parts = ctx.attr_partitions_with(threads);
-    let _span = dbmine_telemetry::span("fdmine.approximate");
+    let _span = dbmine_telemetry::span(name);
     walk_minimal(
         ctx.n_tuples(),
         attr_parts,
@@ -74,9 +115,6 @@ pub fn mine_approximate_ctx(
         threads,
         &G3Test { epsilon },
     )
-    .into_iter()
-    .map(|(fd, error)| ApproxFd { fd, error })
-    .collect()
 }
 
 #[cfg(test)]
@@ -175,6 +213,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `{a}` is a key and `[b,c] → [a]` is minimal at `g3` = 0.1, but
+    /// only the candidate `{a,b,c}` tests it: the key rule, sound only
+    /// at ε = 0, must leave `{a}` in the join above it.
+    #[test]
+    fn a_key_stays_in_the_join_above_epsilon_zero() {
+        let mut b = RelationBuilder::new("keys", &["a", "b", "c"]);
+        for row in [
+            ["a1", "b1", "c1"],
+            ["a2", "b2", "c1"],
+            ["a3", "b1", "c2"],
+            ["a4", "b2", "c2"],
+            ["a5", "b1", "c3"],
+            ["a6", "b2", "c3"],
+            ["a7", "b1", "c4"],
+            ["a10", "b2", "c4"],
+            ["a8", "b1", "c5"],
+            ["a9", "b1", "c5"],
+        ] {
+            b.push_row_strs(&row);
+        }
+        let rel = b.build();
+        let ctx = AnalysisCtx::of(&rel);
+        let bc_to_a = Fd::new(AttrSet::from_bits(0b110), 0);
+        let approx = mine_approximate_ctx(&ctx, 0.1, None, 1);
+        let found = approx
+            .iter()
+            .find(|f| f.fd == bc_to_a)
+            .expect("[b,c]→[a] at ε = 0.1");
+        assert_eq!(found.error, 0.1);
+        let mut exact: Vec<Fd> = mine_approximate_ctx(&ctx, 0.0, None, 1)
+            .iter()
+            .map(|f| f.fd)
+            .collect();
+        let mut brute = mine_brute(&rel);
+        exact.sort();
+        brute.sort();
+        assert_eq!(exact, brute);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! * [`tane`] — the TANE levelwise miner of Huhtala et al. (the paper's
 //!   `[15]`), built on stripped partitions: the exact miner the
-//!   structure-mining pipeline runs at every input size.
+//!   structure-mining pipeline runs at every input size. It is the
+//!   [`approximate`] walk at ε = 0.
 //! * [`fdep`] — the FDEP algorithm of Savnik & Flach, used in the paper's
 //!   experiments: compute all **maximal invalid** dependencies by pairwise
 //!   tuple comparison (the negative cover), then derive the **minimal
@@ -21,7 +22,9 @@
 //!   Figure-5 situation: one bad value turns `C → B` approximate).
 //! * [`lattice`] — the one levelwise lattice walk behind [`tane`],
 //!   [`approximate`] and the reliable miner of `dbmine-reliability`: the
-//!   prefix-join generation and the minimal-LHS scoring walk.
+//!   prefix-join generation, the minimal-LHS scoring walk, and its rhs⁺
+//!   (`C⁺`) and key pruning rules, each taken by the tests it is sound
+//!   for.
 //! * [`fastfds`] — the FastFDs depth-first miner of Wyss et al. (the
 //!   paper's `[28]`), a third independent implementation used for
 //!   cross-validation.

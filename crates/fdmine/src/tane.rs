@@ -6,39 +6,15 @@
 //! for the paper's large DBLP partitions (14k–36k tuples, few
 //! attributes). Produces exactly the minimal, non-trivial FDs.
 //!
-//! # Performance architecture
-//!
-//! The lattice walk is the FD-discovery hot path (see DESIGN.md):
-//!
-//! * every partition is flat, so its TANE error `e(π)` is O(1) and
-//!   validity tests are integer comparisons;
-//! * partition products run the sort-free fused kernel through a
-//!   reusable [`PartitionScratch`] (zero hashing, one exactly sized
-//!   result), and GENERATE_NEXT_LEVEL loads each left join parent's
-//!   probe table once for all of its products;
-//! * a bounded run (`max_lhs = Some(k)`) builds no products for level
-//!   `k + 1`: COMPUTE_DEPENDENCIES there decides `X∖A → A` by scanning
-//!   π_{X∖A} against π_A's class ids
-//!   ([`StrippedPartition::determines`]), which equals the
-//!   `e(π_X) = e(π_{X∖A})` test, and stops at the first class of
-//!   π_{X∖A} that A splits;
-//! * key pruning memoizes `partition_of_set` in a level-local cache, so
-//!   each subset partition is built once per level instead of once per
-//!   (subset, rhs) pair;
-//! * COMPUTE_DEPENDENCIES and GENERATE_NEXT_LEVEL fan out across
-//!   `dbmine_parallel` with deterministic chunking — results are
-//!   identical for every [`TaneOptions::threads`] value; the join is
-//!   the shared [`lattice::next_level`], the other steps are TANE's own;
-//! * lattice maps are keyed by `u64` attribute-set bitmasks under
-//!   [`fxhash`] (SipHash setup dominates such maps otherwise).
+//! TANE is the `g3` walk at ε = 0 ([`crate::approximate`]): the one
+//! lattice walk ([`crate::lattice::walk_minimal`]) decides `X∖A → A` by
+//! comparing the O(1) errors `e(π_{X∖A})` and `e(π_X)`, and takes all
+//! of its pruning rules — rhs⁺ (`C⁺`) narrowing, the exact-FD rule and
+//! key pruning. The lattice module docs hold their soundness arguments.
 
+use crate::approximate::mine_g3;
 use crate::fd::{normalize_fds, Fd};
-use crate::lattice::{self, Build, Level};
 use dbmine_context::AnalysisCtx;
-use dbmine_parallel::par_map;
-use dbmine_relation::partition::{PartitionScratch, StrippedPartition};
-use dbmine_relation::AttrSet;
-use fxhash::{FxHashMap, FxHashSet};
 
 /// Options for the TANE run.
 #[derive(Clone, Copy, Debug)]
@@ -61,246 +37,13 @@ impl Default for TaneOptions {
     }
 }
 
-/// The level before the one being computed.
-struct Prev {
-    /// Surviving sets' partitions (the join parents) …
-    parts: FxHashMap<u64, StrippedPartition>,
-    /// … and rhs⁺ candidate sets for *all* sets seen at that level
-    /// (kept even for pruned sets; the key-pruning step reads them).
-    cplus: FxHashMap<u64, AttrSet>,
-}
-
 /// Mines all minimal non-trivial FDs of the context's relation with
 /// TANE, seeding level 1 from the context's memoized single-attribute
-/// partitions (shared with FD-RANK, the approximate miner, …).
+/// partitions (shared with FD-RANK, the approximate miner, …). Returns
+/// them ordered by RHS, then LHS.
 pub fn mine_tane_ctx(ctx: &AnalysisCtx, options: TaneOptions) -> Vec<Fd> {
-    let m = ctx.n_attrs();
-    let r = ctx.all_attrs();
-    let threads = options.threads;
-    let mut out: Vec<Fd> = Vec::new();
-    // Single-attribute partitions (level 1 + key pruning), borrowed
-    // from the shared view cache.
-    let attr_parts = ctx.attr_partitions_with(threads);
-
-    // Level 0: the empty set.
-    let mut prev = Prev {
-        parts: std::iter::once((
-            AttrSet::EMPTY.bits(),
-            StrippedPartition::of_empty(ctx.n_tuples()),
-        ))
-        .collect(),
-        cplus: std::iter::once((AttrSet::EMPTY.bits(), r)).collect(),
-    };
-    // Level 1 candidates: all single attributes.
-    let mut current_sets: Vec<AttrSet> = (0..m).map(AttrSet::single).collect();
-    let mut current = Level::Parts(
-        attr_parts
-            .iter()
-            .enumerate()
-            .map(|(a, &p)| (AttrSet::single(a).bits(), p.clone()))
-            .collect(),
-    );
-    let mut level = 1usize;
-    let mut prune_scratch = PartitionScratch::new();
-
-    let _span = dbmine_telemetry::span("tane.run");
-    while !current_sets.is_empty() {
-        dbmine_telemetry::counter_add(
-            dbmine_telemetry::Counter::TaneLatticeNodes,
-            current_sets.len() as u64,
-        );
-        // COMPUTE_DEPENDENCIES: each set's candidate-rhs narrowing and
-        // validity tests read only the previous level, so the sets fan
-        // out in parallel; the serial merge below keeps emission order
-        // (and therefore the whole run) independent of the chunking.
-        let compute_span = dbmine_telemetry::span("tane.compute_dependencies");
-        // The last level of a bounded run has no π_X: its tests read
-        // π_A's class ids instead.
-        let attr_ids = match current {
-            Level::Unbuilt => lattice::attr_class_ids(&attr_parts),
-            _ => Vec::new(),
-        };
-        let computed: Vec<(AttrSet, Vec<Fd>)> = par_map(threads, &current_sets, |_, &x| {
-            // C+(X) = ∩_{A∈X} C+(X∖{A}).
-            let mut cp = r;
-            for a in x.iter() {
-                match prev.cplus.get(&x.without(a).bits()) {
-                    Some(&c) => cp = cp.intersect(c),
-                    None => {
-                        cp = AttrSet::EMPTY;
-                        break;
-                    }
-                }
-            }
-            let px_error = current.sizes(x).map(|sizes| sizes.error());
-            let mut fds = Vec::new();
-            for a in x.intersect(cp).iter() {
-                let parent = x.without(a);
-                let valid = match (prev.parts.get(&parent.bits()), px_error) {
-                    (Some(pp), Some(px_error)) => pp.error() == px_error,
-                    (Some(pp), None) => pp.determines(&attr_ids[a]),
-                    (None, _) => false, // parent pruned ⇒ a smaller FD exists
-                };
-                if valid {
-                    fds.push(Fd::new(parent, a));
-                    cp = cp.without(a);
-                    cp = cp.minus(r.minus(x));
-                }
-            }
-            (cp, fds)
-        });
-        let mut cplus: FxHashMap<u64, AttrSet> =
-            FxHashMap::with_capacity_and_hasher(current_sets.len(), Default::default());
-        for (x, (cp, fds)) in current_sets.iter().zip(&computed) {
-            out.extend(fds.iter().copied());
-            cplus.insert(x.bits(), *cp);
-        }
-        drop(compute_span);
-
-        // Bounded search: level ℓ's COMPUTE step emits LHSs of size ℓ-1,
-        // so after computing level max_lhs+1 we are done.
-        if options.max_lhs.is_some_and(|max| level > max) {
-            break;
-        }
-        let mut current_parts = current.into_parts();
-
-        // PRUNE (serial: keys are rare). The level-local cache
-        // memoizes subset partitions so each is built once per level,
-        // not once per (subset, rhs) pair.
-        let prune_span = dbmine_telemetry::span("tane.prune");
-        let mut pruned: Vec<u64> = Vec::new();
-        let mut key_cache: FxHashMap<u64, StrippedPartition> = FxHashMap::default();
-        for &x in &current_sets {
-            let cp = cplus[&x.bits()];
-            if cp.is_empty() {
-                pruned.push(x.bits());
-                continue;
-            }
-            if current_parts[&x.bits()].is_key() {
-                // X is a key: X → A is valid for every A. Emit the minimal
-                // ones — those where no (X∖{B}) → A holds. The sets
-                // X∪{A}∖{B} the original C⁺ test consults may never have
-                // been generated, so we verify minimality directly on
-                // partitions (keys are rare enough for this to be cheap).
-                for a in cp.minus(x).iter() {
-                    let minimal = x.iter().all(|b| {
-                        let sub = x.without(b);
-                        let e_sub = cached_error(
-                            sub,
-                            &attr_parts,
-                            ctx.n_tuples(),
-                            &prev.parts,
-                            &current_parts,
-                            &mut key_cache,
-                            &mut prune_scratch,
-                        );
-                        let e_sub_a = cached_error(
-                            sub.with(a),
-                            &attr_parts,
-                            ctx.n_tuples(),
-                            &prev.parts,
-                            &current_parts,
-                            &mut key_cache,
-                            &mut prune_scratch,
-                        );
-                        e_sub != e_sub_a
-                    });
-                    if minimal {
-                        out.push(Fd::new(x, a));
-                    }
-                }
-                pruned.push(x.bits());
-            }
-        }
-        let pruned_set: FxHashSet<u64> = pruned.into_iter().collect();
-        let survivors: Vec<AttrSet> = current_sets
-            .iter()
-            .copied()
-            .filter(|x| !pruned_set.contains(&x.bits()))
-            .collect();
-        drop(prune_span);
-
-        // GENERATE_NEXT_LEVEL: the shared prefix join over survivors;
-        // the last level of a bounded run builds no products.
-        let generate_span = dbmine_telemetry::span("tane.generate_next_level");
-        // Nothing reads the previous level's partitions past PRUNE: free
-        // them before the join allocates the next level.
-        prev.parts.clear();
-        let build = if options.max_lhs == Some(level) {
-            Build::Nothing
-        } else {
-            Build::Parts
-        };
-        let (next_sets, next) = lattice::next_level(threads, &survivors, &current_parts, build);
-
-        // Shift levels: keep partitions only for survivors (join parents),
-        // but cplus for everything at this level.
-        current_parts.retain(|bits, _| !pruned_set.contains(bits));
-        prev = Prev {
-            parts: current_parts,
-            cplus,
-        };
-        current_sets = next_sets;
-        current = next;
-        level += 1;
-        drop(generate_span);
-    }
-
-    normalize_fds(out)
-}
-
-/// The TANE error of `π_set`, served from (in order) the previous
-/// level's survivors, the current level, or the level-local `cache`;
-/// cache misses materialize the partition by extending the partition of
-/// `set ∖ {max attr}` with one scratch-reused product, so a subset is
-/// built at most once per level.
-#[allow(clippy::too_many_arguments)]
-fn cached_error(
-    set: AttrSet,
-    attr_parts: &[&StrippedPartition],
-    n: usize,
-    prev_parts: &FxHashMap<u64, StrippedPartition>,
-    current_parts: &FxHashMap<u64, StrippedPartition>,
-    cache: &mut FxHashMap<u64, StrippedPartition>,
-    scratch: &mut PartitionScratch,
-) -> usize {
-    if let Some(p) = prev_parts
-        .get(&set.bits())
-        .or_else(|| current_parts.get(&set.bits()))
-        .or_else(|| cache.get(&set.bits()))
-    {
-        dbmine_telemetry::counter_add(dbmine_telemetry::Counter::TanePruneCacheHits, 1);
-        return p.error();
-    }
-    dbmine_telemetry::counter_add(dbmine_telemetry::Counter::TanePruneCacheMisses, 1);
-    let partition = match set.len() {
-        0 => StrippedPartition::of_empty(n),
-        1 => attr_parts[set.iter().next().expect("non-empty")].clone(),
-        _ => {
-            let last = set.iter().last().expect("non-empty");
-            let prefix = set.without(last);
-            // Materialize the prefix (recursion depth ≤ |set|) …
-            cached_error(
-                prefix,
-                attr_parts,
-                n,
-                prev_parts,
-                current_parts,
-                cache,
-                scratch,
-            );
-            // … then extend it by one product.
-            let prefix_part = prev_parts
-                .get(&prefix.bits())
-                .or_else(|| current_parts.get(&prefix.bits()))
-                .or_else(|| cache.get(&prefix.bits()))
-                .expect("prefix just materialized");
-            prefix_part.product_with(attr_parts[last], scratch)
-        }
-    };
-    let error = partition.error();
-    cache.insert(set.bits(), partition);
-    error
+    let found = mine_g3(ctx, 0.0, options.max_lhs, options.threads, "tane.run");
+    normalize_fds(found.into_iter().map(|(fd, _)| fd).collect())
 }
 
 #[cfg(test)]
@@ -309,7 +52,7 @@ mod tests {
     use crate::brute::mine_brute;
     use crate::fdep::mine_fdep_ctx;
     use dbmine_relation::paper::{figure1, figure4, figure5};
-    use dbmine_relation::RelationBuilder;
+    use dbmine_relation::{AttrSet, RelationBuilder};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn set(attrs: &[usize]) -> AttrSet {

@@ -417,28 +417,36 @@ proptest! {
     /// The approximate miner emits exactly the oracle's minimal
     /// `g3 ≤ ε` dependencies — at every LHS size, not just |LHS| ≤ 2 —
     /// with bit-identical errors, unbounded and restricted to LHS
-    /// sizes 1 and 2.
+    /// sizes 1 and 2: at ε = 0 (exact TANE, every pruning rule) and
+    /// above it (no key rule), from a memory and a store context, at
+    /// every thread count.
     #[test]
-    fn approximate_matches_minimal_oracle(rel in arb_relation(), eps_pct in 0u32..50) {
-        let eps = eps_pct as f64 / 100.0;
-        let ctx = AnalysisCtx::of(&rel);
-        for max_lhs in [None, Some(1), Some(2)] {
-            let mined: Vec<(Fd, f64)> = mine_approximate_ctx(&ctx, eps, max_lhs, 1)
-                .iter()
-                .map(|f| (f.fd, f.error))
-                .collect();
-            let oracle = minimal_oracle(
-                rel.n_attrs(),
-                max_lhs,
-                |lhs, a| fd_error_g3(&rel, lhs, a),
-                |&e| e <= eps,
-            );
-            prop_assert_eq!(mined.len(), oracle.len(), "ε = {}, max_lhs = {:?}", eps, max_lhs);
-            for ((fd, error), (ofd, oerror)) in mined.iter().zip(&oracle) {
-                prop_assert_eq!(fd, ofd, "ε = {}, max_lhs = {:?}", eps, max_lhs);
-                prop_assert!(error.to_bits() == oerror.to_bits(), "{}: {} vs {}", fd, error, oerror);
+    fn approximate_matches_minimal_oracle(rel in arb_relation(), eps_pct in 1u32..50) {
+        let mem = AnalysisCtx::of(&rel);
+        let (store, path) = store_ctx(&rel);
+        for eps in [0.0, 0.1, eps_pct as f64 / 100.0] {
+            for max_lhs in [None, Some(1), Some(2)] {
+                let oracle = minimal_oracle(
+                    rel.n_attrs(),
+                    max_lhs,
+                    |lhs, a| fd_error_g3(&rel, lhs, a),
+                    |&e| e <= eps,
+                );
+                for (source, ctx) in [("memory", &mem), ("store", &store)] {
+                    for threads in [1usize, 2, 4] {
+                        let mined = mine_approximate_ctx(ctx, eps, max_lhs, threads);
+                        let at = format!("ε = {eps}, max_lhs = {max_lhs:?}, {source}, threads = {threads}");
+                        prop_assert_eq!(mined.len(), oracle.len(), "{}", at);
+                        for (f, (ofd, oerror)) in mined.iter().zip(&oracle) {
+                            prop_assert_eq!(&f.fd, ofd, "{}", at);
+                            prop_assert!(f.error.to_bits() == oerror.to_bits(), "{}: {} vs {}, {}", f.fd, f.error, oerror, at);
+                        }
+                    }
+                }
             }
         }
+        drop(store);
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! `StrippedPartition`s (see [`estimator`]).
 //!
 //! [`mine_reliable_ctx`] plugs the score — and its admissible upper bound
-//! `F̄` — into the TANE levelwise frame for branch-and-bound search
+//! `F̄` — into fdmine's levelwise lattice walk (the one TANE runs on)
+//! for branch-and-bound search
 //! ([`mine`]): bit-identical results with pruning on or off and at
 //! every thread count, with the pruning effectiveness visible in the
 //! `bnb_bounds` / `bnb_prunes` telemetry counters. Pruning pays on

@@ -1,12 +1,17 @@
 //! Levelwise mining of reliable approximate dependencies with
 //! branch-and-bound pruning.
 //!
-//! [`mine_reliable_ctx`] drives fdmine's shared minimal-LHS walk
-//! (`dbmine_fdmine::lattice::walk_minimal`): the walk owns generation,
-//! the minimality check and the serial emission merge, and this module
-//! plugs in a test that scores each candidate `X∖{A} → A` with the
+//! [`mine_reliable_ctx`] drives fdmine's one lattice walk
+//! (`dbmine_fdmine::lattice::walk_minimal`, which also runs TANE and
+//! `g3`): the walk owns generation, the minimality check (its rhs⁺
+//! remove-A rule) and the serial emission merge, and this module plugs
+//! in a test that scores each candidate `X∖{A} → A` with the
 //! bias-corrected F̂ of [`crate::estimator`] and emits every minimal
-//! dependency with `F̂ ≥ θ`.
+//! dependency with `F̂ ≥ θ`. The test takes neither the walk's exact-FD
+//! rule nor its key rule: the key rule holds only for a test that emits
+//! exactly the dependencies that hold, and the exact-FD rule, though
+//! sound for F̂'s emissions, would change which candidates are scored
+//! and bounded.
 //!
 //! Its survivor filter is the Mandros et al. branch-and-bound rule: a
 //! candidate set `X` can be dropped from generation when **no**
@@ -46,7 +51,7 @@
 
 use crate::estimator::{RfiScore, RfiScorer, SizeMultiset};
 use dbmine_context::AnalysisCtx;
-use dbmine_fdmine::lattice::{walk_minimal, Candidate, MinimalTest};
+use dbmine_fdmine::lattice::{walk_minimal, Candidate, MinimalTest, Step};
 use dbmine_fdmine::Fd;
 use dbmine_parallel::par_map;
 use dbmine_relation::partition::{PartitionScratch, StrippedPartition};
@@ -175,7 +180,6 @@ impl MinimalTest for RfiTest {
         if !self.prune {
             return sets.to_vec();
         }
-        let _s = span("reliable.prune");
         let (scorer, theta) = (&self.scorer, self.theta);
         let verdicts: Vec<(bool, u64)> = par_map(
             self.threads,
@@ -226,13 +230,12 @@ impl MinimalTest for RfiTest {
             .collect()
     }
 
-    fn scoring(&self, n_sets: usize) -> Option<Span> {
-        counter_add(Counter::TaneLatticeNodes, n_sets as u64);
-        Some(span("reliable.score"))
-    }
-
-    fn generating(&self) -> Option<Span> {
-        Some(span("reliable.generate"))
+    fn span(&self, step: Step) -> Option<Span> {
+        match step {
+            Step::Score => Some(span("reliable.score")),
+            Step::Prune => self.prune.then(|| span("reliable.prune")),
+            Step::Generate => Some(span("reliable.generate")),
+        }
     }
 }
 

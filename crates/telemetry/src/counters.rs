@@ -35,14 +35,15 @@ pub enum Counter {
     PartitionProducts,
     /// g3 approximation-error evaluations (`g3_error_with`).
     G3Evals,
-    /// Lattice nodes examined per TANE level, summed over levels (the
-    /// level-wise lattice size).
+    /// Lattice nodes scored per level of the lattice walk, summed over
+    /// levels (the level-wise lattice size), for every score: exact,
+    /// `g3` and F̂.
     TaneLatticeNodes,
-    /// TANE key-pruning cache: subset error lookups served from a cached
-    /// partition or memoized error.
+    /// The key rule's minimality check (exact TANE): subset error
+    /// lookups served from a partition the walk holds or has memoized.
     TanePruneCacheHits,
-    /// TANE key-pruning cache: subset errors that had to materialize a
-    /// partition product.
+    /// The key rule's minimality check (exact TANE): subset errors that
+    /// had to materialize a partition.
     TanePruneCacheMisses,
     /// Redundant cells counted by FD-RANK (`fdrank::redundant_cells_ctx`),
     /// summed over ranked FDs.

@@ -8,7 +8,7 @@
 //! assert exactly that, so the suite is meaningful in both CI legs.
 
 use dbmine::context::AnalysisCtx;
-use dbmine::fdmine::{mine_tane_ctx, TaneOptions};
+use dbmine::fdmine::{mine_approximate_ctx, mine_tane_ctx, TaneOptions};
 use dbmine::ib::{aib, Dcf};
 use dbmine::infotheory::SparseDist;
 use dbmine::limbo::LimboParams;
@@ -98,6 +98,23 @@ fn tane_lattice_sizes_on_a_three_attribute_relation() {
     // The key-pruning minimality check never ran (no emissions).
     assert_eq!(d.get(Counter::TanePruneCacheHits), 0);
     assert_eq!(d.get(Counter::TanePruneCacheMisses), 0);
+}
+
+#[test]
+fn every_score_counts_its_lattice_nodes() {
+    // The walk counts the sets it scores, whatever the test. On the same
+    // relation, g3 at ε = 0 is exact TANE: no FD, 7 nodes, 4 products.
+    // At ε = 0.5, level 1 emits ∅ → A, ∅ → B (g3 0.5) and ∅ → C (g3
+    // 1/3); rhs⁺ pruning then leaves nothing to score at levels 2 and
+    // 3, which the walk still visits: 7 nodes, 4 products, 3 g3 evals.
+    let rel = three_attribute_relation();
+    for (eps, fds, g3_evals) in [(0.0, 0, 0), (0.5, 3, 3)] {
+        let (out, d) = with_deltas(|| mine_approximate_ctx(&AnalysisCtx::of(&rel), eps, None, 1));
+        assert_eq!(out.len(), fds, "ε = {eps}");
+        assert_eq!(d.get(Counter::TaneLatticeNodes), expect(7), "ε = {eps}");
+        assert_eq!(d.get(Counter::PartitionProducts), expect(4), "ε = {eps}");
+        assert_eq!(d.get(Counter::G3Evals), expect(g3_evals), "ε = {eps}");
+    }
 }
 
 #[test]
