@@ -35,7 +35,9 @@ fn bench(c: &mut Criterion) {
     g.bench_function("approx_g3_0.05/db2_90x19", |b| {
         b.iter(|| mine_approximate_ctx(&AnalysisCtx::of(&db2), 0.05, Some(2), 1))
     });
-    g.bench_function("mvds/db2_lhs1", |b| b.iter(|| mine_mvds(&db2, 1, false)));
+    g.bench_function("mvds/db2_lhs1", |b| {
+        b.iter(|| mine_mvds(&AnalysisCtx::of(&db2), 1, false))
+    });
 
     for &n in &[1000usize, 4000] {
         let spec = DblpSpec {

@@ -63,14 +63,19 @@ struct Measurement {
 }
 
 impl Measurement {
-    /// The summary of `times` (per-run wall clock, ms).
+    /// The summary of `times` (per-run wall clock, ms). Quantiles
+    /// interpolate linearly: an even count's median is a mean.
     fn of(id: &str, mut times: Vec<f64>) -> Measurement {
         times.sort_by(f64::total_cmp);
-        let at = |q: f64| times[((times.len() - 1) as f64 * q).round() as usize];
+        let at = |q: f64| {
+            let pos = (times.len() - 1) as f64 * q;
+            let (lo, hi) = (times[pos.floor() as usize], times[pos.ceil() as usize]);
+            lo + (hi - lo) * pos.fract()
+        };
         let m = Measurement {
             id: id.to_string(),
             samples: times.len(),
-            median_ms: times[times.len() / 2],
+            median_ms: at(0.5),
             p25_ms: at(0.25),
             p75_ms: at(0.75),
             min_ms: times[0],
@@ -728,5 +733,24 @@ fn main() {
             eprintln!("cannot write {out_path}: {e}");
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn two_samples_report_their_mean_as_the_median() {
+        let m = Measurement::of("two", vec![19.0, 11.0]);
+        assert_eq!(m.median_ms, 15.0);
+        assert_eq!((m.p25_ms, m.p75_ms, m.min_ms), (13.0, 17.0, 11.0));
+    }
+
+    #[test]
+    fn odd_counts_take_the_middle_sample() {
+        let m = Measurement::of("three", vec![3.0, 1.0, 2.0]);
+        assert_eq!((m.median_ms, m.p25_ms, m.p75_ms), (2.0, 1.5, 2.5));
+        assert_eq!(Measurement::of("one", vec![4.0]).median_ms, 4.0);
     }
 }

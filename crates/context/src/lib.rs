@@ -30,8 +30,10 @@
 //!
 //! Every view is built one way on both: one chunk fold from
 //! `dbmine-relation` over one pass of [`AnalysisCtx::chunks`] (two
-//! passes for the partition sweep, which counts then places). The pass
-//! yields the resident relation as a single borrowed chunk
+//! passes for the partition sweep, which counts then places) — except
+//! `I(V;T)` and the projection statistics, read off built views: the
+//! latter off [`AnalysisCtx::partition`], the product of memoized `π_A`.
+//! The pass yields the resident relation as a single borrowed chunk
 //! ([`Relation::as_chunk`]) when one exists — always for a memory
 //! source, and for a chunk-backed context once it has materialized —
 //! and otherwise decodes the store in bounded-memory chunks. The folds
@@ -39,10 +41,10 @@
 //! **bit-identical** whatever the source and wherever chunk boundaries
 //! fall. Only [`AnalysisCtx::relation`] materializes the full `Relation`
 //! of a chunk-backed context, lazily, for genuinely row-resident
-//! consumers (tuple previews, redesign projections); each
-//! materialization is recorded in the [`ViewStats::materializations`]
-//! ledger and `Counter::CtxMaterializations`, so tests can pin "`fds`
-//! and `analyze` from a store materialize nothing".
+//! consumers (tuple previews, redesign projections, join candidates);
+//! each materialization is recorded in the [`ViewStats::materializations`]
+//! ledger and `Counter::CtxMaterializations`, so tests can pin "`fds`,
+//! `analyze` and `mvds` from a store materialize nothing".
 //!
 //! # Sharing contract
 //!
@@ -73,11 +75,11 @@
 //! single-attribute projection it adds to the memo; every later access
 //! is a hit. Build counts are exact even under concurrent access (the
 //! `OnceLock` initializer runs once; the sweep and the projection memo
-//! compute under their locks); hit counts are exact in the
-//! single-threaded case and best-effort during a concurrent first
-//! build. Every fold runs under a `ctx.build_*` span on both sources
-//! (store passes add `spill.read` children), and lazy materialization
-//! under `ctx.materialize`.
+//! compute under their locks, the memo's before the sweep's); hit
+//! counts are exact in the single-threaded case and best-effort during
+//! a concurrent first build. Every fold runs under a `ctx.build_*` span
+//! on both sources (store passes add `spill.read` children), and lazy
+//! materialization under `ctx.materialize`.
 //!
 //! # Opting new views in
 //!
@@ -96,9 +98,8 @@
 use dbmine_relation::csv::{read_relation_path, CsvError};
 use dbmine_relation::stats::ColumnProfile;
 use dbmine_relation::{
-    attr_partitions_chunks, column_profiles_chunks, projection_stats_chunks,
-    tuple_mutual_information_chunks, AttrSet, Relation, RelationChunk, ShardedRelation,
-    StrippedPartition, ValueDict, ValueIndex,
+    attr_partitions_chunks, column_profiles_chunks, tuple_mutual_information_chunks, AttrSet,
+    Relation, RelationChunk, ShardedRelation, StrippedPartition, ValueDict, ValueIndex,
 };
 use fxhash::FxHashMap;
 use std::path::Path;
@@ -428,6 +429,14 @@ impl AnalysisCtx {
         dbmine_parallel::par_map_range(threads, self.n_attrs(), |a| self.attr_partition(a))
     }
 
+    /// `π_attrs`: [`StrippedPartition::product_of`] the memoized `π_A`
+    /// of `attrs`. Nothing is memoized; each factor read counts as a hit
+    /// (the first one may run the sweep).
+    pub fn partition(&self, attrs: AttrSet) -> StrippedPartition {
+        let factors = attrs.iter().map(|a| self.attr_partition(a));
+        StrippedPartition::product_of(self.n_tuples(), factors)
+    }
+
     /// Per-column profiles (distinct, NULL fraction, entropy). The fold
     /// also seeds the projection memo with each column's distinct count
     /// and entropy, so later single-attribute
@@ -453,11 +462,10 @@ impl AnalysisCtx {
     }
 
     /// Distinct count and entropy of the projection on `attrs`, served
-    /// from the bounded [`AttrSet`]-keyed memo. The memo lock is held
-    /// across the (single) computation so concurrent first accesses
-    /// never duplicate work and build counts stay exact; projections
-    /// are cheap relative to the clustering and mining stages that
-    /// surround them. Each miss is one pass over the relation.
+    /// from the bounded [`AttrSet`]-keyed memo; a miss reads them off
+    /// [`Self::partition`], never a chunk. The memo lock is held across
+    /// the (single) computation so concurrent first accesses never
+    /// duplicate work and build counts stay exact.
     pub fn projection_stats(&self, attrs: AttrSet) -> ProjectionStats {
         let key = attrs.bits();
         let mut memo = self.projections.lock().unwrap_or_else(|e| e.into_inner());
@@ -467,7 +475,7 @@ impl AnalysisCtx {
         }
         let s = {
             let _sp = dbmine_telemetry::span("ctx.build_projection");
-            projection_stats_chunks(attrs, self.chunks())
+            ProjectionStats::of_partition(&self.partition(attrs))
         };
         self.record_build();
         if memo.len() < PROJECTION_MEMO_CAP {
@@ -590,7 +598,8 @@ mod tests {
         let rel = figure4();
         let ctx = AnalysisCtx::of(&rel);
         let profiles = ctx.column_profiles().to_vec();
-        assert_eq!(profiles, dbmine_relation::stats::profile_columns(&rel));
+        let whole = column_profiles_chunks(rel.attr_names(), [rel.as_chunk()]);
+        assert_eq!(profiles, whole);
         let after_profiles = ctx.view_stats();
         // 1 for the profile vector + m memo entries.
         assert_eq!(after_profiles.builds, 1 + rel.n_attrs() as u64);

@@ -10,7 +10,7 @@ use dbmine_relation::{
     NULL_VALUE,
 };
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::PathBuf;
 
 /// A random small categorical relation: 1–5 attrs, 0–12 tuples, domain
@@ -74,6 +74,32 @@ fn oracle_projection(rel: &Relation, attrs: AttrSet) -> ProjectionStats {
     ProjectionStats {
         distinct: groups.len(),
         entropy: log2_entropy(groups.into_values(), rel.n_tuples()),
+    }
+}
+
+/// The per-tuple-key fold that projection statistics were computed by
+/// before they came from partitions: a hash group-by on the projected
+/// row that keeps counts in first-occurrence order, summed in that
+/// order — so its entropy must equal the context's bit for bit.
+fn first_occurrence_projection(rel: &Relation, attrs: AttrSet) -> ProjectionStats {
+    let mut slot: HashMap<Vec<ValueId>, usize> = HashMap::new();
+    let mut counts: Vec<usize> = Vec::new();
+    for t in 0..rel.n_tuples() {
+        let key = attrs.iter().map(|a| rel.value(t, a)).collect();
+        let s = *slot.entry(key).or_insert_with(|| {
+            counts.push(0);
+            counts.len() - 1
+        });
+        counts[s] += 1;
+    }
+    let n = rel.n_tuples() as f64;
+    ProjectionStats {
+        distinct: counts.len(),
+        entropy: if counts.is_empty() {
+            0.0
+        } else {
+            dbmine_infotheory::entropy(counts.iter().map(|&c| c as f64 / n))
+        },
     }
 }
 
@@ -244,9 +270,10 @@ proptest! {
             for a in 0..rel.n_attrs() {
                 prop_assert_eq!(ctx.attr_partition(a), mem.attr_partition(a));
             }
-            // Both paths fold entropies through the same deterministic
-            // first-occurrence counter, so profiles and projection
-            // stats compare exactly, floats included.
+            // Both paths fold entropies in the same deterministic
+            // first-occurrence order (profiles over columns, projections
+            // over partitions), so they compare exactly, floats
+            // included.
             prop_assert_eq!(ctx.column_profiles(), mem.column_profiles());
             for a in &accesses {
                 if let Access::Projection(bits) = a {
@@ -321,6 +348,9 @@ proptest! {
                 let o = oracle_projection(&rel, set);
                 prop_assert_eq!(s.distinct, o.distinct);
                 prop_assert!((s.entropy - o.entropy).abs() < 1e-9);
+                let f = first_occurrence_projection(&rel, set);
+                prop_assert_eq!(s.distinct, f.distinct);
+                prop_assert_eq!(s.entropy.to_bits(), f.entropy.to_bits());
             }
         }
 

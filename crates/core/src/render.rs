@@ -210,13 +210,14 @@ pub fn run_redesign(ctx: &AnalysisCtx, steps: usize, config: &MinerConfig) -> St
         // The same split as `dbmine_fdrank::decompose`, with the
         // remainder built as a derived context instead of a bare
         // relation.
-        let s1_attrs = top.fd.lhs.union(top.fd.rhs);
+        // Ranking memoized S1's size, the distinct count of π_{X∪Y}.
+        let s1_attrs = top.fd.attrs();
+        let s1_tuples = cur.projection_distinct(s1_attrs);
         let s2_attrs = rel.all_attrs().minus(top.fd.rhs.minus(top.fd.lhs));
-        let s1 = rel.project_distinct(s1_attrs, &format!("{}_S1", rel.name()));
         let child = cur.derive_projected(s2_attrs, &format!("{}_S2", rel.name()));
         let s2 = child.relation();
         let cells_before = rel.n_tuples() * rel.n_attrs();
-        let cells_after = s1.n_tuples() * s1.n_attrs() + s2.n_tuples() * s2.n_attrs();
+        let cells_after = s1_tuples * s1_attrs.len() + s2.n_tuples() * s2.n_attrs();
         let reduction = if cells_before == 0 {
             0.0
         } else {
@@ -224,11 +225,11 @@ pub fn run_redesign(ctx: &AnalysisCtx, steps: usize, config: &MinerConfig) -> St
         };
         writeln!(
             out,
-            "step {step}: split by {} → {} ({} × {}) + remainder ({} × {}), {:.1}% fewer cells",
+            "step {step}: split by {} → {}_S1 ({} × {}) + remainder ({} × {}), {:.1}% fewer cells",
             top.display(&names),
-            s1.name(),
-            s1.n_tuples(),
-            s1.n_attrs(),
+            rel.name(),
+            s1_tuples,
+            s1_attrs.len(),
             s2.n_tuples(),
             s2.n_attrs(),
             100.0 * reduction
@@ -244,9 +245,9 @@ pub fn run_redesign(ctx: &AnalysisCtx, steps: usize, config: &MinerConfig) -> St
 }
 
 /// `mvds`: bounded multivalued-dependency mining.
-pub fn run_mvds(rel: &Relation, max_lhs: usize) -> String {
-    let names = rel.attr_names().to_vec();
-    let mvds = dbmine_fdmine::mine_mvds(rel, max_lhs, true);
+pub fn run_mvds(ctx: &AnalysisCtx, max_lhs: usize) -> String {
+    let names = ctx.attr_names();
+    let mvds = dbmine_fdmine::mine_mvds(ctx, max_lhs, true);
     let mut out = String::new();
     writeln!(
         out,
@@ -255,7 +256,7 @@ pub fn run_mvds(rel: &Relation, max_lhs: usize) -> String {
     )
     .unwrap();
     for m in mvds.iter().take(30) {
-        writeln!(out, "  {}", m.display(&names)).unwrap();
+        writeln!(out, "  {}", m.display(names)).unwrap();
     }
     out
 }
@@ -521,7 +522,7 @@ pub const COMMANDS: &[Spec] = &[
             ..DEFAULTS
         },
         // An LHS holds at most every attribute, so no bound is that one.
-        run: |p, ctx, _| run_mvds(ctx.relation(), p.max_lhs.unwrap_or(ctx.attr_names().len())),
+        run: |p, ctx, _| run_mvds(ctx, p.max_lhs.unwrap_or(ctx.attr_names().len())),
     },
     Spec {
         name: "joins",

@@ -362,8 +362,7 @@ pub fn db2_sample(spec: &Db2Spec) -> Db2Sample {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbmine_relation::stats::projection_stats;
-    use dbmine_relation::AttrSet;
+    use dbmine_relation::StrippedPartition;
 
     #[test]
     fn shape_matches_paper() {
@@ -381,7 +380,7 @@ mod tests {
         let s = db2_sample(&Db2Spec::default());
         let r = &s.relation;
         let col =
-            |name: &str| projection_stats(r, AttrSet::single(r.attr_id(name).unwrap())).distinct;
+            |name: &str| StrippedPartition::of_attr(r, r.attr_id(name).unwrap()).class_count();
         assert_eq!(col("DepNo"), 7);
         assert_eq!(col("DepName"), 7);
         assert_eq!(col("MgrNo"), 7);

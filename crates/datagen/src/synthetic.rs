@@ -115,7 +115,6 @@ pub fn synthetic(spec: &SyntheticSpec) -> Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbmine_relation::AttrSet;
 
     /// FD check local to this crate (datagen sits below fdmine).
     fn holds(rel: &Relation, lhs: AttrId, rhs: AttrId) -> bool {
@@ -176,7 +175,10 @@ mod tests {
         let a = synthetic(&SyntheticSpec::default());
         let b = synthetic(&SyntheticSpec::default());
         for t in (0..a.n_tuples()).step_by(101) {
-            assert_eq!(a.tuple(t), b.tuple(t));
+            assert_eq!(
+                a.tuple_projected(t, a.all_attrs()),
+                b.tuple_projected(t, b.all_attrs())
+            );
         }
     }
 
@@ -186,7 +188,8 @@ mod tests {
             skew: 1.2,
             ..Default::default()
         });
-        let stats = dbmine_relation::stats::projection_stats(&rel, AttrSet::single(3));
+        let pi = dbmine_relation::StrippedPartition::of_attr(&rel, 3);
+        let stats = dbmine_relation::ProjectionStats::of_partition(&pi);
         assert!(stats.distinct <= 20);
         // Heavy skew → heavy duplication in the column.
         let h = stats.entropy;

@@ -1,42 +1,8 @@
 //! Direct validity and approximation-error checks for single
 //! dependencies.
 
-use dbmine_context::AnalysisCtx;
-use dbmine_relation::partition::{PartitionScratch, StrippedPartition};
+use dbmine_relation::partition::StrippedPartition;
 use dbmine_relation::{AttrId, AttrSet, Relation};
-
-/// Builds the stripped partition of an arbitrary attribute set.
-pub fn partition_of(rel: &Relation, attrs: AttrSet) -> StrippedPartition {
-    let mut iter = attrs.iter();
-    match iter.next() {
-        None => StrippedPartition::of_empty(rel.n_tuples()),
-        Some(first) => {
-            let mut scratch = PartitionScratch::new();
-            let mut p = StrippedPartition::of_attr(rel, first);
-            for a in iter {
-                p = p.product_with(&StrippedPartition::of_attr(rel, a), &mut scratch);
-            }
-            p
-        }
-    }
-}
-
-/// As [`partition_of`], folding the product from the context's memoized
-/// single-attribute partitions instead of rebuilding each factor.
-pub fn partition_of_ctx(ctx: &AnalysisCtx, attrs: AttrSet) -> StrippedPartition {
-    let mut iter = attrs.iter();
-    match iter.next() {
-        None => StrippedPartition::of_empty(ctx.n_tuples()),
-        Some(first) => {
-            let mut scratch = PartitionScratch::new();
-            let mut p = ctx.attr_partition(first).clone();
-            for a in iter {
-                p = p.product_with(ctx.attr_partition(a), &mut scratch);
-            }
-            p
-        }
-    }
-}
 
 /// True if `lhs → rhs` holds exactly on the instance.
 ///
@@ -51,7 +17,7 @@ pub fn fd_holds(rel: &Relation, lhs: AttrSet, rhs: AttrId) -> bool {
     if lhs.contains(rhs) {
         return true; // trivial
     }
-    let px = partition_of(rel, lhs);
+    let px = StrippedPartition::of_attrs(rel, lhs);
     let pxa = px.product(&StrippedPartition::of_attr(rel, rhs));
     px.error() == pxa.error()
 }
@@ -62,7 +28,7 @@ pub fn fd_error_g3(rel: &Relation, lhs: AttrSet, rhs: AttrId) -> f64 {
     if lhs.contains(rhs) {
         return 0.0;
     }
-    let px = partition_of(rel, lhs);
+    let px = StrippedPartition::of_attrs(rel, lhs);
     let pxa = px.product(&StrippedPartition::of_attr(rel, rhs));
     px.g3_error(&pxa)
 }
@@ -121,6 +87,6 @@ mod tests {
         let rel = figure4();
         // {A,C} is a key → determines B.
         assert!(fd_holds(&rel, set(&[0, 2]), 1));
-        assert!(partition_of(&rel, set(&[0, 2])).is_key());
+        assert!(StrippedPartition::of_attrs(&rel, set(&[0, 2])).is_key());
     }
 }

@@ -46,7 +46,7 @@ pub mod mvd;
 pub mod tane;
 
 pub use approximate::{mine_approximate_ctx, ApproxFd};
-pub use check::{fd_error_g3, fd_holds, partition_of, partition_of_ctx};
+pub use check::{fd_error_g3, fd_holds};
 pub use cover::{closure, minimum_cover};
 pub use dbmine_relation::partition::{PartitionScratch, StrippedPartition};
 pub use fastfds::mine_fastfds;

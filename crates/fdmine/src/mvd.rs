@@ -9,9 +9,17 @@
 //! projections on `Y` and on `Z = R − X − Y` combine freely (the group
 //! is their cross product) — equivalently, `π_{X∪Y} ⋈ π_{X∪Z}`
 //! reconstructs the group exactly.
+//!
+//! The test reads stripped partitions, products of the context's `π_A`:
+//! a class `C` of `π_X` holds `|C| − e_C(S)` distinct projections on
+//! `X ∪ S` (`e_C(S)` sums `|K| − 1` over the classes `K` of `π_{X∪S}` in
+//! `C`), and `X ↠ Y` holds iff `distinct(XY) · distinct(XZ) = distinct(R)`
+//! in every class.
 
 use crate::fd::Fd;
-use dbmine_relation::{AttrSet, Relation};
+use dbmine_context::AnalysisCtx;
+use dbmine_relation::{AttrSet, PartitionScratch, StrippedPartition};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// A multivalued dependency `X ↠ Y`.
@@ -53,29 +61,77 @@ impl Mvd {
 }
 
 /// True if `lhs ↠ rhs` holds on the instance (set semantics per group).
-pub fn mvd_holds(rel: &Relation, lhs: AttrSet, rhs: AttrSet) -> bool {
-    let all = rel.all_attrs();
-    let y = rhs.minus(lhs);
-    let z = all.minus(lhs).minus(y);
-    if y.is_empty() || z.is_empty() {
-        return true; // trivial
+pub fn mvd_holds(ctx: &AnalysisCtx, lhs: AttrSet, rhs: AttrSet) -> bool {
+    Determinant::new(ctx, lhs).holds(rhs)
+}
+
+/// The MVD test for one determinant `X`, given `rest = R − X`: `π_X`,
+/// each `π_{X∪a}` for `a ∈ R − X` (any `π_{X∪S}` is their product) and
+/// the per-class error of `π_R`, built once for every `X ↠ Y` tested.
+struct Determinant {
+    rest: AttrSet,
+    px: StrippedPartition,
+    /// `π_X`'s class id of every tuple ([`StrippedPartition::class_ids`]).
+    ids: Vec<u32>,
+    /// `π_{X∪a}`, indexed by attribute (empty for `a ∈ X`).
+    pxa: Vec<StrippedPartition>,
+    /// `e_C(π_R)` per class of `π_X`.
+    r_error: Vec<usize>,
+    scratch: PartitionScratch,
+}
+
+impl Determinant {
+    fn new(ctx: &AnalysisCtx, x: AttrSet) -> Self {
+        let px = ctx.partition(x);
+        let mut scratch = PartitionScratch::new();
+        let mut probe = px.probe(&mut scratch);
+        let pxa = (0..ctx.n_attrs())
+            .map(|a| {
+                let pa = (!x.contains(a)).then(|| ctx.attr_partition(a));
+                pa.map_or_else(StrippedPartition::default, |pa| probe.product(pa))
+            })
+            .collect();
+        drop(probe);
+        let mut det = Determinant {
+            rest: ctx.all_attrs().minus(x),
+            ids: px.class_ids(),
+            px,
+            pxa,
+            r_error: Vec::new(),
+            scratch,
+        };
+        det.r_error = det.errors(det.rest);
+        det
     }
-    // Per X-group: distinct (y,z) pairs must equal |Y-proj| × |Z-proj|.
-    type Proj = Vec<u32>;
-    type GroupStats = (HashSet<Proj>, HashSet<Proj>, HashSet<(Proj, Proj)>);
-    let mut groups: HashMap<Proj, GroupStats> = HashMap::new();
-    for t in 0..rel.n_tuples() {
-        let key = rel.tuple_projected(t, lhs);
-        let yv = rel.tuple_projected(t, y);
-        let zv = rel.tuple_projected(t, z);
-        let entry = groups.entry(key).or_default();
-        entry.0.insert(yv.clone());
-        entry.1.insert(zv.clone());
-        entry.2.insert((yv, zv));
+
+    /// `e_C(π_{X∪side})` for every class `C` of `π_X`, `side ⊆ R − X`. A
+    /// stripped class of `π_{X∪side}` lies in a stripped class of `π_X`,
+    /// whose id is below `|π_X|`.
+    fn errors(&mut self, side: AttrSet) -> Vec<usize> {
+        let mut attrs = side.iter();
+        let mut p = Cow::Borrowed(attrs.next().map_or(&self.px, |a| &self.pxa[a]));
+        for a in attrs {
+            p = Cow::Owned(p.product_with(&self.pxa[a], &mut self.scratch));
+        }
+        let mut error = vec![0; self.px.n_classes()];
+        for class in p.classes() {
+            error[self.ids[class[0] as usize] as usize] += class.len() - 1;
+        }
+        error
     }
-    groups
-        .values()
-        .all(|(ys, zs, pairs)| pairs.len() == ys.len() * zs.len())
+
+    fn holds(&mut self, rhs: AttrSet) -> bool {
+        let y = rhs.intersect(self.rest);
+        let z = self.rest.minus(y);
+        if y.is_empty() || z.is_empty() {
+            return true; // trivial
+        }
+        let (ey, ez) = (self.errors(y), self.errors(z));
+        let sizes = self.px.sizes().iter().zip(&self.r_error);
+        sizes
+            .zip(ey.iter().zip(&ez))
+            .all(|((n, r), (y, z))| (n - y) * (n - z) == n - r)
+    }
 }
 
 /// Mines minimal, non-trivial MVDs with `|X| ≤ max_lhs`.
@@ -86,12 +142,13 @@ pub fn mvd_holds(rel: &Relation, lhs: AttrSet, rhs: AttrSet) -> bool {
 /// basis yields the MVDs `X ↠ B`. Results exclude MVDs implied by an FD
 /// with the same LHS when `exclude_fd_implied` is set (every `X → A`
 /// trivially gives `X ↠ A`).
-pub fn mine_mvds(rel: &Relation, max_lhs: usize, exclude_fd_implied: bool) -> Vec<Mvd> {
-    let all = rel.all_attrs();
-    let m = rel.n_attrs();
+pub fn mine_mvds(ctx: &AnalysisCtx, max_lhs: usize, exclude_fd_implied: bool) -> Vec<Mvd> {
+    let _span = dbmine_telemetry::span("fdmine.mvds");
+    let all = ctx.all_attrs();
+    let m = ctx.n_attrs();
     let fds: Vec<Fd> = if exclude_fd_implied {
         crate::tane::mine_tane_ctx(
-            &dbmine_context::AnalysisCtx::of(rel),
+            ctx,
             crate::tane::TaneOptions {
                 max_lhs: Some(max_lhs),
                 ..Default::default()
@@ -107,7 +164,7 @@ pub fn mine_mvds(rel: &Relation, max_lhs: usize, exclude_fd_implied: bool) -> Ve
         if x.len() > max_lhs {
             continue;
         }
-        for block in dependency_basis(rel, x) {
+        for block in dependency_basis(ctx, x) {
             let mvd = Mvd::canonical(x, block, all);
             if mvd.is_trivial(all) {
                 continue;
@@ -129,10 +186,9 @@ pub fn mine_mvds(rel: &Relation, max_lhs: usize, exclude_fd_implied: bool) -> Ve
             }
             // Minimality in X: skip if some X' ⊂ X already yields this
             // dependency (same canonical split restricted to R−X').
-            let dominated = x.iter().any(|drop| {
-                let sub = x.without(drop);
-                mvd_holds(rel, sub, mvd.rhs)
-            });
+            let dominated = x
+                .iter()
+                .any(|drop| mvd_holds(ctx, x.without(drop), mvd.rhs));
             if !dominated {
                 out.insert(mvd);
             }
@@ -153,14 +209,15 @@ pub fn mine_mvds(rel: &Relation, max_lhs: usize, exclude_fd_implied: bool) -> Ve
 /// all blocks trivially satisfies `X ↠ R−X`, so the loop terminates.
 /// The greedy choice recovers the finest basis in practice (entangled
 /// attribute pairs repair each other); an adversarial instance may
-/// yield a slightly coarser — still sound — partition.
-pub fn dependency_basis(rel: &Relation, x: AttrSet) -> Vec<AttrSet> {
-    let rest: Vec<usize> = rel.all_attrs().minus(x).iter().collect();
-    let mut blocks: Vec<AttrSet> = rest.iter().map(|&a| AttrSet::single(a)).collect();
+/// yield a slightly coarser — still sound — partition. `X ↠ B` depends
+/// on `B` alone, so each block's verdict is computed once.
+pub fn dependency_basis(ctx: &AnalysisCtx, x: AttrSet) -> Vec<AttrSet> {
+    let mut det = Determinant::new(ctx, x);
+    let mut blocks: Vec<AttrSet> = det.rest.iter().map(AttrSet::single).collect();
+    let mut verdicts: HashMap<AttrSet, bool> = HashMap::new();
+    let mut holds = |b: AttrSet| *verdicts.entry(b).or_insert_with(|| det.holds(b));
     loop {
-        let violating: Vec<usize> = (0..blocks.len())
-            .filter(|&i| !mvd_holds(rel, x, blocks[i]))
-            .collect();
+        let violating: Vec<usize> = (0..blocks.len()).filter(|&i| !holds(blocks[i])).collect();
         let Some(&i) = violating.first() else { break };
         // Preferred partner: the smallest block whose union with i passes.
         let mut partner: Option<usize> = None;
@@ -170,7 +227,7 @@ pub fn dependency_basis(rel: &Relation, x: AttrSet) -> Vec<AttrSet> {
                 continue;
             }
             let union = blocks[i].union(blocks[j]);
-            if union.len() < best_len && mvd_holds(rel, x, union) {
+            if union.len() < best_len && holds(union) {
                 partner = Some(j);
                 best_len = union.len();
             }
@@ -192,7 +249,7 @@ pub fn dependency_basis(rel: &Relation, x: AttrSet) -> Vec<AttrSet> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbmine_relation::RelationBuilder;
+    use dbmine_relation::{Relation, RelationBuilder};
 
     /// The textbook CTB relation: each course has a set of teachers and
     /// a set of books, combined freely — Course ↠ Teacher (and ↠ Book),
@@ -214,8 +271,16 @@ mod tests {
     #[test]
     fn course_determines_teacher_set() {
         let rel = ctb();
-        assert!(mvd_holds(&rel, AttrSet::single(0), AttrSet::single(1)));
-        assert!(mvd_holds(&rel, AttrSet::single(0), AttrSet::single(2)));
+        assert!(mvd_holds(
+            &AnalysisCtx::of(&rel),
+            AttrSet::single(0),
+            AttrSet::single(1)
+        ));
+        assert!(mvd_holds(
+            &AnalysisCtx::of(&rel),
+            AttrSet::single(0),
+            AttrSet::single(2)
+        ));
         // But not the FD: course "db" has two teachers.
         assert!(!crate::check::fd_holds(&rel, AttrSet::single(0), 1));
     }
@@ -230,7 +295,11 @@ mod tests {
             b.push_row_strs(&[c, t, k]);
         }
         let rel = b.build();
-        assert!(!mvd_holds(&rel, AttrSet::single(0), AttrSet::single(1)));
+        assert!(!mvd_holds(
+            &AnalysisCtx::of(&rel),
+            AttrSet::single(0),
+            AttrSet::single(1)
+        ));
     }
 
     #[test]
@@ -238,7 +307,11 @@ mod tests {
         let rel = dbmine_relation::paper::figure4();
         // C → B holds, so C ↠ B must hold.
         assert!(crate::check::fd_holds(&rel, AttrSet::single(2), 1));
-        assert!(mvd_holds(&rel, AttrSet::single(2), AttrSet::single(1)));
+        assert!(mvd_holds(
+            &AnalysisCtx::of(&rel),
+            AttrSet::single(2),
+            AttrSet::single(1)
+        ));
     }
 
     #[test]
@@ -247,7 +320,10 @@ mod tests {
         let x = AttrSet::single(0);
         let y = AttrSet::single(1);
         let z = rel.all_attrs().minus(x).minus(y);
-        assert_eq!(mvd_holds(&rel, x, y), mvd_holds(&rel, x, z));
+        assert_eq!(
+            mvd_holds(&AnalysisCtx::of(&rel), x, y),
+            mvd_holds(&AnalysisCtx::of(&rel), x, z)
+        );
         // Canonical form identifies the two.
         let a = Mvd::canonical(x, y, rel.all_attrs());
         let b = Mvd::canonical(x, z, rel.all_attrs());
@@ -257,7 +333,7 @@ mod tests {
     #[test]
     fn dependency_basis_of_course() {
         let rel = ctb();
-        let basis = dependency_basis(&rel, AttrSet::single(0));
+        let basis = dependency_basis(&AnalysisCtx::of(&rel), AttrSet::single(0));
         assert_eq!(
             basis,
             vec![AttrSet::single(1), AttrSet::single(2)],
@@ -265,24 +341,24 @@ mod tests {
         );
         // A determinant with entangled remainder: basis of ∅ keeps the
         // whole rest in one block (course/teacher/book correlate).
-        let basis0 = dependency_basis(&rel, AttrSet::EMPTY);
+        let basis0 = dependency_basis(&AnalysisCtx::of(&rel), AttrSet::EMPTY);
         assert_eq!(basis0.len(), 1);
     }
 
     #[test]
     fn mining_finds_course_mvd_and_not_fd_implied() {
         let rel = ctb();
-        let mvds = mine_mvds(&rel, 1, true);
+        let mvds = mine_mvds(&AnalysisCtx::of(&rel), 1, true);
         let expected = Mvd::canonical(AttrSet::single(0), AttrSet::single(1), rel.all_attrs());
         assert!(mvds.contains(&expected), "{mvds:?}");
         // With FD-implied exclusion, figure4's C↠B (implied by C→B) is
         // filtered out.
         let fig4 = dbmine_relation::paper::figure4();
-        let mvds4 = mine_mvds(&fig4, 1, true);
+        let mvds4 = mine_mvds(&AnalysisCtx::of(&fig4), 1, true);
         let c_b = Mvd::canonical(AttrSet::single(2), AttrSet::single(1), fig4.all_attrs());
         assert!(!mvds4.contains(&c_b), "{mvds4:?}");
         // Without exclusion it (or its complement form) appears.
-        let raw = mine_mvds(&fig4, 1, false);
+        let raw = mine_mvds(&AnalysisCtx::of(&fig4), 1, false);
         assert!(raw.contains(&c_b), "{raw:?}");
     }
 
@@ -290,7 +366,7 @@ mod tests {
     fn trivial_mvds_are_suppressed() {
         let rel = ctb();
         let all = rel.all_attrs();
-        for mvd in mine_mvds(&rel, 2, false) {
+        for mvd in mine_mvds(&AnalysisCtx::of(&rel), 2, false) {
             assert!(!mvd.is_trivial(all), "{mvd:?}");
             assert!(mvd.lhs.is_disjoint(mvd.rhs));
         }

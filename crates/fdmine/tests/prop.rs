@@ -3,20 +3,22 @@
 //! (FDEP is kept as an independent cross-check of TANE, the pipeline's
 //! miner), covers must preserve implication, and hitting sets must
 //! hit. The partition kernel is
-//! pinned against its oracle, and bounded walks against the unbounded
-//! ones, on relations that may be degenerate.
+//! pinned against its oracle, bounded walks against the unbounded
+//! ones, and the partition MVD test against the hash group-by it
+//! replaced, on relations that may be degenerate.
 
 use dbmine_context::AnalysisCtx;
 use dbmine_fdmine::brute::mine_brute;
 use dbmine_fdmine::cover::{closure, implies, minimum_cover};
 use dbmine_fdmine::fdep::minimal_hitting_sets;
 use dbmine_fdmine::{
-    fd_error_g3, fd_holds, mine_approximate_ctx, mine_fdep_ctx, mine_tane_ctx, partition_of, Fd,
-    PartitionScratch, StrippedPartition, TaneOptions,
+    fd_error_g3, fd_holds, mine_approximate_ctx, mine_fdep_ctx, mine_mvds, mine_tane_ctx,
+    mvd_holds, Fd, PartitionScratch, StrippedPartition, TaneOptions,
 };
 use dbmine_relation::csv::write_relation_path;
 use dbmine_relation::{AttrSet, Relation, RelationBuilder, ShardedRelation};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 
 /// A random small categorical relation (≤5 attrs, ≤12 tuples, domain 3).
@@ -76,7 +78,7 @@ fn arb_edge_relation() -> impl Strategy<Value = Relation> {
 /// `π_X` for every attribute set `X` of the relation, indexed by bits.
 fn all_set_partitions(rel: &Relation) -> Vec<StrippedPartition> {
     (0u64..1 << rel.n_attrs())
-        .map(|bits| partition_of(rel, AttrSet::from_bits(bits)))
+        .map(|bits| StrippedPartition::of_attrs(rel, AttrSet::from_bits(bits)))
         .collect()
 }
 
@@ -112,9 +114,9 @@ fn minimal_oracle<S: Copy>(
 }
 
 /// A chunk-backed context over `rel`, spilled through its CSV to a
-/// store of 3-tuple chunks, with the store's path (remove it once the
-/// context is done).
-fn store_ctx(rel: &Relation) -> (AnalysisCtx, PathBuf) {
+/// store of `chunk`-tuple chunks, with the store's path (remove it once
+/// the context is done).
+fn store_ctx(rel: &Relation, chunk: usize) -> (AnalysisCtx, PathBuf) {
     static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let dir = std::env::temp_dir().join("dbmine_fdmine_prop");
     std::fs::create_dir_all(&dir).expect("create temp dir");
@@ -122,12 +124,36 @@ fn store_ctx(rel: &Relation) -> (AnalysisCtx, PathBuf) {
     let csv = dir.join(format!("{}_{id}.csv", std::process::id()));
     let store = csv.with_extension("dbss");
     write_relation_path(rel, &csv).expect("write csv");
-    let sharded = ShardedRelation::scan_csv_path_spill(&csv, 3, &store).expect("spill store");
+    let sharded = ShardedRelation::scan_csv_path_spill(&csv, chunk, &store).expect("spill store");
     let _ = std::fs::remove_file(&csv);
     (
         AnalysisCtx::from_chunks(sharded).expect("chunk-backed context"),
         store,
     )
+}
+
+/// The hash group-by MVD test the partition test replaced: per
+/// `X`-group, the distinct `(Y, Z)` pairs must number
+/// `|Y-proj| × |Z-proj|`.
+fn mvd_holds_oracle(rel: &Relation, lhs: AttrSet, rhs: AttrSet) -> bool {
+    let y = rhs.minus(lhs);
+    let z = rel.all_attrs().minus(lhs).minus(y);
+    if y.is_empty() || z.is_empty() {
+        return true;
+    }
+    type Proj = Vec<u32>;
+    type GroupStats = (HashSet<Proj>, HashSet<Proj>, HashSet<(Proj, Proj)>);
+    let mut groups: HashMap<Proj, GroupStats> = HashMap::new();
+    for t in 0..rel.n_tuples() {
+        let entry = groups.entry(rel.tuple_projected(t, lhs)).or_default();
+        let (yv, zv) = (rel.tuple_projected(t, y), rel.tuple_projected(t, z));
+        entry.0.insert(yv.clone());
+        entry.1.insert(zv.clone());
+        entry.2.insert((yv, zv));
+    }
+    groups
+        .values()
+        .all(|(ys, zs, pairs)| pairs.len() == ys.len() * zs.len())
 }
 
 fn arb_fds() -> impl Strategy<Value = Vec<Fd>> {
@@ -153,6 +179,47 @@ proptest! {
             tane.sort();
             prop_assert_eq!(&fdep, &brute, "FDEP disagrees with oracle");
             prop_assert_eq!(&tane, &brute, "TANE disagrees with oracle");
+        }
+    }
+
+    /// The partition MVD test agrees with the hash group-by on drawn
+    /// `X` and `Y` — NULLs, constant and all-NULL columns and n ≤ 1
+    /// included — from a memory context and from stores at 1, 3 and
+    /// 1000 tuples per chunk, none of which materializes; `mvds` mines
+    /// the same dependencies from every source.
+    #[test]
+    fn mvd_holds_matches_hash_oracle(
+        rel in arb_relation(),
+        edge in arb_edge_relation(),
+        pairs in proptest::collection::vec((0u64..32, 0u64..32), 1..8),
+    ) {
+        // n = 0 and n = 1 on every draw: the edge relation's head.
+        let heads = [0, 1].map(|k| {
+            let rows: Vec<usize> = (0..k.min(edge.n_tuples())).collect();
+            edge.select(&rows, "head")
+        });
+        for rel in [rel, edge].into_iter().chain(heads) {
+            let all = rel.all_attrs();
+            let mem = AnalysisCtx::of(&rel);
+            let mined = mine_mvds(&mem, 2, true);
+            let stores: Vec<_> = [1, 3, 1000].iter().map(|&c| store_ctx(&rel, c)).collect();
+            let sources = std::iter::once(&mem).chain(stores.iter().map(|(ctx, _)| ctx));
+            for (source, ctx) in sources.enumerate() {
+                for &(x, y) in &pairs {
+                    let (x, y) = (AttrSet::from_bits(x).intersect(all), AttrSet::from_bits(y).intersect(all));
+                    prop_assert_eq!(
+                        mvd_holds(ctx, x, y),
+                        mvd_holds_oracle(&rel, x, y),
+                        "{:?} ↠ {:?}, source {}", x, y, source
+                    );
+                }
+                prop_assert_eq!(&mine_mvds(ctx, 2, true), &mined, "source {}", source);
+                prop_assert_eq!(ctx.view_stats().materializations, 0);
+            }
+            for (store, path) in stores {
+                drop(store);
+                let _ = std::fs::remove_file(path);
+            }
         }
     }
 
@@ -342,7 +409,7 @@ proptest! {
             brute.sort();
             let mem = AnalysisCtx::of(&rel);
             let approx = mine_approximate_ctx(&mem, eps, None, 1);
-            let (store, path) = store_ctx(&rel);
+            let (store, path) = store_ctx(&rel, 3);
             for k in 1..=3 {
                 let exact: Vec<Fd> = brute.iter().copied().filter(|f| f.lhs.len() <= k).collect();
                 let approx_k: Vec<_> = approx.iter().filter(|f| f.fd.lhs.len() <= k).collect();
@@ -423,7 +490,7 @@ proptest! {
     #[test]
     fn approximate_matches_minimal_oracle(rel in arb_relation(), eps_pct in 1u32..50) {
         let mem = AnalysisCtx::of(&rel);
-        let (store, path) = store_ctx(&rel);
+        let (store, path) = store_ctx(&rel, 3);
         for eps in [0.0, 0.1, eps_pct as f64 / 100.0] {
             for max_lhs in [None, Some(1), Some(2)] {
                 let oracle = minimal_oracle(

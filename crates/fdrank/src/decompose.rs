@@ -7,7 +7,7 @@
 //! removes more redundancy than decomposing by `A → B`.
 
 use crate::rank::RankedFd;
-use dbmine_relation::{AttrSet, Relation};
+use dbmine_relation::Relation;
 
 /// The outcome of a vertical decomposition.
 #[derive(Clone, Debug)]
@@ -35,17 +35,12 @@ impl Decomposition {
     }
 }
 
-/// Projects `rel` on `attrs` and removes duplicate rows (set semantics).
-pub fn project_distinct(rel: &Relation, attrs: AttrSet, name: &str) -> Relation {
-    rel.project_distinct(attrs, name)
-}
-
 /// Decomposes `rel` by the (ranked) dependency `X → Y`.
 pub fn decompose(rel: &Relation, fd: &RankedFd) -> Decomposition {
     let s1_attrs = fd.lhs.union(fd.rhs);
     let s2_attrs = rel.all_attrs().minus(fd.rhs.minus(fd.lhs));
-    let s1 = project_distinct(rel, s1_attrs, &format!("{}_S1", rel.name()));
-    let s2 = project_distinct(rel, s2_attrs, &format!("{}_S2", rel.name()));
+    let s1 = rel.project_distinct(s1_attrs, &format!("{}_S1", rel.name()));
+    let s2 = rel.project_distinct(s2_attrs, &format!("{}_S2", rel.name()));
     Decomposition {
         cells_before: rel.n_tuples() * rel.n_attrs(),
         cells_after: s1.n_tuples() * s1.n_attrs() + s2.n_tuples() * s2.n_attrs(),
@@ -58,6 +53,7 @@ pub fn decompose(rel: &Relation, fd: &RankedFd) -> Decomposition {
 mod tests {
     use super::*;
     use dbmine_relation::paper::figure4;
+    use dbmine_relation::AttrSet;
 
     fn set(attrs: &[usize]) -> AttrSet {
         attrs.iter().copied().collect()
@@ -127,7 +123,7 @@ mod tests {
     #[test]
     fn project_distinct_dedups() {
         let rel = figure4();
-        let p = project_distinct(&rel, set(&[1]), "b_only");
+        let p = rel.project_distinct(set(&[1]), "b_only");
         assert_eq!(p.n_tuples(), 2);
         assert_eq!(p.attr_names(), &["B".to_string()]);
     }
@@ -138,7 +134,7 @@ mod tests {
         b.push_row(&[Some("a"), None]);
         b.push_row(&[Some("a"), None]);
         let rel = b.build();
-        let p = project_distinct(&rel, set(&[0, 1]), "p");
+        let p = rel.project_distinct(set(&[0, 1]), "p");
         assert_eq!(p.n_tuples(), 1);
         assert!(p.is_null(0, 1));
     }

@@ -10,7 +10,6 @@
 //! redundant: it can be reconstructed from the earliest witness tuple.
 
 use dbmine_context::AnalysisCtx;
-use dbmine_fdmine::partition_of_ctx;
 use dbmine_relation::{AttrId, AttrSet};
 
 /// A redundant cell: `(tuple, attribute)` whose value is implied by the
@@ -25,29 +24,28 @@ pub struct RedundantCell {
     pub witness: usize,
 }
 
-/// The cells of column `rhs` made redundant by `lhs → rhs`, building
-/// `π_X` from the context's memoized single-attribute partitions (ranking
-/// many dependencies over one relation touches the same attributes over
-/// and over).
+/// The cells of column `rhs` made redundant by `lhs → rhs`, from
+/// partitions alone: `π_X` groups the tuples ([`AnalysisCtx::partition`])
+/// and two cells hold the same `rhs` value iff they share a class of the
+/// memoized `π_rhs`, so no row is read and a store-backed context never
+/// materializes.
 ///
 /// Only meaningful when the dependency holds exactly; if it does not,
 /// cells whose value *disagrees* with the witness are skipped (they are
 /// erroneous, not redundant — the distinction Figure 1 draws).
 pub fn redundant_cells_ctx(ctx: &AnalysisCtx, lhs: AttrSet, rhs: AttrId) -> Vec<RedundantCell> {
-    let rel = ctx.relation();
-    let partition = partition_of_ctx(ctx, lhs);
     // Two tuples share an X-group iff they share a π_X class id, so the
     // witness map indexes a dense array by class id instead of hashing
-    // a projected `Vec<u32>` key per tuple (the old implementation
-    // allocated one such key for every tuple).
-    let ids = partition.class_ids();
-    let mut first_witness: Vec<u32> = vec![u32::MAX; rel.n_tuples()];
+    // a projected key per tuple.
+    let ids = ctx.partition(lhs).class_ids();
+    let values = ctx.attr_partition(rhs).class_ids();
+    let mut first_witness: Vec<u32> = vec![u32::MAX; ctx.n_tuples()];
     let mut out = Vec::new();
     for (t, &id) in ids.iter().enumerate() {
         let w = first_witness[id as usize];
         if w == u32::MAX {
             first_witness[id as usize] = t as u32;
-        } else if rel.value(w as usize, rhs) == rel.value(t, rhs) {
+        } else if values[w as usize] == values[t] {
             out.push(RedundantCell {
                 tuple: t,
                 attr: rhs,

@@ -15,7 +15,8 @@
 //!   the support matrix `O` (`O[v,A]` = occurrences of value `v` in
 //!   attribute `A`), Figures 2, 3 and 6.
 //! * [`stats`] — projection statistics (distinct counts, bag-semantics
-//!   entropies) underlying the RAD/RTR duplication measures.
+//!   entropies) underlying the RAD/RTR duplication measures, read off
+//!   stripped partitions, and per-column profiles.
 //! * [`partition`] — stripped partitions (`π_X`), the workhorse of TANE
 //!   and of direct FD checks, cached per attribute by `dbmine-context`.
 //! * [`csv`] — a small, dependency-free CSV reader/writer so relations can
@@ -41,4 +42,4 @@ pub use partition::{attr_partitions_chunks, ClassSizes, PartitionScratch, Stripp
 pub use relation::{AttrId, Relation, RelationBuilder};
 pub use shard::{RelationChunk, ShardedRelation, DEFAULT_CHUNK_TUPLES};
 pub use spill::{SpillWriter, StoreChunks, StoreError, StoreFooter};
-pub use stats::{column_profiles_chunks, projection_stats_chunks, ProjectionStats};
+pub use stats::{column_profiles_chunks, ProjectionStats};

@@ -42,9 +42,10 @@
 //! result is copied out of reused scratch buffers into exactly sized
 //! vectors.
 
+use crate::attrset::AttrSet;
 use crate::relation::{AttrId, Relation};
 use crate::shard::RelationChunk;
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 
 /// Marks a probe-table entry as unset (tuple outside every class, or
 /// class not yet touched by the current scan).
@@ -298,6 +299,25 @@ impl StrippedPartition {
         parts.pop().expect("one column, one partition")
     }
 
+    /// `π_attrs` of `rel`: [`Self::product_of`] its attributes' partitions.
+    pub fn of_attrs(rel: &Relation, attrs: AttrSet) -> Self {
+        let factors = attrs.iter().map(|a| Self::of_attr(rel, a));
+        Self::product_of(rel.n_tuples(), factors)
+    }
+
+    /// `π_X` of `n` tuples: the product of `factors`, the partitions of
+    /// `X`'s attributes, in order ([`Self::of_empty`] when there are none).
+    pub fn product_of<P: Borrow<Self>>(n: usize, factors: impl IntoIterator<Item = P>) -> Self {
+        let mut factors = factors.into_iter();
+        let Some(first) = factors.next() else {
+            return Self::of_empty(n);
+        };
+        let mut scratch = PartitionScratch::new();
+        factors.fold(first.borrow().clone(), |p, q| {
+            p.product_with(q.borrow(), &mut scratch)
+        })
+    }
+
     /// The trivial partition of the empty attribute set: one class with
     /// every tuple (stripped only if `n < 2`).
     pub fn of_empty(n: usize) -> Self {
@@ -380,6 +400,20 @@ impl StrippedPartition {
     /// True if the attribute set is a superkey (every class a singleton).
     pub fn is_key(&self) -> bool {
         self.sizes.is_key()
+    }
+
+    /// Per tuple: its class's size at the class's first (smallest)
+    /// member, 1 for a singleton, 0 elsewhere — the non-zero entries are
+    /// the unstripped class sizes in first-occurrence order.
+    pub(crate) fn first_occurrence_sizes(&self) -> Vec<u32> {
+        let mut size = vec![1u32; self.n()];
+        for class in self.classes() {
+            for &t in class {
+                size[t as usize] = 0;
+            }
+            size[class[0] as usize] = class.len() as u32;
+        }
+        size
     }
 
     /// The same partition with its classes in canonical order: ascending

@@ -2,6 +2,7 @@
 
 use crate::attrset::{AttrSet, MAX_ATTRS};
 use crate::dict::{ValueDict, ValueId, NULL_VALUE};
+use crate::partition::StrippedPartition;
 use crate::shard::RelationChunk;
 use std::borrow::Cow;
 
@@ -127,11 +128,6 @@ impl Relation {
         }
     }
 
-    /// The tuple `t` as a vector of value ids in schema order.
-    pub fn tuple(&self, t: usize) -> Vec<ValueId> {
-        self.columns.iter().map(|c| c[t]).collect()
-    }
-
     /// The tuple `t` projected on `attrs`, in increasing attribute order.
     pub fn tuple_projected(&self, t: usize, attrs: AttrSet) -> Vec<ValueId> {
         attrs.iter().map(|a| self.columns[a][t]).collect()
@@ -168,31 +164,32 @@ impl Relation {
 
     /// As [`Self::project_distinct`], also returning, for each projected
     /// tuple, the index of the parent tuple it was taken from (the first
-    /// occurrence of its projected value combination). The row list is
-    /// strictly increasing, which is what lets a parent's stripped
-    /// partitions be *restricted* onto the projection instead of rebuilt
-    /// (see `StrippedPartition::restrict_remap`).
+    /// occurrence of its projected value combination, read off
+    /// `π_attrs`). The row list is strictly increasing, which is what
+    /// lets a parent's stripped partitions be *restricted* onto the
+    /// projection instead of rebuilt (see
+    /// `StrippedPartition::restrict_remap`).
     pub fn project_distinct_with_rows(&self, attrs: AttrSet, name: &str) -> (Relation, Vec<u32>) {
         let keep: Vec<AttrId> = attrs.iter().collect();
         let names: Vec<&str> = keep.iter().map(|&a| self.attr_names[a].as_str()).collect();
-        let mut seen: std::collections::HashSet<Vec<ValueId>> = Default::default();
+        let first = StrippedPartition::of_attrs(self, attrs).first_occurrence_sizes();
+        let rows: Vec<u32> = (0..self.n as u32)
+            .filter(|&t| first[t as usize] > 0)
+            .collect();
         let mut b = RelationBuilder::new(name, &names);
-        let mut rows: Vec<u32> = Vec::new();
-        for t in 0..self.n {
-            if seen.insert(self.tuple_projected(t, attrs)) {
-                let row: Vec<Option<&str>> = keep
-                    .iter()
-                    .map(|&a| {
-                        if self.is_null(t, a) {
-                            None
-                        } else {
-                            Some(self.value_str(t, a))
-                        }
-                    })
-                    .collect();
-                b.push_row(&row);
-                rows.push(t as u32);
-            }
+        for &t in &rows {
+            let t = t as usize;
+            let row: Vec<Option<&str>> = keep
+                .iter()
+                .map(|&a| {
+                    if self.is_null(t, a) {
+                        None
+                    } else {
+                        Some(self.value_str(t, a))
+                    }
+                })
+                .collect();
+            b.push_row(&row);
         }
         (b.build(), rows)
     }

@@ -23,10 +23,10 @@
 //! Every fold lives next to its type and takes chunks, whatever their
 //! source: [`crate::tuple_mutual_information_chunks`],
 //! [`crate::ValueIndex::from_chunks`], [`crate::attr_partitions_chunks`],
-//! [`crate::column_profiles_chunks`], [`crate::projection_stats_chunks`]
-//! and [`ContentHasher::push_chunk`]. A resident relation is one
-//! borrowed chunk ([`crate::Relation::as_chunk`]), so store passes and
-//! in-memory builds run the same fold.
+//! [`crate::column_profiles_chunks`] and [`ContentHasher::push_chunk`].
+//! A resident relation is one borrowed chunk
+//! ([`crate::Relation::as_chunk`]), so store passes and in-memory builds
+//! run the same fold.
 
 use crate::csv::{CsvError, CsvScan};
 use crate::dict::{ValueDict, ValueId};
@@ -560,7 +560,6 @@ mod tests {
         use crate::matrix::ValueIndex;
         use crate::partition::{attr_partitions_chunks, StrippedPartition};
         use crate::stats;
-        use crate::AttrSet;
 
         let rel = in_memory(SAMPLE, "t");
         for chunk_tuples in [1, 2, 3, 100] {
@@ -578,23 +577,8 @@ mod tests {
             }
 
             let profiles = stats::column_profiles_chunks(s.attr_names(), pass());
-            assert_eq!(profiles, stats::profile_columns(&rel));
-
-            for attrs in [
-                AttrSet::EMPTY,
-                AttrSet::single(1),
-                [0usize, 2].into_iter().collect(),
-                rel.all_attrs(),
-            ] {
-                let chunked = stats::projection_stats_chunks(attrs, pass());
-                let whole = stats::projection_stats(&rel, attrs);
-                assert_eq!(chunked.distinct, whole.distinct);
-                assert_eq!(
-                    chunked.entropy.to_bits(),
-                    whole.entropy.to_bits(),
-                    "H(π) chunk_tuples={chunk_tuples} attrs={attrs:?}"
-                );
-            }
+            let whole = stats::column_profiles_chunks(rel.attr_names(), [rel.as_chunk()]);
+            assert_eq!(profiles, whole);
 
             let (d, m, n) = (s.dict().len(), s.n_attrs(), s.n_tuples());
             assert_eq!(

@@ -7,75 +7,23 @@
 //! semantics). Both live in `dbmine-fdrank`; this module supplies the raw
 //! counts so they stay cheap to compute for many attribute sets.
 //!
-//! Both statistics are chunk folds ([`projection_stats_chunks`],
-//! [`column_profiles_chunks`]); the `&Relation` entry points run them
-//! over the relation as one borrowed chunk. All folds run in
-//! **first-occurrence order** of the projected tuples
-//! ([`ProjectionCounter`]), never in hash-map iteration order: the
-//! entropy sum is a float fold, so a deterministic order is what makes
-//! the numbers reproducible run-to-run *and* independent of where chunk
-//! boundaries fall.
+//! A projection on `X` groups tuples exactly as the stripped partition
+//! `π_X` does, so [`ProjectionStats::of_partition`] reads both
+//! statistics off `π_X`: no row key is built or hashed. Column profiles
+//! are one chunk fold ([`column_profiles_chunks`]). Every entropy sums
+//! its class sizes in **first-occurrence order** of the projected
+//! tuples, never in hash-map iteration order: the sum is a float fold,
+//! so a deterministic order is what makes the numbers reproducible
+//! run-to-run *and* independent of where chunk boundaries fall, and
+//! equal between a profile and the single-attribute projection.
 
-use crate::attrset::AttrSet;
 use crate::dict::NULL_VALUE;
-use crate::relation::Relation;
+use crate::partition::StrippedPartition;
 use crate::shard::RelationChunk;
 use dbmine_infotheory::entropy;
-use std::collections::HashMap;
-
-/// A streaming group-by over projected tuples that keeps occurrence
-/// counts in **first-occurrence order**. Feeding it the same key
-/// sequence always yields the same `counts()` slice, so every float
-/// fold over the counts is deterministic — the shared substrate of the
-/// in-memory and chunk-fold projection statistics.
-#[derive(Debug, Default)]
-pub struct ProjectionCounter {
-    slots: HashMap<Vec<u32>, u32>,
-    counts: Vec<usize>,
-}
-
-impl ProjectionCounter {
-    /// An empty counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one projected tuple (its value ids in ascending attribute
-    /// order).
-    pub fn observe(&mut self, key: Vec<u32>) {
-        match self.slots.get(&key) {
-            Some(&s) => self.counts[s as usize] += 1,
-            None => {
-                self.slots.insert(key, self.counts.len() as u32);
-                self.counts.push(1);
-            }
-        }
-    }
-
-    /// Number of distinct projected tuples seen so far.
-    pub fn distinct(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Occurrence counts, in first-occurrence order.
-    pub fn counts(&self) -> &[usize] {
-        &self.counts
-    }
-
-    /// Shannon entropy (bits) of the observed distribution over `n`
-    /// total observations (bag semantics, `p = count/n`); zero for an
-    /// empty fold.
-    pub fn entropy(&self, n: usize) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        let n = n as f64;
-        entropy(self.counts.iter().map(|&c| c as f64 / n))
-    }
-}
 
 /// Distinct count and bag-semantics entropy of one projection — what
-/// RTR and RAD read — from a single counting pass.
+/// RTR and RAD read.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ProjectionStats {
     /// Distinct tuples in the projection (set semantics), the `n'` of
@@ -86,29 +34,17 @@ pub struct ProjectionStats {
     pub entropy: f64,
 }
 
-/// [`ProjectionStats`] of the projection on `attrs`, folded over chunks
-/// in global tuple order through one [`ProjectionCounter`].
-pub fn projection_stats_chunks<'a>(
-    attrs: AttrSet,
-    chunks: impl IntoIterator<Item = RelationChunk<'a>>,
-) -> ProjectionStats {
-    let mut counter = ProjectionCounter::new();
-    let mut n = 0usize;
-    for chunk in chunks {
-        n += chunk.n_rows();
-        for t in 0..chunk.n_rows() {
-            counter.observe(attrs.iter().map(|a| chunk.value(t, a)).collect());
-        }
+impl ProjectionStats {
+    /// The statistics of the projection on `X`, read off `π_X`: its
+    /// class count, and the entropy of its class sizes folded in
+    /// first-occurrence order (zero for `n = 0`).
+    pub fn of_partition(p: &StrippedPartition) -> Self {
+        let (n, sizes) = (p.n() as f64, p.first_occurrence_sizes());
+        let h = entropy(sizes.into_iter().filter(|&c| c > 0).map(|c| c as f64 / n));
+        let entropy = if p.n() == 0 { 0.0 } else { h };
+        let distinct = p.class_count();
+        ProjectionStats { distinct, entropy }
     }
-    ProjectionStats {
-        distinct: counter.distinct(),
-        entropy: counter.entropy(n),
-    }
-}
-
-/// [`projection_stats_chunks`] over `rel`.
-pub fn projection_stats(rel: &Relation, attrs: AttrSet) -> ProjectionStats {
-    projection_stats_chunks(attrs, [rel.as_chunk()])
 }
 
 /// Per-column summary used by reports: name, distinct count, NULL
@@ -124,8 +60,8 @@ pub struct ColumnProfile {
 /// Profiles every column named in `attr_names`, folded over chunks in
 /// global tuple order. Each column counts its values in a slot table
 /// indexed by value id, in first-occurrence order, so `distinct` and
-/// `entropy` equal the single-attribute [`projection_stats_chunks`]
-/// bit for bit without hashing a key per cell.
+/// `entropy` equal the single-attribute
+/// [`ProjectionStats::of_partition`] bit for bit.
 pub fn column_profiles_chunks<'a>(
     attr_names: &[String],
     chunks: impl IntoIterator<Item = RelationChunk<'a>>,
@@ -174,23 +110,28 @@ pub fn column_profiles_chunks<'a>(
         .collect()
 }
 
-/// [`column_profiles_chunks`] over `rel`.
-pub fn profile_columns(rel: &Relation) -> Vec<ColumnProfile> {
-    column_profiles_chunks(rel.attr_names(), [rel.as_chunk()])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attrset::AttrSet;
     use crate::paper::{figure1, figure4};
+    use crate::relation::Relation;
     use dbmine_infotheory::EPS;
 
+    fn profile_columns(r: &Relation) -> Vec<ColumnProfile> {
+        column_profiles_chunks(r.attr_names(), [r.as_chunk()])
+    }
+
+    fn stats(r: &Relation, attrs: AttrSet) -> ProjectionStats {
+        ProjectionStats::of_partition(&StrippedPartition::of_attrs(r, attrs))
+    }
+
     fn distinct(r: &Relation, attrs: AttrSet) -> usize {
-        projection_stats(r, attrs).distinct
+        stats(r, attrs).distinct
     }
 
     fn entropy(r: &Relation, attrs: AttrSet) -> f64 {
-        projection_stats(r, attrs).entropy
+        stats(r, attrs).entropy
     }
 
     #[test]
@@ -250,7 +191,7 @@ mod tests {
         b.push_row(&[Some("v"), Some("w")]);
         let r = b.build();
         for (a, p) in profile_columns(&r).iter().enumerate() {
-            let s = projection_stats(&r, AttrSet::single(a));
+            let s = stats(&r, AttrSet::single(a));
             assert_eq!(p.distinct, s.distinct);
             assert_eq!(p.entropy.to_bits(), s.entropy.to_bits());
         }
@@ -270,26 +211,34 @@ mod tests {
 
     #[test]
     fn counter_order_is_first_occurrence() {
-        let mut c = ProjectionCounter::new();
-        for key in [vec![7u32], vec![3], vec![7], vec![7], vec![3], vec![9]] {
-            c.observe(key);
-        }
-        assert_eq!(c.counts(), &[3, 2, 1]);
-        assert_eq!(c.distinct(), 3);
+        // Keys 7,3,7,7,3,9: the walk meets 7 (three tuples), then 3
+        // (two), then 9 (one), whatever the partition's class order.
+        let p = StrippedPartition::from_classes([vec![1u32, 4], vec![0, 2, 3]], 6);
+        assert_eq!(p.first_occurrence_sizes(), [3, 2, 0, 0, 0, 1]);
+        assert_eq!(p.class_count(), 3);
     }
 
     #[test]
     fn counter_entropy_matches_projection_entropy() {
-        // Same fold, same order, same bits.
+        // The per-tuple-key fold the partition walk replaced: same
+        // counts, same order, same bits.
         let r = figure4();
-        let attrs: AttrSet = [0usize, 1].into_iter().collect();
-        let mut c = ProjectionCounter::new();
-        for t in 0..r.n_tuples() {
-            c.observe(r.tuple_projected(t, attrs));
+        for bits in 0u64..1 << r.n_attrs() {
+            let attrs = AttrSet::from_bits(bits);
+            let mut slots = std::collections::HashMap::new();
+            let mut counts: Vec<usize> = Vec::new();
+            for t in 0..r.n_tuples() {
+                let slot = *slots.entry(r.tuple_projected(t, attrs)).or_insert_with(|| {
+                    counts.push(0);
+                    counts.len() - 1
+                });
+                counts[slot] += 1;
+            }
+            let n = r.n_tuples() as f64;
+            let oracle = dbmine_infotheory::entropy(counts.iter().map(|&c| c as f64 / n));
+            let s = stats(&r, attrs);
+            assert_eq!(s.distinct, counts.len(), "{attrs:?}");
+            assert_eq!(s.entropy.to_bits(), oracle.to_bits(), "{attrs:?}");
         }
-        assert_eq!(
-            c.entropy(r.n_tuples()).to_bits(),
-            entropy(&r, attrs).to_bits()
-        );
     }
 }

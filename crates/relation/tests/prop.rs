@@ -4,13 +4,17 @@
 use dbmine_relation::csv::{
     read_relation, read_relation_path, write_header, write_record, write_relation,
 };
-use dbmine_relation::stats::projection_stats;
 use dbmine_relation::{
-    qualified_row, qualified_stride, tuple_mutual_information_chunks, AttrSet, Relation,
-    RelationBuilder, ShardedRelation, ValueIndex,
+    qualified_row, qualified_stride, tuple_mutual_information_chunks, AttrSet, ProjectionStats,
+    Relation, RelationBuilder, ShardedRelation, StrippedPartition, ValueIndex,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The projection statistics of `rel` on `attrs`, read off `π_attrs`.
+fn projection_stats(rel: &Relation, attrs: AttrSet) -> ProjectionStats {
+    ProjectionStats::of_partition(&StrippedPartition::of_attrs(rel, attrs))
+}
 
 /// Arbitrary cell content, including empty strings, multi-byte
 /// characters next to quotes, commas, CR/LF and NUL bytes, and NULLs.

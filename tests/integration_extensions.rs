@@ -71,7 +71,7 @@ fn mvds_on_db2_include_key_splits() {
     .filter_map(|n| rel.attr_id(n))
     .collect();
     assert!(dbmine::fdmine::mvd_holds(
-        &rel,
+        &AnalysisCtx::of(&rel),
         AttrSet::single(emp),
         proj_attrs
     ));

@@ -9,12 +9,13 @@
 
 use dbmine::context::AnalysisCtx;
 use dbmine::fdmine::{mine_approximate_ctx, mine_tane_ctx, TaneOptions};
+use dbmine::fdrank::redundant_cells_ctx;
 use dbmine::ib::{aib, Dcf};
 use dbmine::infotheory::SparseDist;
 use dbmine::limbo::LimboParams;
-use dbmine::relation::csv::read_relation_path;
+use dbmine::relation::csv::{read_relation_path, write_relation_path};
 use dbmine::relation::paper::figure4;
-use dbmine::relation::{AttrSet, RelationBuilder};
+use dbmine::relation::{AttrSet, RelationBuilder, ShardedRelation};
 use dbmine::reliability::{mine_reliable_ctx, ReliableOptions};
 use dbmine::summaries::{
     cluster_values_ctx, find_duplicate_tuples_ctx, tuple_summary_assignment_ctx,
@@ -159,11 +160,46 @@ fn fdrank_counts_figure4_redundant_cells() {
     // Figure 4: under C → B, the three tuples sharing C = x all carry
     // B = 2; the first is the witness, the other two are redundant.
     let rel = figure4();
-    let (cells, d) = with_deltas(|| {
-        dbmine::fdrank::redundant_cells_ctx(&AnalysisCtx::of(&rel), AttrSet::single(2), 1)
-    });
+    let (cells, d) =
+        with_deltas(|| redundant_cells_ctx(&AnalysisCtx::of(&rel), AttrSet::single(2), 1));
     assert_eq!(cells.len(), 2);
     assert_eq!(d.get(Counter::FdrankRedundantCells), expect(2));
+}
+
+#[test]
+fn store_backed_redundant_cells_match_memory_without_materializing() {
+    // Redundant cells come from partitions alone, so a `.dbss` context
+    // at any chunk size returns the memory context's cells for every
+    // dependency without decoding the relation into rows.
+    let rel = figure4();
+    let dir = std::env::temp_dir().join(format!("dbmine_redundant_{}", std::process::id()));
+    let (materialized, d) = with_deltas(|| {
+        std::fs::create_dir_all(&dir).unwrap();
+        let csv = dir.join("fig4.csv");
+        write_relation_path(&rel, &csv).unwrap();
+        let mem = AnalysisCtx::from(read_relation_path(&csv).unwrap());
+        let mut materialized = 0;
+        for chunk in [1, 2, 1000] {
+            let store = dir.join(format!("fig4_{chunk}.dbss"));
+            let sharded = ShardedRelation::scan_csv_path_spill(&csv, chunk, &store).unwrap();
+            let ctx = AnalysisCtx::from_chunks(sharded).unwrap();
+            for bits in 0u64..1 << rel.n_attrs() {
+                for rhs in 0..rel.n_attrs() {
+                    let lhs = AttrSet::from_bits(bits);
+                    assert_eq!(
+                        redundant_cells_ctx(&ctx, lhs, rhs),
+                        redundant_cells_ctx(&mem, lhs, rhs),
+                        "{lhs:?} → {rhs}, chunk = {chunk}"
+                    );
+                }
+            }
+            materialized += ctx.view_stats().materializations;
+        }
+        materialized
+    });
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(materialized, 0);
+    assert_eq!(d.get(Counter::CtxMaterializations), 0);
 }
 
 #[test]
@@ -209,10 +245,14 @@ fn double_clustering_builds_the_value_index_exactly_once() {
     assert_eq!(ctx.view_stats().builds, 2, "{:?}", ctx.view_stats());
     assert_eq!(d.get(Counter::ViewBuilds), expect(2));
 
-    // A second full pass over the same context builds nothing new.
+    // A second full pass over the same context builds nothing new. It
+    // holds the lock too: its counter events must not land in another
+    // test's window.
     let before = ctx.view_stats();
-    let (assignment, _) = tuple_summary_assignment_ctx(&ctx, LimboParams::with_phi(0.5));
-    let _ = cluster_values_ctx(&ctx, LimboParams::with_phi(0.5), Some(&assignment));
+    with_deltas(|| {
+        let (assignment, _) = tuple_summary_assignment_ctx(&ctx, LimboParams::with_phi(0.5));
+        cluster_values_ctx(&ctx, LimboParams::with_phi(0.5), Some(&assignment))
+    });
     let after = ctx.view_stats();
     assert_eq!(after.builds, before.builds);
     assert!(after.hits > before.hits);
@@ -253,8 +293,9 @@ fn analyze_builds_each_shared_view_exactly_once() {
     }
 
     // Re-analyzing over the same context materializes nothing and
-    // reproduces the report bit-for-bit.
-    let again = miner.analyze_ctx(&ctx);
+    // reproduces the report bit-for-bit (under the lock, like every
+    // run that moves counters).
+    let (again, _) = with_deltas(|| miner.analyze_ctx(&ctx));
     assert_eq!(ctx.view_stats().builds, expected);
     let text = |r: &dbmine::StructureReport| r.render_with(rel.attr_names(), rel.dict());
     assert_eq!(text(&report), text(&again));
@@ -275,8 +316,12 @@ fn sharded_phase1_counts_ingests_and_merges_exactly() {
 
     // An explicit 3-chunk plan (5 objects, chunks of 2) ingests three
     // shards, and the merge stage re-inserts all three shard trees.
-    let objects = dbmine::limbo::tuple_dcfs_ctx(&ctx, 1);
-    let mi = ctx.tuple_mutual_information();
+    let ((objects, mi), _) = with_deltas(|| {
+        (
+            dbmine::limbo::tuple_dcfs_ctx(&ctx, 1),
+            ctx.tuple_mutual_information(),
+        )
+    });
     let plan = dbmine::limbo::ShardPlan::with_chunk_size(objects.len(), 2);
     let (_, d) = with_deltas(|| {
         dbmine::limbo::phase1_sharded(&objects, mi, LimboParams::with_phi(0.0), &plan, 1)
