@@ -9,8 +9,11 @@
 //! high containment of a column in another is the classic
 //! foreign-key-candidate signal.
 
-use dbmine_relation::{AttrId, Relation, NULL_VALUE};
+use dbmine_relation::{AttrId, ValueDict, ValueIndex, NULL_VALUE};
 use std::collections::HashSet;
+
+/// One side of a join search: a relation's value view and dictionary.
+pub type JoinSide<'a> = (&'a ValueIndex, &'a ValueDict);
 
 /// A candidate join edge between a column of `left` and a column of
 /// `right`.
@@ -32,35 +35,36 @@ pub struct JoinCandidate {
     pub shared: usize,
 }
 
-/// Distinct non-NULL value ids of a column. Relies on both relations
-/// sharing a dictionary *or* being compared via strings — see
-/// [`join_candidates`], which compares strings to stay correct across
-/// independently built relations.
-fn distinct_strings(rel: &Relation, a: AttrId) -> HashSet<&str> {
-    let mut out = HashSet::new();
-    for t in 0..rel.n_tuples() {
-        if rel.value(t, a) != NULL_VALUE {
-            out.insert(rel.value_str(t, a));
+/// Each column's distinct non-NULL strings (columns after the last
+/// non-empty one are absent): a value's `O` row names its attributes.
+fn column_values<'a>((index, dict): JoinSide<'a>) -> Vec<HashSet<&'a str>> {
+    let mut cols: Vec<HashSet<&str>> = Vec::new();
+    for (i, &v) in index.values().iter().enumerate() {
+        if v == NULL_VALUE {
+            continue;
+        }
+        for (a, _) in index.o_row(i).iter() {
+            let a = a as usize;
+            if cols.len() <= a {
+                cols.resize_with(a + 1, HashSet::new);
+            }
+            cols[a].insert(dict.string(v));
         }
     }
-    out
+    cols
 }
 
 /// Computes all column-pair overlaps between two relations with
 /// `jaccard ≥ min_jaccard` or containment ≥ `min_containment`, sorted by
 /// descending containment then Jaccard.
 pub fn join_candidates(
-    left: &Relation,
-    right: &Relation,
+    left: JoinSide<'_>,
+    right: JoinSide<'_>,
     min_jaccard: f64,
     min_containment: f64,
 ) -> Vec<JoinCandidate> {
-    let left_cols: Vec<HashSet<&str>> = (0..left.n_attrs())
-        .map(|a| distinct_strings(left, a))
-        .collect();
-    let right_cols: Vec<HashSet<&str>> = (0..right.n_attrs())
-        .map(|a| distinct_strings(right, a))
-        .collect();
+    let left_cols = column_values(left);
+    let right_cols = column_values(right);
     let mut out = Vec::new();
     for (la, lset) in left_cols.iter().enumerate() {
         for (ra, rset) in right_cols.iter().enumerate() {
@@ -105,7 +109,7 @@ pub fn join_candidates(
 /// Within-relation variant: column pairs of one relation sharing values
 /// (the cross-attribute duplication that attribute grouping feeds on,
 /// seen through Bellman's counting lens).
-pub fn self_join_candidates(rel: &Relation, min_jaccard: f64) -> Vec<JoinCandidate> {
+pub fn self_join_candidates(rel: JoinSide<'_>, min_jaccard: f64) -> Vec<JoinCandidate> {
     let mut out = join_candidates(rel, rel, min_jaccard, 1.1);
     out.retain(|c| c.left_attr < c.right_attr);
     out
@@ -115,13 +119,29 @@ pub fn self_join_candidates(rel: &Relation, min_jaccard: f64) -> Vec<JoinCandida
 mod tests {
     use super::*;
     use dbmine_datagen::{db2_sample, Db2Spec};
-    use dbmine_relation::RelationBuilder;
+    use dbmine_relation::{Relation, RelationBuilder};
+
+    /// `join_candidates` over two relations' own value views.
+    fn joins(
+        l: &Relation,
+        r: &Relation,
+        min_jaccard: f64,
+        min_containment: f64,
+    ) -> Vec<JoinCandidate> {
+        let (li, ri) = (ValueIndex::build(l), ValueIndex::build(r));
+        join_candidates(
+            (&li, l.dict()),
+            (&ri, r.dict()),
+            min_jaccard,
+            min_containment,
+        )
+    }
 
     #[test]
     fn discovers_db2_foreign_keys() {
         let s = db2_sample(&Db2Spec::default());
         // EMPLOYEE.WorkDepNo → DEPARTMENT.DepNo (perfect containment).
-        let c = join_candidates(&s.employee, &s.department, 0.5, 0.99);
+        let c = joins(&s.employee, &s.department, 0.5, 0.99);
         let wd = s.employee.attr_id("WorkDepNo").unwrap();
         let dn = s.department.attr_id("DepNo").unwrap();
         assert!(
@@ -130,11 +150,11 @@ mod tests {
             "{c:?}"
         );
         // PROJECT.DeptNo → DEPARTMENT.DepNo too.
-        let c2 = join_candidates(&s.project, &s.department, 0.5, 0.99);
+        let c2 = joins(&s.project, &s.department, 0.5, 0.99);
         let pd = s.project.attr_id("DeptNo").unwrap();
         assert!(c2.iter().any(|j| j.left_attr == pd && j.right_attr == dn));
         // DEPARTMENT.MgrNo ⊆ EMPLOYEE.EmpNo.
-        let c3 = join_candidates(&s.department, &s.employee, 0.0, 0.99);
+        let c3 = joins(&s.department, &s.employee, 0.0, 0.99);
         let mgr = s.department.attr_id("MgrNo").unwrap();
         let emp = s.employee.attr_id("EmpNo").unwrap();
         assert!(c3
@@ -152,7 +172,7 @@ mod tests {
         for v in ["3", "4", "5"] {
             b.push_row_strs(&[v]);
         }
-        let c = join_candidates(&a.build(), &b.build(), 0.0, 0.0);
+        let c = joins(&a.build(), &b.build(), 0.0, 0.0);
         assert_eq!(c.len(), 1);
         assert_eq!(c[0].shared, 2);
         assert!((c[0].jaccard - 2.0 / 5.0).abs() < 1e-12);
@@ -168,14 +188,15 @@ mod tests {
         let mut b = RelationBuilder::new("b", &["Y"]);
         b.push_row(&[None]);
         b.push_row(&[Some("w")]);
-        let c = join_candidates(&a.build(), &b.build(), 0.0, 0.0);
+        let c = joins(&a.build(), &b.build(), 0.0, 0.0);
         assert!(c.is_empty(), "NULL must not create join edges: {c:?}");
     }
 
     #[test]
     fn self_join_finds_cross_attribute_sharing() {
         let s = db2_sample(&Db2Spec::default());
-        let c = self_join_candidates(&s.relation, 0.2);
+        let index = ValueIndex::build(&s.relation);
+        let c = self_join_candidates((&index, s.relation.dict()), 0.2);
         let emp = s.relation.attr_id("EmpNo").unwrap();
         let mgr = s.relation.attr_id("MgrNo").unwrap();
         assert!(
@@ -189,10 +210,10 @@ mod tests {
     #[test]
     fn thresholds_filter() {
         let s = db2_sample(&Db2Spec::default());
-        let all = join_candidates(&s.employee, &s.department, 0.0, 0.0);
+        let all = joins(&s.employee, &s.department, 0.0, 0.0);
         // Disable the containment gate entirely: only near-identical
         // domains (WorkDepNo ↔ DepNo) survive a 0.9 Jaccard bar.
-        let strict = join_candidates(&s.employee, &s.department, 0.9, 2.0);
+        let strict = joins(&s.employee, &s.department, 0.9, 2.0);
         assert!(
             strict.len() < all.len(),
             "{} vs {}",

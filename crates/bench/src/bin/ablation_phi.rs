@@ -25,8 +25,8 @@ fn main() {
             .unwrap_or(10_000),
         ..Default::default()
     };
-    let ctx = AnalysisCtx::from(dblp_sample(&spec));
-    let rel = ctx.relation();
+    let rel = dblp_sample(&spec);
+    let ctx = AnalysisCtx::of(&rel);
     let objects = tuple_dcfs_ctx(&ctx, 1);
     let mi = ctx.tuple_mutual_information();
     println!("DBLP {} tuples; I(T;V) = {} bits", rel.n_tuples(), f3(mi));

@@ -13,8 +13,8 @@ fn main() {
     let sample = db2_sample(&Db2Spec::default());
     // One context for the whole sweep: the ValueIndex and I(V;T) are
     // built once and shared by all three φV runs.
-    let ctx = AnalysisCtx::from(sample.relation);
-    let rel = ctx.relation();
+    let rel = sample.relation;
+    let ctx = AnalysisCtx::of(&rel);
     println!(
         "DB2 sample: {} tuples, {} attributes, {} distinct values",
         rel.n_tuples(),

@@ -20,8 +20,8 @@ fn main() {
     };
     // One context drives both stages of Double Clustering, so the
     // ValueIndex (and the tuple views) are built once for the run.
-    let ctx = AnalysisCtx::from(timed("generate DBLP", || dblp_sample(&spec)));
-    let rel = ctx.relation();
+    let rel = timed("generate DBLP", || dblp_sample(&spec));
+    let ctx = AnalysisCtx::of(&rel);
     println!(
         "DBLP: {} tuples, {} attributes, {} distinct values",
         rel.n_tuples(),

@@ -23,8 +23,8 @@ fn main() {
     for (slot, &(i, label)) in order.iter().enumerate() {
         // One context per partition relation: both Double Clustering
         // stages share its views.
-        let ctx = AnalysisCtx::from(p.result.partition_relation(&p.projected, i));
-        let rel = ctx.relation();
+        let rel = p.result.partition_relation(&p.projected, i);
+        let ctx = AnalysisCtx::of(&rel);
         println!(
             "\n==== Figure {}: cluster c{} ({} tuples, dominant type: {label}) ====",
             16 + slot,

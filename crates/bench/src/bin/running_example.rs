@@ -12,17 +12,16 @@ use dbmine_bench::{f3, print_table};
 
 fn print_matrices(ctx: &AnalysisCtx, title: &str) {
     // The same cached index later feeds the Figure 7 value clustering.
-    let rel = ctx.relation();
     let idx = ctx.value_index();
-    let header: Vec<String> = (0..rel.n_tuples()).map(|t| format!("t{}", t + 1)).collect();
+    let header: Vec<String> = (0..ctx.n_tuples()).map(|t| format!("t{}", t + 1)).collect();
     let mut hdr: Vec<&str> = vec!["value"];
     hdr.extend(header.iter().map(String::as_str));
     hdr.push("p(v)");
     let rows: Vec<Vec<String>> = (0..idx.len())
         .map(|i| {
-            let mut row = vec![rel.dict().string(idx.value_id(i)).to_string()];
+            let mut row = vec![ctx.dict().string(idx.value_id(i)).to_string()];
             let n_row = idx.n_row(i);
-            for t in 0..rel.n_tuples() {
+            for t in 0..ctx.n_tuples() {
                 row.push(f3(n_row.get(t as u32)));
             }
             row.push(f3(idx.prior()));
@@ -32,12 +31,12 @@ fn print_matrices(ctx: &AnalysisCtx, title: &str) {
     print_table(&format!("{title}: matrix N"), &hdr, &rows);
 
     let mut hdr: Vec<&str> = vec!["value"];
-    let names: Vec<String> = rel.attr_names().to_vec();
+    let names: Vec<String> = ctx.attr_names().to_vec();
     hdr.extend(names.iter().map(String::as_str));
     let rows: Vec<Vec<String>> = (0..idx.len())
         .map(|i| {
-            let mut row = vec![rel.dict().string(idx.value_id(i)).to_string()];
-            for a in 0..rel.n_attrs() {
+            let mut row = vec![ctx.dict().string(idx.value_id(i)).to_string()];
+            for a in 0..ctx.n_attrs() {
                 row.push(format!("{}", idx.o_row(i).get(a as u32) as i64));
             }
             row
@@ -47,8 +46,8 @@ fn print_matrices(ctx: &AnalysisCtx, title: &str) {
 }
 
 fn main() {
-    let ctx = AnalysisCtx::from(figure4());
-    let rel = ctx.relation();
+    let rel = figure4();
+    let ctx = AnalysisCtx::of(&rel);
     println!(
         "Relation of Figure 4 ({} tuples, {} attributes, {} values)",
         rel.n_tuples(),
@@ -146,8 +145,8 @@ fn main() {
             .cloned()
     };
     if let (Some(c), Some(a)) = (by("C"), by("A")) {
-        let dc = decompose(rel, &c);
-        let da = decompose(rel, &a);
+        let dc = decompose(&rel, &c);
+        let da = decompose(&rel, &a);
         print_table(
             "Decomposition comparison",
             &["by", "S1 tuples", "S2 tuples", "cells saved"],

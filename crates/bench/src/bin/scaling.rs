@@ -40,8 +40,8 @@ fn main() {
         };
         // One context per size: the tuple matrix backing both the DCFs
         // and I(T;V) is built once instead of twice.
-        let ctx = AnalysisCtx::from(synthetic(&spec));
-        let rel = ctx.relation();
+        let rel = synthetic(&spec);
+        let ctx = AnalysisCtx::of(&rel);
         let objects = tuple_dcfs_ctx(&ctx, 1);
         let mi = ctx.tuple_mutual_information();
 
@@ -70,7 +70,7 @@ fn main() {
         // FDEP is quadratic — only run it while affordable.
         let fdep_t = if n <= 5_000 {
             let tf = Instant::now();
-            let _ = mine_fdep_ctx(&AnalysisCtx::of(rel));
+            let _ = mine_fdep_ctx(&AnalysisCtx::of(&rel));
             ms(tf)
         } else {
             "-".to_string()

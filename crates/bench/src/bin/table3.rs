@@ -23,11 +23,11 @@ fn main() {
     let sample = db2_sample(&Db2Spec::default());
     // One context: the value clustering and the per-FD RAD/RTR all share
     // its cached views and projection stats.
-    let ctx = AnalysisCtx::from(sample.relation);
-    let rel = ctx.relation();
+    let rel = sample.relation;
+    let ctx = AnalysisCtx::of(&rel);
     let names = rel.attr_names().to_vec();
 
-    let fds = timed("FDEP", || mine_fdep_ctx(&AnalysisCtx::of(rel)));
+    let fds = timed("FDEP", || mine_fdep_ctx(&AnalysisCtx::of(&rel)));
     let cover = timed("minimum cover", || minimum_cover(&fds));
     println!(
         "FDEP discovered {} minimal FDs; minimum cover has {} (paper: 106 / 14)",
@@ -60,7 +60,7 @@ fn main() {
 
     // What does decomposing by the winner actually buy?
     if let Some(top) = ranked.first() {
-        let d = decompose(rel, top);
+        let d = decompose(&rel, top);
         println!(
             "\nDecomposing by {} : S1 = {} tuples x {} attrs, S2 = {} x {}, storage saved {}",
             top.display(&names),

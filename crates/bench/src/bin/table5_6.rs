@@ -29,8 +29,8 @@ fn main() {
     for (slot, &(i, label)) in order.iter().enumerate() {
         // One context per partition: TANE's seed partitions, the Double
         // Clustering views, and the RAD/RTR projections are all shared.
-        let ctx = AnalysisCtx::from(p.result.partition_relation(&p.projected, i));
-        let rel = ctx.relation();
+        let rel = p.result.partition_relation(&p.projected, i);
+        let ctx = AnalysisCtx::of(&rel);
         let names = rel.attr_names().to_vec();
         println!(
             "\n==== Table {}: cluster c{} ({} tuples, {label}) ====",

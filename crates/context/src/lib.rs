@@ -33,18 +33,17 @@
 //! passes for the partition sweep, which counts then places) — except
 //! `I(V;T)` and the projection statistics, read off built views: the
 //! latter off [`AnalysisCtx::partition`], the product of memoized `π_A`.
-//! The pass yields the resident relation as a single borrowed chunk
-//! ([`Relation::as_chunk`]) when one exists — always for a memory
-//! source, and for a chunk-backed context once it has materialized —
-//! and otherwise decodes the store in bounded-memory chunks. The folds
-//! read global interned ids in global tuple order, so a view is
-//! **bit-identical** whatever the source and wherever chunk boundaries
-//! fall. Only [`AnalysisCtx::relation`] materializes the full `Relation`
-//! of a chunk-backed context, lazily, for genuinely row-resident
-//! consumers (tuple previews, redesign projections, join candidates);
-//! each materialization is recorded in the [`ViewStats::materializations`]
-//! ledger and `Counter::CtxMaterializations`, so tests can pin "`fds`,
-//! `analyze` and `mvds` from a store materialize nothing".
+//! The pass yields a memory source's relation as a single borrowed
+//! chunk ([`Relation::as_chunk`]) and decodes a store in bounded-memory
+//! chunks. The folds read global interned ids in global tuple order, so
+//! a view is **bit-identical** whatever the source and wherever chunk
+//! boundaries fall.
+//!
+//! [`AnalysisCtx::chunks`] and the views built from it are the only way
+//! to read a context. A consumer that needs whole rows (previews, a
+//! redesign step) gets the tuple ids it names from one chunk fold,
+//! [`AnalysisCtx::select_rows`], so a store-backed context never holds
+//! the O(n·m) cell matrix ([`ViewStats::materializations`] reads 0).
 //!
 //! # Sharing contract
 //!
@@ -78,8 +77,8 @@
 //! compute under their locks, the memo's before the sweep's); hit
 //! counts are exact in the single-threaded case and best-effort during
 //! a concurrent first build. Every fold runs under a `ctx.build_*` span
-//! on both sources (store passes add `spill.read` children), and lazy
-//! materialization under `ctx.materialize`.
+//! on both sources, and a row selection under `ctx.select_rows` (store
+//! passes add `spill.read` children to both).
 //!
 //! # Opting new views in
 //!
@@ -98,8 +97,9 @@
 use dbmine_relation::csv::{read_relation_path, CsvError};
 use dbmine_relation::stats::ColumnProfile;
 use dbmine_relation::{
-    attr_partitions_chunks, column_profiles_chunks, tuple_mutual_information_chunks, AttrSet,
-    Relation, RelationChunk, ShardedRelation, StrippedPartition, ValueDict, ValueIndex,
+    attr_partitions_chunks, column_profiles_chunks, select_rows_chunks,
+    tuple_mutual_information_chunks, AttrSet, Relation, RelationChunk, ShardedRelation,
+    StrippedPartition, ValueDict, ValueIndex,
 };
 use fxhash::FxHashMap;
 use std::path::Path;
@@ -119,10 +119,8 @@ pub struct ViewStats {
     pub builds: u64,
     /// Accesses served from an already-built view.
     pub hits: u64,
-    /// Full in-memory `Relation` materializations performed for
-    /// row-resident consumers. Always zero for a memory-backed context;
-    /// at most one for a chunk-backed context (the materialized
-    /// relation is cached).
+    /// Full in-memory `Relation` materializations: always zero, kept for
+    /// the reports that print it.
     pub materializations: u64,
 }
 
@@ -146,9 +144,6 @@ fn chunk_fail(e: CsvError) -> ! {
 /// module docs for the sharing contract.
 pub struct AnalysisCtx {
     source: CtxSource,
-    /// Lazily-materialized full relation of a chunk-backed source
-    /// ([`AnalysisCtx::relation`]); unused for memory-backed contexts.
-    materialized: OnceLock<Arc<Relation>>,
     value_index: OnceLock<ValueIndex>,
     tuple_mi: OnceLock<f64>,
     value_mi: OnceLock<f64>,
@@ -160,7 +155,6 @@ pub struct AnalysisCtx {
     projections: Mutex<FxHashMap<u64, ProjectionStats>>,
     builds: AtomicU64,
     hits: AtomicU64,
-    materializations: AtomicU64,
 }
 
 impl std::fmt::Debug for AnalysisCtx {
@@ -183,7 +177,6 @@ impl AnalysisCtx {
         attr_parts.resize_with(m, OnceLock::new);
         AnalysisCtx {
             source,
-            materialized: OnceLock::new(),
             value_index: OnceLock::new(),
             tuple_mi: OnceLock::new(),
             value_mi: OnceLock::new(),
@@ -193,7 +186,6 @@ impl AnalysisCtx {
             projections: Mutex::new(FxHashMap::default()),
             builds: AtomicU64::new(0),
             hits: AtomicU64::new(0),
-            materializations: AtomicU64::new(0),
         }
     }
 
@@ -214,12 +206,10 @@ impl AnalysisCtx {
         AnalysisCtx::new(Arc::new(rel.clone()))
     }
 
-    /// A chunk-backed context over a binary shard store: every view
-    /// streams from the store in bounded memory, and the full `Relation`
-    /// is materialized only if a row-resident consumer calls
-    /// [`AnalysisCtx::relation`]. It cannot fail; the `Result` lets
-    /// callers chain it after [`ShardedRelation::open_store`] with
-    /// `and_then`.
+    /// A chunk-backed context over a binary shard store: every view and
+    /// every row selection streams from the store in bounded memory. It
+    /// cannot fail; the `Result` lets callers chain it after
+    /// [`ShardedRelation::open_store`] with `and_then`.
     pub fn from_chunks(sharded: ShardedRelation) -> Result<Self, CsvError> {
         Ok(Self::with_source(CtxSource::Chunks(sharded)))
     }
@@ -255,47 +245,32 @@ impl AnalysisCtx {
         matches!(self.source, CtxSource::Chunks(_))
     }
 
-    /// One pass over the relation, in global tuple order: the resident
-    /// relation as a single borrowed chunk when one exists (the memory
-    /// backing, or a chunk-backed context's cached materialization),
-    /// else a store decode in bounded-memory chunks. Every view fold
-    /// runs over it, and so may a consumer's own per-call fold. A store
-    /// fault panics (see the module docs).
+    /// One pass over the relation, in global tuple order: a memory
+    /// source's relation as a single borrowed chunk, a store decoded in
+    /// bounded-memory chunks. Every view fold runs over it, and so may a
+    /// consumer's own per-call fold. A store fault panics (see the
+    /// module docs).
     pub fn chunks(&self) -> impl Iterator<Item = RelationChunk<'_>> + '_ {
-        let pass: Box<dyn Iterator<Item = RelationChunk<'_>>> =
-            match (&self.source, self.materialized.get()) {
-                (CtxSource::Mem(rel), _) | (CtxSource::Chunks(_), Some(rel)) => {
-                    Box::new(std::iter::once(rel.as_chunk()))
-                }
-                (CtxSource::Chunks(s), None) => {
-                    let chunks = s.chunks().unwrap_or_else(|e| chunk_fail(e));
-                    Box::new(chunks.map(|c| c.unwrap_or_else(|e| chunk_fail(e))))
-                }
-            };
+        let pass: Box<dyn Iterator<Item = RelationChunk<'_>>> = match &self.source {
+            CtxSource::Mem(rel) => Box::new(std::iter::once(rel.as_chunk())),
+            CtxSource::Chunks(s) => {
+                let chunks = s.chunks().unwrap_or_else(|e| chunk_fail(e));
+                Box::new(chunks.map(|c| c.unwrap_or_else(|e| chunk_fail(e))))
+            }
+        };
         pass
     }
 
-    /// The underlying relation. On a chunk-backed context this
-    /// **materializes** the full columnar relation (once, lazily) and
-    /// records it in the [`ViewStats::materializations`] ledger —
-    /// chunk-foldable consumers should use the schema accessors and
-    /// view methods instead.
-    pub fn relation(&self) -> &Relation {
-        match &self.source {
-            CtxSource::Mem(rel) => rel,
-            CtxSource::Chunks(sharded) => self.materialized.get_or_init(|| {
-                let _s = dbmine_telemetry::span("ctx.materialize");
-                self.materializations.fetch_add(1, Ordering::Relaxed);
-                dbmine_telemetry::counter_add(dbmine_telemetry::Counter::CtxMaterializations, 1);
-                match sharded.materialize() {
-                    Ok(rel) => Arc::new(rel),
-                    Err(e) => chunk_fail(e),
-                }
-            }),
-        }
+    /// The tuples `rows` (ascending ids) on `attrs` as a fresh relation
+    /// `name`: [`select_rows_chunks`] over one [`Self::chunks`] pass,
+    /// under a `ctx.select_rows` span. Nothing is cached.
+    pub fn select_rows(&self, rows: &[u32], attrs: AttrSet, name: &str) -> Relation {
+        let _sp = dbmine_telemetry::span("ctx.select_rows");
+        let (names, dict) = (self.attr_names(), self.dict());
+        select_rows_chunks(name, names, dict, rows, attrs, self.chunks())
     }
 
-    /// Number of tuples `n` (schema metadata; never materializes).
+    /// Number of tuples `n` (schema metadata).
     pub fn n_tuples(&self) -> usize {
         match &self.source {
             CtxSource::Mem(rel) => rel.n_tuples(),
@@ -303,12 +278,12 @@ impl AnalysisCtx {
         }
     }
 
-    /// Number of attributes `m` (never materializes).
+    /// Number of attributes `m`.
     pub fn n_attrs(&self) -> usize {
         self.attr_parts.len()
     }
 
-    /// The relation's name (never materializes).
+    /// The relation's name.
     pub fn name(&self) -> &str {
         match &self.source {
             CtxSource::Mem(rel) => rel.name(),
@@ -316,7 +291,7 @@ impl AnalysisCtx {
         }
     }
 
-    /// Attribute names, in schema order (never materializes).
+    /// Attribute names, in schema order.
     pub fn attr_names(&self) -> &[String] {
         match &self.source {
             CtxSource::Mem(rel) => rel.attr_names(),
@@ -324,12 +299,12 @@ impl AnalysisCtx {
         }
     }
 
-    /// The full attribute set `{0, …, m-1}` (never materializes).
+    /// The full attribute set `{0, …, m-1}`.
     pub fn all_attrs(&self) -> AttrSet {
         AttrSet::full(self.n_attrs())
     }
 
-    /// The global value dictionary (never materializes).
+    /// The global value dictionary.
     pub fn dict(&self) -> &ValueDict {
         match &self.source {
             CtxSource::Mem(rel) => rel.dict(),
@@ -337,12 +312,12 @@ impl AnalysisCtx {
         }
     }
 
-    /// Per-context build/hit/materialization counts (see [`ViewStats`]).
+    /// Per-context build/hit counts (see [`ViewStats`]).
     pub fn view_stats(&self) -> ViewStats {
         ViewStats {
             builds: self.builds.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
-            materializations: self.materializations.load(Ordering::Relaxed),
+            materializations: 0,
         }
     }
 
@@ -484,14 +459,13 @@ impl AnalysisCtx {
         s
     }
 
-    /// A context over `π_attrs(rel)` (distinct rows) whose
-    /// single-attribute partitions are **derived** from this context's
-    /// instead of rebuilt: a projection's π_A is exactly the parent's
-    /// π_A restricted to the first-occurrence rows and renumbered
-    /// (`StrippedPartition::restrict_remap`). This is the redesign
-    /// loop's cross-relation cache: each decomposition step inherits its
-    /// partitions from the step before. (Row-resident: a chunk-backed
-    /// parent materializes first.)
+    /// A context over `π_attrs` (distinct rows: the
+    /// [`StrippedPartition::first_rows`] of [`Self::partition`], read by
+    /// [`Self::select_rows`]) whose single-attribute partitions are
+    /// **derived** from this context's instead of rebuilt: a projection's
+    /// π_A is exactly the parent's π_A restricted to those rows and
+    /// renumbered (`StrippedPartition::restrict_remap`). This is the
+    /// redesign loop's cross-relation cache.
     ///
     /// Accounting: accessing each parent π_A counts on *this* context
     /// (hit if cached, build if not); the child's seeded partitions
@@ -501,16 +475,14 @@ impl AnalysisCtx {
     /// rebuild path is pinned by `derived_partitions_match_fresh_build`
     /// and a property test.
     pub fn derive_projected(&self, attrs: AttrSet, name: &str) -> AnalysisCtx {
-        let rel = self.relation();
-        let (child_rel, rows) = rel.project_distinct_with_rows(attrs, name);
-        let mut map = vec![u32::MAX; rel.n_tuples()];
+        let rows = self.partition(attrs).first_rows();
+        let child = AnalysisCtx::from(self.select_rows(&rows, attrs, name));
+        let mut map = vec![u32::MAX; self.n_tuples()];
         for (ci, &pt) in rows.iter().enumerate() {
             map[pt as usize] = ci as u32;
         }
-        let child_n = child_rel.n_tuples();
-        let child = AnalysisCtx::from(child_rel);
         for (ci, a) in attrs.iter().enumerate() {
-            let derived = self.attr_partition(a).restrict_remap(&map, child_n);
+            let derived = self.attr_partition(a).restrict_remap(&map, rows.len());
             child.attr_parts[ci]
                 .set(derived)
                 .expect("fresh context has empty partition cells");
@@ -645,7 +617,7 @@ mod tests {
         let attrs: AttrSet = [0usize, 2].into_iter().collect();
         let child = ctx.derive_projected(attrs, "fig4_S2");
         let fresh = rel.project_distinct(attrs, "fig4_S2");
-        assert_eq!(child.relation().content_hash(), fresh.content_hash());
+        assert_eq!(child.content_hash(), fresh.content_hash());
         for (ci, a) in attrs.iter().enumerate() {
             assert_eq!(
                 child.attr_partition(ci),
@@ -784,7 +756,8 @@ mod tests {
         assert!(!mem.is_chunk_backed() && chunked.is_chunk_backed());
         assert_eq!(chunked.name(), mem.name());
         assert_eq!(chunked.content_hash(), mem.content_hash());
-        assert_eq!(mem.content_hash(), mem.relation().content_hash());
+        let rel = read_relation_path(&csv).unwrap();
+        assert_eq!(mem.content_hash(), rel.content_hash());
         // Opening decoded nothing.
         assert_eq!(chunked.view_stats(), ViewStats::default());
         assert!(AnalysisCtx::open(dir.join("missing.dbss")).is_err());
@@ -794,17 +767,29 @@ mod tests {
     }
 
     #[test]
-    fn materialization_ledger_counts_lazy_relation_once() {
-        let (ctx, rel) = chunked_pair(CHUNK_SAMPLE, 2, "ledger");
-        assert!(ctx.is_chunk_backed());
+    fn row_selection_streams_and_ledger_stays_zero() {
+        let (ctx, rel) = chunked_pair(CHUNK_SAMPLE, 2, "select");
+        let mem = AnalysisCtx::of(&rel);
+        let attrs: AttrSet = [0usize, 2].into_iter().collect();
+        for rows in [&[][..], &[0], &[1, 4, 5], &[0, 1, 2, 3, 4, 5]] {
+            let from_store = ctx.select_rows(rows, attrs, "sel");
+            let from_mem = mem.select_rows(rows, attrs, "sel");
+            assert_eq!(from_store.content_hash(), from_mem.content_hash());
+            assert_eq!(from_store.n_tuples(), rows.len());
+            for (r, &t) in rows.iter().enumerate() {
+                assert_eq!(from_store.value_str(r, 1), rel.value_str(t as usize, 2));
+            }
+        }
+        // A redesign step from the store is the memory step.
+        let child = ctx.derive_projected(attrs, "ac");
+        assert_eq!(
+            child.content_hash(),
+            rel.project_distinct(attrs, "ac").content_hash()
+        );
+        // Nothing switched the source: every pass still decodes the
+        // store, and nothing was materialized.
+        assert_eq!(ctx.chunks().count(), 3);
         assert_eq!(ctx.view_stats().materializations, 0);
-        assert_eq!(ctx.relation().content_hash(), rel.content_hash());
-        assert_eq!(ctx.view_stats().materializations, 1);
-        // Cached: later accesses don't re-stream.
-        let _ = ctx.relation();
-        assert_eq!(ctx.view_stats().materializations, 1);
-        // The materialized relation now serves the pass as one chunk.
-        assert_eq!(ctx.chunks().count(), 1);
         assert_eq!(ctx.tuple_mutual_information(), tuple_mi(&rel));
     }
 }

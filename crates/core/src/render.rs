@@ -18,15 +18,31 @@ use dbmine_context::AnalysisCtx;
 use dbmine_fdmine::{mine_approximate_ctx, minimum_cover, TaneOptions};
 use dbmine_fdrank::ScoreKind;
 use dbmine_limbo::LimboParams;
-use dbmine_relation::Relation;
+use dbmine_relation::AttrSet;
 use dbmine_reliability::{mine_reliable_ctx, ReliableOptions, DEFAULT_THETA};
 use dbmine_summaries::{find_duplicate_tuples_ctx, horizontal_partition_ctx};
+use std::collections::HashMap;
 use std::fmt::Write;
 
 /// `analyze`: the full structure-mining pipeline, rendered.
 pub fn run_analyze(ctx: &AnalysisCtx, config: &MinerConfig) -> String {
     let report = StructureMiner::new(*config).analyze_ctx(ctx);
     report.render_with(ctx.attr_names(), ctx.dict())
+}
+
+/// Each of the tuples `ids` as its first `min(6, m)` cells joined by
+/// ` | `, all read in one [`AnalysisCtx::select_rows`].
+fn previews<'a>(ctx: &AnalysisCtx, ids: impl Iterator<Item = &'a usize>) -> HashMap<usize, String> {
+    let mut ids: Vec<u32> = ids.map(|&t| t as u32).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let rows = ctx.select_rows(&ids, AttrSet::full(ctx.n_attrs().min(6)), "preview");
+    let mut out = HashMap::new();
+    for (r, &t) in ids.iter().enumerate() {
+        let cells: Vec<&str> = (0..rows.n_attrs()).map(|a| rows.value_str(r, a)).collect();
+        out.insert(t as usize, cells.join(" | "));
+    }
+    out
 }
 
 /// `duplicates`: LIMBO tuple clustering at accuracy `φ_T = phi`.
@@ -38,7 +54,6 @@ pub fn run_duplicates(
     threads: usize,
     shards: Option<usize>,
 ) -> String {
-    let rel = ctx.relation();
     let report = find_duplicate_tuples_ctx(
         ctx,
         LimboParams::with_phi(phi).threads(threads).shards(shards),
@@ -51,13 +66,14 @@ pub fn run_duplicates(
         report.threshold
     )
     .unwrap();
+    let preview = previews(
+        ctx,
+        report.groups.iter().flat_map(|g| g.tuples.iter().take(8)),
+    );
     for (i, g) in report.groups.iter().enumerate() {
         writeln!(out, "\ngroup {} ({} tuples):", i + 1, g.tuples.len()).unwrap();
         for (&t, &loss) in g.tuples.iter().zip(&g.losses).take(8) {
-            let preview: Vec<&str> = (0..rel.n_attrs().min(6))
-                .map(|a| rel.value_str(t, a))
-                .collect();
-            writeln!(out, "  t{t:<6} loss={loss:.4}  {}", preview.join(" | ")).unwrap();
+            writeln!(out, "  t{t:<6} loss={loss:.4}  {}", preview[&t]).unwrap();
         }
     }
     out
@@ -152,7 +168,6 @@ pub fn run_partition(
     threads: usize,
     shards: Option<usize>,
 ) -> String {
-    let rel = ctx.relation();
     let part = horizontal_partition_ctx(
         ctx,
         LimboParams::with_phi(phi).threads(threads).shards(shards),
@@ -168,6 +183,7 @@ pub fn run_partition(
         100.0 * (1.0 - part.relative_loss)
     )
     .unwrap();
+    let preview = previews(ctx, part.partitions.iter().flat_map(|p| p.iter().take(3)));
     for (i, tuples) in part.partitions.iter().enumerate() {
         writeln!(
             out,
@@ -176,11 +192,8 @@ pub fn run_partition(
             tuples.len()
         )
         .unwrap();
-        for &t in tuples.iter().take(3) {
-            let preview: Vec<&str> = (0..rel.n_attrs().min(6))
-                .map(|a| rel.value_str(t, a))
-                .collect();
-            writeln!(out, "  {}", preview.join(" | ")).unwrap();
+        for t in tuples.iter().take(3) {
+            writeln!(out, "  {}", preview[t]).unwrap();
         }
     }
     out
@@ -205,19 +218,17 @@ pub fn run_redesign(ctx: &AnalysisCtx, steps: usize, config: &MinerConfig) -> St
             writeln!(out, "step {step}: no promoted dependency — stopping").unwrap();
             break;
         };
-        let rel = cur.relation();
-        let names = rel.attr_names().to_vec();
+        let names = cur.attr_names();
         // The same split as `dbmine_fdrank::decompose`, with the
         // remainder built as a derived context instead of a bare
         // relation.
         // Ranking memoized S1's size, the distinct count of π_{X∪Y}.
         let s1_attrs = top.fd.attrs();
         let s1_tuples = cur.projection_distinct(s1_attrs);
-        let s2_attrs = rel.all_attrs().minus(top.fd.rhs.minus(top.fd.lhs));
-        let child = cur.derive_projected(s2_attrs, &format!("{}_S2", rel.name()));
-        let s2 = child.relation();
-        let cells_before = rel.n_tuples() * rel.n_attrs();
-        let cells_after = s1_tuples * s1_attrs.len() + s2.n_tuples() * s2.n_attrs();
+        let s2_attrs = cur.all_attrs().minus(top.fd.rhs.minus(top.fd.lhs));
+        let child = cur.derive_projected(s2_attrs, &format!("{}_S2", cur.name()));
+        let cells_before = cur.n_tuples() * cur.n_attrs();
+        let cells_after = s1_tuples * s1_attrs.len() + child.n_tuples() * child.n_attrs();
         let reduction = if cells_before == 0 {
             0.0
         } else {
@@ -226,16 +237,16 @@ pub fn run_redesign(ctx: &AnalysisCtx, steps: usize, config: &MinerConfig) -> St
         writeln!(
             out,
             "step {step}: split by {} → {}_S1 ({} × {}) + remainder ({} × {}), {:.1}% fewer cells",
-            top.display(&names),
-            rel.name(),
+            top.display(names),
+            cur.name(),
             s1_tuples,
             s1_attrs.len(),
-            s2.n_tuples(),
-            s2.n_attrs(),
+            child.n_tuples(),
+            child.n_attrs(),
             100.0 * reduction
         )
         .unwrap();
-        let done = s2.n_attrs() <= 2;
+        let done = child.n_attrs() <= 2;
         owned = Some(child);
         if done {
             break;
@@ -261,9 +272,14 @@ pub fn run_mvds(ctx: &AnalysisCtx, max_lhs: usize) -> String {
     out
 }
 
-/// `joins`: Bellman-style cross-relation join candidates.
-pub fn run_joins(left: &Relation, right: &Relation) -> String {
-    let cands = dbmine_baselines::join_candidates(left, right, 0.3, 0.9);
+/// `joins`: Bellman-style cross-relation join candidates, compared over
+/// each side's value view.
+pub fn run_joins(left: &AnalysisCtx, right: &AnalysisCtx) -> String {
+    let (l, r) = (
+        (left.value_index(), left.dict()),
+        (right.value_index(), right.dict()),
+    );
+    let cands = dbmine_baselines::join_candidates(l, r, 0.3, 0.9);
     let mut out = String::new();
     writeln!(out, "join candidates ({}→{}):", left.name(), right.name()).unwrap();
     for c in cands.iter().take(20) {
@@ -529,9 +545,7 @@ pub const COMMANDS: &[Spec] = &[
         served: false,
         params: &[],
         defaults: DEFAULTS,
-        run: |_, ctx, with| {
-            with.map_or_else(String::new, |w| run_joins(ctx.relation(), w.relation()))
-        },
+        run: |_, ctx, with| with.map_or_else(String::new, |w| run_joins(ctx, w)),
     },
     Spec {
         name: "partition",
@@ -671,14 +685,14 @@ mod tests {
         let mut expected = String::new();
         let mut current = rel;
         for step in 1..=3 {
-            let c = AnalysisCtx::from(current);
+            let c = AnalysisCtx::of(&current);
             let report = StructureMiner::new(config).analyze_ctx(&c);
             let Some(top) = report.ranked.iter().find(|r| r.fd.promoted) else {
                 writeln!(expected, "step {step}: no promoted dependency — stopping").unwrap();
                 break;
             };
-            let names = c.relation().attr_names().to_vec();
-            let d = dbmine_fdrank::decompose(c.relation(), &top.fd);
+            let names = current.attr_names().to_vec();
+            let d = dbmine_fdrank::decompose(&current, &top.fd);
             writeln!(
                 expected,
                 "step {step}: split by {} → {} ({} × {}) + remainder ({} × {}), {:.1}% fewer cells",
@@ -734,10 +748,11 @@ mod tests {
 
     #[test]
     fn store_backed_fds_is_byte_identical_and_never_materializes() {
-        // The ledger contract: `fds` from a shard store — both g3 and
-        // rfi scoring — and `analyze` print the exact bytes of the CSV
-        // run while the chunk-backed context performs zero
-        // materializations.
+        // The ledger contract: every command from a shard store prints
+        // the exact bytes of the CSV run while the chunk-backed context
+        // performs zero materializations. The store's 16-tuple chunks
+        // make previews, redesign selections and joins cross chunk
+        // boundaries.
         use dbmine_relation::{csv, ShardedRelation};
         let rel = db2_sample(&Db2Spec::default()).relation;
         let dir = std::env::temp_dir().join("dbmine_render_ledger");
@@ -762,6 +777,24 @@ mod tests {
         // from chunks at every n.
         let config = analyze_config(None, None, None, None, 1, None, ScoreKind::G3);
         assert_eq!(run_analyze(&chunked, &config), run_analyze(&mem, &config));
+        // The row-reading commands select their rows from the chunks.
+        let dups = run_duplicates(&mem, 0.9, 1, None);
+        assert!(dups.contains("\ngroup 1 ("), "{dups}");
+        assert_eq!(run_duplicates(&chunked, 0.9, 1, None), dups);
+        assert_eq!(
+            run_partition(&chunked, 0.5, Some(3), 1, None),
+            run_partition(&mem, 0.5, Some(3), 1, None)
+        );
+        for score in [ScoreKind::G3, ScoreKind::Rfi] {
+            let config = analyze_config(Some(0.0), None, None, None, 1, None, score);
+            let redesign = run_redesign(&mem, 2, &config);
+            assert!(redesign.starts_with("step 1: split by"), "{redesign}");
+            assert_eq!(run_redesign(&chunked, 2, &config), redesign);
+        }
+        let joins = run_joins(&mem, &mem);
+        assert!(joins.lines().count() > 1, "{joins}");
+        assert_eq!(run_joins(&chunked, &chunked), joins);
+        assert_eq!(run_joins(&chunked, &mem), joins);
 
         assert_eq!(chunked.view_stats().materializations, 0);
         let _ = std::fs::remove_file(&csv_path);

@@ -16,31 +16,30 @@ use dbmine_relation::{AttrSet, Relation};
 use fxhash::FxHashSet;
 use std::collections::HashSet;
 
-/// The agree set of tuples `t1` and `t2`.
-pub fn agree_set(rel: &Relation, t1: usize, t2: usize) -> AttrSet {
-    (0..rel.n_attrs())
-        .filter(|&a| rel.value(t1, a) == rel.value(t2, a))
-        .collect()
-}
-
 /// All distinct agree sets of the relation (including the empty set if
-/// some pair agrees nowhere). Builds its own per-attribute partitions;
-/// callers holding an `AnalysisCtx` should pass its cached partitions to
-/// [`agree_sets_from`] instead.
+/// some pair agrees nowhere): [`agree_sets_from`] over partitions it
+/// builds. Callers holding an `AnalysisCtx` pass its cached partitions
+/// to [`agree_sets_from`] instead.
 pub fn agree_sets(rel: &Relation) -> HashSet<AttrSet> {
     let parts: Vec<StrippedPartition> = (0..rel.n_attrs())
         .map(|a| StrippedPartition::of_attr(rel, a))
         .collect();
     let refs: Vec<&StrippedPartition> = parts.iter().collect();
-    agree_sets_from(rel, &refs)
+    agree_sets_from(rel.n_tuples(), &refs)
 }
 
-/// As [`agree_sets`], over caller-supplied single-attribute partitions
-/// (`parts[a]` = π_A, in attribute order) — the `AnalysisCtx`-threaded
-/// path that reuses cached partitions instead of rebuilding them.
-pub fn agree_sets_from(rel: &Relation, parts: &[&StrippedPartition]) -> HashSet<AttrSet> {
-    debug_assert_eq!(parts.len(), rel.n_attrs());
-    let n = rel.n_tuples();
+/// All distinct agree sets of `n` tuples, from their single-attribute
+/// partitions (`parts[a]` = π_A, in attribute order). Two tuples agree
+/// on `a` exactly when they share a class of π_A, i.e. when their
+/// [`StrippedPartition::class_ids`] are equal (every singleton has an id
+/// of its own), so no cell is read.
+pub fn agree_sets_from(n: usize, parts: &[&StrippedPartition]) -> HashSet<AttrSet> {
+    let ids: Vec<Vec<u32>> = parts.iter().map(|p| p.class_ids()).collect();
+    let agree = |t1: usize, t2: usize| -> AttrSet {
+        (0..ids.len())
+            .filter(|&a| ids[a][t1] == ids[a][t2])
+            .collect()
+    };
     // Fx-hashed: the pair set holds up to O(n²) small integer keys.
     let mut seen_pairs: FxHashSet<(u32, u32)> = FxHashSet::default();
     let mut out: HashSet<AttrSet> = HashSet::new();
@@ -52,7 +51,7 @@ pub fn agree_sets_from(rel: &Relation, parts: &[&StrippedPartition]) -> HashSet<
             for (i, &t1) in class.iter().enumerate() {
                 for &t2 in &class[i + 1..] {
                     if seen_pairs.insert((t1, t2)) {
-                        out.insert(agree_set(rel, t1 as usize, t2 as usize));
+                        out.insert(agree(t1 as usize, t2 as usize));
                     }
                 }
             }
@@ -90,15 +89,26 @@ mod tests {
         attrs.iter().copied().collect()
     }
 
+    /// The agree set of tuples `t1` and `t2`, by comparing their values.
+    fn agree_set(rel: &Relation, t1: usize, t2: usize) -> AttrSet {
+        (0..rel.n_attrs())
+            .filter(|&a| rel.value(t1, a) == rel.value(t2, a))
+            .collect()
+    }
+
     #[test]
     fn pairwise_agree_sets_figure1() {
         let rel = figure1();
+        // Figure 1 has three pairs, so each is an agree set of its own.
+        let sets = agree_sets(&rel);
         // t0 (Pat,Boston,02139) vs t1 (Pat,Boston,02138): agree {0,1}.
         assert_eq!(agree_set(&rel, 0, 1), set(&[0, 1]));
         // t0 vs t2 (Sal,Boston,02139): agree {1,2}.
         assert_eq!(agree_set(&rel, 0, 2), set(&[1, 2]));
         // t1 vs t2: agree {1}.
         assert_eq!(agree_set(&rel, 1, 2), set(&[1]));
+        let want: HashSet<AttrSet> = [set(&[0, 1]), set(&[1, 2]), set(&[1])].into();
+        assert_eq!(sets, want);
     }
 
     #[test]

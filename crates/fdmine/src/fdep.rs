@@ -16,12 +16,12 @@
 use crate::agree::{agree_sets_from, maximal_sets};
 use crate::fd::Fd;
 use dbmine_context::AnalysisCtx;
-use dbmine_relation::{AttrSet, Relation};
+use dbmine_relation::AttrSet;
 use std::collections::HashSet;
 
 /// Mines all minimal, non-trivial functional dependencies of the
-/// context's relation. The agree-set pass reuses the context's cached
-/// single-attribute partitions instead of rebuilding them.
+/// context's relation. The agree sets come from the context's cached
+/// single-attribute partitions; no cell is read.
 ///
 /// ```
 /// use dbmine_context::AnalysisCtx;
@@ -33,15 +33,14 @@ use std::collections::HashSet;
 /// assert!(fds.contains(&Fd::new(AttrSet::single(2), 1)));
 /// ```
 pub fn mine_fdep_ctx(ctx: &AnalysisCtx) -> Vec<Fd> {
-    let rel = ctx.relation();
     let parts = ctx.attr_partitions_with(1);
-    from_agree_sets(rel, &agree_sets_from(rel, &parts))
+    from_agree_sets(ctx.n_attrs(), &agree_sets_from(ctx.n_tuples(), &parts))
 }
 
-fn from_agree_sets(rel: &Relation, agrees: &HashSet<AttrSet>) -> Vec<Fd> {
-    let all = rel.all_attrs();
+fn from_agree_sets(m: usize, agrees: &HashSet<AttrSet>) -> Vec<Fd> {
+    let all = AttrSet::full(m);
     let mut out = Vec::new();
-    for a in 0..rel.n_attrs() {
+    for a in 0..m {
         // Maximal invalid LHS sets for RHS a.
         let invalid: Vec<AttrSet> = maximal_sets(
             agrees
@@ -147,7 +146,7 @@ mod tests {
         for rel in [figure1(), figure4(), figure5()] {
             let ctx = dbmine_context::AnalysisCtx::of(&rel);
             let mut via_ctx = mine_fdep_ctx(&ctx);
-            let mut via_rel = from_agree_sets(&rel, &crate::agree::agree_sets(&rel));
+            let mut via_rel = from_agree_sets(rel.n_attrs(), &crate::agree::agree_sets(&rel));
             via_ctx.sort();
             via_rel.sort();
             assert_eq!(via_ctx, via_rel, "mismatch on {}", rel.name());

@@ -145,7 +145,6 @@ impl Determinant {
 pub fn mine_mvds(ctx: &AnalysisCtx, max_lhs: usize, exclude_fd_implied: bool) -> Vec<Mvd> {
     let _span = dbmine_telemetry::span("fdmine.mvds");
     let all = ctx.all_attrs();
-    let m = ctx.n_attrs();
     let fds: Vec<Fd> = if exclude_fd_implied {
         crate::tane::mine_tane_ctx(
             ctx,
@@ -159,11 +158,7 @@ pub fn mine_mvds(ctx: &AnalysisCtx, max_lhs: usize, exclude_fd_implied: bool) ->
     };
 
     let mut out: HashSet<Mvd> = HashSet::new();
-    for bits in 0u64..(1 << m) {
-        let x = AttrSet::from_bits(bits);
-        if x.len() > max_lhs {
-            continue;
-        }
+    for x in sets_up_to(ctx.n_attrs(), max_lhs) {
         for block in dependency_basis(ctx, x) {
             let mvd = Mvd::canonical(x, block, all);
             if mvd.is_trivial(all) {
@@ -197,6 +192,20 @@ pub fn mine_mvds(ctx: &AnalysisCtx, max_lhs: usize, exclude_fd_implied: bool) ->
     let mut v: Vec<Mvd> = out.into_iter().collect();
     v.sort();
     v
+}
+
+/// The subsets of `0..m` with at most `max` members, level by level in
+/// bit order (Gosper's rule in `u128`): `Σ_{k ≤ max} C(m, k)`, not `2^m`.
+fn sets_up_to(m: usize, max: usize) -> impl Iterator<Item = AttrSet> {
+    (0..=max.min(m)).flat_map(move |k| {
+        std::iter::successors(Some((1u128 << k) - 1), move |&c| {
+            let low = c & c.wrapping_neg();
+            let ripple = c + low;
+            let next = ripple + (((ripple ^ c) / low.max(1)) >> 2);
+            (c != 0 && next < 1u128 << m).then_some(next)
+        })
+        .map(|c| AttrSet::from_bits(c as u64))
+    })
 }
 
 /// A partition of `R − X` into blocks each multivalued-dependent on `X`
@@ -370,6 +379,61 @@ mod tests {
             assert!(!mvd.is_trivial(all), "{mvd:?}");
             assert!(mvd.lhs.is_disjoint(mvd.rhs));
         }
+    }
+
+    fn binomial(m: u64, k: u64) -> u64 {
+        (0..k).fold(1, |c, i| c * (m - i) / (i + 1))
+    }
+
+    #[test]
+    fn lhs_enumeration_follows_the_bound_not_the_width() {
+        for (m, max) in [
+            (30, 0),
+            (30, 1),
+            (30, 2),
+            (30, 3),
+            (64, 0),
+            (64, 1),
+            (64, 2),
+            (5, 9),
+        ] {
+            let sets: Vec<AttrSet> = sets_up_to(m, max).collect();
+            let want: u64 = (0..=max.min(m) as u64).map(|k| binomial(m as u64, k)).sum();
+            assert_eq!(sets.len() as u64, want, "m = {m}, max = {max}");
+            let distinct: HashSet<AttrSet> = sets.iter().copied().collect();
+            assert_eq!(distinct.len(), sets.len(), "m = {m}, max = {max}");
+            assert!(sets
+                .iter()
+                .all(|x| x.len() <= max && x.is_subset_of(AttrSet::full(m))));
+            // Level by level.
+            assert!(sets.windows(2).all(|w| w[0].len() <= w[1].len()));
+        }
+        // Every subset when the bound is the width, the full set last.
+        assert_eq!(sets_up_to(6, 6).count(), 64);
+        assert_eq!(sets_up_to(6, 6).last(), Some(AttrSet::full(6)));
+    }
+
+    #[test]
+    fn finds_a_planted_mvd_among_64_columns() {
+        // CTB in the columns 62 (course), 63 (teacher) and 0 (book); the
+        // other 61 columns are constant, so ∅ determines them.
+        let names: Vec<String> = (0..64).map(|a| format!("A{a}")).collect();
+        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut b = RelationBuilder::new("wide", &refs);
+        let src = ctb();
+        for t in 0..src.n_tuples() {
+            let mut row = vec!["k"; 64];
+            row[62] = src.value_str(t, 0);
+            row[63] = src.value_str(t, 1);
+            row[0] = src.value_str(t, 2);
+            b.push_row_strs(&row);
+        }
+        let rel = b.build();
+        let mvds = mine_mvds(&AnalysisCtx::of(&rel), 1, true);
+        let course = AttrSet::single(62);
+        let planted = Mvd::canonical(course, AttrSet::single(63), rel.all_attrs());
+        assert!(mvds.contains(&planted), "{mvds:?}");
+        assert!(mvds.iter().all(|m| m.lhs.len() <= 1));
     }
 
     #[test]

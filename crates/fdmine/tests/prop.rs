@@ -8,6 +8,7 @@
 //! replaced, on relations that may be degenerate.
 
 use dbmine_context::AnalysisCtx;
+use dbmine_fdmine::agree::{agree_sets, agree_sets_from};
 use dbmine_fdmine::brute::mine_brute;
 use dbmine_fdmine::cover::{closure, implies, minimum_cover};
 use dbmine_fdmine::fdep::minimal_hitting_sets;
@@ -156,6 +157,19 @@ fn mvd_holds_oracle(rel: &Relation, lhs: AttrSet, rhs: AttrSet) -> bool {
         .all(|(ys, zs, pairs)| pairs.len() == ys.len() * zs.len())
 }
 
+/// Every pair's agree set, by comparing the two tuples' values.
+fn agree_sets_oracle(rel: &Relation) -> HashSet<AttrSet> {
+    let n = rel.n_tuples();
+    let mut out = HashSet::new();
+    for t1 in 0..n {
+        for t2 in t1 + 1..n {
+            let agree = (0..rel.n_attrs()).filter(|&a| rel.value(t1, a) == rel.value(t2, a));
+            out.insert(agree.collect());
+        }
+    }
+    out
+}
+
 fn arb_fds() -> impl Strategy<Value = Vec<Fd>> {
     proptest::collection::vec((0u64..31, 0usize..5), 0..10).prop_map(|pairs| {
         pairs
@@ -179,6 +193,23 @@ proptest! {
             tane.sort();
             prop_assert_eq!(&fdep, &brute, "FDEP disagrees with oracle");
             prop_assert_eq!(&tane, &brute, "TANE disagrees with oracle");
+        }
+    }
+
+    /// FDEP's agree sets come from `π_A` class ids: they equal a
+    /// value-by-value comparison of every pair, on relations with NULLs,
+    /// constant and all-NULL columns, and on their first 0, 1 and 2
+    /// tuples.
+    #[test]
+    fn agree_sets_from_class_ids_match_value_compare(rel in arb_edge_relation()) {
+        for k in [0, 1, 2, rel.n_tuples()] {
+            let rows: Vec<usize> = (0..k.min(rel.n_tuples())).collect();
+            let sub = rel.select(&rows, "sub");
+            let oracle = agree_sets_oracle(&sub);
+            prop_assert_eq!(&agree_sets(&sub), &oracle, "{} tuples", k);
+            let ctx = AnalysisCtx::of(&sub);
+            let from_ctx = agree_sets_from(ctx.n_tuples(), &ctx.attr_partitions_with(1));
+            prop_assert_eq!(&from_ctx, &oracle, "{} tuples", k);
         }
     }
 

@@ -39,7 +39,7 @@ pub use dict::{ValueDict, ValueId, NULL_VALUE};
 pub use hash::ContentHasher;
 pub use matrix::{qualified_row, qualified_stride, tuple_mutual_information_chunks, ValueIndex};
 pub use partition::{attr_partitions_chunks, ClassSizes, PartitionScratch, StrippedPartition};
-pub use relation::{AttrId, Relation, RelationBuilder};
+pub use relation::{select_rows_chunks, AttrId, Relation, RelationBuilder};
 pub use shard::{RelationChunk, ShardedRelation, DEFAULT_CHUNK_TUPLES};
 pub use spill::{SpillWriter, StoreChunks, StoreError, StoreFooter};
 pub use stats::{column_profiles_chunks, ProjectionStats};

@@ -416,6 +416,13 @@ impl StrippedPartition {
         size
     }
 
+    /// The first tuple of every unstripped class, ascending: the rows
+    /// [`Relation::project_distinct`] keeps.
+    pub fn first_rows(&self) -> Vec<u32> {
+        let sizes = self.first_occurrence_sizes();
+        (0..).zip(sizes).filter(|p| p.1 > 0).map(|p| p.0).collect()
+    }
+
     /// The same partition with its classes in canonical order: ascending
     /// by first tuple, which for disjoint ascending classes is
     /// lexicographic order. Two partitions of the same tuples are equal
@@ -434,7 +441,7 @@ impl StrippedPartition {
     /// classes that shrink below 2 are stripped, and the result is in
     /// canonical (first-tuple) order.
     ///
-    /// When the subset is a `project_distinct_with_rows` row list over
+    /// When the subset is the [`Self::first_rows`] of `π_attrs` for
     /// attributes that include `A`, the restriction of π_A *is* the
     /// child relation's π_A — two projected tuples agree on `A` exactly
     /// when their (first-occurrence) parent rows do — and canonical
@@ -1015,7 +1022,8 @@ mod tests {
         let rel = figure4();
         // Project on {B, C}: distinct rows come from parent tuples 0,1,2.
         let attrs: crate::AttrSet = [1usize, 2].into_iter().collect();
-        let (child, rows) = rel.project_distinct_with_rows(attrs, "bc");
+        let rows = StrippedPartition::of_attrs(&rel, attrs).first_rows();
+        let child = rel.project_distinct(attrs, "bc");
         let mut map = vec![u32::MAX; rel.n_tuples()];
         for (ci, &pt) in rows.iter().enumerate() {
             map[pt as usize] = ci as u32;

@@ -159,39 +159,9 @@ impl Relation {
     /// the π of relational algebra. The paper's decompositions and
     /// vertical partitions are built from this.
     pub fn project_distinct(&self, attrs: AttrSet, name: &str) -> Relation {
-        self.project_distinct_with_rows(attrs, name).0
-    }
-
-    /// As [`Self::project_distinct`], also returning, for each projected
-    /// tuple, the index of the parent tuple it was taken from (the first
-    /// occurrence of its projected value combination, read off
-    /// `π_attrs`). The row list is strictly increasing, which is what
-    /// lets a parent's stripped partitions be *restricted* onto the
-    /// projection instead of rebuilt (see
-    /// `StrippedPartition::restrict_remap`).
-    pub fn project_distinct_with_rows(&self, attrs: AttrSet, name: &str) -> (Relation, Vec<u32>) {
-        let keep: Vec<AttrId> = attrs.iter().collect();
-        let names: Vec<&str> = keep.iter().map(|&a| self.attr_names[a].as_str()).collect();
-        let first = StrippedPartition::of_attrs(self, attrs).first_occurrence_sizes();
-        let rows: Vec<u32> = (0..self.n as u32)
-            .filter(|&t| first[t as usize] > 0)
-            .collect();
-        let mut b = RelationBuilder::new(name, &names);
-        for &t in &rows {
-            let t = t as usize;
-            let row: Vec<Option<&str>> = keep
-                .iter()
-                .map(|&a| {
-                    if self.is_null(t, a) {
-                        None
-                    } else {
-                        Some(self.value_str(t, a))
-                    }
-                })
-                .collect();
-            b.push_row(&row);
-        }
-        (b.build(), rows)
+        let rows = StrippedPartition::of_attrs(self, attrs).first_rows();
+        let (names, dict, chunk) = (&self.attr_names, &self.dict, self.as_chunk());
+        select_rows_chunks(name, names, dict, &rows, attrs, [chunk])
     }
 
     /// Builds a new relation containing only the tuples in `rows`
@@ -208,11 +178,6 @@ impl Relation {
                 .collect(),
             n: rows.len(),
         }
-    }
-
-    /// Iterates over all `(tuple, attr, value)` cells in row-major order.
-    pub fn cells(&self) -> impl Iterator<Item = (usize, AttrId, ValueId)> + '_ {
-        (0..self.n).flat_map(move |t| (0..self.n_attrs()).map(move |a| (t, a, self.columns[a][t])))
     }
 
     /// A 64-bit FNV-1a hash of the relation's full logical content:
@@ -249,6 +214,41 @@ impl Relation {
         }
         count
     }
+}
+
+/// The tuples `rows` (ascending ids) on `attrs` of the relation whose
+/// schema and dictionary are `attr_names` and `dict`, folded over its
+/// `chunks` (global tuple order) into a fresh relation `name`: each row
+/// is re-interned as [`RelationBuilder::push_row`] does, NULL kept, so
+/// chunk boundaries change nothing. It stops at the last row's chunk.
+pub fn select_rows_chunks<'a>(
+    name: &str,
+    attr_names: &[String],
+    dict: &ValueDict,
+    rows: &[u32],
+    attrs: AttrSet,
+    chunks: impl IntoIterator<Item = RelationChunk<'a>>,
+) -> Relation {
+    let keep: Vec<AttrId> = attrs.iter().collect();
+    let names: Vec<&str> = keep.iter().map(|&a| attr_names[a].as_str()).collect();
+    let mut b = RelationBuilder::new(name, &names);
+    let mut rows = rows.iter().map(|&t| t as usize).peekable();
+    let mut chunks = chunks.into_iter();
+    while rows.peek().is_some() {
+        let Some(chunk) = chunks.next() else { break };
+        let end = chunk.start + chunk.n_rows();
+        while let Some(t) = rows.next_if(|&t| t < end) {
+            let row: Vec<Option<&str>> = keep
+                .iter()
+                .map(|&a| match chunk.value(t - chunk.start, a) {
+                    NULL_VALUE => None,
+                    v => Some(dict.string(v)),
+                })
+                .collect();
+            b.push_row(&row);
+        }
+    }
+    b.build()
 }
 
 /// Incremental builder for [`Relation`].
@@ -405,15 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn cells_iterates_row_major() {
-        let r = figure4();
-        let cells: Vec<_> = r.cells().take(4).collect();
-        assert_eq!(cells[0].0, 0);
-        assert_eq!(cells[2].1, 2);
-        assert_eq!(cells[3], (1, 0, r.value(1, 0)));
-    }
-
-    #[test]
     #[should_panic(expected = "row width mismatch")]
     fn row_width_checked() {
         let mut b = RelationBuilder::new("t", &["X", "Y"]);
@@ -421,17 +412,67 @@ mod tests {
     }
 
     #[test]
-    fn project_distinct_with_rows_tracks_first_occurrences() {
+    fn project_distinct_keeps_first_occurrences() {
         let r = figure4();
         // B,C pairs: (1,p) t0, (1,r) t1, (2,x) t2 (t3,t4 duplicate it).
-        let (p, rows) = r.project_distinct_with_rows([1, 2].into_iter().collect(), "bc");
-        assert_eq!(p.n_tuples(), 3);
+        let attrs: AttrSet = [1, 2].into_iter().collect();
+        let rows = StrippedPartition::of_attrs(&r, attrs).first_rows();
         assert_eq!(rows, vec![0, 1, 2]);
-        assert!(rows.windows(2).all(|w| w[0] < w[1]));
+        let p = r.project_distinct(attrs, "bc");
+        assert_eq!(p.n_tuples(), 3);
         for (ci, &pt) in rows.iter().enumerate() {
             assert_eq!(p.value_str(ci, 0), r.value_str(pt as usize, 1));
             assert_eq!(p.value_str(ci, 1), r.value_str(pt as usize, 2));
         }
+    }
+
+    #[test]
+    fn select_rows_is_the_same_over_any_chunking() {
+        let mut b = RelationBuilder::new("t", &["X", "Y", "Z"]);
+        for row in [
+            [Some("a"), None, Some("p")],
+            [Some("b"), Some("a"), None],
+            [None, Some("q"), Some("a")],
+            [Some("b"), Some("a"), Some("p")],
+            [Some("c"), None, None],
+        ] {
+            b.push_row(&row);
+        }
+        let r = b.build();
+        let attrs: AttrSet = [0, 2].into_iter().collect();
+        let rows = [1u32, 2, 4];
+        let whole = select_rows_chunks("s", r.attr_names(), r.dict(), &rows, attrs, [r.as_chunk()]);
+        // The same rows pushed one by one: the fold's definition.
+        let mut want = RelationBuilder::new("s", &["X", "Z"]);
+        for &t in &rows {
+            let cell = |a| (!r.is_null(t as usize, a)).then(|| r.value_str(t as usize, a));
+            want.push_row(&[cell(0), cell(2)]);
+        }
+        let want = want.build();
+        assert_eq!(whole.content_hash(), want.content_hash());
+        assert_eq!(whole.dict().len(), want.dict().len());
+        for size in 1..=r.n_tuples() {
+            let chunks = (0..r.n_tuples()).step_by(size).map(|start| RelationChunk {
+                start,
+                columns: r
+                    .as_chunk()
+                    .columns
+                    .into_iter()
+                    .map(|c| Cow::Owned(c[start..(start + size).min(r.n_tuples())].to_vec()))
+                    .collect(),
+            });
+            let split = select_rows_chunks("s", r.attr_names(), r.dict(), &rows, attrs, chunks);
+            assert_eq!(
+                split.content_hash(),
+                want.content_hash(),
+                "chunks of {size}"
+            );
+            for a in 0..split.n_attrs() {
+                assert_eq!(split.column(a), want.column(a), "chunks of {size}");
+            }
+        }
+        let none = select_rows_chunks("s", r.attr_names(), r.dict(), &[], attrs, [r.as_chunk()]);
+        assert_eq!((none.n_tuples(), none.n_attrs()), (0, 2));
     }
 
     #[test]

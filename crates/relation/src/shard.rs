@@ -68,11 +68,6 @@ impl RelationChunk<'_> {
         self.columns.first().map_or(0, |c| c.len())
     }
 
-    /// Attributes per row.
-    pub fn n_attrs(&self) -> usize {
-        self.columns.len()
-    }
-
     /// The value id of local row `t`, attribute `a`.
     pub fn value(&self, t: usize, a: usize) -> ValueId {
         self.columns[a][t]
@@ -392,7 +387,7 @@ mod tests {
                 assert_eq!(chunk.start, seen);
                 assert!(chunk.n_rows() <= chunk_tuples);
                 for t in 0..chunk.n_rows() {
-                    for a in 0..chunk.n_attrs() {
+                    for a in 0..chunk.columns.len() {
                         assert_eq!(
                             chunk.value(t, a),
                             rel.value(seen + t, a),

@@ -82,9 +82,9 @@ pub enum Counter {
     /// Lattice nodes whose descendants were pruned by the
     /// branch-and-bound bound (`mine_reliable_ctx`).
     BnbPrunes,
-    /// Full in-memory `Relation` materializations performed lazily by a
-    /// chunk-backed `AnalysisCtx` for row-resident consumers
-    /// (`dbmine-context`). Zero on the store-backed `fds` path.
+    /// Full in-memory `Relation` materializations of a chunk-backed
+    /// `AnalysisCtx` (`dbmine-context`): always zero, kept for the
+    /// reports that print it.
     CtxMaterializations,
 }
 

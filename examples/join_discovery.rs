@@ -9,6 +9,7 @@
 
 use dbmine::baselines::{join_candidates, self_join_candidates};
 use dbmine::datagen::{db2_sample, Db2Spec};
+use dbmine::relation::ValueIndex;
 
 fn main() {
     let s = db2_sample(&Db2Spec::default());
@@ -30,7 +31,8 @@ fn main() {
     ];
     for (ln, l, rn, r) in pairs {
         println!("\n{ln} → {rn} join candidates (containment ≥ 0.95):");
-        for c in join_candidates(l, r, 2.0, 0.95) {
+        let (li, ri) = (ValueIndex::build(l), ValueIndex::build(r));
+        for c in join_candidates((&li, l.dict()), (&ri, r.dict()), 2.0, 0.95) {
             println!(
                 "  {}.{} ⊆ {}.{}   containment {:.2}, jaccard {:.2} ({} shared values)",
                 ln,
@@ -45,7 +47,11 @@ fn main() {
     }
 
     println!("\nwithin the denormalized join (cross-attribute value sharing):");
-    for c in self_join_candidates(&s.relation, 0.2).iter().take(8) {
+    let index = ValueIndex::build(&s.relation);
+    for c in self_join_candidates((&index, s.relation.dict()), 0.2)
+        .iter()
+        .take(8)
+    {
         println!(
             "  {} ~ {}   jaccard {:.2}",
             s.relation.attr_names()[c.left_attr],
