@@ -9,11 +9,9 @@
 //! high containment of a column in another is the classic
 //! foreign-key-candidate signal.
 
-use dbmine_relation::{AttrId, ValueDict, ValueIndex, NULL_VALUE};
+use dbmine_context::AnalysisCtx;
+use dbmine_relation::{AttrId, ValueId, NULL_VALUE};
 use std::collections::HashSet;
-
-/// One side of a join search: a relation's value view and dictionary.
-pub type JoinSide<'a> = (&'a ValueIndex, &'a ValueDict);
 
 /// A candidate join edge between a column of `left` and a column of
 /// `right`.
@@ -35,36 +33,42 @@ pub struct JoinCandidate {
     pub shared: usize,
 }
 
-/// Each column's distinct non-NULL strings (columns after the last
-/// non-empty one are absent): a value's `O` row names its attributes.
-fn column_values<'a>((index, dict): JoinSide<'a>) -> Vec<HashSet<&'a str>> {
-    let mut cols: Vec<HashSet<&str>> = Vec::new();
-    for (i, &v) in index.values().iter().enumerate() {
-        if v == NULL_VALUE {
-            continue;
-        }
-        for (a, _) in index.o_row(i).iter() {
-            let a = a as usize;
-            if cols.len() <= a {
-                cols.resize_with(a + 1, HashSet::new);
-            }
-            cols[a].insert(dict.string(v));
+/// Each column's distinct non-NULL strings, from one fold over the
+/// context's chunk pass: O(distinct values per column), not O(n·m).
+fn column_values(ctx: &AnalysisCtx) -> Vec<HashSet<&str>> {
+    let mut ids: Vec<HashSet<ValueId>> = vec![HashSet::new(); ctx.n_attrs()];
+    for chunk in ctx.chunks() {
+        for (set, col) in ids.iter_mut().zip(&chunk.columns) {
+            set.extend(col.iter().copied().filter(|&v| v != NULL_VALUE));
         }
     }
-    cols
+    let dict = ctx.dict();
+    ids.into_iter()
+        .map(|set| set.into_iter().map(|v| dict.string(v)).collect())
+        .collect()
 }
 
 /// Computes all column-pair overlaps between two relations with
 /// `jaccard ≥ min_jaccard` or containment ≥ `min_containment`, sorted by
 /// descending containment then Jaccard.
 pub fn join_candidates(
-    left: JoinSide<'_>,
-    right: JoinSide<'_>,
+    left: &AnalysisCtx,
+    right: &AnalysisCtx,
     min_jaccard: f64,
     min_containment: f64,
 ) -> Vec<JoinCandidate> {
-    let left_cols = column_values(left);
-    let right_cols = column_values(right);
+    let (left_cols, right_cols) = (column_values(left), column_values(right));
+    overlaps(&left_cols, &right_cols, min_jaccard, min_containment)
+}
+
+/// The column-pair overlaps of [`join_candidates`] over each side's
+/// column value sets.
+fn overlaps(
+    left_cols: &[HashSet<&str>],
+    right_cols: &[HashSet<&str>],
+    min_jaccard: f64,
+    min_containment: f64,
+) -> Vec<JoinCandidate> {
     let mut out = Vec::new();
     for (la, lset) in left_cols.iter().enumerate() {
         for (ra, rset) in right_cols.iter().enumerate() {
@@ -109,8 +113,9 @@ pub fn join_candidates(
 /// Within-relation variant: column pairs of one relation sharing values
 /// (the cross-attribute duplication that attribute grouping feeds on,
 /// seen through Bellman's counting lens).
-pub fn self_join_candidates(rel: JoinSide<'_>, min_jaccard: f64) -> Vec<JoinCandidate> {
-    let mut out = join_candidates(rel, rel, min_jaccard, 1.1);
+pub fn self_join_candidates(rel: &AnalysisCtx, min_jaccard: f64) -> Vec<JoinCandidate> {
+    let cols = column_values(rel);
+    let mut out = overlaps(&cols, &cols, min_jaccard, 1.1);
     out.retain(|c| c.left_attr < c.right_attr);
     out
 }
@@ -121,20 +126,15 @@ mod tests {
     use dbmine_datagen::{db2_sample, Db2Spec};
     use dbmine_relation::{Relation, RelationBuilder};
 
-    /// `join_candidates` over two relations' own value views.
+    /// `join_candidates` over two relations' contexts.
     fn joins(
         l: &Relation,
         r: &Relation,
         min_jaccard: f64,
         min_containment: f64,
     ) -> Vec<JoinCandidate> {
-        let (li, ri) = (ValueIndex::build(l), ValueIndex::build(r));
-        join_candidates(
-            (&li, l.dict()),
-            (&ri, r.dict()),
-            min_jaccard,
-            min_containment,
-        )
+        let (l, r) = (AnalysisCtx::of(l), AnalysisCtx::of(r));
+        join_candidates(&l, &r, min_jaccard, min_containment)
     }
 
     #[test]
@@ -195,8 +195,7 @@ mod tests {
     #[test]
     fn self_join_finds_cross_attribute_sharing() {
         let s = db2_sample(&Db2Spec::default());
-        let index = ValueIndex::build(&s.relation);
-        let c = self_join_candidates((&index, s.relation.dict()), 0.2);
+        let c = self_join_candidates(&AnalysisCtx::of(&s.relation), 0.2);
         let emp = s.relation.attr_id("EmpNo").unwrap();
         let mgr = s.relation.attr_id("MgrNo").unwrap();
         assert!(

@@ -17,5 +17,5 @@ pub mod joins;
 pub mod pairwise;
 
 pub use apriori::{mine_frequent_itemsets, mine_frequent_itemsets_capped, FrequentItemset};
-pub use joins::{join_candidates, self_join_candidates, JoinCandidate, JoinSide};
+pub use joins::{join_candidates, self_join_candidates, JoinCandidate};
 pub use pairwise::{pairwise_duplicates, PairwiseDuplicate};

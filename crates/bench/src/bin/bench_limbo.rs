@@ -516,6 +516,18 @@ fn main() {
                     t.n_leaf_entries()
                 },
             );
+            // Every arena summary merges in its own buffers, so the
+            // arena never holds more than the reference's fresh vectors.
+            let [.., arena_row, reference_row] = allocs.as_slice() else {
+                unreachable!("both Phase 1 rows were just pushed")
+            };
+            assert!(
+                arena_row.peak_bytes <= reference_row.peak_bytes,
+                "{}: peak {} B above the reference tree's {} B",
+                arena_row.id,
+                arena_row.peak_bytes,
+                reference_row.peak_bytes
+            );
         }
 
         // End-to-end pipeline, with the threads knob; the parallel runs

@@ -273,13 +273,9 @@ pub fn run_mvds(ctx: &AnalysisCtx, max_lhs: usize) -> String {
 }
 
 /// `joins`: Bellman-style cross-relation join candidates, compared over
-/// each side's value view.
+/// each side's per-column distinct values.
 pub fn run_joins(left: &AnalysisCtx, right: &AnalysisCtx) -> String {
-    let (l, r) = (
-        (left.value_index(), left.dict()),
-        (right.value_index(), right.dict()),
-    );
-    let cands = dbmine_baselines::join_candidates(l, r, 0.3, 0.9);
+    let cands = dbmine_baselines::join_candidates(left, right, 0.3, 0.9);
     let mut out = String::new();
     writeln!(out, "join candidates ({}→{}):", left.name(), right.name()).unwrap();
     for c in cands.iter().take(20) {

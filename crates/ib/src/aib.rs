@@ -25,7 +25,7 @@
 //! [`aib_cut`] replays them, so a caller that needs both the full
 //! statistics and a `k`-clustering pays for one AIB run, not two.
 
-use crate::dcf::{Dcf, MergeScratch};
+use crate::dcf::Dcf;
 use crate::dendrogram::Dendrogram;
 use dbmine_infotheory::entropy;
 use std::cmp::Ordering;
@@ -273,9 +273,6 @@ pub fn aib_with(inputs: Vec<Dcf>, k: usize, threads: usize) -> AibResult {
     let mut stats = Vec::with_capacity(q - k);
     let mut cum_loss = 0.0;
     let mut merge_step: u32 = 0;
-    // One scratch for the whole merge loop: every DCF merge is
-    // allocation-free in steady state (see `Dcf::merge_in_place`).
-    let mut merge_scratch = MergeScratch::new();
 
     let _merge_span = dbmine_telemetry::span("aib.merge_loop");
     while alive > k {
@@ -295,7 +292,7 @@ pub fn aib_with(inputs: Vec<Dcf>, k: usize, threads: usize) -> AibResult {
         let cb = slots[b].take().expect("validated above");
         let ca = slots[a].as_mut().expect("validated above");
         let (wa, wb) = (ca.weight, cb.weight);
-        ca.merge_in_place(&cb, &mut merge_scratch);
+        ca.merge_in_place(&cb);
         let w_star = ca.weight;
         merge_step += 1;
         last_merged[a] = merge_step;
@@ -434,14 +431,13 @@ pub fn aib_cut(inputs: Vec<Dcf>, full: &AibResult, k: usize) -> AibResult {
     // slot_of[node]: the slot holding dendrogram node `node`.
     let mut slot_of: Vec<usize> = (0..q).collect();
     let mut members: Vec<Vec<usize>> = (0..q).map(|i| vec![i]).collect();
-    let mut merge_scratch = MergeScratch::new();
     for m in &full.dendrogram.merges()[..steps] {
         let (a, b) = (slot_of[m.left], slot_of[m.right]);
         let cb = slots[b].take().expect("replayed merge of a dead slot");
         slots[a]
             .as_mut()
             .expect("replayed merge into a dead slot")
-            .merge_in_place(&cb, &mut merge_scratch);
+            .merge_in_place(&cb);
         let absorbed = std::mem::take(&mut members[b]);
         members[a].extend(absorbed);
         slot_of.push(a);

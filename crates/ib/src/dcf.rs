@@ -1,25 +1,11 @@
 //! Distributional Cluster Features (Section 5.2).
+//!
+//! A [`Dcf`] owns its vectors and is updated in place:
+//! [`Dcf::merge_in_place`] merges the other cluster into its own buffers,
+//! so no buffer is shared or handed between clusters. The allocating
+//! [`Dcf::merge`] is the pinned bit-identity reference of that merge.
 
 use dbmine_infotheory::{merge_information_loss, SparseDist};
-
-/// Caller-owned scratch buffer for [`Dcf::merge_in_place`].
-///
-/// One instance threaded through a merge loop (AIB's merge/rescan loop,
-/// LIMBO Phase 1 inserts) makes every DCF merge allocation-free in
-/// steady state: the conditional merge ping-pongs between the cluster's
-/// own buffer and this one, so after a few merges both have grown to the
-/// working support size and no further allocation happens.
-#[derive(Clone, Debug, Default)]
-pub struct MergeScratch {
-    buf: Vec<(u32, f64)>,
-}
-
-impl MergeScratch {
-    /// An empty scratch; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
 
 /// The sufficient statistics of a cluster `c`:
 /// `DCF(c) = (p(c), p(T|c))` — its probability mass and its conditional
@@ -114,26 +100,22 @@ impl Dcf {
         }
     }
 
-    /// Merges `other` into `self` in place, without allocating: the
-    /// conditional is merged through `scratch` (swap-based, see
-    /// [`SparseDist::merge_from`]) and the aux counts are summed with the
-    /// in-place two-pointer `add_assign`.
+    /// Merges `other` into `self` in place: the conditional and the aux
+    /// counts are each merged in their own buffer by
+    /// [`SparseDist::merge_from`], so a summary's capacity follows its
+    /// own support and no buffer passes between DCFs.
     ///
     /// Bit-identical to `*self = self.merge(other)` — regression- and
     /// property-tested against that pinned reference.
-    pub fn merge_in_place(&mut self, other: &Dcf, scratch: &mut MergeScratch) {
+    pub fn merge_in_place(&mut self, other: &Dcf) {
         dbmine_telemetry::counter_add(dbmine_telemetry::Counter::DcfMerges, 1);
         let w = self.weight + other.weight;
         if w > 0.0 {
             // Identical-conditional fast path — same predicate as
             // `Dcf::merge`, see there for the exactness argument.
             if self.cond != other.cond {
-                self.cond.merge_from(
-                    self.weight / w,
-                    &other.cond,
-                    other.weight / w,
-                    &mut scratch.buf,
-                );
+                self.cond
+                    .merge_from(self.weight / w, &other.cond, other.weight / w);
             }
         } else {
             self.cond = SparseDist::new();
@@ -211,7 +193,6 @@ mod tests {
 
     #[test]
     fn merge_in_place_is_bit_identical_to_merge() {
-        let mut scratch = MergeScratch::new();
         let cases = [
             (
                 Dcf::singleton_with_aux(0.6, d(&[(0, 0.25), (5, 0.75)]), d(&[(0, 2.0)])),
@@ -229,7 +210,7 @@ mod tests {
         for (a, b) in cases {
             let reference = a.merge(&b);
             let mut m = a.clone();
-            m.merge_in_place(&b, &mut scratch);
+            m.merge_in_place(&b);
             assert_eq!(m.weight.to_bits(), reference.weight.to_bits());
             assert_eq!(m.count, reference.count);
             assert_eq!(m.cond.entries(), reference.cond.entries());
@@ -237,7 +218,7 @@ mod tests {
             assert_eq!(m.aux.entries(), reference.aux.entries());
             // And chained: merge the reference back in, both ways.
             let chained_ref = m.merge(&reference);
-            m.merge_in_place(&reference, &mut scratch);
+            m.merge_in_place(&reference);
             assert_eq!(m.weight.to_bits(), chained_ref.weight.to_bits());
             assert_eq!(m.cond.entries(), chained_ref.cond.entries());
         }
@@ -263,9 +244,8 @@ mod tests {
         assert_eq!(left.cond.entries(), p.entries());
         assert_eq!(right.cond.entries(), p.entries());
         // The in-place path takes the same fast path.
-        let mut scratch = MergeScratch::new();
         let mut ip = a.clone();
-        ip.merge_in_place(&b, &mut scratch);
+        ip.merge_in_place(&b);
         assert_eq!(ip.cond.entries(), m.cond.entries());
         assert_eq!(ip.cond.total().to_bits(), m.cond.total().to_bits());
         assert_eq!(ip.weight.to_bits(), m.weight.to_bits());

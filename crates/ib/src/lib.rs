@@ -25,5 +25,5 @@ pub mod dendrogram;
 
 pub use aib::{aib, aib_cut, aib_reference, aib_with, AibResult, KStat};
 pub use assign::assign_all_with;
-pub use dcf::{Dcf, MergeScratch};
+pub use dcf::Dcf;
 pub use dendrogram::{Dendrogram, Merge};

@@ -5,6 +5,13 @@
 //! paper prescribes for Distributional Cluster Features: *"The probability
 //! vectors are stored as sparse vectors, reducing the amount of space
 //! considerably."* (Section 5.2).
+//!
+//! DCFs are also *"stored and updated incrementally"*: a merge rewrites a
+//! summary in its own buffer ([`SparseDist::merge_from`], one backward
+//! pass), grown to exactly the merged support, so a vector's capacity
+//! only ever tracks its own support. The allocating
+//! [`SparseDist::weighted_sum`] is the pinned bit-identity reference of
+//! that kernel.
 
 use std::fmt;
 
@@ -172,149 +179,79 @@ impl SparseDist {
         Self { entries, total }
     }
 
-    /// Replaces `self` with `w_self * self + w_other * other`, merging
-    /// through the caller-owned `scratch` buffer and swapping it in.
+    /// Replaces `self` with `w_self * self + w_other * other`, merging in
+    /// `self`'s own buffer.
     ///
-    /// The buffer that previously backed `self` ends up in `scratch`, so a
-    /// caller looping over merges (the AIB merge loop, DCF-tree inserts)
-    /// reuses two buffers for the whole run instead of allocating one
-    /// vector per merge. Bit-identical to [`SparseDist::weighted_sum`].
-    pub fn merge_from(
-        &mut self,
-        w_self: f64,
-        other: &Self,
-        w_other: f64,
-        scratch: &mut Vec<(u32, f64)>,
-    ) {
-        scratch.clear();
-        // Fast path for the clustering absorb pattern: when `other`'s
-        // support is contained in ours, no index structure changes — scale
-        // every weight by `w_self` in one sequential pass and add
-        // `w_other·b` at the overlap positions. Each entry still computes
-        // `w_self·a + w_other·b` in that operand order, so the result is
-        // bit-identical to the merge pass below. The probe records the
-        // overlap positions in `scratch` (as `(position, b)` pairs) so the
-        // support check and the add share one round of binary searches.
-        if other.entries.len() <= self.entries.len() {
-            let mut lo = 0usize;
-            let mut subset = true;
-            for &(i, vb) in &other.entries {
-                match self.entries[lo..].binary_search_by_key(&i, |&(j, _)| j) {
-                    Ok(p) => {
-                        let pos = lo + p;
-                        scratch.push((pos as u32, vb));
-                        lo = pos + 1;
-                    }
-                    Err(_) => {
-                        subset = false;
-                        break;
-                    }
+    /// One binary search per entry of `other` counts the keys `self`
+    /// lacks, so the buffer grows to exactly the union's size. A backward
+    /// pass then places `other`'s entries from the tail, moving each run
+    /// of larger `self` entries up by the number of new keys still to
+    /// place (when `other`'s support lies inside `self`'s, nothing
+    /// moves). Each entry computes `w_self·a + w_other·b` in that operand
+    /// order, zeros are dropped and the total is summed left to right, so
+    /// the result is bit-identical to [`SparseDist::weighted_sum`]
+    /// (property-tested).
+    pub fn merge_from(&mut self, w_self: f64, other: &Self, w_other: f64) {
+        let n = self.entries.len();
+        let mut lo = 0;
+        let mut new = 0;
+        for &(kb, _) in &other.entries {
+            match self.entries[lo..].binary_search_by_key(&kb, |&(ka, _)| ka) {
+                Ok(p) => lo += p + 1,
+                Err(p) => {
+                    lo += p;
+                    new += 1;
                 }
             }
-            if subset {
-                // One fused pass: scale, add the overlaps, compact away
-                // zeros and accumulate the total. The write cursor never
-                // passes the read cursor, so the in-place compaction is
-                // safe.
-                let mut out = 0usize;
-                let mut k = 0usize;
-                let mut total = 0.0;
-                for i in 0..self.entries.len() {
-                    let (idx, va) = self.entries[i];
-                    let mut w = w_self * va;
-                    if k < scratch.len() && scratch[k].0 as usize == i {
-                        w += w_other * scratch[k].1;
-                        k += 1;
-                    }
-                    if w != 0.0 {
-                        self.entries[out] = (idx, w);
-                        total += w;
-                        out += 1;
-                    }
-                }
-                self.entries.truncate(out);
-                self.total = total;
-                scratch.clear();
-                return;
-            }
-            scratch.clear();
         }
-        merge_into(&self.entries, w_self, &other.entries, w_other, scratch);
-        scratch.retain(|&(_, w)| w != 0.0);
-        std::mem::swap(&mut self.entries, scratch);
+        self.entries.reserve_exact(new);
+        self.entries.resize(n + new, (0, 0.0));
+        // `self.entries[..i]` is unread and `[k..]` final; `k − i` is the
+        // number of new keys still to place.
+        let (mut i, mut k) = (n, n + new);
+        let mut zeros = false;
+        for &(kb, vb) in other.entries.iter().rev() {
+            let p = self.entries[..i].partition_point(|&(ka, _)| ka <= kb);
+            while i > p {
+                i -= 1;
+                k -= 1;
+                let (ka, va) = self.entries[i];
+                self.entries[k] = (ka, w_self * va);
+                zeros |= self.entries[k].1 == 0.0;
+            }
+            let w = match self.entries[..i].last() {
+                Some(&(ka, va)) if ka == kb => {
+                    i -= 1;
+                    w_self * va + w_other * vb
+                }
+                _ => w_other * vb,
+            };
+            k -= 1;
+            self.entries[k] = (kb, w);
+            zeros |= w == 0.0;
+        }
+        debug_assert_eq!(i, k, "every new key was placed");
+        for e in &mut self.entries[..i] {
+            e.1 *= w_self;
+            zeros |= e.1 == 0.0;
+        }
+        if zeros {
+            self.entries.retain(|&(_, w)| w != 0.0);
+        }
         self.total = self.entries.iter().map(|&(_, w)| w).sum();
     }
 
     /// Adds `other` element-wise into `self` (used for count vectors such as
     /// the ADCF `O(c*) = Σ O(c)` aggregation of Section 6.2).
     ///
-    /// Runs in place with a backward two-pointer merge — no temporary
-    /// vector, no work at all when `other` is empty, a single append when
-    /// the supports do not interleave. Bit-identical to the old
-    /// `weighted_sum(self, 1.0, other, 1.0)` path (property-tested):
-    /// multiplying by 1.0 and re-summing the merged entries left to right
-    /// is exactly what this computes.
+    /// [`SparseDist::merge_from`] with both weights 1.0, which is exact:
+    /// multiplying by 1.0 changes no bit, so this is `self + other`
+    /// summed left to right, as `weighted_sum(self, 1.0, other, 1.0)` is.
+    /// No work at all when `other` is empty.
     pub fn add_assign(&mut self, other: &Self) {
-        if other.is_empty() {
-            return;
+        if !other.is_empty() {
+            self.merge_from(1.0, other, 1.0);
         }
-        if let (Some(&(last, _)), Some(&(first, _))) = (self.entries.last(), other.entries.first())
-        {
-            if last < first {
-                // Disjoint, `other` strictly after `self`: plain append.
-                self.entries.extend_from_slice(&other.entries);
-            } else {
-                self.merge_back(&other.entries);
-            }
-        } else {
-            // `self` is empty (`other` is not, checked above).
-            self.entries.extend_from_slice(&other.entries);
-        }
-        self.entries.retain(|&(_, w)| w != 0.0);
-        self.total = self.entries.iter().map(|&(_, w)| w).sum();
-    }
-
-    /// Backward in-place merge of `other` into `self.entries`, summing
-    /// weights on equal indices. Caller re-establishes `total` and drops
-    /// zeros afterwards.
-    fn merge_back(&mut self, other: &[(u32, f64)]) {
-        let n = self.entries.len();
-        let m = other.len();
-        self.entries.resize(n + m, (0, 0.0));
-        let (mut i, mut j, mut k) = (n, m, n + m);
-        while i > 0 && j > 0 {
-            let (ka, va) = self.entries[i - 1];
-            let (kb, vb) = other[j - 1];
-            k -= 1;
-            self.entries[k] = match ka.cmp(&kb) {
-                std::cmp::Ordering::Greater => {
-                    i -= 1;
-                    (ka, va)
-                }
-                std::cmp::Ordering::Less => {
-                    j -= 1;
-                    (kb, vb)
-                }
-                std::cmp::Ordering::Equal => {
-                    i -= 1;
-                    j -= 1;
-                    (ka, va + vb)
-                }
-            };
-        }
-        while j > 0 {
-            k -= 1;
-            j -= 1;
-            self.entries[k] = other[j];
-        }
-        // Remaining `self` entries (0..i) are already in their final
-        // place; the merged tail sits at k..n+m with `k - i` equal to the
-        // number of equal-index pairs collapsed. Close the gap.
-        let merged = n + m - k + i;
-        if k > i {
-            self.entries.copy_within(k.., i);
-        }
-        self.entries.truncate(merged);
     }
 
     /// Borrowed view of the raw entries.
@@ -329,36 +266,6 @@ impl SparseDist {
     pub fn map_indices(&self, mut f: impl FnMut(u32) -> u32) -> Self {
         Self::from_pairs(self.entries.iter().map(|&(i, w)| (f(i), w)).collect())
     }
-}
-
-/// The `wa * a + wb * b` merge pass of [`SparseDist::merge_from`]'s
-/// general (non-subset) path: pushes the weighted union onto `out` in index order, summing weights
-/// on equal indices exactly as [`SparseDist::weighted_sum`] does. Zero
-/// dropping and total computation are left to the caller.
-fn merge_into(ae: &[(u32, f64)], wa: f64, be: &[(u32, f64)], wb: f64, out: &mut Vec<(u32, f64)>) {
-    out.reserve(ae.len() + be.len());
-    let (mut ia, mut ib) = (0, 0);
-    while ia < ae.len() && ib < be.len() {
-        let (ka, va) = ae[ia];
-        let (kb, vb) = be[ib];
-        match ka.cmp(&kb) {
-            std::cmp::Ordering::Less => {
-                out.push((ka, wa * va));
-                ia += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push((kb, wb * vb));
-                ib += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push((ka, wa * va + wb * vb));
-                ia += 1;
-                ib += 1;
-            }
-        }
-    }
-    out.extend(ae[ia..].iter().map(|&(k, v)| (k, wa * v)));
-    out.extend(be[ib..].iter().map(|&(k, v)| (k, wb * v)));
 }
 
 impl fmt::Debug for SparseDist {
@@ -444,17 +351,21 @@ mod tests {
     }
 
     #[test]
-    fn merge_from_swaps_scratch() {
+    fn merge_from_mixes_in_place() {
         let mut a = SparseDist::from_pairs(vec![(0, 0.5), (2, 0.5)]);
         let b = SparseDist::from_pairs(vec![(1, 0.25), (2, 0.75)]);
         let reference = SparseDist::weighted_sum(&a, 0.4, &b, 0.6);
-        let mut scratch = Vec::new();
-        a.merge_from(0.4, &b, 0.6, &mut scratch);
+        a.merge_from(0.4, &b, 0.6);
         assert_eq!(a.entries(), reference.entries());
         assert_eq!(a.total().to_bits(), reference.total().to_bits());
-        // scratch now owns a's old buffer and is reusable.
-        a.merge_from(1.0, &b, 0.0, &mut scratch);
+        // A zero weight drops that side's support-only entries.
+        a.merge_from(1.0, &b, 0.0);
         assert!(a.is_normalized(1e-9));
+        assert_eq!(a.entries(), reference.entries());
+        let only_b = SparseDist::weighted_sum(&a, 0.0, &b, 1.0);
+        a.merge_from(0.0, &b, 1.0);
+        assert_eq!(a.entries(), b.entries());
+        assert_eq!(a.total().to_bits(), only_b.total().to_bits());
     }
 
     #[test]

@@ -76,6 +76,34 @@ fn arb_dist() -> impl Strategy<Value = SparseDist> {
     })
 }
 
+/// Strategy: `(p, q, wa, wb)` for the merge kernel — independent
+/// supports; `q`'s support a subset of `p`'s with fresh weights (a
+/// summary absorbing an object); or a subset of `p`'s own entries
+/// weighted `wb = −wa`, so every shared entry cancels to exactly zero.
+fn arb_merge_case() -> impl Strategy<Value = (SparseDist, SparseDist, f64, f64)> {
+    (
+        0u8..3,
+        arb_dist(),
+        arb_dist(),
+        proptest::collection::vec((0u8..2, 0.01f64..1.0), 12),
+        0.0f64..1.0,
+        0.0f64..1.0,
+    )
+        .prop_map(|(pick, p, other, mask, wa, wb)| {
+            if pick == 0 {
+                return (p, other, wa, wb);
+            }
+            let kept = p.iter().zip(mask).filter(|(_, (keep, _))| *keep == 1);
+            if pick == 1 {
+                let q = SparseDist::from_pairs(kept.map(|((i, _), (_, w))| (i, w)).collect());
+                (p, q, wa, wb)
+            } else {
+                let q = SparseDist::from_pairs(kept.map(|(e, _)| e).collect());
+                (p, q, wa, -wa)
+            }
+        })
+}
+
 /// Strategy: a tiny distribution (≤ 3 support points) over a universe wide
 /// enough that it rarely overlaps much with [`arb_wide_dist`].
 fn arb_tiny_dist() -> impl Strategy<Value = SparseDist> {
@@ -204,16 +232,16 @@ proptest! {
     /// `merge_from` must reproduce the pinned `weighted_sum` reference
     /// bit for bit: same entries, same weight bits, same cached total
     /// bits — including weight 0 (which drops a whole side to zero
-    /// entries that must be retained-out identically).
+    /// entries that must be retained-out identically), a `q` whose
+    /// support lies inside `p`'s (the absorb pattern), and weights that
+    /// cancel shared entries to exactly zero.
     #[test]
-    fn scratch_merges_are_bit_identical_to_weighted_sum(
-        p in arb_dist(), q in arb_dist(), wa in 0.0f64..1.0, wb in 0.0f64..1.0
-    ) {
+    fn in_place_merges_are_bit_identical_to_weighted_sum(case in arb_merge_case()) {
+        let (p, q, wa, wb) = case;
         let reference = SparseDist::weighted_sum(&p, wa, &q, wb);
 
         let mut merged = p.clone();
-        let mut scratch = Vec::new();
-        merged.merge_from(wa, &q, wb, &mut scratch);
+        merged.merge_from(wa, &q, wb);
         prop_assert_eq!(merged.support(), reference.support());
         for ((ia, va), (ib, vb)) in merged.iter().zip(reference.iter()) {
             prop_assert_eq!(ia, ib);

@@ -91,8 +91,8 @@ pub struct Limbo {
 /// from `AnalysisCtx::tuple_mutual_information` /
 /// `AnalysisCtx::value_mutual_information` (it only gates the merge threshold, so any consistent estimate works).
 /// Objects are borrowed: an absorbed insert never clones the incoming
-/// DCF (see [`DcfTree::insert`]), so in the summary regime Phase 1
-/// performs no per-object allocation.
+/// DCF (see [`DcfTree::insert`]); it only resizes the summaries on its
+/// path when their support changes.
 pub fn phase1<'a>(
     objects: impl IntoIterator<Item = &'a Dcf>,
     mutual_information: f64,

@@ -13,13 +13,14 @@
 //! Entries live in a flat `pool: Vec<Entry>` and nodes in a flat
 //! `nodes: Vec<Node>`, both indexed by `u32`; a node holds only the ids
 //! of its entries. Insertion is iterative — the descent records a
-//! `(node, entry index)` path into a reused scratch vector, the incoming
-//! DCF is borrowed (cloned into the pool only when it opens a new
-//! entry), and every summary refresh
-//! goes through [`Dcf::merge_in_place`] with one embedded
-//! [`MergeScratch`]. Splits recycle entry slots freed by parent
-//! restructuring through a free list. In steady state an insert that is
-//! absorbed by an existing leaf entry performs zero heap allocations.
+//! `(node, entry index)` path into a reused vector, the incoming DCF is
+//! borrowed (cloned into the pool only when it opens a new entry), and
+//! every summary refresh goes through [`Dcf::merge_in_place`], which
+//! merges in the summary's own buffers. No buffer passes between
+//! entries, so each entry's capacity follows its own support, and a
+//! leaf handed to Phase 2 carries no upper-level summary's capacity.
+//! Splits recycle entry slots freed by parent restructuring through a
+//! free list.
 //!
 //! The result is pinned bit-identical to the original recursive
 //! implementation, kept as [`crate::tree_reference::DcfTreeRef`]: same
@@ -31,7 +32,7 @@
 //! node entry order (`swap_remove` + push), and the merge arithmetic
 //! itself (`merge_in_place` is bit-identical to the allocating `merge`).
 
-use dbmine_ib::{Dcf, MergeScratch};
+use dbmine_ib::Dcf;
 
 /// An entry of a tree node: a cluster summary, plus (for internal nodes)
 /// the child holding its constituents.
@@ -64,10 +65,8 @@ pub struct DcfTree {
     branching: usize,
     threshold: f64,
     n_inserted: usize,
-    /// Descent scratch: the (node, entry index) path of the last insert.
+    /// The (node, entry index) descent path of the last insert.
     path: Vec<(u32, usize)>,
-    /// Merge scratch threaded through every summary refresh.
-    scratch: MergeScratch,
 }
 
 impl DcfTree {
@@ -88,7 +87,6 @@ impl DcfTree {
             threshold,
             n_inserted: 0,
             path: Vec::new(),
-            scratch: MergeScratch::new(),
         }
     }
 
@@ -107,8 +105,8 @@ impl DcfTree {
     /// An insert absorbed by an existing leaf entry never touches the
     /// incoming DCF's allocations at all; only an insert that opens a new
     /// leaf entry clones it into the pool. In the summary regime (`φ > 0`)
-    /// absorbs dominate, so Phase 1 streams borrowed objects without
-    /// allocating.
+    /// absorbs dominate, so Phase 1 streams borrowed objects and
+    /// allocates only to resize a summary on the insert's path.
     pub fn insert(&mut self, dcf: &Dcf) {
         if let Some(leaf) = self.descend_or_absorb(dcf) {
             self.insert_new_entry(leaf, dcf.clone());
@@ -143,17 +141,11 @@ impl DcfTree {
         if let Some(idx) = absorb {
             dbmine_telemetry::counter_add(dbmine_telemetry::Counter::TreeAbsorbs, 1);
             let eid = self.nodes[node as usize].entries[idx];
-            let Self {
-                nodes,
-                pool,
-                scratch,
-                ..
-            } = self;
-            pool[eid as usize].dcf.merge_in_place(dcf, scratch);
+            self.pool[eid as usize].dcf.merge_in_place(dcf);
             // Refresh every ancestor summary with the incoming object.
             for &(n, i) in path.iter().rev() {
-                let aid = nodes[n as usize].entries[i];
-                pool[aid as usize].dcf.merge_in_place(dcf, scratch);
+                let aid = self.nodes[n as usize].entries[i];
+                self.pool[aid as usize].dcf.merge_in_place(dcf);
             }
             self.path = path;
             return None;
@@ -184,6 +176,8 @@ impl DcfTree {
                     let old = entries.swap_remove(i);
                     entries.push(e1);
                     entries.push(e2);
+                    // A dead slot keeps no summary buffers.
+                    self.pool[old as usize].dcf = Dcf::default();
                     self.free.push(old);
                     pending = if self.nodes[n as usize].entries.len() > self.branching {
                         Some(self.split(n))
@@ -195,7 +189,7 @@ impl DcfTree {
                     // Ancestors above the highest split absorb the new
                     // object's mass into their summaries.
                     let aid = self.nodes[n as usize].entries[i];
-                    Self::merge_pool_pair(&mut self.pool, aid, eid, &mut self.scratch);
+                    Self::merge_pool_pair(&mut self.pool, aid, eid);
                 }
             }
         }
@@ -212,7 +206,7 @@ impl DcfTree {
     }
 
     /// Merges pool entry `src` into pool entry `dst` in place.
-    fn merge_pool_pair(pool: &mut [Entry], dst: u32, src: u32, scratch: &mut MergeScratch) {
+    fn merge_pool_pair(pool: &mut [Entry], dst: u32, src: u32) {
         let (d, s) = (dst as usize, src as usize);
         debug_assert_ne!(d, s);
         let (dst_e, src_e) = if d < s {
@@ -222,7 +216,7 @@ impl DcfTree {
             let (lo, hi) = pool.split_at_mut(d);
             (&mut hi[0], &lo[s])
         };
-        dst_e.dcf.merge_in_place(&src_e.dcf, scratch);
+        dst_e.dcf.merge_in_place(&src_e.dcf);
     }
 
     /// Allocates a pool slot, preferring ones freed by earlier splits.
@@ -299,22 +293,17 @@ impl DcfTree {
             }
         }
 
-        fn summarize(pool: &[Entry], scratch: &mut MergeScratch, es: &[u32]) -> Dcf {
+        fn summarize(pool: &[Entry], es: &[u32]) -> Dcf {
             let mut it = es.iter();
             let first = *it.next().expect("split halves are non-empty");
             let mut s = pool[first as usize].dcf.clone();
             for &e in it {
-                s.merge_in_place(&pool[e as usize].dcf, scratch);
+                s.merge_in_place(&pool[e as usize].dcf);
             }
             s
         }
-        let (left_summary, right_summary) = {
-            let Self { pool, scratch, .. } = self;
-            (
-                summarize(pool, scratch, &left),
-                summarize(pool, scratch, &right),
-            )
-        };
+        let left_summary = summarize(&self.pool, &left);
+        let right_summary = summarize(&self.pool, &right);
 
         // Reuse `node` for the left half; allocate the right half.
         self.nodes[node as usize].entries = left;

@@ -123,13 +123,12 @@ pub fn horizontal_partition_ctx(
     // "Loss of initial information after Phase 3": rebuild each final
     // cluster's DCF from its *assigned* tuples and compare I(C;V) with
     // the input I(T;V).
-    let mut merge_scratch = dbmine_ib::MergeScratch::new();
     let mut clustered = dbmine_infotheory::MutualInformation::new();
     for p in partitions.iter().filter(|p| !p.is_empty()) {
         let mut it = p.iter();
         let mut dcf = objects[*it.next().expect("non-empty")].clone();
         for &t in it {
-            dcf.merge_in_place(&objects[t], &mut merge_scratch);
+            dcf.merge_in_place(&objects[t]);
         }
         clustered.add(dcf.weight, &dcf.cond);
     }

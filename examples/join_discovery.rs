@@ -8,8 +8,8 @@
 //! ```
 
 use dbmine::baselines::{join_candidates, self_join_candidates};
+use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{db2_sample, Db2Spec};
-use dbmine::relation::ValueIndex;
 
 fn main() {
     let s = db2_sample(&Db2Spec::default());
@@ -31,8 +31,8 @@ fn main() {
     ];
     for (ln, l, rn, r) in pairs {
         println!("\n{ln} → {rn} join candidates (containment ≥ 0.95):");
-        let (li, ri) = (ValueIndex::build(l), ValueIndex::build(r));
-        for c in join_candidates((&li, l.dict()), (&ri, r.dict()), 2.0, 0.95) {
+        let (lc, rc) = (AnalysisCtx::of(l), AnalysisCtx::of(r));
+        for c in join_candidates(&lc, &rc, 2.0, 0.95) {
             println!(
                 "  {}.{} ⊆ {}.{}   containment {:.2}, jaccard {:.2} ({} shared values)",
                 ln,
@@ -47,8 +47,7 @@ fn main() {
     }
 
     println!("\nwithin the denormalized join (cross-attribute value sharing):");
-    let index = ValueIndex::build(&s.relation);
-    for c in self_join_candidates((&index, s.relation.dict()), 0.2)
+    for c in self_join_candidates(&AnalysisCtx::of(&s.relation), 0.2)
         .iter()
         .take(8)
     {

@@ -11,7 +11,7 @@ use dbmine::datagen::{
 use dbmine::fdmine::{mine_approximate_ctx, mine_fastfds, mine_fdep_ctx, Fd};
 use dbmine::fdrank::{column_content, redundant_cells_ctx};
 use dbmine::limbo::LimboParams;
-use dbmine::relation::{AttrSet, Relation, ValueIndex};
+use dbmine::relation::{AttrSet, Relation};
 use dbmine::summaries::{
     cluster_values_ctx, eliminate_duplicates, find_duplicate_tuples_ctx, group_attributes,
     vertical_partition,
@@ -82,8 +82,7 @@ fn join_discovery_recovers_star_schema() {
     let s = db2_sample(&Db2Spec::default());
     // All three base-table foreign keys surface at containment 1.0.
     let fk = |l: &Relation, la: &str, r: &Relation, ra: &str| {
-        let (li, ri) = (ValueIndex::build(l), ValueIndex::build(r));
-        join_candidates((&li, l.dict()), (&ri, r.dict()), 2.0, 0.999)
+        join_candidates(&AnalysisCtx::of(l), &AnalysisCtx::of(r), 2.0, 0.999)
             .iter()
             .any(|c| {
                 c.left_attr == l.attr_id(la).unwrap() && c.right_attr == r.attr_id(ra).unwrap()
