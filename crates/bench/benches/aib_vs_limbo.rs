@@ -44,7 +44,7 @@ fn bench(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("limbo_phi_1.0", n), &n, |b, _| {
             b.iter(|| {
-                let model = phase1(&objects, mi, objects.len(), LimboParams::with_phi(1.0));
+                let model = phase1(&objects, mi, LimboParams::with_phi(1.0));
                 phase2_with(&model, 3, 1)
             })
         });

@@ -21,7 +21,7 @@ fn bench(c: &mut Criterion) {
         let mi = ctx.tuple_mutual_information();
         g.throughput(Throughput::Elements(n as u64));
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| phase1(&objects, mi, objects.len(), LimboParams::with_phi(1.0)))
+            b.iter(|| phase1(&objects, mi, LimboParams::with_phi(1.0)))
         });
     }
     g.finish();

@@ -38,7 +38,6 @@ fn main() {
         let model = phase1(
             &objects,
             mi,
-            objects.len(),
             LimboParams {
                 phi,
                 branching: 4,
@@ -70,7 +69,6 @@ fn main() {
         let model = phase1(
             &objects,
             mi,
-            objects.len(),
             LimboParams {
                 phi: 1.0,
                 branching: b,

@@ -19,8 +19,7 @@
 use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{dblp_sample, synthetic, write_csv_path, DblpSpec, PlantedFd, SyntheticSpec};
 use dbmine::limbo::{
-    phase1_auto, phase1_store, run, tuple_dcfs_ctx, tuple_dcfs_for_chunk, DcfTree, DcfTreeRef,
-    LimboParams,
+    phase1, run, tuple_dcfs, tuple_dcfs_ctx, DcfTree, DcfTreeRef, LimboParams, TupleStream,
 };
 use dbmine::relation::{Relation, ShardedRelation};
 use dbmine::telemetry::{self, Counter};
@@ -156,10 +155,10 @@ struct ScalePoint {
 }
 
 /// Streams one CSV of `n` tuples through the out-of-core Phase 1 and
-/// measures it; at the smallest size the sharded result is gated
+/// measures it; at the smallest size the result is gated
 /// bit-identical across worker counts and against the in-memory build.
 fn run_scaling_column(sizes: &[usize], verify_in_memory: bool) -> Vec<ScalePoint> {
-    let params = LimboParams::with_phi(4.0).shards(Some(2));
+    let params = LimboParams::with_phi(4.0).threads(2);
     let dir = std::env::temp_dir().join("dbmine_bench_scaling");
     std::fs::create_dir_all(&dir).expect("create scaling temp dir");
     let mut points = Vec::new();
@@ -203,7 +202,7 @@ fn run_scaling_column(sizes: &[usize], verify_in_memory: bool) -> Vec<ScalePoint
 
         let before = telemetry::snapshot();
         let start = Instant::now();
-        let (model, stats) = telemetry::alloc::measure(|| phase1_store(&ctx, params));
+        let (model, stats) = telemetry::alloc::measure(|| TupleStream::new(&ctx).phase1(params));
         let mi = model.mutual_information;
         let phase1_ms = start.elapsed().as_secs_f64() * 1e3;
         let d = telemetry::snapshot().delta(&before);
@@ -230,7 +229,7 @@ fn run_scaling_column(sizes: &[usize], verify_in_memory: bool) -> Vec<ScalePoint
         let mut chunk_peaks: Vec<u64> = Vec::new();
         for chunk in ctx.chunks() {
             let (_, s) = telemetry::alloc::measure(|| {
-                let dcfs = tuple_dcfs_for_chunk(&ctx, &chunk, 1);
+                let dcfs = tuple_dcfs(&ctx, &chunk, 0..chunk.n_rows(), 1);
                 let mut t = DcfTree::new(params.branching, tau);
                 for o in &dcfs {
                     t.insert(o);
@@ -245,10 +244,10 @@ fn run_scaling_column(sizes: &[usize], verify_in_memory: bool) -> Vec<ScalePoint
 
         if i == 0 {
             // Worker-count bit-identity gate on the cheapest size: the
-            // shard plan is fixed by n, so every worker count must
+            // shard plan is fixed by n, so every thread count must
             // reproduce the same leaves exactly.
             for workers in [1usize, 4] {
-                let model_w = phase1_store(&ctx, params.shards(Some(workers)));
+                let model_w = TupleStream::new(&ctx).phase1(params.threads(workers));
                 assert_eq!(
                     mi.to_bits(),
                     model_w.mutual_information.to_bits(),
@@ -261,7 +260,7 @@ fn run_scaling_column(sizes: &[usize], verify_in_memory: bool) -> Vec<ScalePoint
                 );
             }
             if verify_in_memory {
-                // The out-of-core build must equal the in-memory sharded
+                // The out-of-core build must equal the in-memory slice
                 // build over the same auto plan, bit for bit.
                 let rel = dbmine::relation::csv::read_relation_path(&path)
                     .expect("in-memory scaling load");
@@ -269,7 +268,7 @@ fn run_scaling_column(sizes: &[usize], verify_in_memory: bool) -> Vec<ScalePoint
                 let objects = tuple_dcfs_ctx(&ctx, 1);
                 let mi_mem = ctx.tuple_mutual_information();
                 assert_eq!(mi.to_bits(), mi_mem.to_bits(), "streaming MI diverges");
-                let mem = phase1_auto(&objects, mi_mem, params.shards(Some(1)));
+                let mem = phase1(&objects, mi_mem, params.threads(1));
                 assert_leaves_bit_identical(&model.leaves, &mem.leaves, "out-of-core vs in-memory");
             }
         }
@@ -583,7 +582,7 @@ fn main() {
     //
     // Each point streams a DBLP-style CSV from disk through the
     // three-pass out-of-core Phase 1: spill-on-scan (dictionary + hash
-    // + store), then `phase1_store`'s streaming I(T;V) and chunked DCF
+    // + store), then `TupleStream::phase1`'s streaming I(T;V) and chunked DCF
     // build + sharded tree merge. `median_chunk_peak_bytes` measures the
     // Stage-A working set — one chunk's singleton DCFs plus its
     // per-chunk tree — which is what "ingest memory bounded by chunk

@@ -3,8 +3,8 @@
 //! `dbmine --help` lists the commands and the flags each reads; both
 //! come from the command grammar in [`dbmine::render`], which the
 //! `dbmined` daemon parses its requests with too. The CLI itself reads
-//! only its load flags: `--spill P`, `--shards N` and `--profile P` on
-//! every command, and `--with P`, the second file of `joins`. A flag a
+//! only its load flags: `--spill P` and `--profile P` on every
+//! command, and `--with P`, the second file of `joins`. A flag a
 //! command does not read is an error (exit 2).
 //!
 //! Every path, the input and the `--with` file alike, opens through
@@ -23,7 +23,6 @@ use dbmine::relation::ShardedRelation;
 use dbmine::render::{self, Kind, ParamError, Value};
 use dbmine::telemetry;
 use std::io::Write;
-use std::path::{Path, PathBuf};
 use std::process::exit;
 
 // Counting allocator for `--profile` runs: feature-independent, but only
@@ -59,8 +58,8 @@ fn usage() -> ! {
          USAGE:\n\
          {synopsis}\
          \n\
-         Every command also takes --spill P, --shards N and --profile P; any\n\
-         other flag a command does not read is an error.\n\
+         Every command also takes --spill P and --profile P; any other\n\
+         flag a command does not read is an error.\n\
          \n\
          OPTIONS:\n\
          \x20 --phi-t F    tuple-clustering accuracy φT (default 0.1 for\n\
@@ -85,15 +84,10 @@ fn usage() -> ! {
          \x20 --threads N  worker threads for clustering and FD mining\n\
          \x20              (1 = serial, 0 = all cores; results are\n\
          \x20              bit-identical for every thread count)\n\
-         \x20 --shards N   build LIMBO Phase 1 from N parallel shard\n\
-         \x20              workers (0 = all cores; omit for the classic\n\
-         \x20              single-pass build; output is byte-identical\n\
-         \x20              for every shard count)\n\
          \x20 --spill P    spill the scanned CSV into a binary shard\n\
          \x20              store at P while loading; pass P (a .dbss\n\
          \x20              file) as the input of later runs to skip\n\
-         \x20              CSV parsing entirely. Sharded runs without\n\
-         \x20              --spill use a temporary store automatically\n\
+         \x20              CSV parsing entirely\n\
          \x20 --profile P  write a telemetry run report (spans, counters,\n\
          \x20              allocations) as JSON to path P, or print the\n\
          \x20              human-readable report to stderr with `-`"
@@ -101,10 +95,9 @@ fn usage() -> ! {
     exit(2);
 }
 
-/// The flags the CLI reads itself on every command: `--spill` and
-/// `--shards` choose how [`load_input`] loads the relation, and
-/// `--profile` wraps the run. A command that reads `shards` gets it too.
-const LOAD_FLAGS: &[&str] = &["spill", "shards", "profile"];
+/// The flags the CLI reads itself on every command: `--spill` chooses
+/// how [`load_input`] loads the relation, and `--profile` wraps the run.
+const LOAD_FLAGS: &[&str] = &["spill", "profile"];
 
 /// The one command with a second input, read from `--with`.
 const JOINS: &str = "joins";
@@ -130,8 +123,7 @@ impl Args {
     }
 }
 
-/// The command parameters: every flag the command reads. `--shards`
-/// is one of them where the command reads it, and a load flag anyway.
+/// The command parameters: every flag the command reads.
 impl render::Source for Args {
     fn names(&self) -> Vec<&str> {
         self.flags
@@ -234,62 +226,24 @@ fn open(path: &str) -> AnalysisCtx {
     loaded(or_exit(ctx, &format!("cannot read {path}")))
 }
 
-/// Deletes an automatic temporary spill store when the process is done
-/// with it. Held for the whole run: a chunk-backed context re-reads the
-/// store lazily on each view build, so the file must outlive every
-/// command body.
-struct TempStore(PathBuf);
-
-impl Drop for TempStore {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
-
-/// Loads the primary input: its context plus, for `--shards` auto-spill
-/// runs, the guard keeping the temporary store on disk. A CSV is
-/// spilled to a store on the way in when `--spill PATH` names one, or
-/// into an automatic temporary store when `--shards` selects sharded
-/// ingest, and its context then streams every view from that store. Any
-/// other input — a CSV, or a `.dbss` store whatever the flags — opens
-/// through [`AnalysisCtx::open`]. All paths produce byte-identical
-/// command output.
-fn load_input(args: &Args) -> (AnalysisCtx, Option<TempStore>) {
+/// Loads the primary input. A CSV is spilled to a store on the way in
+/// when `--spill PATH` names one, and its context then streams every
+/// view from that store; any other input — a CSV, or a `.dbss` store —
+/// opens through [`AnalysisCtx::open`]. All paths produce
+/// byte-identical command output.
+fn load_input(args: &Args) -> AnalysisCtx {
     let path = args.path.as_str();
-    let spill = args.flag("spill");
-    let store_input = is_store_path(path);
-    if store_input && spill.is_some() {
+    let Some(store_path) = args.flag("spill") else {
+        return open(path);
+    };
+    if is_store_path(path) {
         eprintln!("error: --spill expects CSV input; {path} is already a shard store");
         exit(2);
     }
-    let (store_path, temp) = match spill {
-        Some(store_path) => (PathBuf::from(store_path), None),
-        // Sharded ingest without an explicit store: spill once into a
-        // temporary store so every later pass is a block decode. The
-        // guard deletes the store when the process is done.
-        None if args.flag("shards").is_some() && !store_input => {
-            let stem = Path::new(path)
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or("relation");
-            let store_path = std::env::temp_dir().join(format!(
-                "dbmine_autospill_{}_{stem}.dbss",
-                std::process::id()
-            ));
-            (store_path.clone(), Some(TempStore(store_path)))
-        }
-        None => return (open(path), None),
-    };
-    let ctx = ShardedRelation::scan_csv_path_spill(path, 0, &store_path)
-        .inspect(|s| {
-            eprintln!(
-                "spilled {} chunks to {}",
-                s.n_chunks(),
-                store_path.display()
-            )
-        })
+    let ctx = ShardedRelation::scan_csv_path_spill(path, 0, store_path)
+        .inspect(|s| eprintln!("spilled {} chunks to {store_path}", s.n_chunks()))
         .and_then(AnalysisCtx::from_chunks);
-    (loaded(or_exit(ctx, &format!("cannot spill {path}"))), temp)
+    loaded(or_exit(ctx, &format!("cannot spill {path}")))
 }
 
 /// Writes a command's output to stdout. A reader that closes the pipe
@@ -332,13 +286,6 @@ fn main() {
     let args = parse_args();
     let command =
         render::Command::parse(args.spec, &args).unwrap_or_else(|e| param_error(&args, &e));
-    // `--shards` also selects the auto-spill load on commands that do
-    // not read it, so its value is checked on every command.
-    if let Some(v) = args.flag("shards") {
-        if v.parse::<usize>().is_err() {
-            bad_flag("shards", v);
-        }
-    }
     let with = args.flag("with");
     if args.spec.name == JOINS && with.is_none() {
         fail("`joins` needs --with <other.csv>");
@@ -353,10 +300,9 @@ fn main() {
         }
         telemetry::begin();
     }
-    // The inputs (and any temporary store) are dropped before the output
-    // is written, so a quiet early exit in `emit` leaves nothing behind.
+    // The inputs are dropped before the output is written.
     let out = {
-        let (ctx, _temp) = load_input(&args);
+        let ctx = load_input(&args);
         let right = with.map(open);
         command.run(&ctx, right.as_ref())
     };

@@ -48,11 +48,8 @@ pub struct MinerConfig {
     /// serial, `0` = all cores). Results are bit-identical for every
     /// thread count.
     pub threads: usize,
-    /// Sharded LIMBO Phase 1 (`--shards`): `None` = the classic
-    /// single-pass tree; `Some(w)` = chunked build + merge with `w`
-    /// shard workers (`0` = all cores). The chunk plan depends only on
-    /// the object count, so every worker count produces byte-identical
-    /// results.
+    /// Ignored. Kept for `bench_e2e`; the benchmark PR deletes it.
+    #[doc(hidden)]
     pub shards: Option<usize>,
     /// Which quality score orders the ranked dependencies: the paper's
     /// FD-RANK information-loss order ([`ScoreKind::G3`]) or a re-rank
@@ -260,17 +257,11 @@ impl StructureMiner {
             let _s = dbmine_telemetry::span!("miner.profile_columns");
             ctx.column_profiles().to_vec()
         };
-        let duplicate_tuples = find_duplicate_tuples_ctx(
-            ctx,
-            LimboParams::with_phi(c.phi_tuples)
-                .threads(c.threads)
-                .shards(c.shards),
-        );
+        let duplicate_tuples =
+            find_duplicate_tuples_ctx(ctx, LimboParams::with_phi(c.phi_tuples).threads(c.threads));
         let value_groups = cluster_values_ctx(
             ctx,
-            LimboParams::with_phi(c.phi_values)
-                .threads(c.threads)
-                .shards(c.shards),
+            LimboParams::with_phi(c.phi_values).threads(c.threads),
             None,
         );
         let attribute_grouping = group_attributes(&value_groups, ctx.n_attrs());

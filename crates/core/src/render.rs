@@ -46,18 +46,8 @@ fn previews<'a>(ctx: &AnalysisCtx, ids: impl Iterator<Item = &'a usize>) -> Hash
 }
 
 /// `duplicates`: LIMBO tuple clustering at accuracy `φ_T = phi`.
-/// `shards` selects the sharded Phase 1 build (`None` = classic
-/// single-pass; byte-identical output either way).
-pub fn run_duplicates(
-    ctx: &AnalysisCtx,
-    phi: f64,
-    threads: usize,
-    shards: Option<usize>,
-) -> String {
-    let report = find_duplicate_tuples_ctx(
-        ctx,
-        LimboParams::with_phi(phi).threads(threads).shards(shards),
-    );
+pub fn run_duplicates(ctx: &AnalysisCtx, phi: f64, threads: usize) -> String {
+    let report = find_duplicate_tuples_ctx(ctx, LimboParams::with_phi(phi).threads(threads));
     let mut out = String::new();
     writeln!(
         out,
@@ -160,20 +150,16 @@ pub fn run_fds(
 }
 
 /// `partition`: horizontal partitioning via LIMBO at `φ_T = phi`,
-/// optionally forcing `k` clusters.
+/// optionally forcing `k` clusters. `_shards` is ignored: kept for
+/// `bench_e2e`; the benchmark PR deletes it.
 pub fn run_partition(
     ctx: &AnalysisCtx,
     phi: f64,
     k: Option<usize>,
     threads: usize,
-    shards: Option<usize>,
+    _shards: Option<usize>,
 ) -> String {
-    let part = horizontal_partition_ctx(
-        ctx,
-        LimboParams::with_phi(phi).threads(threads).shards(shards),
-        k,
-        8,
-    );
+    let part = horizontal_partition_ctx(ctx, LimboParams::with_phi(phi).threads(threads), k, 8);
     let mut out = String::new();
     writeln!(
         out,
@@ -297,14 +283,15 @@ pub fn run_joins(left: &AnalysisCtx, right: &AnalysisCtx) -> String {
 }
 
 /// The `analyze` configuration for the given parameters, each `None`
-/// resolved to its [`COMMANDS`] default.
+/// resolved to its [`COMMANDS`] default. `_shards` is ignored: kept for
+/// `bench_e2e`; the benchmark PR deletes it.
 pub fn analyze_config(
     phi_t: Option<f64>,
     phi_v: Option<f64>,
     psi: Option<f64>,
     max_lhs: Option<usize>,
     threads: usize,
-    shards: Option<usize>,
+    _shards: Option<usize>,
     score: ScoreKind,
 ) -> MinerConfig {
     Params {
@@ -313,7 +300,6 @@ pub fn analyze_config(
         psi: psi.unwrap_or(DEFAULTS.psi),
         max_lhs,
         threads,
-        shards,
         score,
         ..DEFAULTS
     }
@@ -363,12 +349,11 @@ const K: Param = param("k", Kind::Count);
 const STEPS: Param = param("steps", Kind::Count);
 const MAX_LHS: Param = param("max_lhs", Kind::Count);
 const THREADS: Param = param("threads", Kind::Count);
-const SHARDS: Param = param("shards", Kind::Count);
 const SCORE: Param = param("score", Kind::Score);
 
 /// Every parameter some command reads.
 pub const PARAMS: &[Param] = &[
-    PHI_T, PHI_V, PSI, APPROX, THETA, K, STEPS, MAX_LHS, THREADS, SHARDS, SCORE,
+    PHI_T, PHI_V, PSI, APPROX, THETA, K, STEPS, MAX_LHS, THREADS, SCORE,
 ];
 
 /// One command's parameters, each resolved to its given value or the
@@ -384,14 +369,13 @@ struct Params {
     steps: usize,
     max_lhs: Option<usize>,
     threads: usize,
-    shards: Option<usize>,
     score: ScoreKind,
 }
 
 /// The defaults every command shares; a [`COMMANDS`] row overrides the
 /// few that differ. `None` means unset: exact FDs (`approx`), the
-/// reliable miner's own default `θ` ([`run_fds`]), an automatic `k`, no
-/// LHS bound and the classic single-pass LIMBO Phase 1 (`shards`).
+/// reliable miner's own default `θ` ([`run_fds`]), an automatic `k` and no
+/// LHS bound.
 const DEFAULTS: Params = Params {
     phi_t: 0.1,
     phi_v: 0.0,
@@ -402,7 +386,6 @@ const DEFAULTS: Params = Params {
     steps: 3,
     max_lhs: None,
     threads: 1,
-    shards: None,
     score: ScoreKind::G3,
 };
 
@@ -419,7 +402,6 @@ impl Params {
             ("steps", Value::Count(n)) => self.steps = n,
             ("max_lhs", Value::Count(n)) => self.max_lhs = Some(n),
             ("threads", Value::Count(n)) => self.threads = n,
-            ("shards", Value::Count(n)) => self.shards = Some(n),
             ("score", Value::Score(s)) => self.score = s,
             _ => unreachable!("{value:?} is not a value of parameter `{name}`"),
         }
@@ -432,7 +414,6 @@ impl Params {
             psi: self.psi,
             max_lhs: self.max_lhs,
             threads: self.threads,
-            shards: self.shards,
             score: self.score,
             ..MinerConfig::default()
         }
@@ -507,16 +488,16 @@ pub const COMMANDS: &[Spec] = &[
     Spec {
         name: "analyze",
         served: true,
-        params: &[PHI_T, PHI_V, PSI, MAX_LHS, SCORE, THREADS, SHARDS],
+        params: &[PHI_T, PHI_V, PSI, MAX_LHS, SCORE, THREADS],
         defaults: DEFAULTS,
         run: |p, ctx, _| run_analyze(ctx, &p.miner_config()),
     },
     Spec {
         name: "duplicates",
         served: true,
-        params: &[PHI_T, THREADS, SHARDS],
+        params: &[PHI_T, THREADS],
         defaults: DEFAULTS,
-        run: |p, ctx, _| run_duplicates(ctx, p.phi_t, p.threads, p.shards),
+        run: |p, ctx, _| run_duplicates(ctx, p.phi_t, p.threads),
     },
     Spec {
         name: "fds",
@@ -546,17 +527,17 @@ pub const COMMANDS: &[Spec] = &[
     Spec {
         name: "partition",
         served: true,
-        params: &[K, PHI_T, THREADS, SHARDS],
+        params: &[K, PHI_T, THREADS],
         defaults: Params {
             phi_t: 0.5,
             ..DEFAULTS
         },
-        run: |p, ctx, _| run_partition(ctx, p.phi_t, p.k, p.threads, p.shards),
+        run: |p, ctx, _| run_partition(ctx, p.phi_t, p.k, p.threads, None),
     },
     Spec {
         name: "redesign",
         served: true,
-        params: &[STEPS, PHI_T, PHI_V, PSI, MAX_LHS, SCORE, THREADS, SHARDS],
+        params: &[STEPS, PHI_T, PHI_V, PSI, MAX_LHS, SCORE, THREADS],
         defaults: Params {
             phi_t: 0.0,
             ..DEFAULTS
@@ -774,9 +755,9 @@ mod tests {
         let config = analyze_config(None, None, None, None, 1, None, ScoreKind::G3);
         assert_eq!(run_analyze(&chunked, &config), run_analyze(&mem, &config));
         // The row-reading commands select their rows from the chunks.
-        let dups = run_duplicates(&mem, 0.9, 1, None);
+        let dups = run_duplicates(&mem, 0.9, 1);
         assert!(dups.contains("\ngroup 1 ("), "{dups}");
-        assert_eq!(run_duplicates(&chunked, 0.9, 1, None), dups);
+        assert_eq!(run_duplicates(&chunked, 0.9, 1), dups);
         assert_eq!(
             run_partition(&chunked, 0.5, Some(3), 1, None),
             run_partition(&mem, 0.5, Some(3), 1, None)

@@ -763,21 +763,30 @@ mod tests {
     }
 
     #[test]
-    fn sharded_request_output_is_byte_identical_to_classic() {
+    fn threads_request_output_is_byte_identical() {
         let d = Daemon::new(4);
         let csv = figure4_csv().replace('\n', "\\n");
+        let out = |line: &str| {
+            parse(&d.handle_line(line).line)
+                .unwrap()
+                .get("output")
+                .and_then(Json::as_str)
+                .unwrap()
+                .to_string()
+        };
         for cmd in ["analyze", "duplicates", "partition"] {
-            let classic = format!("{{\"cmd\":\"{cmd}\",\"csv\":\"{csv}\"}}");
+            let serial = out(&format!("{{\"cmd\":\"{cmd}\",\"csv\":\"{csv}\"}}"));
+            for threads in [0, 1, 4] {
+                let line = format!("{{\"cmd\":\"{cmd}\",\"csv\":\"{csv}\",\"threads\":{threads}}}");
+                assert_eq!(out(&line), serial, "cmd {cmd} threads {threads}");
+            }
+            // The retired Phase 1 knob is an unknown field, like any other.
             let sharded = format!("{{\"cmd\":\"{cmd}\",\"csv\":\"{csv}\",\"shards\":4}}");
-            let out = |line: &str| {
-                parse(&d.handle_line(line).line)
-                    .unwrap()
-                    .get("output")
-                    .and_then(Json::as_str)
-                    .unwrap()
-                    .to_string()
-            };
-            assert_eq!(out(&classic), out(&sharded), "cmd {cmd}");
+            let v = parse(&d.handle_line(&sharded).line).unwrap();
+            assert_eq!(
+                v.get("error").and_then(Json::as_str),
+                Some(format!("unknown field `shards` for `{cmd}`").as_str())
+            );
         }
     }
 

@@ -8,7 +8,7 @@ use dbmine_context::AnalysisCtx;
 use dbmine_datagen::{dblp_sample, DblpSpec};
 use dbmine_ib::{aib, aib_cut, aib_reference, aib_with, assign_all_with, AibResult, Dcf, KStat};
 use dbmine_infotheory::SparseDist;
-use dbmine_limbo::{phase1_auto, tuple_dcfs_ctx, value_dcfs_with, LimboParams};
+use dbmine_limbo::{phase1, tuple_dcfs_ctx, value_dcfs_with, LimboParams};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -262,7 +262,7 @@ fn assign_all_matches_linear_scan_on_dblp() {
         let ctx = AnalysisCtx::of(&rel);
 
         let tuples = tuple_dcfs_ctx(&ctx, 1);
-        let model = phase1_auto(
+        let model = phase1(
             &tuples,
             ctx.tuple_mutual_information(),
             LimboParams::with_phi(0.0),
@@ -277,7 +277,7 @@ fn assign_all_matches_linear_scan_on_dblp() {
         assert_matches_linear_scan(&tuples, &multi, 1);
 
         let values = value_dcfs_with(ctx.value_index(), 1);
-        let model = phase1_auto(
+        let model = phase1(
             &values,
             ctx.value_mutual_information(),
             LimboParams::with_phi(0.0),

@@ -31,8 +31,8 @@ pub fn reexpress_over_clusters(index: &ValueIndex, assignment: &[usize]) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::tuple_dcfs_ctx;
     use crate::pipeline::{run, LimboParams};
+    use crate::tuples::tuple_dcfs_ctx;
     use dbmine_context::AnalysisCtx;
     use dbmine_relation::paper::figure4;
     use dbmine_relation::ValueIndex;

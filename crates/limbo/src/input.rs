@@ -1,9 +1,7 @@
 //! DCF streams for the paper's three clustering tasks.
 //!
-//! * [`tuple_dcfs_ctx`] — Section 6.1: objects are tuples, expressed over
-//!   values; `p(t) = 1/n`, `p(V|t)` a row of matrix `M`
-//!   ([`dbmine_relation::qualified_row`]), built chunk by chunk from the
-//!   context's pass ([`tuple_dcfs_for_chunk`]).
+//! * [`crate::tuples`] — Section 6.1: objects are tuples, expressed over
+//!   values, built window by window from the context's chunk pass.
 //! * [`value_dcfs_with`] — Section 6.2: objects are distinct attribute values,
 //!   expressed over tuples; `p(v) = 1/d`, `p(T|v)` from matrix `N`, and
 //!   the ADCF auxiliary vector carries the value's `O` row so clusters
@@ -11,38 +9,9 @@
 //! * [`attribute_dcfs`] — Section 6.3: objects are attributes, expressed
 //!   over duplicate value groups via the (normalized) matrix `F`.
 
-use dbmine_context::AnalysisCtx;
 use dbmine_ib::Dcf;
 use dbmine_infotheory::SparseDist;
-use dbmine_relation::{qualified_row, qualified_stride, RelationChunk, ValueIndex};
-
-/// Singleton DCFs for every tuple of the relation (matrix `M` rows), in
-/// tuple order: one fold of [`tuple_dcfs_for_chunk`] over the context's
-/// chunk pass ([`AnalysisCtx::chunks`]), so the context caches nothing.
-/// `threads`: `1` = serial, `0` = all cores. Each tuple's DCF is built
-/// independently, so the result is bit-identical for every thread count
-/// and every chunking.
-pub fn tuple_dcfs_ctx(ctx: &AnalysisCtx, threads: usize) -> Vec<Dcf> {
-    let _span = dbmine_telemetry::span("limbo.tuple_dcfs");
-    let mut out = Vec::with_capacity(ctx.n_tuples());
-    for chunk in ctx.chunks() {
-        out.extend(tuple_dcfs_for_chunk(ctx, &chunk, threads));
-    }
-    out
-}
-
-/// Singleton tuple DCFs for the rows of one chunk of `ctx`'s pass, with
-/// `threads` workers. The stride, the cell mass `1/m` and the prior
-/// `p(t) = 1/n` are the whole relation's, so a chunk's DCFs are bitwise
-/// the slice `objects[chunk.start..]` of [`tuple_dcfs_ctx`].
-pub fn tuple_dcfs_for_chunk(ctx: &AnalysisCtx, chunk: &RelationChunk, threads: usize) -> Vec<Dcf> {
-    let m = ctx.n_attrs();
-    let stride = qualified_stride(ctx.dict().len(), m);
-    let (mass, prior) = (1.0 / m as f64, 1.0 / ctx.n_tuples() as f64);
-    dbmine_parallel::par_map_range(threads, chunk.n_rows(), |t| {
-        Dcf::singleton(prior, qualified_row(stride, mass, chunk.row_values(t)))
-    })
-}
+use dbmine_relation::ValueIndex;
 
 /// Singleton ADCFs for every distinct value of the relation: the `N` row
 /// as the conditional, the `O` row as the auxiliary count vector.
@@ -84,8 +53,8 @@ mod tests {
 
     #[test]
     fn tuple_dcfs_are_uniform_prior() {
-        let rel = figure4();
-        let dcfs = tuple_dcfs_ctx(&AnalysisCtx::of(&rel), 1);
+        let ctx = dbmine_context::AnalysisCtx::of(&figure4());
+        let dcfs = crate::tuple_dcfs_ctx(&ctx, 1);
         assert_eq!(dcfs.len(), 5);
         assert!(dcfs.iter().all(|d| (d.weight - 0.2).abs() < 1e-12));
         assert!(dcfs.iter().all(|d| d.cond.is_normalized(1e-9)));

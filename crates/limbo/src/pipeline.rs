@@ -1,6 +1,6 @@
 //! The three-phase LIMBO pipeline.
 
-use crate::tree::DcfTree;
+use crate::sharded::{phase1_sharded, ShardPlan};
 use dbmine_ib::{aib_with, assign_all_with, AibResult, Dcf};
 
 /// LIMBO tuning parameters.
@@ -13,16 +13,13 @@ pub struct LimboParams {
     /// DCF-tree branching factor `B`. The paper observed `B` barely
     /// affects quality and uses `B = 4`.
     pub branching: usize,
-    /// Worker threads for the parallelizable stages (Phase 2 candidate
-    /// search and Phase 3 assignment). `1` = serial, `0` = all cores.
-    /// Results are bit-identical for every thread count.
+    /// Worker threads for every parallel stage: the Phase 1 shard
+    /// trees and tuple DCFs, the Phase 2 candidate search and the
+    /// Phase 3 assignment. `1` = serial, `0` = all cores. Results are
+    /// bit-identical for every thread count.
     pub threads: usize,
-    /// Sharded Phase 1 knob (`--shards`): `None` = the classic
-    /// single-pass tree (default everywhere; zero behavior change);
-    /// `Some(w)` = chunked build over [`crate::ShardPlan::auto`] with
-    /// `w` shard workers (`0` = all cores). The output depends only on
-    /// the auto plan — never on `w` — so every worker count produces
-    /// byte-identical results.
+    /// Ignored. Kept for `bench_e2e`; the benchmark PR deletes it.
+    #[doc(hidden)]
     pub shards: Option<usize>,
 }
 
@@ -51,7 +48,9 @@ impl LimboParams {
         LimboParams { threads, ..self }
     }
 
-    /// The same parameters with the sharded Phase 1 knob set.
+    /// The same parameters with the ignored `shards` field set. Kept
+    /// for `bench_e2e`; the benchmark PR deletes it.
+    #[doc(hidden)]
     pub fn shards(self, shards: Option<usize>) -> Self {
         LimboParams { shards, ..self }
     }
@@ -84,43 +83,26 @@ pub struct Limbo {
     pub assignments: Vec<(usize, f64)>,
 }
 
-/// Phase 1: streams `objects` into a DCF-tree with threshold
-/// `φ · mutual_information / n_objects` and returns the leaf summary.
+/// Phase 1 over an in-memory object slice: [`phase1_sharded`] with
+/// [`ShardPlan::auto`], threshold `φ · mutual_information / n` and
+/// `params.threads` shard workers. Up to
+/// [`crate::DEFAULT_CHUNK_TUPLES`] objects this is the classic
+/// single-pass tree.
 ///
 /// `mutual_information` is `I(V;T)` of the input view — callers obtain it
 /// from `AnalysisCtx::tuple_mutual_information` /
-/// `AnalysisCtx::value_mutual_information` (it only gates the merge threshold, so any consistent estimate works).
-/// Objects are borrowed: an absorbed insert never clones the incoming
-/// DCF (see [`DcfTree::insert`]); it only resizes the summaries on its
-/// path when their support changes.
-pub fn phase1<'a>(
-    objects: impl IntoIterator<Item = &'a Dcf>,
-    mutual_information: f64,
-    n_objects: usize,
-    params: LimboParams,
-) -> LimboModel {
-    let threshold = if n_objects == 0 {
-        0.0
-    } else {
-        params.phi * mutual_information / n_objects as f64
-    };
-    let _span = dbmine_telemetry::span("limbo.phase1");
-    let mut tree = DcfTree::new(params.branching, threshold);
-    let mut inserted = 0usize;
-    for dcf in objects {
-        tree.insert(dcf);
-        inserted += 1;
-    }
-    debug_assert_eq!(
-        inserted, n_objects,
-        "n_objects must match the stream length"
-    );
-    LimboModel {
-        leaves: tree.into_leaves(),
-        threshold,
+/// `AnalysisCtx::value_mutual_information` (it only gates the merge
+/// threshold, so any consistent estimate works). Objects are borrowed:
+/// an absorbed insert never clones the incoming DCF (see
+/// [`DcfTree::insert`](crate::DcfTree::insert)). Tuples stream from a
+/// context through [`crate::TupleStream::phase1`] instead.
+pub fn phase1(objects: &[Dcf], mutual_information: f64, params: LimboParams) -> LimboModel {
+    phase1_sharded(
+        objects,
         mutual_information,
-        n_objects: inserted,
-    }
+        params,
+        &ShardPlan::auto(objects.len()),
+    )
 }
 
 /// Phase 2: AIB over the Phase 1 leaves down to `k` clusters, with
@@ -147,17 +129,17 @@ pub fn phase3_with<'a>(
 ///
 /// ```
 /// use dbmine_context::AnalysisCtx;
-/// use dbmine_limbo::{run, tuple_dcfs_ctx, LimboParams};
+/// use dbmine_limbo::{run, value_dcfs_with, LimboParams};
 /// let rel = dbmine_relation::paper::figure4();
 /// let ctx = AnalysisCtx::of(&rel);
-/// let objects = tuple_dcfs_ctx(&ctx, 1);
-/// let l = run(&objects, ctx.tuple_mutual_information(), 2, LimboParams::with_phi(0.0));
-/// assert_eq!(l.assignments.len(), 5);   // every tuple assigned
+/// let objects = value_dcfs_with(ctx.value_index(), 1);
+/// let l = run(&objects, ctx.value_mutual_information(), 2, LimboParams::with_phi(0.0));
+/// assert_eq!(l.assignments.len(), 9);   // every distinct value assigned
 /// assert_eq!(l.clustering.clusters.len(), 2);
 /// ```
 pub fn run(objects: &[Dcf], mutual_information: f64, k: usize, params: LimboParams) -> Limbo {
     let _span = dbmine_telemetry::span("limbo.run");
-    let model = phase1(objects.iter(), mutual_information, objects.len(), params);
+    let model = phase1(objects, mutual_information, params);
     let clustering = phase2_with(&model, k, params.threads);
     let assignments = phase3_with(objects.iter(), &clustering, params.threads);
     Limbo {
@@ -170,7 +152,7 @@ pub fn run(objects: &[Dcf], mutual_information: f64, k: usize, params: LimboPara
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::tuple_dcfs_ctx;
+    use crate::tuples::tuple_dcfs_ctx;
     use dbmine_context::AnalysisCtx;
     use dbmine_ib::aib;
     use dbmine_relation::paper::figure4;
@@ -209,8 +191,8 @@ mod tests {
     #[test]
     fn larger_phi_smaller_summary() {
         let (objects, mi) = figure4_objects();
-        let m0 = phase1(&objects, mi, objects.len(), LimboParams::with_phi(0.0));
-        let m5 = phase1(&objects, mi, objects.len(), LimboParams::with_phi(5.0));
+        let m0 = phase1(&objects, mi, LimboParams::with_phi(0.0));
+        let m5 = phase1(&objects, mi, LimboParams::with_phi(5.0));
         assert!(m5.leaves.len() <= m0.leaves.len());
     }
 
@@ -226,7 +208,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let model = phase1(std::iter::empty(), 0.0, 0, LimboParams::default());
+        let model = phase1(&[], 0.0, LimboParams::default());
         assert!(model.leaves.is_empty());
         assert_eq!(model.n_objects, 0);
     }
@@ -234,7 +216,7 @@ mod tests {
     #[test]
     fn threshold_formula() {
         let (objects, mi) = figure4_objects();
-        let m = phase1(&objects, mi, 5, LimboParams::with_phi(0.3));
+        let m = phase1(&objects, mi, LimboParams::with_phi(0.3));
         assert!((m.threshold - 0.3 * mi / 5.0).abs() < 1e-12);
     }
 }

@@ -1,59 +1,62 @@
-//! Sharded LIMBO Phase 1: chunked DCF-tree construction + tree merge.
+//! LIMBO Phase 1: chunked DCF-tree construction + tree merge.
 //!
-//! The scale path for 10⁷-tuple relations (see DESIGN.md "Sharded
-//! ingest"). The object stream is cut into a [`ShardPlan`] — chunk
-//! boundaries that are a pure function of the object count, **never** of
-//! the worker count — and Phase 1 runs in two stages:
+//! The one Phase 1 (see DESIGN.md "Sharded ingest"). The object stream
+//! is cut into a [`ShardPlan`] — chunk boundaries that are a pure
+//! function of the object count, **never** of the worker count — and
+//! Phase 1 runs in two stages:
 //!
 //! 1. **Shard build** (`phase1.shard`): each chunk streams into its own
 //!    [`DcfTree`] with the *global* threshold `τ = φ·I(V;T)/n`. Chunks
 //!    are independent, so they build under
-//!    [`dbmine_parallel::par_map_coarse`] across the shard workers.
+//!    [`dbmine_parallel::par_map_coarse`] across `params.threads`
+//!    workers.
 //! 2. **Tree merge** (`phase1.merge`): the shard trees merge by
 //!    re-inserting their leaves, in shard order, into one final tree via
-//!    the arena's allocation-light borrowed insert — exactly the merge the
-//!    ROADMAP prescribes. A single-chunk plan skips this stage and is
-//!    **bit-identical** to the classic single-pass [`crate::phase1`].
+//!    the arena's allocation-light borrowed insert. A single-chunk plan
+//!    skips this stage: its shard tree is the classic single-pass tree.
 //!
 //! # Determinism contract
 //!
 //! * The output is a pure function of `(objects, τ, branching, plan)`:
-//!   shard workers only change wall-clock time, so `--shards 4` and
-//!   `--shards 1` produce byte-identical results (pinned by property
-//!   tests and the CI sharded smoke job).
-//! * For plans with more than one chunk the leaf summary may differ from
-//!   the classic single-pass tree in which near-objects (within `τ`)
-//!   were absorbed where — the greedy absorb order is different by
-//!   construction. What is preserved exactly: object count, total mass
-//!   conservation, and (at `φ = 0`, via the identical-conditional merge
-//!   fast path in `dbmine-ib`) the exact duplicate classes.
+//!   workers only change wall-clock time, so every thread count
+//!   produces byte-identical results (pinned by property tests and the
+//!   CI sharded smoke job).
+//! * [`ShardPlan::auto`] keeps every relation of up to
+//!   [`DEFAULT_CHUNK_TUPLES`] objects in one chunk. Above that, the
+//!   leaves differ from one single-pass tree in which near-objects
+//!   (within `τ`) were absorbed where — the greedy absorb order is
+//!   different by construction. What is preserved exactly: object
+//!   count, total mass conservation, and (at `φ = 0`, via the
+//!   identical-conditional merge fast path in `dbmine-ib`) the exact
+//!   duplicate classes.
 //!
 //! The incremental driver [`ShardedPhase1`] is the out-of-core entry
 //! point: chunks arrive in bounded batches, each batch is reduced to its
 //! shard leaves, and the chunk objects are dropped — peak memory holds
 //! one batch of chunks plus the accumulated leaves, never the relation.
+//! [`crate::TupleStream::phase1`] feeds it from the context's chunk
+//! pass; [`phase1_sharded`] from an in-memory slice.
 
-use crate::input::tuple_dcfs_for_chunk;
-use crate::pipeline::{phase1, LimboModel, LimboParams};
+use crate::pipeline::{LimboModel, LimboParams};
 use crate::tree::DcfTree;
-use dbmine_context::AnalysisCtx;
 use dbmine_ib::Dcf;
 use dbmine_parallel::par_map_coarse;
 use dbmine_telemetry::{counter_add, Counter};
 use std::ops::Range;
 
 /// Default chunk size of [`ShardPlan::auto`]: 64 Ki tuples per shard
-/// chunk — the same granularity the chunked CSV ingest uses, so an
-/// out-of-core run maps one ingest chunk to one shard. Large enough
-/// that per-chunk tree overhead is noise, small enough that a worker's
+/// chunk — the same granularity the chunked CSV ingest uses, so a
+/// default store's chunks are the plan's windows. Large enough that
+/// per-chunk tree overhead is noise, small enough that a worker's
 /// working set stays cache- and memory-friendly.
 pub use dbmine_relation::DEFAULT_CHUNK_TUPLES;
 
-/// The chunk boundaries of a sharded Phase 1 run.
+/// The chunk boundaries of a Phase 1 run.
 ///
 /// A plan is derived from the object count alone (or fixed explicitly
-/// for tests) — worker counts never influence it, which is what makes
-/// sharded output invariant under `--shards`/`--threads`.
+/// for tests) — neither worker counts nor a store's physical chunking
+/// influence it, which is what makes Phase 1 output invariant under
+/// `--threads` and the same from memory and from any store.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardPlan {
     n: usize,
@@ -64,11 +67,8 @@ pub struct ShardPlan {
 
 impl ShardPlan {
     /// The canonical plan for `n` objects: full chunks of
-    /// [`DEFAULT_CHUNK_TUPLES`], remainder last — exactly the chunking
-    /// a default [`dbmine_relation::ShardedRelation`] pass produces, so
-    /// the out-of-core store path and the in-memory `--shards` path run
-    /// the *same* plan and stay bit-identical. One chunk for anything
-    /// that fits — small relations take the classic single-pass path
+    /// [`DEFAULT_CHUNK_TUPLES`], remainder last. One chunk for anything
+    /// that fits, so small relations build the classic single-pass tree
     /// bit for bit.
     pub fn auto(n: usize) -> ShardPlan {
         ShardPlan::with_chunk_size(n, DEFAULT_CHUNK_TUPLES)
@@ -124,14 +124,14 @@ impl ShardPlan {
     }
 }
 
-/// Incremental sharded Phase 1 — the out-of-core driver.
+/// Incremental Phase 1 — the out-of-core driver.
 ///
 /// Chunks of singleton DCFs arrive in batches via
 /// [`ShardedPhase1::ingest_chunks`]; each batch is reduced to per-chunk
-/// leaf summaries in parallel across the shard workers and the chunk
-/// objects can be dropped immediately after. [`ShardedPhase1::finish`]
-/// merges the shard trees (leaf re-insertion, shard order) into the
-/// final model.
+/// leaf summaries in parallel across the workers and the chunk objects
+/// can be dropped immediately after. [`ShardedPhase1::finish`] merges
+/// the shard trees (leaf re-insertion, shard order) into the final
+/// model.
 ///
 /// Feeding every chunk of a [`ShardPlan`] in order produces exactly
 /// [`phase1_sharded`]'s output — batching only bounds memory, it never
@@ -148,15 +148,10 @@ pub struct ShardedPhase1 {
 }
 
 impl ShardedPhase1 {
-    /// A driver for `n_objects` total objects. `workers` is the shard
-    /// parallelism (`1` = serial, `0` = all cores); the threshold is the
-    /// classic global `φ · mutual_information / n_objects`.
-    pub fn new(
-        mutual_information: f64,
-        n_objects: usize,
-        params: LimboParams,
-        workers: usize,
-    ) -> Self {
+    /// A driver for `n_objects` total objects, with `params.threads`
+    /// shard workers (`1` = serial, `0` = all cores) and the global
+    /// threshold `φ · mutual_information / n_objects`.
+    pub fn new(mutual_information: f64, n_objects: usize, params: LimboParams) -> Self {
         let threshold = if n_objects == 0 {
             0.0
         } else {
@@ -165,7 +160,7 @@ impl ShardedPhase1 {
         ShardedPhase1 {
             threshold,
             branching: params.branching,
-            workers,
+            workers: params.threads,
             mutual_information,
             n_expected: n_objects,
             n_ingested: 0,
@@ -184,9 +179,8 @@ impl ShardedPhase1 {
         let (branching, threshold) = (self.branching, self.threshold);
         let leaves = par_map_coarse(self.workers, chunks, |_, chunk| {
             counter_add(Counter::ShardIngests, 1);
-            let chunk = chunk.as_ref();
             let mut tree = DcfTree::new(branching, threshold);
-            for o in chunk {
+            for o in chunk.as_ref() {
                 tree.insert(o);
             }
             tree.into_leaves()
@@ -195,15 +189,9 @@ impl ShardedPhase1 {
         self.shard_leaves.extend(leaves);
     }
 
-    /// Objects ingested so far.
-    pub fn n_ingested(&self) -> usize {
-        self.n_ingested
-    }
-
     /// Merges the shard trees and returns the final model. With a single
-    /// chunk the shard tree *is* the final tree (bit-identical to the
-    /// classic [`crate::phase1`]); otherwise every shard's leaves
-    /// re-insert, in shard order, into a fresh tree.
+    /// chunk the shard tree *is* the final tree; otherwise every shard's
+    /// leaves re-insert, in shard order, into a fresh tree.
     pub fn finish(self) -> LimboModel {
         debug_assert_eq!(
             self.n_ingested, self.n_expected,
@@ -231,84 +219,40 @@ impl ShardedPhase1 {
     }
 }
 
-/// Sharded Phase 1 over an in-memory object slice: cuts `objects` by
-/// `plan`, builds the shard trees across `workers`, merges. See the
+/// Phase 1 over an in-memory object slice cut by an explicit `plan`:
+/// builds the shard trees across `params.threads` workers and merges
+/// them. [`crate::phase1`] is this with [`ShardPlan::auto`]. See the
 /// module docs for the determinism contract.
 pub fn phase1_sharded(
     objects: &[Dcf],
     mutual_information: f64,
     params: LimboParams,
     plan: &ShardPlan,
-    workers: usize,
 ) -> LimboModel {
     assert_eq!(
         plan.n_objects(),
         objects.len(),
         "plan does not cover the object slice"
     );
-    let mut driver = ShardedPhase1::new(mutual_information, objects.len(), params, workers);
+    let _span = dbmine_telemetry::span("limbo.phase1");
+    let mut driver = ShardedPhase1::new(mutual_information, objects.len(), params);
     let chunks: Vec<&[Dcf]> = plan.ranges().map(|r| &objects[r]).collect();
     driver.ingest_chunks(&chunks);
     driver.finish()
 }
 
-/// Phase 1 with the shard knob resolved from `params.shards`:
-///
-/// * `None` — the classic single-pass [`phase1`] (the default
-///   everywhere; zero behavior change);
-/// * `Some(workers)` — [`phase1_sharded`] over [`ShardPlan::auto`],
-///   with `workers` shard workers (`0` = all cores). Output depends
-///   only on the object count's auto plan, never on `workers`.
+/// [`crate::phase1`] under its old name; `params.shards` is ignored.
+/// Kept for `bench_e2e`; the benchmark PR deletes it.
+#[doc(hidden)]
 pub fn phase1_auto(objects: &[Dcf], mutual_information: f64, params: LimboParams) -> LimboModel {
-    match params.shards {
-        None => phase1(objects.iter(), mutual_information, objects.len(), params),
-        Some(workers) => {
-            let plan = ShardPlan::auto(objects.len());
-            phase1_sharded(objects, mutual_information, params, &plan, workers)
-        }
-    }
-}
-
-/// Streaming Phase 1 over the context's chunk pass, never holding more
-/// than one batch of chunk objects:
-///
-/// * `I(T;V)` is the context's memoized fold
-///   ([`AnalysisCtx::tuple_mutual_information`]), one pass on first use;
-/// * then each chunk of [`AnalysisCtx::chunks`] becomes its singleton
-///   tuple DCFs ([`crate::input::tuple_dcfs_for_chunk`]) and streams
-///   through [`ShardedPhase1`] in worker-sized batches; chunk objects
-///   drop as soon as their shard tree is built.
-///
-/// On a store-backed context peak memory holds one batch of chunks plus
-/// the accumulated shard leaves — bounded by the store's chunk size,
-/// never by `n` — and no relation is materialized. A memory context is
-/// one chunk, so it runs the classic single-pass tree.
-///
-/// `params.shards` gives the shard workers (`None` → 1); when the store
-/// chunk size is the default, the chunking equals [`ShardPlan::auto`],
-/// so the result is bit-identical to running [`phase1_auto`] with the
-/// same `params` on [`crate::tuple_dcfs_ctx`]'s objects — pinned by
-/// tests. The model carries the `I(T;V)` it used.
-pub fn phase1_store(ctx: &AnalysisCtx, params: LimboParams) -> LimboModel {
-    let mutual_information = ctx.tuple_mutual_information();
-    let workers = params.shards.unwrap_or(1);
-    let batch_size = dbmine_parallel::effective_threads(workers).max(1);
-    let mut driver = ShardedPhase1::new(mutual_information, ctx.n_tuples(), params, workers);
-    let mut batch: Vec<Vec<Dcf>> = Vec::with_capacity(batch_size);
-    for chunk in ctx.chunks() {
-        batch.push(tuple_dcfs_for_chunk(ctx, &chunk, 1));
-        if batch.len() == batch_size {
-            driver.ingest_chunks(&batch);
-            batch.clear();
-        }
-    }
-    driver.ingest_chunks(&batch);
-    driver.finish()
+    crate::phase1(objects, mutual_information, params)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TupleStream;
+    use dbmine_context::AnalysisCtx;
     use dbmine_infotheory::SparseDist;
     use dbmine_relation::ShardedRelation;
 
@@ -357,6 +301,16 @@ mod tests {
         ShardPlan::from_bounds(n, bounds)
     }
 
+    /// The classic single-pass tree: every object inserted, in order,
+    /// into one DCF-tree with threshold `tau`.
+    fn single_pass(objects: &[Dcf], tau: f64, branching: usize) -> Vec<Dcf> {
+        let mut tree = DcfTree::new(branching, tau);
+        for o in objects {
+            tree.insert(o);
+        }
+        tree.into_leaves()
+    }
+
     /// The serial reference fold: per-chunk trees in order, then leaf
     /// re-insertion in shard order — what `phase1_sharded` must compute
     /// regardless of worker count.
@@ -368,24 +322,13 @@ mod tests {
     ) -> Vec<Dcf> {
         let shard_leaves: Vec<Vec<Dcf>> = plan
             .ranges()
-            .map(|r| {
-                let mut tree = DcfTree::new(branching, tau);
-                for o in &objects[r] {
-                    tree.insert(o);
-                }
-                tree.into_leaves()
-            })
+            .map(|r| single_pass(&objects[r], tau, branching))
             .collect();
         if shard_leaves.len() <= 1 {
             return shard_leaves.into_iter().next().unwrap_or_default();
         }
-        let mut tree = DcfTree::new(branching, tau);
-        for shard in &shard_leaves {
-            for leaf in shard {
-                tree.insert(leaf);
-            }
-        }
-        tree.into_leaves()
+        let leaves: Vec<Dcf> = shard_leaves.into_iter().flatten().collect();
+        single_pass(&leaves, tau, branching)
     }
 
     fn assert_bit_identical(a: &[Dcf], b: &[Dcf], what: &str) {
@@ -419,17 +362,18 @@ mod tests {
         for (seed, n, dom) in [(7, 0, 4), (11, 1, 4), (13, 257, 6), (17, 400, 40)] {
             let objects = random_objects(seed, n, dom);
             for phi in [0.0, 1.0, 4.0] {
-                let params = LimboParams::with_phi(phi);
-                let classic = phase1(&objects, 0.9, n, params);
+                let tau = if n == 0 { 0.0 } else { phi * 0.9 / n as f64 };
+                let classic = single_pass(&objects, tau, 4);
                 let plan = ShardPlan::with_chunk_size(n, n.max(1));
                 assert!(plan.n_chunks() <= 1);
                 for workers in [1usize, 2, 4] {
-                    let sharded = phase1_sharded(&objects, 0.9, params, &plan, workers);
-                    assert_eq!(sharded.threshold.to_bits(), classic.threshold.to_bits());
-                    assert_eq!(sharded.n_objects, classic.n_objects);
+                    let params = LimboParams::with_phi(phi).threads(workers);
+                    let sharded = phase1_sharded(&objects, 0.9, params, &plan);
+                    assert_eq!(sharded.threshold.to_bits(), tau.to_bits());
+                    assert_eq!(sharded.n_objects, n);
                     assert_bit_identical(
                         &sharded.leaves,
-                        &classic.leaves,
+                        &classic,
                         &format!("single chunk n={n} phi={phi} workers={workers}"),
                     );
                 }
@@ -448,11 +392,11 @@ mod tests {
                 let objects = random_objects(seed, n, 5); // dom 5 → heavy duplication
                 let plan = random_plan(seed.wrapping_mul(n as u64), n);
                 for phi in [0.0, 1.0, 4.0] {
-                    let params = LimboParams::with_phi(phi);
                     let tau = phi * 0.9 / n as f64;
-                    let reference = reference_sharded(&objects, tau, params.branching, &plan);
+                    let reference = reference_sharded(&objects, tau, 4, &plan);
                     for workers in [1usize, 2, 4] {
-                        let m = phase1_sharded(&objects, 0.9, params, &plan, workers);
+                        let params = LimboParams::with_phi(phi).threads(workers);
+                        let m = phase1_sharded(&objects, 0.9, params, &plan);
                         assert_bit_identical(
                             &m.leaves,
                             &reference,
@@ -469,16 +413,16 @@ mod tests {
         let n = 500;
         let objects = random_objects(42, n, 6);
         let plan = ShardPlan::with_chunk_size(n, 64);
-        let params = LimboParams::with_phi(1.0);
-        let one_shot = phase1_sharded(&objects, 0.9, params, &plan, 2);
+        let params = LimboParams::with_phi(1.0).threads(2);
+        let one_shot = phase1_sharded(&objects, 0.9, params, &plan);
         for batch in [1usize, 2, 3, 8] {
-            let mut driver = ShardedPhase1::new(0.9, n, params, 2);
+            let mut driver = ShardedPhase1::new(0.9, n, params);
             let chunks: Vec<&[Dcf]> = plan.ranges().map(|r| &objects[r]).collect();
             for group in chunks.chunks(batch) {
                 driver.ingest_chunks(group);
             }
-            assert_eq!(driver.n_ingested(), n);
             let m = driver.finish();
+            assert_eq!(m.n_objects, n);
             assert_bit_identical(&m.leaves, &one_shot.leaves, &format!("batch={batch}"));
         }
     }
@@ -490,7 +434,8 @@ mod tests {
         for phi in [0.0, 1.0, 4.0] {
             for chunk in [17usize, 50, 300] {
                 let plan = ShardPlan::with_chunk_size(n, chunk);
-                let m = phase1_sharded(&objects, 0.9, LimboParams::with_phi(phi), &plan, 2);
+                let params = LimboParams::with_phi(phi).threads(2);
+                let m = phase1_sharded(&objects, 0.9, params, &plan);
                 let count: usize = m.leaves.iter().map(|d| d.count).sum();
                 let mass: f64 = m.leaves.iter().map(|d| d.weight).sum();
                 assert_eq!(count, n, "phi={phi} chunk={chunk}");
@@ -508,7 +453,6 @@ mod tests {
         // split a class.
         let n = 240;
         let objects = random_objects(23, n, 4);
-        let classic = phase1(&objects, 0.9, n, LimboParams::with_phi(0.0));
         let classes = |leaves: &[Dcf]| {
             let mut c: Vec<(Vec<(u32, u64)>, usize)> = leaves
                 .iter()
@@ -521,10 +465,11 @@ mod tests {
             c.sort();
             c
         };
-        let expected = classes(&classic.leaves);
+        let expected = classes(&single_pass(&objects, 0.0, 4));
+        let params = LimboParams::with_phi(0.0).threads(2);
         for chunk in [7usize, 64, 100, 240] {
             let plan = ShardPlan::with_chunk_size(n, chunk);
-            let m = phase1_sharded(&objects, 0.9, LimboParams::with_phi(0.0), &plan, 2);
+            let m = phase1_sharded(&objects, 0.9, params, &plan);
             assert_eq!(classes(&m.leaves), expected, "chunk={chunk}");
             // Class masses agree to within accumulated rounding (the
             // groupings of the 1/n additions differ across plans).
@@ -535,22 +480,18 @@ mod tests {
 
     #[test]
     fn phase1_auto_dispatch() {
+        // `phase1_auto` is the one Phase 1; the auto plan for 100
+        // objects is one chunk, so every worker count (and any leftover
+        // `shards` value) builds the single-pass tree.
         let n = 100;
         let objects = random_objects(9, n, 8);
-        let params = LimboParams::with_phi(1.0);
-        let classic = phase1(&objects, 0.9, n, params);
-        // No shard knob → the classic path, bit for bit.
-        let auto_off = phase1_auto(&objects, 0.9, params);
-        assert_bit_identical(&auto_off.leaves, &classic.leaves, "shards=None");
-        // Shards on, but the auto plan for 100 objects is one chunk —
-        // still the classic output, for every worker count.
+        let classic = single_pass(&objects, 0.9 / n as f64, 4);
         for workers in [1usize, 2, 0] {
-            let p = LimboParams {
-                shards: Some(workers),
-                ..params
-            };
-            let auto_on = phase1_auto(&objects, 0.9, p);
-            assert_bit_identical(&auto_on.leaves, &classic.leaves, "shards=Some");
+            let params = LimboParams::with_phi(1.0).threads(workers);
+            let one = crate::phase1(&objects, 0.9, params);
+            assert_bit_identical(&one.leaves, &classic, "phase1");
+            let auto = phase1_auto(&objects, 0.9, params.shards(Some(4)));
+            assert_bit_identical(&auto.leaves, &classic, "phase1_auto");
         }
     }
 
@@ -593,38 +534,39 @@ mod tests {
         out
     }
 
-    /// The tuple DCFs and `I(T;V)` of `csv` loaded in memory.
-    fn in_memory(csv: &str) -> (Vec<Dcf>, f64) {
+    /// The memory context of `csv`, with its tuple DCFs and `I(T;V)`.
+    fn in_memory(csv: &str) -> (AnalysisCtx, Vec<Dcf>, f64) {
         let rel = dbmine_relation::csv::read_relation(csv.as_bytes(), "t").unwrap();
         let ctx = AnalysisCtx::from(rel);
-        (
-            crate::tuple_dcfs_ctx(&ctx, 1),
-            ctx.tuple_mutual_information(),
-        )
+        let objects = crate::tuple_dcfs_ctx(&ctx, 1);
+        let mi = ctx.tuple_mutual_information();
+        (ctx, objects, mi)
     }
 
     #[test]
     fn out_of_core_phase1_is_bit_identical_to_in_memory() {
+        // The plan, not the store's chunking, cuts the stream: plan
+        // windows that straddle, split or span several store chunks
+        // all stream the in-memory slice's leaves.
         let n = 400;
         let csv = synthetic_csv(n);
-        let (objects, mi_ref) = in_memory(&csv);
+        let (_, objects, mi_ref) = in_memory(&csv);
         for chunk in [64usize, 150, 1000] {
             with_store(&csv, chunk, |ctx| {
-                for phi in [0.0, 1.0, 4.0] {
-                    for workers in [1usize, 2, 4] {
-                        let params = LimboParams::with_phi(phi).shards(Some(workers));
-                        let model = phase1_store(ctx, params);
+                for plan_chunk in [50usize, 64, 400] {
+                    let plan = ShardPlan::with_chunk_size(n, plan_chunk);
+                    for phi in [0.0, 1.0, 4.0] {
+                        let params = LimboParams::with_phi(phi);
+                        let model = TupleStream::with_plan(ctx, plan.clone()).phase1(params);
                         let mi = model.mutual_information;
                         assert_eq!(mi.to_bits(), mi_ref.to_bits(), "chunk={chunk} phi={phi}");
-                        // Reference: the same plan over in-memory objects.
-                        let plan = ShardPlan::with_chunk_size(n, chunk);
-                        let reference = phase1_sharded(&objects, mi_ref, params, &plan, workers);
+                        let reference = phase1_sharded(&objects, mi_ref, params, &plan);
                         assert_eq!(model.threshold.to_bits(), reference.threshold.to_bits());
                         assert_eq!(model.n_objects, n);
                         assert_bit_identical(
                             &model.leaves,
                             &reference.leaves,
-                            &format!("out-of-core chunk={chunk} phi={phi} workers={workers}"),
+                            &format!("store chunk={chunk} plan={plan_chunk} phi={phi}"),
                         );
                     }
                 }
@@ -635,49 +577,43 @@ mod tests {
 
     #[test]
     fn out_of_core_with_default_chunking_matches_phase1_auto() {
-        // With the default chunk size the store chunking IS the auto
-        // plan, so the fully streamed run equals the in-memory
-        // `--shards` run bit for bit (here n < chunk, which also pins it
-        // to classic).
+        // A default store and a memory context both stream the auto
+        // plan, so each equals `phase1_auto` on the in-memory objects
+        // (here n < chunk, which also pins it to the single-pass tree).
         let csv = synthetic_csv(300);
-        let (objects, mi_ref) = in_memory(&csv);
-        let params = LimboParams::with_phi(1.0).shards(Some(2));
-        let model = with_store(&csv, 0, |ctx| phase1_store(ctx, params));
+        let (mem, objects, mi_ref) = in_memory(&csv);
+        let params = LimboParams::with_phi(1.0).threads(2);
+        let model = with_store(&csv, 0, |ctx| TupleStream::new(ctx).phase1(params));
         let auto = phase1_auto(&objects, mi_ref, params);
         assert_eq!(model.mutual_information.to_bits(), mi_ref.to_bits());
         assert_bit_identical(&model.leaves, &auto.leaves, "default chunking ≡ auto");
-        let classic = phase1(&objects, mi_ref, objects.len(), params);
-        assert_bit_identical(&model.leaves, &classic.leaves, "single chunk ≡ classic");
-        // A memory context is one chunk: the classic tree again.
-        let rel = dbmine_relation::csv::read_relation(csv.as_bytes(), "t").unwrap();
-        let resident = phase1_store(&AnalysisCtx::from(rel), params);
-        assert_bit_identical(&resident.leaves, &classic.leaves, "memory ≡ classic");
+        let classic = single_pass(&objects, auto.threshold, 4);
+        assert_bit_identical(&model.leaves, &classic, "single chunk ≡ classic");
+        let resident = TupleStream::new(&mem).phase1(params);
+        assert_bit_identical(&resident.leaves, &classic, "memory ≡ classic");
     }
 
     #[test]
     fn store_backed_phase1_is_bit_identical_across_shard_counts() {
-        // The store-backed chunk pass must drive Phase 1 to *exactly*
-        // the output of the in-memory sharded build over the same plan,
-        // and be invariant in the worker count — for several chunk
-        // sizes and φ values.
+        // A multi-window plan streamed from a store and from memory must
+        // drive Phase 1 to *exactly* the in-memory build over the same
+        // plan, at every thread count.
         let n = 400;
         let csv = synthetic_csv(n);
-        let (objects, mi_ref) = in_memory(&csv);
+        let (mem, objects, mi_ref) = in_memory(&csv);
+        let plan = ShardPlan::with_chunk_size(n, 96);
         for chunk in [64usize, 150] {
             with_store(&csv, chunk, |ctx| {
                 for phi in [0.0, 1.0, 4.0] {
-                    let params = LimboParams::with_phi(phi);
-                    let serial = phase1_store(ctx, params.shards(Some(1)));
+                    let reference =
+                        phase1_sharded(&objects, mi_ref, LimboParams::with_phi(phi), &plan);
                     for workers in [1usize, 2, 4] {
-                        let params = params.shards(Some(workers));
-                        let from_store = phase1_store(ctx, params);
-                        let mi_store = from_store.mutual_information;
-                        assert_eq!(mi_store.to_bits(), mi_ref.to_bits());
-                        let plan = ShardPlan::with_chunk_size(n, chunk);
-                        let reference = phase1_sharded(&objects, mi_ref, params, &plan, workers);
+                        let params = LimboParams::with_phi(phi).threads(workers);
                         let what = format!("store chunk={chunk} phi={phi} workers={workers}");
-                        assert_bit_identical(&from_store.leaves, &reference.leaves, &what);
-                        assert_bit_identical(&from_store.leaves, &serial.leaves, &what);
+                        for source in [ctx, &mem] {
+                            let m = TupleStream::with_plan(source, plan.clone()).phase1(params);
+                            assert_bit_identical(&m.leaves, &reference.leaves, &what);
+                        }
                     }
                 }
             });
@@ -686,7 +622,9 @@ mod tests {
 
     #[test]
     fn out_of_core_empty_relation() {
-        let model = with_store("A,B\n", 4, |ctx| phase1_store(ctx, LimboParams::default()));
+        let model = with_store("A,B\n", 4, |ctx| {
+            TupleStream::new(ctx).phase1(LimboParams::default())
+        });
         assert_eq!(model.mutual_information, 0.0);
         assert!(model.leaves.is_empty());
         assert_eq!(model.n_objects, 0);
@@ -694,8 +632,10 @@ mod tests {
 
     #[test]
     fn out_of_core_path_backed_run() {
-        let params = LimboParams::with_phi(1.0).shards(Some(2));
-        let model = with_store(&synthetic_csv(200), 64, |ctx| phase1_store(ctx, params));
+        let params = LimboParams::with_phi(1.0).threads(2);
+        let model = with_store(&synthetic_csv(200), 64, |ctx| {
+            TupleStream::with_plan(ctx, ShardPlan::with_chunk_size(200, 64)).phase1(params)
+        });
         assert!(model.mutual_information > 0.0);
         assert_eq!(model.n_objects, 200);
         let count: usize = model.leaves.iter().map(|d| d.count).sum();

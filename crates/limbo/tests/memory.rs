@@ -1,8 +1,10 @@
 //! Peak-memory regression test for tuple LIMBO.
 //!
 //! Phase 1 summarizes n tuples into q leaf DCFs and Phase 3 assigns every
-//! tuple to its closest leaf, so the memory the two phases add on top of
-//! the tuple DCFs should grow about linearly in n. A merge that hands a
+//! tuple to its closest leaf, each phase streaming the tuple DCFs from
+//! the context's chunk pass, so their memory should grow about linearly
+//! in n (and stop growing once n spans several plan windows, which
+//! these sizes do not reach). A merge that hands a
 //! buffer from one summary to another lets a leaf keep an upper-level
 //! summary's capacity, which makes the peak grow like q·n instead: on
 //! DBLP-style tuples the peak ratio for 4× the tuples was about 10×.
@@ -12,26 +14,23 @@
 
 use dbmine_context::AnalysisCtx;
 use dbmine_datagen::dblp::{dblp_sample, DblpSpec};
-use dbmine_limbo::{phase1, tuple_dcfs_ctx, LimboParams};
+use dbmine_limbo::{LimboParams, TupleStream};
 use dbmine_telemetry::alloc;
 
 #[global_allocator]
 static ALLOCATOR: alloc::CountingAlloc = alloc::CountingAlloc;
 
-/// Peak bytes that Phase 1 (φ_T = 0.5) plus Phase 3 against the leaves
-/// add on top of the `n` tuple DCFs.
+/// Peak bytes of Phase 1 (φ_T = 0.5) plus Phase 3 against the leaves,
+/// both streamed from a memory context.
 fn phase1_phase3_peak(n: usize) -> u64 {
     let ctx = AnalysisCtx::from(dblp_sample(&DblpSpec::scaled(n, 77)));
-    let objects = tuple_dcfs_ctx(&ctx, 1);
-    let mi = ctx.tuple_mutual_information();
+    ctx.tuple_mutual_information();
+    let tuples = TupleStream::new(&ctx);
     let (assigned, stats) = alloc::measure(|| {
-        let model = phase1(
-            objects.iter(),
-            mi,
-            objects.len(),
-            LimboParams::with_phi(0.5),
-        );
-        dbmine_ib::assign_all_with(objects.iter(), &model.leaves, 1).len()
+        let model = tuples.phase1(LimboParams::with_phi(0.5));
+        let mut assigned = 0;
+        tuples.phase3(&model.leaves, 1, |_, _, _| assigned += 1);
+        assigned
     });
     assert_eq!(assigned, n);
     stats.region_peak_bytes()

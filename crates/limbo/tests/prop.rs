@@ -3,11 +3,11 @@
 //! information than the input carries.
 
 use dbmine_context::AnalysisCtx;
-use dbmine_ib::{aib, Dcf};
-use dbmine_infotheory::{mutual_information, SparseDist};
+use dbmine_ib::{aib, assign_all_with, Dcf};
+use dbmine_infotheory::{mutual_information, MutualInformation, SparseDist};
 use dbmine_limbo::{
-    phase1, phase1_auto, phase1_sharded, phase1_store, phase2_with, phase3_with, tuple_dcfs_ctx,
-    DcfTree, DcfTreeRef, LimboModel, LimboParams, ShardPlan,
+    phase1, phase1_sharded, phase2_with, phase3_with, tuple_dcfs_ctx, DcfTree, DcfTreeRef,
+    LimboModel, LimboParams, ShardPlan, TupleStream,
 };
 use dbmine_relation::csv::read_relation;
 use dbmine_relation::{qualified_row, qualified_stride, ShardedRelation};
@@ -124,7 +124,7 @@ proptest! {
     #[test]
     fn phase1_conserves_mass_count_and_aux(objects in arb_objects(), phi in 0.0f64..2.0) {
         let mi = info_of(&objects);
-        let model = phase1(&objects, mi, objects.len(), LimboParams::with_phi(phi));
+        let model = phase1(&objects, mi, LimboParams::with_phi(phi));
 
         let mass: f64 = model.leaves.iter().map(|d| d.weight).sum();
         prop_assert!((mass - 1.0).abs() < 1e-9, "mass {mass}");
@@ -140,7 +140,7 @@ proptest! {
     #[test]
     fn summaries_never_gain_information(objects in arb_objects(), phi in 0.0f64..2.0) {
         let mi = info_of(&objects);
-        let model = phase1(&objects, mi, objects.len(), LimboParams::with_phi(phi));
+        let model = phase1(&objects, mi, LimboParams::with_phi(phi));
         let retained = info_of(&model.leaves);
         prop_assert!(retained <= mi + 1e-7, "retained {retained} > input {mi}");
     }
@@ -153,7 +153,7 @@ proptest! {
         // greedy Phase 2 may then take a different — equally valid —
         // merge trajectory than AIB-on-singletons under ties).
         let mi = info_of(&objects);
-        let model = phase1(&objects, mi, objects.len(), LimboParams::with_phi(0.0));
+        let model = phase1(&objects, mi, LimboParams::with_phi(0.0));
         let retained = info_of(&model.leaves);
         prop_assert!((retained - mi).abs() < 1e-7, "lost {} bits", mi - retained);
         // And a full Phase 2 run loses everything, exactly like AIB.
@@ -165,7 +165,7 @@ proptest! {
     #[test]
     fn phase3_assigns_every_object_within_bounds(objects in arb_objects(), phi in 0.0f64..1.5) {
         let mi = info_of(&objects);
-        let model = phase1(&objects, mi, objects.len(), LimboParams::with_phi(phi));
+        let model = phase1(&objects, mi, LimboParams::with_phi(phi));
         let clustering = phase2_with(&model, 3.min(model.leaves.len()), 1);
         let assignments = phase3_with(objects.iter(), &clustering, 1);
         prop_assert_eq!(assignments.len(), objects.len());
@@ -227,9 +227,9 @@ proptest! {
         let mi = info_of(&objects);
         let params = LimboParams::with_phi(phi);
         let plan = ShardPlan::with_chunk_size(objects.len(), chunk);
-        let reference = phase1_sharded(&objects, mi, params, &plan, 1);
+        let reference = phase1_sharded(&objects, mi, params, &plan);
         for workers in [2usize, 3, 8] {
-            let m = phase1_sharded(&objects, mi, params, &plan, workers);
+            let m = phase1_sharded(&objects, mi, params.threads(workers), &plan);
             prop_assert_eq!(m.leaves.len(), reference.leaves.len());
             for (x, y) in m.leaves.iter().zip(&reference.leaves) {
                 prop_assert_eq!(x.weight.to_bits(), y.weight.to_bits());
@@ -246,14 +246,18 @@ proptest! {
         workers in 1usize..6,
     ) {
         // One chunk means no merge stage: the sharded build must be the
-        // classic single-pass Phase 1, bit for bit, at any worker count.
+        // classic single-pass tree, bit for bit, at any worker count.
         let mi = info_of(&objects);
-        let params = LimboParams::with_phi(phi);
+        let params = LimboParams::with_phi(phi).threads(workers);
         let plan = ShardPlan::with_chunk_size(objects.len(), objects.len().max(1));
-        let sharded = phase1_sharded(&objects, mi, params, &plan, workers);
-        let classic = phase1(&objects, mi, objects.len(), params);
-        prop_assert_eq!(sharded.leaves.len(), classic.leaves.len());
-        for (x, y) in sharded.leaves.iter().zip(&classic.leaves) {
+        let sharded = phase1_sharded(&objects, mi, params, &plan);
+        let mut tree = DcfTree::new(params.branching, sharded.threshold);
+        for o in &objects {
+            tree.insert(o);
+        }
+        let classic = tree.into_leaves();
+        prop_assert_eq!(sharded.leaves.len(), classic.len());
+        for (x, y) in sharded.leaves.iter().zip(&classic) {
             prop_assert_eq!(x.weight.to_bits(), y.weight.to_bits());
             prop_assert_eq!(x.count, y.count);
             prop_assert_eq!(x.cond.entries(), y.cond.entries());
@@ -266,12 +270,43 @@ proptest! {
         let mi = info_of(&objects);
         let mut prev = usize::MAX;
         for phi in [0.0, 0.5, 1.0, 2.0] {
-            let model = phase1(&objects, mi, objects.len(), LimboParams::with_phi(phi));
+            let model = phase1(&objects, mi, LimboParams::with_phi(phi));
             prop_assert!(model.leaves.len() <= prev,
                 "φ={phi}: {} leaves > previous {prev}", model.leaves.len());
             prev = model.leaves.len();
         }
     }
+}
+
+/// A random plan over `n` objects: up to `cuts` boundaries drawn from
+/// `draws`, so most plans at small `n` have several windows.
+fn plan_from(n: usize, draws: &[usize]) -> ShardPlan {
+    if n == 0 {
+        return ShardPlan::from_bounds(0, Vec::new());
+    }
+    let mut bounds: Vec<usize> = draws.iter().map(|&d| 1 + d % n).collect();
+    bounds.push(n);
+    bounds.sort_unstable();
+    bounds.dedup();
+    ShardPlan::from_bounds(n, bounds)
+}
+
+/// `I(C;V)` of the clusters an assignment forms, each cluster's DCF
+/// accumulated in tuple order (the first member cloned, the rest merged
+/// in place) — how horizontal partitioning computes its relative loss.
+fn clustered_information<'a>(k: usize, members: impl IntoIterator<Item = (usize, &'a Dcf)>) -> f64 {
+    let mut clusters: Vec<Option<Dcf>> = vec![None; k];
+    for (c, dcf) in members {
+        match &mut clusters[c] {
+            Some(acc) => acc.merge_in_place(dcf),
+            slot => *slot = Some(dcf.clone()),
+        }
+    }
+    let mut mi = MutualInformation::new();
+    for dcf in clusters.iter().flatten() {
+        mi.add(dcf.weight, &dcf.cond);
+    }
+    mi.finish()
 }
 
 proptest! {
@@ -280,10 +315,9 @@ proptest! {
     /// The chunked tuple folds: tuple DCFs and `I(T;V)` read the
     /// context's chunk pass, so a store context at any chunk size and any
     /// thread count yields the memory context's bits, and those equal a
-    /// row-by-row oracle. Phase 1 streamed from a store at the default
-    /// chunk size is the in-memory `--shards` run.
+    /// row-by-row oracle.
     #[test]
-    fn chunked_tuple_folds_are_bit_identical(csv in arb_csv(), phi in 0.0f64..2.0) {
+    fn chunked_tuple_folds_are_bit_identical(csv in arb_csv()) {
         let rel = read_relation(csv.as_bytes(), "t").unwrap();
         let (m, n) = (rel.n_attrs(), rel.n_tuples());
         let stride = qualified_stride(rel.dict().len(), m);
@@ -295,43 +329,82 @@ proptest! {
             .collect();
         let mem = AnalysisCtx::from(rel);
         let mi = mem.tuple_mutual_information();
-        let objects = tuple_dcfs_ctx(&mem, 1);
-        prop_assert!(same_bits(&objects, &oracle), "memory context vs oracle");
-
-        let mut stores = Vec::new();
-        for chunk in [1usize, 3, 16] {
+        for threads in [1usize, 2, 4] {
+            prop_assert!(same_bits(&tuple_dcfs_ctx(&mem, threads), &oracle), "threads={}", threads);
+        }
+        for chunk in [0usize, 1, 3, 16] {
             let (ctx, store) = store_ctx(&csv, chunk);
             prop_assert_eq!(ctx.tuple_mutual_information().to_bits(), mi.to_bits());
             for threads in [1usize, 2, 4] {
                 prop_assert!(same_bits(&tuple_dcfs_ctx(&ctx, threads), &oracle),
                     "chunk={} threads={}", chunk, threads);
             }
-            let params = LimboParams::with_phi(phi).shards(Some(2));
-            let plan = ShardPlan::with_chunk_size(n, chunk);
-            let streamed = phase1_store(&ctx, params);
-            prop_assert!(same_leaves(&streamed, &phase1_sharded(&objects, mi, params, &plan, 2)),
-                "phase1_store chunk={}", chunk);
             prop_assert_eq!(ctx.view_stats().materializations, 0);
+            std::fs::remove_file(store).ok();
+        }
+    }
+
+    /// The one tuple LIMBO over a random multi-window plan: Phase 1 and
+    /// Phase 3 streamed from a memory context and from stores at 1-,
+    /// 3- and 16-tuple chunks, at 1, 2 and 4 threads, reproduce the
+    /// in-memory slice oracle (`phase1_sharded` and `assign_all_with`
+    /// over `tuple_dcfs_ctx`'s objects): leaves, threshold, every
+    /// assignment's `(index, loss)` bits and the clusters' `I(C;V)`,
+    /// hence the partition's relative loss.
+    #[test]
+    fn tuple_stream_matches_slice_oracle_over_any_plan(
+        csv in arb_csv(),
+        draws in proptest::collection::vec(0usize..1024, 1..6),
+        phi in 0.0f64..2.0,
+    ) {
+        let mem = AnalysisCtx::from(read_relation(csv.as_bytes(), "t").unwrap());
+        let n = mem.n_tuples();
+        let plan = plan_from(n, &draws);
+        let objects = tuple_dcfs_ctx(&mem, 1);
+        let mi = mem.tuple_mutual_information();
+        let want = phase1_sharded(&objects, mi, LimboParams::with_phi(phi), &plan);
+        let reps = want.leaves.clone();
+        let want_assign = if n == 0 { Vec::new() } else { assign_all_with(&objects, &reps, 1) };
+        let want_info = clustered_information(
+            reps.len(),
+            want_assign.iter().map(|&(c, _)| c).zip(&objects),
+        );
+
+        let mut stores = Vec::new();
+        let mut sources = vec![mem];
+        for chunk in [1usize, 3, 16] {
+            let (ctx, store) = store_ctx(&csv, chunk);
+            sources.push(ctx);
             stores.push(store);
         }
-        for threads in [2usize, 4] {
-            prop_assert!(same_bits(&tuple_dcfs_ctx(&mem, threads), &oracle), "threads={}", threads);
+        for (s, ctx) in sources.iter().enumerate() {
+            for threads in [1usize, 2, 4] {
+                let tuples = TupleStream::with_plan(ctx, plan.clone());
+                let params = LimboParams::with_phi(phi).threads(threads);
+                let got = tuples.phase1(params);
+                prop_assert!(same_leaves(&got, &want), "phase 1: source={} threads={}", s, threads);
+                prop_assert_eq!(got.mutual_information.to_bits(), mi.to_bits());
+                let mut assign = Vec::new();
+                let mut dcfs = Vec::new();
+                tuples.phase3(&reps, threads, |t, dcf, a| {
+                    assert_eq!(t, assign.len(), "tuples arrive in order");
+                    assign.push(a);
+                    dcfs.push(dcf);
+                });
+                let bits = |a: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                    a.iter().map(|&(c, l)| (c, l.to_bits())).collect()
+                };
+                prop_assert_eq!(bits(&assign), bits(&want_assign),
+                    "phase 3: source={} threads={}", s, threads);
+                prop_assert!(same_bits(&dcfs, &objects));
+                let info = clustered_information(
+                    reps.len(),
+                    assign.iter().map(|&(c, _)| c).zip(&dcfs),
+                );
+                prop_assert_eq!(info.to_bits(), want_info.to_bits());
+            }
+            prop_assert_eq!(ctx.view_stats().materializations, 0);
         }
-
-        // The default chunk size is the auto plan: every shard worker
-        // count streams the in-memory `--shards 1` leaves.
-        let (ctx, store) = store_ctx(&csv, 0);
-        for threads in [1usize, 2, 4] {
-            prop_assert!(same_bits(&tuple_dcfs_ctx(&ctx, threads), &oracle),
-                "default chunk threads={}", threads);
-        }
-        let auto = phase1_auto(&objects, mi, LimboParams::with_phi(phi).shards(Some(1)));
-        for workers in [1usize, 2, 4] {
-            let streamed = phase1_store(&ctx, LimboParams::with_phi(phi).shards(Some(workers)));
-            prop_assert_eq!(streamed.mutual_information.to_bits(), mi.to_bits());
-            prop_assert!(same_leaves(&streamed, &auto), "default chunking workers={}", workers);
-        }
-        stores.push(store);
         for store in stores {
             std::fs::remove_file(store).ok();
         }

@@ -11,8 +11,8 @@
 //! return).
 
 use dbmine_context::AnalysisCtx;
-use dbmine_ib::{aib_cut, KStat};
-use dbmine_limbo::{phase1_auto, phase2_with, phase3_with, tuple_dcfs_ctx, LimboParams};
+use dbmine_ib::{aib_cut, Dcf, KStat};
+use dbmine_limbo::{phase2_with, LimboParams, TupleStream};
 use dbmine_relation::Relation;
 
 /// The outcome of horizontal partitioning.
@@ -82,9 +82,10 @@ pub fn suggest_k(stats: &[KStat], max_k: usize) -> usize {
     best_k
 }
 
-/// Horizontally partitions the context's relation: its tuple DCFs are
-/// folded from the context's chunk pass, and `I(T;V)` is the context's
-/// memoized fold (built at most once per context).
+/// Horizontally partitions the context's relation: Phase 1 and Phase 3
+/// each stream the tuple DCFs from the context's chunk pass
+/// ([`TupleStream`]), and `I(T;V)` is the context's memoized fold (built
+/// at most once per context).
 ///
 /// * `params.phi` (`φ_T`) controls the Phase 1 summary granularity (use
 ///   a value that leaves on the order of 100 summaries, per the paper);
@@ -100,9 +101,9 @@ pub fn horizontal_partition_ctx(
 ) -> PartitionResult {
     let _span = dbmine_telemetry::span("summaries.horizontal_partition");
     let threads = params.threads;
-    let objects = tuple_dcfs_ctx(ctx, threads);
-    let mi = ctx.tuple_mutual_information();
-    let model = phase1_auto(&objects, mi, params);
+    let tuples = TupleStream::new(ctx);
+    let model = tuples.phase1(params);
+    let mi = model.mutual_information;
     let n_summaries = model.leaves.len();
 
     // Full clustering (down to one cluster) to obtain all k statistics.
@@ -111,25 +112,22 @@ pub fn horizontal_partition_ctx(
         .unwrap_or_else(|| suggest_k(&full.stats, max_k))
         .clamp(1, n_summaries.max(1));
 
-    // Cut the chosen k from the same run and assign all tuples.
+    // Cut the chosen k from the same run and assign all tuples. For the
+    // "loss of initial information after Phase 3", each final cluster's
+    // DCF is rebuilt from its *assigned* tuples, merged in tuple order,
+    // and I(C;V) is compared with the input I(T;V).
     let clustering = aib_cut(model.leaves, &full, chosen_k);
-    let assignments = phase3_with(objects.iter(), &clustering, threads);
-
     let mut partitions = vec![Vec::new(); clustering.clusters.len()];
-    for (t, &(c, _)) in assignments.iter().enumerate() {
+    let mut cluster_dcfs: Vec<Option<Dcf>> = vec![None; clustering.clusters.len()];
+    tuples.phase3(&clustering.clusters, threads, |t, dcf, (c, _)| {
         partitions[c].push(t);
-    }
-
-    // "Loss of initial information after Phase 3": rebuild each final
-    // cluster's DCF from its *assigned* tuples and compare I(C;V) with
-    // the input I(T;V).
-    let mut clustered = dbmine_infotheory::MutualInformation::new();
-    for p in partitions.iter().filter(|p| !p.is_empty()) {
-        let mut it = p.iter();
-        let mut dcf = objects[*it.next().expect("non-empty")].clone();
-        for &t in it {
-            dcf.merge_in_place(&objects[t]);
+        match &mut cluster_dcfs[c] {
+            Some(acc) => acc.merge_in_place(&dcf),
+            slot => *slot = Some(dcf),
         }
+    });
+    let mut clustered = dbmine_infotheory::MutualInformation::new();
+    for dcf in cluster_dcfs.iter().flatten() {
         clustered.add(dcf.weight, &dcf.cond);
     }
     let mi_clustered = clustered.finish();

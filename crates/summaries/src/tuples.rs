@@ -12,8 +12,8 @@
 //! duplicates, presented to the analyst with their association losses.
 
 use dbmine_context::AnalysisCtx;
-use dbmine_ib::{assign_all_with, Dcf};
-use dbmine_limbo::{phase1_auto, tuple_dcfs_ctx, LimboParams};
+use dbmine_ib::Dcf;
+use dbmine_limbo::{LimboParams, TupleStream};
 
 /// A candidate duplicate group: the tuples Phase 3 associated with one
 /// multi-tuple summary.
@@ -71,9 +71,9 @@ impl DuplicateReport {
 }
 
 /// Runs the three-step duplicate-tuple procedure with accuracy
-/// `params.phi` (`φ_T`): the tuple DCFs are folded from the context's
-/// chunk pass, and `I(T;V)` is the context's memoized fold (built at
-/// most once per context).
+/// `params.phi` (`φ_T`): Phase 1 and Phase 3 each stream the tuple DCFs
+/// from the context's chunk pass ([`TupleStream`]), and `I(T;V)` is the
+/// context's memoized fold (built at most once per context).
 ///
 /// ```
 /// use dbmine_context::AnalysisCtx;
@@ -92,11 +92,8 @@ impl DuplicateReport {
 /// ```
 pub fn find_duplicate_tuples_ctx(ctx: &AnalysisCtx, params: LimboParams) -> DuplicateReport {
     let _span = dbmine_telemetry::span("summaries.duplicate_tuples");
-    let n = ctx.n_tuples();
-    let objects = tuple_dcfs_ctx(ctx, params.threads);
-    let mi = ctx.tuple_mutual_information();
-    debug_assert_eq!(objects.len(), n);
-    let model = phase1_auto(&objects, mi, params);
+    let tuples = TupleStream::new(ctx);
+    let model = tuples.phase1(params);
 
     // Step 3: summaries with p(c*) > 1/n, i.e. more than one tuple merged.
     let multi: Vec<Dcf> = model
@@ -116,11 +113,10 @@ pub fn find_duplicate_tuples_ctx(ctx: &AnalysisCtx, params: LimboParams) -> Dupl
         .collect();
 
     if !multi.is_empty() {
-        let assignments = assign_all_with(objects.iter(), &multi, params.threads);
-        for (t, (idx, loss)) in assignments.into_iter().enumerate() {
+        tuples.phase3(&multi, params.threads, |t, _, (idx, loss)| {
             groups[idx].tuples.push(t);
             groups[idx].losses.push(loss);
-        }
+        });
     }
     groups.retain(|g| g.tuples.len() >= 2);
 
@@ -135,21 +131,15 @@ pub fn find_duplicate_tuples_ctx(ctx: &AnalysisCtx, params: LimboParams) -> Dupl
 /// and assigns every tuple to its closest leaf summary — the
 /// tuple-cluster ids Double Clustering (Section 6.2) re-expresses values
 /// over. Returns the assignment (one cluster id per tuple) and the number
-/// of summaries. `params.threads` sets the parallel association scan;
-/// the result is bit-identical to the serial run for every thread count.
+/// of summaries. `params.threads` sets the parallel stages; the result is
+/// bit-identical to the serial run for every thread count.
 pub fn tuple_summary_assignment_ctx(ctx: &AnalysisCtx, params: LimboParams) -> (Vec<usize>, usize) {
-    let objects = tuple_dcfs_ctx(ctx, params.threads);
-    let mi = ctx.tuple_mutual_information();
-    let model = phase1_auto(&objects, mi, params);
-    let leaves = &model.leaves;
-    let assignment = if leaves.is_empty() {
-        vec![0; objects.len()]
-    } else {
-        assign_all_with(objects.iter(), leaves, params.threads)
-            .into_iter()
-            .map(|(c, _)| c)
-            .collect()
-    };
+    let tuples = TupleStream::new(ctx);
+    let model = tuples.phase1(params);
+    let mut assignment = Vec::with_capacity(ctx.n_tuples());
+    tuples.phase3(&model.leaves, params.threads, |_, _, (c, _)| {
+        assignment.push(c)
+    });
     (assignment, model.leaves.len())
 }
 

@@ -14,7 +14,7 @@
 
 use dbmine_context::AnalysisCtx;
 use dbmine_ib::{assign_all_with, Dcf};
-use dbmine_limbo::{phase1_auto, reexpress_over_clusters, value_dcfs_with, LimboParams};
+use dbmine_limbo::{phase1, reexpress_over_clusters, value_dcfs_with, LimboParams};
 use dbmine_relation::ValueId;
 
 /// A cluster of attribute values.
@@ -133,7 +133,7 @@ pub fn cluster_values_ctx(
         }
         None => ctx.value_mutual_information(),
     };
-    let model = phase1_auto(&objects, mi, params);
+    let model = phase1(&objects, mi, params);
 
     // Associate every value with its closest leaf summary (Phase 3).
     // Values whose own leaf is a singleton stay alone unless a multi-value

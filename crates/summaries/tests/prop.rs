@@ -4,7 +4,7 @@
 //! tuples, and attribute grouping must stay within `A_D`.
 
 use dbmine_context::AnalysisCtx;
-use dbmine_limbo::{phase1_auto, phase2_with, phase3_with, tuple_dcfs_ctx, LimboParams};
+use dbmine_limbo::{phase1, phase2_with, phase3_with, tuple_dcfs_ctx, LimboParams};
 use dbmine_relation::{Relation, RelationBuilder};
 use dbmine_summaries::{
     cluster_values_ctx, eliminate_duplicates, find_duplicate_tuples_ctx, group_attributes,
@@ -57,7 +57,7 @@ fn two_run_partition(
     let threads = params.threads;
     let objects = tuple_dcfs_ctx(ctx, threads);
     let mi = ctx.tuple_mutual_information();
-    let model = phase1_auto(&objects, mi, params);
+    let model = phase1(&objects, mi, params);
     let n_summaries = model.leaves.len();
     let full = phase2_with(&model, 1, threads);
     let chosen_k = k

@@ -60,11 +60,13 @@ pub enum Counter {
     /// `CtxCache` lookups that had to admit a fresh context (including
     /// any eviction that made room for it).
     CtxLruMisses,
-    /// Shard chunks ingested into per-shard DCF-trees during sharded
-    /// Phase 1 (`limbo::phase1_sharded`), one per chunk built.
+    /// Plan chunks ingested into per-shard DCF-trees during LIMBO
+    /// Phase 1 (`limbo::ShardedPhase1`), one per chunk built: every
+    /// Phase 1 of `n > 0` objects counts at least one.
     ShardIngests,
-    /// DCF-tree merges during sharded Phase 1: shard trees folded into
-    /// the final tree by leaf re-insertion, one per shard tree merged.
+    /// DCF-tree merges during LIMBO Phase 1: shard trees folded into
+    /// the final tree by leaf re-insertion, one per shard tree merged
+    /// (none for a one-chunk plan).
     TreeMerges,
     /// Chunks spilled to a binary columnar shard store
     /// (`relation::spill::SpillWriter`), one per block written.

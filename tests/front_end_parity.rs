@@ -3,12 +3,10 @@
 //! value goes to the `dbmine` CLI as a flag and to the daemon as a
 //! request field. The CLI accepts it exactly when the daemon does;
 //! when both accept, CLI stdout equals the daemon's `output` byte for
-//! byte, and when both refuse, each names the same parameter.
-//!
-//! The one listed exception is `--shards` on a command that does not
-//! read it: the CLI still takes it as its auto-spill load switch, the
-//! daemon refuses the field. (`--spill` and `--profile` are CLI load
-//! flags and not in the grammar at all.)
+//! byte, and when both refuse, each names the same parameter. A name
+//! outside the grammar (`shards`, the retired Phase 1 knob, or `wat`)
+//! is refused by both as unknown. (`--spill` and `--profile` are CLI
+//! load flags and not in the grammar at all.)
 
 use dbmine::render::{Kind, COMMANDS, PARAMS};
 use dbmine::server::{parse, Json};
@@ -56,11 +54,6 @@ fn cli_and_daemon_accept_read_and_refuse_alike() {
             let what = format!("{} {flag} {flag_value}", spec.name);
             let cli_stderr = String::from_utf8_lossy(&cli.stderr);
             let daemon_ok = reply.get("ok") == Some(&Json::Bool(true));
-            if param.name == "shards" && spec.param("shards").is_none() {
-                assert!(cli.status.success(), "{what}: {cli_stderr}");
-                assert!(!daemon_ok, "{what}: {reply:?}");
-                continue;
-            }
             assert_eq!(
                 cli.status.success(),
                 daemon_ok,
@@ -86,6 +79,26 @@ fn cli_and_daemon_accept_read_and_refuse_alike() {
     }
     // Every served command reads at least its thread count.
     assert!(compared >= 5, "only {compared} accepted pairs");
+    for spec in COMMANDS.iter().filter(|s| s.served) {
+        for name in ["shards", "wat"] {
+            let cli = Command::new(env!("CARGO_BIN_EXE_dbmine"))
+                .args([spec.name, DB2, &format!("--{name}"), "2"])
+                .output()
+                .expect("cli runs");
+            assert_eq!(cli.status.code(), Some(2), "{} --{name}", spec.name);
+            assert!(String::from_utf8_lossy(&cli.stderr)
+                .contains(&format!("error: unknown flag --{name} for `{}`", spec.name)));
+            let reply = request(format!(
+                "{{\"cmd\":\"{}\",\"path\":\"{DB2}\",\"{name}\":2}}",
+                spec.name
+            ));
+            assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+            assert_eq!(
+                reply.get("error").and_then(Json::as_str),
+                Some(format!("unknown field `{name}` for `{}`", spec.name).as_str())
+            );
+        }
+    }
     assert!(request("{\"cmd\":\"shutdown\"}".to_string()).get("ok") == Some(&Json::Bool(true)));
     assert!(daemon.wait().unwrap().success());
 }

@@ -201,39 +201,34 @@ fn redesign_honours_max_lhs() {
 }
 
 #[test]
-fn sharded_runs_are_byte_identical_to_classic() {
-    // The demo relation fits one auto chunk, so every shard-worker
-    // count — and the classic unsharded build — must print the same
-    // bytes.
+fn thread_counts_print_identical_output() {
+    // Every parallel stage — the Phase 1 shard trees and tuple DCFs
+    // included — is bit-identical for every thread count.
     let csv = write_demo_csv();
     let path = csv.to_str().unwrap();
-    let (classic, _, ok) = run(&["duplicates", path, "--phi-t", "0.0"]);
-    assert!(ok);
-    for shards in ["0", "1", "4"] {
-        let (sharded, stderr, ok) =
-            run(&["duplicates", path, "--phi-t", "0.0", "--shards", shards]);
+    for cmd in ["duplicates", "analyze", "partition"] {
+        let (serial, stderr, ok) = run(&[cmd, path, "--phi-t", "0.0"]);
         assert!(ok, "stderr: {stderr}");
-        assert_eq!(sharded, classic, "--shards {shards} output drifted");
+        for threads in ["0", "1", "4"] {
+            let (out, stderr, ok) = run(&[cmd, path, "--phi-t", "0.0", "--threads", threads]);
+            assert!(ok, "stderr: {stderr}");
+            assert_eq!(out, serial, "{cmd} --threads {threads} output drifted");
+        }
     }
-    let (analyze_classic, _, _) = run(&["analyze", path]);
-    let (analyze_sharded, _, _) = run(&["analyze", path, "--shards", "2"]);
-    assert_eq!(analyze_sharded, analyze_classic);
 }
 
 #[test]
-fn invalid_shards_value_is_a_typed_error() {
+fn shards_is_an_unknown_flag() {
+    // The sharded Phase 1 is the only Phase 1, so its old knob is
+    // refused like any other flag no command reads.
     let csv = write_demo_csv();
-    for bad in ["four", "-1", "1.5"] {
-        // `fds` never reaches Phase 1, but a malformed --shards must
-        // still be the same typed error, not silently ignored.
-        for cmd in ["duplicates", "fds"] {
-            let (_, stderr, ok) = run(&[cmd, csv.to_str().unwrap(), "--shards", bad]);
-            assert!(!ok, "{cmd} --shards {bad} must fail");
-            assert!(
-                stderr.contains(&format!("error: invalid value for --shards: `{bad}`")),
-                "stderr: {stderr}"
-            );
-        }
+    for cmd in ["duplicates", "analyze", "fds"] {
+        let (_, stderr, ok) = run(&[cmd, csv.to_str().unwrap(), "--shards", "4"]);
+        assert!(!ok, "{cmd} --shards must fail");
+        assert!(
+            stderr.contains(&format!("error: unknown flag --shards for `{cmd}`")),
+            "stderr: {stderr}"
+        );
     }
 }
 

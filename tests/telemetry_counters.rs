@@ -307,10 +307,9 @@ fn sharded_phase1_counts_ingests_and_merges_exactly() {
     let ctx = AnalysisCtx::of(&rel);
 
     // Through the user-facing path: figure 4's five tuples fit one auto
-    // chunk, so a sharded duplicates run ingests exactly one shard and
-    // the merge stage never runs (single-chunk ≡ classic build).
-    let (_, d) =
-        with_deltas(|| find_duplicate_tuples_ctx(&ctx, LimboParams::with_phi(0.0).shards(Some(4))));
+    // chunk, so a duplicates run ingests exactly one shard and the merge
+    // stage never runs (single-chunk ≡ classic build).
+    let (_, d) = with_deltas(|| find_duplicate_tuples_ctx(&ctx, LimboParams::with_phi(0.0)));
     assert_eq!(d.get(Counter::ShardIngests), expect(1));
     assert_eq!(d.get(Counter::TreeMerges), 0);
 
@@ -324,7 +323,7 @@ fn sharded_phase1_counts_ingests_and_merges_exactly() {
     });
     let plan = dbmine::limbo::ShardPlan::with_chunk_size(objects.len(), 2);
     let (_, d) = with_deltas(|| {
-        dbmine::limbo::phase1_sharded(&objects, mi, LimboParams::with_phi(0.0), &plan, 1)
+        dbmine::limbo::phase1_sharded(&objects, mi, LimboParams::with_phi(0.0), &plan)
     });
     assert_eq!(d.get(Counter::ShardIngests), expect(3));
     assert_eq!(d.get(Counter::TreeMerges), expect(3));
