@@ -5,19 +5,24 @@
 //! trajectory for the clustering subsystem (see EXPERIMENTS.md).
 //!
 //! ```text
-//! cargo run --release -p dbmine-bench --bin bench_limbo [--quick|--smoke|--scale8] [--out PATH]
+//! cargo run --release -p dbmine-bench --bin bench_limbo [--quick|--smoke|--scale8] [--no-scaling] [--out PATH]
 //! ```
 //!
 //! `--quick` shrinks workloads and sample counts; `--smoke` additionally
 //! redirects the output to `results/BENCH_limbo.smoke.json` so a CI run
 //! never clobbers the committed trajectory; `--scale8` runs only the
 //! scaling column at 10⁸ tuples (hours on one core — see
-//! EXPERIMENTS.md) into `results/BENCH_limbo.scale8.json`. Before timing anything the
+//! EXPERIMENTS.md) into `results/BENCH_limbo.scale8.json`.
+//! `--no-scaling` skips the scaling column (10⁶ and 10⁷ tuples, ~35 min)
+//! and carries the `scaling` rows of the file it overwrites over
+//! unchanged, so the `workloads` and `allocations` rows refresh in
+//! seconds. Before timing anything the
 //! runner asserts the arena tree is bit-identical to the reference and
 //! the pipeline is bit-identical across thread counts.
 
 use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{dblp_sample, synthetic, write_csv_path, DblpSpec, PlantedFd, SyntheticSpec};
+use dbmine::ib::assign_all_with;
 use dbmine::limbo::{
     phase1, run, tuple_dcfs, tuple_dcfs_ctx, DcfTree, DcfTreeRef, LimboParams, TupleStream,
 };
@@ -361,12 +366,31 @@ fn assert_leaves_bit_identical(a: &[dbmine::ib::Dcf], b: &[dbmine::ib::Dcf], wha
     }
 }
 
+/// The body of the `"scaling"` array of the bench file at `path`,
+/// verbatim: the committed rows `--no-scaling` carries over.
+fn committed_scaling(path: &str) -> String {
+    const OPEN: &str = "\"scaling\": [\n";
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("--no-scaling: cannot read {path}: {e}");
+        std::process::exit(1);
+    });
+    let rows = text.find(OPEN).and_then(|i| {
+        let rows = &text[i + OPEN.len()..];
+        rows.find("  ]").map(|end| rows[..end].to_string())
+    });
+    rows.unwrap_or_else(|| {
+        eprintln!("--no-scaling: {path} has no scaling rows");
+        std::process::exit(1);
+    })
+}
+
 fn main() {
     telemetry::alloc::mark_installed();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let quick = smoke || args.iter().any(|a| a == "--quick");
     let scale8 = args.iter().any(|a| a == "--scale8");
+    let no_scaling = args.iter().any(|a| a == "--no-scaling");
     let default_out = if scale8 {
         "results/BENCH_limbo.scale8.json"
     } else if smoke {
@@ -381,6 +405,7 @@ fn main() {
         .map(String::as_str)
         .unwrap_or(default_out)
         .to_string();
+    let carried_scaling = no_scaling.then(|| committed_scaling(&out_path));
 
     if scale8 {
         // The gated 10⁸ recipe (EXPERIMENTS.md): scaling column only,
@@ -529,6 +554,16 @@ fn main() {
             );
         }
 
+        // Phase 3 at `analyze`'s tuple shape: every tuple against the
+        // leaves of a φ_T = 0.1 Phase 1, where the NULL markers of the
+        // sparse columns are frequent tokens of the representatives.
+        if name.starts_with("dblp/") {
+            let leaves = phase1(&objects, mi, LimboParams::with_phi(0.1)).leaves;
+            measure(&mut results, &format!("phase3/{name}"), samples, || {
+                assign_all_with(objects.iter(), &leaves, 1)
+            });
+        }
+
         // End-to-end pipeline, with the threads knob; the parallel runs
         // must be bit-identical to the serial one.
         let tau = params.phi * mi / objects.len() as f64;
@@ -600,7 +635,11 @@ fn main() {
     } else {
         &[1_000_000, 10_000_000]
     };
-    let scaling = run_scaling_column(scale_sizes, quick);
+    let scaling = if no_scaling {
+        Vec::new()
+    } else {
+        run_scaling_column(scale_sizes, quick)
+    };
     if let (Some(first), Some(last)) = (scaling.first(), scaling.last()) {
         if last.tuples >= 4 * first.tuples {
             let med_ratio =
@@ -674,7 +713,7 @@ fn main() {
         json.push_str(if i + 1 < allocs.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n  \"scaling\": [\n");
-    json.push_str(&scaling_json(&scaling));
+    json.push_str(&carried_scaling.unwrap_or_else(|| scaling_json(&scaling)));
     json.push_str("  ],\n  \"telemetry\": ");
     // RunReport::to_json is a complete JSON document; embedded as a
     // sub-object its relative indentation is cosmetic only.

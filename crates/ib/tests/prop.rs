@@ -2,11 +2,14 @@
 //! bit-identical to the serial ones for every thread count, the
 //! candidate-list AIB must reproduce the reference algorithm, a cut of a
 //! full run must reproduce the run to that `k`, and the bounded Phase 3
-//! scan must reproduce the plain linear scan.
+//! scan must reproduce the plain linear scan, through its postings walk
+//! and its frequent-token block alike.
 
 use dbmine_context::AnalysisCtx;
 use dbmine_datagen::{dblp_sample, DblpSpec};
-use dbmine_ib::{aib, aib_cut, aib_reference, aib_with, assign_all_with, AibResult, Dcf, KStat};
+use dbmine_ib::{
+    aib, aib_cut, aib_reference, aib_with, assign_all_with, AibResult, Dcf, KStat, RepIndex,
+};
 use dbmine_infotheory::SparseDist;
 use dbmine_limbo::{phase1, tuple_dcfs_ctx, value_dcfs_with, LimboParams};
 use proptest::collection::vec;
@@ -27,18 +30,25 @@ fn linear_scan(object: &Dcf, reps: &[Dcf]) -> (usize, f64) {
 }
 
 /// Asserts `assign_all_with` returns the oracle's `(index, loss bits)`
-/// for every object.
-fn assert_matches_linear_scan(objects: &[Dcf], reps: &[Dcf], threads: usize) {
-    let got = assign_all_with(objects.iter(), reps, threads);
-    assert_eq!(got.len(), objects.len());
-    for (i, (o, &(idx, loss))) in objects.iter().zip(&got).enumerate() {
-        let (want_idx, want_loss) = linear_scan(o, reps);
-        assert_eq!(
-            (idx, loss.to_bits()),
-            (want_idx, want_loss.to_bits()),
-            "object {i}: got ({idx}, {loss}), oracle ({want_idx}, {want_loss})"
-        );
+/// for every object at each of `threads`.
+fn assert_matches_linear_scan(objects: &[Dcf], reps: &[Dcf], threads: &[usize]) {
+    let want: Vec<(usize, f64)> = objects.iter().map(|o| linear_scan(o, reps)).collect();
+    for &t in threads {
+        let got = assign_all_with(objects.iter(), reps, t);
+        assert_eq!(got.len(), objects.len());
+        for (i, (&(idx, loss), &(want_idx, want_loss))) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                (idx, loss.to_bits()),
+                (want_idx, want_loss.to_bits()),
+                "object {i} at {t} threads: got ({idx}, {loss}), oracle ({want_idx}, {want_loss})"
+            );
+        }
     }
+}
+
+/// An assignment as comparable bits.
+fn bits(assigned: &[(usize, f64)]) -> Vec<(usize, u64)> {
+    assigned.iter().map(|&(i, l)| (i, l.to_bits())).collect()
 }
 
 /// A raw DCF draw: `(weight kind, random weight, entries, mass)`.
@@ -95,6 +105,101 @@ fn arb_assignment() -> impl Strategy<Value = (Vec<Dcf>, Vec<Dcf>)> {
             }
             for i in duplicates {
                 reps.push(reps[i % reps.len()].clone());
+            }
+            (objects, reps)
+        })
+}
+
+/// Tokens `0..FREQUENT_TOKENS` are the frequent ones of
+/// [`arb_frequent_assignment`]: token 0 is held by every representative,
+/// the others by about half of them.
+const FREQUENT_TOKENS: u32 = 5;
+
+/// Rare tokens of [`arb_frequent_assignment`] lie in `RARE`; tokens in
+/// `FREQUENT_TOKENS..RARE.start` and from `RARE.end` on are held by no
+/// representative.
+const RARE: std::ops::Range<u32> = 100..4096;
+
+/// A frequent-token mass: a few fixed values, so that objects repeat
+/// signatures, or a random one.
+fn arb_frequent_mass() -> impl Strategy<Value = f64> {
+    (0usize..4, 0.01f64..1.0).prop_map(|(k, x)| [0.125, 0.25, 1.0 / 3.0, x][k])
+}
+
+/// Strategy: `(objects, reps)` for Phase 3 with `q` in 64..160, so that
+/// `max(q/8, 16)` marks tokens frequent. Every representative holds
+/// token 0, and each of tokens `1..FREQUENT_TOKENS` with mixed masses
+/// about half the time, beside a few rare tokens. Representatives may be
+/// zero-weight, of mixed weights and duplicated (exact ties). Objects
+/// hold only frequent tokens, only rare ones, only unindexed ones (no
+/// representative holds them, inside and beyond the index's range), or a
+/// mix; some copy a representative's conditional. Objects are
+/// unnormalized, and up to ~300 of them run the parallel path too.
+fn arb_frequent_assignment() -> impl Strategy<Value = (Vec<Dcf>, Vec<Dcf>)> {
+    let frequent = vec((0u8..2, arb_frequent_mass()), FREQUENT_TOKENS as usize);
+    let rep = (
+        0u8..4,
+        0.001f64..1.0,
+        frequent,
+        vec((RARE, 0.01f64..1.0), 0..4),
+    );
+    let object = (
+        0u8..4,
+        (0usize..2, 0.001f64..1.0).prop_map(|(k, w)| [1.0 / 16.0, w][k]),
+        vec((0..FREQUENT_TOKENS, arb_frequent_mass()), 1..4),
+        vec((RARE, 0.01f64..1.0), 1..4),
+        vec(
+            (
+                0usize..2,
+                FREQUENT_TOKENS..RARE.start,
+                RARE.end..RARE.end + 64,
+            )
+                .prop_map(|(k, inside, beyond)| [inside, beyond][k]),
+            1..3,
+        ),
+    );
+    (
+        vec(rep, 64..160),
+        vec(object, 1..300),
+        vec(0usize..1 << 20, 0..8),
+        vec(0usize..1 << 20, 0..6),
+    )
+        .prop_map(|(reps, objects, duplicates, copies)| {
+            let mut reps: Vec<Dcf> = reps
+                .into_iter()
+                .map(|(kind, w, frequent, rare)| {
+                    let mut pairs: Vec<(u32, f64)> = rare;
+                    for (t, (held, mass)) in frequent.into_iter().enumerate() {
+                        if t == 0 || held == 1 {
+                            pairs.push((t as u32, mass));
+                        }
+                    }
+                    let weight = match kind {
+                        0 => 0.0,
+                        1 => 1.0 / 16.0,
+                        _ => w,
+                    };
+                    Dcf::singleton(weight, SparseDist::from_pairs(pairs))
+                })
+                .collect();
+            for i in duplicates {
+                reps.push(reps[i % reps.len()].clone());
+            }
+            let mut objects: Vec<Dcf> = objects
+                .into_iter()
+                .map(|(kind, weight, frequent, rare, unindexed)| {
+                    let pairs: Vec<(u32, f64)> = match kind {
+                        0 => frequent,
+                        1 => rare,
+                        2 => unindexed.into_iter().map(|t| (t, 0.5)).collect(),
+                        _ => frequent.into_iter().chain(rare).collect(),
+                    };
+                    Dcf::singleton(weight, SparseDist::from_pairs(pairs))
+                })
+                .collect();
+            for i in copies {
+                let rep = &reps[i % reps.len()];
+                objects.push(Dcf::singleton(1.0 / 16.0, rep.cond.clone()));
             }
             (objects, reps)
         })
@@ -230,8 +335,30 @@ proptest! {
         case in arb_assignment(), threads in 0usize..6
     ) {
         let (objects, reps) = case;
-        assert_matches_linear_scan(&objects, &reps, 1);
-        assert_matches_linear_scan(&objects, &reps, threads);
+        assert_matches_linear_scan(&objects, &reps, &[1, threads]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// With `q ≥ 64` the index keeps tokens in its dense block: the
+    /// signature bounds must give the linear scan's exact
+    /// `(index, loss bits)` at 1 and 4 threads, whether an object's
+    /// tokens are all frequent, all rare, unindexed or mixed.
+    #[test]
+    fn assign_with_frequent_tokens_matches_linear_scan(case in arb_frequent_assignment()) {
+        let (objects, reps) = case;
+        let index = RepIndex::new(&reps);
+        let frequent = index.frequent_tokens();
+        prop_assert_eq!(frequent.first(), Some(&0), "the token every rep holds is frequent");
+        prop_assert!(frequent.iter().all(|&t| t < FREQUENT_TOKENS));
+        prop_assert!(objects.iter().any(|o| o.cond.iter().any(|(t, _)| frequent.contains(&t))));
+        assert_matches_linear_scan(&objects, &reps, &[1, 4]);
+        let mut batches = index.assign(&objects[..objects.len() / 2], 4);
+        batches.extend(index.assign(&objects[objects.len() / 2..], 1));
+        let whole = assign_all_with(objects.iter(), &reps, 1);
+        prop_assert_eq!(bits(&batches), bits(&whole));
     }
 }
 
@@ -274,7 +401,7 @@ fn assign_all_matches_linear_scan_on_dblp() {
             .cloned()
             .collect();
         assert!(!multi.is_empty(), "seed {seed}: no multi-tuple summary");
-        assert_matches_linear_scan(&tuples, &multi, 1);
+        assert_matches_linear_scan(&tuples, &multi, &[1]);
 
         let values = value_dcfs_with(ctx.value_index(), 1);
         let model = phase1(
@@ -282,6 +409,30 @@ fn assign_all_matches_linear_scan_on_dblp() {
             ctx.value_mutual_information(),
             LimboParams::with_phi(0.0),
         );
-        assert_matches_linear_scan(&values, &model.leaves, 1);
+        assert_matches_linear_scan(&values, &model.leaves, &[1]);
+    }
+}
+
+/// `analyze`'s tuple Phase 3 shape on DBLP: every tuple against all the
+/// leaves of a φ_T = 0.1 and a φ_T = 0 Phase 1. NULL markers of the
+/// sparse columns are held by most leaves, so the index keeps frequent
+/// tokens in its block and tuples carry them.
+#[test]
+fn assign_matches_linear_scan_at_the_analyze_shape() {
+    let rel = dblp_sample(&DblpSpec::scaled(600, 5));
+    let ctx = AnalysisCtx::of(&rel);
+    let tuples = tuple_dcfs_ctx(&ctx, 1);
+    for phi in [0.1, 0.0] {
+        let model = phase1(
+            &tuples,
+            ctx.tuple_mutual_information(),
+            LimboParams::with_phi(phi),
+        );
+        let frequent = RepIndex::new(&model.leaves).frequent_tokens().to_vec();
+        assert!(!frequent.is_empty(), "φ_T = {phi}: no frequent token");
+        assert!(tuples
+            .iter()
+            .all(|t| t.cond.iter().any(|(v, _)| frequent.contains(&v))));
+        assert_matches_linear_scan(&tuples, &model.leaves, &[1, 4]);
     }
 }

@@ -15,7 +15,7 @@
 use crate::pipeline::{LimboModel, LimboParams};
 use crate::sharded::{ShardPlan, ShardedPhase1};
 use dbmine_context::AnalysisCtx;
-use dbmine_ib::{assign_all_with, Dcf};
+use dbmine_ib::{Dcf, RepIndex};
 use dbmine_relation::{qualified_row, qualified_stride, RelationChunk};
 use std::ops::Range;
 
@@ -84,8 +84,10 @@ impl<'a> TupleStream<'a> {
 
     /// Phase 3: a second chunk pass rebuilds each window's tuple DCFs,
     /// assigns them to their nearest of `reps` with `threads` workers
-    /// (see [`assign_all_with`]) and hands `f` each tuple in order as
-    /// `(tuple index, its DCF, (representative index, loss))`.
+    /// and hands `f` each tuple in order as
+    /// `(tuple index, its DCF, (representative index, loss))`. One
+    /// [`RepIndex`] over `reps` serves every window, and each tuple's
+    /// assignment is [`dbmine_ib::assign_all_with`]'s.
     ///
     /// # Panics
     ///
@@ -97,8 +99,12 @@ impl<'a> TupleStream<'a> {
         mut f: impl FnMut(usize, Dcf, (usize, f64)),
     ) {
         let _span = dbmine_telemetry::span("limbo.phase3");
+        if self.ctx.n_tuples() == 0 {
+            return;
+        }
+        let index = RepIndex::new(reps);
         self.for_each_window(threads, |start, dcfs| {
-            let assigned = assign_all_with(&dcfs, reps, threads);
+            let assigned = index.assign(&dcfs, threads);
             for (i, (dcf, a)) in dcfs.into_iter().zip(assigned).enumerate() {
                 f(start + i, dcf, a);
             }

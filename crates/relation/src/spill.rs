@@ -480,8 +480,9 @@ pub(crate) fn read_meta(path: &Path) -> Result<StoreMeta, StoreError> {
 /// checksum, index, row-count and value-range validation, zero
 /// tokenization and zero dictionary hashing.
 ///
-/// Holds a `spill.read` telemetry span for the lifetime of the pass and
-/// bumps [`Counter::SpillChunksRead`] per block.
+/// Each block's read and decode runs under its own `spill.read`
+/// telemetry span, so the work a consumer does between reads is not
+/// charged to the store; bumps [`Counter::SpillChunksRead`] per block.
 pub struct StoreChunks<'a> {
     sharded: &'a ShardedRelation,
     reader: BufReader<File>,
@@ -489,13 +490,11 @@ pub struct StoreChunks<'a> {
     next_chunk: usize,
     block: Vec<u8>,
     failed: bool,
-    _span: dbmine_telemetry::Span,
 }
 
 impl<'a> StoreChunks<'a> {
     /// Opens a chunk pass over the store `sharded` was opened from.
     pub(crate) fn open(sharded: &'a ShardedRelation) -> Result<Self, StoreError> {
-        let _span = dbmine_telemetry::span("spill.read");
         let mut file = File::open(sharded.path())?;
         let mut prelude = [0u8; PRELUDE_LEN as usize];
         file.read_exact(&mut prelude)?;
@@ -515,7 +514,6 @@ impl<'a> StoreChunks<'a> {
             next_chunk: 0,
             block: Vec::new(),
             failed: false,
-            _span,
         })
     }
 
@@ -537,6 +535,7 @@ impl<'a> StoreChunks<'a> {
             }
             return Ok(None);
         }
+        let _span = dbmine_telemetry::span("spill.read");
         let start = i * chunk_tuples;
         let rows = chunk_tuples.min(n - start);
         let payload_len = 16 + m * rows * 4;

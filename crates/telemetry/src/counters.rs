@@ -88,10 +88,14 @@ pub enum Counter {
     /// `AnalysisCtx` (`dbmine-context`): always zero, kept for the
     /// reports that print it.
     CtxMaterializations,
+    /// LIMBO Phase 3 index reads (`ib::RepIndex`): the rare-token
+    /// postings each object walks, plus the `q·|S|` dense-block cells
+    /// read per signature `S` of frequent tokens a worker builds.
+    AssignPostings,
 }
 
 /// Number of distinct counters.
-pub const N_COUNTERS: usize = 24;
+pub const N_COUNTERS: usize = 25;
 
 /// All counters, in index order. `COUNTERS[c as usize] == c` for every
 /// counter `c`.
@@ -120,6 +124,7 @@ pub const COUNTERS: [Counter; N_COUNTERS] = [
     Counter::BnbBounds,
     Counter::BnbPrunes,
     Counter::CtxMaterializations,
+    Counter::AssignPostings,
 ];
 
 impl Counter {
@@ -150,6 +155,7 @@ impl Counter {
             Counter::BnbBounds => "bnb_bounds",
             Counter::BnbPrunes => "bnb_prunes",
             Counter::CtxMaterializations => "ctx_materializations",
+            Counter::AssignPostings => "assign_postings",
         }
     }
 }
