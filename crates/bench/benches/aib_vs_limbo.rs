@@ -15,8 +15,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{dblp_sample, DblpSpec};
-use dbmine::ib::{aib, aib_reference, aib_with};
+use dbmine::ib::{aib, aib_with};
 use dbmine::limbo::{phase1, phase2_with, tuple_dcfs_ctx, LimboParams};
+use dbmine_oracles::aib_reference;
 
 fn dblp_objects(n: usize) -> (Vec<dbmine::ib::Dcf>, f64) {
     let spec = DblpSpec {

@@ -6,11 +6,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{db2_sample, dblp_sample, Db2Spec, DblpSpec};
-use dbmine::fdmine::{
-    mine_approximate_ctx, mine_fastfds, mine_fdep_ctx, mine_mvds, mine_tane_ctx, minimum_cover,
-    TaneOptions,
-};
+use dbmine::fdmine::{mine_approximate_ctx, mine_mvds, mine_tane_ctx, minimum_cover, TaneOptions};
 use dbmine::relation::AttrSet;
+use dbmine_oracles::{mine_fastfds, mine_fdep};
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fd_mining");
@@ -18,7 +16,7 @@ fn bench(c: &mut Criterion) {
 
     let db2 = db2_sample(&Db2Spec::default()).relation;
     g.bench_function("fdep/db2_90x19", |b| {
-        b.iter(|| mine_fdep_ctx(&AnalysisCtx::of(&db2)))
+        b.iter(|| mine_fdep(&AnalysisCtx::of(&db2)))
     });
     g.bench_function("fastfds/db2_90x19", |b| b.iter(|| mine_fastfds(&db2)));
     g.bench_function("tane/db2_90x19", |b| {
@@ -59,14 +57,14 @@ fn bench(c: &mut Criterion) {
         .collect();
         let rel = rel.project(keep);
         g.bench_with_input(BenchmarkId::new("fdep/dblp7", n), &n, |b, _| {
-            b.iter(|| mine_fdep_ctx(&AnalysisCtx::of(&rel)))
+            b.iter(|| mine_fdep(&AnalysisCtx::of(&rel)))
         });
         g.bench_with_input(BenchmarkId::new("tane/dblp7", n), &n, |b, _| {
             b.iter(|| mine_tane_ctx(&AnalysisCtx::of(&rel), TaneOptions::default()))
         });
     }
 
-    let fds = mine_fdep_ctx(&AnalysisCtx::of(&db2));
+    let fds = mine_fdep(&AnalysisCtx::of(&db2));
     g.bench_function("minimum_cover/db2", |b| b.iter(|| minimum_cover(&fds)));
     g.finish();
 }

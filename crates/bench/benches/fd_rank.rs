@@ -6,16 +6,17 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{db2_sample, Db2Spec};
-use dbmine::fdmine::{mine_fdep_ctx, minimum_cover, Fd};
+use dbmine::fdmine::{minimum_cover, Fd};
 use dbmine::fdrank::rank_fds;
 use dbmine::limbo::LimboParams;
 use dbmine::summaries::{cluster_values_ctx, group_attributes};
+use dbmine_oracles::mine_fdep;
 
 fn bench(c: &mut Criterion) {
     let db2 = db2_sample(&Db2Spec::default()).relation;
     let values = cluster_values_ctx(&AnalysisCtx::of(&db2), LimboParams::with_phi(0.0), None);
     let grouping = group_attributes(&values, db2.n_attrs());
-    let all_fds = mine_fdep_ctx(&AnalysisCtx::of(&db2));
+    let all_fds = mine_fdep(&AnalysisCtx::of(&db2));
     let cover = minimum_cover(&all_fds);
 
     let mut g = c.benchmark_group("fd_rank");

@@ -19,6 +19,7 @@ use dbmine::datagen::{synthetic, PlantedFd, SyntheticSpec};
 use dbmine::fdmine::{
     mine_approximate_ctx, mine_tane_ctx, PartitionScratch, StrippedPartition, TaneOptions,
 };
+use dbmine_oracles::product_reference;
 
 /// The canonical scaling relation: `n` tuples, 8 attributes, a planted
 /// dependency A0 → {A1, A2}, Zipf-skewed free attributes.
@@ -63,7 +64,7 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("product_reference/synth8", n),
             &n,
-            |b, _| b.iter(|| p0.product_reference(&p3)),
+            |b, _| b.iter(|| product_reference(&p0, &p3)),
         );
 
         let p03 = p0.product(&p3);

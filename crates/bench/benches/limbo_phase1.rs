@@ -7,7 +7,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{dblp_sample, DblpSpec};
-use dbmine::limbo::{tuple_dcfs_ctx, DcfTree, DcfTreeRef};
+use dbmine::limbo::{tuple_dcfs_ctx, DcfTree};
+use dbmine_oracles::DcfTreeRef;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("limbo_phase1_kernels");

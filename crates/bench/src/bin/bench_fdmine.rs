@@ -21,6 +21,7 @@ use dbmine::fdmine::{
 use dbmine::relation::{csv::write_relation_path, Relation, ShardedRelation};
 use dbmine::reliability::{mine_reliable_ctx, ReliableOptions};
 use dbmine::telemetry;
+use dbmine_oracles::product_reference;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -436,7 +437,7 @@ fn main() {
             &mut results,
             &format!("product_reference/synth8/{n}"),
             samples * 50,
-            || p0.product_reference(&p3),
+            || product_reference(&p0, &p3),
         );
         let p03 = p0.product(&p3);
         measure(

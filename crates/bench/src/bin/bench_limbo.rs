@@ -23,11 +23,10 @@
 use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{dblp_sample, synthetic, write_csv_path, DblpSpec, PlantedFd, SyntheticSpec};
 use dbmine::ib::assign_all_with;
-use dbmine::limbo::{
-    phase1, run, tuple_dcfs, tuple_dcfs_ctx, DcfTree, DcfTreeRef, LimboParams, TupleStream,
-};
+use dbmine::limbo::{phase1, run, tuple_dcfs, tuple_dcfs_ctx, DcfTree, LimboParams, TupleStream};
 use dbmine::relation::{Relation, ShardedRelation};
 use dbmine::telemetry::{self, Counter};
+use dbmine_oracles::DcfTreeRef;
 use std::fmt::Write as _;
 use std::time::Instant;
 

@@ -2,13 +2,13 @@
 //! Section 7 FD-RANK walk-through.
 
 use dbmine::context::AnalysisCtx;
-use dbmine::fdmine::mine_fdep_ctx;
 use dbmine::fdrank::{decompose, rank_fds};
 use dbmine::limbo::LimboParams;
 use dbmine::relation::paper::{figure4, figure5};
 use dbmine::summaries::render::render_dendrogram;
 use dbmine::summaries::{cluster_values_ctx, group_attributes};
 use dbmine_bench::{f3, print_table};
+use dbmine_oracles::mine_fdep;
 
 fn print_matrices(ctx: &AnalysisCtx, title: &str) {
     // The same cached index later feeds the Figure 7 value clustering.
@@ -124,7 +124,7 @@ fn main() {
     print!("{}", render_dendrogram(&grouping.dendrogram, &labels, 48));
 
     // Section 7: FD-RANK with ψ = 0.5 over {A→B, C→B}.
-    let fds = mine_fdep_ctx(&ctx);
+    let fds = mine_fdep(&ctx);
     let ranked = rank_fds(&fds, &grouping, 0.5);
     let names = rel.attr_names().to_vec();
     let rows: Vec<Vec<String>> = ranked

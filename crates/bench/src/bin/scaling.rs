@@ -7,9 +7,10 @@
 
 use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{synthetic, PlantedFd, SyntheticSpec};
-use dbmine::fdmine::{mine_fdep_ctx, mine_tane_ctx, TaneOptions};
+use dbmine::fdmine::{mine_tane_ctx, TaneOptions};
 use dbmine::limbo::{phase1, phase2_with, phase3_with, tuple_dcfs_ctx, LimboParams};
 use dbmine_bench::print_table;
+use dbmine_oracles::mine_fdep;
 use std::time::Instant;
 
 fn ms(start: Instant) -> String {
@@ -70,7 +71,7 @@ fn main() {
         // FDEP is quadratic — only run it while affordable.
         let fdep_t = if n <= 5_000 {
             let tf = Instant::now();
-            let _ = mine_fdep_ctx(&AnalysisCtx::of(&rel));
+            let _ = mine_fdep(&AnalysisCtx::of(&rel));
             ms(tf)
         } else {
             "-".to_string()

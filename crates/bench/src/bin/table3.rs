@@ -13,11 +13,12 @@
 
 use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{db2_sample, Db2Spec};
-use dbmine::fdmine::{mine_fdep_ctx, minimum_cover};
+use dbmine::fdmine::minimum_cover;
 use dbmine::fdrank::{decompose, rad_ctx, rank_fds, rtr_ctx};
 use dbmine::limbo::LimboParams;
 use dbmine::summaries::{cluster_values_ctx, group_attributes};
 use dbmine_bench::{f3, print_table, timed};
+use dbmine_oracles::mine_fdep;
 
 fn main() {
     let sample = db2_sample(&Db2Spec::default());
@@ -27,7 +28,7 @@ fn main() {
     let ctx = AnalysisCtx::of(&rel);
     let names = rel.attr_names().to_vec();
 
-    let fds = timed("FDEP", || mine_fdep_ctx(&AnalysisCtx::of(&rel)));
+    let fds = timed("FDEP", || mine_fdep(&AnalysisCtx::of(&rel)));
     let cover = timed("minimum cover", || minimum_cover(&fds));
     println!(
         "FDEP discovered {} minimal FDs; minimum cover has {} (paper: 106 / 14)",

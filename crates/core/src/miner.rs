@@ -316,7 +316,7 @@ impl StructureMiner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbmine_fdmine::mine_fdep_ctx;
+    use dbmine_oracles::mine_fdep;
     use dbmine_relation::paper::{figure4, figure5};
 
     #[test]
@@ -374,7 +374,7 @@ mod tests {
         for rel in [figure4(), figure5()] {
             let ctx = AnalysisCtx::of(&rel);
             let report = StructureMiner::default().analyze_ctx(&ctx);
-            assert_eq!(minimum_cover(&mine_fdep_ctx(&ctx)), report.cover);
+            assert_eq!(minimum_cover(&mine_fdep(&ctx)), report.cover);
         }
     }
 

@@ -120,8 +120,8 @@ pub(crate) fn mine_g3(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::mine_brute;
     use crate::check::fd_error_g3;
+    use crate::oracles::mine_brute;
     use dbmine_relation::paper::{figure4, figure5};
     use dbmine_relation::{AttrSet, RelationBuilder};
     use rand::{rngs::StdRng, Rng, SeedableRng};

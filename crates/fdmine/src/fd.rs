@@ -59,22 +59,6 @@ pub fn normalize_fds(mut fds: Vec<Fd>) -> Vec<Fd> {
     fds
 }
 
-/// Keeps only the minimal dependencies per RHS: drops `X → A` when some
-/// `X' ⊂ X → A` is present.
-pub fn minimal_only(fds: Vec<Fd>) -> Vec<Fd> {
-    let fds = normalize_fds(fds);
-    let mut out: Vec<Fd> = Vec::with_capacity(fds.len());
-    for f in &fds {
-        let dominated = fds
-            .iter()
-            .any(|g| g.rhs == f.rhs && g.lhs != f.lhs && g.lhs.is_subset_of(f.lhs));
-        if !dominated {
-            out.push(*f);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,16 +95,5 @@ mod tests {
         ];
         let n = normalize_fds(fds);
         assert_eq!(n, vec![Fd::new(set(&[0]), 1)]);
-    }
-
-    #[test]
-    fn minimal_only_filters_supersets() {
-        let fds = vec![
-            Fd::new(set(&[0]), 2),
-            Fd::new(set(&[0, 1]), 2),
-            Fd::new(set(&[1]), 3),
-        ];
-        let m = minimal_only(fds);
-        assert_eq!(m, vec![Fd::new(set(&[0]), 2), Fd::new(set(&[1]), 3)]);
     }
 }

@@ -7,13 +7,12 @@
 //! * [`tane`] — the TANE levelwise miner of Huhtala et al. (the paper's
 //!   `[15]`), built on stripped partitions: the exact miner the
 //!   structure-mining pipeline runs at every input size. It is the
-//!   [`approximate`] walk at ε = 0.
-//! * [`fdep`] — the FDEP algorithm of Savnik & Flach, used in the paper's
-//!   experiments: compute all **maximal invalid** dependencies by pairwise
-//!   tuple comparison (the negative cover), then derive the **minimal
-//!   valid** dependencies from it. Its quadratic pairwise scan loses to
-//!   TANE beyond a few hundred tuples; it is kept as an independent
-//!   cross-check of TANE.
+//!   [`approximate`] walk at ε = 0. The paper's experiments also run
+//!   FDEP (Savnik & Flach), and the tests cross-check TANE against it,
+//!   FastFDs (Wyss et al., the paper's `[28]`) and a brute-force miner;
+//!   those three live in the dev-only `dbmine-oracles` crate.
+//! * [`fdep`] — [`mine_fdep_ctx`], a shim that runs TANE, kept for the
+//!   benchmark's replay.
 //! * [`cover`] — canonical/minimum covers in the style of Maier `[16]`:
 //!   attribute-set closures, left-reduction, redundancy elimination.
 //! * [`check`] — direct validity and `g3` approximation-error checks for
@@ -25,20 +24,12 @@
 //!   prefix-join generation, the minimal-LHS scoring walk, and its rhs⁺
 //!   (`C⁺`) and key pruning rules, each taken by the tests it is sound
 //!   for.
-//! * [`fastfds`] — the FastFDs depth-first miner of Wyss et al. (the
-//!   paper's `[28]`), a third independent implementation used for
-//!   cross-validation.
 //! * [`mvd`] — multivalued dependencies (the paper's `[25]` sibling
 //!   problem): instance checks, dependency bases, bounded mining.
-//! * [`brute`] — a brute-force miner for cross-validating the real miners
-//!   on small inputs (used heavily by tests).
 
-pub mod agree;
 pub mod approximate;
-pub mod brute;
 pub mod check;
 pub mod cover;
-pub mod fastfds;
 pub mod fd;
 pub mod fdep;
 pub mod lattice;
@@ -49,8 +40,27 @@ pub use approximate::{mine_approximate_ctx, ApproxFd};
 pub use check::{fd_error_g3, fd_holds};
 pub use cover::{closure, minimum_cover};
 pub use dbmine_relation::partition::{PartitionScratch, StrippedPartition};
-pub use fastfds::mine_fastfds;
 pub use fd::Fd;
 pub use fdep::mine_fdep_ctx;
 pub use mvd::{mine_mvds, mvd_holds, Mvd};
 pub use tane::{mine_tane_ctx, TaneOptions};
+
+/// The FD oracles of `dbmine-oracles`, for this crate's unit tests. That
+/// crate links its own copy of this one, so its `Fd` is a distinct type:
+/// each dependency is rebuilt here from its public fields.
+#[cfg(test)]
+mod oracles {
+    use crate::Fd;
+    use dbmine_context::AnalysisCtx;
+    use dbmine_relation::Relation;
+
+    pub fn mine_brute(rel: &Relation) -> Vec<Fd> {
+        let fds = dbmine_oracles::mine_brute(rel);
+        fds.into_iter().map(|f| Fd::new(f.lhs, f.rhs)).collect()
+    }
+
+    pub fn mine_fdep(ctx: &AnalysisCtx) -> Vec<Fd> {
+        let fds = dbmine_oracles::mine_fdep(ctx);
+        fds.into_iter().map(|f| Fd::new(f.lhs, f.rhs)).collect()
+    }
+}

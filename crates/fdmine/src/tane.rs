@@ -1,7 +1,8 @@
 //! TANE (Huhtala, Kärkkäinen, Porkka, Toivonen) — levelwise FD discovery
 //! over stripped partitions, with rhs⁺-candidate and key pruning.
 //!
-//! Where FDEP compares all `O(n²)` tuple pairs, TANE's cost is governed
+//! Where FDEP (kept as a test oracle in `dbmine-oracles`) compares all
+//! `O(n²)` tuple pairs, TANE's cost is governed
 //! by the number of attribute sets it visits, making it the right miner
 //! for the paper's large DBLP partitions (14k–36k tuples, few
 //! attributes). Produces exactly the minimal, non-trivial FDs.
@@ -49,8 +50,7 @@ pub fn mine_tane_ctx(ctx: &AnalysisCtx, options: TaneOptions) -> Vec<Fd> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::mine_brute;
-    use crate::fdep::mine_fdep_ctx;
+    use crate::oracles::{mine_brute, mine_fdep};
     use dbmine_relation::paper::{figure1, figure4, figure5};
     use dbmine_relation::{AttrSet, RelationBuilder};
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -63,7 +63,7 @@ mod tests {
     fn figure4_matches_fdep_and_brute() {
         for rel in [figure1(), figure4(), figure5()] {
             let mut tane = mine_tane_ctx(&AnalysisCtx::of(&rel), TaneOptions::default());
-            let mut fdep = mine_fdep_ctx(&AnalysisCtx::of(&rel));
+            let mut fdep = mine_fdep(&AnalysisCtx::of(&rel));
             let mut brute = mine_brute(&rel);
             tane.sort();
             fdep.sort();

@@ -1,20 +1,19 @@
-//! Property tests for FD mining: FDEP and TANE must agree with the
-//! brute-force oracle on arbitrary relations, degenerate ones included
-//! (FDEP is kept as an independent cross-check of TANE, the pipeline's
-//! miner), covers must preserve implication, and hitting sets must
-//! hit. The partition kernel is
+//! Property tests for FD mining: TANE, the pipeline's miner, must agree
+//! with the FDEP and brute-force oracles of `dbmine-oracles` on
+//! arbitrary relations, degenerate ones included, covers must preserve
+//! implication, and hitting sets must hit. The partition kernel is
 //! pinned against its oracle, bounded walks against the unbounded
 //! ones, and the partition MVD test against the hash group-by it
 //! replaced, on relations that may be degenerate.
 
 use dbmine_context::AnalysisCtx;
-use dbmine_fdmine::agree::{agree_sets, agree_sets_from};
-use dbmine_fdmine::brute::mine_brute;
 use dbmine_fdmine::cover::{closure, implies, minimum_cover};
-use dbmine_fdmine::fdep::minimal_hitting_sets;
 use dbmine_fdmine::{
-    fd_error_g3, fd_holds, mine_approximate_ctx, mine_fdep_ctx, mine_mvds, mine_tane_ctx,
-    mvd_holds, Fd, PartitionScratch, StrippedPartition, TaneOptions,
+    fd_error_g3, fd_holds, mine_approximate_ctx, mine_mvds, mine_tane_ctx, mvd_holds, Fd,
+    PartitionScratch, StrippedPartition, TaneOptions,
+};
+use dbmine_oracles::{
+    agree_sets, agree_sets_from, mine_brute, mine_fdep, minimal_hitting_sets, product_reference,
 };
 use dbmine_relation::csv::write_relation_path;
 use dbmine_relation::{AttrSet, Relation, RelationBuilder, ShardedRelation};
@@ -186,7 +185,7 @@ proptest! {
     fn miners_agree_with_oracle(rel in arb_relation(), edge in arb_edge_relation()) {
         for rel in [&rel, &edge] {
             let mut brute = mine_brute(rel);
-            let mut fdep = mine_fdep_ctx(&AnalysisCtx::of(rel));
+            let mut fdep = mine_fdep(&AnalysisCtx::of(rel));
             let mut tane = mine_tane_ctx(&AnalysisCtx::of(rel), TaneOptions::default());
             brute.sort();
             fdep.sort();
@@ -256,7 +255,7 @@ proptest! {
 
     #[test]
     fn mined_fds_hold_and_are_minimal(rel in arb_relation()) {
-        for fd in mine_fdep_ctx(&AnalysisCtx::of(&rel)) {
+        for fd in mine_fdep(&AnalysisCtx::of(&rel)) {
             prop_assert!(fd_holds(&rel, fd.lhs, fd.rhs), "{fd} does not hold");
             prop_assert!(fd_error_g3(&rel, fd.lhs, fd.rhs).abs() < 1e-12);
             for b in fd.lhs.iter() {
@@ -342,7 +341,7 @@ proptest! {
         for pa in &parts {
             for pb in &parts {
                 let fast = pa.product_with(pb, &mut scratch);
-                let reference = pa.product_reference(pb);
+                let reference = product_reference(pa, pb);
                 prop_assert_eq!(&fast.canonical(), &reference, "product mismatch");
             }
         }
@@ -352,7 +351,7 @@ proptest! {
             let pab = parts[0].product_with(&parts[1], &mut scratch);
             prop_assert_eq!(
                 pab.product_with(&empty, &mut scratch).canonical(),
-                pab.product_reference(&empty)
+                product_reference(&pab, &empty)
             );
         }
     }
@@ -368,7 +367,7 @@ proptest! {
         for pl in &parts {
             for pr in &parts {
                 let product = pl.product_with(pr, &mut scratch);
-                prop_assert_eq!(&product.canonical(), &pl.product_reference(pr));
+                prop_assert_eq!(&product.canonical(), &product_reference(pl, pr));
                 prop_assert!(product.classes().all(|c| c.len() >= 2 && c.windows(2).all(|w| w[0] < w[1])));
                 let sizes = pl.product_sizes(pr, &mut scratch);
                 prop_assert_eq!(&sizes, product.sizes());
@@ -478,7 +477,7 @@ proptest! {
             let mut probe = left.probe(&mut scratch);
             for right in &parts {
                 let product = probe.product(right);
-                prop_assert_eq!(&product.canonical(), &left.product_reference(right));
+                prop_assert_eq!(&product.canonical(), &product_reference(left, right));
                 prop_assert_eq!(&product, &left.product_with(right, &mut one_shot));
                 prop_assert_eq!(&probe.product_sizes(right), product.sizes());
             }

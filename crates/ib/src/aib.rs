@@ -16,9 +16,10 @@
 //! only when its cluster changed (slot `a`) or its list ran dry. Every
 //! listed key is the bit-exact loss of a pair that has not changed since
 //! it was computed, and every recomputed one uses the argument order the
-//! reference heap would have stored ([`aib_reference`] keeps the original
-//! all-pairs lazy-deletion heap), so the two produce **bit-identical**
-//! dendrograms (see the regression and property tests).
+//! reference heap would have stored (`dbmine_oracles::aib_reference`
+//! keeps the original all-pairs lazy-deletion heap), so the two produce
+//! **bit-identical** dendrograms (see the regression tests beside the
+//! oracle and the property tests in `tests/prop.rs`).
 //!
 //! A run down to `k = 1` contains every coarser clustering: the first
 //! `q − k` merges of its dendrogram are exactly the run to `k`.
@@ -475,128 +476,6 @@ fn survivors(
     }
 }
 
-/// The original lazy-deletion all-pairs heap implementation, kept as the
-/// bit-identity oracle for [`aib`] (and for the old-vs-new benchmark).
-///
-/// Candidate pairs are pushed with their loss and validated against
-/// per-slot generation counters when popped, giving `O(q² log q)` time
-/// and an `O(q²)`-entry heap.
-pub fn aib_reference(inputs: Vec<Dcf>, k: usize) -> AibResult {
-    /// Reference-heap entry: `(loss, i, j, gen_i, gen_j)` in a min-heap.
-    type RefEntry = Reverse<(OrdLoss, usize, usize, u32, u32)>;
-    let q = inputs.len();
-    let k = k.max(1);
-    let mut dendro = Dendrogram::new(q);
-    let mut slots: Vec<Option<Dcf>> = inputs.into_iter().map(Some).collect();
-    let mut node_of: Vec<usize> = (0..q).collect();
-    // generation counter: entries referencing an older generation are stale.
-    let mut gen: Vec<u32> = vec![0; q];
-
-    let initial_information = mutual_information_of(&slots);
-    let mut h_c = entropy(slots.iter().flatten().map(|c| c.weight));
-
-    if q == 0 || k >= q {
-        let (clusters, members): (Vec<Dcf>, Vec<Vec<usize>>) = slots
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.map(|c| (c, vec![i])))
-            .unzip();
-        return AibResult {
-            clusters,
-            members,
-            dendrogram: dendro,
-            initial_information,
-            stats: Vec::new(),
-        };
-    }
-
-    // Heap of candidate merges.
-    let mut heap: BinaryHeap<RefEntry> = BinaryHeap::with_capacity(q * (q - 1) / 2);
-    for i in 0..q {
-        for j in (i + 1)..q {
-            let d = slots[i]
-                .as_ref()
-                .unwrap()
-                .distance(slots[j].as_ref().unwrap());
-            heap.push(Reverse((OrdLoss(d), i, j, 0, 0)));
-        }
-    }
-
-    let mut alive = q;
-    let mut members: Vec<Vec<usize>> = (0..q).map(|i| vec![i]).collect();
-    let mut stats = Vec::with_capacity(q - k);
-    let mut cum_loss = 0.0;
-
-    while alive > k {
-        let (loss, i, j) = loop {
-            let Reverse((OrdLoss(d), i, j, gi, gj)) = heap
-                .pop()
-                .expect("heap exhausted before reaching k clusters");
-            if gen[i] == gi && gen[j] == gj && slots[i].is_some() && slots[j].is_some() {
-                break (d, i, j);
-            }
-        };
-
-        // Merge slot j into slot i.
-        let cj = slots[j].take().expect("validated above");
-        let ci = slots[i].as_mut().expect("validated above");
-        let (wi, wj) = (ci.weight, cj.weight);
-        // Reference path: the original allocating merge (kept verbatim —
-        // this function is the bit-identity oracle for `aib`).
-        *ci = ci.merge(&cj);
-        let w_star = ci.weight;
-        gen[i] += 1;
-        gen[j] += 1;
-        alive -= 1;
-
-        let node = dendro.push(node_of[i], node_of[j], loss);
-        node_of[i] = node;
-        let absorbed = std::mem::take(&mut members[j]);
-        members[i].extend(absorbed);
-
-        h_c = h_c - xlogx_safe(wi) - xlogx_safe(wj) + xlogx_safe(w_star);
-
-        cum_loss += loss;
-        let mi = (initial_information - cum_loss).max(0.0);
-        stats.push(KStat {
-            k: alive,
-            cumulative_loss: cum_loss,
-            mutual_information: mi,
-            cluster_entropy: h_c,
-            conditional_entropy: (h_c - mi).max(0.0),
-        });
-
-        // New candidate distances from the merged slot.
-        if alive > k {
-            for other in 0..slots.len() {
-                if other == i || slots[other].is_none() {
-                    continue;
-                }
-                let d = slots[i]
-                    .as_ref()
-                    .unwrap()
-                    .distance(slots[other].as_ref().unwrap());
-                let (a, b) = (i.min(other), i.max(other));
-                heap.push(Reverse((OrdLoss(d), a, b, gen[a], gen[b])));
-            }
-        }
-    }
-
-    let (clusters, final_members): (Vec<Dcf>, Vec<Vec<usize>>) = slots
-        .into_iter()
-        .zip(members)
-        .filter_map(|(c, m)| c.map(|c| (c, m)))
-        .unzip();
-
-    AibResult {
-        clusters,
-        members: final_members,
-        dendrogram: dendro,
-        initial_information,
-        stats,
-    }
-}
-
 fn xlogx_safe(x: f64) -> f64 {
     if x <= 0.0 {
         0.0
@@ -704,42 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn nn_cache_matches_reference_on_figure9() {
-        for k in 1..=3 {
-            let fast = aib(figure9_inputs(), k);
-            let slow = aib_reference(figure9_inputs(), k);
-            assert_bit_identical(&fast, &slow);
-        }
-    }
-
-    #[test]
-    fn nn_cache_matches_reference_on_random_inputs() {
-        let mut rng = StdRng::seed_from_u64(42);
-        for _trial in 0..30 {
-            let q = rng.gen_range(2usize..=40);
-            let k = rng.gen_range(1usize..=q);
-            let inputs = random_inputs(&mut rng, q);
-            let fast = aib(inputs.clone(), k);
-            let slow = aib_reference(inputs, k);
-            assert_bit_identical(&fast, &slow);
-        }
-    }
-
-    #[test]
-    fn nn_cache_matches_reference_with_duplicate_objects() {
-        // Heavy ties: many identical objects force the tie-breaking rule
-        // (smaller slot pair first) to decide every merge.
-        let inputs: Vec<Dcf> = (0..12u32)
-            .map(|i| Dcf::singleton(1.0 / 12.0, d(&[(i % 3, 1.0)])))
-            .collect();
-        for k in [1, 2, 3, 5] {
-            let fast = aib(inputs.clone(), k);
-            let slow = aib_reference(inputs.clone(), k);
-            assert_bit_identical(&fast, &slow);
-        }
-    }
-
-    #[test]
     fn parallel_is_bit_identical_to_serial() {
         // Large enough that the parallel paths actually engage
         // (par_map falls back to serial under 128 items).
@@ -750,22 +593,6 @@ mod tests {
             let parallel = aib_with(inputs.clone(), 4, threads);
             assert_bit_identical(&serial, &parallel);
         }
-    }
-
-    #[test]
-    fn zero_weight_clusters_merge_without_panic() {
-        // Zero-mass DCFs make δI = 0 candidates; the total_cmp ordering
-        // and the merge_information_loss zero-mass guard must keep the
-        // clustering NaN-free end to end.
-        let inputs = vec![
-            Dcf::singleton(0.0, d(&[(0, 1.0)])),
-            Dcf::singleton(0.0, d(&[(1, 1.0)])),
-            Dcf::singleton(1.0, d(&[(2, 1.0)])),
-        ];
-        let r = aib(inputs.clone(), 1);
-        assert_eq!(r.clusters.len(), 1);
-        assert!(r.dendrogram.merges().iter().all(|m| m.loss.is_finite()));
-        assert_bit_identical(&r, &aib_reference(inputs, 1));
     }
 
     #[test]

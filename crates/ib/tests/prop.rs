@@ -7,11 +7,10 @@
 
 use dbmine_context::AnalysisCtx;
 use dbmine_datagen::{dblp_sample, DblpSpec};
-use dbmine_ib::{
-    aib, aib_cut, aib_reference, aib_with, assign_all_with, AibResult, Dcf, KStat, RepIndex,
-};
+use dbmine_ib::{aib, aib_cut, aib_with, assign_all_with, AibResult, Dcf, KStat, RepIndex};
 use dbmine_infotheory::SparseDist;
 use dbmine_limbo::{phase1, tuple_dcfs_ctx, value_dcfs_with, LimboParams};
+use dbmine_oracles::aib_reference;
 use proptest::collection::vec;
 use proptest::prelude::*;
 

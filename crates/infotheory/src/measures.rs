@@ -241,8 +241,8 @@ pub fn merge_information_loss(
     // merge decisions (threshold exactly 0) depend on how duplicate
     // masses happened to accumulate. Short-circuiting keeps duplicate
     // clusters exactly free to merge in any order — the invariant the
-    // sharded Phase 1 plans rely on ([`Dcf::merge`'s matching fast path
-    // in `dbmine-ib`] keeps the merged conditional exact).
+    // sharded Phase 1 plans rely on (`Dcf::merge_in_place`'s matching
+    // fast path in `dbmine-ib` keeps the merged conditional exact).
     if cond_i == cond_j {
         return 0.0;
     }
@@ -367,7 +367,8 @@ mod tests {
         let p = dist(&[(0, 0.4), (1, 0.6)]);
         let q = dist(&[(0, 0.0), (1, 1.0), (2, 0.0)]);
         let (wp, wq) = (1.0 / 3.0, 2.0 / 3.0);
-        let mix = SparseDist::weighted_sum(&p, wp, &q, wq);
+        let mut mix = p.clone();
+        mix.merge_from(wp, &q, wq);
         let expect = wp * kl_divergence(&p, &mix) + wq * kl_divergence(&q, &mix);
         assert!((js_divergence(&p, wp, &q, wq) - expect).abs() < EPS);
     }

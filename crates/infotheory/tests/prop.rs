@@ -4,6 +4,7 @@ use dbmine_infotheory::{
     entropy_of, js_divergence, js_divergence_merged, kl_divergence, merge_information_loss,
     mutual_information, uniform_entropy, SparseDist,
 };
+use dbmine_oracles::weighted_sum;
 use proptest::prelude::*;
 
 /// The quadratic fold `mutual_information` replaced: merge every row
@@ -13,7 +14,7 @@ fn mutual_information_reference<'a>(rows: impl IntoIterator<Item = (f64, &'a Spa
     let mut marginal = SparseDist::new();
     let mut h_cond = 0.0;
     for (pv, cond) in rows {
-        marginal = SparseDist::weighted_sum(&marginal, 1.0, cond, pv);
+        marginal = weighted_sum(&marginal, 1.0, cond, pv);
         h_cond += pv * entropy_of(cond);
     }
     (entropy_of(&marginal) - h_cond).max(0.0)
@@ -188,7 +189,7 @@ proptest! {
         let rows = [(w / 2.0, p.clone()), (w / 2.0, q.clone()), (1.0 - w, r.clone())];
         let i_before = mutual_information(rows.iter().map(|(a, b)| (*a, b)));
 
-        let merged = SparseDist::weighted_sum(&p, 0.5, &q, 0.5);
+        let merged = weighted_sum(&p, 0.5, &q, 0.5);
         let rows2 = [(w, merged), (1.0 - w, r)];
         let i_after = mutual_information(rows2.iter().map(|(a, b)| (*a, b)));
 
@@ -218,7 +219,7 @@ proptest! {
 
     #[test]
     fn weighted_sum_preserves_mass(p in arb_dist(), q in arb_dist(), w in 0.0f64..1.0) {
-        let m = SparseDist::weighted_sum(&p, w, &q, 1.0 - w);
+        let m = weighted_sum(&p, w, &q, 1.0 - w);
         prop_assert!((m.total() - 1.0).abs() < 1e-9);
     }
 
@@ -238,7 +239,7 @@ proptest! {
     #[test]
     fn in_place_merges_are_bit_identical_to_weighted_sum(case in arb_merge_case()) {
         let (p, q, wa, wb) = case;
-        let reference = SparseDist::weighted_sum(&p, wa, &q, wb);
+        let reference = weighted_sum(&p, wa, &q, wb);
 
         let mut merged = p.clone();
         merged.merge_from(wa, &q, wb);
@@ -261,7 +262,7 @@ proptest! {
     ) {
         let a = SparseDist::from_pairs(pa);
         let b = SparseDist::from_pairs(pb);
-        let reference = SparseDist::weighted_sum(&a, 1.0, &b, 1.0);
+        let reference = weighted_sum(&a, 1.0, &b, 1.0);
         let mut sum = a.clone();
         sum.add_assign(&b);
         prop_assert_eq!(sum.support(), reference.support());

@@ -28,13 +28,11 @@ pub mod input;
 pub mod pipeline;
 pub mod sharded;
 pub mod tree;
-pub mod tree_reference;
 pub mod tuples;
 
 pub use double::reexpress_over_clusters;
 pub use input::{attribute_dcfs, value_dcfs_with};
 pub use pipeline::{phase1, phase2_with, phase3_with, run, Limbo, LimboModel, LimboParams};
 pub use sharded::{phase1_auto, phase1_sharded, ShardPlan, ShardedPhase1, DEFAULT_CHUNK_TUPLES};
-pub use tree::{DcfTree, Leaves};
-pub use tree_reference::DcfTreeRef;
+pub use tree::DcfTree;
 pub use tuples::{tuple_dcfs, tuple_dcfs_ctx, TupleStream};

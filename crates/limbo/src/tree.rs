@@ -23,14 +23,15 @@
 //! free list.
 //!
 //! The result is pinned bit-identical to the original recursive
-//! implementation, kept as [`crate::tree_reference::DcfTreeRef`]: same
+//! implementation, kept as `dbmine_oracles::DcfTreeRef`: same
 //! leaf DCFs bit for bit, same merge decisions, same structure. The
 //! identity holds because every behavioral input is replicated exactly —
 //! descent order (`entry.dcf.distance(&incoming)`, ties to the lower
 //! index), the leaf absorb test `d <= τ`, split seeding (farthest pair in
 //! `i < j` scan order) and redistribution (`dl <= dr` against the seeds),
 //! node entry order (`swap_remove` + push), and the merge arithmetic
-//! itself (`merge_in_place` is bit-identical to the allocating `merge`).
+//! itself (`merge_in_place` is bit-identical to the allocating
+//! `dbmine_oracles::dcf_merge`).
 
 use dbmine_ib::Dcf;
 
@@ -323,24 +324,9 @@ impl DcfTree {
         (e1, e2)
     }
 
-    /// Borrowed view of the leaf-level DCFs, left to right. These are the
-    /// summaries Phase 2 clusters with AIB.
-    pub fn iter_leaves(&self) -> Leaves<'_> {
-        Leaves {
-            tree: self,
-            stack: vec![(self.root, 0)],
-        }
-    }
-
-    /// The leaf-level DCFs, cloned left to right. Prefer
-    /// [`DcfTree::iter_leaves`] (borrowed) or [`DcfTree::into_leaves`]
-    /// (consuming) on hot paths.
-    pub fn leaves(&self) -> Vec<Dcf> {
-        self.iter_leaves().cloned().collect()
-    }
-
     /// Consumes the tree, moving the leaf-level DCFs out left to right
-    /// without cloning them.
+    /// without cloning them. These are the summaries Phase 2 clusters
+    /// with AIB.
     pub fn into_leaves(mut self) -> Vec<Dcf> {
         let mut out = Vec::new();
         let mut stack = vec![(self.root, 0usize)];
@@ -364,7 +350,13 @@ impl DcfTree {
 
     /// Number of leaf entries (the size of Phase 2's input).
     pub fn n_leaf_entries(&self) -> usize {
-        self.iter_leaves().count()
+        // Every node is reachable (splits reuse the split node and push
+        // its sibling), so the leaf nodes hold exactly the leaf entries.
+        self.nodes
+            .iter()
+            .filter(|n| n.leaf)
+            .map(|n| n.entries.len())
+            .sum()
     }
 
     /// Height of the tree (1 for a single leaf node).
@@ -380,45 +372,11 @@ impl DcfTree {
     }
 }
 
-/// Borrowing left-to-right iterator over a tree's leaf DCFs.
-pub struct Leaves<'a> {
-    tree: &'a DcfTree,
-    /// Explicit DFS stack of (node, next entry index).
-    stack: Vec<(u32, usize)>,
-}
-
-impl<'a> Iterator for Leaves<'a> {
-    type Item = &'a Dcf;
-
-    fn next(&mut self) -> Option<&'a Dcf> {
-        loop {
-            let (node, idx) = match self.stack.last_mut() {
-                None => return None,
-                Some(top) => {
-                    let cur = *top;
-                    top.1 += 1;
-                    cur
-                }
-            };
-            let n = &self.tree.nodes[node as usize];
-            if idx >= n.entries.len() {
-                self.stack.pop();
-                continue;
-            }
-            let e = &self.tree.pool[n.entries[idx] as usize];
-            if n.leaf {
-                return Some(&e.dcf);
-            }
-            self.stack.push((e.child, 0));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree_reference::DcfTreeRef;
     use dbmine_infotheory::SparseDist;
+    use dbmine_oracles::DcfTreeRef;
 
     fn singleton(w: f64, pairs: &[(u32, f64)]) -> Dcf {
         Dcf::singleton(w, SparseDist::from_pairs(pairs.to_vec()))
@@ -434,7 +392,7 @@ mod tests {
         assert_eq!(t.n_leaf_entries(), 3);
         assert_eq!(t.n_inserted(), 4);
         let merged = t
-            .leaves()
+            .into_leaves()
             .into_iter()
             .find(|d| d.count == 2)
             .expect("identical pair merged");
@@ -448,7 +406,7 @@ mod tests {
             t.insert(&singleton(0.02, &[(i, 1.0)]));
         }
         assert_eq!(t.n_leaf_entries(), 1);
-        let l = t.leaves();
+        let l = t.into_leaves();
         assert!((l[0].weight - 1.0).abs() < 1e-9);
         assert_eq!(l[0].count, 50);
     }
@@ -461,11 +419,12 @@ mod tests {
             t.insert(&singleton(1.0 / n as f64, &[(i, 1.0)]));
         }
         assert_eq!(t.n_leaf_entries(), n as usize);
-        let total: f64 = t.leaves().iter().map(|d| d.weight).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-        let count: usize = t.leaves().iter().map(|d| d.count).sum();
-        assert_eq!(count, n as usize);
         assert!(t.height() > 1, "tree must have split with B = 2");
+        let leaves = t.into_leaves();
+        let total: f64 = leaves.iter().map(|d| d.weight).sum();
+        assert!((total - 1.0).abs() < 1e-9);
+        let count: usize = leaves.iter().map(|d| d.count).sum();
+        assert_eq!(count, n as usize);
     }
 
     #[test]
@@ -478,7 +437,7 @@ mod tests {
             t.insert(&singleton(0.05, &[(5, 0.95), (6, 0.05)]));
         }
         assert_eq!(t.n_leaf_entries(), 2);
-        let leaves = t.leaves();
+        let leaves = t.into_leaves();
         assert!(leaves.iter().all(|d| d.count == 10));
     }
 
@@ -495,7 +454,7 @@ mod tests {
             SparseDist::from_pairs(vec![(0, 1.0)]),
             SparseDist::from_pairs(vec![(1, 3.0)]),
         ));
-        let l = t.leaves();
+        let l = t.into_leaves();
         assert_eq!(l.len(), 1);
         assert_eq!(l[0].aux.get(0), 2.0);
         assert_eq!(l[0].aux.get(1), 3.0);
@@ -522,31 +481,8 @@ mod tests {
     fn empty_tree_has_no_leaves() {
         let t = DcfTree::new(4, 0.0);
         assert_eq!(t.n_leaf_entries(), 0);
-        assert!(t.leaves().is_empty());
         assert_eq!(t.height(), 1);
-    }
-
-    #[test]
-    fn leaf_views_agree() {
-        let mut t = DcfTree::new(3, 0.01);
-        for i in 0..60u32 {
-            t.insert(&singleton(1.0 / 60.0, &[(i % 7, 0.8), (i % 11, 0.2)]));
-        }
-        let cloned = t.leaves();
-        let borrowed: Vec<&Dcf> = t.iter_leaves().collect();
-        assert_eq!(cloned.len(), borrowed.len());
-        for (c, b) in cloned.iter().zip(&borrowed) {
-            assert_eq!(c.weight.to_bits(), b.weight.to_bits());
-            assert_eq!(c.cond.entries(), b.cond.entries());
-            assert_eq!(c.count, b.count);
-        }
-        let moved = t.into_leaves();
-        assert_eq!(cloned.len(), moved.len());
-        for (c, m) in cloned.iter().zip(&moved) {
-            assert_eq!(c.weight.to_bits(), m.weight.to_bits());
-            assert_eq!(c.cond.entries(), m.cond.entries());
-            assert_eq!(c.aux.entries(), m.aux.entries());
-        }
+        assert!(t.into_leaves().is_empty());
     }
 
     /// Deterministic xorshift stream of pseudo-random singleton DCFs.
@@ -592,7 +528,7 @@ mod tests {
             }
             assert_eq!(arena.n_leaf_entries(), reference.n_leaf_entries());
             assert_eq!(arena.height(), reference.height());
-            let a = arena.leaves();
+            let a = arena.into_leaves();
             let r = reference.leaves();
             assert_eq!(a.len(), r.len());
             for (x, y) in a.iter().zip(&r) {

@@ -9,7 +9,8 @@
 //! FDEP, TANE and the brute-force oracle.
 
 use crate::agree::agree_sets;
-use crate::fd::{normalize_fds, Fd};
+use dbmine_fdmine::fd::normalize_fds;
+use dbmine_fdmine::Fd;
 use dbmine_relation::{AttrSet, Relation};
 
 /// Mines all minimal non-trivial FDs of `rel` with FastFDs.
@@ -128,7 +129,7 @@ fn dfs(
 mod tests {
     use super::*;
     use crate::brute::mine_brute;
-    use crate::fdep::mine_fdep_ctx;
+    use crate::fdep::mine_fdep;
     use dbmine_context::AnalysisCtx;
     use dbmine_relation::paper::{figure1, figure4, figure5};
     use dbmine_relation::RelationBuilder;
@@ -163,7 +164,7 @@ mod tests {
             }
             let rel = b.build();
             let mut fast = mine_fastfds(&rel);
-            let mut fdep = mine_fdep_ctx(&AnalysisCtx::of(&rel));
+            let mut fdep = mine_fdep(&AnalysisCtx::of(&rel));
             fast.sort();
             fdep.sort();
             assert_eq!(fast, fdep, "trial {trial}");

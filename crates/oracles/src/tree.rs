@@ -1,16 +1,17 @@
 //! The original boxed-`Vec` DCF-tree, kept as the bit-identity oracle
-//! for the arena-backed [`crate::tree::DcfTree`].
+//! for the arena-backed `dbmine_limbo::DcfTree`.
 //!
 //! This is the seed implementation verbatim (modulo the rename to
 //! [`DcfTreeRef`]): nodes own `Vec<Entry>` with full `Dcf`s inline, the
 //! incoming DCF is cloned once per tree level during descent, and every
-//! merge allocates fresh vectors via `Dcf::merge`. Regression and
+//! merge allocates fresh vectors via [`dcf_merge`]. Regression and
 //! property tests pin the arena tree to this one — same leaf DCFs (bit
 //! for bit), same merge decisions, same structure — across random insert
 //! streams, `φ` thresholds and branching factors. Do not optimize this
 //! file; its cost *is* the baseline the `bench_limbo` runner measures
 //! against.
 
+use crate::dcf::dcf_merge;
 use dbmine_ib::Dcf;
 
 /// An entry of a tree node: a cluster summary, plus (for internal nodes)
@@ -97,7 +98,7 @@ impl DcfTreeRef {
             None => {
                 // Child absorbed the object: refresh the summary on the path.
                 let e = &mut self.nodes[node].entries[idx].dcf;
-                *e = e.merge(&dcf);
+                *e = dcf_merge(e, &dcf);
                 None
             }
             Some((e1, e2)) => {
@@ -119,7 +120,7 @@ impl DcfTreeRef {
             let d = self.nodes[node].entries[idx].dcf.distance(&dcf);
             if d <= self.threshold {
                 let e = &mut self.nodes[node].entries[idx].dcf;
-                *e = e.merge(&dcf);
+                *e = dcf_merge(e, &dcf);
                 return None;
             }
         }
@@ -195,7 +196,7 @@ impl DcfTreeRef {
             let mut it = es.iter();
             let mut s = it.next().expect("split halves are non-empty").dcf.clone();
             for e in it {
-                s = s.merge(&e.dcf);
+                s = dcf_merge(&s, &e.dcf);
             }
             s
         };

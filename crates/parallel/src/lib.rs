@@ -44,34 +44,7 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let threads = effective_threads(threads).min(n.max(1));
-    if threads <= 1 || n < 2 * MIN_ITEMS_PER_THREAD {
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let f = &f;
-    std::thread::scope(|scope| {
-        // Hand each worker a disjoint &mut window of the output buffer.
-        let mut rest: &mut [Option<R>] = &mut out;
-        let mut start = 0usize;
-        while start < n {
-            let len = chunk.min(n - start);
-            let (head, tail) = rest.split_at_mut(len);
-            rest = tail;
-            let lo = start;
-            scope.spawn(move || {
-                for (off, slot) in head.iter_mut().enumerate() {
-                    *slot = Some(f(lo + off));
-                }
-            });
-            start += len;
-        }
-    });
-    out.into_iter()
-        .map(|r| r.expect("worker filled every slot"))
-        .collect()
+    map_chunks(threads, n, 2 * MIN_ITEMS_PER_THREAD, || (), |_, i| f(i))
 }
 
 /// Maps `f(index, &item)` over a slice, returning results in order.
@@ -101,34 +74,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let n = items.len();
-    let threads = effective_threads(threads).min(n.max(1));
-    if threads <= 1 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let mut rest: &mut [Option<R>] = &mut out;
-        let mut start = 0usize;
-        while start < n {
-            let len = chunk.min(n - start);
-            let (head, tail) = rest.split_at_mut(len);
-            rest = tail;
-            let lo = start;
-            scope.spawn(move || {
-                for (off, slot) in head.iter_mut().enumerate() {
-                    *slot = Some(f(lo + off, &items[lo + off]));
-                }
-            });
-            start += len;
-        }
-    });
-    out.into_iter()
-        .map(|r| r.expect("worker filled every slot"))
-        .collect()
+    map_chunks(threads, items.len(), 0, || (), |_, i| f(i, &items[i]))
 }
 
 /// Like [`par_map`], but hands each worker a mutable per-chunk state
@@ -149,36 +95,45 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &T) -> R + Sync,
 {
-    let n = items.len();
+    map_chunks(
+        threads,
+        items.len(),
+        2 * MIN_ITEMS_PER_THREAD,
+        init,
+        |s, i| f(s, i, &items[i]),
+    )
+}
+
+/// The one spawn loop behind every map: `f(state, i)` for `i` in
+/// `0..n`, results in index order. Below `floor` items, or at one
+/// thread, it runs on the calling thread with a single `init()` state;
+/// otherwise `0..n` is cut into contiguous windows of `ceil(n /
+/// threads)` indices, each filled by one scoped worker with its own
+/// state, writing into its own disjoint `&mut` window of the output.
+fn map_chunks<S, R, I, F>(threads: usize, n: usize, floor: usize, init: I, f: F) -> Vec<R>
+where
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> R + Sync,
+{
     let threads = effective_threads(threads).min(n.max(1));
-    if threads <= 1 || n < 2 * MIN_ITEMS_PER_THREAD {
+    if threads <= 1 || n < floor {
         let mut state = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(&mut state, i, item))
-            .collect();
+        return (0..n).map(|i| f(&mut state, i)).collect();
     }
     let chunk = n.div_ceil(threads);
     let mut out: Vec<Option<R>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
-    let f = &f;
-    let init = &init;
+    let (init, f) = (&init, &f);
     std::thread::scope(|scope| {
-        let mut rest: &mut [Option<R>] = &mut out;
-        let mut start = 0usize;
-        while start < n {
-            let len = chunk.min(n - start);
-            let (head, tail) = rest.split_at_mut(len);
-            rest = tail;
-            let lo = start;
+        for (w, window) in out.chunks_mut(chunk).enumerate() {
+            let lo = w * chunk;
             scope.spawn(move || {
                 let mut state = init();
-                for (off, slot) in head.iter_mut().enumerate() {
-                    *slot = Some(f(&mut state, lo + off, &items[lo + off]));
+                for (off, slot) in window.iter_mut().enumerate() {
+                    *slot = Some(f(&mut state, lo + off));
                 }
             });
-            start += len;
         }
     });
     out.into_iter()

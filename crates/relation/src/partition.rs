@@ -486,9 +486,9 @@ impl StrippedPartition {
     /// exactly sized result).
     ///
     /// Classes come out grouped by `other`'s class order, then by first
-    /// touch; [`Self::canonical`] of the result equals
-    /// [`Self::product_reference`] (pinned by regression and property
-    /// tests).
+    /// touch; [`Self::canonical`] of the result equals the `HashMap`
+    /// product `dbmine_oracles::product_reference` (pinned by regression
+    /// and property tests).
     pub fn product_with(
         &self,
         other: &StrippedPartition,
@@ -536,39 +536,6 @@ impl StrippedPartition {
             left: self,
             scratch,
         }
-    }
-
-    /// The original product implementation (probe table + per-class
-    /// `HashMap`, classes sorted), kept as the oracle for
-    /// [`Self::product_with`]'s regression and property tests. Its
-    /// output is in canonical order.
-    pub fn product_reference(&self, other: &StrippedPartition) -> StrippedPartition {
-        debug_assert_eq!(self.n(), other.n());
-        // Map tuple → class id in `self` (usize::MAX for singletons).
-        let mut class_of = vec![usize::MAX; self.n()];
-        for (cid, class) in self.classes().enumerate() {
-            for &t in class {
-                class_of[t as usize] = cid;
-            }
-        }
-        // For each class of `other`, bucket its tuples by their `self` class.
-        let mut buckets: std::collections::HashMap<usize, Vec<u32>> = Default::default();
-        let mut classes: Vec<Vec<u32>> = Vec::new();
-        for class in other.classes() {
-            buckets.clear();
-            for &t in class {
-                let cid = class_of[t as usize];
-                if cid != usize::MAX {
-                    buckets.entry(cid).or_default().push(t);
-                }
-            }
-            classes.extend(buckets.drain().map(|(_, c)| c).filter(|c| c.len() >= 2));
-        }
-        for c in &mut classes {
-            c.sort_unstable();
-        }
-        classes.sort();
-        StrippedPartition::from_classes(classes, self.n())
     }
 
     /// Per-tuple class ids of this partition (singletons get unique
@@ -911,31 +878,6 @@ mod tests {
     }
 
     #[test]
-    fn product_matches_reference_on_paper_relations() {
-        // Same classes as the oracle once canonically ordered, and the
-        // counting pass alone yields the same sizes.
-        let mut scratch = PartitionScratch::new();
-        for rel in [crate::paper::figure1(), figure4(), crate::paper::figure5()] {
-            for a in 0..rel.n_attrs() {
-                for b in 0..rel.n_attrs() {
-                    let pa = StrippedPartition::of_attr(&rel, a);
-                    let pb = StrippedPartition::of_attr(&rel, b);
-                    let product = pa.product_with(&pb, &mut scratch);
-                    assert_eq!(
-                        product.canonical(),
-                        pa.product_reference(&pb),
-                        "{} · {} on {}",
-                        a,
-                        b,
-                        rel.name()
-                    );
-                    assert_eq!(&pa.product_sizes(&pb, &mut scratch), product.sizes());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn product_classes_are_in_kernel_order_and_ascending() {
         // π_L = {0,1,2,3} (one class), π_R = {3,4},{0,2}: the product
         // follows π_R's class order, not first-tuple order.
@@ -947,51 +889,6 @@ mod tests {
         let p = l.product(&r);
         assert_eq!(classes(&p), vec![vec![1, 3], vec![0, 2]]);
         assert_eq!(classes(&p.canonical()), vec![vec![0, 2], vec![1, 3]]);
-    }
-
-    #[test]
-    fn scratch_survives_mixed_relation_sizes() {
-        // One scratch across partitions of different relations and
-        // sizes: the clean-state invariant must hold between calls.
-        let mut scratch = PartitionScratch::new();
-        let small = figure4();
-        let mut b = RelationBuilder::new("big", &["A", "B"]);
-        for i in 0..100 {
-            b.push_row_strs(&[&format!("a{}", i % 7), &format!("b{}", i % 3)]);
-        }
-        let big = b.build();
-        for _ in 0..3 {
-            for rel in [&small, &big] {
-                let pa = StrippedPartition::of_attr(rel, 0);
-                let pb = StrippedPartition::of_attr(rel, 1);
-                assert_eq!(
-                    pa.product_with(&pb, &mut scratch).canonical(),
-                    pa.product_reference(&pb)
-                );
-                let pab = pa.product_with(&pb, &mut scratch);
-                assert_eq!(&pa.product_sizes(&pb, &mut scratch), pab.sizes());
-                let g3_scratch = pa.g3_error_with(&pab, &mut scratch);
-                let g3_fresh = pa.g3_error(&pab);
-                assert_eq!(g3_scratch, g3_fresh);
-            }
-        }
-    }
-
-    #[test]
-    fn empty_partition_products() {
-        let empty = StrippedPartition::from_classes(Vec::<Vec<u32>>::new(), 5);
-        let full = StrippedPartition::of_empty(5);
-        let mut scratch = PartitionScratch::new();
-        assert_eq!(
-            empty.product_with(&full, &mut scratch),
-            empty.product_reference(&full)
-        );
-        assert_eq!(
-            full.product_with(&empty, &mut scratch),
-            full.product_reference(&empty)
-        );
-        assert!(full.product_with(&empty, &mut scratch).is_key());
-        assert!(full.product_sizes(&empty, &mut scratch).is_key());
     }
 
     #[test]

@@ -5,6 +5,7 @@
 
 use dbmine_context::AnalysisCtx;
 use dbmine_limbo::{phase1, phase2_with, phase3_with, tuple_dcfs_ctx, LimboParams};
+use dbmine_oracles::dcf_merge;
 use dbmine_relation::{Relation, RelationBuilder};
 use dbmine_summaries::{
     cluster_values_ctx, eliminate_duplicates, find_duplicate_tuples_ctx, group_attributes,
@@ -75,7 +76,7 @@ fn two_run_partition(
         .map(|p| {
             let mut dcf = objects[p[0]].clone();
             for &t in &p[1..] {
-                dcf = dcf.merge(&objects[t]);
+                dcf = dcf_merge(&dcf, &objects[t]);
             }
             dcf
         })

@@ -8,7 +8,7 @@
 
 use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{db2_sample, Db2Spec};
-use dbmine::fdmine::{mine_fdep_ctx, minimum_cover};
+use dbmine::fdmine::{mine_tane_ctx, minimum_cover, TaneOptions};
 use dbmine::fdrank::{rad_ctx, rank_fds, rtr_ctx};
 use dbmine::limbo::LimboParams;
 use dbmine::summaries::{cluster_values_ctx, group_attributes};
@@ -20,10 +20,10 @@ fn main() {
 
     // Step 1: a dependency miner "reveals hundreds or thousands of
     // potential dependencies when run on large, real data sets".
-    let fds = mine_fdep_ctx(&ctx);
+    let fds = mine_tane_ctx(&ctx, TaneOptions::default());
     let cover = minimum_cover(&fds);
     println!(
-        "FDEP found {} minimal dependencies; minimum cover still has {}.",
+        "TANE found {} minimal dependencies; minimum cover still has {}.",
         fds.len(),
         cover.len()
     );

@@ -2,10 +2,11 @@
 
 use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{db2_sample, inject_near_duplicates, Db2Spec};
-use dbmine::fdmine::{mine_fdep_ctx, minimum_cover};
+use dbmine::fdmine::minimum_cover;
 use dbmine::fdrank::{rad_ctx, rank_fds, rtr_ctx};
 use dbmine::limbo::LimboParams;
 use dbmine::summaries::{cluster_values_ctx, find_duplicate_tuples_ctx, group_attributes};
+use dbmine_oracles::mine_fdep;
 
 #[test]
 fn attribute_grouping_recovers_source_schemas() {
@@ -44,7 +45,7 @@ fn department_dependencies_rank_top_with_high_measures() {
     // redundancy; its dependencies rank first with RAD/RTR ≈ 0.92+.
     let rel = db2_sample(&Db2Spec::default()).relation;
     let ctx = AnalysisCtx::of(&rel);
-    let cover = minimum_cover(&mine_fdep_ctx(&ctx));
+    let cover = minimum_cover(&mine_fdep(&ctx));
     let values = cluster_values_ctx(&ctx, LimboParams::with_phi(0.0), None);
     let grouping = group_attributes(&values, rel.n_attrs());
     let ranked = rank_fds(&cover, &grouping, 0.5);
@@ -147,7 +148,7 @@ fn fd_counts_match_paper_order_of_magnitude() {
     // sample has the same structure but more accidental dependencies;
     // same order of magnitude, and the cover shrinks substantially.
     let rel = db2_sample(&Db2Spec::default()).relation;
-    let fds = mine_fdep_ctx(&AnalysisCtx::of(&rel));
+    let fds = mine_fdep(&AnalysisCtx::of(&rel));
     let cover = minimum_cover(&fds);
     assert!((50..1000).contains(&fds.len()), "{} FDs", fds.len());
     assert!(

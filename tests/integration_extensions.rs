@@ -8,7 +8,7 @@ use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{
     db2_sample, inject_near_duplicates, synthetic, Db2Spec, PlantedFd, SyntheticSpec,
 };
-use dbmine::fdmine::{mine_approximate_ctx, mine_fastfds, mine_fdep_ctx, Fd};
+use dbmine::fdmine::{mine_approximate_ctx, Fd};
 use dbmine::fdrank::{column_content, redundant_cells_ctx};
 use dbmine::limbo::LimboParams;
 use dbmine::relation::{AttrSet, Relation};
@@ -16,11 +16,12 @@ use dbmine::summaries::{
     cluster_values_ctx, eliminate_duplicates, find_duplicate_tuples_ctx, group_attributes,
     vertical_partition,
 };
+use dbmine_oracles::{mine_fastfds, mine_fdep};
 
 #[test]
 fn three_miners_agree_on_db2() {
     let rel = db2_sample(&Db2Spec::default()).relation;
-    let mut fdep = mine_fdep_ctx(&AnalysisCtx::of(&rel));
+    let mut fdep = mine_fdep(&AnalysisCtx::of(&rel));
     let mut fast = mine_fastfds(&rel);
     fdep.sort();
     fast.sort();
@@ -42,7 +43,7 @@ fn approximate_mining_tracks_injected_noise() {
         ..Default::default()
     };
     let rel = synthetic(&spec);
-    let exact = mine_fdep_ctx(&AnalysisCtx::of(&rel));
+    let exact = mine_fdep(&AnalysisCtx::of(&rel));
     assert!(!exact.contains(&Fd::new(AttrSet::single(0), 1)));
     let approx = mine_approximate_ctx(&AnalysisCtx::of(&rel), 0.1, Some(2), 1);
     let hit = approx

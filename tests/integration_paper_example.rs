@@ -2,13 +2,14 @@
 //! and Section 7) through the public `dbmine` API.
 
 use dbmine::context::AnalysisCtx;
-use dbmine::fdmine::{mine_fdep_ctx, Fd};
+use dbmine::fdmine::Fd;
 use dbmine::fdrank::{decompose, rank_fds};
 use dbmine::limbo::LimboParams;
 use dbmine::relation::paper::{figure4, figure5};
 use dbmine::relation::{AttrSet, ValueIndex};
 use dbmine::summaries::{cluster_values_ctx, group_attributes};
 use dbmine::{MinerConfig, StructureMiner};
+use dbmine_oracles::mine_fdep;
 
 #[test]
 fn figure6_matrices() {
@@ -68,7 +69,7 @@ fn figure5_error_breaks_fd_and_needs_phi() {
     let rel5 = figure5();
     let ctx = AnalysisCtx::of(&rel5);
     // C → B no longer holds.
-    let fds = mine_fdep_ctx(&ctx);
+    let fds = mine_fdep(&ctx);
     assert!(!fds.contains(&Fd::new(AttrSet::single(2), 1)));
     // φV = 0 misses the {2,x} pair; φV = 0.5 recovers it.
     let strict = cluster_values_ctx(&ctx, LimboParams::with_phi(0.0), None);

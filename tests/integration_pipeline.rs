@@ -3,10 +3,11 @@
 
 use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{db2_sample, Db2Spec};
-use dbmine::fdmine::{mine_fdep_ctx, minimum_cover};
+use dbmine::fdmine::minimum_cover;
 use dbmine::fdrank::decompose;
 use dbmine::relation::csv::{read_relation, write_relation};
 use dbmine::{MinerConfig, StructureMiner};
+use dbmine_oracles::mine_fdep;
 
 #[test]
 fn csv_roundtrip_through_full_pipeline() {
@@ -36,7 +37,7 @@ fn fdep_and_tane_agree_on_db2() {
     let ctx = AnalysisCtx::of(&rel);
     let report = StructureMiner::default().analyze_ctx(&ctx);
     assert_eq!(
-        minimum_cover(&mine_fdep_ctx(&ctx)),
+        minimum_cover(&mine_fdep(&ctx)),
         report.cover,
         "FDEP's minimum cover must equal the pipeline's"
     );
