@@ -3,7 +3,7 @@
 //! constants matter. Includes the asymmetric (small-vs-large support)
 //! fast path used heavily by LIMBO Phase 1 on large relations.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use dbmine::ib::Dcf;
 use dbmine::infotheory::{js_divergence, SparseDist};
 use dbmine_oracles::dcf_merge;
@@ -36,12 +36,25 @@ fn bench_js(c: &mut Criterion) {
     g.finish();
 }
 
+/// The shipped in-place merge beside the allocating oracle it replaced,
+/// over the same inputs; the in-place row clones its left side outside
+/// the timer.
 fn bench_merge(c: &mut Criterion) {
     let mut g = c.benchmark_group("dcf_merge");
     for &n in &[16usize, 256, 4096] {
         let a = Dcf::singleton(0.5, dist(n, 0));
         let b_ = Dcf::singleton(0.5, dist(n, 1));
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+        g.bench_with_input(BenchmarkId::new("merge_in_place", n), &n, |b, _| {
+            b.iter_batched(
+                || a.clone(),
+                |mut left| {
+                    left.merge_in_place(black_box(&b_));
+                    left
+                },
+                BatchSize::SmallInput,
+            )
+        });
+        g.bench_with_input(BenchmarkId::new("reference", n), &n, |b, _| {
             b.iter(|| dcf_merge(black_box(&a), black_box(&b_)))
         });
     }

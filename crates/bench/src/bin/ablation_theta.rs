@@ -45,7 +45,7 @@ fn sweep(out: &mut Vec<SweepRow>, dataset: &str, rel: &Relation, max_lhs: Option
             theta,
             max_lhs,
             threads: 1,
-            prune: true,
+            ..Default::default()
         };
         let before = telemetry::snapshot();
         let start = Instant::now();

@@ -21,7 +21,7 @@ use dbmine::fdmine::{
 use dbmine::relation::{csv::write_relation_path, Relation, ShardedRelation};
 use dbmine::reliability::{mine_reliable_ctx, ReliableOptions};
 use dbmine::telemetry;
-use dbmine_oracles::product_reference;
+use dbmine_oracles::{mine_reliable_unpruned, product_reference};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -166,8 +166,9 @@ fn pair_side<R>(id: &str, (name, f): (&str, &mut dyn FnMut() -> R), times: Vec<f
     side
 }
 
-/// Times reliable (F̂ ≥ θ) mining with branch-and-bound on and off,
-/// asserts the two configurations return bit-identical dependencies,
+/// Times reliable (F̂ ≥ θ) mining and the unpruned walk
+/// (`dbmine_oracles::mine_reliable_unpruned`), asserts the two return
+/// bit-identical dependencies,
 /// and records the lattice-node / F̂-eval / bound counter deltas that
 /// quantify what the bound saves (EXPERIMENTS.md quotes these).
 fn reliable_compare(
@@ -181,30 +182,24 @@ fn reliable_compare(
     measure(results, id, samples, || {
         mine_reliable_ctx(&AnalysisCtx::of(rel), opts)
     });
+    let unpruned_run = || {
+        mine_reliable_unpruned(
+            &AnalysisCtx::of(rel),
+            opts.theta,
+            opts.max_lhs,
+            opts.threads,
+        )
+    };
     measure(
         results,
         &id.replacen("reliable_", "reliable_unpruned_", 1),
         samples,
-        || {
-            mine_reliable_ctx(
-                &AnalysisCtx::of(rel),
-                ReliableOptions {
-                    prune: false,
-                    ..opts
-                },
-            )
-        },
+        unpruned_run,
     );
     let before = telemetry::snapshot();
     let pruned = mine_reliable_ctx(&AnalysisCtx::of(rel), opts);
     let mid = telemetry::snapshot();
-    let unpruned = mine_reliable_ctx(
-        &AnalysisCtx::of(rel),
-        ReliableOptions {
-            prune: false,
-            ..opts
-        },
-    );
+    let unpruned = unpruned_run();
     let after = telemetry::snapshot();
     assert_eq!(pruned.len(), unpruned.len(), "pruning changed the FD set");
     for (a, b) in pruned.iter().zip(&unpruned) {
@@ -420,7 +415,7 @@ fn main() {
                 theta: 0.6,
                 max_lhs: Some(3),
                 threads: 1,
-                prune: true,
+                ..Default::default()
             },
         );
 
@@ -486,7 +481,7 @@ fn main() {
             theta: 0.6,
             max_lhs: Some(2),
             threads: 1,
-            prune: true,
+            ..Default::default()
         },
     );
 
@@ -542,7 +537,7 @@ fn main() {
                         theta,
                         max_lhs: None,
                         threads: 1,
-                        prune: true,
+                        ..Default::default()
                     },
                 );
             }
@@ -592,7 +587,7 @@ fn main() {
                         theta: 0.6,
                         max_lhs: Some(2),
                         threads: 1,
-                        prune: true,
+                        ..Default::default()
                     },
                 )
             },
@@ -602,8 +597,12 @@ fn main() {
 
     // One profiled representative run: the timed samples above ran with
     // span collection off, so only this window pays for span recording.
+    // The bounded reliable walk prunes nothing on this relation, so an
+    // unbounded one over the DB2 sample (θ 0.2, ~0.2 s profiled) keeps
+    // branch-and-bound's `bnb_prunes` in the window.
     let report = {
         let rel = scaling_relation(*sizes.last().expect("sizes non-empty"));
+        let db2 = dbmine::datagen::db2_sample(&Default::default()).relation;
         telemetry::begin();
         let _ = std::hint::black_box(mine_tane_ctx(
             &AnalysisCtx::of(&rel),
@@ -615,7 +614,16 @@ fn main() {
                 theta: 0.6,
                 max_lhs: Some(3),
                 threads: 1,
-                prune: true,
+                ..Default::default()
+            },
+        ));
+        let _ = std::hint::black_box(mine_reliable_ctx(
+            &AnalysisCtx::of(&db2),
+            ReliableOptions {
+                theta: 0.2,
+                max_lhs: None,
+                threads: 1,
+                ..Default::default()
             },
         ));
         let report = telemetry::finish();

@@ -272,13 +272,7 @@ fn main() {
     // of a raw panic trace. Set RUST_BACKTRACE to debug real bugs.
     if std::env::var_os("RUST_BACKTRACE").is_none() {
         std::panic::set_hook(Box::new(|info| {
-            let msg = if let Some(s) = info.payload().downcast_ref::<&str>() {
-                s
-            } else if let Some(s) = info.payload().downcast_ref::<String>() {
-                s.as_str()
-            } else {
-                "internal error"
-            };
+            let msg = info.payload_as_str().unwrap_or("internal error");
             eprintln!("error: {msg}");
             exit(1);
         }));

@@ -71,9 +71,10 @@ pub fn run_duplicates(ctx: &AnalysisCtx, phi: f64, threads: usize) -> String {
 
 /// `fds`: exact TANE mining, approximate mining at `g3 ≤ approx`, or —
 /// with `score = rfi` — reliable mining at `F̂ ≥ theta` (branch-and-
-/// bound pruned; `theta` defaults to [`DEFAULT_THETA`]). The `approx`
-/// and `rfi` modes are mutually exclusive; [`Command::parse`] rejects
-/// the combination, and `rfi` wins if it ever reaches this function.
+/// bound pruned on every level but the last two of a bounded walk;
+/// `theta` defaults to [`DEFAULT_THETA`]). The `approx` and `rfi` modes
+/// are mutually exclusive; [`Command::parse`] rejects the combination,
+/// and `rfi` wins if it ever reaches this function.
 pub fn run_fds(
     ctx: &AnalysisCtx,
     approx: Option<f64>,
@@ -92,7 +93,7 @@ pub fn run_fds(
                 theta,
                 max_lhs,
                 threads,
-                prune: true,
+                ..Default::default()
             },
         );
         writeln!(
@@ -420,10 +421,15 @@ impl Params {
     }
 }
 
+/// The most worker threads a command may ask for (`0` = all cores): a
+/// larger count from outside input would spawn that many threads.
+const MAX_THREADS: usize = 256;
+
 /// Checks every parameter against its range: `phi_t`/`phi_v` finite and
-/// ≥ 0, `psi` and `theta` in [0, 1], `approx` in [0, 1), and `k` and
-/// `steps` ≥ 1. NaN fails every check. Every default is in range, so
-/// the first parameter out of range is a given one.
+/// ≥ 0, `psi` and `theta` in [0, 1], `approx` in [0, 1), `k` and
+/// `steps` ≥ 1, and `threads` ≤ [`MAX_THREADS`]. NaN fails every
+/// check. Every default is in range, so the first parameter out of
+/// range is a given one.
 fn check_params(p: &Params) -> Result<(), ParamError> {
     let phi = |x: f64| x.is_finite() && x >= 0.0;
     let unit = |x: f64| (0.0..=1.0).contains(&x);
@@ -439,6 +445,7 @@ fn check_params(p: &Params) -> Result<(), ParamError> {
         ("theta", "must be in [0, 1]", p.theta.is_none_or(unit)),
         ("k", "must be at least 1", p.k != Some(0)),
         ("steps", "must be at least 1", p.steps >= 1),
+        ("threads", "must be at most 256", p.threads <= MAX_THREADS),
     ];
     match checks.into_iter().find(|&(_, _, ok)| !ok) {
         Some((name, rule, _)) => Err(ParamError::Range { name, rule }),
@@ -852,6 +859,12 @@ mod tests {
         );
         assert_eq!(name_of(Params { k: Some(0), ..ok }), "k");
         assert_eq!(name_of(Params { steps: 0, ..ok }), "steps");
+        assert_eq!(
+            check_params(&Params { threads: 256, ..ok }),
+            Ok(()),
+            "256 threads is the most a command may ask for"
+        );
+        assert_eq!(name_of(Params { threads: 257, ..ok }), "threads");
         assert_eq!(
             name_of(Params {
                 phi_t: f64::NAN,

@@ -12,8 +12,9 @@
 //! * [`walk_minimal`] — emits every *minimal* `X → A` a [`MinimalTest`]
 //!   accepts. Candidates are scored in parallel, emissions merge
 //!   serially in set order, and the sets that seed the join are chosen
-//!   by the test's survivor filter (such as branch-and-bound), then by
-//!   whichever pruning rules below hold for the test.
+//!   by the test's survivor filter (such as branch-and-bound) on every
+//!   level but the last two of a bounded walk, then by whichever
+//!   pruning rules below hold for the test.
 //!
 //! # Pruning: C⁺ and keys
 //!
@@ -58,9 +59,15 @@
 //! its last level builds no products ([`Level::Unbuilt`]); F̂ reads
 //! π_X's class sizes, so its last level is built by the counting loop
 //! alone ([`StrippedPartition::product_sizes`]) as a [`Level::Sizes`].
-//! No survivor filter or pruning rule reads that level's scores, and
-//! each [`Candidate`] says so in `reaches_survivors` (the reliable
-//! miner then skips its bias term below θ).
+//! No survivor filter or pruning rule reads that level's scores.
+//!
+//! Level `k` seeds only that last level, so the walk runs no survivor
+//! filter on it either: filtering it would pay for every candidate's
+//! bounds to save only some last-level products, and skipping a filter
+//! only keeps sets, so the emissions are the same. The key and
+//! empty-`C⁺` rules still run there. Each [`Candidate`] of the last two
+//! levels says so in `reaches_survivors` (the reliable miner then skips
+//! its bias term below θ).
 //!
 //! # `g3` from π_A
 //!
@@ -122,12 +129,10 @@ impl Level {
     ///
     /// On a last level: a walk never joins it.
     pub fn into_parts(self) -> FxHashMap<u64, StrippedPartition> {
-        match self {
-            Level::Parts(parts) => parts,
-            Level::Sizes(_) | Level::Unbuilt => {
-                panic!("the last level of a bounded walk is never joined")
-            }
-        }
+        let Level::Parts(parts) = self else {
+            panic!("the last level of a bounded walk is never joined")
+        };
+        parts
     }
 }
 
@@ -273,8 +278,8 @@ pub struct Candidate<'a> {
     /// The consequent `A`.
     pub a: usize,
     /// Whether this level's scores reach [`MinimalTest::survivors`]:
-    /// false on the last level of a bounded walk, where emission is the
-    /// only reader of a score.
+    /// false on the last two levels of a bounded walk, where emission
+    /// and the walk's own rules are the only readers of a score.
     pub reaches_survivors: bool,
     /// `π_A`, and its per-tuple class ids, built once per walk on first
     /// read.
@@ -358,7 +363,8 @@ pub trait MinimalTest: Sync {
         None
     }
 
-    /// The sets of a scored level that seed the next level's join.
+    /// The sets of a scored level that seed the next level's join; not
+    /// called on the last two levels of a bounded walk.
     /// `tested[i]` holds `(a, score)` for every consequent of `sets[i]`
     /// that was scored (those outside `C⁺` are absent), and
     /// `found_lhs[a]` every LHS emitted for `a` so far, this level's
@@ -418,7 +424,9 @@ pub fn walk_minimal<T: MinimalTest>(
 
     while !sets.is_empty() {
         counter_add(Counter::TaneLatticeNodes, sets.len() as u64);
-        let reaches_survivors = max_lhs.is_none_or(|max| level <= max);
+        // A bounded walk joins its level `max_lhs` only into the last
+        // level, so no survivor filter runs there (see the module docs).
+        let reaches_survivors = max_lhs.is_none_or(|max| level < max);
         let scoring = test.span(Step::Score);
         let (cplus, tested): (Vec<AttrSet>, Vec<_>) =
             par_map_init(threads, &sets, PartitionScratch::new, |scratch, _, &x| {
@@ -462,13 +470,16 @@ pub fn walk_minimal<T: MinimalTest>(
             }
         }
         drop(scoring);
-        if !reaches_survivors {
+        if max_lhs.is_some_and(|max| level > max) {
             break;
         }
 
         let mut parts = current.into_parts();
         let pruning = test.span(Step::Prune);
-        let mut survivors = test.survivors(&sets, &parts, &tested, &found_lhs);
+        let mut survivors = match reaches_survivors {
+            true => test.survivors(&sets, &parts, &tested, &found_lhs),
+            false => sets.clone(),
+        };
         let mut pruned: FxHashSet<u64> = FxHashSet::default();
         let mut keys = KeyCheck {
             n,
@@ -490,7 +501,6 @@ pub fn walk_minimal<T: MinimalTest>(
                 pruned.insert(x.bits());
             }
         }
-        drop(keys);
         survivors.retain(|x| !pruned.contains(&x.bits()));
         drop(pruning);
 

@@ -18,7 +18,9 @@
 //! * [`mine_fdep`] (with its agree sets and hitting sets),
 //!   [`mine_fastfds`] and [`mine_brute`] — three independent FD miners
 //!   the exact TANE walk is cross-checked against, and the paper's FDEP
-//!   runs (Table 3, the running example).
+//!   runs (Table 3, the running example);
+//! * [`mine_reliable_unpruned`] — the reliable F̂ walk without its
+//!   branch-and-bound survivor filter, for `mine_reliable_ctx`.
 //!
 //! # The dev-dependency rule
 //!
@@ -28,13 +30,14 @@
 //! `dbmine` lists it).
 //!
 //! A crate this one depends on (`infotheory`, `relation`, `ib`,
-//! `fdmine`) sees a second copy of itself linked in here when it
+//! `fdmine`, `reliability`) sees a second copy of itself linked in here when it
 //! dev-depends back, and that copy's types differ from its own unit
 //! tests' types. So the fixed regressions that pin those crates'
 //! kernels are unit tests of the oracle's module here (`aib`, `dcf`,
 //! `sparse`, `partition`), their property tests live in the crate's
 //! `tests/` directory (one copy), and `dbmine-fdmine`'s unit tests
-//! rebuild each oracle `Fd` from its public fields. Crates outside this
+//! rebuild each oracle `Fd` from its public fields; `dbmine-reliability`
+//! compares with its oracle only from `tests/`. Crates outside this
 //! one's dependencies (`limbo`, `summaries`, `dbmine`) call the oracles
 //! from any test.
 
@@ -46,6 +49,7 @@ pub mod fastfds;
 pub mod fd;
 pub mod fdep;
 pub mod partition;
+pub mod reliable;
 pub mod sparse;
 pub mod tree;
 
@@ -57,5 +61,6 @@ pub use fastfds::mine_fastfds;
 pub use fd::minimal_only;
 pub use fdep::{mine_fdep, minimal_hitting_sets};
 pub use partition::product_reference;
+pub use reliable::mine_reliable_unpruned;
 pub use sparse::weighted_sum;
 pub use tree::DcfTreeRef;

@@ -12,11 +12,11 @@
 //!
 //! [`mine_reliable_ctx`] plugs the score — and its admissible upper bound
 //! `F̄` — into fdmine's levelwise lattice walk (the one TANE runs on)
-//! for branch-and-bound search
-//! ([`mine`]): bit-identical results with pruning on or off and at
-//! every thread count, with the pruning effectiveness visible in the
-//! `bnb_bounds` / `bnb_prunes` telemetry counters. Pruning pays on
-//! large unbounded walks and costs on bounded ones; [`mine`] has the
+//! for branch-and-bound search ([`mine`]): results bit-identical to the
+//! unpruned walk and at every thread count, with the pruning
+//! effectiveness visible in the `bnb_bounds` / `bnb_prunes` telemetry
+//! counters. The walk decides which levels are filtered — none that
+//! seeds only a bounded walk's last level; [`mine`] has the
 //! measurements.
 
 pub mod estimator;

@@ -21,18 +21,20 @@
 //! for in the scoring pass) and `A ∉ X` (a fresh bound from `π_X`'s
 //! size multiset). Because `F̄` is admissible and the minimality filter
 //! is hereditary, pruning never changes the result: the mined set is
-//! bit-identical with pruning on or off (pinned by tests), while the
-//! lattice shrinks by the amounts recorded in the `bnb_bounds` /
+//! bit-identical to the unpruned walk's
+//! (`dbmine_oracles::mine_reliable_unpruned`, pinned by tests), while
+//! the lattice shrinks by the amounts recorded in the `bnb_bounds` /
 //! `bnb_prunes` counters.
 //!
 //! Pruning is not free, though: the filter needs the bias of every
-//! candidate on each level it joins, and the fresh `A ∉ X` bounds, so
-//! whether it pays depends on the walk. On an unbounded walk over a
-//! wide relation it cuts the lattice by an order of magnitude (db2 at
-//! θ 0.6 visits 28 808 sets instead of all 2¹⁹ − 1) and wins several
-//! times over; on bounded walks, and on unbounded ones at low θ where
-//! few sets are cut, it costs more than it saves. `bench_fdmine`
-//! records both settings (`results/BENCH_fdmine.json`).
+//! candidate on each level it filters, and the fresh `A ∉ X` bounds.
+//! The walk decides where it runs: never on the last two levels of a
+//! bounded walk, where all it could save is some last-level products.
+//! On an unbounded walk over a wide relation it cuts the lattice by an
+//! order of magnitude (db2 at θ 0.6 visits 28 808 sets instead of all
+//! 2¹⁹ − 1) and wins several times over; at low θ, where few sets are
+//! cut, it still costs more than it saves. `bench_fdmine` records the
+//! shipped walk beside the unpruned one (`results/BENCH_fdmine.json`).
 //!
 //! # What is computed when
 //!
@@ -40,10 +42,10 @@
 //! the other values are computed only where something reads them:
 //!
 //! * **`m₀` (the bias)** when `plugin ≥ θ − ε` ([`BIAS_EPSILON`]), or
-//!   when the survivor filter will read it — pruning on and a level
-//!   that is joined (not the last level of a bounded walk). Below
-//!   `θ − ε` the candidate cannot be emitted, since the bias is never
-//!   below `−ε`.
+//!   when the survivor filter will read it — on every level of an
+//!   unbounded walk, and below level `k` of a walk bounded at `k`.
+//!   Below `θ − ε` the candidate cannot be emitted, since the bias is
+//!   never below `−ε`.
 //! * **`g3`** only for an emitted candidate (`F̂ ≥ θ`), the only place
 //!   it is printed; `g3_evals` equals the number of emissions.
 //!
@@ -72,11 +74,8 @@ pub struct ReliableOptions {
     /// Worker threads (`1` = serial, `0` = all cores); results are
     /// bit-identical for every thread count.
     pub threads: usize,
-    /// Branch-and-bound pruning. On by default; turning it off explores
-    /// the full (minimality-filtered) lattice and must return the exact
-    /// same dependencies — the switch exists for the pruning-
-    /// effectiveness bench and the bit-identity tests. Neither setting
-    /// is faster everywhere (see the module docs).
+    /// Ignored. Kept for `bench_e2e`; the benchmark PR deletes it.
+    #[doc(hidden)]
     pub prune: bool,
 }
 
@@ -135,7 +134,6 @@ enum Scored {
 struct RfiTest {
     scorer: RfiScorer,
     theta: f64,
-    prune: bool,
     threads: usize,
 }
 
@@ -146,8 +144,7 @@ impl MinimalTest for RfiTest {
     /// read it; `g3` only for an emitted candidate.
     fn score(&self, c: &Candidate<'_>, scratch: &mut PartitionScratch) -> Scored {
         let plugin = self.scorer.plugin(c.lhs.sizes(), c.x(), c.a);
-        let filter_reads_bias = self.prune && c.reaches_survivors;
-        if !filter_reads_bias && plugin.plugin < self.theta - BIAS_EPSILON {
+        if !c.reaches_survivors && plugin.plugin < self.theta - BIAS_EPSILON {
             return Scored::Skipped;
         }
         let rfi = self.scorer.correct(&plugin);
@@ -177,9 +174,6 @@ impl MinimalTest for RfiTest {
         tested: &[Vec<(usize, Scored)>],
         found_lhs: &[Vec<AttrSet>],
     ) -> Vec<AttrSet> {
-        if !self.prune {
-            return sets.to_vec();
-        }
         let (scorer, theta) = (&self.scorer, self.theta);
         let verdicts: Vec<(bool, u64)> = par_map(
             self.threads,
@@ -233,7 +227,7 @@ impl MinimalTest for RfiTest {
     fn span(&self, step: Step) -> Option<Span> {
         match step {
             Step::Score => Some(span("reliable.score")),
-            Step::Prune => self.prune.then(|| span("reliable.prune")),
+            Step::Prune => Some(span("reliable.prune")),
             Step::Generate => Some(span("reliable.generate")),
         }
     }
@@ -246,14 +240,13 @@ pub fn mine_reliable_ctx(ctx: &AnalysisCtx, options: ReliableOptions) -> Vec<Rel
         theta,
         max_lhs,
         threads,
-        prune,
+        ..
     } = options;
     assert!((0.0..=1.0).contains(&theta), "θ must be in [0,1]");
     let _span = span("fdmine.reliable");
     let test = RfiTest {
         scorer: RfiScorer::new(ctx, threads),
         theta,
-        prune,
         threads,
     };
     walk_minimal(

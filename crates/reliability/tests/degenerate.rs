@@ -5,6 +5,7 @@
 
 use dbmine_context::AnalysisCtx;
 use dbmine_fdmine::{mine_approximate_ctx, mine_tane_ctx, Fd, TaneOptions};
+use dbmine_oracles::mine_reliable_unpruned;
 use dbmine_relation::{AttrSet, Relation, RelationBuilder};
 use dbmine_reliability::{mine_reliable_ctx, ReliableOptions};
 
@@ -22,8 +23,8 @@ fn fd(lhs: &[usize], rhs: usize) -> Fd {
 
 /// Mines `rel` with all three walkers and returns (exact, reliable)
 /// dependency lists in `Fd` order, after checking TANE against the
-/// approximate miner at ε = 0 and the reliable miner with pruning on
-/// against pruning off.
+/// approximate miner at ε = 0 and the reliable miner against the
+/// unpruned walk.
 fn mine_all(rel: &Relation) -> (Vec<Fd>, Vec<Fd>) {
     let ctx = AnalysisCtx::of(rel);
     let mut exact = mine_tane_ctx(&ctx, TaneOptions::default());
@@ -33,17 +34,9 @@ fn mine_all(rel: &Relation) -> (Vec<Fd>, Vec<Fd>) {
         .map(|f| f.fd)
         .collect();
     assert_eq!(exact, approx, "TANE vs approximate at ε = 0");
-    let reliable = |prune| {
-        mine_reliable_ctx(
-            &ctx,
-            ReliableOptions {
-                prune,
-                ..Default::default()
-            },
-        )
-    };
-    let pruned = reliable(true);
-    assert_eq!(pruned, reliable(false), "pruning changed the result");
+    let pruned = mine_reliable_ctx(&ctx, ReliableOptions::default());
+    let unpruned = mine_reliable_unpruned(&ctx, ReliableOptions::default().theta, None, 1);
+    assert_eq!(pruned, unpruned, "pruning changed the result");
     (exact, pruned.iter().map(|f| f.fd).collect())
 }
 

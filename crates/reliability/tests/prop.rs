@@ -1,10 +1,11 @@
 //! Property tests: F̂ against a brute-force permutation-model reference
-//! on tiny domains, the miner against a brute-force minimal-LHS oracle,
-//! plus thread-count and prune on/off invariance on arbitrary small
-//! relations.
+//! on tiny domains, the miner against a brute-force minimal-LHS oracle
+//! and the unpruned walk, plus thread-count invariance on arbitrary
+//! small relations.
 
 use dbmine_context::AnalysisCtx;
 use dbmine_fdmine::{fd_error_g3, Fd};
+use dbmine_oracles::mine_reliable_unpruned;
 use dbmine_relation::partition::StrippedPartition;
 use dbmine_relation::{AttrSet, Relation, RelationBuilder};
 use dbmine_reliability::{
@@ -277,9 +278,9 @@ proptest! {
     }
 
     /// The miner emits exactly the oracle's minimal `F̂ ≥ θ`
-    /// dependencies, scored by the standalone scorer, with pruning on
-    /// and off, unbounded and restricted to LHS sizes 1 and 2. Every
-    /// score component and the `g3` error must match bit for bit.
+    /// dependencies, scored by the standalone scorer, unbounded and
+    /// restricted to LHS sizes 1 and 2. Every score component and the
+    /// `g3` error must match bit for bit.
     #[test]
     fn mine_reliable_matches_minimal_oracle(rel in small_relation(), theta_pct in 0u32..=100) {
         let theta = theta_pct as f64 / 100.0;
@@ -292,19 +293,18 @@ proptest! {
                 |lhs, a| scorer.score_sets(&ctx, lhs, AttrSet::single(a)),
                 |s| s.score >= theta,
             );
-            for prune in [true, false] {
-                let mined = mine_reliable_ctx(&ctx, ReliableOptions { theta, max_lhs, prune, ..Default::default() });
-                assert_matches_oracle(&rel, &mined, &oracle,
-                    &format!("θ = {theta}, max_lhs = {max_lhs:?}, prune = {prune}"))?;
-            }
+            let mined = mine_reliable_ctx(&ctx, ReliableOptions { theta, max_lhs, ..Default::default() });
+            assert_matches_oracle(&rel, &mined, &oracle,
+                &format!("θ = {theta}, max_lhs = {max_lhs:?}"))?;
         }
     }
 
     /// θ set exactly to one candidate's plugin and exactly to its F̂ —
-    /// the edges of the bias-skip rule — on walks where no survivor
-    /// filter reads the bias: that candidate on the last level of a
-    /// bounded walk (pruning on and off), and an unpruned unbounded
-    /// walk. The output must still be the oracle's, bit for bit.
+    /// the edges of the bias-skip rule — with that candidate (LHS size
+    /// `k`, level `k + 1`) on the last level of a walk bounded at `k`,
+    /// on the unfiltered last joined level of a walk bounded at `k + 1`,
+    /// and on a filtered level of the unbounded walk. The output must
+    /// still be the oracle's, bit for bit.
     #[test]
     fn theta_at_a_candidates_plugin_or_score_matches_minimal_oracle(
         rel in small_relation(),
@@ -321,16 +321,16 @@ proptest! {
                 continue;
             }
             let k = lhs.len();
-            for (max_lhs, prune) in [(Some(k), true), (Some(k), false), (None, false)] {
+            for max_lhs in [Some(k), Some(k + 1), None] {
                 let oracle = minimal_oracle(
                     m,
                     max_lhs,
                     |lhs, a| scorer.score_sets(&ctx, lhs, AttrSet::single(a)),
                     |s| s.score >= theta,
                 );
-                let mined = mine_reliable_ctx(&ctx, ReliableOptions { theta, max_lhs, prune, ..Default::default() });
+                let mined = mine_reliable_ctx(&ctx, ReliableOptions { theta, max_lhs, ..Default::default() });
                 assert_matches_oracle(&rel, &mined, &oracle,
-                    &format!("θ = {theta} at {lhs:?} → {a}, max_lhs = {max_lhs:?}, prune = {prune}"))?;
+                    &format!("θ = {theta} at {lhs:?} → {a}, max_lhs = {max_lhs:?}"))?;
             }
         }
     }
@@ -385,46 +385,49 @@ proptest! {
         }
     }
 
-    /// Branch-and-bound must only skip work, never change results.
+    /// Branch-and-bound must only skip work, never change results: the
+    /// miner equals the unpruned walk, unbounded and at LHS sizes 1
+    /// and 2.
     #[test]
     fn pruned_equals_unpruned(rel in tiny_relation(), theta_pct in 0u32..=100) {
         // The shim's strategies are integer-only; scale to θ ∈ [0,1].
         let theta = theta_pct as f64 / 100.0;
-        let pruned = mine_reliable_ctx(&AnalysisCtx::of(&rel), ReliableOptions { theta, prune: true, ..Default::default() });
-        let unpruned = mine_reliable_ctx(&AnalysisCtx::of(&rel), ReliableOptions { theta, prune: false, ..Default::default() });
-        prop_assert_eq!(pruned.len(), unpruned.len(), "θ = {}", theta);
-        for (x, y) in pruned.iter().zip(&unpruned) {
-            prop_assert_eq!(x.fd, y.fd);
-            prop_assert!(x.score.to_bits() == y.score.to_bits()
-                && x.plugin.to_bits() == y.plugin.to_bits()
-                && x.bias.to_bits() == y.bias.to_bits()
-                && x.g3.to_bits() == y.g3.to_bits(),
-                "pruning changed an emitted value at θ = {}", theta);
+        let ctx = AnalysisCtx::of(&rel);
+        for max_lhs in [None, Some(1), Some(2)] {
+            let pruned = mine_reliable_ctx(&ctx, ReliableOptions { theta, max_lhs, ..Default::default() });
+            let unpruned = mine_reliable_unpruned(&ctx, theta, max_lhs, 1);
+            prop_assert_eq!(pruned.len(), unpruned.len(), "θ = {}, max_lhs = {:?}", theta, max_lhs);
+            for (x, y) in pruned.iter().zip(&unpruned) {
+                prop_assert_eq!(x.fd, y.fd);
+                prop_assert!(x.score.to_bits() == y.score.to_bits()
+                    && x.plugin.to_bits() == y.plugin.to_bits()
+                    && x.bias.to_bits() == y.bias.to_bits()
+                    && x.g3.to_bits() == y.g3.to_bits(),
+                    "pruning changed an emitted value at θ = {}, max_lhs = {:?}", theta, max_lhs);
+            }
         }
     }
 
     /// A walk bounded at `k` — whose last level is built as class sizes
-    /// only — returns the unbounded output filtered to |lhs| ≤ k, with
-    /// pruning on and off, every score component bit for bit.
+    /// only, and whose level `k` is not filtered — returns the unbounded
+    /// output filtered to |lhs| ≤ k, every score component bit for bit.
     #[test]
     fn bounded_walk_equals_filtered_unbounded(rel in edge_relation(), theta_pct in 0u32..=100) {
         let theta = theta_pct as f64 / 100.0;
         let ctx = AnalysisCtx::of(&rel);
-        for prune in [true, false] {
-            let options = ReliableOptions { theta, prune, ..Default::default() };
-            let unbounded = mine_reliable_ctx(&ctx, options);
-            for k in 0..=rel.n_attrs() {
-                let bounded = mine_reliable_ctx(&ctx, ReliableOptions { max_lhs: Some(k), ..options });
-                let filtered: Vec<_> = unbounded.iter().filter(|f| f.fd.lhs.len() <= k).collect();
-                prop_assert_eq!(bounded.len(), filtered.len(), "k = {}, prune = {}", k, prune);
-                for (b, f) in bounded.iter().zip(filtered) {
-                    prop_assert_eq!(b.fd, f.fd, "k = {}, prune = {}", k, prune);
-                    prop_assert!(b.score.to_bits() == f.score.to_bits()
-                        && b.plugin.to_bits() == f.plugin.to_bits()
-                        && b.bias.to_bits() == f.bias.to_bits()
-                        && b.g3.to_bits() == f.g3.to_bits(),
-                        "{}: a score drifted at k = {}", b.fd, k);
-                }
+        let options = ReliableOptions { theta, ..Default::default() };
+        let unbounded = mine_reliable_ctx(&ctx, options);
+        for k in 0..=rel.n_attrs() {
+            let bounded = mine_reliable_ctx(&ctx, ReliableOptions { max_lhs: Some(k), ..options });
+            let filtered: Vec<_> = unbounded.iter().filter(|f| f.fd.lhs.len() <= k).collect();
+            prop_assert_eq!(bounded.len(), filtered.len(), "k = {}", k);
+            for (b, f) in bounded.iter().zip(filtered) {
+                prop_assert_eq!(b.fd, f.fd, "k = {}", k);
+                prop_assert!(b.score.to_bits() == f.score.to_bits()
+                    && b.plugin.to_bits() == f.plugin.to_bits()
+                    && b.bias.to_bits() == f.bias.to_bits()
+                    && b.g3.to_bits() == f.g3.to_bits(),
+                    "{}: a score drifted at k = {}", b.fd, k);
             }
         }
     }

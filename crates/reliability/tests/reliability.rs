@@ -1,9 +1,10 @@
 //! Regression tests for the reliable-FD subsystem: the documented g3
 //! bias on small/skewed data, and the two bit-identity contracts
-//! (thread counts, pruned vs unpruned search).
+//! (thread counts, the pruned walk against the unpruned oracle).
 
 use dbmine_context::AnalysisCtx;
 use dbmine_fdmine::mine_approximate_ctx;
+use dbmine_oracles::mine_reliable_unpruned;
 use dbmine_relation::paper::{figure4, figure5};
 use dbmine_relation::{AttrSet, Relation, RelationBuilder};
 use dbmine_reliability::{mine_reliable_ctx, ReliableFd, ReliableOptions, RfiScorer};
@@ -184,28 +185,26 @@ fn pruning_only_skips_never_changes_results() {
         relations.push(random_relation(&mut rng, m, n, domain));
     }
     for rel in &relations {
+        let ctx = AnalysisCtx::of(rel);
         for &theta in &[0.0, 0.1, 0.4, 0.8] {
-            let pruned = mine_reliable_ctx(
-                &AnalysisCtx::of(rel),
-                ReliableOptions {
-                    theta,
-                    prune: true,
-                    ..Default::default()
-                },
-            );
-            let unpruned = mine_reliable_ctx(
-                &AnalysisCtx::of(rel),
-                ReliableOptions {
-                    theta,
-                    prune: false,
-                    ..Default::default()
-                },
-            );
-            assert_bit_identical(
-                &pruned,
-                &unpruned,
-                &format!("prune on/off on {} θ={theta}", rel.name()),
-            );
+            for max_lhs in [None, Some(1), Some(2)] {
+                let pruned = mine_reliable_ctx(
+                    &ctx,
+                    ReliableOptions {
+                        theta,
+                        max_lhs,
+                        ..Default::default()
+                    },
+                );
+                assert_bit_identical(
+                    &pruned,
+                    &mine_reliable_unpruned(&ctx, theta, max_lhs, 1),
+                    &format!(
+                        "pruned vs unpruned on {} θ={theta} max_lhs={max_lhs:?}",
+                        rel.name()
+                    ),
+                );
+            }
         }
     }
 }

@@ -4,8 +4,8 @@
 //! workspace-local crate provides a minimal wall-clock benchmarking
 //! harness with criterion's API shape: `criterion_group!` /
 //! `criterion_main!`, benchmark groups, `bench_function` /
-//! `bench_with_input`, `Bencher::iter`, `black_box`, `BenchmarkId` and
-//! `Throughput`.
+//! `bench_with_input`, `Bencher::iter`, `Bencher::iter_batched`,
+//! `black_box`, `BatchSize`, `BenchmarkId` and `Throughput`.
 //!
 //! Each benchmark runs `sample_size` samples; every sample times a batch
 //! of iterations sized so one sample takes ≳5 ms. The harness reports
@@ -28,6 +28,15 @@ pub enum Throughput {
     Elements(u64),
     /// Bytes processed per iteration.
     Bytes(u64),
+}
+
+/// How [`Bencher::iter_batched`] builds its inputs. The one size this
+/// harness knows builds a whole sample's inputs before its timer
+/// starts.
+#[derive(Clone, Copy, Debug)]
+pub enum BatchSize {
+    /// Inputs cheap enough to hold one sample's worth at once.
+    SmallInput,
 }
 
 /// A benchmark identifier: `function_name/parameter`.
@@ -174,12 +183,9 @@ impl Bencher {
             self.samples = vec![Duration::from_nanos(0)];
             return;
         }
-        // Calibrate: how many iterations make one ≥5 ms sample?
         let start = Instant::now();
         black_box(f());
-        let once = start.elapsed().max(Duration::from_nanos(20));
-        let iters = (Duration::from_millis(5).as_nanos() / once.as_nanos()).clamp(1, 1_000_000);
-        self.iters_per_sample = iters as u64;
+        let iters = self.calibrate(start.elapsed());
         self.samples = (0..self.sample_size)
             .map(|_| {
                 let start = Instant::now();
@@ -189,6 +195,46 @@ impl Bencher {
                 start.elapsed()
             })
             .collect();
+    }
+
+    /// Measures `routine` on inputs from `setup`, timing neither `setup`
+    /// nor dropping `routine`'s outputs: each sample builds its inputs,
+    /// times the routine over them, then drops the outputs.
+    pub fn iter_batched<I, R, S, F>(&mut self, mut setup: S, mut routine: F, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        F: FnMut(I) -> R,
+    {
+        if self.smoke {
+            black_box(routine(setup()));
+            self.samples = vec![Duration::from_nanos(0)];
+            return;
+        }
+        let input = setup();
+        let start = Instant::now();
+        let output = black_box(routine(input));
+        let iters = self.calibrate(start.elapsed());
+        drop(output);
+        self.samples = (0..self.sample_size)
+            .map(|_| {
+                let inputs: Vec<I> = (0..iters).map(|_| setup()).collect();
+                let mut outputs = Vec::with_capacity(inputs.len());
+                let start = Instant::now();
+                for input in inputs {
+                    outputs.push(black_box(routine(input)));
+                }
+                start.elapsed()
+            })
+            .collect();
+    }
+
+    /// How many iterations of a routine that took `once` make one ≥5 ms
+    /// sample; recorded for the report.
+    fn calibrate(&mut self, once: Duration) -> usize {
+        let once = once.max(Duration::from_nanos(20));
+        let iters = (Duration::from_millis(5).as_nanos() / once.as_nanos()).clamp(1, 1_000_000);
+        self.iters_per_sample = iters as u64;
+        iters as usize
     }
 
     fn report(&self, id: &str, throughput: Option<Throughput>) {

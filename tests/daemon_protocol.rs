@@ -313,6 +313,19 @@ fn wide_csv_is_rejected_not_panicked() {
 }
 
 #[test]
+fn over_large_threads_is_refused_before_any_thread_starts() {
+    // `as_usize` reads up to u32::MAX; a count past the cap is a typed
+    // range error, answered before the command runs, and the daemon
+    // keeps serving.
+    let mut d = DaemonProc::spawn(&[]);
+    let v = d.request("{\"cmd\":\"fds\",\"csv\":\"A,B\\nx,y\\n\",\"threads\":4000000000}");
+    assert!(!ok(&v), "{v:?}");
+    assert_eq!(error_of(&v), "field `threads` must be at most 256");
+    assert!(ok(&d.request("{\"cmd\":\"ping\"}")));
+    d.finish();
+}
+
+#[test]
 fn daemon_output_is_bit_identical_to_cli() {
     let csv = write_demo_csv();
     let path = csv.to_str().unwrap();

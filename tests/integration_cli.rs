@@ -315,6 +315,11 @@ fn malformed_flags_are_typed_errors() {
             &["redesign", path, "--steps", "0"][..],
             "error: invalid value for --steps: `0`",
         ),
+        // Refused before any worker starts: at most 256 threads.
+        (
+            &["fds", path, "--threads", "257"][..],
+            "error: invalid value for --threads: `257`",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_dbmine"))
             .args(args)

@@ -206,12 +206,15 @@ fn store_backed_redundant_cells_match_memory_without_materializing() {
 fn reliable_mining_computes_g3_only_for_emitted_dependencies() {
     // On the committed DB2 sample at θ = 0.2, `rfi_evals` counts every
     // candidate the walk scores (one plugin each), unbounded and at
-    // `max_lhs = 2`, whose last level no survivor filter reads. `g3` is
-    // computed only for the dependencies the miner emits: the counts
-    // `fds --score rfi` prints.
+    // `max_lhs = 2`, whose last two levels no survivor filter reads:
+    // there only level 1 is filtered, so the branch-and-bound counters
+    // read level 1's bounds and no prune. `g3` is computed only for the
+    // dependencies the miner emits: the counts `fds --score rfi` prints.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/db2_sample.csv");
     let ctx = AnalysisCtx::from(read_relation_path(path).expect("committed sample"));
-    for (max_lhs, rfi_evals, emitted) in [(None, 24_339, 244), (Some(2), 999, 243)] {
+    for (max_lhs, rfi_evals, emitted, bounds, prunes) in
+        [(None, 24_339, 244, 31_842, 454), (Some(2), 999, 243, 19, 0)]
+    {
         let (out, d) = with_deltas(|| {
             mine_reliable_ctx(
                 &ctx,
@@ -225,6 +228,16 @@ fn reliable_mining_computes_g3_only_for_emitted_dependencies() {
         assert_eq!(out.len(), emitted, "max_lhs = {max_lhs:?}");
         assert_eq!(d.get(Counter::G3Evals), expect(emitted as u64));
         assert_eq!(d.get(Counter::RfiEvals), expect(rfi_evals));
+        assert_eq!(
+            d.get(Counter::BnbBounds),
+            expect(bounds),
+            "max_lhs = {max_lhs:?}"
+        );
+        assert_eq!(
+            d.get(Counter::BnbPrunes),
+            expect(prunes),
+            "max_lhs = {max_lhs:?}"
+        );
     }
 }
 
