@@ -5,7 +5,8 @@
 //! frequent `k`-itemsets by prefix join and pruned by the a-priori
 //! property before support counting.
 
-use dbmine_relation::{Relation, ValueId};
+use dbmine_context::AnalysisCtx;
+use dbmine_relation::ValueId;
 use std::collections::{HashMap, HashSet};
 
 /// A frequent set of attribute values with its support.
@@ -18,38 +19,30 @@ pub struct FrequentItemset {
 }
 
 /// Mines all itemsets with support ≥ `min_support` (absolute count) and
-/// size ≥ `min_size`, sorted by descending support then ascending items.
+/// `min_size` ≤ size ≤ `max_size`, sorted by descending support then
+/// ascending items. The transactions are read in one pass over
+/// [`AnalysisCtx::chunks`].
 ///
-/// Equivalent to [`mine_frequent_itemsets_capped`] with no size cap —
-/// beware: dense relations (many values co-occurring in ≥ `min_support`
-/// tuples) make the full enumeration exponential.
+/// The levelwise expansion stops at itemsets of `max_size` items; with
+/// no cap (`usize::MAX`), dense relations (many values co-occurring in
+/// ≥ `min_support` tuples) make the enumeration exponential.
 pub fn mine_frequent_itemsets(
-    rel: &Relation,
-    min_support: usize,
-    min_size: usize,
-) -> Vec<FrequentItemset> {
-    mine_frequent_itemsets_capped(rel, min_support, min_size, usize::MAX)
-}
-
-/// As [`mine_frequent_itemsets`], but stops the levelwise expansion at
-/// itemsets of `max_size` items.
-pub fn mine_frequent_itemsets_capped(
-    rel: &Relation,
+    ctx: &AnalysisCtx,
     min_support: usize,
     min_size: usize,
     max_size: usize,
 ) -> Vec<FrequentItemset> {
     assert!(min_support >= 1, "support threshold must be positive");
-    let n = rel.n_tuples();
     // Transactions: sorted, deduplicated value lists.
-    let transactions: Vec<Vec<ValueId>> = (0..n)
-        .map(|t| {
-            let mut items: Vec<ValueId> = (0..rel.n_attrs()).map(|a| rel.value(t, a)).collect();
+    let mut transactions: Vec<Vec<ValueId>> = Vec::with_capacity(ctx.n_tuples());
+    for chunk in ctx.chunks() {
+        for t in 0..chunk.n_rows() {
+            let mut items: Vec<ValueId> = chunk.row_values(t).collect();
             items.sort_unstable();
             items.dedup();
-            items
-        })
-        .collect();
+            transactions.push(items);
+        }
+    }
 
     // L1.
     let mut counts: HashMap<ValueId, usize> = HashMap::new();
@@ -160,13 +153,25 @@ fn is_subsequence(needle: &[ValueId], haystack: &[ValueId]) -> bool {
 mod tests {
     use super::*;
     use dbmine_relation::paper::figure4;
+    use dbmine_relation::{csv, ShardedRelation};
+
+    /// Every itemset of `figure4` at `min_support`, sizes from
+    /// `min_size` up.
+    fn figure4_sets(min_support: usize, min_size: usize) -> Vec<FrequentItemset> {
+        mine_frequent_itemsets(
+            &AnalysisCtx::of(&figure4()),
+            min_support,
+            min_size,
+            usize::MAX,
+        )
+    }
 
     #[test]
     fn figure4_pairs_match_cvd() {
         // The perfectly co-occurring pairs {a,1} (support 2) and {2,x}
         // (support 3) are exactly the frequent 2-itemsets at min support 2.
         let rel = figure4();
-        let sets = mine_frequent_itemsets(&rel, 2, 2);
+        let sets = figure4_sets(2, 2);
         let a = rel.dict().lookup("a").unwrap();
         let one = rel.dict().lookup("1").unwrap();
         let two = rel.dict().lookup("2").unwrap();
@@ -182,8 +187,7 @@ mod tests {
 
     #[test]
     fn singletons_when_min_size_one() {
-        let rel = figure4();
-        let sets = mine_frequent_itemsets(&rel, 3, 1);
+        let sets = figure4_sets(3, 1);
         // Values with support ≥ 3: "2" and "x" (plus their pair).
         assert!(sets.iter().any(|s| s.items.len() == 1 && s.support == 3));
         assert!(sets.iter().all(|s| s.support >= 3));
@@ -191,8 +195,7 @@ mod tests {
 
     #[test]
     fn support_ordering() {
-        let rel = figure4();
-        let sets = mine_frequent_itemsets(&rel, 2, 1);
+        let sets = figure4_sets(2, 1);
         for w in sets.windows(2) {
             assert!(w[0].support >= w[1].support);
         }
@@ -200,8 +203,7 @@ mod tests {
 
     #[test]
     fn high_threshold_yields_nothing() {
-        let rel = figure4();
-        assert!(mine_frequent_itemsets(&rel, 10, 1).is_empty());
+        assert!(figure4_sets(10, 1).is_empty());
     }
 
     #[test]
@@ -215,16 +217,39 @@ mod tests {
     #[test]
     #[should_panic(expected = "support threshold")]
     fn zero_support_panics() {
-        mine_frequent_itemsets(&figure4(), 0, 1);
+        figure4_sets(0, 1);
     }
 
     #[test]
     fn size_cap_limits_enumeration() {
-        let rel = figure4();
-        let capped = mine_frequent_itemsets_capped(&rel, 2, 1, 1);
+        let ctx = AnalysisCtx::of(&figure4());
+        let capped = mine_frequent_itemsets(&ctx, 2, 1, 1);
         assert!(capped.iter().all(|s| s.items.len() == 1));
-        let pairs = mine_frequent_itemsets_capped(&rel, 2, 1, 2);
+        let pairs = mine_frequent_itemsets(&ctx, 2, 1, 2);
         assert!(pairs.iter().any(|s| s.items.len() == 2));
         assert!(pairs.iter().all(|s| s.items.len() <= 2));
+    }
+
+    #[test]
+    fn store_backed_context_mines_like_memory() {
+        // NULLs are items too; 2-tuple chunks split the supporting rows.
+        let text = "A,B,C\na,1,p\na,1,\nw,2,x\n,2,x\nz,2,x\na,1,p\n";
+        let dir = std::env::temp_dir().join("dbmine_apriori_store");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("t_{}.csv", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        let store = path.with_extension("dbss");
+        let chunked = ShardedRelation::scan_csv_path_spill(&path, 2, &store)
+            .and_then(AnalysisCtx::from_chunks)
+            .unwrap();
+        let mem = AnalysisCtx::of(&csv::read_relation_path(&path).unwrap());
+        for (support, max_size) in [(1, usize::MAX), (2, usize::MAX), (2, 2), (3, 1)] {
+            let want = mine_frequent_itemsets(&mem, support, 1, max_size);
+            assert!(!want.is_empty());
+            assert_eq!(mine_frequent_itemsets(&chunked, support, 1, max_size), want);
+        }
+        assert_eq!(chunked.view_stats().materializations, 0);
+        std::fs::remove_file(path).ok();
+        std::fs::remove_file(store).ok();
     }
 }

@@ -5,17 +5,12 @@
 //!   clustering at `φ_V = 0` *"aligns our method with that of Frequent
 //!   Itemset counting"*; the ablation benches compare `C_VD` groups with
 //!   the itemsets Apriori finds.
-//! * [`pairwise`] — quadratic pairwise near-duplicate detection by
-//!   agreement counting, the counting-based contrast to information-
-//!   theoretic tuple clustering.
 //! * [`joins`] — Bellman-style cross-relation value-overlap summaries
 //!   (the paper's `[10]`): Jaccard/containment per column pair, the
 //!   classic join-path and foreign-key-candidate signal.
 
 pub mod apriori;
 pub mod joins;
-pub mod pairwise;
 
-pub use apriori::{mine_frequent_itemsets, mine_frequent_itemsets_capped, FrequentItemset};
+pub use apriori::{mine_frequent_itemsets, FrequentItemset};
 pub use joins::{join_candidates, self_join_candidates, JoinCandidate};
-pub use pairwise::{pairwise_duplicates, PairwiseDuplicate};

@@ -4,7 +4,7 @@
 //! frequent-itemset baseline that `C_VD` generalizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dbmine::baselines::mine_frequent_itemsets_capped;
+use dbmine::baselines::mine_frequent_itemsets;
 use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{db2_sample, dblp_sample, Db2Spec, DblpSpec};
 use dbmine::limbo::LimboParams;
@@ -21,8 +21,9 @@ fn bench(c: &mut Criterion) {
     // Sizes capped at 3: the uncapped enumeration is exponential on this
     // dense join (see `bin/ablation_cvd`), which is itself the point of
     // the comparison.
+    let db2_ctx = AnalysisCtx::of(&db2);
     g.bench_function("apriori/db2_sup2_cap3", |b| {
-        b.iter(|| mine_frequent_itemsets_capped(&db2, 2, 2, 3))
+        b.iter(|| mine_frequent_itemsets(&db2_ctx, 2, 2, 3))
     });
 
     for &n in &[1000usize, 3000] {

@@ -3,7 +3,7 @@
 //! our method with that of Frequent Itemset counting"*), and the effect
 //! of grouping attributes over `C_VD` versus over *all* value groups.
 
-use dbmine::baselines::apriori::mine_frequent_itemsets_capped;
+use dbmine::baselines::apriori::mine_frequent_itemsets;
 use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{db2_sample, Db2Spec};
 use dbmine::limbo::LimboParams;
@@ -12,10 +12,10 @@ use dbmine_bench::{f3, print_table};
 use std::collections::HashSet;
 
 fn main() {
-    let rel = db2_sample(&Db2Spec::default()).relation;
+    let ctx = AnalysisCtx::from(db2_sample(&Db2Spec::default()).relation);
 
     // C_VD groups at φV = 0 (perfect co-occurrence).
-    let values = cluster_values_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(0.0), None);
+    let values = cluster_values_ctx(&ctx, LimboParams::with_phi(0.0), None);
     let cvd: Vec<HashSet<u32>> = values
         .duplicates()
         .map(|g| g.values.iter().copied().collect())
@@ -23,7 +23,7 @@ fn main() {
 
     // Frequent itemsets at support 2, sizes 2..=3 (the full enumeration
     // is exponential on this dense join; C_VD has no such blow-up).
-    let itemsets = mine_frequent_itemsets_capped(&rel, 2, 2, 3);
+    let itemsets = mine_frequent_itemsets(&ctx, 2, 2, 3);
     let maximal: Vec<HashSet<u32>> = itemsets
         .iter()
         .filter(|s| {
@@ -73,7 +73,7 @@ fn main() {
     );
 
     // Attribute grouping over C_VD vs over all CV groups.
-    let g_dup = group_attributes(&values, rel.n_attrs());
+    let g_dup = group_attributes(&values, ctx.n_attrs());
     println!(
         "\nattribute grouping over C_VD: |A_D| = {}, max IL = {}",
         g_dup.attrs.len(),

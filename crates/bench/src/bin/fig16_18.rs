@@ -11,7 +11,7 @@ use dbmine::context::AnalysisCtx;
 use dbmine::limbo::LimboParams;
 use dbmine::summaries::render::render_dendrogram;
 use dbmine::summaries::{cluster_values_ctx, group_attributes, tuple_summary_assignment_ctx};
-use dbmine_bench::dblp_pipeline::{ordered_by_type, partitioned_dblp};
+use dbmine_bench::dblp_pipeline::partitioned_dblp;
 use dbmine_bench::{dblp_scale, f3, timed};
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
         partitioned_dblp(dblp_scale(), 0.5, Some(3))
     });
 
-    let order = ordered_by_type(&p.projected, &p.result.partitions);
+    let order = p.ordered_by_type();
     for (slot, &(i, label)) in order.iter().enumerate() {
         // One context per partition relation: both Double Clustering
         // stages share its views.

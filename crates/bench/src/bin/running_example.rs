@@ -145,21 +145,21 @@ fn main() {
             .cloned()
     };
     if let (Some(c), Some(a)) = (by("C"), by("A")) {
-        let dc = decompose(&rel, &c);
-        let da = decompose(&rel, &a);
+        let dc = decompose(&ctx, &c);
+        let da = decompose(&ctx, &a);
         print_table(
             "Decomposition comparison",
             &["by", "S1 tuples", "S2 tuples", "cells saved"],
             &[
                 vec![
                     c.display(&names),
-                    dc.s1.n_tuples().to_string(),
+                    dc.s1_tuples.to_string(),
                     dc.s2.n_tuples().to_string(),
                     f3(dc.storage_reduction()),
                 ],
                 vec![
                     a.display(&names),
-                    da.s1.n_tuples().to_string(),
+                    da.s1_tuples.to_string(),
                     da.s2.n_tuples().to_string(),
                     f3(da.storage_reduction()),
                 ],

@@ -61,12 +61,12 @@ fn main() {
 
     // What does decomposing by the winner actually buy?
     if let Some(top) = ranked.first() {
-        let d = decompose(&rel, top);
+        let d = decompose(&ctx, top);
         println!(
             "\nDecomposing by {} : S1 = {} tuples x {} attrs, S2 = {} x {}, storage saved {}",
             top.display(&names),
-            d.s1.n_tuples(),
-            d.s1.n_attrs(),
+            d.s1_tuples,
+            d.s1_attrs.len(),
             d.s2.n_tuples(),
             d.s2.n_attrs(),
             f3(d.storage_reduction()),

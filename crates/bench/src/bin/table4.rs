@@ -6,7 +6,7 @@
 //! Phase 3 was 9.45%; k = 3 was chosen by the δI/δH knee heuristic.
 
 use dbmine::relation::ValueIndex;
-use dbmine_bench::dblp_pipeline::{classify_partition, partitioned_dblp};
+use dbmine_bench::dblp_pipeline::partitioned_dblp;
 use dbmine_bench::{dblp_scale, f3, print_table, timed};
 
 fn main() {
@@ -46,7 +46,7 @@ fn main() {
                 format!("c{}", i + 1),
                 tuples.len().to_string(),
                 values.to_string(),
-                classify_partition(&p.projected, tuples).to_string(),
+                p.classify(tuples).to_string(),
             ]
         })
         .collect();

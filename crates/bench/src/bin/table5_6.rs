@@ -17,7 +17,7 @@ use dbmine::fdmine::{mine_tane_ctx, minimum_cover, TaneOptions};
 use dbmine::fdrank::{rad_ctx, rank_fds, rtr_ctx};
 use dbmine::limbo::LimboParams;
 use dbmine::summaries::{cluster_values_ctx, group_attributes, tuple_summary_assignment_ctx};
-use dbmine_bench::dblp_pipeline::{ordered_by_type, partitioned_dblp};
+use dbmine_bench::dblp_pipeline::partitioned_dblp;
 use dbmine_bench::{dblp_scale, f3, print_table, timed};
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
         partitioned_dblp(dblp_scale(), 0.5, Some(3))
     });
 
-    let order = ordered_by_type(&p.projected, &p.result.partitions);
+    let order = p.ordered_by_type();
     for (slot, &(i, label)) in order.iter().enumerate() {
         // One context per partition: TANE's seed partitions, the Double
         // Clustering views, and the RAD/RTR projections are all shared.

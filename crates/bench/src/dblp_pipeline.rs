@@ -54,45 +54,49 @@ pub fn partitioned_dblp(scale: usize, phi_t: f64, k: Option<usize>) -> DblpParti
     DblpPartitions { projected, result }
 }
 
-/// Classifies a partition by its dominant tuple type, for labeling
-/// outputs: "conference" (BookTitle set), "journal" (Journal set) or
-/// "misc".
-pub fn classify_partition(rel: &Relation, tuples: &[usize]) -> &'static str {
-    let bt = rel.attr_id("BookTitle").expect("projected relation");
-    let jr = rel.attr_id("Journal").expect("projected relation");
-    let mut conf = 0usize;
-    let mut jour = 0usize;
-    for &t in tuples {
-        if !rel.is_null(t, bt) {
-            conf += 1;
-        } else if !rel.is_null(t, jr) {
-            jour += 1;
+impl DblpPartitions {
+    /// Classifies a partition by its dominant tuple type, for labeling
+    /// outputs: "conference" (BookTitle set), "journal" (Journal set) or
+    /// "misc".
+    pub fn classify(&self, tuples: &[usize]) -> &'static str {
+        let rel = &self.projected;
+        let bt = rel.attr_id("BookTitle").expect("projected relation");
+        let jr = rel.attr_id("Journal").expect("projected relation");
+        let mut conf = 0usize;
+        let mut jour = 0usize;
+        for &t in tuples {
+            if !rel.is_null(t, bt) {
+                conf += 1;
+            } else if !rel.is_null(t, jr) {
+                jour += 1;
+            }
+        }
+        let n = tuples.len().max(1);
+        if conf * 2 > n {
+            "conference"
+        } else if jour * 2 > n {
+            "journal"
+        } else {
+            "misc"
         }
     }
-    let n = tuples.len().max(1);
-    if conf * 2 > n {
-        "conference"
-    } else if jour * 2 > n {
-        "journal"
-    } else {
-        "misc"
-    }
-}
 
-/// Partition indices reordered so the conference-dominant partition comes
-/// first, then journal, then the rest — matching the paper's c1/c2/c3
-/// naming regardless of cluster sizes.
-pub fn ordered_by_type(rel: &Relation, partitions: &[Vec<usize>]) -> Vec<(usize, &'static str)> {
-    let mut labeled: Vec<(usize, &'static str)> = partitions
-        .iter()
-        .enumerate()
-        .map(|(i, tuples)| (i, classify_partition(rel, tuples)))
-        .collect();
-    let rank = |l: &str| match l {
-        "conference" => 0,
-        "journal" => 1,
-        _ => 2,
-    };
-    labeled.sort_by_key(|&(i, l)| (rank(l), std::cmp::Reverse(partitions[i].len()), i));
-    labeled
+    /// Partition indices reordered so the conference-dominant partition
+    /// comes first, then journal, then the rest — matching the paper's
+    /// c1/c2/c3 naming regardless of cluster sizes.
+    pub fn ordered_by_type(&self) -> Vec<(usize, &'static str)> {
+        let partitions = &self.result.partitions;
+        let mut labeled: Vec<(usize, &'static str)> = partitions
+            .iter()
+            .enumerate()
+            .map(|(i, tuples)| (i, self.classify(tuples)))
+            .collect();
+        let rank = |l: &str| match l {
+            "conference" => 0,
+            "journal" => 1,
+            _ => 2,
+        };
+        labeled.sort_by_key(|&(i, l)| (rank(l), std::cmp::Reverse(partitions[i].len()), i));
+        labeled
+    }
 }

@@ -616,7 +616,7 @@ mod tests {
         // Project away B (the redesign step for C → B).
         let attrs: AttrSet = [0usize, 2].into_iter().collect();
         let child = ctx.derive_projected(attrs, "fig4_S2");
-        let fresh = rel.project_distinct(attrs, "fig4_S2");
+        let fresh = dbmine_oracles::project_distinct(&rel, attrs, "fig4_S2");
         assert_eq!(child.content_hash(), fresh.content_hash());
         for (ci, a) in attrs.iter().enumerate() {
             assert_eq!(
@@ -784,7 +784,7 @@ mod tests {
         let child = ctx.derive_projected(attrs, "ac");
         assert_eq!(
             child.content_hash(),
-            rel.project_distinct(attrs, "ac").content_hash()
+            dbmine_oracles::project_distinct(&rel, attrs, "ac").content_hash()
         );
         // Nothing switched the source: every pass still decodes the
         // store, and nothing was materialized.

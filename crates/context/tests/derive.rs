@@ -1,9 +1,11 @@
 //! Property tests: partitions derived through `derive_projected` are
-//! bit-identical to partitions rebuilt from the projected relation, for
+//! bit-identical to partitions rebuilt from the projected relation (the
+//! oracle `dbmine_oracles::project_distinct`), for
 //! arbitrary relations and attribute subsets, from a memory parent and
 //! from a store-backed parent at any chunk size.
 
 use dbmine_context::AnalysisCtx;
+use dbmine_oracles::project_distinct;
 use dbmine_relation::{
     csv, AttrSet, Relation, RelationBuilder, ShardedRelation, StrippedPartition,
 };
@@ -42,7 +44,7 @@ proptest! {
         let (rel, attrs) = input;
         let ctx = AnalysisCtx::of(&rel);
         let child = ctx.derive_projected(attrs, "child");
-        let fresh = rel.project_distinct(attrs, "child");
+        let fresh = project_distinct(&rel, attrs, "child");
         check_child(&child, &fresh, attrs)?;
     }
 
@@ -57,7 +59,7 @@ proptest! {
         let path = dir.join(format!("p_{}.csv", std::process::id()));
         csv::write_relation_path(&rel, &path).expect("write csv");
         let rel = csv::read_relation_path(&path).expect("read csv");
-        let fresh = rel.project_distinct(attrs, "child");
+        let fresh = project_distinct(&rel, attrs, "child");
         for chunk in [1usize, 3, 1000] {
             let store = path.with_extension(format!("c{chunk}.dbss"));
             let parent = ShardedRelation::scan_csv_path_spill(&path, chunk, &store)

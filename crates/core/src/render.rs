@@ -187,7 +187,7 @@ pub fn run_partition(
 }
 
 /// `redesign`: iterated vertical decomposition by the top promoted
-/// dependency.
+/// dependency, [`dbmine_fdrank::decompose()`] at each step.
 ///
 /// Each step's remainder context is *derived* from its parent with
 /// [`AnalysisCtx::derive_projected`] — the child's single-attribute
@@ -205,36 +205,21 @@ pub fn run_redesign(ctx: &AnalysisCtx, steps: usize, config: &MinerConfig) -> St
             writeln!(out, "step {step}: no promoted dependency — stopping").unwrap();
             break;
         };
-        let names = cur.attr_names();
-        // The same split as `dbmine_fdrank::decompose`, with the
-        // remainder built as a derived context instead of a bare
-        // relation.
-        // Ranking memoized S1's size, the distinct count of π_{X∪Y}.
-        let s1_attrs = top.fd.attrs();
-        let s1_tuples = cur.projection_distinct(s1_attrs);
-        let s2_attrs = cur.all_attrs().minus(top.fd.rhs.minus(top.fd.lhs));
-        let child = cur.derive_projected(s2_attrs, &format!("{}_S2", cur.name()));
-        let cells_before = cur.n_tuples() * cur.n_attrs();
-        let cells_after = s1_tuples * s1_attrs.len() + child.n_tuples() * child.n_attrs();
-        let reduction = if cells_before == 0 {
-            0.0
-        } else {
-            1.0 - cells_after as f64 / cells_before as f64
-        };
+        let d = dbmine_fdrank::decompose(cur, &top.fd);
         writeln!(
             out,
             "step {step}: split by {} → {}_S1 ({} × {}) + remainder ({} × {}), {:.1}% fewer cells",
-            top.display(names),
+            top.display(cur.attr_names()),
             cur.name(),
-            s1_tuples,
-            s1_attrs.len(),
-            child.n_tuples(),
-            child.n_attrs(),
-            100.0 * reduction
+            d.s1_tuples,
+            d.s1_attrs.len(),
+            d.s2.n_tuples(),
+            d.s2.n_attrs(),
+            100.0 * d.storage_reduction()
         )
         .unwrap();
-        let done = child.n_attrs() <= 2;
-        owned = Some(child);
+        let done = d.s2.n_attrs() <= 2;
+        owned = Some(d.s2);
         if done {
             break;
         }
@@ -655,12 +640,14 @@ impl Command {
 mod tests {
     use super::*;
     use dbmine_datagen::{db2_sample, Db2Spec};
+    use dbmine_oracles::project_distinct;
     use dbmine_relation::paper::figure4;
 
     #[test]
     fn redesign_derived_chain_matches_relation_rebuild() {
-        // The derived-context redesign must print exactly what the old
-        // fresh-context-per-step loop printed.
+        // The derived-context redesign must print exactly what a loop
+        // that rebuilds each step's remainder from cells prints: the
+        // oracle projection, then a fresh context over it.
         let rel = db2_sample(&Db2Spec::default()).relation;
         let ctx = AnalysisCtx::of(&rel);
         let config = MinerConfig::default();
@@ -676,20 +663,25 @@ mod tests {
                 break;
             };
             let names = current.attr_names().to_vec();
-            let d = dbmine_fdrank::decompose(&current, &top.fd);
+            let s1_attrs = top.fd.attrs();
+            let s2_attrs = current.all_attrs().minus(top.fd.rhs.minus(top.fd.lhs));
+            let s1 = project_distinct(&current, s1_attrs, &format!("{}_S1", current.name()));
+            let s2 = project_distinct(&current, s2_attrs, &format!("{}_S2", current.name()));
+            let cells_before = current.n_tuples() * current.n_attrs();
+            let cells_after = s1.n_tuples() * s1.n_attrs() + s2.n_tuples() * s2.n_attrs();
             writeln!(
                 expected,
                 "step {step}: split by {} → {} ({} × {}) + remainder ({} × {}), {:.1}% fewer cells",
                 top.display(&names),
-                d.s1.name(),
-                d.s1.n_tuples(),
-                d.s1.n_attrs(),
-                d.s2.n_tuples(),
-                d.s2.n_attrs(),
-                100.0 * d.storage_reduction()
+                s1.name(),
+                s1.n_tuples(),
+                s1.n_attrs(),
+                s2.n_tuples(),
+                s2.n_attrs(),
+                100.0 * (1.0 - cells_after as f64 / cells_before as f64)
             )
             .unwrap();
-            current = d.s2;
+            current = s2;
             if current.n_attrs() <= 2 {
                 break;
             }

@@ -391,7 +391,7 @@ mod tests {
 
     #[test]
     fn key_fds_hold() {
-        use dbmine_fdmine_shim::fd_holds;
+        use dbmine_oracles::fd_holds;
         let s = db2_sample(&Db2Spec::default());
         let r = &s.relation;
         let a = |n: &str| r.attr_id(n).unwrap();
@@ -482,26 +482,6 @@ mod tests {
         let s = db2_sample(&Db2Spec::default());
         for a in 0..19 {
             assert_eq!(s.relation.null_fraction(a), 0.0);
-        }
-    }
-
-    /// Minimal local FD check so this crate does not depend on
-    /// `dbmine-fdmine` (which sits above it in the graph).
-    mod dbmine_fdmine_shim {
-        use dbmine_relation::{AttrId, AttrSet, Relation};
-        use std::collections::HashMap;
-
-        pub fn fd_holds(rel: &Relation, lhs: AttrSet, rhs: AttrId) -> bool {
-            let mut map: HashMap<Vec<u32>, u32> = HashMap::new();
-            for t in 0..rel.n_tuples() {
-                let key = rel.tuple_projected(t, lhs);
-                let v = rel.value(t, rhs);
-                match map.insert(key, v) {
-                    Some(prev) if prev != v => return false,
-                    _ => {}
-                }
-            }
-            true
         }
     }
 }

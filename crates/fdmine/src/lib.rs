@@ -10,13 +10,13 @@
 //!   [`approximate`] walk at ε = 0. The paper's experiments also run
 //!   FDEP (Savnik & Flach), and the tests cross-check TANE against it,
 //!   FastFDs (Wyss et al., the paper's `[28]`) and a brute-force miner;
-//!   those three live in the dev-only `dbmine-oracles` crate.
+//!   those three live in the dev-only `dbmine-oracles` crate, with the
+//!   direct single-dependency checks (`fd_holds`, `fd_error_g3`) the
+//!   property tests use.
 //! * [`fdep`] — [`mine_fdep_ctx`], a shim that runs TANE, kept for the
 //!   benchmark's replay.
 //! * [`cover`] — canonical/minimum covers in the style of Maier `[16]`:
 //!   attribute-set closures, left-reduction, redundancy elimination.
-//! * [`check`] — direct validity and `g3` approximation-error checks for
-//!   single dependencies.
 //! * [`approximate`] — approximate FDs under TANE's `g3` error (the
 //!   Figure-5 situation: one bad value turns `C → B` approximate).
 //! * [`lattice`] — the one levelwise lattice walk behind [`tane`],
@@ -28,7 +28,6 @@
 //!   problem): instance checks, dependency bases, bounded mining.
 
 pub mod approximate;
-pub mod check;
 pub mod cover;
 pub mod fd;
 pub mod fdep;
@@ -37,7 +36,6 @@ pub mod mvd;
 pub mod tane;
 
 pub use approximate::{mine_approximate_ctx, ApproxFd};
-pub use check::{fd_error_g3, fd_holds};
 pub use cover::{closure, minimum_cover};
 pub use dbmine_relation::partition::{PartitionScratch, StrippedPartition};
 pub use fd::Fd;
@@ -54,12 +52,12 @@ mod oracles {
     use dbmine_context::AnalysisCtx;
     use dbmine_relation::Relation;
 
-    pub fn mine_brute(rel: &Relation) -> Vec<Fd> {
+    pub(crate) fn mine_brute(rel: &Relation) -> Vec<Fd> {
         let fds = dbmine_oracles::mine_brute(rel);
         fds.into_iter().map(|f| Fd::new(f.lhs, f.rhs)).collect()
     }
 
-    pub fn mine_fdep(ctx: &AnalysisCtx) -> Vec<Fd> {
+    pub(crate) fn mine_fdep(ctx: &AnalysisCtx) -> Vec<Fd> {
         let fds = dbmine_oracles::mine_fdep(ctx);
         fds.into_iter().map(|f| Fd::new(f.lhs, f.rhs)).collect()
     }

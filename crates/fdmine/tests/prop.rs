@@ -9,11 +9,12 @@
 use dbmine_context::AnalysisCtx;
 use dbmine_fdmine::cover::{closure, implies, minimum_cover};
 use dbmine_fdmine::{
-    fd_error_g3, fd_holds, mine_approximate_ctx, mine_mvds, mine_tane_ctx, mvd_holds, Fd,
-    PartitionScratch, StrippedPartition, TaneOptions,
+    mine_approximate_ctx, mine_mvds, mine_tane_ctx, mvd_holds, Fd, PartitionScratch,
+    StrippedPartition, TaneOptions,
 };
 use dbmine_oracles::{
-    agree_sets, agree_sets_from, mine_brute, mine_fdep, minimal_hitting_sets, product_reference,
+    agree_sets, agree_sets_from, fd_error_g3, fd_holds, mine_brute, mine_fdep,
+    minimal_hitting_sets, product_reference,
 };
 use dbmine_relation::csv::write_relation_path;
 use dbmine_relation::{AttrSet, Relation, RelationBuilder, ShardedRelation};

@@ -5,18 +5,28 @@
 //! because `X` — present in both — determines `Y`. The paper's running
 //! example: decomposing Figure 4 by `C → B` into `S1=(B,C)`, `S2=(A,C)`
 //! removes more redundancy than decomposing by `A → B`.
+//!
+//! The split reads the relation only through its [`AnalysisCtx`]: `S1`'s
+//! size is the memoized distinct count of `π_{X∪Y}`, and `S2` is a child
+//! context derived from the parent's partitions, ready for the next
+//! step of an iterated redesign.
 
 use crate::rank::RankedFd;
-use dbmine_relation::Relation;
+use dbmine_context::AnalysisCtx;
+use dbmine_relation::AttrSet;
 
 /// The outcome of a vertical decomposition.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Decomposition {
-    /// `π_{X∪Y}(R)`, deduplicated — the extracted "entity".
-    pub s1: Relation,
+    /// `X ∪ Y`, the schema of `S1 = π_{X∪Y}(R)` — the extracted
+    /// "entity".
+    pub s1_attrs: AttrSet,
+    /// `|S1|`, the distinct count of `π_{X∪Y}(R)`.
+    pub s1_tuples: usize,
     /// `π_{R∖Y}(R)`, deduplicated — the remainder (keeps `X` as the
-    /// foreign key).
-    pub s2: Relation,
+    /// foreign key), as a context derived from the parent's
+    /// ([`AnalysisCtx::derive_projected`]) and named `<R>_S2`.
+    pub s2: AnalysisCtx,
     /// Cells stored before the split (`n · m`).
     pub cells_before: usize,
     /// Cells stored after (`|S1|·|X∪Y| + |S2|·(m−|Y∖X|)`).
@@ -25,7 +35,8 @@ pub struct Decomposition {
 
 impl Decomposition {
     /// Fraction of stored cells eliminated by the decomposition
-    /// (can be negative if the split does not pay off).
+    /// (can be negative if the split does not pay off; 0 on an empty
+    /// relation).
     pub fn storage_reduction(&self) -> f64 {
         if self.cells_before == 0 {
             0.0
@@ -35,16 +46,18 @@ impl Decomposition {
     }
 }
 
-/// Decomposes `rel` by the (ranked) dependency `X → Y`.
-pub fn decompose(rel: &Relation, fd: &RankedFd) -> Decomposition {
-    let s1_attrs = fd.lhs.union(fd.rhs);
-    let s2_attrs = rel.all_attrs().minus(fd.rhs.minus(fd.lhs));
-    let s1 = rel.project_distinct(s1_attrs, &format!("{}_S1", rel.name()));
-    let s2 = rel.project_distinct(s2_attrs, &format!("{}_S2", rel.name()));
+/// Decomposes the relation of `ctx` by the (ranked) dependency `X → Y`.
+pub fn decompose(ctx: &AnalysisCtx, fd: &RankedFd) -> Decomposition {
+    // Ranking memoized S1's size, the distinct count of π_{X∪Y}.
+    let s1_attrs = fd.attrs();
+    let s1_tuples = ctx.projection_distinct(s1_attrs);
+    let s2_attrs = ctx.all_attrs().minus(fd.rhs.minus(fd.lhs));
+    let s2 = ctx.derive_projected(s2_attrs, &format!("{}_S2", ctx.name()));
     Decomposition {
-        cells_before: rel.n_tuples() * rel.n_attrs(),
-        cells_after: s1.n_tuples() * s1.n_attrs() + s2.n_tuples() * s2.n_attrs(),
-        s1,
+        cells_before: ctx.n_tuples() * ctx.n_attrs(),
+        cells_after: s1_tuples * s1_attrs.len() + s2.n_tuples() * s2.n_attrs(),
+        s1_attrs,
+        s1_tuples,
         s2,
     }
 }
@@ -53,7 +66,6 @@ pub fn decompose(rel: &Relation, fd: &RankedFd) -> Decomposition {
 mod tests {
     use super::*;
     use dbmine_relation::paper::figure4;
-    use dbmine_relation::AttrSet;
 
     fn set(attrs: &[usize]) -> AttrSet {
         attrs.iter().copied().collect()
@@ -68,81 +80,68 @@ mod tests {
         }
     }
 
+    /// Every row of `ctx`, in tuple order, read from its chunk pass.
+    fn rows(ctx: &AnalysisCtx) -> Vec<Vec<String>> {
+        let dict = ctx.dict();
+        let mut out = Vec::new();
+        for chunk in ctx.chunks() {
+            for t in 0..chunk.n_rows() {
+                out.push(
+                    chunk
+                        .row_values(t)
+                        .map(|v| dict.string(v).to_string())
+                        .collect(),
+                );
+            }
+        }
+        out
+    }
+
     #[test]
     fn paper_example_c_to_b_beats_a_to_b() {
         // "if we use the dependency C → B to decompose the relation into
         //  S1=(B,C) and S2=(A,C), the reduction of tuples, and thus the
         //  redundancy reduction, is higher than using A → B."
-        let rel = figure4();
-        let by_c = decompose(&rel, &ranked(&[2], &[1]));
-        let by_a = decompose(&rel, &ranked(&[0], &[1]));
+        let ctx = AnalysisCtx::of(&figure4());
+        let by_c = decompose(&ctx, &ranked(&[2], &[1]));
+        let by_a = decompose(&ctx, &ranked(&[0], &[1]));
 
-        assert_eq!(by_c.s1.attr_names(), &["B".to_string(), "C".to_string()]);
+        assert_eq!(by_c.s1_attrs, set(&[1, 2])); // (B, C)
         assert_eq!(by_c.s2.attr_names(), &["A".to_string(), "C".to_string()]);
-        assert_eq!(by_c.s1.n_tuples(), 3); // (1,p),(1,r),(2,x)
+        assert_eq!(by_c.s2.name(), "fig4_S2");
+        assert_eq!(by_c.s1_tuples, 3); // (1,p),(1,r),(2,x)
         assert_eq!(by_c.s2.n_tuples(), 5);
 
-        assert_eq!(by_a.s1.n_tuples(), 4); // (a,1),(w,2),(y,2),(z,2)
+        assert_eq!(by_a.s1_tuples, 4); // (a,1),(w,2),(y,2),(z,2)
         assert!(by_c.storage_reduction() > by_a.storage_reduction());
     }
 
     #[test]
     fn decomposition_is_lossless() {
-        // Join S1 ⋈ S2 on the shared attributes reproduces the relation.
-        let rel = figure4();
-        let d = decompose(&rel, &ranked(&[2], &[1]));
-        // Manual nested-loop join on C.
-        let c1 = d.s1.attr_id("C").unwrap();
-        let c2 = d.s2.attr_id("C").unwrap();
-        let mut joined: Vec<(String, String, String)> = Vec::new();
-        for t2 in 0..d.s2.n_tuples() {
-            for t1 in 0..d.s1.n_tuples() {
-                if d.s1.value_str(t1, c1) == d.s2.value_str(t2, c2) {
-                    joined.push((
-                        d.s2.value_str(t2, 0).to_string(),  // A
-                        d.s1.value_str(t1, 0).to_string(),  // B
-                        d.s2.value_str(t2, c2).to_string(), // C
-                    ));
-                }
+        // Join S1 ⋈ S2 on the shared attributes reproduces the relation;
+        // S1's rows come from the same context as the split.
+        let ctx = AnalysisCtx::of(&figure4());
+        let d = decompose(&ctx, &ranked(&[2], &[1]));
+        let s1 = rows(&ctx.derive_projected(d.s1_attrs, "S1")); // (B, C)
+        let s2 = rows(&d.s2); // (A, C)
+        assert_eq!(s1.len(), d.s1_tuples);
+        // Nested-loop join on C.
+        let mut joined: Vec<Vec<String>> = Vec::new();
+        for t2 in &s2 {
+            for t1 in s1.iter().filter(|t1| t1[1] == t2[1]) {
+                joined.push(vec![t2[0].clone(), t1[0].clone(), t2[1].clone()]);
             }
         }
         joined.sort();
-        let mut expected: Vec<(String, String, String)> = (0..rel.n_tuples())
-            .map(|t| {
-                (
-                    rel.value_str(t, 0).to_string(),
-                    rel.value_str(t, 1).to_string(),
-                    rel.value_str(t, 2).to_string(),
-                )
-            })
-            .collect();
+        let mut expected = rows(&ctx);
         expected.sort();
         assert_eq!(joined, expected);
     }
 
     #[test]
-    fn project_distinct_dedups() {
-        let rel = figure4();
-        let p = rel.project_distinct(set(&[1]), "b_only");
-        assert_eq!(p.n_tuples(), 2);
-        assert_eq!(p.attr_names(), &["B".to_string()]);
-    }
-
-    #[test]
-    fn nulls_survive_projection() {
-        let mut b = dbmine_relation::RelationBuilder::new("n", &["X", "Y"]);
-        b.push_row(&[Some("a"), None]);
-        b.push_row(&[Some("a"), None]);
-        let rel = b.build();
-        let p = rel.project_distinct(set(&[0, 1]), "p");
-        assert_eq!(p.n_tuples(), 1);
-        assert!(p.is_null(0, 1));
-    }
-
-    #[test]
     fn cells_accounting() {
-        let rel = figure4();
-        let d = decompose(&rel, &ranked(&[2], &[1]));
+        let ctx = AnalysisCtx::of(&figure4());
+        let d = decompose(&ctx, &ranked(&[2], &[1]));
         assert_eq!(d.cells_before, 15);
         assert_eq!(d.cells_after, 3 * 2 + 5 * 2);
     }

@@ -14,16 +14,17 @@
 //!    attributes carry (Relative Attribute Duplication / Relative Tuple
 //!    Reduction).
 //! 3. [`decompose()`] performs the lossless vertical split a ranked
-//!    dependency suggests and reports the redundancy it removes.
+//!    dependency suggests over the relation's context, reports the
+//!    redundancy it removes and returns the remainder as a derived
+//!    context — the one split behind `dbmine redesign` and the paper
+//!    binaries.
 
-pub mod content;
 pub mod decompose;
 pub mod measures;
 pub mod rank;
 pub mod redundancy;
 pub mod score;
 
-pub use content::{column_content, position_content};
 pub use decompose::{decompose, Decomposition};
 pub use measures::{rad_ctx, rtr_ctx};
 pub use rank::{rank_fds, RankedFd};

@@ -4,8 +4,8 @@
 //! usable for small `m`, which is exactly its job: a trustworthy oracle
 //! in tests and property checks.
 
+use crate::check::fd_holds;
 use crate::fd::minimal_only;
-use dbmine_fdmine::check::fd_holds;
 use dbmine_fdmine::Fd;
 use dbmine_relation::{AttrSet, Relation};
 

@@ -1,5 +1,6 @@
 //! The `HashMap` partition product, the oracle of
-//! [`StrippedPartition::product_with`].
+//! [`StrippedPartition::product_with`], and the pin of
+//! [`StrippedPartition::restrict_remap`] against a rebuilt projection.
 
 use dbmine_relation::StrippedPartition;
 
@@ -42,6 +43,25 @@ mod tests {
     use super::*;
     use dbmine_relation::paper::figure4;
     use dbmine_relation::{PartitionScratch, RelationBuilder};
+
+    #[test]
+    fn restrict_remap_matches_fresh_build_on_projection() {
+        let rel = figure4();
+        // Project on {B, C}: distinct rows come from parent tuples 0,1,2.
+        let attrs: dbmine_relation::AttrSet = [1usize, 2].into_iter().collect();
+        let rows = StrippedPartition::of_attrs(&rel, attrs).first_rows();
+        let child = crate::project_distinct(&rel, attrs, "bc");
+        let mut map = vec![u32::MAX; rel.n_tuples()];
+        for (ci, &pt) in rows.iter().enumerate() {
+            map[pt as usize] = ci as u32;
+        }
+        for (ci, a) in attrs.iter().enumerate() {
+            let derived =
+                StrippedPartition::of_attr(&rel, a).restrict_remap(&map, child.n_tuples());
+            let fresh = StrippedPartition::of_attr(&child, ci);
+            assert_eq!(derived, fresh, "attr {a} restriction diverged");
+        }
+    }
 
     #[test]
     fn product_matches_reference_on_paper_relations() {

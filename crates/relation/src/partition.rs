@@ -416,8 +416,9 @@ impl StrippedPartition {
         size
     }
 
-    /// The first tuple of every unstripped class, ascending: the rows
-    /// [`Relation::project_distinct`] keeps.
+    /// The first tuple of every unstripped class, ascending: the rows a
+    /// set-semantics projection on the partition's attributes keeps
+    /// (`AnalysisCtx::derive_projected` selects them).
     pub fn first_rows(&self) -> Vec<u32> {
         let sizes = self.first_occurrence_sizes();
         (0..).zip(sizes).filter(|p| p.1 > 0).map(|p| p.0).collect()
@@ -461,7 +462,7 @@ impl StrippedPartition {
                 })
                 .collect();
             if kept.len() >= 2 {
-                // A monotone map (the project_distinct case) leaves the
+                // A monotone map (the projection case) leaves the
                 // members presorted; sort anyway for arbitrary maps.
                 kept.sort_unstable();
                 classes.push(kept);
@@ -912,25 +913,6 @@ mod tests {
         assert_eq!(ids[0], ids[1]);
         assert_eq!(ids[2], ids[3]);
         assert_ne!(ids[0], ids[2]);
-    }
-
-    #[test]
-    fn restrict_remap_matches_fresh_build_on_projection() {
-        let rel = figure4();
-        // Project on {B, C}: distinct rows come from parent tuples 0,1,2.
-        let attrs: crate::AttrSet = [1usize, 2].into_iter().collect();
-        let rows = StrippedPartition::of_attrs(&rel, attrs).first_rows();
-        let child = rel.project_distinct(attrs, "bc");
-        let mut map = vec![u32::MAX; rel.n_tuples()];
-        for (ci, &pt) in rows.iter().enumerate() {
-            map[pt as usize] = ci as u32;
-        }
-        for (ci, a) in attrs.iter().enumerate() {
-            let derived =
-                StrippedPartition::of_attr(&rel, a).restrict_remap(&map, child.n_tuples());
-            let fresh = StrippedPartition::of_attr(&child, ci);
-            assert_eq!(derived, fresh, "attr {a} restriction diverged");
-        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::attrset::{AttrSet, MAX_ATTRS};
 use crate::dict::{ValueDict, ValueId, NULL_VALUE};
-use crate::partition::StrippedPartition;
 use crate::shard::RelationChunk;
 use std::borrow::Cow;
 
@@ -153,15 +152,6 @@ impl Relation {
             columns: keep.iter().map(|&a| self.columns[a].clone()).collect(),
             n: self.n,
         }
-    }
-
-    /// Projects onto `attrs` and removes duplicate rows (set semantics) —
-    /// the π of relational algebra. The paper's decompositions and
-    /// vertical partitions are built from this.
-    pub fn project_distinct(&self, attrs: AttrSet, name: &str) -> Relation {
-        let rows = StrippedPartition::of_attrs(self, attrs).first_rows();
-        let (names, dict, chunk) = (&self.attr_names, &self.dict, self.as_chunk());
-        select_rows_chunks(name, names, dict, &rows, attrs, [chunk])
     }
 
     /// Builds a new relation containing only the tuples in `rows`
@@ -409,21 +399,6 @@ mod tests {
     fn row_width_checked() {
         let mut b = RelationBuilder::new("t", &["X", "Y"]);
         b.push_row(&[Some("v")]);
-    }
-
-    #[test]
-    fn project_distinct_keeps_first_occurrences() {
-        let r = figure4();
-        // B,C pairs: (1,p) t0, (1,r) t1, (2,x) t2 (t3,t4 duplicate it).
-        let attrs: AttrSet = [1, 2].into_iter().collect();
-        let rows = StrippedPartition::of_attrs(&r, attrs).first_rows();
-        assert_eq!(rows, vec![0, 1, 2]);
-        let p = r.project_distinct(attrs, "bc");
-        assert_eq!(p.n_tuples(), 3);
-        for (ci, &pt) in rows.iter().enumerate() {
-            assert_eq!(p.value_str(ci, 0), r.value_str(pt as usize, 1));
-            assert_eq!(p.value_str(ci, 1), r.value_str(pt as usize, 2));
-        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! small relations.
 
 use dbmine_context::AnalysisCtx;
-use dbmine_fdmine::{fd_error_g3, Fd};
-use dbmine_oracles::mine_reliable_unpruned;
+use dbmine_fdmine::Fd;
+use dbmine_oracles::{fd_error_g3, mine_reliable_unpruned};
 use dbmine_relation::partition::StrippedPartition;
 use dbmine_relation::{AttrSet, Relation, RelationBuilder};
 use dbmine_reliability::{

@@ -9,7 +9,9 @@
 //! majority). Tuples outside any tight group pass through unchanged.
 
 use crate::tuples::DuplicateReport;
-use dbmine_relation::{Relation, RelationBuilder};
+use dbmine_context::AnalysisCtx;
+use dbmine_relation::{Relation, RelationBuilder, ValueDict, ValueId, NULL_VALUE};
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 /// The outcome of duplicate elimination.
@@ -25,8 +27,12 @@ pub struct DedupeResult {
 }
 
 /// Collapses every tight duplicate group (members within `tau` of their
-/// summary) of `report` into a single survivor tuple.
-pub fn eliminate_duplicates(rel: &Relation, report: &DuplicateReport, tau: f64) -> DedupeResult {
+/// summary) of `report`, found on `ctx`, into a single survivor tuple.
+///
+/// Two passes over [`AnalysisCtx::chunks`]: the first keeps the group
+/// members' rows and votes their survivors, the second writes the
+/// repaired relation in tuple order.
+pub fn eliminate_duplicates(ctx: &AnalysisCtx, report: &DuplicateReport, tau: f64) -> DedupeResult {
     // Tight groups, restricted to ≥2 members; first member = anchor.
     let groups: Vec<Vec<usize>> = report
         .groups
@@ -43,32 +49,38 @@ pub fn eliminate_duplicates(rel: &Relation, report: &DuplicateReport, tau: f64) 
         }
     }
 
-    let names: Vec<&str> = rel.attr_names().iter().map(String::as_str).collect();
-    let mut b = RelationBuilder::new(&format!("{}·dedup", rel.name()), &names);
+    let mut member_rows: HashMap<usize, Vec<ValueId>> = HashMap::new();
+    for chunk in ctx.chunks() {
+        for t in 0..chunk.n_rows() {
+            if group_of.contains_key(&(chunk.start + t)) {
+                member_rows.insert(chunk.start + t, chunk.row_values(t).collect());
+            }
+        }
+    }
+    let survivors: Vec<Vec<ValueId>> = groups
+        .iter()
+        .map(|members| {
+            let rows: Vec<&[ValueId]> = members.iter().map(|t| &member_rows[t][..]).collect();
+            survivor_row(&rows)
+        })
+        .collect();
+
+    let dict = ctx.dict();
+    let names: Vec<&str> = ctx.attr_names().iter().map(String::as_str).collect();
+    let mut b = RelationBuilder::new(&format!("{}·dedup", ctx.name()), &names);
     let mut emitted_group = vec![false; groups.len()];
     let mut removed = 0usize;
 
-    for t in 0..rel.n_tuples() {
-        match group_of.get(&t) {
-            None => {
-                let row: Vec<Option<&str>> = (0..rel.n_attrs())
-                    .map(|a| {
-                        if rel.is_null(t, a) {
-                            None
-                        } else {
-                            Some(rel.value_str(t, a))
-                        }
-                    })
-                    .collect();
-                b.push_row(&row);
+    for chunk in ctx.chunks() {
+        for t in 0..chunk.n_rows() {
+            match group_of.get(&(chunk.start + t)) {
+                None => b.push_row(&cells(dict, chunk.row_values(t))),
+                Some(&gi) if !emitted_group[gi] => {
+                    emitted_group[gi] = true;
+                    b.push_row(&cells(dict, survivors[gi].iter().copied()));
+                }
+                Some(_) => removed += 1,
             }
-            Some(&gi) if !emitted_group[gi] => {
-                emitted_group[gi] = true;
-                let survivor = survivor_row(rel, &groups[gi]);
-                let row: Vec<Option<&str>> = survivor.iter().map(|c| c.as_deref()).collect();
-                b.push_row(&row);
-            }
-            Some(_) => removed += 1,
         }
     }
 
@@ -79,26 +91,27 @@ pub fn eliminate_duplicates(rel: &Relation, report: &DuplicateReport, tau: f64) 
     }
 }
 
-/// Majority vote per attribute; ties break toward the earliest member's
-/// value (the anchor), NULLs lose to any non-NULL majority.
-fn survivor_row(rel: &Relation, members: &[usize]) -> Vec<Option<String>> {
-    (0..rel.n_attrs())
+/// A row of value ids as the builder's cells (NULL as `None`).
+fn cells(dict: &ValueDict, row: impl Iterator<Item = ValueId>) -> Vec<Option<&str>> {
+    row.map(|v| (v != NULL_VALUE).then(|| dict.string(v)))
+        .collect()
+}
+
+/// Majority vote per attribute over the members' rows (anchor first):
+/// a NULL loses to any non-NULL majority; ties break toward the anchor's
+/// value, then the earliest-interned one.
+fn survivor_row(rows: &[&[ValueId]]) -> Vec<ValueId> {
+    (0..rows[0].len())
         .map(|a| {
-            let mut counts: HashMap<u32, usize> = HashMap::new();
-            for &t in members {
-                *counts.entry(rel.value(t, a)).or_insert(0) += 1;
+            let mut counts: HashMap<ValueId, usize> = HashMap::new();
+            for row in rows {
+                *counts.entry(row[a]).or_insert(0) += 1;
             }
-            let anchor = rel.value(members[0], a);
-            let best = counts
-                .iter()
-                .max_by_key(|&(&v, &c)| (c, v == anchor))
-                .map(|(&v, _)| v)
-                .unwrap_or(anchor);
-            if best == dbmine_relation::NULL_VALUE {
-                None
-            } else {
-                Some(rel.dict().string(best).to_string())
-            }
+            let anchor = rows[0][a];
+            counts
+                .into_iter()
+                .min_by_key(|&(v, c)| (Reverse(c), v != anchor, v))
+                .map_or(anchor, |(v, _)| v)
         })
         .collect()
 }
@@ -107,9 +120,7 @@ fn survivor_row(rel: &Relation, members: &[usize]) -> Vec<Option<String>> {
 mod tests {
     use super::*;
     use crate::tuples::find_duplicate_tuples_ctx;
-    use dbmine_context::AnalysisCtx;
     use dbmine_limbo::LimboParams;
-    use dbmine_relation::RelationBuilder;
 
     fn relation_with_dups() -> Relation {
         let mut b = RelationBuilder::new("t", &["K", "X", "Y", "Z"]);
@@ -122,9 +133,9 @@ mod tests {
 
     #[test]
     fn exact_duplicates_collapse() {
-        let rel = relation_with_dups();
-        let report = find_duplicate_tuples_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(0.0));
-        let result = eliminate_duplicates(&rel, &report, 1e-12);
+        let ctx = AnalysisCtx::of(&relation_with_dups());
+        let report = find_duplicate_tuples_ctx(&ctx, LimboParams::with_phi(0.0));
+        let result = eliminate_duplicates(&ctx, &report, 1e-12);
         assert_eq!(result.relation.n_tuples(), 3);
         assert_eq!(result.removed, 1);
         assert_eq!(result.merged_groups.len(), 1);
@@ -141,9 +152,9 @@ mod tests {
         b.push_row_strs(&["x", "v", "DIRTY", "z", "q"]);
         b.push_row_strs(&["x", "v", "w", "z", "q"]);
         b.push_row_strs(&["other", "o1", "o2", "o3", "o4"]);
-        let rel = b.build();
-        let report = find_duplicate_tuples_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(3.0));
-        let result = eliminate_duplicates(&rel, &report, f64::INFINITY);
+        let ctx = AnalysisCtx::of(&b.build());
+        let report = find_duplicate_tuples_ctx(&ctx, LimboParams::with_phi(3.0));
+        let result = eliminate_duplicates(&ctx, &report, f64::INFINITY);
         let merged = result
             .merged_groups
             .iter()
@@ -153,7 +164,7 @@ mod tests {
         // Survivor keeps the majority value "w".
         let survivor_c = result.relation.value_str(0, 2);
         assert_eq!(survivor_c, "w");
-        assert!(result.relation.n_tuples() < rel.n_tuples());
+        assert!(result.relation.n_tuples() < ctx.n_tuples());
     }
 
     #[test]
@@ -161,9 +172,9 @@ mod tests {
         let mut b = RelationBuilder::new("t", &["A", "B"]);
         b.push_row_strs(&["1", "x"]);
         b.push_row_strs(&["2", "y"]);
-        let rel = b.build();
-        let report = find_duplicate_tuples_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(0.0));
-        let result = eliminate_duplicates(&rel, &report, 1e-12);
+        let ctx = AnalysisCtx::of(&b.build());
+        let report = find_duplicate_tuples_ctx(&ctx, LimboParams::with_phi(0.0));
+        let result = eliminate_duplicates(&ctx, &report, 1e-12);
         assert_eq!(result.relation.n_tuples(), 2);
         assert_eq!(result.removed, 0);
         assert!(result.merged_groups.is_empty());
@@ -175,9 +186,9 @@ mod tests {
         b.push_row_strs(&["x", "v", "w"]);
         b.push_row(&[Some("x"), Some("v"), None]); // missing value copy
         b.push_row_strs(&["x", "v", "w"]);
-        let rel = b.build();
-        let report = find_duplicate_tuples_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(3.0));
-        let result = eliminate_duplicates(&rel, &report, f64::INFINITY);
+        let ctx = AnalysisCtx::of(&b.build());
+        let report = find_duplicate_tuples_ctx(&ctx, LimboParams::with_phi(3.0));
+        let result = eliminate_duplicates(&ctx, &report, f64::INFINITY);
         if result.relation.n_tuples() == 1 {
             assert_eq!(result.relation.value_str(0, 2), "w");
         }

@@ -13,7 +13,15 @@
 //!    over the duplicate value groups (matrix `F`), whose merge sequence
 //!    feeds FD-RANK (Section 6.3).
 //!
-//! [`render`] draws the dendrograms of Figures 10 and 14–18 as ASCII.
+//! [`dedupe`] turns the tuple groups into a repaired relation (one
+//! majority-vote survivor per tight group), reading the same context.
+//! The schema proposal the attribute groups suggest is FD-RANK's split,
+//! `dbmine_fdrank::decompose`. [`render`] draws the dendrograms of
+//! Figures 10 and 14–18 as ASCII.
+//!
+//! Every tool takes the relation's `AnalysisCtx`;
+//! [`PartitionResult::partition_relation`] is the one exception (see its
+//! docs).
 
 pub mod attributes;
 pub mod dedupe;
@@ -21,7 +29,6 @@ pub mod partition;
 pub mod render;
 pub mod tuples;
 pub mod values;
-pub mod vertical;
 
 pub use attributes::{group_attributes, AttributeGrouping};
 pub use dedupe::{eliminate_duplicates, DedupeResult};
@@ -30,4 +37,3 @@ pub use tuples::{
     find_duplicate_tuples_ctx, tuple_summary_assignment_ctx, DuplicateReport, TupleGroup,
 };
 pub use values::{cluster_values_ctx, ValueClustering, ValueGroup};
-pub use vertical::{vertical_partition, VerticalPartition};

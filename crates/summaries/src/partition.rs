@@ -40,6 +40,14 @@ pub struct PartitionResult {
 
 impl PartitionResult {
     /// Materializes partition `i` as a relation.
+    ///
+    /// The one summary tool that takes the resident relation instead of
+    /// its context: [`Relation::select`] keeps the parent's dictionary,
+    /// so partition `i` shares its value ids with `rel`, while
+    /// `AnalysisCtx::select_rows` re-interns each row into a fresh
+    /// dictionary: switching would renumber the values, and could change
+    /// the output of the paper binaries that cluster a partition (Tables
+    /// 4–6, Figures 16–18).
     pub fn partition_relation(&self, rel: &Relation, i: usize) -> Relation {
         rel.select(&self.partitions[i], &format!("{}#c{}", rel.name(), i + 1))
     }

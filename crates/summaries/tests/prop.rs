@@ -1,15 +1,16 @@
 //! Property tests for the summary tools: partitions must cover (and
 //! match the two-AIB-run partitioning they replace), value groups must
 //! partition the value universe, dedupe must conserve non-duplicate
-//! tuples, and attribute grouping must stay within `A_D`.
+//! tuples and repair a store-backed context as it does a memory one, and
+//! attribute grouping must stay within `A_D`.
 
 use dbmine_context::AnalysisCtx;
 use dbmine_limbo::{phase1, phase2_with, phase3_with, tuple_dcfs_ctx, LimboParams};
 use dbmine_oracles::dcf_merge;
-use dbmine_relation::{Relation, RelationBuilder};
+use dbmine_relation::{csv, Relation, RelationBuilder, ShardedRelation};
 use dbmine_summaries::{
     cluster_values_ctx, eliminate_duplicates, find_duplicate_tuples_ctx, group_attributes,
-    horizontal_partition_ctx, suggest_k, vertical_partition, PartitionResult,
+    horizontal_partition_ctx, suggest_k, PartitionResult,
 };
 use proptest::prelude::*;
 
@@ -174,8 +175,9 @@ proptest! {
 
     #[test]
     fn dedupe_never_invents_tuples(rel in arb_relation(), phi in 0.0f64..0.5) {
-        let report = find_duplicate_tuples_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(phi));
-        let result = eliminate_duplicates(&rel, &report, report.threshold);
+        let ctx = AnalysisCtx::of(&rel);
+        let report = find_duplicate_tuples_ctx(&ctx, LimboParams::with_phi(phi));
+        let result = eliminate_duplicates(&ctx, &report, report.threshold);
         prop_assert!(result.relation.n_tuples() <= rel.n_tuples());
         prop_assert_eq!(
             result.relation.n_tuples() + result.removed,
@@ -201,21 +203,45 @@ proptest! {
             prop_assert!(loss >= -1e-12);
         }
     }
+}
 
+/// `rel` written as CSV and read back (so both sides intern alike), as a
+/// memory context and as a context over its `.dbss` store with
+/// `chunk`-tuple chunks.
+fn chunked_pair(rel: &Relation, chunk: usize) -> (AnalysisCtx, AnalysisCtx) {
+    let dir = std::env::temp_dir().join("dbmine_summaries_store");
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join(format!("rel_{}_{chunk}.csv", std::process::id()));
+    csv::write_relation_path(rel, &path).expect("write csv");
+    let mem = AnalysisCtx::of(&csv::read_relation_path(&path).expect("read csv"));
+    let store = path.with_extension("dbss");
+    let chunked = ShardedRelation::scan_csv_path_spill(&path, chunk, &store)
+        .and_then(AnalysisCtx::from_chunks)
+        .expect("chunk-backed context");
+    let _ = std::fs::remove_file(path);
+    (mem, chunked)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One report repairs a store-backed context exactly as it repairs
+    /// the memory context over the same rows, wherever chunks split the
+    /// groups.
     #[test]
-    fn vertical_partition_is_exact_cover(rel in arb_relation(), k in 1usize..4) {
-        let values = cluster_values_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(0.0), None);
-        let g = group_attributes(&values, rel.n_attrs());
-        let vp = vertical_partition(&rel, &g, k);
-        let mut union = dbmine_relation::AttrSet::EMPTY;
-        for &f in &vp.fragments {
-            prop_assert!(union.is_disjoint(f));
-            union = union.union(f);
-        }
-        prop_assert_eq!(union, rel.all_attrs());
-        // Fragments' projected tuples never exceed the original count.
-        for r in &vp.relations {
-            prop_assert!(r.n_tuples() <= rel.n_tuples());
+    fn dedupe_store_matches_memory(rel in arb_relation(), phi in 0.0f64..0.5) {
+        for chunk in [1usize, 3] {
+            let (mem, chunked) = chunked_pair(&rel, chunk);
+            let report = find_duplicate_tuples_ctx(&mem, LimboParams::with_phi(phi));
+            let from_mem = eliminate_duplicates(&mem, &report, report.threshold);
+            let from_store = eliminate_duplicates(&chunked, &report, report.threshold);
+            prop_assert_eq!(
+                from_store.relation.content_hash(),
+                from_mem.relation.content_hash()
+            );
+            prop_assert_eq!(&from_store.merged_groups, &from_mem.merged_groups);
+            prop_assert_eq!(from_store.removed, from_mem.removed);
+            prop_assert_eq!(chunked.view_stats().materializations, 0);
         }
     }
 }

@@ -26,7 +26,8 @@ fn main() {
     );
 
     // 2. Duplicate discovery at φT = 0.1.
-    let report = find_duplicate_tuples_ctx(&AnalysisCtx::of(dirty), LimboParams::with_phi(0.1));
+    let dirty_ctx = AnalysisCtx::of(dirty);
+    let report = find_duplicate_tuples_ctx(&dirty_ctx, LimboParams::with_phi(0.1));
     let tau = report.threshold;
     println!(
         "\nduplicate discovery (φT = 0.1): {} candidate groups (τ = {tau:.3e})",
@@ -55,7 +56,7 @@ fn main() {
     );
 
     // 3. Repair: collapse tight groups by majority vote.
-    let repaired = eliminate_duplicates(dirty, &report, tau);
+    let repaired = eliminate_duplicates(&dirty_ctx, &report, tau);
     println!(
         "\nrepair: removed {} tuples → {} remain (clean had {})",
         repaired.removed,

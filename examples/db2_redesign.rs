@@ -13,16 +13,15 @@ use dbmine::summaries::render::render_dendrogram;
 use dbmine::{MinerConfig, StructureMiner};
 
 fn main() {
-    let sample = db2_sample(&Db2Spec::default());
-    let rel = &sample.relation;
+    let ctx = AnalysisCtx::from(db2_sample(&Db2Spec::default()).relation);
     println!(
         "input: one overloaded relation, {} tuples × {} attributes",
-        rel.n_tuples(),
-        rel.n_attrs()
+        ctx.n_tuples(),
+        ctx.n_attrs()
     );
 
-    let report = StructureMiner::new(MinerConfig::default()).analyze_ctx(&AnalysisCtx::of(rel));
-    let names = rel.attr_names().to_vec();
+    let report = StructureMiner::new(MinerConfig::default()).analyze_ctx(&ctx);
+    let names = ctx.attr_names().to_vec();
 
     // 1. The attribute grouping recovers the three source tables.
     println!("\nattribute groups at k = 3 (the original schemas):");
@@ -54,20 +53,19 @@ fn main() {
         );
     }
 
-    // 3. Apply the best decomposition and iterate on the remainder.
-    let mut current = rel.clone();
+    // 3. Apply the best decomposition and iterate on the remainder, a
+    //    context derived from its parent's.
+    let mut current = ctx;
     for step in 1..=3 {
-        let rep =
-            StructureMiner::new(MinerConfig::default()).analyze_ctx(&AnalysisCtx::of(&current));
+        let rep = StructureMiner::new(MinerConfig::default()).analyze_ctx(&current);
         let Some(top) = rep.ranked.first() else { break };
-        let names = current.attr_names().to_vec();
         let d = decompose(&current, &top.fd);
         println!(
-            "\nstep {step}: split by {} → extracted {} ({} rows × {} attrs); remainder {} rows × {} attrs",
-            top.display(&names),
-            d.s1.name(),
-            d.s1.n_tuples(),
-            d.s1.n_attrs(),
+            "\nstep {step}: split by {} → extracted {}_S1 ({} rows × {} attrs); remainder {} rows × {} attrs",
+            top.display(current.attr_names()),
+            current.name(),
+            d.s1_tuples,
+            d.s1_attrs.len(),
             d.s2.n_tuples(),
             d.s2.n_attrs()
         );

@@ -25,12 +25,12 @@ fn main() {
     ] {
         b.push_row_strs(&[name, city, zip, plan]);
     }
-    let rel = b.build();
+    let ctx = AnalysisCtx::from(b.build());
 
     // One call: profiling, duplicate discovery, value clustering,
     // attribute grouping, FD mining, minimum cover, FD-RANK.
-    let report = StructureMiner::new(MinerConfig::default()).analyze_ctx(&AnalysisCtx::of(&rel));
-    let names = rel.attr_names().to_vec();
+    let report = StructureMiner::new(MinerConfig::default()).analyze_ctx(&ctx);
+    let names = ctx.attr_names().to_vec();
 
     println!("columns:");
     for c in &report.columns {
@@ -42,7 +42,7 @@ fn main() {
 
     println!("\nduplicate value groups (C_VD):");
     for g in report.value_groups.duplicates() {
-        let values: Vec<&str> = g.values.iter().map(|&v| rel.dict().string(v)).collect();
+        let values: Vec<&str> = g.values.iter().map(|&v| ctx.dict().string(v)).collect();
         println!(
             "  {{{}}} in {} tuples across {} attributes",
             values.join(", "),
@@ -64,12 +64,12 @@ fn main() {
 
     // The top-ranked dependency suggests the vertical split.
     if let Some(top) = report.ranked.first() {
-        let d = dbmine::fdrank::decompose(&rel, &top.fd);
+        let d = dbmine::fdrank::decompose(&ctx, &top.fd);
         println!(
-            "\nsuggested decomposition by {}: {}({} rows) + {}({} rows), {:.1}% fewer cells",
+            "\nsuggested decomposition by {}: {}_S1({} rows) + {}({} rows), {:.1}% fewer cells",
             top.display(&names),
-            d.s1.name(),
-            d.s1.n_tuples(),
+            ctx.name(),
+            d.s1_tuples,
             d.s2.name(),
             d.s2.n_tuples(),
             100.0 * d.storage_reduction()

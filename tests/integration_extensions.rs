@@ -1,7 +1,6 @@
 //! Integration tests for the extension modules: approximate FDs, MVDs,
-//! FastFDs, join discovery, duplicate elimination, vertical partitioning
-//! and position information content — exercised together on the
-//! generated data sets.
+//! FastFDs, join discovery, duplicate elimination and redundant cells —
+//! exercised together on the generated data sets.
 
 use dbmine::baselines::join_candidates;
 use dbmine::context::AnalysisCtx;
@@ -9,13 +8,10 @@ use dbmine::datagen::{
     db2_sample, inject_near_duplicates, synthetic, Db2Spec, PlantedFd, SyntheticSpec,
 };
 use dbmine::fdmine::{mine_approximate_ctx, Fd};
-use dbmine::fdrank::{column_content, redundant_cells_ctx};
+use dbmine::fdrank::redundant_cells_ctx;
 use dbmine::limbo::LimboParams;
 use dbmine::relation::{AttrSet, Relation};
-use dbmine::summaries::{
-    cluster_values_ctx, eliminate_duplicates, find_duplicate_tuples_ctx, group_attributes,
-    vertical_partition,
-};
+use dbmine::summaries::{eliminate_duplicates, find_duplicate_tuples_ctx};
 use dbmine_oracles::{mine_fastfds, mine_fdep};
 
 #[test]
@@ -101,11 +97,9 @@ fn dedupe_restores_cardinality_after_injection() {
     let injected = inject_near_duplicates(&clean, 6, 1, 11);
     // φT = 0.1: wide enough for 1-error copies, tight enough not to
     // merge same-employee join rows (which differ in 6 of 19 attributes).
-    let report = find_duplicate_tuples_ctx(
-        &AnalysisCtx::of(&injected.relation),
-        LimboParams::with_phi(0.1),
-    );
-    let repaired = eliminate_duplicates(&injected.relation, &report, report.threshold);
+    let ctx = AnalysisCtx::of(&injected.relation);
+    let report = find_duplicate_tuples_ctx(&ctx, LimboParams::with_phi(0.1));
+    let repaired = eliminate_duplicates(&ctx, &report, report.threshold);
     assert!(repaired.relation.n_tuples() < injected.relation.n_tuples());
     // Most of the planted copies are gone. A few genuinely similar
     // original tuples may merge too (same employee on near-identical
@@ -115,34 +109,13 @@ fn dedupe_restores_cardinality_after_injection() {
 }
 
 #[test]
-fn vertical_partition_of_db2_reduces_storage() {
-    let rel = db2_sample(&Db2Spec::default()).relation;
-    let values = cluster_values_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(0.0), None);
-    let grouping = group_attributes(&values, rel.n_attrs());
-    let vp = vertical_partition(&rel, &grouping, 3);
-    assert!(vp.fragments.len() >= 3);
-    assert!(
-        vp.storage_reduction() > 0.3,
-        "3-way split of a star join should cut ≥30% of cells, got {:.2}",
-        vp.storage_reduction()
-    );
-    // Every fragment is a valid projection covering all tuples' data.
-    let union: AttrSet = vp.fragments.iter().fold(AttrSet::EMPTY, |u, &f| u.union(f));
-    assert_eq!(union, rel.all_attrs());
-}
-
-#[test]
 fn information_content_flags_derivable_columns() {
     let rel = db2_sample(&Db2Spec::default()).relation;
     let dep_no = rel.attr_id("DepNo").unwrap();
     let dep_name = rel.attr_id("DepName").unwrap();
-    let fds = vec![Fd::new(AttrSet::single(dep_no), dep_name)];
     // DepName is (almost) fully derivable from DepNo: every department
-    // appears in many tuples, so all but ~one witness per department are
-    // pinned.
-    let c = column_content(&rel, &fds, dep_name);
-    assert!(c < 0.25, "DepName content {c}");
-    // And redundant_cells_ctx agrees with the count implied by 7 groups.
+    // appears in many tuples, so all but one witness per department are
+    // redundant — the count implied by 7 groups.
     let cells = redundant_cells_ctx(&AnalysisCtx::of(&rel), AttrSet::single(dep_no), dep_name);
     assert_eq!(cells.len(), 90 - 7);
 }

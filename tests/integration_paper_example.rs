@@ -39,8 +39,8 @@ fn figure7_clusters_and_figure9_f_matrix() {
 
 #[test]
 fn figure10_dendrogram_and_section7_ranking() {
-    let rel = figure4();
-    let values = cluster_values_ctx(&AnalysisCtx::of(&rel), LimboParams::with_phi(0.0), None);
+    let ctx = AnalysisCtx::of(&figure4());
+    let values = cluster_values_ctx(&ctx, LimboParams::with_phi(0.0), None);
     let grouping = group_attributes(&values, 3);
     // B,C merge first (δI ≈ 0.158); A joins last (δI ≈ 0.5155 ≈ "0.52").
     let seq = grouping.merge_sequence();
@@ -58,9 +58,9 @@ fn figure10_dendrogram_and_section7_ranking() {
     assert!(!ranked[1].promoted);
 
     // Decomposing by C→B removes more redundancy than by A→B.
-    let d_c = decompose(&rel, &ranked[0]);
-    let d_a = decompose(&rel, &ranked[1]);
-    assert!(d_c.s1.n_tuples() < d_a.s1.n_tuples() + d_a.s2.n_tuples());
+    let d_c = decompose(&ctx, &ranked[0]);
+    let d_a = decompose(&ctx, &ranked[1]);
+    assert!(d_c.s1_tuples < d_a.s1_tuples + d_a.s2.n_tuples());
     assert!(d_c.storage_reduction() > d_a.storage_reduction());
 }
 

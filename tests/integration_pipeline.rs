@@ -58,17 +58,16 @@ fn analysis_is_deterministic() {
 fn iterative_decomposition_reduces_storage() {
     // Repeatedly splitting by the top-ranked dependency shrinks total
     // cells and terminates.
-    let rel = db2_sample(&Db2Spec::default()).relation;
-    let mut current = rel;
+    let mut current = AnalysisCtx::from(db2_sample(&Db2Spec::default()).relation);
     let mut extracted_cells = 0usize;
     let start_cells = current.n_tuples() * current.n_attrs();
     for _ in 0..4 {
-        let report = StructureMiner::default().analyze_ctx(&AnalysisCtx::of(&current));
+        let report = StructureMiner::default().analyze_ctx(&current);
         let Some(top) = report.ranked.iter().find(|r| r.fd.promoted) else {
             break;
         };
         let d = decompose(&current, &top.fd);
-        extracted_cells += d.s1.n_tuples() * d.s1.n_attrs();
+        extracted_cells += d.s1_tuples * d.s1_attrs.len();
         current = d.s2;
     }
     let end_cells = extracted_cells + current.n_tuples() * current.n_attrs();
