@@ -395,13 +395,19 @@ impl AnalysisCtx {
             .expect("the sweep fills every partition cell")
     }
 
-    /// All single-attribute partitions, in attribute order. `threads`
-    /// bounds the workers that read them (`m ≤ 64`, so in practice the
-    /// parallel map's small-input serial fallback applies — the knob
-    /// exists for interface symmetry with the TANE seed it replaces).
-    /// The first access triggers the one shared sweep.
-    pub fn attr_partitions_with(&self, threads: usize) -> Vec<&StrippedPartition> {
-        dbmine_parallel::par_map_range(threads, self.n_attrs(), |a| self.attr_partition(a))
+    /// All single-attribute partitions, in attribute order. The first
+    /// access triggers the one shared sweep.
+    pub fn attr_partitions(&self) -> Vec<&StrippedPartition> {
+        (0..self.n_attrs())
+            .map(|a| self.attr_partition(a))
+            .collect()
+    }
+
+    /// [`Self::attr_partitions`]; `threads` is ignored. Kept for
+    /// `bench_e2e` until the benchmark stops calling it.
+    #[doc(hidden)]
+    pub fn attr_partitions_with(&self, _threads: usize) -> Vec<&StrippedPartition> {
+        self.attr_partitions()
     }
 
     /// `π_attrs`: [`StrippedPartition::product_of`] the memoized `π_A`
@@ -649,10 +655,10 @@ mod tests {
     fn attr_partitions_with_builds_each_once() {
         let rel = figure4();
         let ctx = AnalysisCtx::of(&rel);
-        let parts = ctx.attr_partitions_with(4);
+        let parts = ctx.attr_partitions();
         assert_eq!(parts.len(), rel.n_attrs());
         assert_eq!(ctx.view_stats().builds, rel.n_attrs() as u64);
-        let again = ctx.attr_partitions_with(1);
+        let again = ctx.attr_partitions_with(4);
         assert_eq!(parts, again);
         assert_eq!(ctx.view_stats().builds, rel.n_attrs() as u64);
     }

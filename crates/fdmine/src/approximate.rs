@@ -11,8 +11,9 @@
 //! ([`crate::lattice::walk_minimal`]) with a `g3` test, emitting all
 //! minimal `X → A` with `g3(X → A) ≤ ε`. At ε = 0 the test is exact TANE
 //! ([`crate::tane`] wraps it) and opens TANE's per-level spans. `g3` is
-//! a function of the partitions, so the walk's rhs⁺ (`C⁺`) rules hold
-//! at every ε, but its key rule only at ε = 0 (the lattice module docs
+//! a function of the partitions, so the walk's exact-FD rule holds at
+//! every ε, but its key rule, which reads minimality off `C⁺` because
+//! the exact walk is complete, only at ε = 0 (the lattice module docs
 //! have the arguments and a counterexample). At ε > 0 each `g3` is
 //! computed from π_{X∖A} and π_A's class ids; at ε = 0 only whether
 //! `X∖A → A` holds is read ([`Candidate::holds`]). Neither needs π_X on
@@ -106,7 +107,7 @@ pub(crate) fn mine_g3(
     threads: usize,
     name: &'static str,
 ) -> Vec<(Fd, f64)> {
-    let attr_parts = ctx.attr_partitions_with(threads);
+    let attr_parts = ctx.attr_partitions();
     let _span = dbmine_telemetry::span(name);
     walk_minimal(
         ctx.n_tuples(),

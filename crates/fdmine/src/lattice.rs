@@ -16,20 +16,36 @@
 //!   level but the last two of a bounded walk, then by whichever
 //!   pruning rules below hold for the test.
 //!
-//! # Pruning: C⁺ and keys
+//! # Pruning: C⁺
 //!
-//! Every set `X` carries the rhs⁺ candidates of Huhtala et al.:
-//! `C⁺(∅) = R`, `C⁺(X) = ∩_{A∈X} C⁺(X∖{A})`, narrowed by the rules
-//! below, and the walk scores `X∖{A} → A` only for `A ∈ X ∩ C⁺(X)`. A
-//! join candidate is kept only if all of its one-smaller subsets
-//! survived, so the intersection reaches every subset of `X`.
+//! Every scored set `X` carries `C⁺(X)`, the walk's only pruning state:
+//! the consequents `A ∈ R` for which no emitted `L → A` has
+//! `L ⊆ X∖{A}`, narrowed by the exact-FD rule below (the rhs⁺
+//! candidates of Huhtala et al., with the minimality check folded in).
+//! `C⁺(∅) = R`, and on each level `k` the walk
 //!
-//! * **Remove A** (every test). Emitting `X∖{A} → A` drops `A` from
-//!   `C⁺(X)`. So `A ∈ X` is outside `C⁺(X)` exactly when an emitted
-//!   `L → A` has `L ⊆ X∖{A}`: the minimality check. A same-level
-//!   emission never covers a sibling: their LHSs have one size.
+//! 1. scores `X∖{A} → A` for each `A ∈ X` in `∩_{B∈X} C⁺(X∖{B})`, over
+//!    the previous level's sets: exactly the `A` that no emitted
+//!    `L ⊆ X∖{A}` covers, so every emission is minimal;
+//! 2. merges the level's emissions serially, each emitted `L → A`
+//!    dropping `A` from the previous level's `C⁺(L)`;
+//! 3. sets `C⁺(X) = ∩_{B∈X} C⁺(X∖{B})` over the updated sets, then
+//!    narrows it by the exact-FD rule.
+//!
+//! A join candidate is kept only if all of its one-smaller subsets
+//! survived, so the intersection reaches every subset of `X`. An
+//! emitted `L ⊆ X∖{A}` with `|L| < k − 1` misses some `B ∈ X∖{A}`, and
+//! `A` is already out of `C⁺(X∖{B})`; one with `|L| = k − 1` is some
+//! `X∖{B}`, from which step 2 drops `A`. For `A ∉ X` that is a
+//! sibling's emission: `(X∖{B}) ∪ {A}` emitted `X∖{B} → A`.
+//!
+//! No superset `Z` of `X` can emit `Z∖{A} → A` minimally for
+//! `A ∉ C⁺(X)`: the emitted `L ⊆ X∖{A}` lies in `Z∖{A}`. So a set whose
+//! `C⁺` is empty leaves the join under every test, and a survivor filter
+//! ([`MinimalTest::survivors`]) bounds only the consequents in `C⁺(X)`.
+//!
 //! * **Exact FD** ([`MinimalTest::exact`]: `g3` at every ε). Emitting
-//!   an exact `X∖{A} → A` drops `R∖X` from `C⁺(X)`. Then π_X =
+//!   an exact `X∖{A} → A` narrows `C⁺(X)` to `X`. Then π_X =
 //!   π_{X∖A}, so for `Z ⊇ X` and `B ∈ Z∖X`, π_{Z∖B} = π_{Z∖{A,B}} and
 //!   π_Z = π_{Z∖A}: a score that is a function of the partitions gives
 //!   `Z∖{B} → B` the value of the smaller `Z∖{A,B} → B`, so it is never
@@ -37,18 +53,18 @@
 //!   the rule, which would change the candidates its branch-and-bound
 //!   scores and bounds.
 //! * **Key** ([`MinimalTest::key_score`]: only `g3` at ε = 0). A key
-//!   `X` (π_X has no class) leaves the join, and each `X → A` with
-//!   `A ∈ C⁺(X)∖X` is emitted directly if no `X∖{B} → A` holds. At
-//!   ε = 0 this is TANE's own rule: a superset `Z` of a key is a key,
-//!   so an exact `Z∖{B} → B` makes `Z∖{B}` a key, from which a minimal
-//!   one is emitted. At ε > 0 it loses dependencies: over `(a, b, c)`,
+//!   `X` (π_X has no class) leaves the join, and `X → A` is emitted for
+//!   each `A ∈ C⁺(X)∖X`. At ε = 0 this is sound because the walk is
+//!   complete: `X → A` holds, and it is minimal unless some `X∖{B} → A`
+//!   holds, when a minimal `L ⊆ X∖{B}` with `L → A` was emitted by
+//!   level `k` and `A ∉ C⁺(X)`. Nothing is lost with the key's
+//!   supersets: a superset `Z` of a key is a key, so an exact
+//!   `Z∖{B} → B` makes `Z∖{B}` a key, from which a minimal one is
+//!   emitted. At ε > 0 the rule loses dependencies: over `(a, b, c)`,
 //!   the rows `a1 b1 c1 · a2 b2 c1 · a3 b1 c2 · a4 b2 c2 · a5 b1 c3 ·
 //!   a6 b2 c3 · a7 b1 c4 · a10 b2 c4 · a8 b1 c5 · a9 b1 c5` make `{a}` a
 //!   key and `[b,c] → [a]` minimal at `g3` = 0.1, but only the
 //!   candidate `{a,b,c}` tests it, never generated once `{a}` is gone.
-//!
-//! A set whose `C⁺` is empty leaves the join under every test: its
-//! supersets would score nothing.
 //!
 //! # The last level of a bounded walk
 //!
@@ -176,7 +192,9 @@ pub fn next_level(
             });
         blocks[idx].push(s);
     }
-    let mut seen: FxHashSet<u64> = FxHashSet::default();
+    // A candidate comes only from the block of its set minus its two
+    // largest attributes, joined from the pair of those two: each is
+    // enumerated once.
     let mut candidates: Vec<(AttrSet, u64, u64)> = Vec::new();
     for group in &blocks {
         for (i, &left) in group.iter().enumerate() {
@@ -184,7 +202,6 @@ pub fn next_level(
                 let x = left.union(right);
                 if x.iter()
                     .all(|a| survivor_bits.contains(&x.without(a).bits()))
-                    && seen.insert(x.bits())
                 {
                     candidates.push((x, left.bits(), right.bits()));
                 }
@@ -366,16 +383,17 @@ pub trait MinimalTest: Sync {
     /// The sets of a scored level that seed the next level's join; not
     /// called on the last two levels of a bounded walk.
     /// `tested[i]` holds `(a, score)` for every consequent of `sets[i]`
-    /// that was scored (those outside `C⁺` are absent), and
-    /// `found_lhs[a]` every LHS emitted for `a` so far, this level's
-    /// included. The walk then drops the sets its own rules prune.
-    /// Default: every set survives.
+    /// that was scored (those no earlier emission covered), and
+    /// `cplus[i]` is `C⁺(sets[i])` after this level's emissions: the
+    /// only consequents that a superset of `sets[i]` can still emit
+    /// (see the module docs). The walk then drops the sets its own
+    /// rules prune. Default: every set survives.
     fn survivors(
         &self,
         sets: &[AttrSet],
         _parts: &FxHashMap<u64, StrippedPartition>,
         _tested: &[Vec<(usize, Self::Score)>],
-        _found_lhs: &[Vec<AttrSet>],
+        _cplus: &[AttrSet],
     ) -> Vec<AttrSet> {
         sets.to_vec()
     }
@@ -405,13 +423,16 @@ pub fn walk_minimal<T: MinimalTest>(
     let r = AttrSet::full(attr_parts.len());
     let attr_ids: Vec<OnceLock<Vec<u32>>> = attr_parts.iter().map(|_| OnceLock::new()).collect();
     let mut found: Vec<(Fd, T::Score)> = Vec::new();
-    // Per RHS, the LHSs already emitted (a survivor filter reads them).
-    let mut found_lhs: Vec<Vec<AttrSet>> = vec![Vec::new(); attr_parts.len()];
     // The previous level: its survivors' partitions, every set's C⁺.
     let mut prev_parts: FxHashMap<u64, StrippedPartition> =
         std::iter::once((AttrSet::EMPTY.bits(), StrippedPartition::of_empty(n))).collect();
     let mut prev_cplus: FxHashMap<u64, AttrSet> =
         std::iter::once((AttrSet::EMPTY.bits(), r)).collect();
+    // Every X∖{B} survived, or X would not be a candidate.
+    let subsets_cplus = |prev_cplus: &FxHashMap<u64, AttrSet>, x: AttrSet| {
+        x.iter()
+            .fold(r, |c, b| c.intersect(prev_cplus[&x.without(b).bits()]))
+    };
     let mut sets: Vec<AttrSet> = (0..attr_parts.len()).map(AttrSet::single).collect();
     let mut current = Level::Parts(
         attr_parts
@@ -428,15 +449,10 @@ pub fn walk_minimal<T: MinimalTest>(
         // level, so no survivor filter runs there (see the module docs).
         let reaches_survivors = max_lhs.is_none_or(|max| level < max);
         let scoring = test.span(Step::Score);
-        let (cplus, tested): (Vec<AttrSet>, Vec<_>) =
+        let tested: Vec<Vec<(usize, T::Score)>> =
             par_map_init(threads, &sets, PartitionScratch::new, |scratch, _, &x| {
-                // Every X∖{A} survived, or X would not be a candidate.
-                let mut cplus = x
-                    .iter()
-                    .fold(r, |c, a| c.intersect(prev_cplus[&x.without(a).bits()]));
                 let x_sizes = current.sizes(x);
-                let tested: Vec<(usize, T::Score)> = x
-                    .intersect(cplus)
+                x.intersect(subsets_cplus(&prev_cplus, x))
                     .iter()
                     .map(|a| {
                         let candidate = Candidate {
@@ -449,26 +465,29 @@ pub fn walk_minimal<T: MinimalTest>(
                         };
                         (a, test.score(&candidate, scratch))
                     })
-                    .collect();
-                for (a, score) in &tested {
-                    if test.emits(score) {
-                        cplus = cplus.without(*a);
-                        if test.exact(score) {
-                            cplus = cplus.intersect(x);
-                        }
-                    }
-                }
-                (cplus, tested)
-            })
-            .into_iter()
-            .unzip();
+                    .collect()
+            });
+        // The serial merge: each emitted `L → A` drops `A` from `C⁺(L)`,
+        // which every `C⁺(X)` with `L ⊆ X` then reads (module docs).
         for (&x, cases) in sets.iter().zip(&tested) {
-            for &(a, score) in cases {
-                if test.emits(&score) {
-                    emit(&mut found, &mut found_lhs, Fd::new(x.without(a), a), score);
-                }
+            for &(a, score) in cases.iter().filter(|(_, score)| test.emits(score)) {
+                let lhs = x.without(a);
+                found.push((Fd::new(lhs, a), score));
+                let cplus = prev_cplus.get_mut(&lhs.bits()).expect("X∖{A} is a subset");
+                *cplus = cplus.without(a);
             }
         }
+        let cplus: Vec<AttrSet> = sets
+            .iter()
+            .zip(&tested)
+            .map(|(&x, cases)| {
+                let cplus = subsets_cplus(&prev_cplus, x);
+                match cases.iter().any(|(_, s)| test.emits(s) && test.exact(s)) {
+                    true => cplus.intersect(x),
+                    false => cplus,
+                }
+            })
+            .collect();
         drop(scoring);
         if max_lhs.is_some_and(|max| level > max) {
             break;
@@ -477,25 +496,16 @@ pub fn walk_minimal<T: MinimalTest>(
         let mut parts = current.into_parts();
         let pruning = test.span(Step::Prune);
         let mut survivors = match reaches_survivors {
-            true => test.survivors(&sets, &parts, &tested, &found_lhs),
+            true => test.survivors(&sets, &parts, &tested, &cplus),
             false => sets.clone(),
         };
         let mut pruned: FxHashSet<u64> = FxHashSet::default();
-        let mut keys = KeyCheck {
-            n,
-            attr_parts: &attr_parts,
-            levels: [&prev_parts, &parts],
-            memo: FxHashMap::default(),
-            scratch: PartitionScratch::new(),
-        };
         for (&x, &cp) in sets.iter().zip(&cplus) {
             let key = test
                 .key_score()
                 .filter(|_| !cp.is_empty() && parts[&x.bits()].is_key());
             if let Some(score) = key {
-                for a in cp.minus(x).iter().filter(|&a| keys.minimal(x, a)) {
-                    emit(&mut found, &mut found_lhs, Fd::new(x, a), score);
-                }
+                found.extend(cp.minus(x).iter().map(|a| (Fd::new(x, a), score)));
             }
             if cp.is_empty() || key.is_some() {
                 pruned.insert(x.bits());
@@ -505,8 +515,8 @@ pub fn walk_minimal<T: MinimalTest>(
         drop(pruning);
 
         let _generating = test.span(Step::Generate);
-        // Scoring and the key rule were the last readers of the previous
-        // level: free it before the join allocates the next one.
+        // Scoring was the last reader of the previous level's partitions:
+        // free them before the join allocates the next level.
         prev_parts.clear();
         let build = match max_lhs == Some(level) {
             false => Build::Parts,
@@ -529,66 +539,4 @@ pub fn walk_minimal<T: MinimalTest>(
 
     found.sort_by_key(|f| f.0);
     found
-}
-
-fn emit<S>(found: &mut Vec<(Fd, S)>, found_lhs: &mut [Vec<AttrSet>], fd: Fd, score: S) {
-    found_lhs[fd.rhs].push(fd.lhs);
-    found.push((fd, score));
-}
-
-/// The key rule's minimality check at one level. It reads `e(π_Y)` from
-/// the previous level's survivors or this level where the walk has `π_Y`,
-/// else builds `π_Y` once per level into `memo` by extending π of `Y`
-/// minus its last attribute by one product. Each read counts as one
-/// `tane_prune_cache_hits` or `tane_prune_cache_misses`.
-struct KeyCheck<'a> {
-    n: usize,
-    attr_parts: &'a [&'a StrippedPartition],
-    levels: [&'a FxHashMap<u64, StrippedPartition>; 2],
-    memo: FxHashMap<u64, StrippedPartition>,
-    scratch: PartitionScratch,
-}
-
-impl KeyCheck<'_> {
-    /// Whether `X → A` is minimal for a key `X`: no `X∖{B} → A` holds.
-    fn minimal(&mut self, x: AttrSet, a: usize) -> bool {
-        x.iter().all(|b| {
-            let sub = x.without(b);
-            self.error(sub) != self.error(sub.with(a))
-        })
-    }
-
-    /// `e(π_set)`.
-    fn error(&mut self, set: AttrSet) -> usize {
-        if let Some(p) = lookup(&self.levels, &self.memo, set) {
-            counter_add(Counter::TanePruneCacheHits, 1);
-            return p.error();
-        }
-        counter_add(Counter::TanePruneCacheMisses, 1);
-        let partition = match set.iter().last() {
-            None => StrippedPartition::of_empty(self.n),
-            Some(last) if set.len() == 1 => self.attr_parts[last].clone(),
-            Some(last) => {
-                let prefix = set.without(last);
-                self.error(prefix); // materializes the prefix (depth ≤ |set|)
-                lookup(&self.levels, &self.memo, prefix)
-                    .expect("prefix just materialized")
-                    .product_with(self.attr_parts[last], &mut self.scratch)
-            }
-        };
-        let error = partition.error();
-        self.memo.insert(set.bits(), partition);
-        error
-    }
-}
-
-fn lookup<'m>(
-    levels: &[&'m FxHashMap<u64, StrippedPartition>; 2],
-    memo: &'m FxHashMap<u64, StrippedPartition>,
-    set: AttrSet,
-) -> Option<&'m StrippedPartition> {
-    levels
-        .iter()
-        .chain([&memo])
-        .find_map(|level| level.get(&set.bits()))
 }

@@ -21,9 +21,9 @@
 //!   Figure-5 situation: one bad value turns `C → B` approximate).
 //! * [`lattice`] — the one levelwise lattice walk behind [`tane`],
 //!   [`approximate`] and the reliable miner of `dbmine-reliability`: the
-//!   prefix-join generation, the minimal-LHS scoring walk, and its rhs⁺
-//!   (`C⁺`) and key pruning rules, each taken by the tests it is sound
-//!   for.
+//!   prefix-join generation, the minimal-LHS scoring walk, and its one
+//!   pruning state, the rhs⁺ sets `C⁺`, which the exact-FD and key
+//!   rules narrow and read, each taken by the tests it is sound for.
 //! * [`mvd`] — multivalued dependencies (the paper's `[25]` sibling
 //!   problem): instance checks, dependency bases, bounded mining.
 

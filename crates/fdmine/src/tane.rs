@@ -9,9 +9,9 @@
 //!
 //! TANE is the `g3` walk at ε = 0 ([`crate::approximate`]): the one
 //! lattice walk ([`crate::lattice::walk_minimal`]) decides `X∖A → A` by
-//! comparing the O(1) errors `e(π_{X∖A})` and `e(π_X)`, and takes all
-//! of its pruning rules — rhs⁺ (`C⁺`) narrowing, the exact-FD rule and
-//! key pruning. The lattice module docs hold their soundness arguments.
+//! comparing the O(1) errors `e(π_{X∖A})` and `e(π_X)`, and takes every
+//! rule over its rhs⁺ sets `C⁺`: the exact-FD rule and key pruning. The
+//! lattice module docs hold their soundness arguments.
 
 use crate::approximate::mine_g3;
 use crate::fd::{normalize_fds, Fd};

@@ -208,7 +208,7 @@ proptest! {
             let oracle = agree_sets_oracle(&sub);
             prop_assert_eq!(&agree_sets(&sub), &oracle, "{} tuples", k);
             let ctx = AnalysisCtx::of(&sub);
-            let from_ctx = agree_sets_from(ctx.n_tuples(), &ctx.attr_partitions_with(1));
+            let from_ctx = agree_sets_from(ctx.n_tuples(), &ctx.attr_partitions());
             prop_assert_eq!(&from_ctx, &oracle, "{} tuples", k);
         }
     }

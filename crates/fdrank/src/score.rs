@@ -60,7 +60,7 @@ impl std::fmt::Display for ScoreKind {
 /// construction: a constant consequent scores 1, not 0/0).
 pub fn rank_by_rfi(ctx: &AnalysisCtx, ranked: Vec<RankedFd>) -> Vec<(RankedFd, f64)> {
     let _span = dbmine_telemetry::span("fdrank.rfi_rank");
-    let scorer = RfiScorer::new(ctx, 1);
+    let scorer = RfiScorer::new(ctx);
     let mut scored: Vec<(RankedFd, f64)> = ranked
         .into_iter()
         .map(|r| {

@@ -34,7 +34,7 @@ use std::collections::HashSet;
 /// assert!(fds.contains(&Fd::new(AttrSet::single(2), 1)));
 /// ```
 pub fn mine_fdep(ctx: &AnalysisCtx) -> Vec<Fd> {
-    let parts = ctx.attr_partitions_with(1);
+    let parts = ctx.attr_partitions();
     from_agree_sets(ctx.n_attrs(), &agree_sets_from(ctx.n_tuples(), &parts))
 }
 

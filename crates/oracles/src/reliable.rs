@@ -43,12 +43,12 @@ pub fn mine_reliable_unpruned(
 ) -> Vec<ReliableFd> {
     assert!((0.0..=1.0).contains(&theta), "θ must be in [0,1]");
     let test = Unpruned {
-        scorer: RfiScorer::new(ctx, threads),
+        scorer: RfiScorer::new(ctx),
         theta,
     };
     walk_minimal(
         ctx.n_tuples(),
-        ctx.attr_partitions_with(threads),
+        ctx.attr_partitions(),
         max_lhs,
         threads,
         &test,

@@ -285,9 +285,9 @@ pub struct RfiScorer {
 
 impl RfiScorer {
     /// Builds a scorer from the context's memoized single-attribute
-    /// partitions (`threads` forwarded to the partition prefetch).
-    pub fn new(ctx: &AnalysisCtx, threads: usize) -> RfiScorer {
-        let parts = ctx.attr_partitions_with(threads);
+    /// partitions.
+    pub fn new(ctx: &AnalysisCtx) -> RfiScorer {
+        let parts = ctx.attr_partitions();
         let y_sizes: Vec<SizeMultiset> = parts
             .iter()
             .map(|p| SizeMultiset::of_sizes(p.sizes()))
@@ -611,7 +611,7 @@ mod tests {
         }
         let rel = b.build();
         let ctx = AnalysisCtx::of(&rel);
-        let scorer = RfiScorer::new(&ctx, 1);
+        let scorer = RfiScorer::new(&ctx);
         // Constant consequent: total by convention, score 1.
         let s = scorer.score_sets(&ctx, AttrSet::single(2), AttrSet::single(1));
         assert_eq!(s.score, 1.0);

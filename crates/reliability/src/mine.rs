@@ -3,24 +3,25 @@
 //!
 //! [`mine_reliable_ctx`] drives fdmine's one lattice walk
 //! (`dbmine_fdmine::lattice::walk_minimal`, which also runs TANE and
-//! `g3`): the walk owns generation, the minimality check (its rhs⁺
-//! remove-A rule) and the serial emission merge, and this module plugs
-//! in a test that scores each candidate `X∖{A} → A` with the
-//! bias-corrected F̂ of [`crate::estimator`] and emits every minimal
-//! dependency with `F̂ ≥ θ`. The test takes neither the walk's exact-FD
-//! rule nor its key rule: the key rule holds only for a test that emits
-//! exactly the dependencies that hold, and the exact-FD rule, though
-//! sound for F̂'s emissions, would change which candidates are scored
-//! and bounded.
+//! `g3`): the walk owns generation, the rhs⁺ sets `C⁺` (the consequents
+//! no emitted LHS covers, which are its minimality check) and the
+//! serial emission merge, and this module plugs in a test that scores
+//! each candidate `X∖{A} → A` with the bias-corrected F̂ of
+//! [`crate::estimator`] and emits every minimal dependency with
+//! `F̂ ≥ θ`. The test takes neither the walk's exact-FD rule nor its
+//! key rule: the key rule holds only for a test that emits exactly the
+//! dependencies that hold, and the exact-FD rule, though sound for F̂'s
+//! emissions, would change which candidates are scored and bounded.
 //!
 //! Its survivor filter is the Mandros et al. branch-and-bound rule: a
 //! candidate set `X` can be dropped from generation when **no**
 //! dependency reachable through its descendants can still clear `θ`,
-//! i.e. when `F̄ < θ` for every consequent — both `A ∈ X` (whose
-//! descendants test supersets of `X∖{A}`, reusing the bias already paid
-//! for in the scoring pass) and `A ∉ X` (a fresh bound from `π_X`'s
-//! size multiset). Because `F̄` is admissible and the minimality filter
-//! is hereditary, pruning never changes the result: the mined set is
+//! i.e. when `F̄ < θ` for every consequent in `C⁺(X)`, the only ones its
+//! descendants can still emit — both `A ∈ X` (whose descendants test
+//! supersets of `X∖{A}`, reusing the bias already paid for in the
+//! scoring pass) and `A ∉ X` (a fresh bound from `π_X`'s size
+//! multiset). Because `F̄` is admissible and a descendant's `C⁺` is
+//! within `C⁺(X)`, pruning never changes the result: the mined set is
 //! bit-identical to the unpruned walk's
 //! (`dbmine_oracles::mine_reliable_unpruned`, pinned by tests), while
 //! the lattice shrinks by the amounts recorded in the `bnb_bounds` /
@@ -55,7 +56,7 @@ use crate::estimator::{RfiScore, RfiScorer, SizeMultiset};
 use dbmine_context::AnalysisCtx;
 use dbmine_fdmine::lattice::{walk_minimal, Candidate, MinimalTest, Step};
 use dbmine_fdmine::Fd;
-use dbmine_parallel::par_map;
+use dbmine_parallel::par_map_range;
 use dbmine_relation::partition::{PartitionScratch, StrippedPartition};
 use dbmine_relation::AttrSet;
 use dbmine_telemetry::{counter_add, span, Counter, Span};
@@ -159,60 +160,45 @@ impl MinimalTest for RfiTest {
         matches!(scored, Scored::Emitted(..))
     }
 
-    /// X survives into generation unless every consequent's descendants
-    /// are provably hopeless. For A ∈ X the bias from the scoring pass
-    /// is reused (its bound covers every superset of X∖{A}); for A ∉ X a
-    /// fresh bound is computed from π_X's size multiset (its bound
-    /// covers every superset of X). The minimality short-circuit is
-    /// hereditary — an emitted subset LHS covers every descendant's LHS
-    /// — so pruning never removes a dependency the unpruned walk would
-    /// emit.
+    /// X survives into generation unless every consequent its
+    /// descendants can still emit — those in `C⁺(X)` — is provably
+    /// hopeless. For A ∈ X the bias from the scoring pass is reused (its
+    /// bound covers every superset of X∖{A}); for A ∉ X a fresh bound is
+    /// computed from π_X's size multiset (its bound covers every
+    /// superset of X). A consequent outside `C⁺(X)` is covered by an
+    /// emitted subset LHS in every descendant, so pruning never removes
+    /// a dependency the unpruned walk would emit.
     fn survivors(
         &self,
         sets: &[AttrSet],
         parts: &FxHashMap<u64, StrippedPartition>,
         tested: &[Vec<(usize, Scored)>],
-        found_lhs: &[Vec<AttrSet>],
+        cplus: &[AttrSet],
     ) -> Vec<AttrSet> {
         let (scorer, theta) = (&self.scorer, self.theta);
-        let verdicts: Vec<(bool, u64)> = par_map(
-            self.threads,
-            &sets.iter().zip(tested).collect::<Vec<_>>(),
-            |_, &(&x, cases)| {
-                let mut bounds = 0u64;
-                let mut prunable = true;
-                'decide: {
-                    for &(a, scored) in cases {
-                        if found_lhs[a].iter().any(|&f| f.is_subset_of(x.without(a))) {
-                            continue; // covered by this level's emissions
-                        }
-                        let (Scored::Rejected(rfi) | Scored::Emitted(rfi, _)) = scored else {
-                            unreachable!("a filtered level computes every bias")
-                        };
-                        bounds += 1;
-                        if scorer.bound_from_bias(rfi.bias, a) >= theta {
-                            prunable = false;
-                            break 'decide;
-                        }
+        let verdicts: Vec<(bool, u64)> = par_map_range(self.threads, sets.len(), |i| {
+            let (x, cp) = (sets[i], cplus[i]);
+            let mut bounds = 0u64;
+            let mut hopeless = |bound: f64| {
+                bounds += 1;
+                bound < theta
+            };
+            let in_x_hopeless = tested[i].iter().filter(|&&(a, _)| cp.contains(a)).all(
+                |&(a, scored)| match scored {
+                    Scored::Rejected(rfi) | Scored::Emitted(rfi, _) => {
+                        hopeless(scorer.bound_from_bias(rfi.bias, a))
                     }
-                    let x_sizes = SizeMultiset::of_sizes(parts[&x.bits()].sizes());
-                    for (b, found) in found_lhs.iter().enumerate() {
-                        if x.contains(b) {
-                            continue;
-                        }
-                        if found.iter().any(|&f| f.is_subset_of(x)) {
-                            continue;
-                        }
-                        bounds += 1;
-                        if scorer.bound(&x_sizes, b) >= theta {
-                            prunable = false;
-                            break 'decide;
-                        }
-                    }
-                }
-                (prunable, bounds)
-            },
-        );
+                    Scored::Skipped => unreachable!("a filtered level computes every bias"),
+                },
+            );
+            let prunable = in_x_hopeless && {
+                let x_sizes = SizeMultiset::of_sizes(parts[&x.bits()].sizes());
+                cp.minus(x)
+                    .iter()
+                    .all(|b| hopeless(scorer.bound(&x_sizes, b)))
+            };
+            (prunable, bounds)
+        });
         counter_add(Counter::BnbBounds, verdicts.iter().map(|v| v.1).sum());
         counter_add(
             Counter::BnbPrunes,
@@ -245,13 +231,13 @@ pub fn mine_reliable_ctx(ctx: &AnalysisCtx, options: ReliableOptions) -> Vec<Rel
     assert!((0.0..=1.0).contains(&theta), "θ must be in [0,1]");
     let _span = span("fdmine.reliable");
     let test = RfiTest {
-        scorer: RfiScorer::new(ctx, threads),
+        scorer: RfiScorer::new(ctx),
         theta,
         threads,
     };
     walk_minimal(
         ctx.n_tuples(),
-        ctx.attr_partitions_with(threads),
+        ctx.attr_partitions(),
         max_lhs,
         threads,
         &test,

@@ -255,7 +255,7 @@ proptest! {
     #[test]
     fn rfi_score_matches_brute_force_reference(rel in tiny_relation()) {
         let ctx = AnalysisCtx::of(&rel);
-        let scorer = RfiScorer::new(&ctx, 1);
+        let scorer = RfiScorer::new(&ctx);
         for a in 0..rel.n_attrs() {
             for b in 0..rel.n_attrs() {
                 if a == b { continue; }
@@ -285,7 +285,7 @@ proptest! {
     fn mine_reliable_matches_minimal_oracle(rel in small_relation(), theta_pct in 0u32..=100) {
         let theta = theta_pct as f64 / 100.0;
         let ctx = AnalysisCtx::of(&rel);
-        let scorer = RfiScorer::new(&ctx, 1);
+        let scorer = RfiScorer::new(&ctx);
         for max_lhs in [None, Some(1), Some(2)] {
             let oracle = minimal_oracle(
                 rel.n_attrs(),
@@ -311,7 +311,7 @@ proptest! {
         pick in 0u32..1 << 16,
     ) {
         let ctx = AnalysisCtx::of(&rel);
-        let scorer = RfiScorer::new(&ctx, 1);
+        let scorer = RfiScorer::new(&ctx);
         let m = rel.n_attrs();
         let a = pick as usize % m;
         let lhs = AttrSet::from_bits(u64::from(pick) / m as u64 % (1 << m)).without(a);

@@ -57,7 +57,7 @@ fn g3_accepts_spurious_key_fd_that_rfi_rejects() {
 
     // F̂'s verdict on the same pair: exactly chance.
     let ctx = AnalysisCtx::of(&rel);
-    let scorer = RfiScorer::new(&ctx, 1);
+    let scorer = RfiScorer::new(&ctx);
     let spurious = scorer.score_sets(&ctx, AttrSet::single(0), AttrSet::single(2));
     assert!(
         (spurious.plugin - 1.0).abs() < 1e-12,
@@ -215,7 +215,7 @@ fn emitted_scores_match_standalone_estimator() {
     // API computes for the same pair — one estimator, two entry points.
     let rel = figure4();
     let ctx = AnalysisCtx::of(&rel);
-    let scorer = RfiScorer::new(&ctx, 1);
+    let scorer = RfiScorer::new(&ctx);
     for f in mine_reliable_ctx(
         &AnalysisCtx::of(&rel),
         ReliableOptions {

@@ -39,12 +39,6 @@ pub enum Counter {
     /// levels (the level-wise lattice size), for every score: exact,
     /// `g3` and F̂.
     TaneLatticeNodes,
-    /// The key rule's minimality check (exact TANE): subset error
-    /// lookups served from a partition the walk holds or has memoized.
-    TanePruneCacheHits,
-    /// The key rule's minimality check (exact TANE): subset errors that
-    /// had to materialize a partition.
-    TanePruneCacheMisses,
     /// Redundant cells counted by FD-RANK (`fdrank::redundant_cells_ctx`),
     /// summed over ranked FDs.
     FdrankRedundantCells,
@@ -95,7 +89,7 @@ pub enum Counter {
 }
 
 /// Number of distinct counters.
-pub const N_COUNTERS: usize = 25;
+pub const N_COUNTERS: usize = 23;
 
 /// All counters, in index order. `COUNTERS[c as usize] == c` for every
 /// counter `c`.
@@ -109,8 +103,6 @@ pub const COUNTERS: [Counter; N_COUNTERS] = [
     Counter::PartitionProducts,
     Counter::G3Evals,
     Counter::TaneLatticeNodes,
-    Counter::TanePruneCacheHits,
-    Counter::TanePruneCacheMisses,
     Counter::FdrankRedundantCells,
     Counter::ViewBuilds,
     Counter::ViewCacheHits,
@@ -140,8 +132,6 @@ impl Counter {
             Counter::PartitionProducts => "partition_products",
             Counter::G3Evals => "g3_evals",
             Counter::TaneLatticeNodes => "tane_lattice_nodes",
-            Counter::TanePruneCacheHits => "tane_prune_cache_hits",
-            Counter::TanePruneCacheMisses => "tane_prune_cache_misses",
             Counter::FdrankRedundantCells => "fdrank_redundant_cells",
             Counter::ViewBuilds => "view_builds",
             Counter::ViewCacheHits => "view_cache_hits",

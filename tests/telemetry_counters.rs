@@ -96,9 +96,6 @@ fn tane_lattice_sizes_on_a_three_attribute_relation() {
     assert!(fds.is_empty(), "no FD holds in this relation: {fds:?}");
     assert_eq!(d.get(Counter::TaneLatticeNodes), expect(7));
     assert_eq!(d.get(Counter::PartitionProducts), expect(4));
-    // The key-pruning minimality check never ran (no emissions).
-    assert_eq!(d.get(Counter::TanePruneCacheHits), 0);
-    assert_eq!(d.get(Counter::TanePruneCacheMisses), 0);
 }
 
 #[test]
@@ -106,14 +103,19 @@ fn every_score_counts_its_lattice_nodes() {
     // The walk counts the sets it scores, whatever the test. On the same
     // relation, g3 at ε = 0 is exact TANE: no FD, 7 nodes, 4 products.
     // At ε = 0.5, level 1 emits ∅ → A, ∅ → B (g3 0.5) and ∅ → C (g3
-    // 1/3); rhs⁺ pruning then leaves nothing to score at levels 2 and
-    // 3, which the walk still visits: 7 nodes, 4 products, 3 g3 evals.
+    // 1/3). Those emissions cover every consequent of every set, so
+    // each level-1 set's C⁺ is empty, none seeds the join, and the walk
+    // stops: 3 nodes, 0 products, 3 g3 evals.
     let rel = three_attribute_relation();
-    for (eps, fds, g3_evals) in [(0.0, 0, 0), (0.5, 3, 3)] {
+    for (eps, fds, nodes, products, g3_evals) in [(0.0, 0, 7, 4, 0), (0.5, 3, 3, 0, 3)] {
         let (out, d) = with_deltas(|| mine_approximate_ctx(&AnalysisCtx::of(&rel), eps, None, 1));
         assert_eq!(out.len(), fds, "ε = {eps}");
-        assert_eq!(d.get(Counter::TaneLatticeNodes), expect(7), "ε = {eps}");
-        assert_eq!(d.get(Counter::PartitionProducts), expect(4), "ε = {eps}");
+        assert_eq!(d.get(Counter::TaneLatticeNodes), expect(nodes), "ε = {eps}");
+        assert_eq!(
+            d.get(Counter::PartitionProducts),
+            expect(products),
+            "ε = {eps}"
+        );
         assert_eq!(d.get(Counter::G3Evals), expect(g3_evals), "ε = {eps}");
     }
 }
