@@ -38,7 +38,11 @@ fn bench_js(c: &mut Criterion) {
 
 /// The shipped in-place merge beside the allocating oracle it replaced,
 /// over the same inputs; the in-place row clones its left side outside
-/// the timer.
+/// the timer. `reference` runs the oracle on the same two hot inputs
+/// and drops each result inside the timer, so its buffer is reused;
+/// `reference_batched` runs it in the in-place row's harness (a fresh
+/// left side per call, each result kept until the sample ends), which
+/// is the like-for-like comparison.
 fn bench_merge(c: &mut Criterion) {
     let mut g = c.benchmark_group("dcf_merge");
     for &n in &[16usize, 256, 4096] {
@@ -56,6 +60,13 @@ fn bench_merge(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("reference", n), &n, |b, _| {
             b.iter(|| dcf_merge(black_box(&a), black_box(&b_)))
+        });
+        g.bench_with_input(BenchmarkId::new("reference_batched", n), &n, |b, _| {
+            b.iter_batched(
+                || a.clone(),
+                |left| dcf_merge(black_box(&left), black_box(&b_)),
+                BatchSize::SmallInput,
+            )
         });
     }
     g.finish();

@@ -31,8 +31,11 @@
 //! Every view is built one way on both: one chunk fold from
 //! `dbmine-relation` over one pass of [`AnalysisCtx::chunks`] (two
 //! passes for the partition sweep, which counts then places) — except
-//! `I(V;T)` and the projection statistics, read off built views: the
-//! latter off [`AnalysisCtx::partition`], the product of memoized `π_A`.
+//! `I(V;T)`, the projection statistics and the column profiles, read
+//! off built views: the projection statistics off
+//! [`AnalysisCtx::partition`], the product of memoized `π_A`, and a
+//! column profile off its single-attribute projection statistics and
+//! the support matrix `O` of the [`ValueIndex`].
 //! The pass yields a memory source's relation as a single borrowed
 //! chunk ([`Relation::as_chunk`]) and decodes a store in bounded-memory
 //! chunks. The folds read global interned ids in global tuple order, so
@@ -70,11 +73,14 @@
 //! context — so tests can pin exact build counts without serializing on
 //! the process-global counters. The rule is the same on both sources:
 //! the partition sweep counts `m` builds and the access that triggered
-//! it counts nothing; the profile fold counts one build plus one per
-//! single-attribute projection it adds to the memo; every later access
-//! is a hit. Build counts are exact even under concurrent access (the
-//! `OnceLock` initializer runs once; the sweep and the projection memo
-//! compute under their locks, the memo's before the sweep's); hit
+//! it counts nothing; every other view and projection-memo entry counts
+//! one build; every later access is a hit, including a build's reads
+//! of the views it is read off (the profiles read the value index once
+//! and each single-attribute projection, which reads its `π_A`). Build
+//! counts are exact even under concurrent access (each `OnceLock`
+//! initializer runs once, and the projection memo computes under its
+//! lock; builds wait on each other in one order — profiles, then the
+//! value index or the memo, then the sweep — so none deadlocks); hit
 //! counts are exact in the single-threaded case and best-effort during
 //! a concurrent first build. Every fold runs under a `ctx.build_*` span
 //! on both sources, and a row selection under `ctx.select_rows` (store
@@ -97,9 +103,8 @@
 use dbmine_relation::csv::{read_relation_path, CsvError};
 use dbmine_relation::stats::ColumnProfile;
 use dbmine_relation::{
-    attr_partitions_chunks, column_profiles_chunks, select_rows_chunks,
-    tuple_mutual_information_chunks, AttrSet, Relation, RelationChunk, ShardedRelation,
-    StrippedPartition, ValueDict, ValueIndex,
+    attr_partitions_chunks, select_rows_chunks, tuple_mutual_information_chunks, AttrSet, Relation,
+    RelationChunk, ShardedRelation, StrippedPartition, ValueDict, ValueIndex, NULL_VALUE,
 };
 use fxhash::FxHashMap;
 use std::path::Path;
@@ -147,10 +152,7 @@ pub struct AnalysisCtx {
     value_index: OnceLock<ValueIndex>,
     tuple_mi: OnceLock<f64>,
     value_mi: OnceLock<f64>,
-    attr_parts: Vec<OnceLock<StrippedPartition>>,
-    /// Serializes the partition sweep so concurrent first accesses run
-    /// exactly one.
-    part_sweep: Mutex<()>,
+    attr_parts: OnceLock<Vec<StrippedPartition>>,
     profiles: OnceLock<Vec<ColumnProfile>>,
     projections: Mutex<FxHashMap<u64, ProjectionStats>>,
     builds: AtomicU64,
@@ -169,19 +171,12 @@ impl std::fmt::Debug for AnalysisCtx {
 
 impl AnalysisCtx {
     fn with_source(source: CtxSource) -> Self {
-        let m = match &source {
-            CtxSource::Mem(rel) => rel.n_attrs(),
-            CtxSource::Chunks(s) => s.n_attrs(),
-        };
-        let mut attr_parts = Vec::with_capacity(m);
-        attr_parts.resize_with(m, OnceLock::new);
         AnalysisCtx {
             source,
             value_index: OnceLock::new(),
             tuple_mi: OnceLock::new(),
             value_mi: OnceLock::new(),
-            attr_parts,
-            part_sweep: Mutex::new(()),
+            attr_parts: OnceLock::new(),
             profiles: OnceLock::new(),
             projections: Mutex::new(FxHashMap::default()),
             builds: AtomicU64::new(0),
@@ -280,7 +275,7 @@ impl AnalysisCtx {
 
     /// Number of attributes `m`.
     pub fn n_attrs(&self) -> usize {
-        self.attr_parts.len()
+        self.attr_names().len()
     }
 
     /// The relation's name.
@@ -321,9 +316,9 @@ impl AnalysisCtx {
         }
     }
 
-    fn record_build(&self) {
-        self.builds.fetch_add(1, Ordering::Relaxed);
-        dbmine_telemetry::counter_add(dbmine_telemetry::Counter::ViewBuilds, 1);
+    fn record_builds(&self, n: u64) {
+        self.builds.fetch_add(n, Ordering::Relaxed);
+        dbmine_telemetry::counter_add(dbmine_telemetry::Counter::ViewBuilds, n);
     }
 
     fn record_hit(&self) {
@@ -332,23 +327,28 @@ impl AnalysisCtx {
     }
 
     /// The caching kernel every `OnceLock`-backed view goes through:
-    /// serve-and-count a cached value, or build-and-count exactly once
-    /// (the `OnceLock` guarantees the initializer runs on one thread
-    /// even under concurrent first access).
-    fn view<'a, T>(&self, cell: &'a OnceLock<T>, build: impl FnOnce() -> T) -> &'a T {
+    /// serve-and-count a cached value, or build it exactly once and
+    /// count `builds` (the `OnceLock` guarantees the initializer runs on
+    /// one thread even under concurrent first access).
+    fn view<'a, T>(
+        &self,
+        cell: &'a OnceLock<T>,
+        builds: usize,
+        build: impl FnOnce() -> T,
+    ) -> &'a T {
         if let Some(v) = cell.get() {
             self.record_hit();
             return v;
         }
         cell.get_or_init(|| {
-            self.record_build();
+            self.record_builds(builds as u64);
             build()
         })
     }
 
     /// The value view (`p(T|v)` occurrence lists + support matrix `O`).
     pub fn value_index(&self) -> &ValueIndex {
-        self.view(&self.value_index, || {
+        self.view(&self.value_index, 1, || {
             let _sp = dbmine_telemetry::span("ctx.build_value_index");
             ValueIndex::from_chunks(self.dict().len(), self.chunks())
         })
@@ -357,7 +357,7 @@ impl AnalysisCtx {
     /// `I(T;V)` — mutual information of the tuple matrix `M`, folded
     /// once over [`Self::chunks`] row by row (no row outlives its fold).
     pub fn tuple_mutual_information(&self) -> f64 {
-        *self.view(&self.tuple_mi, || {
+        *self.view(&self.tuple_mi, 1, || {
             let _sp = dbmine_telemetry::span("ctx.build_tuple_mi");
             let (d, m, n) = (self.dict().len(), self.n_attrs(), self.n_tuples());
             tuple_mutual_information_chunks(d, m, n, self.chunks())
@@ -367,32 +367,22 @@ impl AnalysisCtx {
     /// `I(V;T)` — mutual information of the value view (built from the
     /// shared [`ValueIndex`]).
     pub fn value_mutual_information(&self) -> f64 {
-        *self.view(&self.value_mi, || self.value_index().mutual_information())
+        *self.view(&self.value_mi, 1, || {
+            self.value_index().mutual_information()
+        })
     }
 
     /// The single-attribute stripped partition `π_A`. The first access
-    /// to any partition runs the sweep that fills all `m` at once: one
-    /// counting pass and one placing pass, shared by every column, so a
-    /// store decode (the dominant cost) is never multiplied by `m`.
+    /// to any partition runs the sweep that fills all `m` at once (and
+    /// counts `m` builds): one counting pass and one placing pass,
+    /// shared by every column, so a store decode (the dominant cost) is
+    /// never multiplied by `m`.
     pub fn attr_partition(&self, a: usize) -> &StrippedPartition {
-        if let Some(p) = self.attr_parts[a].get() {
-            self.record_hit();
-            return p;
-        }
-        let guard = self.part_sweep.lock().unwrap_or_else(|e| e.into_inner());
-        if self.attr_parts[a].get().is_none() {
+        let parts = self.view(&self.attr_parts, self.n_attrs(), || {
             let _sp = dbmine_telemetry::span("ctx.build_partitions");
-            let parts = attr_partitions_chunks(self.n_attrs(), || self.chunks());
-            for (cell, part) in self.attr_parts.iter().zip(parts) {
-                if cell.set(part).is_ok() {
-                    self.record_build();
-                }
-            }
-        }
-        drop(guard);
-        self.attr_parts[a]
-            .get()
-            .expect("the sweep fills every partition cell")
+            attr_partitions_chunks(self.n_attrs(), || self.chunks())
+        });
+        &parts[a]
     }
 
     /// All single-attribute partitions, in attribute order. The first
@@ -418,26 +408,27 @@ impl AnalysisCtx {
         StrippedPartition::product_of(self.n_tuples(), factors)
     }
 
-    /// Per-column profiles (distinct, NULL fraction, entropy). The fold
-    /// also seeds the projection memo with each column's distinct count
-    /// and entropy, so later single-attribute
-    /// [`Self::projection_stats`] lookups are cache hits.
+    /// Per-column profiles, read off built views: a column's distinct
+    /// count and entropy are its single-attribute
+    /// [`Self::projection_stats`] (off `π_A`), its NULL fraction is
+    /// `O[NULL, A] / n` off the [`ValueIndex`] (0 when NULL does not
+    /// occur or `n = 0`). No chunk is read once those views are built.
     pub fn column_profiles(&self) -> &[ColumnProfile] {
-        let profiles: &Vec<ColumnProfile> = self.view(&self.profiles, || {
-            let _sp = dbmine_telemetry::span("ctx.build_profiles");
-            let profiles = column_profiles_chunks(self.attr_names(), self.chunks());
-            let mut memo = self.projections.lock().unwrap_or_else(|e| e.into_inner());
-            for (a, p) in profiles.iter().enumerate() {
-                let key = AttrSet::single(a).bits();
-                if !memo.contains_key(&key) {
-                    self.record_build();
-                    if memo.len() < PROJECTION_MEMO_CAP {
-                        let (distinct, entropy) = (p.distinct, p.entropy);
-                        memo.insert(key, ProjectionStats { distinct, entropy });
-                    }
+        let profiles: &Vec<ColumnProfile> = self.view(&self.profiles, 1, || {
+            let index = self.value_index();
+            let nulls = index.position(NULL_VALUE).map(|i| index.o_row(i));
+            let n = self.n_tuples();
+            let column = |(a, name): (usize, &String)| {
+                let s = self.projection_stats(AttrSet::single(a));
+                let count = nulls.map_or(0.0, |o| o.get(a as u32));
+                ColumnProfile {
+                    name: name.clone(),
+                    distinct: s.distinct,
+                    null_fraction: if n == 0 { 0.0 } else { count / n as f64 },
+                    entropy: s.entropy,
                 }
-            }
-            profiles
+            };
+            self.attr_names().iter().enumerate().map(column).collect()
         });
         profiles
     }
@@ -458,7 +449,7 @@ impl AnalysisCtx {
             let _sp = dbmine_telemetry::span("ctx.build_projection");
             ProjectionStats::of_partition(&self.partition(attrs))
         };
-        self.record_build();
+        self.record_builds(1);
         if memo.len() < PROJECTION_MEMO_CAP {
             memo.insert(key, s);
         }
@@ -487,12 +478,11 @@ impl AnalysisCtx {
         for (ci, &pt) in rows.iter().enumerate() {
             map[pt as usize] = ci as u32;
         }
-        for (ci, a) in attrs.iter().enumerate() {
-            let derived = self.attr_partition(a).restrict_remap(&map, rows.len());
-            child.attr_parts[ci]
-                .set(derived)
-                .expect("fresh context has empty partition cells");
-        }
+        let derived = attrs
+            .iter()
+            .map(|a| self.attr_partition(a).restrict_remap(&map, rows.len()));
+        let seeded = child.attr_parts.set(derived.collect());
+        seeded.expect("a fresh context has no partitions");
         child
     }
 
@@ -576,11 +566,16 @@ mod tests {
         let rel = figure4();
         let ctx = AnalysisCtx::of(&rel);
         let profiles = ctx.column_profiles().to_vec();
-        let whole = column_profiles_chunks(rel.attr_names(), [rel.as_chunk()]);
+        let whole = dbmine_oracles::column_profiles_chunks(rel.attr_names(), [rel.as_chunk()]);
         assert_eq!(profiles, whole);
         let after_profiles = ctx.view_stats();
-        // 1 for the profile vector + m memo entries.
-        assert_eq!(after_profiles.builds, 1 + rel.n_attrs() as u64);
+        // On a fresh context: the profile vector, the value index it
+        // reads NULL counts off, the m-partition sweep and the m memo
+        // entries it reads distinct counts and entropies off.
+        let m = rel.n_attrs() as u64;
+        assert_eq!(after_profiles.builds, 1 + 1 + m + m);
+        // Each memo entry read its π_A once the sweep had filled it.
+        assert_eq!(after_profiles.hits, m - 1);
         // Single-attribute lookups now hit the memo.
         for (a, profile) in profiles.iter().enumerate() {
             let s = ctx.projection_stats(AttrSet::single(a));

@@ -5,6 +5,7 @@
 //! view more than once.
 
 use dbmine_context::{AnalysisCtx, ProjectionStats};
+use dbmine_oracles::column_profiles_chunks;
 use dbmine_relation::{
     csv, AttrSet, Relation, RelationBuilder, ShardedRelation, StrippedPartition, ValueId,
     NULL_VALUE,
@@ -32,6 +33,37 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
                     .iter()
                     .enumerate()
                     .map(|(a, v)| v.filter(|_| all_null[a] != 0).map(|v| format!("v{a}_{v}")))
+                    .collect();
+                let strs: Vec<Option<&str>> = cells.iter().map(Option::as_deref).collect();
+                b.push_row(&strs);
+            }
+            b.build()
+        })
+    })
+}
+
+/// A relation for the profile property: each of 1–5 columns takes one
+/// shape — ordinary (domain 3, one NULL in five), NULL-heavy (four
+/// NULLs in five), constant, or entirely NULL — over 0–12 tuples, so
+/// n = 0 is drawn too.
+fn arb_profile_relation() -> impl Strategy<Value = Relation> {
+    (1usize..=5, 0usize..=12).prop_flat_map(|(m, n)| {
+        let shapes = proptest::collection::vec(0u8..4, m);
+        let rows = proptest::collection::vec(proptest::collection::vec((0u8..5, 0u8..3), m), n);
+        (shapes, rows).prop_map(move |(shapes, rows)| {
+            let names: Vec<String> = (0..m).map(|a| format!("A{a}")).collect();
+            let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+            let mut b = RelationBuilder::new("profiles", &refs);
+            for row in rows {
+                let cells: Vec<Option<String>> = row
+                    .iter()
+                    .enumerate()
+                    .map(|(a, &(coin, v))| match shapes[a] {
+                        0 => (coin != 0).then(|| format!("v{a}_{v}")),
+                        1 => (coin == 0).then(|| format!("v{a}_{v}")),
+                        2 => Some(format!("c{a}")),
+                        _ => None,
+                    })
                     .collect();
                 let strs: Vec<Option<&str>> = cells.iter().map(Option::as_deref).collect();
                 b.push_row(&strs);
@@ -270,10 +302,9 @@ proptest! {
             for a in 0..rel.n_attrs() {
                 prop_assert_eq!(ctx.attr_partition(a), mem.attr_partition(a));
             }
-            // Both paths fold entropies in the same deterministic
-            // first-occurrence order (profiles over columns, projections
-            // over partitions), so they compare exactly, floats
-            // included.
+            // Both paths fold entropies over partitions in the same
+            // deterministic first-occurrence order, so they compare
+            // exactly, floats included.
             prop_assert_eq!(ctx.column_profiles(), mem.column_profiles());
             for a in &accesses {
                 if let Access::Projection(bits) = a {
@@ -284,6 +315,33 @@ proptest! {
 
             // Everything above was served from chunk passes alone.
             prop_assert_eq!(ctx.view_stats().materializations, 0);
+        }
+    }
+
+    /// The profiles read off `π_A` and the value index are the pinned
+    /// profile fold's, field for field and bit for bit, from memory and
+    /// from stores cut one and four tuples to a chunk.
+    #[test]
+    fn column_profiles_match_the_profile_fold(rel in arb_profile_relation()) {
+        let path = temp_csv(&rel, "profiles");
+        let mem = AnalysisCtx::from(csv::read_relation_path(&path).expect("read csv"));
+        let oracle = column_profiles_chunks(mem.attr_names(), mem.chunks());
+        let mut ctxs = vec![mem];
+        for chunk in [1usize, 4] {
+            let store = path.with_extension(format!("c{chunk}.dbss"));
+            let sharded =
+                ShardedRelation::scan_csv_path_spill(&path, chunk, &store).expect("spill store");
+            ctxs.push(AnalysisCtx::from_chunks(sharded).expect("chunk-backed context"));
+        }
+        for ctx in &ctxs {
+            let profiles = ctx.column_profiles();
+            prop_assert_eq!(profiles.len(), oracle.len());
+            for (p, o) in profiles.iter().zip(&oracle) {
+                prop_assert_eq!(&p.name, &o.name);
+                prop_assert_eq!(p.distinct, o.distinct);
+                prop_assert_eq!(p.null_fraction.to_bits(), o.null_fraction.to_bits());
+                prop_assert_eq!(p.entropy.to_bits(), o.entropy.to_bits());
+            }
         }
     }
 

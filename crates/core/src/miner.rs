@@ -243,20 +243,16 @@ impl StructureMiner {
         &self.config
     }
 
-    /// Runs the full pipeline over a shared [`AnalysisCtx`]: profiling →
-    /// duplicate tuples → value clustering → attribute grouping → FD
-    /// mining (TANE, bounded by `max_lhs`) → minimum cover → FD-RANK
-    /// with RAD/RTR. One analyze run builds `I(T;V)`, `ValueIndex`
+    /// Runs the full pipeline over a shared [`AnalysisCtx`]: duplicate
+    /// tuples → value clustering → attribute grouping → FD mining (TANE,
+    /// bounded by `max_lhs`) → profiling → minimum cover → FD-RANK with
+    /// RAD/RTR. One analyze run builds `I(T;V)`, `ValueIndex`
     /// and each single-attribute partition exactly once (pinned by a
     /// telemetry regression test); repeated runs over the same context
     /// (parameter sweeps, repeated CLI calls) build nothing.
     pub fn analyze_ctx(&self, ctx: &AnalysisCtx) -> StructureReport {
         let _span = dbmine_telemetry::span!("miner.analyze");
         let c = &self.config;
-        let columns = {
-            let _s = dbmine_telemetry::span!("miner.profile_columns");
-            ctx.column_profiles().to_vec()
-        };
         let duplicate_tuples =
             find_duplicate_tuples_ctx(ctx, LimboParams::with_phi(c.phi_tuples).threads(c.threads));
         let value_groups = cluster_values_ctx(
@@ -275,6 +271,12 @@ impl StructureMiner {
                     threads: c.threads,
                 },
             )
+        };
+        // Read off the value index and the π_A that value clustering and
+        // TANE built, so profiling decodes no chunk of its own.
+        let columns = {
+            let _s = dbmine_telemetry::span!("miner.profile_columns");
+            ctx.column_profiles().to_vec()
         };
         let cover = minimum_cover(&fds);
         let ranked = {

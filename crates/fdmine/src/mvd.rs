@@ -220,7 +220,7 @@ fn sets_up_to(m: usize, max: usize) -> impl Iterator<Item = AttrSet> {
 /// attribute pairs repair each other); an adversarial instance may
 /// yield a slightly coarser — still sound — partition. `X ↠ B` depends
 /// on `B` alone, so each block's verdict is computed once.
-pub fn dependency_basis(ctx: &AnalysisCtx, x: AttrSet) -> Vec<AttrSet> {
+fn dependency_basis(ctx: &AnalysisCtx, x: AttrSet) -> Vec<AttrSet> {
     let mut det = Determinant::new(ctx, x);
     let mut blocks: Vec<AttrSet> = det.rest.iter().map(AttrSet::single).collect();
     let mut verdicts: HashMap<AttrSet, bool> = HashMap::new();

@@ -28,5 +28,5 @@ pub mod score;
 pub use decompose::{decompose, Decomposition};
 pub use measures::{rad_ctx, rtr_ctx};
 pub use rank::{rank_fds, RankedFd};
-pub use redundancy::{redundancy_fraction, redundant_cells_ctx, RedundantCell};
+pub use redundancy::{redundant_cells_ctx, RedundantCell};
 pub use score::{rank_by_rfi, ScoreKind};

@@ -60,15 +60,6 @@ pub fn redundant_cells_ctx(ctx: &AnalysisCtx, lhs: AttrSet, rhs: AttrId) -> Vec<
     out
 }
 
-/// The fraction of the column `rhs` that is redundant under `lhs → rhs`
-/// — a direct, per-dependency counterpart of RAD/RTR.
-pub fn redundancy_fraction(ctx: &AnalysisCtx, lhs: AttrSet, rhs: AttrId) -> f64 {
-    if ctx.n_tuples() == 0 {
-        return 0.0;
-    }
-    redundant_cells_ctx(ctx, lhs, rhs).len() as f64 / ctx.n_tuples() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,10 +110,8 @@ mod tests {
         let cells = cells(&rel, AttrSet::single(2), 1);
         assert_eq!(cells.len(), 2);
         assert!(cells.iter().all(|c| c.witness == 2));
-        assert!(
-            (redundancy_fraction(&AnalysisCtx::of(&rel), AttrSet::single(2), 1) - 0.4).abs()
-                < 1e-12
-        );
+        // Two of the five B cells: a redundancy fraction of 0.4.
+        assert_eq!(cells.len() as f64 / rel.n_tuples() as f64, 0.4);
     }
 
     /// The pre-class-id implementation: witness map keyed by the
@@ -191,7 +180,6 @@ mod tests {
         // {A,C} is a key: every X-group is a single tuple.
         let lhs: AttrSet = [0usize, 2].into_iter().collect();
         assert!(cells(&rel, lhs, 1).is_empty());
-        assert_eq!(redundancy_fraction(&AnalysisCtx::of(&rel), lhs, 1), 0.0);
     }
 
     #[test]

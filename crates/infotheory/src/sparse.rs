@@ -7,9 +7,10 @@
 //! considerably."* (Section 5.2).
 //!
 //! DCFs are also *"stored and updated incrementally"*: a merge rewrites a
-//! summary in its own buffer ([`SparseDist::merge_from`], one backward
-//! pass), grown to exactly the merged support, so a vector's capacity
-//! only ever tracks its own support. The allocating
+//! summary in its own buffer when the other support lies inside it, or
+//! else into a new buffer trimmed to the merged support
+//! ([`SparseDist::merge_from`], one linear two-pointer pass), so a
+//! vector's capacity only ever tracks its own support. The allocating
 //! `dbmine_oracles::weighted_sum` is the pinned bit-identity reference
 //! of that kernel.
 
@@ -141,67 +142,69 @@ impl SparseDist {
         (self.total() - 1.0).abs() <= tol
     }
 
-    /// Replaces `self` with `w_self * self + w_other * other`, merging in
-    /// `self`'s own buffer: the Information Bottleneck merge, Equation (2)
-    /// of the paper,
+    /// Replaces `self` with `w_self * self + w_other * other`: the
+    /// Information Bottleneck merge, Equation (2) of the paper,
     /// `p(T|c*) = p(ci)/p(c*) · p(T|ci) + p(cj)/p(c*) · p(T|cj)`.
     ///
-    /// One binary search per entry of `other` counts the keys `self`
-    /// lacks, so the buffer grows to exactly the union's size. A backward
-    /// pass then places `other`'s entries from the tail, moving each run
-    /// of larger `self` entries up by the number of new keys still to
-    /// place (when `other`'s support lies inside `self`'s, nothing
-    /// moves). Each entry computes `w_self·a + w_other·b` in that operand
-    /// order, zeros are dropped and the total is summed left to right, so
-    /// the result is bit-identical to the allocating
+    /// One forward two-pointer pass merges in `self`'s own buffer for as
+    /// long as each key of `other` is also one of `self`'s, so when
+    /// `other`'s support lies inside `self`'s nothing is allocated. At
+    /// the first key `self` lacks, the rest merges into a new buffer
+    /// sized for both remainders, which is trimmed to the merged support
+    /// and replaces `self`'s, so a vector's capacity follows its own
+    /// support. Each entry computes `w_self·a + w_other·b` in that
+    /// operand order, zeros are dropped and the total is summed left to
+    /// right, so the result is bit-identical to the allocating
     /// `dbmine_oracles::weighted_sum` (property-tested).
     pub fn merge_from(&mut self, w_self: f64, other: &Self, w_other: f64) {
-        let n = self.entries.len();
-        let mut lo = 0;
-        let mut new = 0;
-        for &(kb, _) in &other.entries {
-            match self.entries[lo..].binary_search_by_key(&kb, |&(ka, _)| ka) {
-                Ok(p) => lo += p + 1,
-                Err(p) => {
-                    lo += p;
-                    new += 1;
-                }
-            }
-        }
-        self.entries.reserve_exact(new);
-        self.entries.resize(n + new, (0, 0.0));
-        // `self.entries[..i]` is unread and `[k..]` final; `k − i` is the
-        // number of new keys still to place.
-        let (mut i, mut k) = (n, n + new);
+        let b = &other.entries;
         let mut zeros = false;
-        for &(kb, vb) in other.entries.iter().rev() {
-            let p = self.entries[..i].partition_point(|&(ka, _)| ka <= kb);
-            while i > p {
-                i -= 1;
-                k -= 1;
-                let (ka, va) = self.entries[i];
-                self.entries[k] = (ka, w_self * va);
-                zeros |= self.entries[k].1 == 0.0;
-            }
-            let w = match self.entries[..i].last() {
-                Some(&(ka, va)) if ka == kb => {
-                    i -= 1;
+        let mut mix = |k: u32, w: f64| {
+            zeros |= w == 0.0;
+            (k, w)
+        };
+        let (mut i, mut j) = (0, 0);
+        while let Some(&(ka, va)) = self.entries.get(i) {
+            let w = match b.get(j) {
+                Some(&(kb, _)) if kb < ka => break,
+                Some(&(kb, vb)) if kb == ka => {
+                    j += 1;
                     w_self * va + w_other * vb
                 }
-                _ => w_other * vb,
+                _ => w_self * va,
             };
-            k -= 1;
-            self.entries[k] = (kb, w);
-            zeros |= w == 0.0;
+            self.entries[i] = mix(ka, w);
+            i += 1;
         }
-        debug_assert_eq!(i, k, "every new key was placed");
-        for e in &mut self.entries[..i] {
-            e.1 *= w_self;
-            zeros |= e.1 == 0.0;
+        if j < b.len() {
+            let (a, b) = (&self.entries[i..], &b[j..]);
+            let mut out = Vec::with_capacity(i + a.len() + b.len());
+            out.extend_from_slice(&self.entries[..i]);
+            let (mut i, mut j) = (0, 0);
+            while let (Some(&(ka, va)), Some(&(kb, vb))) = (a.get(i), b.get(j)) {
+                out.push(match ka.cmp(&kb) {
+                    std::cmp::Ordering::Less => {
+                        i += 1;
+                        mix(ka, w_self * va)
+                    }
+                    std::cmp::Ordering::Greater => {
+                        j += 1;
+                        mix(kb, w_other * vb)
+                    }
+                    std::cmp::Ordering::Equal => {
+                        (i, j) = (i + 1, j + 1);
+                        mix(ka, w_self * va + w_other * vb)
+                    }
+                });
+            }
+            out.extend(a[i..].iter().map(|&(k, v)| mix(k, w_self * v)));
+            out.extend(b[j..].iter().map(|&(k, v)| mix(k, w_other * v)));
+            self.entries = out;
         }
         if zeros {
             self.entries.retain(|&(_, w)| w != 0.0);
         }
+        self.entries.shrink_to_fit();
         self.total = self.entries.iter().map(|&(_, w)| w).sum();
     }
 
@@ -289,6 +292,30 @@ mod tests {
         let d = SparseDist::from_pairs(vec![(0, 0.25), (1, 0.25), (2, 0.5)]);
         let m = d.map_indices(|i| i / 2);
         assert_eq!(m.entries(), &[(0, 0.5), (1, 0.5)]);
+    }
+
+    #[test]
+    fn merge_from_capacity_follows_support() {
+        // Inside `self`'s support: merged in place, nothing grows.
+        let mut a = SparseDist::from_pairs(vec![(0, 0.5), (2, 0.25), (4, 0.25)]);
+        a.merge_from(0.5, &SparseDist::from_pairs(vec![(2, 1.0)]), 0.5);
+        assert_eq!(a.entries(), &[(0, 0.25), (2, 0.625), (4, 0.125)]);
+        assert_eq!(a.entries.capacity(), 3);
+        // A key `self` lacks, before, between and after its keys: a new
+        // buffer trimmed to the union, whose overlap it does not count.
+        for key in [1, 3, 5] {
+            let mut a = SparseDist::from_pairs(vec![(0, 1.0), (2, 1.0), (4, 1.0)]);
+            let b = SparseDist::from_pairs(vec![(2, 1.0), (key, 1.0), (4, 1.0)]);
+            a.add_assign(&b);
+            assert_eq!(a.support(), 4, "key {key}");
+            assert_eq!(a.entries.capacity(), 4, "key {key}");
+            assert_eq!(a.total(), 6.0);
+        }
+        // Cancelled entries are dropped and the buffer trimmed.
+        let mut a = SparseDist::from_sorted(vec![(0, 1.0), (1, -1.0)]);
+        a.add_assign(&SparseDist::from_sorted(vec![(1, 1.0), (3, 1.0)]));
+        assert_eq!(a.entries(), &[(0, 1.0), (3, 1.0)]);
+        assert_eq!(a.entries.capacity(), 2);
     }
 
     #[test]

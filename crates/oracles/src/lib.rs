@@ -26,7 +26,9 @@
 //!   miners' property tests check against;
 //! * [`project_distinct`] — the deduplicating projection over a resident
 //!   relation, for `AnalysisCtx::derive_projected` and the redesign
-//!   split `dbmine_fdrank::decompose`.
+//!   split `dbmine_fdrank::decompose`;
+//! * [`column_profiles_chunks`] — the per-column profile fold, for
+//!   `AnalysisCtx::column_profiles`.
 //!
 //! # The dev-dependency rule
 //!
@@ -40,9 +42,10 @@
 //! here when it dev-depends back, and that copy's types differ from its
 //! own unit tests' types. So the fixed regressions that pin those
 //! crates' kernels are unit tests of the oracle's module here (`aib`,
-//! `dcf`, `sparse`, `partition`, `relation`), their property tests live
-//! in the crate's `tests/` directory (one copy), and `dbmine-fdmine`'s
-//! unit tests rebuild each oracle `Fd` from its public fields;
+//! `dcf`, `sparse`, `partition`, `relation`, `stats`), their property
+//! tests live in the crate's `tests/` directory (one copy), and
+//! `dbmine-fdmine`'s unit tests rebuild each oracle `Fd` from its public
+//! fields;
 //! `dbmine-reliability` compares with its oracle only from `tests/`. An
 //! oracle whose signature names only another crate's types
 //! ([`fd_holds`], [`project_distinct`] over a `Relation`) serves the
@@ -62,6 +65,7 @@ pub mod partition;
 pub mod relation;
 pub mod reliable;
 pub mod sparse;
+pub mod stats;
 pub mod tree;
 
 pub use agree::{agree_sets, agree_sets_from, maximal_sets};
@@ -76,4 +80,5 @@ pub use partition::product_reference;
 pub use relation::project_distinct;
 pub use reliable::mine_reliable_unpruned;
 pub use sparse::weighted_sum;
+pub use stats::column_profiles_chunks;
 pub use tree::DcfTreeRef;

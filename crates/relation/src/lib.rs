@@ -42,4 +42,4 @@ pub use partition::{attr_partitions_chunks, ClassSizes, PartitionScratch, Stripp
 pub use relation::{select_rows_chunks, AttrId, Relation, RelationBuilder};
 pub use shard::{RelationChunk, ShardedRelation, DEFAULT_CHUNK_TUPLES};
 pub use spill::{SpillWriter, StoreChunks, StoreError, StoreFooter};
-pub use stats::{column_profiles_chunks, ProjectionStats};
+pub use stats::ProjectionStats;

@@ -22,8 +22,8 @@
 //!
 //! Every fold lives next to its type and takes chunks, whatever their
 //! source: [`crate::tuple_mutual_information_chunks`],
-//! [`crate::ValueIndex::from_chunks`], [`crate::attr_partitions_chunks`],
-//! [`crate::column_profiles_chunks`] and [`ContentHasher::push_chunk`].
+//! [`crate::ValueIndex::from_chunks`], [`crate::attr_partitions_chunks`]
+//! and [`ContentHasher::push_chunk`].
 //! A resident relation is one borrowed chunk
 //! ([`crate::Relation::as_chunk`]), so store passes and in-memory builds
 //! run the same fold.
@@ -554,7 +554,6 @@ mod tests {
         // never change a bit.
         use crate::matrix::ValueIndex;
         use crate::partition::{attr_partitions_chunks, StrippedPartition};
-        use crate::stats;
 
         let rel = in_memory(SAMPLE, "t");
         for chunk_tuples in [1, 2, 3, 100] {
@@ -570,10 +569,6 @@ mod tests {
                     "π_{a} chunk_tuples={chunk_tuples}"
                 );
             }
-
-            let profiles = stats::column_profiles_chunks(s.attr_names(), pass());
-            let whole = stats::column_profiles_chunks(rel.attr_names(), [rel.as_chunk()]);
-            assert_eq!(profiles, whole);
 
             let (d, m, n) = (s.dict().len(), s.n_attrs(), s.n_tuples());
             assert_eq!(

@@ -78,10 +78,6 @@ pub enum Counter {
     /// Lattice nodes whose descendants were pruned by the
     /// branch-and-bound bound (`mine_reliable_ctx`).
     BnbPrunes,
-    /// Full in-memory `Relation` materializations of a chunk-backed
-    /// `AnalysisCtx` (`dbmine-context`): always zero, kept for the
-    /// reports that print it.
-    CtxMaterializations,
     /// LIMBO Phase 3 index reads (`ib::RepIndex`): the rare-token
     /// postings each object walks, plus the `q·|S|` dense-block cells
     /// read per signature `S` of frequent tokens a worker builds.
@@ -89,7 +85,7 @@ pub enum Counter {
 }
 
 /// Number of distinct counters.
-pub const N_COUNTERS: usize = 23;
+pub const N_COUNTERS: usize = 22;
 
 /// All counters, in index order. `COUNTERS[c as usize] == c` for every
 /// counter `c`.
@@ -115,7 +111,6 @@ pub const COUNTERS: [Counter; N_COUNTERS] = [
     Counter::RfiEvals,
     Counter::BnbBounds,
     Counter::BnbPrunes,
-    Counter::CtxMaterializations,
     Counter::AssignPostings,
 ];
 
@@ -144,7 +139,6 @@ impl Counter {
             Counter::RfiEvals => "rfi_evals",
             Counter::BnbBounds => "bnb_bounds",
             Counter::BnbPrunes => "bnb_prunes",
-            Counter::CtxMaterializations => "ctx_materializations",
             Counter::AssignPostings => "assign_postings",
         }
     }

@@ -15,7 +15,7 @@ use dbmine::infotheory::SparseDist;
 use dbmine::limbo::LimboParams;
 use dbmine::relation::csv::{read_relation_path, write_relation_path};
 use dbmine::relation::paper::figure4;
-use dbmine::relation::{AttrSet, RelationBuilder, ShardedRelation};
+use dbmine::relation::{AttrSet, RelationBuilder, ShardedRelation, DEFAULT_CHUNK_TUPLES};
 use dbmine::reliability::{mine_reliable_ctx, ReliableOptions};
 use dbmine::summaries::{
     cluster_values_ctx, find_duplicate_tuples_ctx, tuple_summary_assignment_ctx,
@@ -175,7 +175,7 @@ fn store_backed_redundant_cells_match_memory_without_materializing() {
     // dependency without decoding the relation into rows.
     let rel = figure4();
     let dir = std::env::temp_dir().join(format!("dbmine_redundant_{}", std::process::id()));
-    let (materialized, d) = with_deltas(|| {
+    let (materialized, _) = with_deltas(|| {
         std::fs::create_dir_all(&dir).unwrap();
         let csv = dir.join("fig4.csv");
         write_relation_path(&rel, &csv).unwrap();
@@ -201,7 +201,50 @@ fn store_backed_redundant_cells_match_memory_without_materializing() {
     });
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(materialized, 0);
-    assert_eq!(d.get(Counter::CtxMaterializations), 0);
+}
+
+#[test]
+fn profiles_are_read_off_built_views_without_a_chunk_pass() {
+    // Once the value index and the π_A sweep exist, the profiles cost
+    // one build for their vector and one per column for its projection
+    // memo entry; they read the value index once and each π_A once (hits),
+    // and decode no block of the store.
+    let rel = figure4();
+    let m = rel.n_attrs() as u64;
+    let dir = std::env::temp_dir().join(format!("dbmine_profiles_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("fig4.csv");
+    write_relation_path(&rel, &csv).unwrap();
+    let sharded = ShardedRelation::scan_csv_path_spill(&csv, 2, dir.join("fig4.dbss")).unwrap();
+    let ctx = AnalysisCtx::from_chunks(sharded).unwrap();
+    ctx.value_index();
+    ctx.attr_partitions();
+    let before = ctx.view_stats();
+    let (_, d) = with_deltas(|| ctx.column_profiles().to_vec());
+    std::fs::remove_dir_all(&dir).ok();
+    let after = ctx.view_stats();
+    assert_eq!(after.builds - before.builds, 1 + m, "{after:?}");
+    assert_eq!(after.hits - before.hits, 1 + m, "{after:?}");
+    assert_eq!(d.get(Counter::SpillChunksRead), 0);
+}
+
+#[test]
+fn store_backed_analyze_makes_five_chunk_passes() {
+    // The DB2 sample spilled at the default chunk size is one block, so
+    // each pass over the store reads one chunk. `analyze` makes five:
+    // I(T;V) and tuple LIMBO's Phase 1 (duplicate tuples), the value
+    // index (value clustering), and the π_A sweep's counting and placing
+    // passes (TANE). The column profiles are read off the last two and
+    // the projection statistics off π_A, so neither decodes a block.
+    let csv = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/db2_sample.csv");
+    let dir = std::env::temp_dir().join(format!("dbmine_passes_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("db2.dbss");
+    let sharded = ShardedRelation::scan_csv_path_spill(csv, DEFAULT_CHUNK_TUPLES, &store).unwrap();
+    let ctx = AnalysisCtx::from_chunks(sharded).unwrap();
+    let (_, d) = with_deltas(|| dbmine::StructureMiner::default().analyze_ctx(&ctx));
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(d.get(Counter::SpillChunksRead), expect(5));
 }
 
 #[test]
@@ -281,12 +324,12 @@ fn analyze_builds_each_shared_view_exactly_once() {
     let miner = StructureMiner::default();
     let (report, d) = with_deltas(|| miner.analyze_ctx(&ctx));
 
-    // Exact ledger of one analyze run over a fresh context:
-    //   1     column-profile vector
-    //   m     single-attribute projection-memo entries (profiling)
+    // Exact ledger of one analyze run over a fresh context, in order:
     //   1     I(T;V)                      (duplicate-tuple discovery)
     //   2     ValueIndex + I(V;T)         (value clustering)
     //   m     single-attribute partitions (TANE seed)
+    //   1     column-profile vector       (read off the views above)
+    //   m     single-attribute projection-memo entries (profiling)
     //   k     distinct multi-attribute projections (RAD/RTR of the
     //         ranked cover; single-attribute sets hit the memo, and
     //         RTR always hits the set RAD just created)
