@@ -21,6 +21,8 @@
 //!   runs (Table 3, the running example);
 //! * [`mine_reliable_unpruned`] — the reliable F̂ walk without its
 //!   branch-and-bound survivor filter, for `mine_reliable_ctx`;
+//! * [`size_multiset_sorted`] — the size multiset built by sorting every
+//!   class size, for the histogram `SizeMultiset::of_sizes`;
 //! * [`fd_holds`] and [`fd_error_g3`] — direct single-dependency checks
 //!   over a resident relation, which the brute-force miner and the FD
 //!   miners' property tests check against;
@@ -78,7 +80,7 @@ pub use fd::minimal_only;
 pub use fdep::{mine_fdep, minimal_hitting_sets};
 pub use partition::product_reference;
 pub use relation::project_distinct;
-pub use reliable::mine_reliable_unpruned;
+pub use reliable::{mine_reliable_unpruned, size_multiset_sorted};
 pub use sparse::weighted_sum;
 pub use stats::column_profiles_chunks;
 pub use tree::DcfTreeRef;

@@ -1,10 +1,11 @@
 //! The unpruned reliable walk: `mine_reliable_ctx`'s F̂ test without its
-//! branch-and-bound survivor filter.
+//! branch-and-bound survivor filter, and the sorting size-multiset
+//! builder that `SizeMultiset::of_sizes` is pinned against.
 
 use dbmine_context::AnalysisCtx;
 use dbmine_fdmine::lattice::{walk_minimal, Candidate, MinimalTest};
-use dbmine_relation::partition::PartitionScratch;
-use dbmine_reliability::{ReliableFd, RfiScore, RfiScorer, BIAS_EPSILON};
+use dbmine_relation::partition::{ClassSizes, PartitionScratch};
+use dbmine_reliability::{ReliableFd, RfiScore, RfiScorer, SizeMultiset, BIAS_EPSILON};
 
 /// The `F̂ ≥ θ` test with the default survivors: the plugin always, the
 /// bias from `θ − ε` up, and `g3` on emission. Scores `Some` only for an
@@ -22,7 +23,7 @@ impl MinimalTest for Unpruned {
         if plugin.plugin < self.theta - BIAS_EPSILON {
             return None;
         }
-        let rfi = self.scorer.correct(&plugin);
+        let rfi = self.scorer.correct(&plugin, f64::INFINITY)?;
         (rfi.score >= self.theta).then(|| (rfi, c.g3_error(scratch)))
     }
 
@@ -65,4 +66,24 @@ pub fn mine_reliable_unpruned(
         }
     })
     .collect()
+}
+
+/// The size multiset of a stripped partition by sorting every class
+/// size: the reference `SizeMultiset::of_sizes`, which counts small
+/// sizes in a histogram, must equal.
+pub fn size_multiset_sorted(p: &ClassSizes) -> SizeMultiset {
+    let mut sizes: Vec<u64> = p.iter().map(|s| s as u64).collect();
+    sizes.sort_unstable();
+    let singletons = (p.n() - p.covered()) as u64;
+    let mut pairs: Vec<(u64, u64)> = Vec::new();
+    if singletons > 0 {
+        pairs.push((1, singletons));
+    }
+    for s in sizes {
+        match pairs.last_mut() {
+            Some((size, count)) if *size == s => *count += 1,
+            _ => pairs.push((s, 1)),
+        }
+    }
+    SizeMultiset { pairs, n: p.n() }
 }

@@ -29,7 +29,11 @@
 //!   m₀ = Σ_a Σ_b Σ_k  (k/n)·log₂(k·n/(a·b)) · P_hyp(k | a, b, n)
 //! ```
 //!
-//! grouped by distinct sizes with multiplicities. Small relations use
+//! grouped by distinct sizes with multiplicities. No row `a` of the
+//! sum is negative (it is the expected divergence of a random
+//! `a`-subset's `Y`-distribution from `Y`'s marginal), so
+//! [`m0_capped`] can stop at the first row whose running total passes
+//! a cap: that partial sum is already a lower bound. Small relations use
 //! the exact full-range sum; large ones truncate the hypergeometric sum
 //! to a deterministic window around its mean (the tails decay
 //! sub-gaussianly, so a ±16σ window is exact to beyond f64 precision —
@@ -66,6 +70,10 @@ pub const EXACT_N_LIMIT: usize = 4096;
 /// (Hoeffding), so 16σ ≈ 10⁻²²² — far below f64 resolution.
 pub const WINDOW_SIGMAS: f64 = 16.0;
 
+/// Class sizes below this are counted in a histogram by
+/// [`SizeMultiset::of_sizes`]; only the few larger ones are sorted.
+const HISTOGRAM_SIZES: usize = 64;
+
 /// The multiset of equivalence-class sizes of a partition — the only
 /// view of a partition the permutation model sees. Pairs are
 /// `(size, count)`, sorted ascending by size; singletons are included.
@@ -79,16 +87,26 @@ pub struct SizeMultiset {
 
 impl SizeMultiset {
     /// The size multiset of a stripped partition, read from its class
-    /// sizes (singletons restored from `n − ‖π‖`).
+    /// sizes (singletons restored from `n − ‖π‖`). Sizes below 64 are
+    /// counted in a histogram; only the larger ones are sorted.
     pub fn of_sizes(p: &ClassSizes) -> SizeMultiset {
-        let mut sizes: Vec<u64> = p.iter().map(|s| s as u64).collect();
-        sizes.sort_unstable();
-        let singletons = (p.n() - p.covered()) as u64;
-        let mut pairs: Vec<(u64, u64)> = Vec::new();
-        if singletons > 0 {
-            pairs.push((1, singletons));
+        let mut small = [0u64; HISTOGRAM_SIZES];
+        let mut large: Vec<u64> = Vec::new();
+        for s in p.iter() {
+            match small.get_mut(s) {
+                Some(count) => *count += 1,
+                None => large.push(s as u64),
+            }
         }
-        for s in sizes {
+        // Stripped classes have size ≥ 2, so slot 1 holds only the
+        // singletons.
+        small[1] = (p.n() - p.covered()) as u64;
+        let mut pairs: Vec<(u64, u64)> = (1..HISTOGRAM_SIZES)
+            .filter(|&s| small[s] > 0)
+            .map(|s| (s as u64, small[s]))
+            .collect();
+        large.sort_unstable();
+        for s in large {
             match pairs.last_mut() {
                 Some((size, count)) if *size == s => *count += 1,
                 _ => pairs.push((s, 1)),
@@ -190,14 +208,31 @@ fn ln_factorial_stirling(k: usize) -> f64 {
 /// The expected empirical mutual information (in bits) between two
 /// partitions with class-size multisets `x` and `y` under the
 /// permutation null model. Exact for `n ≤ EXACT_N_LIMIT`; windowed (see
-/// module docs) above.
+/// module docs) above. The uncapped [`m0_capped`].
 pub fn m0(x: &SizeMultiset, y: &SizeMultiset, lnfact: &LnFact) -> f64 {
+    m0_capped(x, y, lnfact, f64::INFINITY)
+}
+
+/// [`m0`], stopped at the first row of `x` whose running total passes
+/// `cap`.
+///
+/// The sum runs over `x`'s rows `(a, c_a)` in ascending size. Each row
+/// is `c_a` times the expected `(a/n)·KL` of a random `a`-subset's
+/// `y`-distribution from `y`'s marginal, so no row is negative in exact
+/// arithmetic, and the running total after any row is a lower bound on
+/// `m₀` (the proptests pin it at most `ε/2·H(Y)` above the full sum,
+/// for the reliable test's `ε`). When the total passes `cap` before the
+/// last row, the partial total is returned and one `m0_cutoffs` is
+/// counted; otherwise the result is [`m0`]'s, bit for bit. A result
+/// `> cap` therefore says `m₀ > cap` up to that rounding, and a result
+/// `≤ cap` is the full sum.
+pub fn m0_capped(x: &SizeMultiset, y: &SizeMultiset, lnfact: &LnFact, cap: f64) -> f64 {
     // When the exact table covers every index (all are ≤ n), read it as
     // a plain slice: a per-lookup series fallback measurably slows the
     // hot loop.
     match lnfact.table.get(..=x.n) {
-        Some(table) => m0_with(x, y, table),
-        None => m0_with(x, y, lnfact),
+        Some(table) => m0_with(x, y, table, cap),
+        None => m0_with(x, y, lnfact, cap),
     }
 }
 
@@ -220,8 +255,8 @@ impl LnFactorials for &LnFact {
     }
 }
 
-/// [`m0`] over any `ln k!` source.
-fn m0_with(x: &SizeMultiset, y: &SizeMultiset, lnfact: impl LnFactorials) -> f64 {
+/// [`m0_capped`] over any `ln k!` source.
+fn m0_with(x: &SizeMultiset, y: &SizeMultiset, lnfact: impl LnFactorials, cap: f64) -> f64 {
     let n = x.n;
     debug_assert_eq!(n, y.n);
     if n == 0 {
@@ -229,8 +264,9 @@ fn m0_with(x: &SizeMultiset, y: &SizeMultiset, lnfact: impl LnFactorials) -> f64
     }
     let nf = n as f64;
     let ln_n = lnfact.at(n);
+    let last_row = x.pairs.len().saturating_sub(1);
     let mut total = 0.0f64;
-    for &(a, ca) in &x.pairs {
+    for (row, &(a, ca)) in x.pairs.iter().enumerate() {
         let a = a as usize;
         // ln C(n, a)⁻¹ factor shared by every k of this row size.
         let ln_choose_n_a = ln_n - lnfact.at(a) - lnfact.at(n - a);
@@ -264,6 +300,10 @@ fn m0_with(x: &SizeMultiset, y: &SizeMultiset, lnfact: impl LnFactorials) -> f64
                 inner += w * ln_p.exp();
             }
             total += ca as f64 * cb as f64 * inner;
+        }
+        if total > cap && row < last_row {
+            counter_add(Counter::M0Cutoffs, 1);
+            return total;
         }
     }
     total
@@ -347,17 +387,29 @@ impl RfiScorer {
     }
 
     /// The second step of F̂: subtracts the permutation-model bias
-    /// `m₀/H(rhs)` from a [`Self::plugin`] result.
-    pub fn correct(&self, p: &RfiPlugin) -> RfiScore {
+    /// `m₀/H(rhs)` from a [`Self::plugin`] result, or returns `None`
+    /// once the `m₀` sum ([`m0_capped`], stopped at the first row that
+    /// shows it) has shown `bias > max_bias`. With
+    /// `max_bias = f64::INFINITY` it always runs the full sum. A `Some`
+    /// result is the full sum's, bit for bit, whatever the cap.
+    pub fn correct(&self, p: &RfiPlugin, max_bias: f64) -> Option<RfiScore> {
         let bias = match &p.x {
-            Some(x) => self.bias_bits(x, p.rhs) / self.h_y[p.rhs],
+            Some(x) => {
+                let h_y = self.h_y[p.rhs];
+                let cap = max_bias * h_y;
+                let bits = m0_capped(x, &self.y_sizes[p.rhs], &self.lnfact, cap);
+                if bits > cap {
+                    return None;
+                }
+                bits / h_y
+            }
             None => 0.0,
         };
-        RfiScore {
+        Some(RfiScore {
             plugin: p.plugin,
             bias,
             score: p.plugin - bias,
-        }
+        })
     }
 
     /// The admissible branch-and-bound bound `F̄ = 1 − bias` from an

@@ -23,7 +23,7 @@ pub mod estimator;
 pub mod mine;
 
 pub use estimator::{
-    m0, LnFact, RfiPlugin, RfiScore, RfiScorer, SizeMultiset, EXACT_N_LIMIT, LNFACT_TABLE_LIMIT,
-    WINDOW_SIGMAS,
+    m0, m0_capped, LnFact, RfiPlugin, RfiScore, RfiScorer, SizeMultiset, EXACT_N_LIMIT,
+    LNFACT_TABLE_LIMIT, WINDOW_SIGMAS,
 };
 pub use mine::{mine_reliable_ctx, ReliableFd, ReliableOptions, BIAS_EPSILON, DEFAULT_THETA};

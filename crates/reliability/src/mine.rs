@@ -42,11 +42,24 @@
 //! Every candidate pays for its plugin `I(X;A)/H(A)` (one `rfi_evals`);
 //! the other values are computed only where something reads them:
 //!
-//! * **`m₀` (the bias)** when `plugin ≥ θ − ε` ([`BIAS_EPSILON`]), or
-//!   when the survivor filter will read it — on every level of an
-//!   unbounded walk, and below level `k` of a walk bounded at `k`.
-//!   Below `θ − ε` the candidate cannot be emitted, since the bias is
-//!   never below `−ε`.
+//! * **`m₀` (the bias)** in full on every level the survivor filter
+//!   reads: every level of an unbounded walk, and below level `k` of a
+//!   walk bounded at `k`.
+//! * **`m₀` on the last two levels of a bounded walk**, where only
+//!   emission reads it (`Candidate::reaches_survivors` is false), only
+//!   until the verdict is known. When `plugin < θ − ε`
+//!   ([`BIAS_EPSILON`]) it is not computed at all: the bias is never
+//!   below `−ε/2`, so `F̂ < θ`. Otherwise the sum
+//!   ([`crate::estimator::m0_capped`]) runs with the cap
+//!   `(plugin − θ + ε)·H(A)` and stops at the first row of π_{X∖A}'s
+//!   size multiset whose running total passes it (one `m0_cutoffs`).
+//!   No row is negative in exact arithmetic and the computed rows
+//!   after the cut round to no less than `−ε/2·H(A)`, so a cut means
+//!   `bias > plugin − θ + ε/2`, i.e. `F̂ < θ`; the candidate is
+//!   skipped. An emitted candidate's running total never passes the
+//!   cap, so it always runs the full sum. The singleton row comes
+//!   first and is exactly `c₁·H(A)/n`, so a near-key LHS is settled
+//!   after one cheap row.
 //! * **`g3`** only for an emitted candidate (`F̂ ≥ θ`), the only place
 //!   it is printed; `g3_evals` equals the number of emissions.
 //!
@@ -107,22 +120,28 @@ pub struct ReliableFd {
     pub g3: f64,
 }
 
-/// Slack of the bias-skip rule: the reliable test computes `m₀` for a
-/// candidate only if its plugin is at least `θ − BIAS_EPSILON` (or a
-/// survivor filter reads the bias). `m₀` is the expectation of a
-/// non-negative mutual information, so the bias fraction is `≥ 0`; its
-/// computed value can round below zero, but by orders of magnitude
-/// less than this (pinned `≥ −BIAS_EPSILON/2` by the proptests). A
-/// skipped candidate therefore has `F̂ = plugin − bias < θ`: skipping
-/// never changes which dependencies are emitted, or any emitted bit.
+/// Slack of the bias-skip rule and of the `m₀` cap: where no survivor
+/// filter reads the bias, the reliable test computes `m₀` for a
+/// candidate only if its plugin is at least `θ − BIAS_EPSILON`, and
+/// stops the sum once its running total passes
+/// `(plugin − θ + BIAS_EPSILON)·H(A)`. `m₀` is the expectation of a
+/// non-negative mutual information and each row of its sum is
+/// non-negative, so the bias fraction and the rows left after a cut
+/// are `≥ 0`; their computed values can round below zero, but by
+/// orders of magnitude less than this (pinned `≥ −BIAS_EPSILON/2` by
+/// the proptests). A skipped or cut candidate therefore has
+/// `F̂ = plugin − bias < θ`: neither rule changes which dependencies
+/// are emitted, or any emitted bit.
 pub const BIAS_EPSILON: f64 = 1e-9;
 
 /// What the reliable test computed for one candidate: only the values
 /// a reader needs, so nothing unread can reach a [`ReliableFd`].
 #[derive(Clone, Copy, Debug)]
 enum Scored {
-    /// `plugin < θ − ε` and no survivor filter reads the bias: `F̂ < θ`
-    /// without computing `m₀`.
+    /// No survivor filter reads the bias, and either `plugin < θ − ε`
+    /// (`m₀` not computed) or the `m₀` sum passed
+    /// `(plugin − θ + ε)·H(A)` (stopped there): `F̂ < θ` without the
+    /// full `m₀`.
     Skipped,
     /// `F̂ < θ`: not emitted.
     Rejected(RfiScore),
@@ -142,13 +161,20 @@ impl MinimalTest for RfiTest {
     type Score = Scored;
 
     /// The plugin always; the bias where emission or the filter may
-    /// read it; `g3` only for an emitted candidate.
+    /// read it, summed only until `F̂ < θ` is certain where no filter
+    /// does; `g3` only for an emitted candidate.
     fn score(&self, c: &Candidate<'_>, scratch: &mut PartitionScratch) -> Scored {
         let plugin = self.scorer.plugin(c.lhs.sizes(), c.x(), c.a);
-        if !c.reaches_survivors && plugin.plugin < self.theta - BIAS_EPSILON {
+        let max_bias = if c.reaches_survivors {
+            f64::INFINITY
+        } else if plugin.plugin < self.theta - BIAS_EPSILON {
             return Scored::Skipped;
-        }
-        let rfi = self.scorer.correct(&plugin);
+        } else {
+            plugin.plugin - self.theta + BIAS_EPSILON
+        };
+        let Some(rfi) = self.scorer.correct(&plugin, max_bias) else {
+            return Scored::Skipped;
+        };
         if rfi.score >= self.theta {
             Scored::Emitted(rfi, c.g3_error(scratch))
         } else {

@@ -1,19 +1,21 @@
 //! Property tests: F̂ against a brute-force permutation-model reference
 //! on tiny domains, the miner against a brute-force minimal-LHS oracle
-//! and the unpruned walk, plus thread-count invariance on arbitrary
-//! small relations.
+//! and the unpruned walk, thread-count invariance on arbitrary small
+//! relations, the capped `m₀` sum against the full one, and the
+//! histogram size-multiset builder against the sorting oracle.
 
 use dbmine_context::AnalysisCtx;
 use dbmine_fdmine::Fd;
-use dbmine_oracles::{fd_error_g3, mine_reliable_unpruned};
+use dbmine_oracles::{fd_error_g3, mine_reliable_unpruned, size_multiset_sorted};
 use dbmine_relation::partition::StrippedPartition;
 use dbmine_relation::{AttrSet, Relation, RelationBuilder};
 use dbmine_reliability::{
-    m0, mine_reliable_ctx, LnFact, ReliableFd, ReliableOptions, RfiScore, RfiScorer, SizeMultiset,
-    BIAS_EPSILON,
+    m0, m0_capped, mine_reliable_ctx, LnFact, ReliableFd, ReliableOptions, RfiScore, RfiScorer,
+    SizeMultiset, BIAS_EPSILON,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::collections::BTreeMap;
 
 /// A tiny categorical relation: ≤ 3 attributes, ≤ 6 tuples, domain 3 —
 /// small enough to enumerate all n! permutations of a column.
@@ -216,6 +218,139 @@ fn assert_matches_oracle(
         );
     }
     Ok(())
+}
+
+/// One draw of [`multiset_of`]: `(kind, size, count)`.
+type ClassDraw = (u32, u32, u32);
+
+/// The draws of one side of a multiset pair: a shape (0–3 random, 4 a
+/// key, 5 a constant) and up to ten runs of classes.
+fn multiset_draws() -> impl Strategy<Value = (u32, Vec<ClassDraw>)> {
+    (
+        0u32..6,
+        proptest::collection::vec((0u32..3, 0u32..1 << 20, 1u32..=64), 0..=10),
+    )
+}
+
+/// A class-size multiset over exactly `n` tuples. `shape` 4 is a key
+/// (all singletons) and 5 a constant (one class); otherwise each draw
+/// `(kind, size, count)` adds up to `count` classes of one small
+/// (≤ 8), mid-sized (≤ n/8) or large (≤ n/2) size while tuples remain,
+/// and the rest are singletons. `n = 0` is the empty multiset.
+fn multiset_of(n: usize, (shape, draws): &(u32, Vec<ClassDraw>)) -> SizeMultiset {
+    let mut classes: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut left = n;
+    match shape {
+        4 => {}
+        5 if n > 0 => {
+            classes.insert(n as u64, 1);
+            left = 0;
+        }
+        _ => {
+            for &(kind, size, count) in draws {
+                let cap = match kind {
+                    0 => 8,
+                    1 => n / 8,
+                    _ => n / 2,
+                }
+                .max(1);
+                let size = 1 + size as usize % cap;
+                for _ in 0..count {
+                    if size > left {
+                        break;
+                    }
+                    *classes.entry(size as u64).or_default() += 1;
+                    left -= size;
+                }
+            }
+        }
+    }
+    if left > 0 {
+        *classes.entry(1).or_default() += left as u64;
+    }
+    SizeMultiset {
+        pairs: classes.into_iter().collect(),
+        n,
+    }
+}
+
+/// The capped sum against the full one on one pair of multisets: the
+/// running total after every row of `x` (the full sum over that prefix
+/// of rows, the same additions in the same order) stays within
+/// `ε/2·H(Y)` of the full `m₀`, and for caps at, just below and around
+/// each running total, `m0_capped` returns the first running total
+/// above the cap before the last row, or else the full sum — bit for
+/// bit. An infinite cap never cuts.
+fn check_capped_m0(x: &SizeMultiset, y: &SizeMultiset) -> Result<(), TestCaseError> {
+    let lnfact = LnFact::new(x.n);
+    let full = m0(x, y, &lnfact);
+    let slack = BIAS_EPSILON / 2.0 * y.entropy_bits();
+    let running: Vec<f64> = (1..=x.pairs.len())
+        .map(|rows| {
+            let prefix = SizeMultiset {
+                pairs: x.pairs[..rows].to_vec(),
+                n: x.n,
+            };
+            m0(&prefix, y, &lnfact)
+        })
+        .collect();
+    for (row, &total) in running.iter().enumerate() {
+        prop_assert!(
+            total <= full + slack,
+            "row {}: running total {:e} above m0 {:e} + {:e}",
+            row,
+            total,
+            full,
+            slack
+        );
+    }
+    prop_assert_eq!(running.last().map_or(0, |t| t.to_bits()), full.to_bits());
+    let mut caps = vec![f64::INFINITY, full, 0.0, -1.0];
+    for &t in &running {
+        caps.extend([t, t.next_down(), t * 0.5]);
+    }
+    let stops = &running[..running.len().saturating_sub(1)];
+    for cap in caps {
+        let capped = m0_capped(x, y, &lnfact, cap);
+        let expected = stops.iter().copied().find(|&t| t > cap).unwrap_or(full);
+        prop_assert!(
+            capped.to_bits() == expected.to_bits(),
+            "cap {:e}: m0_capped {:e}, expected {:e} (m0 {:e})",
+            cap,
+            capped,
+            expected,
+            full
+        );
+        if capped <= cap {
+            prop_assert_eq!(capped.to_bits(), full.to_bits());
+        }
+    }
+    Ok(())
+}
+
+/// A stripped partition of `n = Σ sizes + singletons` tuples with the
+/// drawn class sizes, in the drawn (unsorted) order, on both sides of
+/// the builder's histogram cut.
+fn partition_with_sizes(draws: &[(u32, u32)], singletons: usize) -> StrippedPartition {
+    let sizes: Vec<usize> = draws
+        .iter()
+        .map(|&(kind, d)| match kind {
+            0 => 2 + d as usize % 7,
+            1 => 60 + d as usize % 8,
+            _ => 2 + d as usize % 300,
+        })
+        .collect();
+    let n = sizes.iter().sum::<usize>() + singletons;
+    let mut next = 0u32;
+    let classes: Vec<Vec<u32>> = sizes
+        .iter()
+        .map(|&s| {
+            let class = (next..next + s as u32).collect();
+            next += s as u32;
+            class
+        })
+        .collect();
+    StrippedPartition::from_classes(classes, n)
 }
 
 proptest! {
@@ -429,6 +564,51 @@ proptest! {
                     && b.g3.to_bits() == f.g3.to_bits(),
                     "{}: a score drifted at k = {}", b.fd, k);
             }
+        }
+    }
+    /// The capped `m₀` on the exact path (`n ≤ 4 096`), over random,
+    /// key, constant and tiny (`n ≤ 2`, `n = 0` included) multisets.
+    #[test]
+    fn capped_m0_is_a_prefix_of_the_full_sum_exact(
+        n in 0usize..=4096,
+        tiny in 0u32..8,
+        x in multiset_draws(),
+        y in multiset_draws(),
+    ) {
+        let n = if tiny == 0 { n % 3 } else { n };
+        check_capped_m0(&multiset_of(n, &x), &multiset_of(n, &y))?;
+    }
+
+    /// The capped `m₀` on the windowed path (`n` up to 10⁵, past the
+    /// exact `ln k!` table too).
+    #[test]
+    fn capped_m0_is_a_prefix_of_the_full_sum_windowed(
+        n in 4097usize..=100_000,
+        x in multiset_draws(),
+        y in multiset_draws(),
+    ) {
+        check_capped_m0(&multiset_of(n, &x), &multiset_of(n, &y))?;
+    }
+
+    /// The histogram builder equals the sorting oracle on class sizes
+    /// on both sides of its cut, in any order, with and without
+    /// singletons — and on n = 0, a constant column and a key.
+    #[test]
+    fn size_multiset_matches_sorting_oracle(
+        draws in proptest::collection::vec((0u32..3, 0u32..1 << 16), 0..=40),
+        singletons in 0usize..=70,
+    ) {
+        let p = partition_with_sizes(&draws, singletons);
+        let n = p.n();
+        let degenerate = [
+            StrippedPartition::of_empty(0),
+            StrippedPartition::of_empty(n),
+            StrippedPartition::from_classes(Vec::<Vec<u32>>::new(), n),
+        ];
+        for p in std::iter::once(&p).chain(&degenerate) {
+            let built = SizeMultiset::of_sizes(p.sizes());
+            prop_assert_eq!(&built, &size_multiset_sorted(p.sizes()));
+            prop_assert_eq!(built.pairs.iter().map(|&(s, c)| s * c).sum::<u64>(), p.n() as u64);
         }
     }
 }

@@ -82,10 +82,14 @@ pub enum Counter {
     /// postings each object walks, plus the `q·|S|` dense-block cells
     /// read per signature `S` of frequent tokens a worker builds.
     AssignPostings,
+    /// Reliable-test `m₀` sums stopped before their last row
+    /// (`dbmine_reliability::m0_capped`): the running total already
+    /// showed `F̂ < θ` for a candidate whose bias no filter reads.
+    M0Cutoffs,
 }
 
 /// Number of distinct counters.
-pub const N_COUNTERS: usize = 22;
+pub const N_COUNTERS: usize = 23;
 
 /// All counters, in index order. `COUNTERS[c as usize] == c` for every
 /// counter `c`.
@@ -112,6 +116,7 @@ pub const COUNTERS: [Counter; N_COUNTERS] = [
     Counter::BnbBounds,
     Counter::BnbPrunes,
     Counter::AssignPostings,
+    Counter::M0Cutoffs,
 ];
 
 impl Counter {
@@ -140,6 +145,7 @@ impl Counter {
             Counter::BnbBounds => "bnb_bounds",
             Counter::BnbPrunes => "bnb_prunes",
             Counter::AssignPostings => "assign_postings",
+            Counter::M0Cutoffs => "m0_cutoffs",
         }
     }
 }

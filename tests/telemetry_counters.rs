@@ -255,11 +255,14 @@ fn reliable_mining_computes_g3_only_for_emitted_dependencies() {
     // there only level 1 is filtered, so the branch-and-bound counters
     // read level 1's bounds and no prune. `g3` is computed only for the
     // dependencies the miner emits: the counts `fds --score rfi` prints.
+    // An `m₀` sum stops early only where no filter reads the bias, so
+    // the unbounded walk cuts none and the bounded one cuts many.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/db2_sample.csv");
     let ctx = AnalysisCtx::from(read_relation_path(path).expect("committed sample"));
-    for (max_lhs, rfi_evals, emitted, bounds, prunes) in
-        [(None, 24_339, 244, 31_842, 454), (Some(2), 999, 243, 19, 0)]
-    {
+    for (max_lhs, rfi_evals, emitted, bounds, prunes, cutoffs) in [
+        (None, 24_339, 244, 31_842, 454, 0),
+        (Some(2), 999, 243, 19, 0, 429),
+    ] {
         let (out, d) = with_deltas(|| {
             mine_reliable_ctx(
                 &ctx,
@@ -281,6 +284,11 @@ fn reliable_mining_computes_g3_only_for_emitted_dependencies() {
         assert_eq!(
             d.get(Counter::BnbPrunes),
             expect(prunes),
+            "max_lhs = {max_lhs:?}"
+        );
+        assert_eq!(
+            d.get(Counter::M0Cutoffs),
+            expect(cutoffs),
             "max_lhs = {max_lhs:?}"
         );
     }
