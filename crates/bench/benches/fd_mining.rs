@@ -34,7 +34,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| mine_approximate_ctx(&AnalysisCtx::of(&db2), 0.05, Some(2), 1))
     });
     g.bench_function("mvds/db2_lhs1", |b| {
-        b.iter(|| mine_mvds(&AnalysisCtx::of(&db2), 1, false))
+        b.iter(|| mine_mvds(&AnalysisCtx::of(&db2), 1))
     });
 
     for &n in &[1000usize, 4000] {

@@ -230,7 +230,7 @@ pub fn run_redesign(ctx: &AnalysisCtx, steps: usize, config: &MinerConfig) -> St
 /// `mvds`: bounded multivalued-dependency mining.
 pub fn run_mvds(ctx: &AnalysisCtx, max_lhs: usize) -> String {
     let names = ctx.attr_names();
-    let mvds = dbmine_fdmine::mine_mvds(ctx, max_lhs, true);
+    let mvds = dbmine_fdmine::mine_mvds(ctx, max_lhs);
     let mut out = String::new();
     writeln!(
         out,

@@ -1,12 +1,15 @@
 //! A minimal, dependency-free JSON layer for the `dbmined` line
-//! protocol: a recursive-descent parser into a small value enum, plus
-//! string escaping for response construction.
+//! protocol: a recursive-descent parser into a small value enum and its
+//! compact re-serialization. Responses escape their strings with
+//! [`dbmine_telemetry::json_escape`], the one JSON escape the profile
+//! reports use too.
 //!
 //! The daemon's requests are tiny (a command plus a handful of scalar
 //! parameters), so this intentionally supports exactly standard JSON —
 //! no extensions — and rejects everything else with a message suitable
 //! for a protocol error response.
 
+use dbmine_telemetry::json_escape;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -82,7 +85,7 @@ impl Json {
             Json::Num(n) => out.push_str(&format_number(*n)),
             Json::Str(s) => {
                 out.push('"');
-                out.push_str(&escape(s));
+                out.push_str(&json_escape(s));
                 out.push('"');
             }
             Json::Arr(items) => {
@@ -102,7 +105,7 @@ impl Json {
                         out.push(',');
                     }
                     out.push('"');
-                    out.push_str(&escape(k));
+                    out.push_str(&json_escape(k));
                     out.push_str("\":");
                     v.write(out);
                 }
@@ -120,25 +123,6 @@ fn format_number(n: f64) -> String {
     } else {
         format!("{n}")
     }
-}
-
-/// JSON string escaping for response construction.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A parse failure with a byte offset, rendered into protocol errors.
@@ -495,7 +479,16 @@ mod tests {
 
     #[test]
     fn escape_specials() {
-        assert_eq!(escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
+        let s = "a\"b\\c\nd\u{1}";
+        assert_eq!(json_escape(s), "a\\\"b\\\\c\\nd\\u0001");
+        assert_eq!(
+            Json::Str(s.into()).to_string_compact(),
+            "\"a\\\"b\\\\c\\nd\\u0001\""
+        );
+        assert_eq!(
+            parse(&Json::Str(s.into()).to_string_compact()).unwrap(),
+            Json::Str(s.into())
+        );
     }
 
     #[test]

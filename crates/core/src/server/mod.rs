@@ -59,7 +59,7 @@ use crate::render::{self, Kind, ParamError, Value};
 use dbmine_context::{AnalysisCtx, CtxCache, CtxCacheStats};
 use dbmine_relation::csv::read_relation;
 use dbmine_telemetry as telemetry;
-use dbmine_telemetry::RunReport;
+use dbmine_telemetry::{json_escape, RunReport};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, Read, Write};
@@ -90,7 +90,7 @@ impl Handled {
             line: format!(
                 "{{\"id\":{},\"ok\":false,\"error\":\"{}\"}}",
                 id.to_string_compact(),
-                json::escape(message)
+                json_escape(message)
             ),
             shutdown: false,
         }
@@ -485,14 +485,14 @@ impl Body {
             out,
             "{{\"id\":{},\"ok\":true,\"cmd\":\"{}\"",
             id.to_string_compact(),
-            json::escape(&self.cmd)
+            json_escape(&self.cmd)
         )
         .unwrap();
         if let Some((ctx, hash)) = &self.relation {
             write!(
                 out,
                 ",\"relation\":{{\"name\":\"{}\",\"tuples\":{},\"attrs\":{},\"content_hash\":\"{:016x}\"}}",
-                json::escape(ctx.name()),
+                json_escape(ctx.name()),
                 ctx.n_tuples(),
                 ctx.n_attrs(),
                 hash
@@ -502,7 +502,7 @@ impl Body {
         if let Some(cached) = self.cached {
             write!(out, ",\"cached\":{cached}").unwrap();
         }
-        write!(out, ",\"output\":\"{}\"", json::escape(&self.output)).unwrap();
+        write!(out, ",\"output\":\"{}\"", json_escape(&self.output)).unwrap();
         if let Some(vs) = self.view_stats {
             write!(
                 out,

@@ -11,13 +11,15 @@
 //! ([`crate::lattice::walk_minimal`]) with a `g3` test, emitting all
 //! minimal `X → A` with `g3(X → A) ≤ ε`. At ε = 0 the test is exact TANE
 //! ([`crate::tane`] wraps it) and opens TANE's per-level spans. `g3` is
-//! a function of the partitions, so the walk's exact-FD rule holds at
-//! every ε, but its key rule, which reads minimality off `C⁺` because
-//! the exact walk is complete, only at ε = 0 (the lattice module docs
-//! have the arguments and a counterexample). At ε > 0 each `g3` is
-//! computed from π_{X∖A} and π_A's class ids; at ε = 0 only whether
-//! `X∖A → A` holds is read ([`Candidate::holds`]). Neither needs π_X on
-//! a bounded walk's last level, which builds no products.
+//! a function of the partitions, as the walk's exact-FD rule needs of
+//! every test, and it emits every exact dependency, so the rule narrows
+//! `C⁺` only by emitted ones. The key rule, which reads minimality off
+//! `C⁺` because the exact walk is complete, holds only at ε = 0 (the
+//! lattice module docs have the arguments and a counterexample). At
+//! ε > 0 each `g3` is computed from π_{X∖A} and π_A's class ids; at
+//! ε = 0 only whether `X∖A → A` holds is read ([`Candidate::holds`]).
+//! Neither needs π_X on a bounded walk's last level, which builds no
+//! products.
 
 use crate::fd::Fd;
 use crate::lattice::{walk_minimal, Candidate, MinimalTest, Step};
@@ -57,10 +59,6 @@ impl MinimalTest for G3Test {
 
     fn emits(&self, &error: &f64) -> bool {
         error <= self.epsilon
-    }
-
-    fn exact(&self, &error: &f64) -> bool {
-        error == 0.0
     }
 
     fn key_score(&self) -> Option<f64> {

@@ -29,8 +29,9 @@
 //!    `L ⊆ X∖{A}` covers, so every emission is minimal;
 //! 2. merges the level's emissions serially, each emitted `L → A`
 //!    dropping `A` from the previous level's `C⁺(L)`;
-//! 3. sets `C⁺(X) = ∩_{B∈X} C⁺(X∖{B})` over the updated sets, then
-//!    narrows it by the exact-FD rule.
+//! 3. on a level it goes on from, sets `C⁺(X) = ∩_{B∈X} C⁺(X∖{B})`
+//!    over the updated sets, then narrows it by the exact-FD rule (the
+//!    last level of a bounded walk has no reader of its `C⁺`).
 //!
 //! A join candidate is kept only if all of its one-smaller subsets
 //! survived, so the intersection reaches every subset of `X`. An
@@ -44,14 +45,17 @@
 //! `C⁺` is empty leaves the join under every test, and a survivor filter
 //! ([`MinimalTest::survivors`]) bounds only the consequents in `C⁺(X)`.
 //!
-//! * **Exact FD** ([`MinimalTest::exact`]: `g3` at every ε). Emitting
-//!   an exact `X∖{A} → A` narrows `C⁺(X)` to `X`. Then π_X =
-//!   π_{X∖A}, so for `Z ⊇ X` and `B ∈ Z∖X`, π_{Z∖B} = π_{Z∖{A,B}} and
-//!   π_Z = π_{Z∖A}: a score that is a function of the partitions gives
-//!   `Z∖{B} → B` the value of the smaller `Z∖{A,B} → B`, so it is never
-//!   minimal. F̂ is such a score, but the reliable test does not take
-//!   the rule, which would change the candidates its branch-and-bound
-//!   scores and bounds.
+//! * **Exact FD** (every test). When some scored `X∖{A} → A` holds
+//!   exactly — the walk reads it off the partitions, `e(π_{X∖A}) =
+//!   e(π_X)`, the O(1) check of [`Candidate::holds`] — it narrows
+//!   `C⁺(X)` to `X`, whether or not the test emits the dependency. Then
+//!   π_X = π_{X∖A}, so for `Z ⊇ X` and `B ∈ Z∖X`, π_{Z∖B} =
+//!   π_{Z∖{A,B}} and π_Z = π_{Z∖A}: a test whose verdict is a function
+//!   of the partitions (the [`MinimalTest`] contract) gives `Z∖{B} → B`
+//!   the verdict of the smaller `Z∖{A,B} → B`, so it is either rejected
+//!   or not minimal. `g3` emits every exact dependency, at every ε; F̂
+//!   may reject one (a key-like LHS's bias cancels its plugin of 1),
+//!   and the rule prunes by it all the same.
 //! * **Key** ([`MinimalTest::key_score`]: only `g3` at ε = 0). A key
 //!   `X` (π_X has no class) leaves the join, and `X → A` is emitted for
 //!   each `A ∈ C⁺(X)∖X`. At ε = 0 this is sound because the walk is
@@ -75,7 +79,8 @@
 //! its last level builds no products ([`Level::Unbuilt`]); F̂ reads
 //! π_X's class sizes, so its last level is built by the counting loop
 //! alone ([`StrippedPartition::product_sizes`]) as a [`Level::Sizes`].
-//! No survivor filter or pruning rule reads that level's scores.
+//! No survivor filter or pruning rule reads that level's scores, so the
+//! walk computes neither its exactness nor its `C⁺`.
 //!
 //! Level `k` seeds only that last level, so the walk runs no survivor
 //! filter on it either: filtering it would pay for every candidate's
@@ -350,6 +355,11 @@ pub enum Step {
 }
 
 /// A miner's plug-ins for [`walk_minimal`].
+///
+/// The walk takes the exact-FD rule under every test (see the module
+/// docs), which needs one condition of each: its score of any `Y → B`,
+/// as far as [`Self::emits`] reads it, is a function of π_Y and
+/// π_{Y∪B}.
 pub trait MinimalTest: Sync {
     /// What scoring one candidate `X∖{A} → A` yields.
     type Score: Copy + Send + Sync;
@@ -363,14 +373,6 @@ pub trait MinimalTest: Sync {
     fn score(&self, candidate: &Candidate<'_>, scratch: &mut PartitionScratch) -> Self::Score;
     /// Whether a scored candidate is emitted.
     fn emits(&self, score: &Self::Score) -> bool;
-
-    /// Whether an emitted `score` says `X∖{A} → A` holds exactly, for a
-    /// test whose score of any `Y → B` is a function of π_Y and
-    /// π_{Y∪B}: the walk then takes the exact-FD rule (see the module
-    /// docs). Default: false, the rule is not taken.
-    fn exact(&self, _score: &Self::Score) -> bool {
-        false
-    }
 
     /// For a test that emits exactly the dependencies that hold, the
     /// score of each: the walk then takes the key rule (see the module
@@ -477,21 +479,28 @@ pub fn walk_minimal<T: MinimalTest>(
                 *cplus = cplus.without(a);
             }
         }
+        // Only a level the walk goes on from has a reader of its C⁺.
+        if max_lhs.is_some_and(|max| level > max) {
+            break;
+        }
+        // The exact-FD rule, under every test (module docs): some
+        // scored `X∖{A} → A` holds, `e(π_{X∖A}) = e(π_X)`.
         let cplus: Vec<AttrSet> = sets
             .iter()
             .zip(&tested)
             .map(|(&x, cases)| {
                 let cplus = subsets_cplus(&prev_cplus, x);
-                match cases.iter().any(|(_, s)| test.emits(s) && test.exact(s)) {
+                let e_x = current.sizes(x).expect("a joined level is built").error();
+                match cases
+                    .iter()
+                    .any(|&(a, _)| prev_parts[&x.without(a).bits()].error() == e_x)
+                {
                     true => cplus.intersect(x),
                     false => cplus,
                 }
             })
             .collect();
         drop(scoring);
-        if max_lhs.is_some_and(|max| level > max) {
-            break;
-        }
 
         let mut parts = current.into_parts();
         let pruning = test.span(Step::Prune);

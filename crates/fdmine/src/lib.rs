@@ -22,8 +22,8 @@
 //! * [`lattice`] — the one levelwise lattice walk behind [`tane`],
 //!   [`approximate`] and the reliable miner of `dbmine-reliability`: the
 //!   prefix-join generation, the minimal-LHS scoring walk, and its one
-//!   pruning state, the rhs⁺ sets `C⁺`, which the exact-FD and key
-//!   rules narrow and read, each taken by the tests it is sound for.
+//!   pruning state, the rhs⁺ sets `C⁺`, which the exact-FD rule (under
+//!   every test) and the key rule (exact TANE only) narrow and read.
 //! * [`mvd`] — multivalued dependencies (the paper's `[25]` sibling
 //!   problem): instance checks, dependency bases, bounded mining.
 

@@ -140,22 +140,17 @@ impl Determinant {
 /// the instance — the finest partition of `R − X` into blocks `B` with
 /// `X ↠ B` — by merging entangled blocks to a fixpoint. Each non-full
 /// basis yields the MVDs `X ↠ B`. Results exclude MVDs implied by an FD
-/// with the same LHS when `exclude_fd_implied` is set (every `X → A`
-/// trivially gives `X ↠ A`).
-pub fn mine_mvds(ctx: &AnalysisCtx, max_lhs: usize, exclude_fd_implied: bool) -> Vec<Mvd> {
+/// with an LHS within `X` (every `X → A` trivially gives `X ↠ A`).
+pub fn mine_mvds(ctx: &AnalysisCtx, max_lhs: usize) -> Vec<Mvd> {
     let _span = dbmine_telemetry::span("fdmine.mvds");
     let all = ctx.all_attrs();
-    let fds: Vec<Fd> = if exclude_fd_implied {
-        crate::tane::mine_tane_ctx(
-            ctx,
-            crate::tane::TaneOptions {
-                max_lhs: Some(max_lhs),
-                ..Default::default()
-            },
-        )
-    } else {
-        Vec::new()
-    };
+    let fds: Vec<Fd> = crate::tane::mine_tane_ctx(
+        ctx,
+        crate::tane::TaneOptions {
+            max_lhs: Some(max_lhs),
+            ..Default::default()
+        },
+    );
 
     let mut out: HashSet<Mvd> = HashSet::new();
     for x in sets_up_to(ctx.n_attrs(), max_lhs) {
@@ -167,17 +162,15 @@ pub fn mine_mvds(ctx: &AnalysisCtx, max_lhs: usize, exclude_fd_implied: bool) ->
             // Skip if an FD with LHS ⊆ X determines one side of the
             // split: `X → Y` implies `X ↠ Y`, and by the complement rule
             // the canonical form may carry either side, so check both.
-            if exclude_fd_implied {
-                let determined = |side: AttrSet| {
-                    !side.is_empty()
-                        && side
-                            .iter()
-                            .all(|a| fds.iter().any(|f| f.rhs == a && f.lhs.is_subset_of(x)))
-                };
-                let complement = all.minus(x).minus(mvd.rhs);
-                if determined(mvd.rhs) || determined(complement) {
-                    continue;
-                }
+            let determined = |side: AttrSet| {
+                !side.is_empty()
+                    && side
+                        .iter()
+                        .all(|a| fds.iter().any(|f| f.rhs == a && f.lhs.is_subset_of(x)))
+            };
+            let complement = all.minus(x).minus(mvd.rhs);
+            if determined(mvd.rhs) || determined(complement) {
+                continue;
             }
             // Minimality in X: skip if some X' ⊂ X already yields this
             // dependency (same canonical split restricted to R−X').
@@ -357,25 +350,24 @@ mod tests {
     #[test]
     fn mining_finds_course_mvd_and_not_fd_implied() {
         let rel = ctb();
-        let mvds = mine_mvds(&AnalysisCtx::of(&rel), 1, true);
+        let mvds = mine_mvds(&AnalysisCtx::of(&rel), 1);
         let expected = Mvd::canonical(AttrSet::single(0), AttrSet::single(1), rel.all_attrs());
         assert!(mvds.contains(&expected), "{mvds:?}");
-        // With FD-implied exclusion, figure4's C↠B (implied by C→B) is
-        // filtered out.
+        // Figure4's C↠B holds on the instance, but it is implied by
+        // C→B, so it is filtered out.
         let fig4 = dbmine_relation::paper::figure4();
-        let mvds4 = mine_mvds(&AnalysisCtx::of(&fig4), 1, true);
+        let ctx4 = AnalysisCtx::of(&fig4);
         let c_b = Mvd::canonical(AttrSet::single(2), AttrSet::single(1), fig4.all_attrs());
+        assert!(mvd_holds(&ctx4, c_b.lhs, c_b.rhs));
+        let mvds4 = mine_mvds(&ctx4, 1);
         assert!(!mvds4.contains(&c_b), "{mvds4:?}");
-        // Without exclusion it (or its complement form) appears.
-        let raw = mine_mvds(&AnalysisCtx::of(&fig4), 1, false);
-        assert!(raw.contains(&c_b), "{raw:?}");
     }
 
     #[test]
     fn trivial_mvds_are_suppressed() {
         let rel = ctb();
         let all = rel.all_attrs();
-        for mvd in mine_mvds(&AnalysisCtx::of(&rel), 2, false) {
+        for mvd in mine_mvds(&AnalysisCtx::of(&rel), 2) {
             assert!(!mvd.is_trivial(all), "{mvd:?}");
             assert!(mvd.lhs.is_disjoint(mvd.rhs));
         }
@@ -429,7 +421,7 @@ mod tests {
             b.push_row_strs(&row);
         }
         let rel = b.build();
-        let mvds = mine_mvds(&AnalysisCtx::of(&rel), 1, true);
+        let mvds = mine_mvds(&AnalysisCtx::of(&rel), 1);
         let course = AttrSet::single(62);
         let planted = Mvd::canonical(course, AttrSet::single(63), rel.all_attrs());
         assert!(mvds.contains(&planted), "{mvds:?}");

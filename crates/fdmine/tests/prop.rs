@@ -232,7 +232,7 @@ proptest! {
         for rel in [rel, edge].into_iter().chain(heads) {
             let all = rel.all_attrs();
             let mem = AnalysisCtx::of(&rel);
-            let mined = mine_mvds(&mem, 2, true);
+            let mined = mine_mvds(&mem, 2);
             let stores: Vec<_> = [1, 3, 1000].iter().map(|&c| store_ctx(&rel, c)).collect();
             let sources = std::iter::once(&mem).chain(stores.iter().map(|(ctx, _)| ctx));
             for (source, ctx) in sources.enumerate() {
@@ -244,7 +244,7 @@ proptest! {
                         "{:?} ↠ {:?}, source {}", x, y, source
                     );
                 }
-                prop_assert_eq!(&mine_mvds(ctx, 2, true), &mined, "source {}", source);
+                prop_assert_eq!(&mine_mvds(ctx, 2), &mined, "source {}", source);
                 prop_assert_eq!(ctx.view_stats().materializations, 0);
             }
             for (store, path) in stores {

@@ -1,6 +1,10 @@
 //! The unpruned reliable walk: `mine_reliable_ctx`'s F̂ test without its
 //! branch-and-bound survivor filter, and the sorting size-multiset
-//! builder that `SizeMultiset::of_sizes` is pinned against.
+//! builder that `SizeMultiset::of_sizes` is pinned against. "Unpruned"
+//! means of branch-and-bound only: the walk's own `C⁺` rules (minimality
+//! and the exact-FD rule) run under every test, so the independent
+//! reference for them is the brute-force minimal-LHS oracle of
+//! `dbmine-reliability`'s property tests.
 
 use dbmine_context::AnalysisCtx;
 use dbmine_fdmine::lattice::{walk_minimal, Candidate, MinimalTest};
@@ -33,9 +37,9 @@ impl MinimalTest for Unpruned {
 }
 
 /// Mines all minimal `X → A` with `F̂(X→A) ≥ θ` and `|X| ≤ max_lhs`
-/// over the whole minimality-filtered lattice, pruning nothing. The
-/// reference `mine_reliable_ctx`'s branch-and-bound must match bit for
-/// bit.
+/// over the lattice the walk's `C⁺` leaves, with no branch-and-bound.
+/// The reference `mine_reliable_ctx`'s branch-and-bound must match bit
+/// for bit.
 pub fn mine_reliable_unpruned(
     ctx: &AnalysisCtx,
     theta: f64,

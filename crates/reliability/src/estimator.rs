@@ -55,7 +55,7 @@
 //! `g3` scores perfect.
 
 use dbmine_context::AnalysisCtx;
-use dbmine_relation::partition::{ClassSizes, PartitionScratch, StrippedPartition};
+use dbmine_relation::partition::{ClassSizes, PartitionScratch};
 use dbmine_relation::AttrSet;
 use dbmine_telemetry::{counter_add, Counter};
 
@@ -366,24 +366,10 @@ impl RfiScorer {
     /// anything, exactly, with no room for chance agreement — and the
     /// convention keeps the score total (no NaN from `0/0`).
     pub fn plugin(&self, p_x: &ClassSizes, p_xrhs: &ClassSizes, rhs: usize) -> RfiPlugin {
-        counter_add(Counter::RfiEvals, 1);
-        let h_y = self.h_y[rhs];
-        if h_y == 0.0 {
-            return RfiPlugin {
-                plugin: 1.0,
-                rhs,
-                x: None,
-            };
-        }
-        let x = SizeMultiset::of_sizes(p_x);
-        let xy = SizeMultiset::of_sizes(p_xrhs);
-        // I(X;Y) = H(X) + H(Y) − H(XY), all from size multisets.
-        let mi = x.entropy_bits() + h_y - xy.entropy_bits();
-        RfiPlugin {
-            plugin: mi / h_y,
-            rhs,
-            x: Some(x),
-        }
+        let (plugin, x) = plugin_fraction(self.h_y[rhs], || {
+            (SizeMultiset::of_sizes(p_x), SizeMultiset::of_sizes(p_xrhs))
+        });
+        RfiPlugin { plugin, rhs, x }
     }
 
     /// The second step of F̂: subtracts the permutation-model bias
@@ -393,11 +379,25 @@ impl RfiScorer {
     /// `max_bias = f64::INFINITY` it always runs the full sum. A `Some`
     /// result is the full sum's, bit for bit, whatever the cap.
     pub fn correct(&self, p: &RfiPlugin, max_bias: f64) -> Option<RfiScore> {
-        let bias = match &p.x {
+        let (y, h_y) = (&self.y_sizes[p.rhs], self.h_y[p.rhs]);
+        self.corrected(p.plugin, p.x.as_ref(), y, h_y, max_bias)
+    }
+
+    /// [`Self::correct`] for a consequent with size multiset `y` and
+    /// entropy `h_y`, and `π_X`'s size multiset `x` (`None` for a
+    /// constant consequent, whose bias is 0).
+    fn corrected(
+        &self,
+        plugin: f64,
+        x: Option<&SizeMultiset>,
+        y: &SizeMultiset,
+        h_y: f64,
+        max_bias: f64,
+    ) -> Option<RfiScore> {
+        let bias = match x {
             Some(x) => {
-                let h_y = self.h_y[p.rhs];
                 let cap = max_bias * h_y;
-                let bits = m0_capped(x, &self.y_sizes[p.rhs], &self.lnfact, cap);
+                let bits = m0_capped(x, y, &self.lnfact, cap);
                 if bits > cap {
                     return None;
                 }
@@ -406,9 +406,9 @@ impl RfiScorer {
             None => 0.0,
         };
         Some(RfiScore {
-            plugin: p.plugin,
+            plugin,
             bias,
-            score: p.plugin - bias,
+            score: plugin - bias,
         })
     }
 
@@ -434,48 +434,54 @@ impl RfiScorer {
         }
     }
 
-    /// F̂(X→Y) for attribute *sets*, building the three needed
-    /// partitions from the context's cached single-attribute ones. Used
-    /// by FD-RANK to score collapsed dependencies (whose consequent is a
-    /// set). `X = ∅` scores 0 against any non-constant `Y`.
+    /// F̂(X→Y) for attribute *sets*, reading `π_Y`, `π_X` and their
+    /// product off the context's memoized single-attribute partitions
+    /// ([`AnalysisCtx::partition`]; `π_X` only for a non-constant `Y`),
+    /// and finished by the same plugin and bias steps as
+    /// [`Self::plugin`] and [`Self::correct`]. Used by FD-RANK to score
+    /// collapsed dependencies (whose consequent is a set). `X = ∅`
+    /// scores 0 against any non-constant `Y`. Counts one `rfi_evals`.
     pub fn score_sets(&self, ctx: &AnalysisCtx, lhs: AttrSet, rhs: AttrSet) -> RfiScore {
-        counter_add(Counter::RfiEvals, 1);
-        let mut scratch = PartitionScratch::new();
-        let product = |attrs: AttrSet, scratch: &mut PartitionScratch| -> StrippedPartition {
-            let mut acc = StrippedPartition::of_empty(self.n);
-            for a in attrs.iter() {
-                acc = acc.product_with(ctx.attr_partition(a), scratch);
-            }
-            acc
-        };
-        let p_y = product(rhs, &mut scratch);
+        let p_y = ctx.partition(rhs);
         let y = SizeMultiset::of_sizes(p_y.sizes());
         let h_y = y.entropy_bits();
-        if h_y == 0.0 {
-            return RfiScore {
-                plugin: 1.0,
-                bias: 0.0,
-                score: 1.0,
-            };
-        }
-        let p_x = product(lhs, &mut scratch);
-        let p_xy = p_x.product_with(&p_y, &mut scratch);
-        let x = SizeMultiset::of_sizes(p_x.sizes());
-        let mi = x.entropy_bits() + h_y - SizeMultiset::of_sizes(p_xy.sizes()).entropy_bits();
-        let plugin = mi / h_y;
-        let bias = m0(&x, &y, &self.lnfact) / h_y;
-        RfiScore {
-            plugin,
-            bias,
-            score: plugin - bias,
-        }
+        let (plugin, x) = plugin_fraction(h_y, || {
+            let p_x = ctx.partition(lhs);
+            let p_xy = p_x.product_with(&p_y, &mut PartitionScratch::new());
+            (
+                SizeMultiset::of_sizes(p_x.sizes()),
+                SizeMultiset::of_sizes(p_xy.sizes()),
+            )
+        });
+        self.corrected(plugin, x.as_ref(), &y, h_y, f64::INFINITY)
+            .expect("an uncapped bias always completes")
     }
+}
+
+/// The plugin fraction `I(X;Y)/H(Y)` for a consequent of entropy `h_y`,
+/// with `π_X`'s size multiset for the bias step, from the size
+/// multisets of `π_X` and `π_{X∪Y}` that `sizes` yields; counts one
+/// `rfi_evals`. A constant consequent (`H(Y) = 0`) is `1` by
+/// convention, with no multiset (bias 0), and `sizes` is not called.
+fn plugin_fraction(
+    h_y: f64,
+    sizes: impl FnOnce() -> (SizeMultiset, SizeMultiset),
+) -> (f64, Option<SizeMultiset>) {
+    counter_add(Counter::RfiEvals, 1);
+    if h_y == 0.0 {
+        return (1.0, None);
+    }
+    let (x, xy) = sizes();
+    // I(X;Y) = H(X) + H(Y) − H(XY), all from size multisets.
+    let mi = x.entropy_bits() + h_y - xy.entropy_bits();
+    (mi / h_y, Some(x))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dbmine_relation::paper::figure4;
+    use dbmine_relation::partition::StrippedPartition;
     use dbmine_relation::RelationBuilder;
 
     fn multiset(pairs: &[(u64, u64)], n: usize) -> SizeMultiset {

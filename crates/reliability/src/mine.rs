@@ -8,10 +8,11 @@
 //! serial emission merge, and this module plugs in a test that scores
 //! each candidate `X∖{A} → A` with the bias-corrected F̂ of
 //! [`crate::estimator`] and emits every minimal dependency with
-//! `F̂ ≥ θ`. The test takes neither the walk's exact-FD rule nor its
-//! key rule: the key rule holds only for a test that emits exactly the
-//! dependencies that hold, and the exact-FD rule, though sound for F̂'s
-//! emissions, would change which candidates are scored and bounded.
+//! `F̂ ≥ θ`. F̂ is a function of the partitions, so the walk's exact-FD
+//! rule prunes this walk as it prunes TANE's: once `X∖{A} → A` holds
+//! exactly, emitted or not, no superset of `X` is scored or bounded for
+//! a consequent outside `X`. The key rule does not apply: it holds only
+//! for a test that emits exactly the dependencies that hold.
 //!
 //! Its survivor filter is the Mandros et al. branch-and-bound rule: a
 //! candidate set `X` can be dropped from generation when **no**

@@ -129,24 +129,46 @@ fn brute_force_m0_bits(x_ids: &[u32], y_ids: &[u32]) -> f64 {
 }
 
 /// A random small categorical relation (≤ 5 attributes, ≤ 12 tuples,
-/// domain 3) — wide enough for LHSs of size 3 and 4.
+/// domain 3) — wide enough for LHSs of size 3 and 4. About half the
+/// columns past the first are planted as a function of a non-empty set
+/// of earlier columns: their value mod 2 or mod 3, or their joint value.
+/// Each plants an exact FD, whose F̂ ranges from high (a coarse function
+/// of few columns) to about 0 (an LHS that is nearly a key), so the
+/// walk's exact-FD rule prunes on both sides of θ.
 fn small_relation() -> impl Strategy<Value = Relation> {
     (2usize..=5, 1usize..=12).prop_flat_map(|(m, n)| {
-        proptest::collection::vec(proptest::collection::vec(0u8..3, m), n).prop_map(move |rows| {
-            let names: Vec<String> = (0..m).map(|a| format!("A{a}")).collect();
-            let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-            let mut b = RelationBuilder::new("small", &refs);
-            for row in rows {
-                let cells: Vec<String> = row
-                    .iter()
-                    .enumerate()
-                    .map(|(a, v)| format!("v{a}_{v}"))
-                    .collect();
-                let strs: Vec<&str> = cells.iter().map(String::as_str).collect();
-                b.push_row_strs(&strs);
-            }
-            b.build()
-        })
+        (
+            proptest::collection::vec(0u32..1 << 7, m..=m),
+            proptest::collection::vec(proptest::collection::vec(0u8..3, m..=m), n..=n),
+        )
+            .prop_map(move |(plants, rows)| {
+                let names: Vec<String> = (0..m).map(|a| format!("A{a}")).collect();
+                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+                let mut b = RelationBuilder::new("small", &refs);
+                for row in rows {
+                    let mut values: Vec<u32> = row.iter().map(|&v| u32::from(v)).collect();
+                    for a in 1..m {
+                        let sources = AttrSet::from_bits(u64::from(plants[a] >> 3) % (1 << a));
+                        let joint = sources.iter().fold(0, |h, s| 3 * h + values[s]);
+                        if !sources.is_empty() {
+                            values[a] = match plants[a] & 7 {
+                                4 => joint % 2,
+                                5 => joint % 3,
+                                6 | 7 => joint,
+                                _ => values[a],
+                            };
+                        }
+                    }
+                    let cells: Vec<String> = values
+                        .iter()
+                        .enumerate()
+                        .map(|(a, v)| format!("v{a}_{v}"))
+                        .collect();
+                    let strs: Vec<&str> = cells.iter().map(String::as_str).collect();
+                    b.push_row_strs(&strs);
+                }
+                b.build()
+            })
     })
 }
 
@@ -414,14 +436,16 @@ proptest! {
 
     /// The miner emits exactly the oracle's minimal `F̂ ≥ θ`
     /// dependencies, scored by the standalone scorer, unbounded and
-    /// restricted to LHS sizes 1 and 2. Every score component and the
-    /// `g3` error must match bit for bit.
+    /// restricted to LHS sizes 1, 2 and 3. Every score component and the
+    /// `g3` error must match bit for bit. The oracle scores every LHS, so
+    /// it is the independent reference for the walk's `C⁺` rules, the
+    /// exact-FD rule on the planted dependencies among them.
     #[test]
     fn mine_reliable_matches_minimal_oracle(rel in small_relation(), theta_pct in 0u32..=100) {
         let theta = theta_pct as f64 / 100.0;
         let ctx = AnalysisCtx::of(&rel);
         let scorer = RfiScorer::new(&ctx);
-        for max_lhs in [None, Some(1), Some(2)] {
+        for max_lhs in [None, Some(1), Some(2), Some(3)] {
             let oracle = minimal_oracle(
                 rel.n_attrs(),
                 max_lhs,

@@ -51,7 +51,7 @@ mod span;
 pub use counters::{
     counter_add, counter_value, snapshot, Counter, CounterSnapshot, COUNTERS, N_COUNTERS,
 };
-pub use report::{ReportNode, RunReport, SCHEMA_VERSION};
+pub use report::{json_escape, ReportNode, RunReport, SCHEMA_VERSION};
 pub use span::{begin, collecting, finish, span, span_depth, Span};
 
 /// True when the `telemetry` cargo feature was compiled in. Callers can

@@ -268,7 +268,7 @@ fn aggregate(
 fn write_node(out: &mut String, node: &ReportNode) {
     out.push_str(&format!(
         "{{\"name\":\"{}\",\"calls\":{},\"total_ms\":{:.3},\"self_ms\":{:.3},\"counters\":{{",
-        escape(node.name),
+        json_escape(node.name),
         node.calls,
         node.total_ms,
         node.self_ms
@@ -315,7 +315,9 @@ fn render_tree(out: &mut String, node: &ReportNode, depth: usize) {
     }
 }
 
-fn escape(s: &str) -> String {
+/// JSON string escaping: quotes, backslashes and control characters
+/// (`\n`, `\t`, `\r`, the rest as `\u00XX`); everything else verbatim.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {
@@ -410,6 +412,6 @@ mod tests {
 
     #[test]
     fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
+        assert_eq!(json_escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
     }
 }
