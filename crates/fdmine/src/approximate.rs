@@ -19,7 +19,11 @@
 //! ε > 0 each `g3` is computed from π_{X∖A} and π_A's class ids; at
 //! ε = 0 only whether `X∖A → A` holds is read ([`Candidate::holds`]).
 //! Neither needs π_X on a bounded walk's last level, which builds no
-//! products.
+//! products. On the other levels the walk multiplies only the
+//! partitions no exact FD fixes and shares the rest (the lattice module
+//! docs, *Shared partitions*); at ε > 0 emissions empty `C⁺` sooner, so
+//! fewer sets that carry an exact FD reach the join, and fewer are
+//! shared.
 
 use crate::fd::Fd;
 use crate::lattice::{walk_minimal, Candidate, MinimalTest, Step};
@@ -81,8 +85,9 @@ impl MinimalTest for G3Test {
 /// memoized single-attribute partitions. `max_lhs` bounds the LHS size
 /// (`None` = unbounded). `threads` is the worker count (`1` = serial,
 /// `0` = all cores): the `g3` tests and the prefix-join products fan out
-/// with deterministic chunking, so results are bit-identical for every
-/// thread count.
+/// with deterministic chunking, and which partitions are shared rather
+/// than multiplied is decided serially, so results are bit-identical
+/// for every thread count.
 pub fn mine_approximate_ctx(
     ctx: &AnalysisCtx,
     epsilon: f64,

@@ -8,7 +8,8 @@
 //!
 //! * [`next_level`] — GENERATE_NEXT_LEVEL, the prefix join of one
 //!   level's surviving sets into the next level's candidates and their
-//!   partition products.
+//!   partitions: a parent's where an exact FD fixes it (see *Shared
+//!   partitions*), a product otherwise.
 //! * [`walk_minimal`] — emits every *minimal* `X → A` a [`MinimalTest`]
 //!   accepts. Candidates are scored in parallel, emissions merge
 //!   serially in set order, and the sets that seed the join are chosen
@@ -55,7 +56,8 @@
 //!   the verdict of the smaller `Z∖{A,B} → B`, so it is either rejected
 //!   or not minimal. `g3` emits every exact dependency, at every ε; F̂
 //!   may reject one (a key-like LHS's bias cancels its plugin of 1),
-//!   and the rule prunes by it all the same.
+//!   and the rule prunes by it all the same. The same identity
+//!   supplies π_Z itself (see *Shared partitions*).
 //! * **Key** ([`MinimalTest::key_score`]: only `g3` at ε = 0). A key
 //!   `X` (π_X has no class) leaves the join, and `X → A` is emitted for
 //!   each `A ∈ C⁺(X)∖X`. At ε = 0 this is sound because the walk is
@@ -90,6 +92,38 @@
 //! levels says so in `reaches_survivors` (the reliable miner then skips
 //! its bias term below θ).
 //!
+//! # Shared partitions
+//!
+//! Next to `C⁺`, every set `X` of a level the walk goes on from carries
+//! `E(X) ⊆ {A ∈ X : π_X = π_{X∖A}}`: the scored `A` whose `X∖{A} → A`
+//! holds exactly (`e(π_{X∖A}) = e(π_X)`, the exact-FD rule's own
+//! check), plus `⋃_{B∈X} E(X∖{B})`. The union is sound because the
+//! identity lifts: π_{X∖B} = π_{X∖{A,B}} gives π_X = π_{X∖A} on
+//! multiplying both sides by π_B. `E(∅) = ∅`, and `E({A}) = {A}` for a
+//! constant column `A`. The exact-FD rule reads `E(X) ≠ ∅`: an
+//! inherited member means some `X∖{B}` was already narrowed, so
+//! `C⁺(X) ⊆ C⁺(X∖{B}) ⊆ X` and narrowing again changes nothing.
+//!
+//! [`next_level`] gives a candidate `Z` with some `A` in
+//! `⋃_{B∈Z} E(Z∖{B})` the partition π_{Z∖A} of that surviving parent
+//! (an [`Arc`] clone; on a [`Level::Sizes`] level, a copy of its
+//! sizes), with `A` the smallest such attribute so every thread count
+//! shares the same one, and multiplies only the other candidates. Each
+//! shared candidate counts one `partitions_shared` and no
+//! `partition_products`, so the two sum to the candidates built. An
+//! unbounded exact walk shares 4 183 of its 4 993 candidates on db2 and
+//! 1 944 of 3 412 on dbgen 20 000. A test that emits below the exact
+//! FDs (F̂, `g3` at ε > 0) empties `C⁺` of the sets that carry one
+//! before they reach the join, and shares fewer: none on dbgen 20 000.
+//!
+//! A shared partition equals the product as a set of classes, but its
+//! classes may come in another order, and so may those of the products
+//! built from it. That is harmless: every reader of a walk's partitions
+//! reads class sizes and counts only (`e(π)`, [`ClassSizes`], the size
+//! multisets F̂ is summed over, `g3`'s per-class removals, and
+//! [`StrippedPartition::is_key`]), none of which depends on class
+//! order.
+//!
 //! # `g3` from π_A
 //!
 //! A [`Candidate`] carries π_{X∖A}, π_X's class sizes (where built),
@@ -120,12 +154,13 @@ use dbmine_relation::partition::{ClassSizes, PartitionScratch, Probe, StrippedPa
 use dbmine_relation::AttrSet;
 use dbmine_telemetry::{counter_add, Counter, Span};
 use fxhash::{FxHashMap, FxHashSet};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// One level's partitions, keyed by attribute-set bits.
 pub enum Level {
-    /// Materialized partitions: a level the walk may still join.
-    Parts(FxHashMap<u64, StrippedPartition>),
+    /// Materialized partitions, shared with the previous level where an
+    /// exact FD fixes them: a level the walk may still join.
+    Parts(FxHashMap<u64, Arc<StrippedPartition>>),
     /// Class sizes only: the last level of a bounded walk whose test
     /// reads π_X's sizes.
     Sizes(FxHashMap<u64, ClassSizes>),
@@ -149,7 +184,7 @@ impl Level {
     /// # Panics
     ///
     /// On a last level: a walk never joins it.
-    pub fn into_parts(self) -> FxHashMap<u64, StrippedPartition> {
+    pub fn into_parts(self) -> FxHashMap<u64, Arc<StrippedPartition>> {
         let Level::Parts(parts) = self else {
             panic!("the last level of a bounded walk is never joined")
         };
@@ -174,13 +209,17 @@ pub enum Build {
 /// all but their largest attribute is joined into a candidate, kept only
 /// if all of its one-smaller subsets survived. Returns the candidates in
 /// enumeration order — contiguous by left join parent — with what
-/// `build` asks for of the products of their two join parents'
-/// partitions in `parts` (one probe load per left parent, the parents
-/// in parallel with one scratch per worker).
+/// `build` asks for of their partitions: a candidate `Z` with some `A`
+/// in `⋃_{B∈Z} exact[Z∖{B}]` (the `E` sets of the module docs, one per
+/// survivor) takes π_{Z∖A} from `parts` for the smallest such `A`;
+/// every other candidate gets the product of its two join parents'
+/// partitions (one probe load per left parent, the parents in parallel
+/// with one scratch per worker).
 pub fn next_level(
     threads: usize,
     survivors: &[AttrSet],
-    parts: &FxHashMap<u64, StrippedPartition>,
+    parts: &FxHashMap<u64, Arc<StrippedPartition>>,
+    exact: &FxHashMap<u64, AttrSet>,
     build: Build,
 ) -> (Vec<AttrSet>, Level) {
     let survivor_bits: FxHashSet<u64> = survivors.iter().map(|s| s.bits()).collect();
@@ -213,37 +252,63 @@ pub fn next_level(
             }
         }
     }
+    let sets = candidates.iter().map(|c| c.0).collect();
     let level = match build {
-        Build::Parts => Level::Parts(products(threads, &candidates, parts, |probe, right| {
-            probe.product(right)
-        })),
-        Build::Sizes => Level::Sizes(products(threads, &candidates, parts, |probe, right| {
-            probe.product_sizes(right)
-        })),
+        Build::Parts => Level::Parts(partitions(
+            threads,
+            candidates,
+            parts,
+            exact,
+            |probe, right| Arc::new(probe.product(right)),
+            Arc::clone,
+        )),
+        Build::Sizes => Level::Sizes(partitions(
+            threads,
+            candidates,
+            parts,
+            exact,
+            |probe, right| probe.product_sizes(right),
+            |parent| parent.sizes().clone(),
+        )),
         Build::Nothing => Level::Unbuilt,
     };
-    let sets = candidates.iter().map(|c| c.0).collect();
     (sets, level)
 }
 
-/// Each join candidate `(x, left, right)`'s `product` of its parents'
-/// partitions, keyed by `x`'s bits. The candidates are cut into one
-/// group of whole runs per worker (a run: the candidates of one left
-/// parent); a worker walks its group run by run under one loaded probe
-/// each, into one vector, and the groups are reassembled in candidate
-/// order.
-fn products<P: Send>(
+/// Each join candidate `(x, left, right)`'s partition, keyed by `x`'s
+/// bits: `share` of the parent π_{x∖A} for the smallest `A` in
+/// `⋃_{B∈x} exact[x∖{B}]` (module docs, *Shared partitions*; one
+/// `partitions_shared` each), else `product` of its two join parents'
+/// partitions. The candidates to multiply are cut into one group of
+/// whole runs per worker (a run: the candidates of one left parent); a
+/// worker walks its group run by run under one loaded probe each, into
+/// one vector, and the groups are reassembled in candidate order.
+fn partitions<P: Send>(
     threads: usize,
-    candidates: &[(AttrSet, u64, u64)],
-    parts: &FxHashMap<u64, StrippedPartition>,
+    mut candidates: Vec<(AttrSet, u64, u64)>,
+    parts: &FxHashMap<u64, Arc<StrippedPartition>>,
+    exact: &FxHashMap<u64, AttrSet>,
     product: fn(&mut Probe<'_>, &StrippedPartition) -> P,
+    share: fn(&Arc<StrippedPartition>) -> P,
 ) -> FxHashMap<u64, P> {
+    let mut shared: Vec<(u64, u64)> = Vec::new();
+    candidates.retain(|&(x, _, _)| {
+        let inherited = x
+            .iter()
+            .fold(AttrSet::EMPTY, |e, b| e.union(exact[&x.without(b).bits()]));
+        let Some(a) = inherited.iter().next() else {
+            return true;
+        };
+        shared.push((x.bits(), x.without(a).bits()));
+        false
+    });
+    counter_add(Counter::PartitionsShared, shared.len() as u64);
     let workers = if candidates.len() < SERIAL_BELOW {
         1
     } else {
         effective_threads(threads)
     };
-    let groups = run_groups(candidates, workers);
+    let groups = run_groups(&candidates, workers);
     let products = par_map_coarse(threads, &groups, |_, group| {
         let mut scratch = PartitionScratch::new();
         let mut out = Vec::with_capacity(group.len());
@@ -256,13 +321,15 @@ fn products<P: Send>(
         }
         out
     });
-    let mut level = FxHashMap::with_capacity_and_hasher(candidates.len(), Default::default());
+    let mut level =
+        FxHashMap::with_capacity_and_hasher(candidates.len() + shared.len(), Default::default());
     level.extend(
         candidates
             .iter()
             .map(|c| c.0.bits())
             .zip(products.into_iter().flatten()),
     );
+    level.extend(shared.iter().map(|&(x, from)| (x, share(&parts[&from]))));
     level
 }
 
@@ -393,7 +460,7 @@ pub trait MinimalTest: Sync {
     fn survivors(
         &self,
         sets: &[AttrSet],
-        _parts: &FxHashMap<u64, StrippedPartition>,
+        _parts: &FxHashMap<u64, Arc<StrippedPartition>>,
         _tested: &[Vec<(usize, Self::Score)>],
         _cplus: &[AttrSet],
     ) -> Vec<AttrSet> {
@@ -425,11 +492,17 @@ pub fn walk_minimal<T: MinimalTest>(
     let r = AttrSet::full(attr_parts.len());
     let attr_ids: Vec<OnceLock<Vec<u32>>> = attr_parts.iter().map(|_| OnceLock::new()).collect();
     let mut found: Vec<(Fd, T::Score)> = Vec::new();
-    // The previous level: its survivors' partitions, every set's C⁺.
-    let mut prev_parts: FxHashMap<u64, StrippedPartition> =
-        std::iter::once((AttrSet::EMPTY.bits(), StrippedPartition::of_empty(n))).collect();
+    // The previous level: its survivors' partitions, every set's C⁺
+    // and E (module docs).
+    let mut prev_parts: FxHashMap<u64, Arc<StrippedPartition>> = std::iter::once((
+        AttrSet::EMPTY.bits(),
+        Arc::new(StrippedPartition::of_empty(n)),
+    ))
+    .collect();
     let mut prev_cplus: FxHashMap<u64, AttrSet> =
         std::iter::once((AttrSet::EMPTY.bits(), r)).collect();
+    let mut prev_exact: FxHashMap<u64, AttrSet> =
+        std::iter::once((AttrSet::EMPTY.bits(), AttrSet::EMPTY)).collect();
     // Every X∖{B} survived, or X would not be a candidate.
     let subsets_cplus = |prev_cplus: &FxHashMap<u64, AttrSet>, x: AttrSet| {
         x.iter()
@@ -440,7 +513,7 @@ pub fn walk_minimal<T: MinimalTest>(
         attr_parts
             .iter()
             .enumerate()
-            .map(|(a, &p)| (AttrSet::single(a).bits(), p.clone()))
+            .map(|(a, &p)| (AttrSet::single(a).bits(), Arc::new(p.clone())))
             .collect(),
     );
     let mut level = 1usize;
@@ -483,23 +556,28 @@ pub fn walk_minimal<T: MinimalTest>(
         if max_lhs.is_some_and(|max| level > max) {
             break;
         }
-        // The exact-FD rule, under every test (module docs): some
-        // scored `X∖{A} → A` holds, `e(π_{X∖A}) = e(π_X)`.
-        let cplus: Vec<AttrSet> = sets
+        // E(X): the scored `X∖{A} → A` that hold, `e(π_{X∖A}) =
+        // e(π_X)`, plus the subsets' E. The exact-FD rule, under every
+        // test, narrows C⁺(X) to X when it is not empty (module docs).
+        let (cplus, exact): (Vec<AttrSet>, Vec<AttrSet>) = sets
             .iter()
             .zip(&tested)
             .map(|(&x, cases)| {
-                let cplus = subsets_cplus(&prev_cplus, x);
                 let e_x = current.sizes(x).expect("a joined level is built").error();
-                match cases
+                let exact = cases
                     .iter()
-                    .any(|&(a, _)| prev_parts[&x.without(a).bits()].error() == e_x)
-                {
-                    true => cplus.intersect(x),
-                    false => cplus,
+                    .filter(|&&(a, _)| prev_parts[&x.without(a).bits()].error() == e_x)
+                    .fold(AttrSet::EMPTY, |e, &(a, _)| e.with(a));
+                let exact = x
+                    .iter()
+                    .fold(exact, |e, b| e.union(prev_exact[&x.without(b).bits()]));
+                let cplus = subsets_cplus(&prev_cplus, x);
+                match exact.is_empty() {
+                    true => (cplus, exact),
+                    false => (cplus.intersect(x), exact),
                 }
             })
-            .collect();
+            .unzip();
         drop(scoring);
 
         let mut parts = current.into_parts();
@@ -532,7 +610,9 @@ pub fn walk_minimal<T: MinimalTest>(
             true if T::READS_X_SIZES => Build::Sizes,
             true => Build::Nothing,
         };
-        let (next_sets, next) = next_level(threads, &survivors, &parts, build);
+        prev_cplus = sets.iter().map(|s| s.bits()).zip(cplus).collect();
+        prev_exact = sets.iter().map(|s| s.bits()).zip(exact).collect();
+        let (next_sets, next) = next_level(threads, &survivors, &parts, &prev_exact, build);
         // Only survivors are join parents, so only their partitions are
         // read again.
         if survivors.len() < sets.len() {
@@ -540,7 +620,6 @@ pub fn walk_minimal<T: MinimalTest>(
             parts.retain(|bits, _| kept.contains(bits));
         }
         prev_parts = parts;
-        prev_cplus = sets.iter().map(|s| s.bits()).zip(cplus).collect();
         current = next;
         sets = next_sets;
         level += 1;

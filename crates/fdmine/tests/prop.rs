@@ -4,10 +4,15 @@
 //! implication, and hitting sets must hit. The partition kernel is
 //! pinned against its oracle, bounded walks against the unbounded
 //! ones, and the partition MVD test against the hash group-by it
-//! replaced, on relations that may be degenerate.
+//! replaced, on relations that may be degenerate. Where an exact FD
+//! lets the walk share a parent's partition instead of multiplying,
+//! every partition it holds must equal the reference product of its
+//! join parents, and the exact, `g3` and F̂ miners must still emit the
+//! brute-force oracles' dependencies.
 
 use dbmine_context::AnalysisCtx;
 use dbmine_fdmine::cover::{closure, implies, minimum_cover};
+use dbmine_fdmine::lattice::{walk_minimal, Candidate, MinimalTest};
 use dbmine_fdmine::{
     mine_approximate_ctx, mine_mvds, mine_tane_ctx, mvd_holds, Fd, PartitionScratch,
     StrippedPartition, TaneOptions,
@@ -17,10 +22,14 @@ use dbmine_oracles::{
     minimal_hitting_sets, product_reference,
 };
 use dbmine_relation::csv::write_relation_path;
+use dbmine_relation::partition::ClassSizes;
 use dbmine_relation::{AttrSet, Relation, RelationBuilder, ShardedRelation};
+use dbmine_reliability::{mine_reliable_ctx, ReliableOptions, RfiScorer};
+use fxhash::FxHashMap;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 /// A random small categorical relation (≤5 attrs, ≤12 tuples, domain 3).
 fn arb_relation() -> impl Strategy<Value = Relation> {
@@ -112,6 +121,183 @@ fn minimal_oracle<S: Copy>(
     }
     out.sort_by_key(|f| f.0);
     out
+}
+
+/// A random relation over 2–5 attributes with exact FDs planted: 0–2
+/// tuples as often as 3–12, and each column random (domain 3), random
+/// with NULLs, constant, all-NULL, a copy of an earlier column, or a
+/// function of a non-empty set of earlier columns (their joint value,
+/// or it mod 2; NULL counts as a value).
+fn planted_relation() -> impl Strategy<Value = Relation> {
+    let n =
+        (0u8..2, 0usize..=2, 3usize..=12).prop_map(|(tiny, t, n)| if tiny == 0 { t } else { n });
+    (2usize..=5, n).prop_flat_map(|(m, n)| {
+        (
+            proptest::collection::vec((0u8..7, 0u64..1 << 5), m..=m),
+            proptest::collection::vec(proptest::collection::vec(0u32..3, m..=m), n..=n),
+        )
+            .prop_map(move |(kinds, rows)| {
+                let names: Vec<String> = (0..m).map(|a| format!("A{a}")).collect();
+                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+                let mut b = RelationBuilder::new("planted", &refs);
+                for row in rows {
+                    let mut values: Vec<Option<u32>> = Vec::with_capacity(m);
+                    for (a, &(kind, pick)) in kinds.iter().enumerate() {
+                        let sources = AttrSet::from_bits(pick % (1 << a));
+                        let joint = || {
+                            sources
+                                .iter()
+                                .fold(0, |h, s| 4 * h + values[s].unwrap_or(3))
+                        };
+                        let value = match kind {
+                            1 => (row[a] > 0).then_some(row[a]),
+                            2 => Some(0),
+                            3 => None,
+                            4 if a > 0 => values[pick as usize % a],
+                            5 if !sources.is_empty() => Some(joint()),
+                            6 if !sources.is_empty() => Some(joint() % 2),
+                            _ => Some(row[a]),
+                        };
+                        values.push(value);
+                    }
+                    let cells: Vec<Option<String>> = values
+                        .iter()
+                        .enumerate()
+                        .map(|(a, v)| v.map(|v| format!("v{a}_{v}")))
+                        .collect();
+                    let refs: Vec<Option<&str>> = cells.iter().map(Option::as_deref).collect();
+                    b.push_row(&refs);
+                }
+                b.build()
+            })
+    })
+}
+
+/// The exact test (emit what holds, take the key rule) that checks every
+/// partition the walk hands it against the reference product: each
+/// candidate's π_X sizes against π_{X∖A}·π_A's, and, on every level it
+/// filters, each set's π_X against the product of its two join parents
+/// from the level before. Counts the sets whose partition is a parent's
+/// own (shared, not multiplied).
+struct SharingProbe<'a> {
+    attr_parts: Vec<&'a StrippedPartition>,
+    prev: Mutex<FxHashMap<u64, Arc<StrippedPartition>>>,
+    shared: Mutex<usize>,
+    failures: Mutex<Vec<String>>,
+}
+
+impl<'a> SharingProbe<'a> {
+    fn new(ctx: &'a AnalysisCtx) -> Self {
+        SharingProbe {
+            attr_parts: ctx.attr_partitions(),
+            prev: Mutex::default(),
+            shared: Mutex::default(),
+            failures: Mutex::default(),
+        }
+    }
+
+    fn fail(&self, what: String) {
+        self.failures.lock().unwrap().push(what);
+    }
+}
+
+impl MinimalTest for SharingProbe<'_> {
+    type Score = bool;
+
+    fn score(&self, c: &Candidate<'_>, _: &mut PartitionScratch) -> bool {
+        let sorted = |sizes: &ClassSizes| {
+            let mut v: Vec<usize> = sizes.iter().collect();
+            v.sort_unstable();
+            (v, sizes.n())
+        };
+        let want = product_reference(c.lhs, self.attr_parts[c.a]);
+        if sorted(c.x()) != sorted(want.sizes()) {
+            self.fail(format!("π_X sizes of consequent {}: {:?}", c.a, c.x()));
+        }
+        c.holds()
+    }
+
+    fn emits(&self, holds: &bool) -> bool {
+        *holds
+    }
+
+    fn key_score(&self) -> Option<bool> {
+        Some(true)
+    }
+
+    fn survivors(
+        &self,
+        sets: &[AttrSet],
+        parts: &FxHashMap<u64, Arc<StrippedPartition>>,
+        _tested: &[Vec<(usize, bool)>],
+        _cplus: &[AttrSet],
+    ) -> Vec<AttrSet> {
+        let mut prev = self.prev.lock().unwrap();
+        for &x in sets.iter().filter(|x| x.len() >= 2) {
+            let attrs: Vec<usize> = x.iter().collect();
+            let k = attrs.len();
+            let (left, right) = (x.without(attrs[k - 1]), x.without(attrs[k - 2]));
+            let part = &parts[&x.bits()];
+            if part.canonical() != product_reference(&prev[&left.bits()], &prev[&right.bits()]) {
+                self.fail(format!("π of {x:?} is not π_{left:?}·π_{right:?}"));
+            }
+            if attrs
+                .iter()
+                .any(|&a| Arc::ptr_eq(part, &prev[&x.without(a).bits()]))
+            {
+                *self.shared.lock().unwrap() += 1;
+            }
+        }
+        *prev = parts.clone();
+        sets.to_vec()
+    }
+}
+
+/// Runs the [`SharingProbe`] walk; returns its emissions, shared count
+/// and failures.
+fn probe_walk(
+    ctx: &AnalysisCtx,
+    max_lhs: Option<usize>,
+    threads: usize,
+) -> (Vec<Fd>, usize, Vec<String>) {
+    let probe = SharingProbe::new(ctx);
+    let fds = walk_minimal(
+        ctx.n_tuples(),
+        ctx.attr_partitions(),
+        max_lhs,
+        threads,
+        &probe,
+    )
+    .into_iter()
+    .map(|(fd, _)| fd)
+    .collect();
+    let shared = *probe.shared.lock().unwrap();
+    (fds, shared, probe.failures.into_inner().unwrap())
+}
+
+#[test]
+fn planted_fd_shares_a_parent_partition() {
+    // B = A mod 2 holds exactly, so E({A,B}) = {B} and {A,B,C} takes
+    // π_{A,C} instead of a product.
+    let mut b = RelationBuilder::new("planted", &["A", "B", "C"]);
+    for i in 0..12u32 {
+        b.push_row_strs(&[
+            &format!("a{}", i % 3),
+            &format!("b{}", i % 3 % 2),
+            &format!("c{}", i % 2),
+        ]);
+    }
+    let rel = b.build();
+    let ctx = AnalysisCtx::of(&rel);
+    for threads in [1, 4] {
+        let (mut fds, shared, failures) = probe_walk(&ctx, None, threads);
+        fds.sort();
+        let mut brute = mine_brute(&rel);
+        brute.sort();
+        assert_eq!(fds, brute);
+        assert!(failures.is_empty(), "{failures:?}");
+        assert!(shared >= 1, "no partition shared at threads = {threads}");
+    }
 }
 
 /// A chunk-backed context over `rel`, spilled through its CSV to a
@@ -578,5 +764,87 @@ proptest! {
         let e = fd_error_g3(&rel, lhs, rhs);
         prop_assert!((0.0..=1.0).contains(&e));
         prop_assert_eq!(e.abs() < 1e-12, fd_holds(&rel, lhs, rhs));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every partition the walk holds, shared or multiplied, is the
+    /// reference product of its join parents, and its sizes those of
+    /// π_{X∖A}·π_A for every candidate, on planted relations, unbounded
+    /// and bounded, at threads 1 and 4; the probe's exact emissions are
+    /// the brute-force minimal FDs.
+    #[test]
+    fn shared_partitions_equal_reference_products(rel in planted_relation()) {
+        let ctx = AnalysisCtx::of(&rel);
+        let mut brute = mine_brute(&rel);
+        brute.sort();
+        for max_lhs in [None, Some(1), Some(2)] {
+            let want: Vec<Fd> = brute.iter().copied()
+                .filter(|f| max_lhs.is_none_or(|k| f.lhs.len() <= k)).collect();
+            for threads in [1usize, 4] {
+                let (mut fds, _, failures) = probe_walk(&ctx, max_lhs, threads);
+                fds.sort();
+                prop_assert!(failures.is_empty(), "{:?}, max_lhs = {:?}, threads = {}", failures, max_lhs, threads);
+                prop_assert_eq!(&fds, &want, "max_lhs = {:?}, threads = {}", max_lhs, threads);
+            }
+        }
+    }
+
+    /// The miners on the sharing walk — exact TANE, `g3` and F̂ — emit
+    /// exactly the brute-force oracles' minimal dependencies, scores bit
+    /// for bit, on planted relations, at threads 1 and 4.
+    #[test]
+    fn miners_on_shared_partitions_match_oracles(
+        rel in planted_relation(),
+        eps_pct in 1u32..40,
+        theta_pct in 0u32..=100,
+    ) {
+        let ctx = AnalysisCtx::of(&rel);
+        let scorer = RfiScorer::new(&ctx);
+        let theta = theta_pct as f64 / 100.0;
+        let mut brute = mine_brute(&rel);
+        brute.sort();
+        for max_lhs in [None, Some(1), Some(2)] {
+            let exact: Vec<Fd> = brute.iter().copied()
+                .filter(|f| max_lhs.is_none_or(|k| f.lhs.len() <= k)).collect();
+            let g3_oracles: Vec<(f64, Vec<(Fd, f64)>)> = [0.0, eps_pct as f64 / 100.0]
+                .into_iter()
+                .map(|eps| (eps, minimal_oracle(rel.n_attrs(), max_lhs, |lhs, a| fd_error_g3(&rel, lhs, a), |&e| e <= eps)))
+                .collect();
+            let rfi_oracle = minimal_oracle(
+                rel.n_attrs(),
+                max_lhs,
+                |lhs, a| scorer.score_sets(&ctx, lhs, AttrSet::single(a)),
+                |s| s.score >= theta,
+            );
+            for threads in [1usize, 4] {
+                let at = format!("max_lhs = {max_lhs:?}, threads = {threads}");
+                let mut tane = mine_tane_ctx(&ctx, TaneOptions { max_lhs, threads });
+                tane.sort();
+                prop_assert_eq!(&tane, &exact, "TANE, {}", at);
+                for (eps, oracle) in &g3_oracles {
+                    let mined = mine_approximate_ctx(&ctx, *eps, max_lhs, threads);
+                    prop_assert_eq!(mined.len(), oracle.len(), "g3 ε = {}, {}", eps, at);
+                    for (f, (fd, error)) in mined.iter().zip(oracle) {
+                        prop_assert_eq!(&f.fd, fd, "g3 ε = {}, {}", eps, at);
+                        prop_assert!(f.error.to_bits() == error.to_bits(), "{}: {} vs {}, {}", fd, f.error, error, at);
+                    }
+                }
+                let mined = mine_reliable_ctx(&ctx, ReliableOptions { theta, max_lhs, threads, ..Default::default() });
+                prop_assert_eq!(mined.len(), rfi_oracle.len(), "F̂ θ = {}, {}", theta, at);
+                for (f, (fd, s)) in mined.iter().zip(&rfi_oracle) {
+                    prop_assert_eq!(&f.fd, fd, "F̂ θ = {}, {}", theta, at);
+                    prop_assert!(
+                        f.score.to_bits() == s.score.to_bits()
+                            && f.plugin.to_bits() == s.plugin.to_bits()
+                            && f.bias.to_bits() == s.bias.to_bits()
+                            && f.g3.to_bits() == fd_error_g3(&rel, fd.lhs, fd.rhs).to_bits(),
+                        "{}: {:?} vs {:?}, {}", fd, f, s, at
+                    );
+                }
+            }
+        }
     }
 }

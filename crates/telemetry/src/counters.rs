@@ -30,7 +30,9 @@ pub enum Counter {
     /// Stripped-partition products, the unit cost of the lattice walks'
     /// expansion: one per product or count-only product
     /// (`Probe::product` / `Probe::product_sizes`), however many
-    /// products share one loaded probe. A bounded TANE or `g3` walk
+    /// products share one loaded probe. A set whose partition an exact
+    /// FD fixes shares its parent's and counts no product (see
+    /// [`Counter::PartitionsShared`]). A bounded TANE or `g3` walk
     /// builds none for its last level; F̂ builds count-only ones there.
     PartitionProducts,
     /// g3 approximation-error evaluations (`g3_error_with`).
@@ -86,10 +88,16 @@ pub enum Counter {
     /// (`dbmine_reliability::m0_capped`): the running total already
     /// showed `F̂ < θ` for a candidate whose bias no filter reads.
     M0Cutoffs,
+    /// Lattice-walk candidates whose partition (or, on a bounded walk's
+    /// last level, class sizes) came from a parent instead of a
+    /// product: `π_Z = π_{Z∖A}` once an exact FD showed `A` redundant
+    /// in a subset (`fdmine::lattice::next_level`). With
+    /// [`Counter::PartitionProducts`] it sums to the candidates built.
+    PartitionsShared,
 }
 
 /// Number of distinct counters.
-pub const N_COUNTERS: usize = 23;
+pub const N_COUNTERS: usize = 24;
 
 /// All counters, in index order. `COUNTERS[c as usize] == c` for every
 /// counter `c`.
@@ -117,6 +125,7 @@ pub const COUNTERS: [Counter; N_COUNTERS] = [
     Counter::BnbPrunes,
     Counter::AssignPostings,
     Counter::M0Cutoffs,
+    Counter::PartitionsShared,
 ];
 
 impl Counter {
@@ -146,6 +155,7 @@ impl Counter {
             Counter::BnbPrunes => "bnb_prunes",
             Counter::AssignPostings => "assign_postings",
             Counter::M0Cutoffs => "m0_cutoffs",
+            Counter::PartitionsShared => "partitions_shared",
         }
     }
 }
